@@ -27,6 +27,29 @@ echo "=== conformance smoke ==="
 # non-zero (and prints the shrunk case) on any invariant violation.
 ./target/release/conformance_fuzz --seed 42 --iters 200 --no-save
 
+echo "=== benchmark smoke ==="
+# benchmark/ is a package of its own (empty [workspace], own lock file)
+# that reaches the program only through the public items of crates/, so
+# nothing above compiles it: an API change there would otherwise first
+# show in the pipeline that runs BENCHMARK.json. Build it as that
+# pipeline does and run the host-compute workload briefly; its last line
+# is the result record, which says whether every convolution matched the
+# serial oracle. Cargo brings benchmark/Cargo.lock up to date with the
+# crates' manifests when it builds; the committed copy is put back, since
+# only a change that redefines the benchmark may edit that directory.
+bench_lock="$(mktemp)"
+cp benchmark/Cargo.lock "${bench_lock}"
+bench_result="$(cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
+  --workload native_conv --seed 42 --seconds 2 --trace 0 | tail -n 1)" || true
+mv "${bench_lock}" benchmark/Cargo.lock
+case "${bench_result}" in
+  *'"correct":true'*) echo "benchmark smoke: ${bench_result}" ;;
+  *)
+    echo "benchmark smoke: native_conv did not report \"correct\":true: ${bench_result}" >&2
+    exit 1
+    ;;
+esac
+
 echo "=== perf gate ==="
 # Runs the pinned bench matrix through the deterministic simulator and
 # diffs per-workload cycles/peak-memory against the committed

@@ -14,7 +14,9 @@ const FEAT: usize = 32;
 fn main() {
     let _telemetry = tlpgnn_bench::telemetry_scope("native_scaling");
     bench::print_header("Native CPU engine: wall-clock thread scaling (GCN)");
-    let cores = std::thread::available_parallelism().map_or(4, |p| p.get());
+    // The engine's thread count is a cap on the shared pool, which is as
+    // large as the machine's available parallelism.
+    let cores = tlpgnn_tensor::pool::participants(0);
     let g = generators::rmat_default(100_000, 2_000_000, 7);
     let x = Matrix::random(g.num_vertices(), FEAT, 1.0, 8);
     println!(
@@ -45,11 +47,8 @@ fn main() {
         &["threads", "ms", "speedup", "efficiency"],
     );
     let base = time_of(1);
-    // Sweep past the core count when the box is small: oversubscription
-    // showing ~flat time is itself evidence the pool doesn't thrash.
-    let sweep_max = cores.max(4);
     let mut threads = 1usize;
-    while threads <= sweep_max {
+    while threads <= cores {
         let ms = if threads == 1 { base } else { time_of(threads) };
         t.row(vec![
             threads.to_string(),

@@ -3,7 +3,8 @@
 //! graph-convolution engines.
 
 use serde::{Deserialize, Serialize};
-use tlpgnn_tensor::{activations, ops, Linear, Matrix};
+use std::borrow::Cow;
+use tlpgnn_tensor::{activations, Linear, Matrix};
 
 /// Parameters of a single-head graph attention layer.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -130,11 +131,10 @@ impl GnnLayer {
         mut conv: impl FnMut(&GnnModel, &Matrix) -> Matrix,
     ) -> Matrix {
         let agg = conv(&self.model, x);
-        let combined = match self.combine {
-            Combine::Replace => agg,
-            Combine::ConcatSelf => ops::concat_cols(x, &agg),
+        let mut out = match self.combine {
+            Combine::Replace => self.linear.forward(&agg),
+            Combine::ConcatSelf => self.linear.forward_concat(x, &agg),
         };
-        let mut out = self.linear.forward(&combined);
         if self.relu {
             activations::relu(&mut out);
         }
@@ -196,10 +196,13 @@ impl GnnNetwork {
         x: &Matrix,
         mut conv: impl FnMut(&GnnModel, &Matrix) -> Matrix,
     ) -> Matrix {
-        let mut h = x.clone();
+        // The first layer reads the caller's matrix; only a network
+        // without layers has to copy it.
+        let mut h = Cow::Borrowed(x);
         for layer in &self.layers {
-            h = layer.forward_with(&h, &mut conv);
+            h = Cow::Owned(layer.forward_with(&h, &mut conv));
         }
+        let mut h = h.into_owned();
         activations::log_softmax_rows(&mut h);
         h
     }
@@ -235,6 +238,11 @@ mod tests {
         assert_eq!(layer.linear.in_dim(), 12);
         let y = layer.forward_with(&x, |m, feats| conv_reference(m, &g, feats));
         assert_eq!(y.shape(), (20, 3));
+        // The two-source projection is the materialised concat, bit for bit.
+        let cat = tlpgnn_tensor::ops::concat_cols(&x, &conv_reference(&layer.model, &g, &x));
+        let mut want = layer.linear.forward(&cat);
+        activations::relu(&mut want);
+        assert_eq!(y, want);
     }
 
     #[test]

@@ -1,51 +1,28 @@
 //! Algorithm 1 on the CPU: dynamic chunked self-scheduling.
 //!
 //! A shared atomic cursor hands out chunks of `step` consecutive work
-//! items; each worker thread pulls until the pool drains. This is the
-//! paper's software-based dynamic workload assignment, with a thread
-//! standing in for a warp.
+//! items; each participating thread pulls until the pool drains. This is
+//! the paper's software-based dynamic workload assignment, with a thread
+//! standing in for a warp. The threads and the cursor live in
+//! [`tlpgnn_tensor::pool`] — started once and parked between calls, shared
+//! with the dense ops — and this is its per-item face.
 
-use crossbeam::utils::CachePadded;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use tlpgnn_tensor::pool;
 
 /// Run `f(i)` for every `i in 0..n`, distributing work dynamically in
-/// chunks of `step` across `threads` workers (0 = available parallelism).
+/// chunks of `step` across at most `threads` threads of the shared pool,
+/// the caller among them (0 = all of the pool).
 ///
 /// `f` must tolerate concurrent invocation for distinct `i` — typical use
 /// writes only to data owned by item `i`.
 pub fn task_pool_for(n: usize, step: usize, threads: usize, f: impl Fn(usize) + Sync) {
-    let step = step.max(1);
-    let threads = if threads == 0 {
-        std::thread::available_parallelism().map_or(4, |p| p.get())
-    } else {
-        threads
-    };
-    if n == 0 {
-        return;
-    }
-    // Cache-pad the cursor so workers hammering it do not false-share with
-    // neighbors.
-    let cursor = CachePadded::new(AtomicUsize::new(0));
-    std::thread::scope(|scope| {
-        for _ in 0..threads.min(n.div_ceil(step)) {
-            scope.spawn(|| loop {
-                let start = cursor.fetch_add(step, Ordering::Relaxed);
-                if start >= n {
-                    break;
-                }
-                let end = (start + step).min(n);
-                for i in start..end {
-                    f(i);
-                }
-            });
-        }
-    });
+    pool::for_each_chunk(n, step, threads, |chunk| chunk.for_each(&f));
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     #[test]
     fn covers_every_item_exactly_once() {

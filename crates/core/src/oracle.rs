@@ -17,21 +17,27 @@ pub fn gcn_norm(g: &Csr) -> Vec<f32> {
         .collect()
 }
 
+/// One GAT attention projection for a run of rows:
+/// `out[i] = a · x[first + i]`, each a left-to-right sum. [`gat_scores`]
+/// is this over all rows; the native engine chunks it over its pool.
+pub fn gat_project_rows(x: &Matrix, a: &[f32], first: usize, out: &mut [f32]) {
+    assert_eq!(a.len(), x.cols());
+    for (i, o) in out.iter_mut().enumerate() {
+        *o = x.row(first + i).iter().zip(a).map(|(r, w)| r * w).sum();
+    }
+}
+
 /// GAT per-vertex attention scores: `al[u] = a_src · x[u]`,
 /// `ar[v] = a_dst · x[v]`. Computing these is a dense (ApplyVertex)
 /// operation; all GAT graph-convolution implementations take them as
 /// input.
 pub fn gat_scores(x: &Matrix, params: &GatParams) -> (Vec<f32>, Vec<f32>) {
-    assert_eq!(params.a_src.len(), x.cols());
-    assert_eq!(params.a_dst.len(), x.cols());
-    let dot = |row: &[f32], a: &[f32]| row.iter().zip(a).map(|(r, w)| r * w).sum::<f32>();
-    let al = (0..x.rows())
-        .map(|v| dot(x.row(v), &params.a_src))
-        .collect();
-    let ar = (0..x.rows())
-        .map(|v| dot(x.row(v), &params.a_dst))
-        .collect();
-    (al, ar)
+    let project = |a: &[f32]| {
+        let mut out = vec![0.0; x.rows()];
+        gat_project_rows(x, a, 0, &mut out);
+        out
+    };
+    (project(&params.a_src), project(&params.a_dst))
 }
 
 /// Serial reference graph convolution for `model`.

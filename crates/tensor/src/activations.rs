@@ -2,20 +2,34 @@
 //! layer equation, paper Section 2.1).
 
 use crate::matrix::Matrix;
+use crate::pool::{self, STREAMED_ELEMENT_WORK};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use rayon::prelude::*;
+
+/// Rough cost of one `exp` next to a multiply-add of the tiled matmul
+/// (see [`pool::MIN_PARALLEL_WORK`]).
+const EXP_WORK: usize = 128;
 
 /// ReLU in place.
 pub fn relu(m: &mut Matrix) {
-    m.data_mut().par_iter_mut().for_each(|v| *v = v.max(0.0));
+    let cols = m.cols();
+    pool::for_each_row_block(
+        m.data_mut(),
+        cols,
+        cols * STREAMED_ELEMENT_WORK,
+        |_, block| {
+            for v in block {
+                *v = v.max(0.0);
+            }
+        },
+    );
 }
 
 /// LeakyReLU in place (GAT's edge-score activation uses slope 0.2).
 pub fn leaky_relu(m: &mut Matrix, slope: f32) {
-    m.data_mut()
-        .par_iter_mut()
-        .for_each(|v| *v = if *v >= 0.0 { *v } else { slope * *v });
+    for v in m.data_mut() {
+        *v = leaky_relu_scalar(*v, slope);
+    }
 }
 
 /// Scalar LeakyReLU (used inside fused kernels).
@@ -30,19 +44,17 @@ pub fn leaky_relu_scalar(x: f32, slope: f32) -> f32 {
 
 /// ELU in place.
 pub fn elu(m: &mut Matrix, alpha: f32) {
-    m.data_mut().par_iter_mut().for_each(|v| {
-        *v = if *v >= 0.0 {
-            *v
-        } else {
-            alpha * (v.exp() - 1.0)
+    for v in m.data_mut() {
+        if *v < 0.0 {
+            *v = alpha * (v.exp() - 1.0);
         }
-    });
+    }
 }
 
 /// Numerically-stable row softmax in place.
 pub fn softmax_rows(m: &mut Matrix) {
     let cols = m.cols();
-    m.data_mut().par_chunks_mut(cols).for_each(|row| {
+    for row in m.data_mut().chunks_mut(cols.max(1)) {
         let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
         let mut sum = 0.0;
         for v in row.iter_mut() {
@@ -54,17 +66,19 @@ pub fn softmax_rows(m: &mut Matrix) {
                 *v /= sum;
             }
         }
-    });
+    }
 }
 
 /// Row log-softmax in place (classification heads).
 pub fn log_softmax_rows(m: &mut Matrix) {
     let cols = m.cols();
-    m.data_mut().par_chunks_mut(cols).for_each(|row| {
-        let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-        let log_sum = row.iter().map(|v| (v - max).exp()).sum::<f32>().ln();
-        for v in row.iter_mut() {
-            *v = *v - max - log_sum;
+    pool::for_each_row_block(m.data_mut(), cols, cols * EXP_WORK, |_, block| {
+        for row in block.chunks_exact_mut(cols) {
+            let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+            let log_sum = row.iter().map(|v| (v - max).exp()).sum::<f32>().ln();
+            for v in row.iter_mut() {
+                *v = *v - max - log_sum;
+            }
         }
     });
 }

@@ -2,8 +2,11 @@
 //!
 //! Feature matrices and the regular (non-graph) neural-network operations
 //! of a GNN layer: matmul, activations, softmax, dropout, and a dense
-//! linear layer. Everything is deterministic in its seed and parallelized
-//! with rayon over rows.
+//! linear layer. Everything is deterministic in its seed and independent
+//! of the thread count: the ops a forward pass spends its time in are
+//! row-chunked over the persistent worker pool in [`pool`] (which the
+//! native graph-convolution engine shares) once an input is large enough
+//! to pay for the hand-off, and run on the calling thread below that.
 //!
 //! ```
 //! use tlpgnn_tensor::{activations, Linear, Matrix};
@@ -21,6 +24,7 @@ pub mod activations;
 pub mod linear;
 pub mod matrix;
 pub mod ops;
+pub mod pool;
 
 pub use linear::Linear;
 pub use matrix::Matrix;
