@@ -32,23 +32,30 @@ echo "=== benchmark smoke ==="
 # that reaches the program only through the public items of crates/, so
 # nothing above compiles it: an API change there would otherwise first
 # show in the pipeline that runs BENCHMARK.json. Build it as that
-# pipeline does and run the host-compute workload briefly; its last line
-# is the result record, which says whether every convolution matched the
-# serial oracle. Cargo brings benchmark/Cargo.lock up to date with the
-# crates' manifests when it builds; the committed copy is put back, since
-# only a change that redefines the benchmark may edit that directory.
+# pipeline does and run four workloads briefly; the last line of each is
+# the result record, which says whether every output matched its oracle.
+# native_conv is the host-compute path; serve_cold, serve_churn and
+# serve_sharded run the serving pipeline on both façades (the sharded
+# quiet phase is the bitwise sharded-vs-unsharded check). Cargo brings
+# benchmark/Cargo.lock up to date with the crates' manifests when it
+# builds; the committed copy is put back, since only a change that
+# redefines the benchmark may edit that directory.
 bench_lock="$(mktemp)"
 cp benchmark/Cargo.lock "${bench_lock}"
-bench_result="$(cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
-  --workload native_conv --seed 42 --seconds 2 --trace 0 | tail -n 1)" || true
+trap 'mv "${bench_lock}" benchmark/Cargo.lock' EXIT
+for workload in native_conv serve_cold serve_churn serve_sharded; do
+  bench_result="$(cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
+    --workload "${workload}" --seed 42 --seconds 2 --trace 0 | tail -n 1)" || true
+  case "${bench_result}" in
+    *'"correct":true'*) echo "benchmark smoke: ${workload}: ${bench_result}" ;;
+    *)
+      echo "benchmark smoke: ${workload} did not report \"correct\":true: ${bench_result}" >&2
+      exit 1
+      ;;
+  esac
+done
+trap - EXIT
 mv "${bench_lock}" benchmark/Cargo.lock
-case "${bench_result}" in
-  *'"correct":true'*) echo "benchmark smoke: ${bench_result}" ;;
-  *)
-    echo "benchmark smoke: native_conv did not report \"correct\":true: ${bench_result}" >&2
-    exit 1
-    ;;
-esac
 
 echo "=== perf gate ==="
 # Runs the pinned bench matrix through the deterministic simulator and

@@ -17,7 +17,7 @@
 //!   (`tlpgnn_graph::subgraph`) over the union of its miss targets, then
 //!   a single engine forward pass on the induced subgraph — one upload +
 //!   kernel-launch sequence for the whole batch instead of one per
-//!   request ([`server`]).
+//!   request ([`pipeline`]).
 //! * An **LRU feature cache** keyed by
 //!   `(vertex, layer, hops, model_version, shard, epoch)` lets hot
 //!   vertices skip extraction and recomputation entirely ([`cache`]).
@@ -30,19 +30,25 @@
 //!   fanout-capped extractions under load ([`request::GraphMutation`]).
 //! * **Backpressure** is explicit: the request queue is bounded and
 //!   `submit` fails fast with [`ServeError::Overloaded`] past capacity —
-//!   the queue never grows without bound ([`batcher`], [`server`]).
+//!   the queue never grows without bound ([`batcher`], [`pipeline`]).
 //! * **Resilience** against injected device faults (`gpu_sim::FaultPlan`):
 //!   per-request deadlines, bounded retry with seeded exponential backoff
 //!   ([`policy`]), worker supervision with exactly-once batch requeueing
 //!   ([`supervisor`]), and a load-shedding degradation ladder whose
-//!   responses are explicitly flagged ([`request::Degradation`]). See the
-//!   [`server`] module docs for the fault-handling contract.
+//!   responses are explicitly flagged ([`request::Degradation`]). The
+//!   fault-handling contract is written once, in the [`pipeline`] module
+//!   docs.
 //! * **Sharded serving** for graphs larger than one device: a
 //!   [`sharded::ShardedServer`] partitions the graph across N simulated
 //!   devices (`tlpgnn_shard`), routes each request to the shard owning
 //!   its seed vertex, and extracts ego graphs through a halo-exchange
 //!   path whose results are bitwise equal to the single-device server
 //!   ([`sharded`]).
+//!
+//! Both servers are thin façades over one request path ([`pipeline`]):
+//! a [`GnnServer`] is one lane of it with N workers over a live, mutable
+//! graph, a [`ShardedServer`] is N single-worker lanes over a frozen
+//! partitioned one, and they report the same [`ServeStats`].
 //!
 //! Everything is instrumented through `telemetry` under the server's
 //! metrics prefix (default `serve`): `<prefix>.queue_depth` gauge,
@@ -73,6 +79,7 @@
 
 pub mod batcher;
 pub mod cache;
+pub mod pipeline;
 pub mod policy;
 pub mod request;
 pub mod server;
@@ -82,6 +89,7 @@ pub mod workload;
 
 pub use batcher::{BatchQueue, PushError};
 pub use cache::{CacheKey, FeatureCache, Lookup};
+pub use pipeline::ServeStats;
 pub use policy::{
     CircuitBreaker, DegradationController, DegradationLevel, DegradationPolicy, RetryPolicy,
 };

@@ -1,58 +1,41 @@
-//! The serving loop: bounded admission, micro-batched workers, cached
-//! ego-graph inference — now with a resilience layer.
+//! The single-device server: one lane of the serving pipeline over a
+//! live, mutable graph.
 //!
 //! A [`GnnServer`] owns the graph, the feature matrix, and the trained
 //! network. Clients call [`submit`](GnnServer::submit) from any thread;
-//! each worker thread owns one [`TlpgnnEngine`] (one simulated device per
-//! worker) and drains the shared [`BatchQueue`]. A batch is served with
-//! at most one ego-graph extraction and one engine forward pass, no
-//! matter how many requests it coalesced; per-vertex outputs are LRU
-//! cached so hot vertices skip both.
+//! each worker thread owns one `TlpgnnEngine` (one simulated device per
+//! worker) and drains the shared queue. A batch is served with at most
+//! one ego-graph extraction and one engine forward pass, no matter how
+//! many requests it coalesced; per-vertex outputs are LRU cached so hot
+//! vertices skip both.
 //!
-//! ## Fault handling
+//! The request path itself — admission, batching, caching, retries,
+//! salvage, the degradation ladder — is the shared [`crate::pipeline`],
+//! whose module docs hold the fault-handling contract. This module adds
+//! what only a single device can do: the graph lives behind one lock, so
+//! it can change. Submissions pin an epoch snapshot, [`mutate`] and
+//! [`compact_graph`] write, and every worker-side ladder rung
+//! (stale-cache, sampled, reduced-hops) is available.
 //!
-//! The simulated device can fault (`gpu_sim::FaultPlan`), and the server
-//! is built to keep its service-level invariants anyway — every admitted
-//! request terminally resolves, and no response is silently wrong:
-//!
-//! * **Deadlines**: a request past its deadline is shed with
-//!   [`ServeError::DeadlineExceeded`] before any compute is spent on it.
-//! * **Transient faults** retry the whole batch forward pass under a
-//!   bounded [`RetryPolicy`] (TLPGNN's one-fused-kernel-per-layer design
-//!   means a fault leaves no partial device state to clean up); an
-//!   exhausted budget fails the affected requests with
-//!   [`ServeError::DeviceFault`].
-//! * **Worker death** (lost device or panic) is detected by a
-//!   [`Supervisor`]: the dead worker's in-flight batch is requeued
-//!   *exactly once* (a second death fails those requests with
-//!   [`ServeError::WorkerLost`]) and the worker is respawned within a
-//!   bounded budget — on a fresh fault-free device by default.
-//! * **Degradation ladder** ([`DegradationController`]): under pressure
-//!   (deep queue and/or dead workers) the server first serves stale cache
-//!   entries, then truncates extraction depth, then sheds new load.
-//!   Degraded responses are flagged ([`Degradation`]); truncated outputs
-//!   cache under their own depth key, never visible to full-depth
-//!   lookups.
-//! * A worker panic while holding the cache lock poisons it; the lock is
-//!   recovered and the cache invalidated once, so a torn write can never
-//!   be served.
+//! [`mutate`]: GnnServer::mutate
+//! [`compact_graph`]: GnnServer::compact_graph
 
-use std::collections::{BTreeMap, HashMap, HashSet};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
-use std::time::{Duration, Instant};
+use std::collections::HashSet;
+use std::sync::atomic::Ordering;
+use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::time::Duration;
 
-use gpu_sim::{DeviceConfig, FaultPlan, LaunchError};
-use telemetry::{SloMonitor, SloReport, SloSpec, TraceContext};
-use tlpgnn::{EngineOptions, GnnNetwork, TlpgnnEngine};
+use gpu_sim::DeviceConfig;
+use telemetry::{SloReport, SloSpec, TraceContext};
+use tlpgnn::{EngineOptions, GnnNetwork};
 use tlpgnn_graph::{Csr, DeltaGraph, GraphEpoch};
 use tlpgnn_tensor::Matrix;
 
-use crate::batcher::{BatchQueue, PushError};
-use crate::cache::{CacheKey, FeatureCache, Lookup};
-use crate::policy::{DegradationController, DegradationLevel, DegradationPolicy, RetryPolicy};
-use crate::request::{Degradation, GraphMutation, Request, RequestTiming, Response, ServeError};
-use crate::supervisor::{DeathCause, Supervisor, SupervisorConfig, WorkerExit};
+use crate::pipeline::{count, Core, ExtractJob, Extracted, GraphSource, LaneNames, Pipeline};
+pub use crate::pipeline::{ResponseHandle, ServeStats as ServerStats};
+use crate::policy::{DegradationLevel, DegradationPolicy, RetryPolicy};
+use crate::request::{GraphMutation, Request, ServeError};
+use crate::supervisor::SupervisorConfig;
 
 /// Configuration of a [`GnnServer`].
 #[derive(Debug, Clone)]
@@ -137,148 +120,6 @@ impl Default for ServeConfig {
     }
 }
 
-/// Counter snapshot of a running (or stopped) server.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct ServerStats {
-    /// Requests answered with a [`Response`].
-    pub completed: u64,
-    /// Requests rejected with [`ServeError::Overloaded`].
-    pub rejected: u64,
-    /// Batches executed by the workers.
-    pub batches: u64,
-    /// Target rows computed on an engine (cache misses actually served).
-    pub computed_targets: u64,
-    /// Feature-cache lookup hits.
-    pub cache_hits: u64,
-    /// Feature-cache lookup misses.
-    pub cache_misses: u64,
-    /// Feature-cache evictions.
-    pub cache_evictions: u64,
-    /// Cache hits that served a past-TTL entry under degraded service.
-    pub cache_stale_hits: u64,
-    /// Requests shed with [`ServeError::DeadlineExceeded`].
-    pub deadline_exceeded: u64,
-    /// Batch forward-pass retries after transient device faults.
-    pub retries: u64,
-    /// Requests failed with [`ServeError::DeviceFault`] (retry budget
-    /// exhausted).
-    pub device_faults: u64,
-    /// In-flight requests requeued after their worker died.
-    pub requeued: u64,
-    /// Requests failed with [`ServeError::WorkerLost`] (second death).
-    pub worker_lost: u64,
-    /// Worker deaths observed (lost devices + panics).
-    pub worker_deaths: u64,
-    /// Workers respawned by the supervisor.
-    pub respawns: u64,
-    /// Responses served with any [`Degradation`] flag set.
-    pub degraded: u64,
-    /// Cache-lock poison events recovered (cache invalidated each time).
-    pub poison_recoveries: u64,
-    /// Graph mutations applied (individual accepted operations).
-    pub mutations: u64,
-    /// The current graph epoch (0 for a never-mutated graph).
-    pub epoch: u64,
-    /// Cache entries evicted by mutation invalidation (receptive field
-    /// touched a dirty vertex); disjoint from `cache_evictions`.
-    pub mutation_evictions: u64,
-    /// Delta-into-base compactions performed.
-    pub compactions: u64,
-    /// Responses served from a sampled (fanout-capped) extraction,
-    /// flagged `degraded.sampled`.
-    pub sampled: u64,
-}
-
-impl ServerStats {
-    /// `cache_hits / (cache_hits + cache_misses)`, or 0.0 before any
-    /// lookup.
-    pub fn cache_hit_rate(&self) -> f64 {
-        let total = self.cache_hits + self.cache_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.cache_hits as f64 / total as f64
-        }
-    }
-}
-
-/// Pre-rendered metric names so the hot path never formats strings.
-struct MetricNames {
-    queue_depth: String,
-    batch_size: String,
-    queue_ms: String,
-    extraction_ms: String,
-    compute_ms: String,
-    e2e_latency_ms: String,
-    completed: String,
-    rejected: String,
-    cache_hits: String,
-    cache_misses: String,
-    cache_hit_rate: String,
-    degradation_level: String,
-    deadline_exceeded: String,
-    retries: String,
-    requeued: String,
-    degraded: String,
-    slo_prefix: String,
-    epoch: String,
-    mutations: String,
-    mutation_evictions: String,
-    sampled: String,
-    sampled_extraction_ms: String,
-    sampled_compute_ms: String,
-}
-
-impl MetricNames {
-    fn new(prefix: &str) -> Self {
-        Self {
-            queue_depth: format!("{prefix}.queue_depth"),
-            batch_size: format!("{prefix}.batch_size"),
-            queue_ms: format!("{prefix}.queue_ms"),
-            extraction_ms: format!("{prefix}.extraction_ms"),
-            compute_ms: format!("{prefix}.compute_ms"),
-            e2e_latency_ms: format!("{prefix}.e2e_latency_ms"),
-            completed: format!("{prefix}.completed"),
-            rejected: format!("{prefix}.rejected"),
-            cache_hits: format!("{prefix}.cache.hits"),
-            cache_misses: format!("{prefix}.cache.misses"),
-            cache_hit_rate: format!("{prefix}.cache.hit_rate"),
-            degradation_level: format!("{prefix}.degradation_level"),
-            deadline_exceeded: format!("{prefix}.deadline_exceeded"),
-            retries: format!("{prefix}.retries"),
-            requeued: format!("{prefix}.requeued"),
-            degraded: format!("{prefix}.degraded"),
-            slo_prefix: format!("{prefix}.slo"),
-            epoch: format!("{prefix}.epoch"),
-            mutations: format!("{prefix}.mutations"),
-            mutation_evictions: format!("{prefix}.cache.mutation_evictions"),
-            sampled: format!("{prefix}.sampled"),
-            sampled_extraction_ms: format!("{prefix}.sampled.extraction_ms"),
-            sampled_compute_ms: format!("{prefix}.sampled.compute_ms"),
-        }
-    }
-}
-
-/// An admitted request: what to serve, its absolute deadline, how often
-/// it has been requeued after a worker death, and where to answer.
-/// Cloneable so a worker can park a salvage copy while it processes —
-/// the clone shares the same causal chain, so events appended by either
-/// copy (worker progress, supervisor salvage) land in one history.
-#[derive(Clone)]
-struct Pending {
-    request: Request,
-    deadline: Option<Instant>,
-    requeues: u32,
-    trace: TraceContext,
-    tx: mpsc::Sender<Result<Response, ServeError>>,
-    /// The graph view pinned at submission: workers extract against this
-    /// snapshot no matter how far the writer has moved on, so the
-    /// response is exact for the epoch the trace records.
-    view: EpochView,
-}
-
-type Batch = Vec<(Pending, Instant)>;
-
 /// The mutable graph state behind the server: the delta graph (writer
 /// side) and the dense feature matrix its overlay resolves against.
 /// Guarded by one `RwLock` — submissions take brief read locks to pin a
@@ -289,20 +130,18 @@ struct GraphState {
 }
 
 /// An immutable `(snapshot, features)` pair pinned by a request at
-/// submission. Feature rows resolve overlay-first: rows written (or
+/// submission: workers extract against it no matter how far the writer
+/// has moved on, so the response is exact for the epoch the trace
+/// records. Feature rows resolve overlay-first: rows written (or
 /// appended) after the base matrix was built live in the snapshot's
 /// overlay until a compaction folds them in.
 #[derive(Clone)]
-struct EpochView {
+pub(crate) struct EpochView {
     snap: GraphEpoch,
     features: Arc<Matrix>,
 }
 
 impl EpochView {
-    fn epoch(&self) -> u64 {
-        self.snap.epoch()
-    }
-
     fn feature_row(&self, v: u32) -> &[f32] {
         self.snap
             .feature_row(v)
@@ -310,133 +149,104 @@ impl EpochView {
     }
 }
 
-struct Shared {
+/// The whole graph on one device, behind one lock.
+pub(crate) struct LocalSource {
     state: RwLock<GraphState>,
-    net: GnnNetwork,
-    exact_hops: usize,
-    final_layer: u16,
-    model_version: u32,
-    sample_fanout: usize,
-    sample_seed: u64,
-    cache: Mutex<FeatureCache>,
-    cache_ttl: Option<Duration>,
-    stale_grace: Duration,
-    retry: RetryPolicy,
-    degradation: DegradationController,
-    chaos_panic_on_vertex: Option<u32>,
-    shutting_down: Arc<AtomicBool>,
-    metrics: MetricNames,
-    /// Trace ids derive from this submission-order counter — never from
-    /// the wall clock — so same-seed runs allocate identical ids.
-    next_trace: AtomicU64,
-    slo: SloMonitor,
-    completed: AtomicU64,
-    rejected: AtomicU64,
-    batches: AtomicU64,
-    computed_targets: AtomicU64,
-    deadline_exceeded: AtomicU64,
-    retries: AtomicU64,
-    device_faults: AtomicU64,
-    requeued: AtomicU64,
-    worker_lost: AtomicU64,
-    worker_deaths: AtomicU64,
-    respawns: AtomicU64,
-    degraded: AtomicU64,
-    poison_recoveries: AtomicU64,
-    mutations: AtomicU64,
-    mutation_evictions: AtomicU64,
-    compactions: AtomicU64,
-    sampled: AtomicU64,
 }
 
-/// Lock the feature cache, recovering from poison. A worker that dies
-/// while holding the lock may have left a torn write behind, so the
-/// first recovery invalidates the whole cache — recomputing is cheap,
-/// serving a corrupt row is not.
-fn lock_cache(shared: &Shared) -> MutexGuard<'_, FeatureCache> {
-    shared.cache.lock().unwrap_or_else(|poisoned| {
-        shared.cache.clear_poison();
-        let mut guard = poisoned.into_inner();
-        guard.clear();
-        shared.poison_recoveries.fetch_add(1, Ordering::Relaxed);
-        telemetry::counter_add("serve.cache.poison_recovered", 1);
-        guard
-    })
-}
-
-impl Shared {
+impl LocalSource {
     /// Read-lock the graph state (poison-tolerant: the state is only
     /// written under [`GnnServer::mutate`]/[`GnnServer::compact_graph`],
     /// which don't panic mid-write; a poisoned lock still holds a
     /// consistent value).
-    fn state_read(&self) -> RwLockReadGuard<'_, GraphState> {
+    fn read(&self) -> RwLockReadGuard<'_, GraphState> {
         self.state.read().unwrap_or_else(|p| p.into_inner())
     }
 
-    fn state_write(&self) -> RwLockWriteGuard<'_, GraphState> {
+    fn write(&self) -> RwLockWriteGuard<'_, GraphState> {
         self.state.write().unwrap_or_else(|p| p.into_inner())
     }
-
-    /// Feed a successful completion to the SLO monitor and refresh the
-    /// `<prefix>.slo.*` gauges.
-    fn slo_ok(&self, latency_ms: f64) {
-        self.slo.record_ok(latency_ms);
-        self.slo.publish(&self.metrics.slo_prefix);
-    }
-
-    /// Feed an unflagged failure to the SLO monitor (burns error budget)
-    /// and refresh the `<prefix>.slo.*` gauges.
-    fn slo_error(&self) {
-        self.slo.record_error();
-        self.slo.publish(&self.metrics.slo_prefix);
-    }
 }
 
-/// A handle on one submitted request; [`wait`](ResponseHandle::wait)
-/// blocks until the serving worker answers.
-#[derive(Debug)]
-pub struct ResponseHandle {
-    rx: mpsc::Receiver<Result<Response, ServeError>>,
-    shutting_down: Arc<AtomicBool>,
-}
+impl GraphSource for LocalSource {
+    type View = EpochView;
+    type Worker = ();
+    const MAX_RUNG: DegradationLevel = DegradationLevel::Shed;
 
-impl ResponseHandle {
-    /// Assemble a handle from a response channel and the owning
-    /// server's shutdown flag (shared with the sharded router, which
-    /// reuses this handle type for its own submissions).
-    pub(crate) fn new(
-        rx: mpsc::Receiver<Result<Response, ServeError>>,
-        shutting_down: Arc<AtomicBool>,
-    ) -> Self {
-        Self { rx, shutting_down }
+    fn epoch(view: &EpochView) -> u64 {
+        view.snap.epoch()
     }
 
-    /// Block until the request is served (or failed). A dropped channel
-    /// during shutdown resolves to [`ServeError::ShuttingDown`]; outside
-    /// shutdown it means the serving worker died
-    /// ([`ServeError::WorkerLost`]).
-    pub fn wait(self) -> Result<Response, ServeError> {
-        self.rx.recv().unwrap_or_else(|_| {
-            Err(if self.shutting_down.load(Ordering::Acquire) {
-                ServeError::ShuttingDown
-            } else {
-                ServeError::WorkerLost
-            })
+    /// Validate against the *live* vertex count and pin the snapshot
+    /// under one read lock: a target valid at this epoch stays valid for
+    /// the pinned view no matter what the writer does next. (Capturing
+    /// the count outside the lock would go stale under concurrent vertex
+    /// insertion.)
+    fn pin(&self, targets: &[u32]) -> Result<EpochView, ServeError> {
+        let st = self.read();
+        let n = st.delta.num_vertices() as u32;
+        if let Some(&bad) = targets.iter().find(|&&t| t >= n) {
+            return Err(ServeError::InvalidTarget(bad));
+        }
+        Ok(EpochView {
+            snap: st.delta.snapshot(),
+            features: Arc::clone(&st.features),
         })
     }
 
-    /// Non-blocking poll; `None` while the request is still in flight.
-    pub fn try_wait(&self) -> Option<Result<Response, ServeError>> {
-        self.rx.try_recv().ok()
+    fn route(
+        &self,
+        _core: &Core<Self>,
+        view: &EpochView,
+        _targets: &[u32],
+        trace: &TraceContext,
+    ) -> Result<usize, usize> {
+        trace.push("epoch", || format!("epoch={}", view.snap.epoch()));
+        Ok(0)
+    }
+
+    fn extract(
+        &self,
+        core: &Core<Self>,
+        _worker: &mut (),
+        job: &ExtractJob<'_, EpochView>,
+    ) -> Option<Extracted> {
+        let view = &job.batch[0].0.view;
+        let ego = if job.sampled {
+            // Epoch-salted seed: the draw is deterministic per
+            // (vertex, epoch), so replays reproduce it exactly while
+            // different graph versions decorrelate.
+            view.snap.sampled_ego_graph(
+                job.misses,
+                job.hops,
+                core.cfg.sample_fanout,
+                core.cfg.sample_seed ^ view.snap.epoch(),
+            )
+        } else {
+            view.snap.ego_graph(job.misses, job.hops)
+        };
+        let mut feats = Matrix::zeros(ego.vertices.len(), view.features.cols());
+        for (local, &orig) in ego.vertices.iter().enumerate() {
+            feats.row_mut(local).copy_from_slice(view.feature_row(orig));
+        }
+        Some(Extracted {
+            ego,
+            feats,
+            halo_ms: 0.0,
+            partial: false,
+        })
+    }
+
+    /// Any worker of the one lane reaches the whole graph.
+    fn salvage_lane(&self, _core: &Core<Self>, lane: usize) -> Option<usize> {
+        Some(lane)
     }
 }
 
 /// An online GNN inference server over one graph + feature matrix +
 /// trained network. See the crate docs for the serving pipeline.
 pub struct GnnServer {
-    queue: Arc<BatchQueue<Pending>>,
-    shared: Arc<Shared>,
-    supervisor: Option<Supervisor>,
+    pub(crate) pipeline: Pipeline<LocalSource>,
 }
 
 impl GnnServer {
@@ -447,133 +257,23 @@ impl GnnServer {
     /// Panics if the feature matrix does not have one row per graph
     /// vertex, or if `cfg.workers` is zero.
     pub fn start(cfg: ServeConfig, graph: Csr, features: Matrix, net: GnnNetwork) -> Self {
-        assert!(cfg.workers >= 1, "need at least one worker");
         assert_eq!(
             features.rows(),
             graph.num_vertices(),
             "feature matrix must have one row per vertex"
         );
-        let queue = Arc::new(BatchQueue::new(
-            cfg.queue_capacity,
-            cfg.max_batch,
-            cfg.max_wait,
-        ));
-        let shared = Arc::new(Shared {
-            exact_hops: net.receptive_hops(),
-            final_layer: net.depth() as u16,
-            model_version: cfg.model_version,
-            sample_fanout: cfg.sample_fanout,
-            sample_seed: cfg.sample_seed,
-            cache: Mutex::new(FeatureCache::new(cfg.cache_capacity)),
-            cache_ttl: cfg.cache_ttl,
-            stale_grace: cfg.stale_grace,
-            retry: cfg.retry.clone(),
-            degradation: DegradationController::new(cfg.degradation.clone()),
-            chaos_panic_on_vertex: cfg.chaos_panic_on_vertex,
-            shutting_down: Arc::new(AtomicBool::new(false)),
-            metrics: MetricNames::new(&cfg.metrics_prefix),
+        let lane = LaneNames {
+            depth: format!("{}.queue_depth", cfg.metrics_prefix),
+            own: None,
+        };
+        let source = LocalSource {
             state: RwLock::new(GraphState {
                 delta: DeltaGraph::new(graph),
                 features: Arc::new(features),
             }),
-            net,
-            next_trace: AtomicU64::new(0),
-            slo: SloMonitor::new(cfg.slo.clone()),
-            completed: AtomicU64::new(0),
-            rejected: AtomicU64::new(0),
-            batches: AtomicU64::new(0),
-            computed_targets: AtomicU64::new(0),
-            deadline_exceeded: AtomicU64::new(0),
-            retries: AtomicU64::new(0),
-            device_faults: AtomicU64::new(0),
-            requeued: AtomicU64::new(0),
-            worker_lost: AtomicU64::new(0),
-            worker_deaths: AtomicU64::new(0),
-            respawns: AtomicU64::new(0),
-            degraded: AtomicU64::new(0),
-            poison_recoveries: AtomicU64::new(0),
-            mutations: AtomicU64::new(0),
-            mutation_evictions: AtomicU64::new(0),
-            compactions: AtomicU64::new(0),
-            sampled: AtomicU64::new(0),
-        });
-        // Per-slot parking spot for the batch a worker is processing;
-        // the supervisor salvages it if the worker dies mid-batch.
-        let in_flight: Arc<Vec<Mutex<Option<Batch>>>> =
-            Arc::new((0..cfg.workers).map(|_| Mutex::new(None)).collect());
-
-        let spawn = {
-            let queue = Arc::clone(&queue);
-            let shared = Arc::clone(&shared);
-            let in_flight = Arc::clone(&in_flight);
-            let base_device = cfg.device.clone();
-            let options = cfg.engine_options.clone();
-            Box::new(move |slot: usize, generation: u32, healthy: bool| {
-                let queue = Arc::clone(&queue);
-                let shared = Arc::clone(&shared);
-                let in_flight = Arc::clone(&in_flight);
-                let options = options.clone();
-                let mut device = base_device.clone();
-                device.fault = if healthy {
-                    // Replacement workers get a fresh fault-free device;
-                    // the broken one stays out of rotation.
-                    FaultPlan::none()
-                } else {
-                    device.fault.with_salt(slot as u64)
-                };
-                std::thread::Builder::new()
-                    .name(format!("serve-worker-{slot}.{generation}"))
-                    .spawn(move || worker_loop(&queue, &shared, device, options, slot, &in_flight))
-                    .expect("spawn serving worker")
-            })
         };
-        let on_death = {
-            let queue = Arc::clone(&queue);
-            let shared = Arc::clone(&shared);
-            let in_flight = Arc::clone(&in_flight);
-            Box::new(move |slot: usize, cause: DeathCause| {
-                shared.worker_deaths.fetch_add(1, Ordering::Relaxed);
-                let parked = in_flight[slot]
-                    .lock()
-                    .unwrap_or_else(|p| p.into_inner())
-                    .take();
-                let Some(batch) = parked else { return };
-                // Reverse so requeue_front restores the original order.
-                for (mut p, enqueued) in batch.into_iter().rev() {
-                    if p.requeues == 0 {
-                        p.requeues = 1;
-                        shared.requeued.fetch_add(1, Ordering::Relaxed);
-                        telemetry::counter_add(&shared.metrics.requeued, 1);
-                        p.trace
-                            .push("salvage", || format!("cause={}", cause.label()));
-                        queue.requeue_front(p, enqueued);
-                    } else {
-                        // Second death with this request in flight: fail
-                        // it rather than requeue forever.
-                        shared.worker_lost.fetch_add(1, Ordering::Relaxed);
-                        p.trace
-                            .finish("error", || format!("worker_lost cause={}", cause.label()));
-                        shared.slo_error();
-                        let _ = p.tx.send(Err(ServeError::WorkerLost));
-                    }
-                }
-            })
-        };
-        let tick = {
-            let queue = Arc::clone(&queue);
-            let shared = Arc::clone(&shared);
-            Box::new(move |h: crate::supervisor::HealthSnapshot| {
-                let load = queue.len() as f64 / queue.capacity() as f64;
-                let level = shared.degradation.update(load, h.unhealthy_frac());
-                telemetry::gauge_set(&shared.metrics.degradation_level, level as u8 as f64);
-                shared.respawns.store(h.respawns, Ordering::Relaxed);
-            })
-        };
-        let supervisor = Supervisor::start(cfg.supervisor, cfg.workers, spawn, on_death, tick);
         Self {
-            queue,
-            shared,
-            supervisor: Some(supervisor),
+            pipeline: Pipeline::start(cfg, vec![lane], None, source, net),
         }
     }
 
@@ -583,108 +283,28 @@ impl GnnServer {
     /// queue is full or the degradation ladder is shedding,
     /// [`ServeError::ShuttingDown`] after shutdown began.
     pub fn submit(&self, request: Request) -> Result<ResponseHandle, ServeError> {
-        if request.targets.is_empty() {
-            return Err(ServeError::EmptyRequest);
-        }
-        // Validate against the *live* vertex count and pin the snapshot
-        // under one read lock: a target valid at this epoch stays valid
-        // for the pinned view no matter what the writer does next.
-        // (Capturing `n` outside the lock would go stale under
-        // concurrent vertex insertion.)
-        let view = {
-            let st = self.shared.state_read();
-            let n = st.delta.num_vertices() as u32;
-            if let Some(&bad) = request.targets.iter().find(|&&t| t >= n) {
-                return Err(ServeError::InvalidTarget(bad));
-            }
-            EpochView {
-                snap: st.delta.snapshot(),
-                features: Arc::clone(&st.features),
-            }
-        };
-        // Malformed input above is a caller bug and gets no chain; every
-        // well-formed submission is traced from here on. Ids come from a
-        // submission-order counter, never the wall clock, so same-seed
-        // runs allocate identical ids.
-        let trace = TraceContext::new(self.shared.next_trace.fetch_add(1, Ordering::Relaxed) + 1);
-        trace.push("submit", || {
-            format!(
-                "targets={} hops={}",
-                request.targets.len(),
-                request
-                    .hops
-                    .map_or_else(|| "exact".to_string(), |h| h.to_string()),
-            )
-        });
-        trace.push("epoch", || format!("epoch={}", view.epoch()));
-        if self.shared.degradation.level() == DegradationLevel::Shed {
-            self.shared.rejected.fetch_add(1, Ordering::Relaxed);
-            telemetry::counter_add(&self.shared.metrics.rejected, 1);
-            self.reject(&trace, "shed");
-            return Err(ServeError::Overloaded);
-        }
-        let (tx, rx) = mpsc::channel();
-        let deadline = request.deadline.map(|d| Instant::now() + d);
-        let pending = Pending {
-            request,
-            deadline,
-            requeues: 0,
-            trace: trace.clone(),
-            tx,
-            view,
-        };
-        // The `enqueue` event is recorded under the queue lock: once
-        // `push` returns, a worker may already have finished the whole
-        // request, and a late event would land out of chain order.
-        match self.queue.push_with(pending, |depth| {
-            telemetry::gauge_set(&self.shared.metrics.queue_depth, depth as f64);
-            trace.push("enqueue", || format!("depth={depth}"));
-        }) {
-            Ok(_) => Ok(ResponseHandle {
-                rx,
-                shutting_down: Arc::clone(&self.shared.shutting_down),
-            }),
-            Err(PushError::Full(_)) => {
-                self.shared.rejected.fetch_add(1, Ordering::Relaxed);
-                telemetry::counter_add(&self.shared.metrics.rejected, 1);
-                self.reject(&trace, "queue_full");
-                Err(ServeError::Overloaded)
-            }
-            Err(PushError::ShutDown(_)) => {
-                // Administrative refusal: close the chain but burn no
-                // error budget — shutdown is not a service failure.
-                trace.finish("reject", || "shutting_down".to_string());
-                Err(ServeError::ShuttingDown)
-            }
-        }
-    }
-
-    /// Terminate a rejected admission: close its chain and burn error
-    /// budget (an overload rejection is an unflagged failure).
-    fn reject(&self, trace: &TraceContext, why: &'static str) {
-        trace.finish("reject", || format!("overloaded ({why})"));
-        self.shared.slo_error();
+        self.pipeline.core.submit(request)
     }
 
     /// Evaluate the declared SLO against the current completion window.
     pub fn slo_report(&self) -> SloReport {
-        self.shared.slo.report()
+        self.pipeline.core.slo.report()
     }
 
     /// The exact extraction depth (`GnnNetwork::receptive_hops`) used for
     /// requests that don't override `hops`.
     pub fn exact_hops(&self) -> usize {
-        self.shared.exact_hops
+        self.pipeline.core.exact_hops
     }
 
     /// The current graph epoch (0 until the first accepted mutation).
     pub fn epoch(&self) -> u64 {
-        self.shared.state_read().delta.epoch()
+        self.pipeline.core.source.read().delta.epoch()
     }
 
     /// Vertices in the current graph (grows under `InsertVertex`).
     pub fn num_vertices(&self) -> usize {
-        self.shared.state_read().delta.num_vertices()
+        self.pipeline.core.source.read().delta.num_vertices()
     }
 
     /// Apply a batch of streaming graph mutations atomically.
@@ -704,7 +324,8 @@ impl GnnServer {
     /// serving their pinned snapshots; no stale row is ever served
     /// unflagged.
     pub fn mutate(&self, mutations: &[GraphMutation]) -> Result<u64, ServeError> {
-        let mut st = self.shared.state_write();
+        let core = &self.pipeline.core;
+        let mut st = core.source.write();
         if mutations.is_empty() {
             return Ok(st.delta.epoch());
         }
@@ -764,29 +385,24 @@ impl GnnServer {
         if new_epoch == old_epoch {
             return Ok(new_epoch); // every entry was a duplicate edge
         }
-        self.shared.mutations.fetch_add(applied, Ordering::Relaxed);
-        telemetry::counter_add(&self.shared.metrics.mutations, applied);
-        telemetry::gauge_set(&self.shared.metrics.epoch, new_epoch as f64);
+        count(&core.counters.mutations, &core.names.mutations, applied);
+        telemetry::gauge_set(&core.names.epoch, new_epoch as f64);
         // Invalidate under the state lock so a concurrent mutation cannot
         // interleave between the epoch bump and the keyspace walk (the
         // cache lock nests inside the state lock here and nowhere else,
         // so the order is deadlock-free).
-        let mut cache = lock_cache(&self.shared);
+        let mut cache = core.lock_cache(0);
         let depth = cache
             .max_hops_at_epoch(old_epoch)
-            .map_or(self.shared.exact_hops, |h| {
-                (h as usize).max(self.shared.exact_hops)
-            });
+            .map_or(core.exact_hops, |h| (h as usize).max(core.exact_hops));
         let affected: HashSet<u32> = st
             .delta
             .affected_within(&dirty, depth)
             .into_iter()
             .collect();
         let (evicted, _rekeyed) = cache.invalidate_mutated(old_epoch, new_epoch, &affected);
-        self.shared
-            .mutation_evictions
-            .fetch_add(evicted, Ordering::Relaxed);
-        telemetry::counter_add(&self.shared.metrics.mutation_evictions, evicted);
+        let evictions = &core.counters.mutation_evictions;
+        count(evictions, &core.names.mutation_evictions, evicted);
         Ok(new_epoch)
     }
 
@@ -797,7 +413,7 @@ impl GnnServer {
     /// paying the merge overhead. In-flight snapshots keep their
     /// pre-compaction view.
     pub fn compact_graph(&self) {
-        let mut st = self.shared.state_write();
+        let mut st = self.pipeline.core.source.write();
         st.delta.compact();
         let overlay = st.delta.take_feature_overlay();
         let n = st.delta.num_vertices();
@@ -812,517 +428,37 @@ impl GnnServer {
             }
             st.features = Arc::new(folded);
         }
-        self.shared.compactions.fetch_add(1, Ordering::Relaxed);
+        self.pipeline
+            .core
+            .counters
+            .compactions
+            .fetch_add(1, Ordering::Relaxed);
     }
 
     /// Requests currently waiting in the queue.
     pub fn queue_depth(&self) -> usize {
-        self.queue.len()
+        self.pipeline.core.lanes[0].queue.len()
     }
 
     /// The active degradation level.
     pub fn degradation_level(&self) -> DegradationLevel {
-        self.shared.degradation.level()
+        self.pipeline.core.degradation.level()
     }
 
     /// A snapshot of the server's counters.
     pub fn stats(&self) -> ServerStats {
-        let (cache_hits, cache_misses, cache_evictions, cache_stale_hits) = {
-            let cache = lock_cache(&self.shared);
-            (
-                cache.hits(),
-                cache.misses(),
-                cache.evictions(),
-                cache.stale_hits(),
-            )
-        };
-        let epoch = self.epoch();
         ServerStats {
-            completed: self.shared.completed.load(Ordering::Relaxed),
-            rejected: self.shared.rejected.load(Ordering::Relaxed),
-            batches: self.shared.batches.load(Ordering::Relaxed),
-            computed_targets: self.shared.computed_targets.load(Ordering::Relaxed),
-            cache_hits,
-            cache_misses,
-            cache_evictions,
-            cache_stale_hits,
-            deadline_exceeded: self.shared.deadline_exceeded.load(Ordering::Relaxed),
-            retries: self.shared.retries.load(Ordering::Relaxed),
-            device_faults: self.shared.device_faults.load(Ordering::Relaxed),
-            requeued: self.shared.requeued.load(Ordering::Relaxed),
-            worker_lost: self.shared.worker_lost.load(Ordering::Relaxed),
-            worker_deaths: self.shared.worker_deaths.load(Ordering::Relaxed),
-            respawns: self.shared.respawns.load(Ordering::Relaxed),
-            degraded: self.shared.degraded.load(Ordering::Relaxed),
-            poison_recoveries: self.shared.poison_recoveries.load(Ordering::Relaxed),
-            mutations: self.shared.mutations.load(Ordering::Relaxed),
-            epoch,
-            mutation_evictions: self.shared.mutation_evictions.load(Ordering::Relaxed),
-            compactions: self.shared.compactions.load(Ordering::Relaxed),
-            sampled: self.shared.sampled.load(Ordering::Relaxed),
+            epoch: self.epoch(),
+            ..self.pipeline.core.stats()
         }
     }
 
     /// Stop accepting requests, serve everything already queued, join the
     /// workers, and return the final counters.
     pub fn shutdown(mut self) -> ServerStats {
-        self.stop_and_join();
+        self.pipeline.stop_and_join();
         self.stats()
     }
-
-    fn stop_and_join(&mut self) {
-        self.shared.shutting_down.store(true, Ordering::Release);
-        self.queue.shutdown();
-        if let Some(sup) = self.supervisor.take() {
-            // Workers drain the queue; deaths during the drain are still
-            // salvaged and respawned within budget.
-            sup.drain();
-            self.shared
-                .respawns
-                .store(sup.respawns(), Ordering::Relaxed);
-            sup.stop();
-        }
-        // If the respawn budget ran out mid-drain, requests may remain
-        // queued with no worker left: fail them terminally.
-        for (p, _) in self.queue.drain_remaining() {
-            p.trace.finish("error", || "shutting_down".to_string());
-            let _ = p.tx.send(Err(ServeError::ShuttingDown));
-        }
-    }
-}
-
-impl Drop for GnnServer {
-    fn drop(&mut self) {
-        self.stop_and_join();
-    }
-}
-
-fn worker_loop(
-    queue: &BatchQueue<Pending>,
-    shared: &Shared,
-    device: DeviceConfig,
-    options: EngineOptions,
-    slot: usize,
-    in_flight: &[Mutex<Option<Batch>>],
-) -> WorkerExit {
-    let mut engine = TlpgnnEngine::new(device, options);
-    while let Some(batch) = queue.pop_batch() {
-        telemetry::gauge_set(&shared.metrics.queue_depth, queue.len() as f64);
-        let batch = shed_expired(shared, batch);
-        if batch.is_empty() {
-            continue;
-        }
-        // Group the batch by pinned epoch: each group is served against
-        // one consistent snapshot (one extraction, one forward pass).
-        // Ascending epoch order keeps same-seed replays deterministic.
-        // A never-mutated server always produces exactly one group.
-        let mut by_epoch: BTreeMap<u64, Batch> = BTreeMap::new();
-        for item in batch {
-            by_epoch.entry(item.0.view.epoch()).or_default().push(item);
-        }
-        let groups: Vec<Batch> = by_epoch.into_values().collect();
-        for gi in 0..groups.len() {
-            // Park a salvage copy of every group not yet served (current
-            // included) before touching the engine: if this worker dies
-            // mid-group, the supervisor requeues exactly the requests
-            // that have not been responded to — already-served groups
-            // have left the parking spot, so salvage can't double-send.
-            *in_flight[slot].lock().unwrap_or_else(|p| p.into_inner()) =
-                Some(groups[gi..].concat());
-            match process_batch(&mut engine, shared, groups[gi].clone()) {
-                ProcessOutcome::Done => {}
-                // Leave the remaining groups parked: the supervisor
-                // salvages them.
-                ProcessOutcome::DeviceLost => return WorkerExit::DeviceLost,
-            }
-        }
-        in_flight[slot]
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .take();
-    }
-    WorkerExit::Drained
-}
-
-/// Respond `DeadlineExceeded` to every request already past its deadline
-/// and return the rest. Runs before compute — and before the batch is
-/// parked, so a shed request is never requeued.
-fn shed_expired(shared: &Shared, batch: Batch) -> Batch {
-    let now = Instant::now();
-    let (live, expired): (Batch, Batch) = batch
-        .into_iter()
-        .partition(|(p, _)| p.deadline.is_none_or(|d| now < d));
-    for (p, _) in expired {
-        shared.deadline_exceeded.fetch_add(1, Ordering::Relaxed);
-        telemetry::counter_add(&shared.metrics.deadline_exceeded, 1);
-        p.trace.push("shed", || "deadline passed".to_string());
-        p.trace.finish("error", || "deadline_exceeded".to_string());
-        shared.slo_error();
-        let _ = p.tx.send(Err(ServeError::DeadlineExceeded));
-    }
-    live
-}
-
-fn ms(d: Duration) -> f64 {
-    d.as_secs_f64() * 1e3
-}
-
-enum ProcessOutcome {
-    Done,
-    DeviceLost,
-}
-
-/// Serve one single-epoch batch (the worker loop groups by pinned epoch
-/// before calling). All requests share one snapshot view: one extraction,
-/// one forward pass, cache keys carry the group's epoch.
-fn process_batch(engine: &mut TlpgnnEngine, shared: &Shared, batch: Batch) -> ProcessOutcome {
-    let _span = telemetry::span!("serve.process_batch", requests = batch.len());
-    let _prof = telemetry::prof::scope("serve.process_batch");
-    // Per-batch allocation accounting: free when no counting allocator is
-    // installed (the deltas read zero), real bytes/allocs when the
-    // `perf_report` binary installs one.
-    let alloc0 = telemetry::prof::thread_alloc_stats();
-    let picked_up = Instant::now();
-    let m = &shared.metrics;
-    let classes = shared.net.out_dim();
-    let level = shared.degradation.level();
-    let view = batch[0].0.view.clone();
-    let epoch = view.epoch();
-    debug_assert!(
-        batch.iter().all(|(p, _)| p.view.epoch() == epoch),
-        "process_batch requires a single-epoch group"
-    );
-    for (p, _) in &batch {
-        p.trace.push("pickup", || format!("batch={}", batch.len()));
-    }
-
-    // Unique targets across the batch, first-occurrence order.
-    let mut uniq: Vec<u32> = Vec::new();
-    let mut seen: HashMap<u32, ()> = HashMap::new();
-    for (p, _) in &batch {
-        for &t in &p.request.targets {
-            if seen.insert(t, ()).is_none() {
-                uniq.push(t);
-            }
-        }
-    }
-
-    // Effective extraction depth for the whole batch: the deepest
-    // request, minus one level under ladder reduction. The cache is
-    // keyed by this depth, so a truncated row can only ever be served to
-    // a lookup at the depth it was computed at.
-    let requested_hops = batch
-        .iter()
-        .map(|(p, _)| p.request.hops.unwrap_or(shared.exact_hops))
-        .max()
-        .unwrap_or(shared.exact_hops);
-    let mut hops = requested_hops;
-    let mut reduced = false;
-    if level >= DegradationLevel::ReducedHops && hops > 1 {
-        hops -= 1;
-        reduced = true;
-        // Trace the ladder only when its decision changed this batch's
-        // behaviour — a level that alters nothing leaves no causal mark,
-        // which keeps same-seed chains identical even when the monitor's
-        // sampling of a transient level races the batch.
-        for (p, _) in &batch {
-            p.trace.push("ladder", || {
-                format!("level={} hops={requested_hops}->{hops}", level.label())
-            });
-        }
-    }
-    // The Sampled rung: full depth, but each expanded row is capped to
-    // `sample_fanout` seeded-sampled in-neighbors. ReducedHops and above
-    // supersede it (hop truncation is the stronger measure).
-    let sampling = level == DegradationLevel::Sampled && shared.sample_fanout > 0 && hops > 0;
-    if sampling {
-        for (p, _) in &batch {
-            p.trace.push("ladder", || {
-                format!("level=sampled fanout={}", shared.sample_fanout)
-            });
-        }
-    }
-
-    // Cache pass: pull every hit, collect the misses. Past-TTL entries
-    // count as hits only when the ladder permits stale service.
-    let mut rows: HashMap<u32, Vec<f32>> = HashMap::with_capacity(uniq.len());
-    let mut miss_targets: Vec<u32> = Vec::new();
-    let mut stale_targets: HashSet<u32> = HashSet::new();
-    {
-        let _span = telemetry::span!("serve.cache_lookup", targets = uniq.len());
-        let _prof = telemetry::prof::scope("serve.cache_lookup");
-        let grace = if level >= DegradationLevel::StaleOk {
-            shared.stale_grace
-        } else {
-            Duration::ZERO
-        };
-        let mut cache = lock_cache(shared);
-        let hits_before = cache.hits();
-        for &t in &uniq {
-            let key = CacheKey {
-                vertex: t,
-                layer: shared.final_layer,
-                hops: hops as u16,
-                version: shared.model_version,
-                shard: 0,
-                epoch,
-            };
-            match cache.get_aged(key, shared.cache_ttl, grace) {
-                Lookup::Fresh(row) => {
-                    rows.insert(t, row.to_vec());
-                }
-                Lookup::Stale(row) => {
-                    rows.insert(t, row.to_vec());
-                    stale_targets.insert(t);
-                }
-                Lookup::Miss => miss_targets.push(t),
-            }
-        }
-        telemetry::counter_add(&m.cache_hits, cache.hits() - hits_before);
-        telemetry::counter_add(&m.cache_misses, miss_targets.len() as u64);
-        telemetry::gauge_set(&m.cache_hit_rate, cache.hit_rate());
-    }
-    // Per-request cache outcome (rows currently holds only cache hits).
-    for (p, _) in &batch {
-        p.trace.push("cache", || {
-            let (mut fresh, mut stale, mut miss) = (0usize, 0usize, 0usize);
-            for t in &p.request.targets {
-                if stale_targets.contains(t) {
-                    stale += 1;
-                } else if rows.contains_key(t) {
-                    fresh += 1;
-                } else {
-                    miss += 1;
-                }
-            }
-            format!("hits={fresh} stale={stale} miss={miss}")
-        });
-    }
-
-    // One extraction + one forward pass for every miss in the batch.
-    let mut extract_ms = 0.0;
-    let mut compute_ms = 0.0;
-    if !miss_targets.is_empty() {
-        let t0 = Instant::now();
-        let ego = {
-            let _span = telemetry::span!("serve.extract", misses = miss_targets.len(), hops = hops);
-            let _prof = telemetry::prof::scope("serve.extract");
-            if sampling {
-                // Epoch-salted seed: the draw is deterministic per
-                // (vertex, epoch), so replays reproduce it exactly while
-                // different graph versions decorrelate.
-                view.snap.sampled_ego_graph(
-                    &miss_targets,
-                    hops,
-                    shared.sample_fanout,
-                    shared.sample_seed ^ epoch,
-                )
-            } else {
-                view.snap.ego_graph(&miss_targets, hops)
-            }
-        };
-        let feat_dim = view.features.cols();
-        let mut sub_feats = Matrix::zeros(ego.vertices.len(), feat_dim);
-        for (local, &orig) in ego.vertices.iter().enumerate() {
-            sub_feats
-                .row_mut(local)
-                .copy_from_slice(view.feature_row(orig));
-        }
-        extract_ms = ms(t0.elapsed());
-        telemetry::observe(&m.extraction_ms, extract_ms);
-        if sampling {
-            telemetry::observe(&m.sampled_extraction_ms, extract_ms);
-        }
-
-        // Retry only helps requests still inside their deadlines; the
-        // batch's latest deadline caps the backoff schedule.
-        let retry_cap: Option<Instant> = if batch.iter().all(|(p, _)| p.deadline.is_some()) {
-            batch.iter().filter_map(|(p, _)| p.deadline).max()
-        } else {
-            None
-        };
-        let t1 = Instant::now();
-        let mut attempt = 0u32;
-        // gpu-sim tags injected faults with the trace whose launch hit
-        // them: mark the batch leader as current for the compute span.
-        telemetry::trace::set_current(batch[0].0.trace.id());
-        let out = loop {
-            for (p, _) in &batch {
-                p.trace.push("attempt", || format!("idx={attempt}"));
-            }
-            let _span = telemetry::span!("serve.compute", vertices = ego.vertices.len());
-            let _prof = telemetry::prof::scope("serve.compute");
-            match engine.try_classify_forward(&shared.net, &ego.csr, &sub_feats) {
-                Ok((out, _profile)) => break Some(out),
-                Err(LaunchError::DeviceLost) => {
-                    telemetry::trace::set_current(0);
-                    // Not terminal for the chain: the supervisor salvages
-                    // the parked copy and appends `salvage` next.
-                    for (p, _) in &batch {
-                        p.trace.push("fault", || "device_lost".to_string());
-                    }
-                    return ProcessOutcome::DeviceLost;
-                }
-                Err(LaunchError::TransientFault { .. }) => {
-                    attempt += 1;
-                    for (p, _) in &batch {
-                        p.trace
-                            .push("fault", || format!("transient attempt={attempt}"));
-                    }
-                    match shared.retry.schedule(attempt, Instant::now(), retry_cap) {
-                        Some(backoff) => {
-                            shared.retries.fetch_add(1, Ordering::Relaxed);
-                            telemetry::counter_add(&m.retries, 1);
-                            for (p, _) in &batch {
-                                p.trace.push("retry", || {
-                                    format!("attempt={attempt} backoff_us={}", backoff.as_micros())
-                                });
-                            }
-                            std::thread::sleep(backoff);
-                        }
-                        None => break None,
-                    }
-                }
-            }
-        };
-        telemetry::trace::set_current(0);
-        compute_ms = ms(t1.elapsed());
-        telemetry::observe(&m.compute_ms, compute_ms);
-        if sampling {
-            telemetry::observe(&m.sampled_compute_ms, compute_ms);
-        }
-
-        if let Some(out) = out {
-            // Rows cache under the depth they were computed at — exact
-            // for that depth, invisible to lookups at any other depth.
-            // Sampled rows are approximations and are never cached: a
-            // later healthy lookup must not inherit a degraded answer.
-            let mut cache = lock_cache(shared);
-            for (local, &orig) in ego.targets().iter().enumerate() {
-                if shared.chaos_panic_on_vertex == Some(orig) {
-                    panic!("chaos: worker killed inserting vertex {orig}");
-                }
-                let row = out.row(local).to_vec();
-                if !sampling {
-                    cache.insert(
-                        CacheKey {
-                            vertex: orig,
-                            layer: shared.final_layer,
-                            hops: hops as u16,
-                            version: shared.model_version,
-                            shard: 0,
-                            epoch,
-                        },
-                        row.clone(),
-                    );
-                }
-                rows.insert(orig, row);
-            }
-            shared
-                .computed_targets
-                .fetch_add(miss_targets.len() as u64, Ordering::Relaxed);
-        }
-        // On retry exhaustion `rows` stays without the miss targets; the
-        // respond loop below fails exactly the affected requests.
-    }
-
-    telemetry::observe(&m.batch_size, batch.len() as f64);
-    shared.batches.fetch_add(1, Ordering::Relaxed);
-
-    // Assemble and deliver per-request responses. A request whose targets
-    // are all resolved gets a response; one still missing rows (retry
-    // budget exhausted) fails with `DeviceFault` — terminally resolved
-    // either way.
-    let _respond = telemetry::span!("serve.respond", requests = batch.len());
-    let _prof_respond = telemetry::prof::scope("serve.respond");
-    let miss_set: HashSet<u32> = miss_targets.iter().copied().collect();
-    for (p, enqueued) in batch.iter() {
-        let targets = &p.request.targets;
-        if targets.iter().any(|t| !rows.contains_key(t)) {
-            shared.device_faults.fetch_add(1, Ordering::Relaxed);
-            p.trace.finish("error", || {
-                "device_fault (retry budget exhausted)".to_string()
-            });
-            shared.slo_error();
-            let _ = p.tx.send(Err(ServeError::DeviceFault));
-            continue;
-        }
-        let mut data = Vec::with_capacity(targets.len() * classes);
-        let mut cache_hits = 0usize;
-        for &t in targets {
-            let row = &rows[&t];
-            if !miss_set.contains(&t) {
-                cache_hits += 1;
-            }
-            data.extend_from_slice(row);
-        }
-        let queue_ms = ms(picked_up.duration_since(*enqueued));
-        telemetry::observe(&m.queue_ms, queue_ms);
-        let timing = RequestTiming {
-            queue_ms,
-            extract_ms,
-            compute_ms,
-            batch_size: batch.len(),
-            cache_hits,
-        };
-        let degraded = Degradation {
-            stale_cache: targets.iter().any(|t| stale_targets.contains(t)),
-            // Under reduction every row this batch serves — computed or
-            // cache-hit — is at the truncated depth; flag any request
-            // that asked for more.
-            reduced_hops: reduced && p.request.hops.unwrap_or(shared.exact_hops) > hops,
-            // Sampling only taints rows computed this batch; cache hits
-            // were full-fidelity when computed (sampled rows never enter
-            // the cache).
-            sampled: sampling && targets.iter().any(|t| miss_set.contains(t)),
-            // Partial service is the sharded tier's rung; a
-            // single-device server always has its whole graph.
-            partial: false,
-        };
-        if degraded.any() {
-            shared.degraded.fetch_add(1, Ordering::Relaxed);
-            telemetry::counter_add(&m.degraded, 1);
-            if degraded.sampled {
-                shared.sampled.fetch_add(1, Ordering::Relaxed);
-                telemetry::counter_add(&m.sampled, 1);
-            }
-            p.trace.push("degrade", || {
-                format!(
-                    "stale_cache={} reduced_hops={} sampled={}",
-                    degraded.stale_cache, degraded.reduced_hops, degraded.sampled
-                )
-            });
-        }
-        let outputs = Matrix::from_vec(targets.len(), classes, data);
-        let e2e = ms(enqueued.elapsed());
-        telemetry::observe(&m.e2e_latency_ms, e2e);
-        telemetry::counter_add(&m.completed, 1);
-        shared.completed.fetch_add(1, Ordering::Relaxed);
-        let trace = p.trace.finish("response", || {
-            if degraded.any() { "degraded" } else { "ok" }.to_string()
-        });
-        shared.slo_ok(e2e);
-        // A dropped handle just means the client stopped waiting.
-        let _ = p.tx.send(Ok(Response {
-            outputs,
-            timing,
-            degraded,
-            epoch,
-            trace,
-        }));
-    }
-    if telemetry::enabled() && telemetry::prof::alloc_counting_installed() {
-        let d = telemetry::prof::thread_alloc_stats().since(&alloc0);
-        if d.allocs > 0 {
-            telemetry::observe("serve.batch.alloc_bytes", d.bytes as f64);
-            telemetry::observe("serve.batch.allocs", d.allocs as f64);
-            telemetry::observe(
-                "serve.request.alloc_bytes",
-                d.bytes as f64 / batch.len() as f64,
-            );
-        }
-    }
-    ProcessOutcome::Done
 }
 
 #[cfg(test)]
@@ -1366,68 +502,6 @@ mod tests {
         assert_eq!(resp.outputs.row(1), resp.outputs.row(2));
         assert!(!resp.degraded.any(), "healthy server serves full fidelity");
         let stats = server.shutdown();
-        assert_eq!(stats.completed, 1);
-    }
-
-    #[test]
-    fn validates_before_queueing() {
-        let server = small_server(64);
-        assert_eq!(
-            server.submit(Request::new(vec![])).unwrap_err(),
-            ServeError::EmptyRequest
-        );
-        assert_eq!(
-            server.submit(Request::new(vec![10_000])).unwrap_err(),
-            ServeError::InvalidTarget(10_000)
-        );
-        assert_eq!(server.stats().completed, 0);
-    }
-
-    #[test]
-    fn repeat_requests_hit_the_cache() {
-        let server = small_server(64);
-        let a = server
-            .submit(Request::new(vec![3]))
-            .unwrap()
-            .wait()
-            .unwrap();
-        let b = server
-            .submit(Request::new(vec![3]))
-            .unwrap()
-            .wait()
-            .unwrap();
-        assert_eq!(a.outputs.row(0), b.outputs.row(0));
-        assert_eq!(b.timing.cache_hits, 1);
-        let stats = server.shutdown();
-        assert!(stats.cache_hits >= 1, "second lookup must hit");
-        assert_eq!(stats.computed_targets, 1, "vertex computed only once");
-    }
-
-    #[test]
-    fn submit_after_shutdown_reports_shutting_down() {
-        let server = small_server(64);
-        server.queue.shutdown();
-        assert_eq!(
-            server.submit(Request::new(vec![1])).unwrap_err(),
-            ServeError::ShuttingDown
-        );
-    }
-
-    #[test]
-    fn expired_deadline_is_shed_not_served() {
-        let server = small_server(64);
-        // A zero deadline is already expired when the worker picks it up.
-        let h = server
-            .submit(Request::new(vec![1]).with_deadline(Duration::ZERO))
-            .unwrap();
-        assert_eq!(h.wait().unwrap_err(), ServeError::DeadlineExceeded);
-        // A generous deadline is served normally.
-        let ok = server
-            .submit(Request::new(vec![1]).with_deadline(Duration::from_secs(60)))
-            .unwrap();
-        assert!(ok.wait().is_ok());
-        let stats = server.shutdown();
-        assert_eq!(stats.deadline_exceeded, 1);
         assert_eq!(stats.completed, 1);
     }
 
@@ -1537,7 +611,7 @@ mod tests {
         assert_eq!(a.outputs.data(), b.outputs.data());
         assert!(!b.degraded.stale_cache);
         // Force the ladder up: full queue pressure via the controller.
-        server.shared.degradation.update(0.6, 0.0);
+        server.pipeline.core.degradation.update(0.6, 0.0);
         assert_eq!(server.degradation_level(), DegradationLevel::StaleOk);
         let c = server
             .submit(Request::new(vec![4]))
@@ -1557,7 +631,7 @@ mod tests {
         freeze_ladder(&mut cfg);
         let server = small_server_with(cfg);
         settle(&server);
-        server.shared.degradation.update(0.9, 0.0);
+        server.pipeline.core.degradation.update(0.9, 0.0);
         assert_eq!(server.degradation_level(), DegradationLevel::ReducedHops);
         let r = server
             .submit(Request::new(vec![8]))
@@ -1567,7 +641,7 @@ mod tests {
         assert!(r.degraded.reduced_hops);
         // The truncated row caches only under its own depth key: back at
         // Normal the vertex is recomputed at full depth, unflagged.
-        server.shared.degradation.update(0.0, 0.0);
+        server.pipeline.core.degradation.update(0.0, 0.0);
         let full = server
             .submit(Request::new(vec![8]))
             .unwrap()
@@ -1588,7 +662,7 @@ mod tests {
         freeze_ladder(&mut cfg);
         let server = small_server_with(cfg);
         settle(&server);
-        server.shared.degradation.update(0.75, 0.0);
+        server.pipeline.core.degradation.update(0.75, 0.0);
         assert_eq!(server.degradation_level(), DegradationLevel::Sampled);
         let r = server
             .submit(Request::new(vec![8]))
@@ -1599,7 +673,7 @@ mod tests {
         assert!(!r.degraded.reduced_hops, "sampling keeps full depth");
         // Back at Normal the same vertex must be recomputed: the sampled
         // row never entered the cache.
-        server.shared.degradation.update(0.0, 0.0);
+        server.pipeline.core.degradation.update(0.0, 0.0);
         let full = server
             .submit(Request::new(vec![8]))
             .unwrap()
@@ -1623,7 +697,7 @@ mod tests {
             freeze_ladder(&mut cfg);
             let server = small_server_with(cfg);
             settle(&server);
-            server.shared.degradation.update(0.75, 0.0);
+            server.pipeline.core.degradation.update(0.75, 0.0);
             let r = server
                 .submit(Request::new(vec![13, 29]))
                 .unwrap()
@@ -1733,34 +807,12 @@ mod tests {
         freeze_ladder(&mut cfg);
         let server = small_server_with(cfg);
         settle(&server);
-        server.shared.degradation.update(2.0, 0.0);
+        server.pipeline.core.degradation.update(2.0, 0.0);
         assert_eq!(server.degradation_level(), DegradationLevel::Shed);
         assert_eq!(
             server.submit(Request::new(vec![1])).unwrap_err(),
             ServeError::Overloaded
         );
         assert_eq!(server.stats().rejected, 1);
-    }
-
-    #[test]
-    fn shutdown_drained_requests_resolve_shutting_down_not_worker_lost() {
-        // No workers can make progress on these before shutdown: use a
-        // dead pool (device lost at launch 0, no respawn budget).
-        let mut cfg = small_config(0);
-        cfg.device.fault = gpu_sim::FaultPlan::device_lost_at(0);
-        cfg.supervisor.max_respawns = 0;
-        cfg.max_wait = Duration::from_secs(10);
-        cfg.max_batch = 64;
-        let server = small_server_with(cfg);
-        let h = server.submit(Request::new(vec![1])).unwrap();
-        let h2 = server.submit(Request::new(vec![2])).unwrap();
-        server.shutdown();
-        // Whichever path each took (requeue then drain, or never picked
-        // up), the channel closed during shutdown → ShuttingDown, not
-        // WorkerLost... unless it was the requeued-twice case, which a
-        // single death cannot produce.
-        for h in [h, h2] {
-            assert_eq!(h.wait().unwrap_err(), ServeError::ShuttingDown);
-        }
     }
 }

@@ -4,9 +4,11 @@
 //! A [`ShardedServer`] slices the graph and feature matrix into one
 //! [`ShardStore`] per simulated device (`tlpgnn_shard`) and then drops
 //! the unpartitioned copies — no worker ever holds the whole graph.
-//! Each shard runs one worker thread with its own engine, bounded
-//! [`BatchQueue`], and [`FeatureCache`] (keyed with the shard's index,
-//! modelling per-device cache memory).
+//! Each shard is one lane of the shared [`crate::pipeline`]: one worker
+//! with its own engine, bounded queue, and feature cache (keyed with the
+//! shard's index, modelling per-device cache memory). The request path
+//! and its fault-handling contract are the pipeline's; this module
+//! supplies the partitioned graph.
 //!
 //! ## Routing and coalescing
 //!
@@ -14,11 +16,9 @@
 //! owning its *seed* (first) target and records the decision as a
 //! `shard_route` trace event directly after `submit` — on every path,
 //! including rejects, so `TraceChain::validate` can hold the routing
-//! invariant unconditionally. Concurrent requests routed to the same
-//! shard coalesce in its micro-batch queue exactly like the unsharded
-//! server: one distributed extraction and one forward pass serve the
-//! union of the batch's miss targets, so overlapping ego-graphs are
-//! extracted once.
+//! invariant unconditionally. Requests routed to the same shard coalesce
+//! in its queue: one distributed extraction and one forward pass serve
+//! the union of a batch's misses.
 //!
 //! ## Halo exchange
 //!
@@ -32,61 +32,54 @@
 //! the fused engine is atomic-free, sharded responses are **bitwise
 //! equal** to the unsharded server's given the same batch composition.
 //!
-//! ## Faults and failover
+//! ## Failover
 //!
 //! Shard devices honor their configured fault plan (salted per shard
 //! so shards fault independently, or overridden per shard through
-//! [`ShardedConfig::per_shard_fault`]), and the tier keeps the same
-//! service-level invariants as [`GnnServer`] — every admitted request
-//! terminally resolves and no response is silently wrong:
+//! [`ShardedConfig::per_shard_fault`]). On top of the pipeline's
+//! contract the partitioned graph adds:
 //!
-//! * **Transient compute faults** retry the batch forward pass under
-//!   the bounded [`RetryPolicy`]; an exhausted budget fails the
-//!   affected requests with [`ServeError::DeviceFault`].
 //! * **Halo-fetch timeouts** ([`ShardedConfig::halo_fault`], drawn
 //!   from a per-shard salted stream) abort the fetch *before any row
-//!   moves* and retry under the same policy, so a retried fetch
-//!   contributes to [`HaloStats`] exactly once.
-//! * **Shard-worker death** is detected by a [`Supervisor`]: the dead
-//!   shard's parked batch is salvaged *exactly once* to its standby
-//!   buddy's queue (recorded as a `shard_failover` trace event after
-//!   the `salvage`), and the shard is re-warmed on a fresh fault-free
-//!   device within the respawn/circuit-breaker budget. With no live
-//!   buddy the parked requests fail with [`ServeError::WorkerLost`].
+//!   moves* and retry under the retry policy, so a retried fetch
+//!   contributes to [`HaloStats`](tlpgnn_shard::HaloStats) exactly once.
 //! * **Standby buddy mirrors** (`ShardedConfig::standby`): each
-//!   shard's owned range is mirrored bitwise on one buddy shard, so a
-//!   *retired* shard's rows keep serving — covered responses stay
-//!   bitwise equal to the fault-free reference. Requests whose
-//!   receptive field needs a dead, un-mirrored shard are served
-//!   *partially* (missing neighbors dropped, features zeroed) and
-//!   flagged [`Degradation::partial`]; partial rows are never cached.
+//!   shard's owned range is mirrored bitwise on one buddy shard. A dead
+//!   shard's parked batch is salvaged there (a `shard_failover` trace
+//!   event after the `salvage`), and a *retired* shard's rows keep
+//!   serving — covered responses stay bitwise equal to the fault-free
+//!   reference. With no live buddy the parked requests fail with
+//!   [`ServeError::WorkerLost`], and requests whose receptive field
+//!   needs the dead shard are served *partially* (missing neighbors
+//!   dropped, features zeroed), flagged [`Degradation::partial`].
 //!
-//! With `FaultPlan::none()` and `standby` off (the defaults) every
-//! failover path is dormant and the tier behaves byte-identically to a
-//! fault-free deployment.
+//! The partitioned graph is frozen: every view is epoch 0, mutations go
+//! through the single-device [`GnnServer`], and shards offer no
+//! worker-side ladder rung yet (they only shed). With the default
+//! `FaultPlan::none()` and `standby` off every failover path is dormant.
 //!
 //! [`GnnServer`]: crate::server::GnnServer
-//! [`Supervisor`]: crate::supervisor::Supervisor
+//! [`Degradation::partial`]: crate::request::Degradation::partial
 
-use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use gpu_sim::{DeviceConfig, FaultKind, FaultPlan, LaunchError};
-use telemetry::{SloMonitor, SloReport, SloSpec, TraceContext};
+use gpu_sim::{DeviceConfig, FaultKind, FaultPlan};
+use telemetry::{SloReport, SloSpec, TraceContext};
 use tlpgnn::multi_gpu::Interconnect;
-use tlpgnn::{EngineOptions, GnnNetwork, TlpgnnEngine};
+use tlpgnn::{EngineOptions, GnnNetwork};
 use tlpgnn_graph::Csr;
-use tlpgnn_shard::{distributed_ego_with_health, graph_bytes, HaloStats, ShardPlan, ShardStore};
+use tlpgnn_shard::{distributed_ego_with_health, graph_bytes, ShardPlan, ShardStore};
 use tlpgnn_tensor::Matrix;
 
-use crate::batcher::{BatchQueue, PushError};
-use crate::cache::{CacheKey, FeatureCache};
-use crate::policy::{DegradationController, DegradationLevel, DegradationPolicy, RetryPolicy};
-use crate::request::{Degradation, Request, RequestTiming, Response, ServeError};
-use crate::server::ResponseHandle;
-use crate::supervisor::{DeathCause, Supervisor, SupervisorConfig, WorkerExit};
+pub use crate::pipeline::ServeStats as ShardedStats;
+use crate::pipeline::{
+    count, lock, trace_all, Core, ExtractJob, Extracted, GraphSource, LaneNames, OwnNames,
+    Pipeline, ResponseHandle,
+};
+use crate::policy::{DegradationLevel, DegradationPolicy, RetryPolicy};
+use crate::request::{Request, ServeError};
+use crate::server::ServeConfig;
+use crate::supervisor::SupervisorConfig;
 
 /// Configuration of a [`ShardedServer`].
 #[derive(Debug, Clone)]
@@ -182,228 +175,159 @@ impl Default for ShardedConfig {
     }
 }
 
-/// Counter snapshot of a sharded server.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct ShardedStats {
-    /// Requests answered with a [`Response`].
-    pub completed: u64,
-    /// Requests rejected with [`ServeError::Overloaded`].
-    pub rejected: u64,
-    /// Batches executed across all shards.
-    pub batches: u64,
-    /// Target rows computed on an engine (cache misses actually served).
-    pub computed_targets: u64,
-    /// Cache hits summed over the per-shard caches.
-    pub cache_hits: u64,
-    /// Cache misses summed over the per-shard caches.
-    pub cache_misses: u64,
-    /// Requests shed with [`ServeError::DeadlineExceeded`].
-    pub deadline_exceeded: u64,
-    /// Requests failed with [`ServeError::DeviceFault`] (compute or
-    /// halo retry budget exhausted).
-    pub device_faults: u64,
-    /// Batch forward-pass retries after transient device faults.
-    pub retries: u64,
-    /// Halo-fetch retries after transient interconnect faults.
-    pub halo_retries: u64,
-    /// In-flight requests salvaged to a buddy shard after their
-    /// worker died.
-    pub requeued: u64,
-    /// Requests re-routed away from their owner shard: supervisor
-    /// salvages plus submissions steered off a retired shard.
-    pub failovers: u64,
-    /// Requests failed with [`ServeError::WorkerLost`] (second death,
-    /// or a death with no live buddy to salvage to).
-    pub worker_lost: u64,
-    /// Shard-worker deaths observed (lost devices + panics).
-    pub worker_deaths: u64,
-    /// Shard workers re-warmed by the supervisor.
-    pub respawns: u64,
-    /// Responses served with any [`Degradation`] flag set.
-    pub degraded: u64,
-    /// Responses flagged [`Degradation::partial`] (receptive field
-    /// touched a dead, un-mirrored shard).
-    pub partial: u64,
-    /// Requests completed per shard, indexed by shard.
-    pub per_shard_completed: Vec<u64>,
-    /// Aggregate halo-exchange accounting across all extractions.
-    pub halo: HaloStats,
-}
-
-/// Pre-rendered per-shard metric names.
-struct ShardNames {
-    load: String,
-    completed: String,
-    e2e_latency_ms: String,
-    slo_prefix: String,
-}
-
-/// Pre-rendered metric names so the hot path never formats strings.
-struct Names {
-    batch_size: String,
-    queue_ms: String,
-    extraction_ms: String,
-    compute_ms: String,
-    halo_ms: String,
-    e2e_latency_ms: String,
-    completed: String,
-    rejected: String,
-    cache_hits: String,
-    cache_misses: String,
-    cache_hit_rate: String,
-    deadline_exceeded: String,
-    retries: String,
-    halo_retries: String,
-    requeued: String,
-    failover: String,
-    worker_lost: String,
-    degraded: String,
-    partial: String,
-    degradation_level: String,
-    shard_retired: String,
-    halo_fetch_batches: String,
-    halo_fetched_rows: String,
-    halo_fetched_features: String,
-    halo_fetched_bytes: String,
-    halo_replica_hits: String,
-    halo_local_hits: String,
-    halo_mirror_hits: String,
-    slo_prefix: String,
-    shard: Vec<ShardNames>,
-}
-
-impl Names {
-    fn new(prefix: &str, shards: usize) -> Self {
-        Self {
-            batch_size: format!("{prefix}.batch_size"),
-            queue_ms: format!("{prefix}.queue_ms"),
-            extraction_ms: format!("{prefix}.extraction_ms"),
-            compute_ms: format!("{prefix}.compute_ms"),
-            halo_ms: format!("{prefix}.halo_ms"),
-            e2e_latency_ms: format!("{prefix}.e2e_latency_ms"),
-            completed: format!("{prefix}.completed"),
-            rejected: format!("{prefix}.rejected"),
-            cache_hits: format!("{prefix}.cache.hits"),
-            cache_misses: format!("{prefix}.cache.misses"),
-            cache_hit_rate: format!("{prefix}.cache.hit_rate"),
-            deadline_exceeded: format!("{prefix}.deadline_exceeded"),
-            retries: format!("{prefix}.retries"),
-            halo_retries: format!("{prefix}.halo.retries"),
-            requeued: format!("{prefix}.requeued"),
-            failover: format!("{prefix}.failover"),
-            worker_lost: format!("{prefix}.worker_lost"),
-            degraded: format!("{prefix}.degraded"),
-            partial: format!("{prefix}.partial"),
-            degradation_level: format!("{prefix}.degradation_level"),
-            shard_retired: format!("{prefix}.shard_retired"),
-            halo_fetch_batches: format!("{prefix}.halo.fetch_batches"),
-            halo_fetched_rows: format!("{prefix}.halo.fetched_rows"),
-            halo_fetched_features: format!("{prefix}.halo.fetched_features"),
-            halo_fetched_bytes: format!("{prefix}.halo.fetched_bytes"),
-            halo_replica_hits: format!("{prefix}.halo.replica_hits"),
-            halo_local_hits: format!("{prefix}.halo.local_hits"),
-            halo_mirror_hits: format!("{prefix}.halo.mirror_hits"),
-            slo_prefix: format!("{prefix}.slo"),
-            shard: (0..shards)
-                .map(|i| ShardNames {
-                    load: format!("{prefix}.shard.{i}.load"),
-                    completed: format!("{prefix}.shard.{i}.completed"),
-                    e2e_latency_ms: format!("{prefix}.shard.{i}.e2e_latency_ms"),
-                    slo_prefix: format!("{prefix}.slo.shard.{i}"),
-                })
-                .collect(),
-        }
-    }
-}
-
-/// An admitted request parked in a shard's queue. Cloneable so a worker
-/// can park a salvage copy while it processes — the clone shares the
-/// same causal chain, so events appended by either copy (worker
-/// progress, supervisor salvage) land in one history.
-#[derive(Clone)]
-struct Pending {
-    request: Request,
-    deadline: Option<Instant>,
-    /// How often this request has been salvaged after a worker death;
-    /// the supervisor requeues at most once.
-    requeues: u32,
-    trace: TraceContext,
-    tx: mpsc::Sender<Result<Response, ServeError>>,
-}
-
-type Batch = Vec<(Pending, Instant)>;
-
-struct Shared {
+/// The graph partitioned across devices: a plan, one resident store per
+/// shard, and the interconnect between them.
+pub(crate) struct ShardSource {
     plan: ShardPlan,
     stores: Vec<ShardStore>,
-    net: GnnNetwork,
-    exact_hops: usize,
-    final_layer: u16,
-    model_version: u32,
     interconnect: Interconnect,
-    caches: Vec<Mutex<FeatureCache>>,
-    retry: RetryPolicy,
-    degradation: DegradationController,
     halo_fault: FaultPlan,
-    /// Monotonic per-shard retirement flags, set only by the
-    /// supervisor's retire hook (circuit open or respawn budget spent).
-    /// Routing and extraction read liveness from here — *not* from the
-    /// transient dead-between-respawns window, so same-seed event logs
-    /// stay deterministic: during a respawn window requests keep
-    /// queueing at the dying shard and are served after the re-warm.
-    retired: Vec<AtomicBool>,
-    shutting_down: Arc<AtomicBool>,
-    names: Names,
-    /// Trace ids come from this submission-order counter — never the
-    /// wall clock — so same-seed runs allocate identical ids.
-    next_trace: AtomicU64,
-    slo: SloMonitor,
-    shard_slos: Vec<SloMonitor>,
-    halo: Mutex<HaloStats>,
-    completed: AtomicU64,
-    rejected: AtomicU64,
-    batches: AtomicU64,
-    computed_targets: AtomicU64,
-    deadline_exceeded: AtomicU64,
-    device_faults: AtomicU64,
-    retries: AtomicU64,
-    halo_retries: AtomicU64,
-    requeued: AtomicU64,
-    failovers: AtomicU64,
-    worker_lost: AtomicU64,
-    worker_deaths: AtomicU64,
-    respawns: AtomicU64,
-    degraded: AtomicU64,
-    partial: AtomicU64,
-    per_shard_completed: Vec<AtomicU64>,
 }
 
-impl Shared {
-    fn slo_ok(&self, shard: usize, latency_ms: f64) {
-        self.slo.record_ok(latency_ms);
-        self.slo.publish(&self.names.slo_prefix);
-        self.shard_slos[shard].record_ok(latency_ms);
-        self.shard_slos[shard].publish(&self.names.shard[shard].slo_prefix);
+impl GraphSource for ShardSource {
+    /// The partitioned graph is frozen at epoch 0, so there is nothing
+    /// per-request to pin.
+    type View = ();
+    /// Draws taken from the shard's halo-fault stream: the index runs
+    /// across a worker generation's lifetime, so consecutive fetches see
+    /// fresh draws.
+    type Worker = u64;
+    /// Shards offer no worker-side rung today: a covered failover must
+    /// stay unflagged. Turning the rungs on belongs with mutation
+    /// routing.
+    const MAX_RUNG: DegradationLevel = DegradationLevel::Normal;
+
+    fn epoch(_view: &()) -> u64 {
+        0
     }
 
-    fn slo_error(&self, shard: usize) {
-        self.slo.record_error();
-        self.slo.publish(&self.names.slo_prefix);
-        self.shard_slos[shard].record_error();
-        self.shard_slos[shard].publish(&self.names.shard[shard].slo_prefix);
-    }
-
-    fn is_retired(&self, shard: usize) -> bool {
-        self.retired[shard].load(Ordering::Acquire)
-    }
-
-    /// The shard whose queue serves requests seeded at `owner`'s range:
-    /// the owner while it is in rotation, else its live standby buddy.
-    fn serving_for(&self, owner: usize) -> Option<usize> {
-        if !self.is_retired(owner) {
-            return Some(owner);
+    fn pin(&self, targets: &[u32]) -> Result<(), ServeError> {
+        let n = self.plan.num_vertices() as u32;
+        match targets.iter().find(|&&t| t >= n) {
+            Some(&bad) => Err(ServeError::InvalidTarget(bad)),
+            None => Ok(()),
         }
-        self.plan.buddy_of(owner).filter(|&b| !self.is_retired(b))
+    }
+
+    /// The shard owning the seed (first) target while it is in rotation,
+    /// else its live standby buddy, else any live shard (partial
+    /// service). The decision lands directly after `submit` on every
+    /// path, the invariant `TraceChain::validate` holds sharded chains
+    /// to; the healthy path's detail stays exactly `shard=<i> seed=<v>`.
+    fn route(
+        &self,
+        core: &Core<Self>,
+        _view: &(),
+        targets: &[u32],
+        trace: &TraceContext,
+    ) -> Result<usize, usize> {
+        let owner = self.plan.route(targets);
+        let seed = targets[0];
+        if !core.is_retired(owner) {
+            trace.push("shard_route", || format!("shard={owner} seed={seed}"));
+            return Ok(owner);
+        }
+        // No mirror covering the owner's range still leaves any live
+        // shard able to serve the reachable part of the receptive
+        // field, flagged partial by the worker.
+        let (shard, how) = match self.salvage_lane(core, owner) {
+            Some(buddy) => (Some(buddy), "failover"),
+            None => (
+                (0..self.plan.shards()).find(|&s| !core.is_retired(s)),
+                "partial",
+            ),
+        };
+        match shard {
+            Some(s) => {
+                count(&core.counters.failovers, &core.names.failover, 1);
+                trace.push("shard_route", || {
+                    format!("shard={s} seed={seed} owner={owner} {how}")
+                });
+                Ok(s)
+            }
+            None => {
+                trace.push("shard_route", || format!("shard=none seed={seed}"));
+                Err(owner)
+            }
+        }
+    }
+
+    fn extract(
+        &self,
+        core: &Core<Self>,
+        draws: &mut u64,
+        job: &ExtractJob<'_, ()>,
+    ) -> Option<Extracted> {
+        // Halo-fetch fault loop: a transient draw aborts the fetch
+        // before any row moves, so the extraction below runs — and its
+        // HaloStats are accumulated — exactly once, on the attempt that
+        // did not fault. Each shard draws from its own salted stream;
+        // the retry budget is per fetch.
+        let plan = self.halo_fault.with_salt(job.lane as u64);
+        let mut attempt = 0u32;
+        while !plan.is_none() {
+            let idx = *draws;
+            *draws += 1;
+            if !matches!(plan.decide(idx), Some(FaultKind::Transient)) {
+                break;
+            }
+            attempt += 1;
+            trace_all(job.batch, "fault", || format!("halo_transient idx={idx}"));
+            let (retries, name) = (&core.counters.halo_retries, &core.names.halo_retries);
+            if !core.back_off(job.batch, attempt, retries, name, |b| {
+                format!("halo idx={idx} backoff_us={}", b.as_micros())
+            }) {
+                return None;
+            }
+        }
+        // Liveness comes from the monotonic retirement flags, not the
+        // transient dead-between-respawns window: a shard being
+        // re-warmed still "serves" its rows (the stores are
+        // host-resident), which keeps same-seed runs deterministic no
+        // matter when the monitor thread observes the death.
+        let alive: Vec<bool> = (0..self.plan.shards())
+            .map(|s| s == job.lane || !core.is_retired(s))
+            .collect();
+        let (ego, feats, halo) = distributed_ego_with_health(
+            &self.plan,
+            &self.stores,
+            job.lane,
+            job.misses,
+            job.hops,
+            &alive,
+        );
+        // Price the batched halo transfers on the modelled interconnect.
+        let halo_ms = self
+            .interconnect
+            .batched_transfer_ms(halo.fetch_batches, halo.fetched_bytes);
+        let m = &core.names;
+        telemetry::observe(&m.halo_ms, halo_ms);
+        telemetry::counter_add(&m.halo_fetch_batches, halo.fetch_batches);
+        telemetry::counter_add(&m.halo_fetched_rows, halo.fetched_rows);
+        telemetry::counter_add(&m.halo_fetched_features, halo.fetched_features);
+        telemetry::counter_add(&m.halo_fetched_bytes, halo.fetched_bytes);
+        telemetry::counter_add(&m.halo_replica_hits, halo.replica_hits);
+        telemetry::counter_add(&m.halo_local_hits, halo.local_hits);
+        telemetry::counter_add(&m.halo_mirror_hits, halo.mirror_hits);
+        lock(&core.counters.halo).accumulate(&halo);
+        trace_all(job.batch, "halo_fetch", || {
+            format!(
+                "batches={} rows={} features={} bytes={}",
+                halo.fetch_batches, halo.fetched_rows, halo.fetched_features, halo.fetched_bytes
+            )
+        });
+        Some(Extracted {
+            ego,
+            feats,
+            halo_ms,
+            partial: halo.missing() > 0,
+        })
+    }
+
+    /// A dead shard's work can only run where its rows are reachable:
+    /// the standby buddy, which mirrors the owned range bitwise.
+    fn salvage_lane(&self, core: &Core<Self>, lane: usize) -> Option<usize> {
+        self.plan.buddy_of(lane).filter(|&b| !core.is_retired(b))
     }
 }
 
@@ -411,9 +335,7 @@ impl Shared {
 /// the module docs for routing, coalescing, the halo exchange, and the
 /// failover layer.
 pub struct ShardedServer {
-    queues: Vec<Arc<BatchQueue<Pending>>>,
-    shared: Arc<Shared>,
-    supervisor: Option<Supervisor>,
+    pub(crate) pipeline: Pipeline<ShardSource>,
 }
 
 impl ShardedServer {
@@ -461,182 +383,43 @@ impl ShardedServer {
         drop(graph);
         drop(features);
 
-        let names = Names::new(&cfg.metrics_prefix, cfg.shards);
-        let shared = Arc::new(Shared {
-            exact_hops: net.receptive_hops(),
-            final_layer: net.depth() as u16,
-            model_version: cfg.model_version,
-            interconnect: cfg.interconnect.clone(),
-            caches: (0..cfg.shards)
-                .map(|_| Mutex::new(FeatureCache::new(cfg.cache_capacity)))
-                .collect(),
-            retry: cfg.retry.clone(),
-            degradation: DegradationController::new(cfg.degradation.clone()),
-            halo_fault: cfg.halo_fault.clone(),
-            retired: (0..cfg.shards).map(|_| AtomicBool::new(false)).collect(),
-            shutting_down: Arc::new(AtomicBool::new(false)),
-            names,
-            next_trace: AtomicU64::new(0),
-            slo: SloMonitor::new(cfg.slo.clone()),
-            shard_slos: (0..cfg.shards)
-                .map(|_| SloMonitor::new(cfg.slo.clone()))
-                .collect(),
-            halo: Mutex::new(HaloStats::default()),
-            completed: AtomicU64::new(0),
-            rejected: AtomicU64::new(0),
-            batches: AtomicU64::new(0),
-            computed_targets: AtomicU64::new(0),
-            deadline_exceeded: AtomicU64::new(0),
-            device_faults: AtomicU64::new(0),
-            retries: AtomicU64::new(0),
-            halo_retries: AtomicU64::new(0),
-            requeued: AtomicU64::new(0),
-            failovers: AtomicU64::new(0),
-            worker_lost: AtomicU64::new(0),
-            worker_deaths: AtomicU64::new(0),
-            respawns: AtomicU64::new(0),
-            degraded: AtomicU64::new(0),
-            partial: AtomicU64::new(0),
-            per_shard_completed: (0..cfg.shards).map(|_| AtomicU64::new(0)).collect(),
-            plan,
-            stores,
-            net,
-        });
-        let queues: Vec<Arc<BatchQueue<Pending>>> = (0..cfg.shards)
-            .map(|_| {
-                Arc::new(BatchQueue::new(
-                    cfg.queue_capacity,
-                    cfg.max_batch,
-                    cfg.max_wait,
-                ))
+        let prefix = &cfg.metrics_prefix;
+        let lanes = (0..cfg.shards)
+            .map(|i| LaneNames {
+                depth: format!("{prefix}.shard.{i}.load"),
+                own: Some(OwnNames {
+                    completed: format!("{prefix}.shard.{i}.completed"),
+                    e2e_latency_ms: format!("{prefix}.shard.{i}.e2e_latency_ms"),
+                    slo_prefix: format!("{prefix}.slo.shard.{i}"),
+                }),
             })
             .collect();
-        // Per-shard parking spot for the batch a worker is processing;
-        // the supervisor salvages it to the buddy shard if the worker
-        // dies mid-batch.
-        let in_flight: Arc<Vec<Mutex<Option<Batch>>>> =
-            Arc::new((0..cfg.shards).map(|_| Mutex::new(None)).collect());
-
-        let spawn = {
-            let queues = queues.clone();
-            let shared = Arc::clone(&shared);
-            let in_flight = Arc::clone(&in_flight);
-            let base_device = cfg.device.clone();
-            let per_shard_fault = cfg.per_shard_fault.clone();
-            let options = cfg.engine_options.clone();
-            Box::new(move |slot: usize, generation: u32, healthy: bool| {
-                let queue = Arc::clone(&queues[slot]);
-                let shared = Arc::clone(&shared);
-                let in_flight = Arc::clone(&in_flight);
-                let options = options.clone();
-                let mut device = base_device.clone();
-                device.fault = if healthy {
-                    // Re-warmed shards get a fresh fault-free device;
-                    // the broken one stays out of rotation.
-                    FaultPlan::none()
-                } else {
-                    match &per_shard_fault {
-                        Some(plans) => plans[slot].clone(),
-                        None => device.fault.with_salt(slot as u64),
-                    }
-                };
-                std::thread::Builder::new()
-                    .name(format!("shard-worker-{slot}.{generation}"))
-                    .spawn(move || worker_loop(&queue, &shared, device, options, slot, &in_flight))
-                    .expect("spawn shard worker")
-            })
+        let source = ShardSource {
+            plan,
+            stores,
+            interconnect: cfg.interconnect,
+            halo_fault: cfg.halo_fault,
         };
-        let on_death = {
-            let queues = queues.clone();
-            let shared = Arc::clone(&shared);
-            let in_flight = Arc::clone(&in_flight);
-            Box::new(move |slot: usize, cause: DeathCause| {
-                shared.worker_deaths.fetch_add(1, Ordering::Relaxed);
-                let parked = in_flight[slot]
-                    .lock()
-                    .unwrap_or_else(|p| p.into_inner())
-                    .take();
-                let Some(batch) = parked else { return };
-                // The dead shard's parked work can only run where its
-                // rows are reachable: the standby buddy (which mirrors
-                // the owned range bitwise). Without a live buddy the
-                // work has nowhere to go.
-                let buddy = shared
-                    .plan
-                    .buddy_of(slot)
-                    .filter(|&b| !shared.is_retired(b));
-                // Reverse so requeue_front restores the original order.
-                for (mut p, enqueued) in batch.into_iter().rev() {
-                    match (p.requeues, buddy) {
-                        (0, Some(b)) => {
-                            p.requeues = 1;
-                            shared.requeued.fetch_add(1, Ordering::Relaxed);
-                            shared.failovers.fetch_add(1, Ordering::Relaxed);
-                            telemetry::counter_add(&shared.names.requeued, 1);
-                            telemetry::counter_add(&shared.names.failover, 1);
-                            p.trace
-                                .push("salvage", || format!("cause={}", cause.label()));
-                            p.trace
-                                .push("shard_failover", || format!("from={slot} to={b}"));
-                            queues[b].requeue_front(p, enqueued);
-                        }
-                        (0, None) => {
-                            shared.worker_lost.fetch_add(1, Ordering::Relaxed);
-                            telemetry::counter_add(&shared.names.worker_lost, 1);
-                            p.trace
-                                .push("salvage", || format!("cause={} buddy=none", cause.label()));
-                            p.trace.finish("error", || {
-                                format!("worker_lost cause={} buddy=none", cause.label())
-                            });
-                            shared.slo_error(slot);
-                            let _ = p.tx.send(Err(ServeError::WorkerLost));
-                        }
-                        _ => {
-                            // Second death with this request in flight:
-                            // fail it rather than requeue forever.
-                            shared.worker_lost.fetch_add(1, Ordering::Relaxed);
-                            telemetry::counter_add(&shared.names.worker_lost, 1);
-                            p.trace
-                                .finish("error", || format!("worker_lost cause={}", cause.label()));
-                            shared.slo_error(slot);
-                            let _ = p.tx.send(Err(ServeError::WorkerLost));
-                        }
-                    }
-                }
-            })
+        // One worker per shard; the knobs a frozen graph has no use for
+        // (TTL, sampling, the chaos hook) keep their inert defaults.
+        let pipeline_cfg = ServeConfig {
+            workers: 1,
+            max_batch: cfg.max_batch,
+            max_wait: cfg.max_wait,
+            queue_capacity: cfg.queue_capacity,
+            cache_capacity: cfg.cache_capacity,
+            model_version: cfg.model_version,
+            device: cfg.device,
+            engine_options: cfg.engine_options,
+            retry: cfg.retry,
+            degradation: cfg.degradation,
+            supervisor: cfg.supervisor,
+            metrics_prefix: cfg.metrics_prefix,
+            slo: cfg.slo,
+            ..ServeConfig::default()
         };
-        let on_retire = {
-            let shared = Arc::clone(&shared);
-            Box::new(move |slot: usize| {
-                shared.retired[slot].store(true, Ordering::Release);
-                telemetry::counter_add(&shared.names.shard_retired, 1);
-            })
-        };
-        let tick = {
-            let queues = queues.clone();
-            let shared = Arc::clone(&shared);
-            Box::new(move |h: crate::supervisor::HealthSnapshot| {
-                let load = queues
-                    .iter()
-                    .map(|q| q.len() as f64 / q.capacity() as f64)
-                    .fold(0.0, f64::max);
-                let level = shared.degradation.update(load, h.unhealthy_frac());
-                telemetry::gauge_set(&shared.names.degradation_level, level as u8 as f64);
-                shared.respawns.store(h.respawns, Ordering::Relaxed);
-            })
-        };
-        let supervisor = Supervisor::start_with_retire(
-            cfg.supervisor,
-            cfg.shards,
-            spawn,
-            on_death,
-            on_retire,
-            tick,
-        );
         Self {
-            queues,
-            shared,
-            supervisor: Some(supervisor),
+            pipeline: Pipeline::start(pipeline_cfg, lanes, cfg.per_shard_fault, source, net),
         }
     }
 
@@ -650,668 +433,69 @@ impl ShardedServer {
     ///
     /// [`GnnServer::submit`]: crate::server::GnnServer::submit
     pub fn submit(&self, request: Request) -> Result<ResponseHandle, ServeError> {
-        if request.targets.is_empty() {
-            return Err(ServeError::EmptyRequest);
-        }
-        let n = self.shared.plan.num_vertices() as u32;
-        if let Some(&bad) = request.targets.iter().find(|&&t| t >= n) {
-            return Err(ServeError::InvalidTarget(bad));
-        }
-        let owner = self.shared.plan.route(&request.targets);
-        let trace = TraceContext::new(self.shared.next_trace.fetch_add(1, Ordering::Relaxed) + 1);
-        trace.push("submit", || {
-            format!(
-                "targets={} hops={}",
-                request.targets.len(),
-                request
-                    .hops
-                    .map_or_else(|| "exact".to_string(), |h| h.to_string()),
-            )
-        });
-        // The routing decision lands directly after submit on every
-        // path (including rejects below), the invariant
-        // `TraceChain::validate` holds sharded chains to. The healthy
-        // path's detail stays exactly `shard=<i> seed=<v>`; failover
-        // routes append the retired owner.
-        let seed = request.targets[0];
-        let shard = if !self.shared.is_retired(owner) {
-            trace.push("shard_route", || format!("shard={owner} seed={seed}"));
-            Some(owner)
-        } else if let Some(b) = self.shared.serving_for(owner) {
-            self.shared.failovers.fetch_add(1, Ordering::Relaxed);
-            telemetry::counter_add(&self.shared.names.failover, 1);
-            trace.push("shard_route", || {
-                format!("shard={b} seed={seed} owner={owner} failover")
-            });
-            Some(b)
-        } else if let Some(s) = (0..self.shared.plan.shards()).find(|&s| !self.shared.is_retired(s))
-        {
-            // No mirror covers the owner's range: any live shard can
-            // still serve the reachable part of the receptive field,
-            // flagged partial by the worker.
-            self.shared.failovers.fetch_add(1, Ordering::Relaxed);
-            telemetry::counter_add(&self.shared.names.failover, 1);
-            trace.push("shard_route", || {
-                format!("shard={s} seed={seed} owner={owner} partial")
-            });
-            Some(s)
-        } else {
-            trace.push("shard_route", || format!("shard=none seed={seed}"));
-            None
-        };
-        let Some(shard) = shard else {
-            self.shared.worker_lost.fetch_add(1, Ordering::Relaxed);
-            telemetry::counter_add(&self.shared.names.worker_lost, 1);
-            trace.finish("reject", || "worker_lost (no live shard)".to_string());
-            self.shared.slo_error(owner);
-            return Err(ServeError::WorkerLost);
-        };
-        if self.shared.degradation.level() == DegradationLevel::Shed {
-            self.shared.rejected.fetch_add(1, Ordering::Relaxed);
-            telemetry::counter_add(&self.shared.names.rejected, 1);
-            trace.finish("reject", || "overloaded (shed)".to_string());
-            self.shared.slo_error(shard);
-            return Err(ServeError::Overloaded);
-        }
-        let (tx, rx) = mpsc::channel();
-        let deadline = request.deadline.map(|d| Instant::now() + d);
-        let pending = Pending {
-            request,
-            deadline,
-            requeues: 0,
-            trace: trace.clone(),
-            tx,
-        };
-        // `enqueue` is recorded under the queue lock so it is ordered
-        // before any worker-side event for this request (see
-        // `Batcher::push_with`).
-        match self.queues[shard].push_with(pending, |depth| {
-            telemetry::gauge_set(&self.shared.names.shard[shard].load, depth as f64);
-            trace.push("enqueue", || format!("depth={depth}"));
-        }) {
-            Ok(_) => Ok(ResponseHandle::new(
-                rx,
-                Arc::clone(&self.shared.shutting_down),
-            )),
-            Err(PushError::Full(_)) => {
-                self.shared.rejected.fetch_add(1, Ordering::Relaxed);
-                telemetry::counter_add(&self.shared.names.rejected, 1);
-                trace.finish("reject", || "overloaded (queue_full)".to_string());
-                self.shared.slo_error(shard);
-                Err(ServeError::Overloaded)
-            }
-            Err(PushError::ShutDown(_)) => {
-                // Administrative refusal: close the chain, burn no
-                // error budget.
-                trace.finish("reject", || "shutting_down".to_string());
-                Err(ServeError::ShuttingDown)
-            }
-        }
+        self.pipeline.core.submit(request)
     }
 
     /// The shard plan (vertex→shard directory, replication set, and
     /// standby assignment).
     pub fn plan(&self) -> &ShardPlan {
-        &self.shared.plan
+        &self.pipeline.core.source.plan
     }
 
     /// The exact extraction depth used when a request doesn't override
     /// `hops`.
     pub fn exact_hops(&self) -> usize {
-        self.shared.exact_hops
+        self.pipeline.core.exact_hops
     }
 
     /// Whether shard `i` has been permanently retired (circuit open or
     /// respawn budget spent). Retired shards are steered around at
     /// submission and treated as dead by the extraction liveness mask.
     pub fn shard_retired(&self, i: usize) -> bool {
-        self.shared.is_retired(i)
+        self.pipeline.core.is_retired(i)
     }
 
     /// Resident bytes of the largest shard store — the figure a device
     /// memory budget must cover (standby mirrors included).
     pub fn max_store_bytes(&self) -> u64 {
-        self.shared
-            .stores
-            .iter()
-            .map(ShardStore::bytes)
-            .max()
-            .unwrap_or(0)
+        let stores = &self.pipeline.core.source.stores;
+        stores.iter().map(ShardStore::bytes).max().unwrap_or(0)
     }
 
     /// Requests currently queued on `shard`.
     pub fn queue_depth(&self, shard: usize) -> usize {
-        self.queues[shard].len()
+        self.pipeline.core.lanes[shard].queue.len()
     }
 
     /// Evaluate the global SLO against the current completion window.
     pub fn slo_report(&self) -> SloReport {
-        self.shared.slo.report()
+        self.pipeline.core.slo.report()
     }
 
     /// Evaluate shard `i`'s SLO.
     pub fn shard_slo_report(&self, i: usize) -> SloReport {
-        self.shared.shard_slos[i].report()
+        let own = self.pipeline.core.lanes[i].own.as_ref();
+        own.expect("every shard has an SLO").1.report()
     }
 
     /// A snapshot of the server's counters.
     pub fn stats(&self) -> ShardedStats {
-        let (mut cache_hits, mut cache_misses) = (0u64, 0u64);
-        for c in &self.shared.caches {
-            let c = c.lock().unwrap_or_else(|p| p.into_inner());
-            cache_hits += c.hits();
-            cache_misses += c.misses();
-        }
-        ShardedStats {
-            completed: self.shared.completed.load(Ordering::Relaxed),
-            rejected: self.shared.rejected.load(Ordering::Relaxed),
-            batches: self.shared.batches.load(Ordering::Relaxed),
-            computed_targets: self.shared.computed_targets.load(Ordering::Relaxed),
-            cache_hits,
-            cache_misses,
-            deadline_exceeded: self.shared.deadline_exceeded.load(Ordering::Relaxed),
-            device_faults: self.shared.device_faults.load(Ordering::Relaxed),
-            retries: self.shared.retries.load(Ordering::Relaxed),
-            halo_retries: self.shared.halo_retries.load(Ordering::Relaxed),
-            requeued: self.shared.requeued.load(Ordering::Relaxed),
-            failovers: self.shared.failovers.load(Ordering::Relaxed),
-            worker_lost: self.shared.worker_lost.load(Ordering::Relaxed),
-            worker_deaths: self.shared.worker_deaths.load(Ordering::Relaxed),
-            respawns: self.shared.respawns.load(Ordering::Relaxed),
-            degraded: self.shared.degraded.load(Ordering::Relaxed),
-            partial: self.shared.partial.load(Ordering::Relaxed),
-            per_shard_completed: self
-                .shared
-                .per_shard_completed
-                .iter()
-                .map(|c| c.load(Ordering::Relaxed))
-                .collect(),
-            halo: *self.shared.halo.lock().unwrap_or_else(|p| p.into_inner()),
-        }
+        self.pipeline.core.stats()
     }
 
     /// Stop accepting requests, serve everything queued, join the
     /// workers, and return the final counters.
     pub fn shutdown(mut self) -> ShardedStats {
-        self.stop_and_join();
+        self.pipeline.stop_and_join();
         self.stats()
     }
-
-    fn stop_and_join(&mut self) {
-        self.shared.shutting_down.store(true, Ordering::Release);
-        for q in &self.queues {
-            q.shutdown();
-        }
-        if let Some(sup) = self.supervisor.take() {
-            // Workers drain their queues; deaths during the drain are
-            // still salvaged to the buddy and re-warmed within budget.
-            sup.drain();
-            self.shared
-                .respawns
-                .store(sup.respawns(), Ordering::Relaxed);
-            sup.stop();
-        }
-        // Anything still queued (e.g. on a retired shard that never got
-        // a replacement worker) fails administratively: the drain burns
-        // no SLO error budget — shutdown is not a service failure.
-        for q in &self.queues {
-            for (p, _) in q.drain_remaining() {
-                p.trace.finish("error", || "shutting_down".to_string());
-                let _ = p.tx.send(Err(ServeError::ShuttingDown));
-            }
-        }
-    }
-}
-
-impl Drop for ShardedServer {
-    fn drop(&mut self) {
-        self.stop_and_join();
-    }
-}
-
-fn ms(d: Duration) -> f64 {
-    d.as_secs_f64() * 1e3
-}
-
-enum ProcessOutcome {
-    Done,
-    DeviceLost,
-}
-
-fn worker_loop(
-    queue: &BatchQueue<Pending>,
-    shared: &Shared,
-    device: DeviceConfig,
-    options: EngineOptions,
-    shard: usize,
-    in_flight: &[Mutex<Option<Batch>>],
-) -> WorkerExit {
-    // Whether this worker's device can fault at all: the clean path
-    // skips every per-attempt trace event so fault-free chains stay
-    // byte-identical to a deployment without the failover layer.
-    let faulty = !device.fault.is_none();
-    let mut engine = TlpgnnEngine::new(device, options);
-    // Per-shard salted halo-fault stream; the attempt counter indexes
-    // draws across this worker generation's lifetime.
-    let halo_plan = shared.halo_fault.with_salt(shard as u64);
-    let mut halo_attempts = 0u64;
-    while let Some(batch) = queue.pop_batch() {
-        telemetry::gauge_set(&shared.names.shard[shard].load, queue.len() as f64);
-        let batch = shed_expired(shared, shard, batch);
-        if batch.is_empty() {
-            continue;
-        }
-        // Park a salvage copy before touching the engine: if this
-        // worker dies mid-batch, the supervisor requeues exactly the
-        // requests that have not been responded to.
-        *in_flight[shard].lock().unwrap_or_else(|p| p.into_inner()) = Some(batch.clone());
-        match process_batch(
-            &mut engine,
-            shared,
-            shard,
-            batch,
-            &halo_plan,
-            &mut halo_attempts,
-            faulty,
-        ) {
-            ProcessOutcome::Done => {
-                in_flight[shard]
-                    .lock()
-                    .unwrap_or_else(|p| p.into_inner())
-                    .take();
-            }
-            // Leave the batch parked: the supervisor salvages it to
-            // the buddy shard.
-            ProcessOutcome::DeviceLost => return WorkerExit::DeviceLost,
-        }
-    }
-    WorkerExit::Drained
-}
-
-/// Respond `DeadlineExceeded` to every request already past its
-/// deadline and return the rest. Runs before the batch is parked, so a
-/// shed request is never salvaged.
-fn shed_expired(shared: &Shared, shard: usize, batch: Batch) -> Batch {
-    let now = Instant::now();
-    let (live, expired): (Batch, Batch) = batch
-        .into_iter()
-        .partition(|(p, _)| p.deadline.is_none_or(|d| now < d));
-    for (p, _) in expired {
-        shared.deadline_exceeded.fetch_add(1, Ordering::Relaxed);
-        telemetry::counter_add(&shared.names.deadline_exceeded, 1);
-        p.trace.push("shed", || "deadline passed".to_string());
-        p.trace.finish("error", || "deadline_exceeded".to_string());
-        shared.slo_error(shard);
-        let _ = p.tx.send(Err(ServeError::DeadlineExceeded));
-    }
-    live
-}
-
-fn process_batch(
-    engine: &mut TlpgnnEngine,
-    shared: &Shared,
-    shard: usize,
-    batch: Batch,
-    halo_plan: &FaultPlan,
-    halo_attempts: &mut u64,
-    faulty: bool,
-) -> ProcessOutcome {
-    let _span = telemetry::span!("shard.process_batch", requests = batch.len());
-    let picked_up = Instant::now();
-    let m = &shared.names;
-    let classes = shared.net.out_dim();
-    for (p, _) in &batch {
-        p.trace.push("pickup", || format!("batch={}", batch.len()));
-    }
-
-    // Unique targets across the batch, first-occurrence order: the
-    // coalescing step — overlapping ego-graphs extract once.
-    let mut uniq: Vec<u32> = Vec::new();
-    let mut seen: HashMap<u32, ()> = HashMap::new();
-    for (p, _) in &batch {
-        for &t in &p.request.targets {
-            if seen.insert(t, ()).is_none() {
-                uniq.push(t);
-            }
-        }
-    }
-    let hops = batch
-        .iter()
-        .map(|(p, _)| p.request.hops.unwrap_or(shared.exact_hops))
-        .max()
-        .unwrap_or(shared.exact_hops);
-
-    // Cache pass against this shard's cache.
-    let mut rows: HashMap<u32, Vec<f32>> = HashMap::with_capacity(uniq.len());
-    let mut miss_targets: Vec<u32> = Vec::new();
-    {
-        let mut cache = shared.caches[shard]
-            .lock()
-            .unwrap_or_else(|p| p.into_inner());
-        let hits_before = cache.hits();
-        for &t in &uniq {
-            let key = CacheKey {
-                vertex: t,
-                layer: shared.final_layer,
-                hops: hops as u16,
-                version: shared.model_version,
-                shard: shard as u16,
-                // The sharded tier serves a frozen partitioned graph:
-                // everything lives at epoch 0 (mutations go through the
-                // single-device `GnnServer`).
-                epoch: 0,
-            };
-            match cache.get(key) {
-                Some(row) => {
-                    rows.insert(t, row.to_vec());
-                }
-                None => miss_targets.push(t),
-            }
-        }
-        telemetry::counter_add(&m.cache_hits, cache.hits() - hits_before);
-        telemetry::counter_add(&m.cache_misses, miss_targets.len() as u64);
-        telemetry::gauge_set(&m.cache_hit_rate, cache.hit_rate());
-    }
-    for (p, _) in &batch {
-        p.trace.push("cache", || {
-            let hits = p
-                .request
-                .targets
-                .iter()
-                .filter(|t| rows.contains_key(t))
-                .count();
-            format!("hits={hits} miss={}", p.request.targets.len() - hits)
-        });
-    }
-
-    // One distributed extraction + one forward pass for the union of
-    // the batch's misses.
-    let mut extract_ms = 0.0;
-    let mut halo_ms = 0.0;
-    let mut compute_ms = 0.0;
-    let mut partial_batch = false;
-    if !miss_targets.is_empty() {
-        // Retry only helps requests still inside their deadlines; the
-        // batch's latest deadline caps the backoff schedule.
-        let retry_cap: Option<Instant> = if batch.iter().all(|(p, _)| p.deadline.is_some()) {
-            batch.iter().filter_map(|(p, _)| p.deadline).max()
-        } else {
-            None
-        };
-        // Liveness for extraction comes from the monotonic retirement
-        // flags, not the transient dead-between-respawns window: a
-        // shard being re-warmed still "serves" its rows (the stores
-        // are host-resident), which keeps same-seed runs deterministic
-        // no matter when the monitor thread observes the death.
-        let alive: Vec<bool> = (0..shared.plan.shards())
-            .map(|s| s == shard || !shared.is_retired(s))
-            .collect();
-
-        let t0 = Instant::now();
-        // Halo-fetch fault loop: a transient draw aborts the fetch
-        // before any row moves, so the extraction below runs — and its
-        // HaloStats are accumulated — exactly once, on the attempt
-        // that did not fault.
-        let mut fetch_attempts = 0u32;
-        let extracted = loop {
-            if !halo_plan.is_none() {
-                // `idx` indexes the worker-lifetime fault stream (so
-                // consecutive fetches see fresh draws); the retry
-                // budget is per fetch.
-                let idx = *halo_attempts;
-                *halo_attempts += 1;
-                if matches!(halo_plan.decide(idx), Some(FaultKind::Transient)) {
-                    fetch_attempts += 1;
-                    for (p, _) in &batch {
-                        p.trace
-                            .push("fault", || format!("halo_transient idx={idx}"));
-                    }
-                    match shared
-                        .retry
-                        .schedule(fetch_attempts, Instant::now(), retry_cap)
-                    {
-                        Some(backoff) => {
-                            shared.halo_retries.fetch_add(1, Ordering::Relaxed);
-                            telemetry::counter_add(&m.halo_retries, 1);
-                            for (p, _) in &batch {
-                                p.trace.push("retry", || {
-                                    format!("halo idx={idx} backoff_us={}", backoff.as_micros())
-                                });
-                            }
-                            std::thread::sleep(backoff);
-                            continue;
-                        }
-                        None => break None,
-                    }
-                }
-            }
-            let _span = telemetry::span!("shard.extract", misses = miss_targets.len(), hops = hops);
-            break Some(distributed_ego_with_health(
-                &shared.plan,
-                &shared.stores,
-                shard,
-                &miss_targets,
-                hops,
-                &alive,
-            ));
-        };
-        extract_ms = ms(t0.elapsed());
-        telemetry::observe(&m.extraction_ms, extract_ms);
-
-        if let Some((ego, sub_feats, halo)) = extracted {
-            // Charge the modelled interconnect time for the batched
-            // halo transfers to this batch's latency (the simulator
-            // prices, it does not sleep).
-            halo_ms = shared
-                .interconnect
-                .batched_transfer_ms(halo.fetch_batches, halo.fetched_bytes);
-            telemetry::observe(&m.halo_ms, halo_ms);
-            telemetry::counter_add(&m.halo_fetch_batches, halo.fetch_batches);
-            telemetry::counter_add(&m.halo_fetched_rows, halo.fetched_rows);
-            telemetry::counter_add(&m.halo_fetched_features, halo.fetched_features);
-            telemetry::counter_add(&m.halo_fetched_bytes, halo.fetched_bytes);
-            telemetry::counter_add(&m.halo_replica_hits, halo.replica_hits);
-            telemetry::counter_add(&m.halo_local_hits, halo.local_hits);
-            telemetry::counter_add(&m.halo_mirror_hits, halo.mirror_hits);
-            shared
-                .halo
-                .lock()
-                .unwrap_or_else(|p| p.into_inner())
-                .accumulate(&halo);
-            partial_batch = halo.missing() > 0;
-            for (p, _) in &batch {
-                p.trace.push("halo_fetch", || {
-                    format!(
-                        "batches={} rows={} features={} bytes={}",
-                        halo.fetch_batches,
-                        halo.fetched_rows,
-                        halo.fetched_features,
-                        halo.fetched_bytes
-                    )
-                });
-            }
-
-            let t1 = Instant::now();
-            let mut attempt = 0u32;
-            if faulty {
-                // gpu-sim tags injected faults with the trace whose
-                // launch hit them: mark the batch leader as current.
-                telemetry::trace::set_current(batch[0].0.trace.id());
-            }
-            let out = loop {
-                if faulty {
-                    for (p, _) in &batch {
-                        p.trace.push("attempt", || format!("idx={attempt}"));
-                    }
-                }
-                let result = {
-                    let _span = telemetry::span!("shard.compute", vertices = ego.vertices.len());
-                    engine.try_classify_forward(&shared.net, &ego.csr, &sub_feats)
-                };
-                match result {
-                    Ok((out, _profile)) => break Some(out),
-                    Err(LaunchError::DeviceLost) => {
-                        telemetry::trace::set_current(0);
-                        // Not terminal for the chain: the supervisor
-                        // salvages the parked copy and appends
-                        // `salvage` + `shard_failover` next.
-                        for (p, _) in &batch {
-                            p.trace.push("fault", || "device_lost".to_string());
-                        }
-                        return ProcessOutcome::DeviceLost;
-                    }
-                    Err(LaunchError::TransientFault { .. }) => {
-                        attempt += 1;
-                        for (p, _) in &batch {
-                            p.trace
-                                .push("fault", || format!("transient attempt={attempt}"));
-                        }
-                        match shared.retry.schedule(attempt, Instant::now(), retry_cap) {
-                            Some(backoff) => {
-                                shared.retries.fetch_add(1, Ordering::Relaxed);
-                                telemetry::counter_add(&m.retries, 1);
-                                for (p, _) in &batch {
-                                    p.trace.push("retry", || {
-                                        format!(
-                                            "attempt={attempt} backoff_us={}",
-                                            backoff.as_micros()
-                                        )
-                                    });
-                                }
-                                std::thread::sleep(backoff);
-                            }
-                            None => break None,
-                        }
-                    }
-                }
-            };
-            if faulty {
-                telemetry::trace::set_current(0);
-            }
-            compute_ms = ms(t1.elapsed());
-            telemetry::observe(&m.compute_ms, compute_ms);
-
-            if let Some(out) = out {
-                let mut cache = shared.caches[shard]
-                    .lock()
-                    .unwrap_or_else(|p| p.into_inner());
-                for (local, &orig) in ego.targets().iter().enumerate() {
-                    let row = out.row(local).to_vec();
-                    // Partial rows are approximations (missing
-                    // neighbors dropped, features zeroed) and are never
-                    // cached: a later healthy lookup must not inherit a
-                    // degraded answer.
-                    if !partial_batch {
-                        cache.insert(
-                            CacheKey {
-                                vertex: orig,
-                                layer: shared.final_layer,
-                                hops: hops as u16,
-                                version: shared.model_version,
-                                shard: shard as u16,
-                                epoch: 0,
-                            },
-                            row.clone(),
-                        );
-                    }
-                    rows.insert(orig, row);
-                }
-                shared
-                    .computed_targets
-                    .fetch_add(miss_targets.len() as u64, Ordering::Relaxed);
-            }
-            // On retry exhaustion `rows` stays without the miss
-            // targets; the respond loop below fails exactly the
-            // affected requests.
-        }
-    }
-
-    telemetry::observe(&m.batch_size, batch.len() as f64);
-    shared.batches.fetch_add(1, Ordering::Relaxed);
-
-    let miss_set: HashSet<u32> = miss_targets.iter().copied().collect();
-    for (p, enqueued) in batch.iter() {
-        let targets = &p.request.targets;
-        if targets.iter().any(|t| !rows.contains_key(t)) {
-            shared.device_faults.fetch_add(1, Ordering::Relaxed);
-            p.trace.finish("error", || {
-                "device_fault (retry budget exhausted)".to_string()
-            });
-            shared.slo_error(shard);
-            let _ = p.tx.send(Err(ServeError::DeviceFault));
-            continue;
-        }
-        let mut data = Vec::with_capacity(targets.len() * classes);
-        let mut cache_hits = 0usize;
-        for &t in targets {
-            let row = &rows[&t];
-            if !miss_set.contains(&t) {
-                cache_hits += 1;
-            }
-            data.extend_from_slice(row);
-        }
-        let queue_ms = ms(picked_up.duration_since(*enqueued));
-        telemetry::observe(&m.queue_ms, queue_ms);
-        let timing = RequestTiming {
-            queue_ms,
-            // Halo transfer time is part of getting the subgraph onto
-            // the device, so it reports under extraction.
-            extract_ms: extract_ms + halo_ms,
-            compute_ms,
-            batch_size: batch.len(),
-            cache_hits,
-        };
-        let degraded = Degradation {
-            // A partial extraction taints only rows computed this
-            // batch; cache hits were full-fidelity when computed
-            // (partial rows never enter the cache).
-            partial: partial_batch && targets.iter().any(|t| miss_set.contains(t)),
-            ..Degradation::default()
-        };
-        if degraded.any() {
-            shared.degraded.fetch_add(1, Ordering::Relaxed);
-            telemetry::counter_add(&m.degraded, 1);
-            shared.partial.fetch_add(1, Ordering::Relaxed);
-            telemetry::counter_add(&m.partial, 1);
-            p.trace
-                .push("degrade", || format!("partial={}", degraded.partial));
-        }
-        let outputs = Matrix::from_vec(targets.len(), classes, data);
-        let e2e = ms(enqueued.elapsed()) + halo_ms;
-        telemetry::observe(&m.e2e_latency_ms, e2e);
-        telemetry::observe(&m.shard[shard].e2e_latency_ms, e2e);
-        telemetry::counter_add(&m.completed, 1);
-        telemetry::counter_add(&m.shard[shard].completed, 1);
-        shared.completed.fetch_add(1, Ordering::Relaxed);
-        shared.per_shard_completed[shard].fetch_add(1, Ordering::Relaxed);
-        let trace = p.trace.finish("response", || {
-            if degraded.any() { "degraded" } else { "ok" }.to_string()
-        });
-        shared.slo_ok(shard, e2e);
-        let _ = p.tx.send(Ok(Response {
-            outputs,
-            timing,
-            degraded,
-            epoch: 0,
-            trace,
-        }));
-    }
-    ProcessOutcome::Done
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::server::{GnnServer, ServeConfig};
-    use tlpgnn::GnnModel;
-    use tlpgnn_graph::generators;
-
-    fn fixture() -> (Csr, Matrix, GnnNetwork) {
-        let g = generators::rmat_default(300, 2000, 7);
-        let x = Matrix::random(300, 8, 1.0, 9);
-        let net = GnnNetwork::two_layer(|_| GnnModel::Gin { eps: 0.1 }, 8, 8, 4, 3);
-        (g, x, net)
-    }
+    use crate::pipeline::tests::{fixture, wait_until};
+    use crate::server::GnnServer;
 
     fn sharded_config(shards: usize) -> ShardedConfig {
         ShardedConfig {
@@ -1340,14 +524,6 @@ mod tests {
         let mut plans = vec![FaultPlan::none(); shards];
         plans[0] = FaultPlan::device_lost_at(0);
         Some(plans)
-    }
-
-    fn wait_until(what: &str, mut cond: impl FnMut() -> bool) {
-        let deadline = Instant::now() + Duration::from_secs(10);
-        while !cond() {
-            assert!(Instant::now() < deadline, "timed out waiting for {what}");
-            std::thread::sleep(Duration::from_millis(2));
-        }
     }
 
     fn oracle() -> GnnServer {
@@ -1457,67 +633,6 @@ mod tests {
         }
         let stats = sharded.shutdown();
         assert_eq!(stats.per_shard_completed, want);
-    }
-
-    #[test]
-    fn repeat_requests_hit_the_shard_cache() {
-        let (g, x, net) = fixture();
-        let sharded = ShardedServer::start(sharded_config(4), g, x, net);
-        let a = sharded
-            .submit(Request::new(vec![7]))
-            .unwrap()
-            .wait()
-            .unwrap();
-        let b = sharded
-            .submit(Request::new(vec![7]))
-            .unwrap()
-            .wait()
-            .unwrap();
-        assert_eq!(a.outputs.row(0), b.outputs.row(0));
-        assert_eq!(b.timing.cache_hits, 1);
-        let stats = sharded.shutdown();
-        assert_eq!(stats.computed_targets, 1, "vertex computed only once");
-        assert!(stats.cache_hits >= 1);
-    }
-
-    #[test]
-    fn validates_before_routing() {
-        let (g, x, net) = fixture();
-        let sharded = ShardedServer::start(sharded_config(2), g, x, net);
-        assert_eq!(
-            sharded.submit(Request::new(vec![])).unwrap_err(),
-            ServeError::EmptyRequest
-        );
-        assert_eq!(
-            sharded.submit(Request::new(vec![10_000])).unwrap_err(),
-            ServeError::InvalidTarget(10_000)
-        );
-        assert_eq!(sharded.stats().completed, 0);
-    }
-
-    #[test]
-    fn expired_deadline_is_shed() {
-        let (g, x, net) = fixture();
-        let sharded = ShardedServer::start(sharded_config(2), g, x, net);
-        let h = sharded
-            .submit(Request::new(vec![1]).with_deadline(Duration::ZERO))
-            .unwrap();
-        assert_eq!(h.wait().unwrap_err(), ServeError::DeadlineExceeded);
-        let stats = sharded.shutdown();
-        assert_eq!(stats.deadline_exceeded, 1);
-    }
-
-    #[test]
-    fn submit_after_shutdown_reports_shutting_down() {
-        let (g, x, net) = fixture();
-        let sharded = ShardedServer::start(sharded_config(2), g, x, net);
-        for q in &sharded.queues {
-            q.shutdown();
-        }
-        assert_eq!(
-            sharded.submit(Request::new(vec![1])).unwrap_err(),
-            ServeError::ShuttingDown
-        );
     }
 
     #[test]
@@ -1780,60 +895,5 @@ mod tests {
         );
         assert_eq!(faulted_stats.device_faults, 0);
         assert_eq!(faulted_stats.completed, clean_stats.completed);
-    }
-
-    /// Shutdown parity with `GnnServer`: requests drained at shutdown
-    /// resolve `ShuttingDown` (not `WorkerLost`) and burn no SLO error
-    /// budget; only the genuine death does.
-    #[test]
-    fn shutdown_drain_is_distinguished_from_worker_loss() {
-        let (g, x, net) = fixture();
-        let mut cfg = sharded_config(1);
-        cfg.max_batch = 1;
-        cfg.per_shard_fault = kill_shard0(1);
-        cfg.supervisor = fast_supervisor(0, 1);
-        let mut sharded = ShardedServer::start(cfg, g, x, net);
-        // r1 rides the dying worker; r2 waits behind it in the queue of
-        // a shard that will never get a replacement. r2 is enqueued
-        // directly (not via `submit`): whether the supervisor retires
-        // shard 0 before a second `submit` could route is a scheduler
-        // race, and the drain contract under test is about work already
-        // queued when the shard went dark.
-        let h1 = sharded.submit(Request::new(vec![1])).unwrap();
-        let (tx, rx) = mpsc::channel();
-        let trace = TraceContext::new(u64::MAX);
-        trace.push("submit", || "targets=1 hops=exact".to_string());
-        trace.push("shard_route", || "shard=0 seed=2".to_string());
-        sharded.queues[0]
-            .push_with(
-                Pending {
-                    request: Request::new(vec![2]),
-                    deadline: None,
-                    requeues: 0,
-                    trace: trace.clone(),
-                    tx,
-                },
-                |depth| trace.push("enqueue", || format!("depth={depth}")),
-            )
-            .map_err(|_| "shard 0 queue refused the parked request")
-            .unwrap();
-        let h2 = ResponseHandle::new(rx, Arc::clone(&sharded.shared.shutting_down));
-        assert_eq!(
-            h1.wait().unwrap_err(),
-            ServeError::WorkerLost,
-            "no buddy on a 1-shard plan: the death fails loudly"
-        );
-        wait_until("retirement", || sharded.shard_retired(0));
-        assert_eq!(sharded.slo_report().total_errors, 1);
-
-        sharded.stop_and_join();
-        assert_eq!(
-            h2.wait().unwrap_err(),
-            ServeError::ShuttingDown,
-            "shutdown drains are administrative, not worker loss"
-        );
-        // The drain burned no extra error budget.
-        assert_eq!(sharded.slo_report().total_errors, 1);
-        assert_eq!(sharded.stats().worker_lost, 1);
     }
 }

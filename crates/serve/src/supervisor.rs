@@ -157,19 +157,6 @@ impl Supervisor {
         workers: usize,
         spawn: SpawnFn,
         on_death: DeathFn,
-        tick: TickFn,
-    ) -> Self {
-        Self::start_with_retire(cfg, workers, spawn, on_death, Box::new(|_| {}), tick)
-    }
-
-    /// [`start`](Self::start) plus a retirement hook, for callers that
-    /// route work by slot (the sharded tier) and must learn when a slot
-    /// permanently leaves rotation.
-    pub fn start_with_retire(
-        cfg: SupervisorConfig,
-        workers: usize,
-        spawn: SpawnFn,
-        on_death: DeathFn,
         on_retire: RetireFn,
         tick: TickFn,
     ) -> Self {
@@ -389,13 +376,13 @@ mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
 
-    fn idle_callbacks() -> (DeathFn, TickFn) {
-        (Box::new(|_, _| {}), Box::new(|_| {}))
+    fn idle_callbacks() -> (DeathFn, RetireFn, TickFn) {
+        (Box::new(|_, _| {}), Box::new(|_| {}), Box::new(|_| {}))
     }
 
     #[test]
     fn drained_workers_retire_without_respawn() {
-        let (on_death, tick) = idle_callbacks();
+        let (on_death, on_retire, tick) = idle_callbacks();
         let sup = Supervisor::start(
             SupervisorConfig::default(),
             3,
@@ -406,6 +393,7 @@ mod tests {
                     .unwrap()
             }),
             on_death,
+            on_retire,
             tick,
         );
         sup.drain();
@@ -441,6 +429,7 @@ mod tests {
                 d.fetch_add(1, Ordering::SeqCst);
             }),
             Box::new(|_| {}),
+            Box::new(|_| {}),
         );
         sup.drain();
         // Initial spawn + 2 respawns, all dying: 3 deaths, slot retired.
@@ -456,7 +445,7 @@ mod tests {
 
     #[test]
     fn breaker_retires_flapping_slot_before_budget_is_spent() {
-        let (on_death, tick) = idle_callbacks();
+        let (on_death, on_retire, tick) = idle_callbacks();
         let sup = Supervisor::start(
             SupervisorConfig {
                 max_respawns: 10, // plenty left when the breaker opens
@@ -467,6 +456,7 @@ mod tests {
             1,
             Box::new(|_, _, _| thread::spawn(|| WorkerExit::DeviceLost)),
             on_death,
+            on_retire,
             tick,
         );
         sup.drain();
@@ -484,8 +474,8 @@ mod tests {
         for breaker in [10u32, 1] {
             let retired = Arc::new(Mutex::new(Vec::new()));
             let r = Arc::clone(&retired);
-            let (on_death, tick) = idle_callbacks();
-            let sup = Supervisor::start_with_retire(
+            let (on_death, _, tick) = idle_callbacks();
+            let sup = Supervisor::start(
                 SupervisorConfig {
                     max_respawns: 0,
                     monitor_interval: Duration::from_micros(200),
@@ -527,6 +517,7 @@ mod tests {
             Box::new(move |_, cause| {
                 *c.lock().unwrap() = Some(cause);
             }),
+            Box::new(|_| {}),
             Box::new(|_| {}),
         );
         sup.drain();
