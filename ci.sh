@@ -32,18 +32,20 @@ echo "=== benchmark smoke ==="
 # that reaches the program only through the public items of crates/, so
 # nothing above compiles it: an API change there would otherwise first
 # show in the pipeline that runs BENCHMARK.json. Build it as that
-# pipeline does and run four workloads briefly; the last line of each is
+# pipeline does and run five workloads briefly; the last line of each is
 # the result record, which says whether every output matched its oracle.
-# native_conv is the host-compute path; serve_cold, serve_churn and
-# serve_sharded run the serving pipeline on both façades (the sharded
-# quiet phase is the bitwise sharded-vs-unsharded check). Cargo brings
+# native_conv is the host-compute path; sim_conv is the simulator's own
+# workload, the one whose check also demands that simulated time repeats
+# across repetitions; serve_cold, serve_churn and serve_sharded run the
+# serving pipeline on both façades (the sharded quiet phase is the
+# bitwise sharded-vs-unsharded check). Cargo brings
 # benchmark/Cargo.lock up to date with the crates' manifests when it
 # builds; the committed copy is put back, since only a change that
 # redefines the benchmark may edit that directory.
 bench_lock="$(mktemp)"
 cp benchmark/Cargo.lock "${bench_lock}"
 trap 'mv "${bench_lock}" benchmark/Cargo.lock' EXIT
-for workload in native_conv serve_cold serve_churn serve_sharded; do
+for workload in native_conv sim_conv serve_cold serve_churn serve_sharded; do
   bench_result="$(cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
     --workload "${workload}" --seed 42 --seconds 2 --trace 0 | tail -n 1)" || true
   case "${bench_result}" in

@@ -5,6 +5,8 @@
 //! paper's whole pipeline (two-level parallelism, hybrid workload
 //! balancing, kernel fusion, register caching) behind one `conv` call.
 
+use std::borrow::Cow;
+
 use gpu_sim::{Device, DeviceConfig, Kernel, LaunchError, OpProfile};
 use tlpgnn_graph::Csr;
 use tlpgnn_tensor::Matrix;
@@ -416,7 +418,9 @@ impl TlpgnnEngine {
     ) -> Result<(Matrix, OpProfile), LaunchError> {
         let _span = telemetry::span!("tlpgnn.classify_forward", layers = net.layers.len());
         let mut op = OpProfile::new("tlpgnn_network_forward");
-        let mut h = x.clone();
+        // Every stage uploads its input from a reference, so the caller's
+        // matrix is read in place, never copied.
+        let mut h = Cow::Borrowed(x);
         for layer in &net.layers {
             let (out, layer_op) = self.try_layer_forward(layer, g, &h)?;
             op.gpu_time_ms += layer_op.gpu_time_ms;
@@ -424,7 +428,7 @@ impl TlpgnnEngine {
             op.kernel_launches += layer_op.kernel_launches;
             op.load_bytes += layer_op.load_bytes;
             op.store_bytes += layer_op.store_bytes;
-            h = out;
+            h = Cow::Owned(out);
         }
         let (out, p) = crate::kernels::dense::try_log_softmax_on_device(&mut self.device, &h)?;
         op.add(&p);

@@ -114,11 +114,11 @@ pub fn try_dense_forward_on_device(
     let xb = mem.alloc_from(x.data());
     let wb = mem.alloc_from(layer.weight().data());
     let yb = mem.alloc::<f32>(rows * od);
-    // The bias is private to Linear; reconstruct it by forwarding zeros.
-    let zeros = Matrix::zeros(1, id);
-    let bias_row = layer.forward(&zeros);
-    let has_bias = bias_row.data().iter().any(|&v| v != 0.0);
-    let bias = has_bias.then(|| dev.mem_mut().alloc_from(bias_row.data()));
+    // An all-zero bias adds nothing: skip its upload and its loads.
+    let bias = layer
+        .bias()
+        .filter(|b| b.iter().any(|&v| v != 0.0))
+        .map(|b| mem.alloc_from(b));
     let k = DenseLayerKernel {
         x: xb,
         w: wb,
@@ -275,6 +275,23 @@ mod tests {
         let mut dev = Device::new(DeviceConfig::test_small());
         let (got, _) = dense_forward_on_device(&mut dev, &layer, &x, false);
         assert!(got.max_abs_diff(&ops::matmul(&x, layer.weight())) < 1e-3);
+    }
+
+    #[test]
+    fn nonzero_bias_is_uploaded_and_zero_bias_is_not() {
+        let x = Matrix::random(20, 8, 1.0, 407);
+        let weight = Matrix::random(8, 40, 1.0, 408);
+        let run = |bias: Option<Vec<f32>>| {
+            let layer = Linear::from_parts(weight.clone(), bias);
+            let mut dev = Device::new(DeviceConfig::test_small());
+            let (got, p) = dense_forward_on_device(&mut dev, &layer, &x, false);
+            assert!(got.max_abs_diff(&layer.forward(&x)) < 1e-3);
+            (p.mem_requests, p.peak_mem_bytes)
+        };
+        let none = run(None);
+        assert_eq!(run(Some(vec![0.0; 40])), none);
+        let biased = run(Some((0..40).map(|c| c as f32 - 7.5).collect()));
+        assert!(biased.0 > none.0 && biased.1 == none.1 + 40 * 4);
     }
 
     #[test]

@@ -1,16 +1,22 @@
-//! The device: owns memory and the L2, executes kernels (functionally, in
-//! parallel on the host), and converts the recorded per-warp traces into a
-//! [`KernelProfile`] via the analytic cost model.
+//! The device: owns memory and the L2, executes kernels (functionally, one
+//! warp at a time on the calling thread), and converts the recorded
+//! per-warp traces into a [`KernelProfile`] via the analytic cost model.
 //!
 //! # Execution vs. scheduling
 //!
-//! Blocks are *executed* on host workers in a fixed cyclic interleaving
-//! (which also determines which blocks share a simulated L1). Their
-//! *placement* for the cost model is computed afterwards by deterministic
-//! greedy list scheduling — each block, in launch order, goes to the SM
-//! with the least accumulated work — which is exactly the fixed point of
-//! the hardware's dynamic block distributor and is what lets a grid with a
-//! few enormous blocks (hub vertices) still balance across SMs.
+//! Blocks are *executed* by one loop over simulated SM workers: worker `w`
+//! of `W` runs blocks `w, w + W, w + 2W, …` to completion before worker
+//! `w + 1` starts (blocks of one worker share a simulated L1). That fixed
+//! order is the simulator's determinism — every cache sees one access
+//! stream, the same on every run and every machine — and it is why no
+//! cache is locked.
+//!
+//! Their *placement* for the cost model is computed afterwards by
+//! deterministic greedy list scheduling — each block, in launch order,
+//! goes to the SM with the least accumulated work — which is exactly the
+//! fixed point of the hardware's dynamic block distributor and is what
+//! lets a grid with a few enormous blocks (hub vertices) still balance
+//! across SMs.
 //!
 //! # Cost model
 //!
@@ -47,21 +53,21 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use rayon::prelude::*;
+use parking_lot::Mutex;
 use telemetry::{BlockSlice, KernelSample, SimKernelTimeline, SmTimeline, MAX_BLOCK_EVENTS};
 
-use crate::cache::{SectorCache, SharedCache};
+use crate::cache::SectorCache;
 use crate::config::{DeviceConfig, WARP_SIZE};
 use crate::fault::{FaultEvent, FaultKind, LaunchError};
 use crate::hw::HwCounters;
 use crate::kernel::{Kernel, LaunchConfig};
-use crate::mem::DeviceMemory;
+use crate::mem::{DeviceMemory, SectorGeometry};
 use crate::profile::{Accounting, KernelProfile, LimiterBreakdown, SmAccounting};
 use crate::warp::{WarpCtx, WarpId, WarpStats};
 
 /// Cost record of one executed block, consumed by the list scheduler.
+#[derive(Clone, Default)]
 struct BlockCost {
-    idx: u32,
     issue_cycles: u64,
     /// Atomic-weighted bandwidth sectors.
     bw_sectors: f64,
@@ -70,13 +76,6 @@ struct BlockCost {
     /// slots sit idle until the whole CTA completes.
     slot_cycles: u64,
     max_warp: u64,
-}
-
-struct WorkerResult {
-    stats: WarpStats,
-    blocks: Vec<BlockCost>,
-    /// Evictions observed in this worker's private L1 model.
-    l1_evictions: u64,
 }
 
 /// Fraction of a block's ramp-down tail (slot-cycles between a warp's
@@ -95,7 +94,9 @@ static NEXT_DEVICE_ID: AtomicU64 = AtomicU64::new(0);
 pub struct Device {
     cfg: DeviceConfig,
     mem: DeviceMemory,
-    l2: SharedCache,
+    /// A launch holds `&mut self` and reaches the cache without locking;
+    /// the mutex is there only so [`Self::flush_l2`] works through `&self`.
+    l2: Mutex<SectorCache>,
     launches: u64,
     id: u64,
     /// Simulated wall clock, µs: launches lay out sequentially on the
@@ -114,7 +115,7 @@ pub struct Device {
 impl Device {
     /// Create a device with the given configuration.
     pub fn new(cfg: DeviceConfig) -> Self {
-        let l2 = SharedCache::new(cfg.l2_bytes, cfg.sector_bytes);
+        let l2 = Mutex::new(SectorCache::sliced(cfg.l2_bytes, cfg.sector_bytes));
         Self {
             cfg,
             mem: DeviceMemory::new(),
@@ -166,7 +167,7 @@ impl Device {
 
     /// Drop all cached state in the L2 (e.g. between experiments).
     pub fn flush_l2(&self) {
-        self.l2.reset();
+        self.l2.lock().reset();
     }
 
     /// Whether the fault plan has permanently killed this device.
@@ -291,77 +292,56 @@ impl Device {
         );
 
         let grid = lc.grid_blocks;
-        let cfg = &self.cfg;
-        let mem = &self.mem;
-        let l2 = &self.l2;
-
         // The simulator executes one warp at a time per worker, which
         // would give every warp the whole L1 to itself; on hardware the
         // L1 is shared by all resident warps. Model that contention by
         // sizing each worker's cache to one resident warp's share.
         let resident = self.resident_warps(kernel, lc);
-        let l1_eff = (cfg.l1_bytes as f64 / resident).max(2048.0) as usize;
+        let l1_eff = (self.cfg.l1_bytes as f64 / resident).max(2048.0) as usize;
 
-        let workers = cfg.num_sms.min(grid);
-        let results: Vec<WorkerResult> = (0..workers)
-            .into_par_iter()
-            .map(|worker| {
-                let mut l1 = SectorCache::new(l1_eff, cfg.sector_bytes);
-                let mut res = WorkerResult {
-                    stats: WarpStats::default(),
-                    blocks: Vec::with_capacity(grid / workers + 1),
-                    l1_evictions: 0,
-                };
-                let mut shared = vec![0.0f32; shared_f32];
-                let mut block = worker;
-                while block < grid {
-                    shared.fill(0.0);
-                    let mut bc = BlockCost {
-                        idx: block as u32,
-                        issue_cycles: 0,
-                        bw_sectors: 0.0,
-                        slot_cycles: 0,
-                        max_warp: 0,
-                    };
-                    for warp in 0..warps_per_block {
-                        let id = WarpId {
-                            block_idx: block,
-                            warp_in_block: warp,
-                            warps_per_block,
-                            block_dim: block_threads,
-                        };
-                        let mut ctx = WarpCtx::new(mem, &mut l1, l2, cfg, &mut shared, id);
-                        kernel.run_warp(&mut ctx);
-                        let wc = ctx.stats.warp_cycles(cfg);
-                        bc.max_warp = bc.max_warp.max(wc);
-                        bc.slot_cycles += wc;
-                        bc.issue_cycles += ctx.stats.issue_cycles;
-                        bc.bw_sectors += (ctx.stats.below_l1_sectors() + ctx.stats.store_sectors)
-                            as f64
-                            + ctx.stats.atomic_sectors as f64 * cfg.atomic_bw_factor;
-                        res.stats.merge(&ctx.stats);
-                    }
-                    let ceiling = bc.max_warp * warps_per_block as u64;
-                    bc.slot_cycles += ((ceiling - bc.slot_cycles) as f64 * RAMP_DOWN_CHARGE) as u64;
-                    res.blocks.push(bc);
-                    block += workers;
-                }
-                res.l1_evictions = l1.evictions();
-                res
-            })
-            .collect();
+        let cfg = &self.cfg;
+        let mem = &self.mem;
+        let l2 = self.l2.get_mut();
+        let geometry = SectorGeometry::new(cfg.sector_bytes);
 
         let mut total = WarpStats::default();
-        let mut blocks: Vec<BlockCost> = Vec::with_capacity(grid);
+        // Indexed by block: launch order, in which the hardware
+        // distributor hands blocks out and the list scheduler reads them.
+        let mut blocks = vec![BlockCost::default(); grid];
         let mut l1_evictions = 0u64;
-        for r in results {
-            total.merge(&r.stats);
-            blocks.extend(r.blocks);
-            l1_evictions += r.l1_evictions;
+        // Every worker starts from an empty L1 of the same geometry.
+        let mut l1 = SectorCache::new(l1_eff, cfg.sector_bytes);
+        let mut shared = vec![0.0f32; shared_f32];
+
+        let workers = cfg.num_sms.min(grid);
+        for worker in 0..workers {
+            for block in (worker..grid).step_by(workers) {
+                shared.fill(0.0);
+                let bc = &mut blocks[block];
+                for warp in 0..warps_per_block {
+                    let id = WarpId {
+                        block_idx: block,
+                        warp_in_block: warp,
+                        warps_per_block,
+                        block_dim: block_threads,
+                    };
+                    let mut ctx = WarpCtx::new(mem, &mut l1, l2, cfg, geometry, &mut shared, id);
+                    kernel.run_warp(&mut ctx);
+                    let wc = ctx.stats.warp_cycles(cfg);
+                    bc.max_warp = bc.max_warp.max(wc);
+                    bc.slot_cycles += wc;
+                    bc.issue_cycles += ctx.stats.issue_cycles;
+                    bc.bw_sectors += (ctx.stats.below_l1_sectors() + ctx.stats.store_sectors)
+                        as f64
+                        + ctx.stats.atomic_sectors as f64 * cfg.atomic_bw_factor;
+                    total.merge(&ctx.stats);
+                }
+                let ceiling = bc.max_warp * warps_per_block as u64;
+                bc.slot_cycles += ((ceiling - bc.slot_cycles) as f64 * RAMP_DOWN_CHARGE) as u64;
+            }
+            l1_evictions += l1.evictions();
+            l1.reset();
         }
-        // Launch order: the hardware distributor hands out blocks in index
-        // order.
-        blocks.sort_unstable_by_key(|b| b.idx);
 
         self.finish_profile(kernel, lc, warps_per_block, total, blocks, l1_evictions)
     }
@@ -415,7 +395,7 @@ impl Device {
         // block, no allocation beyond the reserved vec — and keeps the
         // counters identical whether or not collection is enabled.
         let mut placements: Vec<(usize, u32, u64, u64)> = Vec::with_capacity(blocks.len());
-        for b in &blocks {
+        for (idx, b) in blocks.iter().enumerate() {
             let Reverse((load, sm)) = heap.pop().expect("bins nonempty");
             let bin = &mut bins[sm];
             bin.issue += b.issue_cycles;
@@ -424,7 +404,7 @@ impl Device {
             bin.max_warp = bin.max_warp.max(b.max_warp);
             bin.blocks += 1;
             warps_run += warps_per_block as u64;
-            placements.push((sm, b.idx, load, load + b.slot_cycles));
+            placements.push((sm, idx as u32, load, load + b.slot_cycles));
             heap.push(Reverse((load + b.slot_cycles + cfg.block_sched_cycles, sm)));
         }
 

@@ -2,11 +2,11 @@
 //!
 //! Memory is organized as typed buffers carved out of a single simulated
 //! address space by a bump allocator. Each buffer is backed by a slab of
-//! `AtomicU32` words so that simulated warps running on different host
-//! threads can load, store, and atomically update memory without locking;
-//! plain loads/stores use `Relaxed` atomics (the simulator enforces
-//! correctness at the algorithm level exactly as CUDA does — racy plain
-//! writes are a kernel bug, not a simulator bug).
+//! `AtomicU32` words: kernels and host copies write through a shared
+//! `&DeviceMemory`, and relaxed atomics are the interior mutability that
+//! costs nothing (the launcher runs one warp at a time; the simulator
+//! enforces correctness at the algorithm level exactly as CUDA does —
+//! racy plain writes are a kernel bug, not a simulator bug).
 //!
 //! Buffer *addresses* matter: the coalescing model groups the 32 lane
 //! addresses of one warp request into 32-byte sectors, so consecutive
@@ -27,6 +27,49 @@ pub const DRAM_ROW_BYTES: u64 = 1024;
 #[inline]
 pub fn dram_row(sector: u64, sector_bytes: usize) -> u64 {
     sector / (DRAM_ROW_BYTES / sector_bytes as u64).max(1)
+}
+
+/// Byte address → sector id → DRAM row for one device's sector width,
+/// worked out once per launch: every stock device has power-of-two
+/// sectors, where both maps are shifts; any other width divides.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct SectorGeometry {
+    sector_bytes: u64,
+    /// `Some((log2(sector_bytes), log2(sectors per DRAM row)))`.
+    shifts: Option<(u32, u32)>,
+}
+
+impl SectorGeometry {
+    pub(crate) fn new(sector_bytes: usize) -> Self {
+        let sector_bytes = sector_bytes as u64;
+        let row_sectors = (DRAM_ROW_BYTES / sector_bytes).max(1);
+        Self {
+            sector_bytes,
+            // A power-of-two sector divides or is divided by the
+            // power-of-two row, so the row span is one as well.
+            shifts: sector_bytes
+                .is_power_of_two()
+                .then(|| (sector_bytes.trailing_zeros(), row_sectors.trailing_zeros())),
+        }
+    }
+
+    /// Sector id of a byte address.
+    #[inline]
+    pub(crate) fn sector_of(&self, addr: u64) -> u64 {
+        match self.shifts {
+            Some((sector_shift, _)) => addr >> sector_shift,
+            None => addr / self.sector_bytes,
+        }
+    }
+
+    /// [`dram_row`] of a sector id.
+    #[inline]
+    pub(crate) fn dram_row(&self, sector: u64) -> u64 {
+        match self.shifts {
+            Some((_, row_shift)) => sector >> row_shift,
+            None => dram_row(sector, self.sector_bytes as usize),
+        }
+    }
 }
 
 /// A plain 32-bit word type storable in device memory.
@@ -104,12 +147,36 @@ impl<T> DeviceBuffer<T> {
     /// model; panics if out of bounds (a simulated illegal memory access).
     #[inline]
     pub fn addr_of(&self, idx: usize) -> u64 {
-        assert!(
-            idx < self.len,
-            "illegal device memory access: index {idx} out of bounds for buffer of len {}",
-            self.len
-        );
+        if idx >= self.len {
+            illegal_access(idx, self.len);
+        }
         self.addr + (idx as u64) * 4
+    }
+}
+
+#[cold]
+#[inline(never)]
+fn illegal_access(idx: usize, len: usize) -> ! {
+    panic!("illegal device memory access: index {idx} out of bounds for buffer of len {len}")
+}
+
+/// The words of one live buffer plus its base address: what a warp request
+/// resolves once, so each lane pays one bounds check and no lookup.
+#[derive(Clone, Copy)]
+pub(crate) struct BufferView<'a> {
+    words: &'a [AtomicU32],
+    addr: u64,
+}
+
+impl<'a> BufferView<'a> {
+    /// Word `idx` and its simulated byte address; panics if out of bounds
+    /// (a simulated illegal memory access).
+    #[inline]
+    pub(crate) fn at(&self, idx: usize) -> (&'a AtomicU32, u64) {
+        match self.words.get(idx) {
+            Some(word) => (word, self.addr + (idx as u64) * 4),
+            None => illegal_access(idx, self.words.len()),
+        }
     }
 }
 
@@ -244,57 +311,43 @@ impl DeviceMemory {
 
     // ---- word-level operations used by the warp context ----
 
+    /// Resolve a buffer handle once per warp request (panics on a freed
+    /// buffer — a simulated use-after-free).
     #[inline]
-    pub(crate) fn load_bits(&self, id: usize, idx: usize) -> u32 {
-        self.storage(id).words[idx].load(Ordering::Relaxed)
-    }
-
-    #[inline]
-    pub(crate) fn store_bits(&self, id: usize, idx: usize, bits: u32) {
-        self.storage(id).words[idx].store(bits, Ordering::Relaxed);
-    }
-
-    /// Atomic float add returning the previous value (CUDA `atomicAdd`).
-    #[inline]
-    pub(crate) fn atomic_add_f32(&self, id: usize, idx: usize, val: f32) -> f32 {
-        let word = &self.storage(id).words[idx];
-        let mut cur = word.load(Ordering::Relaxed);
-        loop {
-            let new = (f32::from_bits(cur) + val).to_bits();
-            match word.compare_exchange_weak(cur, new, Ordering::AcqRel, Ordering::Relaxed) {
-                Ok(_) => return f32::from_bits(cur),
-                Err(actual) => cur = actual,
-            }
+    pub(crate) fn view<T>(&self, buf: DeviceBuffer<T>) -> BufferView<'_> {
+        BufferView {
+            words: &self.storage(buf.id).words,
+            addr: buf.addr,
         }
     }
+}
 
-    /// Atomic u32 add returning the previous value.
-    #[inline]
-    pub(crate) fn atomic_add_u32(&self, id: usize, idx: usize, val: u32) -> u32 {
-        self.storage(id).words[idx].fetch_add(val, Ordering::AcqRel)
-    }
+/// Float add returning the previous value (CUDA `atomicAdd`). One warp
+/// runs at a time, so the simulated atomic is a plain read-modify-write.
+#[inline]
+pub(crate) fn atomic_add_f32(word: &AtomicU32, val: f32) -> f32 {
+    let old = f32::from_bits(word.load(Ordering::Relaxed));
+    word.store((old + val).to_bits(), Ordering::Relaxed);
+    old
+}
 
-    /// Atomic f32 max via CAS, returning the previous value.
-    #[inline]
-    pub(crate) fn atomic_max_f32(&self, id: usize, idx: usize, val: f32) -> f32 {
-        let word = &self.storage(id).words[idx];
-        let mut cur = word.load(Ordering::Relaxed);
-        loop {
-            let cur_f = f32::from_bits(cur);
-            if cur_f >= val {
-                return cur_f;
-            }
-            match word.compare_exchange_weak(
-                cur,
-                val.to_bits(),
-                Ordering::AcqRel,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => return cur_f,
-                Err(actual) => cur = actual,
-            }
-        }
+/// Wrapping `u32` add returning the previous value.
+#[inline]
+pub(crate) fn atomic_add_u32(word: &AtomicU32, val: u32) -> u32 {
+    let old = word.load(Ordering::Relaxed);
+    word.store(old.wrapping_add(val), Ordering::Relaxed);
+    old
+}
+
+/// Float max returning the previous value (CUDA `atomicMax` on floats).
+#[inline]
+pub(crate) fn atomic_max_f32(word: &AtomicU32, val: f32) -> f32 {
+    let old = f32::from_bits(word.load(Ordering::Relaxed));
+    if old >= val {
+        return old;
     }
+    word.store(val.to_bits(), Ordering::Relaxed);
+    old
 }
 
 impl Default for DeviceMemory {
@@ -336,7 +389,7 @@ mod tests {
         let mut mem = DeviceMemory::new();
         let buf = mem.alloc::<f32>(1);
         for _ in 0..100 {
-            mem.atomic_add_f32(buf.id, 0, 0.5);
+            atomic_add_f32(mem.view(buf).at(0).0, 0.5);
         }
         assert_eq!(mem.read_vec(buf)[0], 50.0);
     }
@@ -346,8 +399,9 @@ mod tests {
         let mut mem = DeviceMemory::new();
         let buf = mem.alloc::<f32>(1);
         mem.write_slice(buf, &[-1.0]);
-        assert_eq!(mem.atomic_max_f32(buf.id, 0, 3.0), -1.0);
-        assert_eq!(mem.atomic_max_f32(buf.id, 0, 2.0), 3.0);
+        let word = mem.view(buf).at(0).0;
+        assert_eq!(super::atomic_max_f32(word, 3.0), -1.0);
+        assert_eq!(super::atomic_max_f32(word, 2.0), 3.0);
         assert_eq!(mem.read_vec(buf)[0], 3.0);
     }
 
@@ -378,5 +432,36 @@ mod tests {
         let mut mem = DeviceMemory::new();
         let a = mem.alloc::<f32>(4);
         let _ = a.addr_of(4);
+    }
+
+    #[test]
+    #[should_panic(expected = "illegal device memory access")]
+    fn out_of_bounds_view_panics() {
+        let mut mem = DeviceMemory::new();
+        let a = mem.alloc::<f32>(4);
+        let _ = mem.view(a).at(4);
+    }
+
+    #[test]
+    fn view_addresses_match_addr_of() {
+        let mut mem = DeviceMemory::new();
+        let _pad = mem.alloc::<f32>(5);
+        let a = mem.alloc_from(&[1.0f32, 2.0, 3.0]);
+        let (word, addr) = mem.view(a).at(2);
+        assert_eq!(addr, a.addr_of(2));
+        assert_eq!(f32::from_bits(word.load(Ordering::Relaxed)), 3.0);
+    }
+
+    #[test]
+    fn sector_geometry_shift_equals_division() {
+        for sector_bytes in [32usize, 64, 128, 1024, 4096, 24, 48, 1500] {
+            let g = SectorGeometry::new(sector_bytes);
+            assert_eq!(g.shifts.is_some(), sector_bytes.is_power_of_two());
+            for addr in [0u64, 31, 32, 255, 1024, 65_537, 1 << 40, u64::MAX / 3] {
+                let sector = addr / sector_bytes as u64;
+                assert_eq!(g.sector_of(addr), sector);
+                assert_eq!(g.dram_row(sector), dram_row(sector, sector_bytes));
+            }
+        }
     }
 }

@@ -10,9 +10,11 @@
 //! sectors probe the L1/L2 models, and latencies/traffic accumulate into
 //! [`WarpStats`].
 
-use crate::cache::{SectorCache, SharedCache};
+use std::sync::atomic::Ordering;
+
+use crate::cache::SectorCache;
 use crate::config::{DeviceConfig, WARP_SIZE};
-use crate::mem::{dram_row, DeviceBuffer, DeviceMemory, Word};
+use crate::mem::{self, DeviceBuffer, DeviceMemory, SectorGeometry, Word};
 
 /// Per-warp counters; summed per SM and then per kernel by the launcher.
 #[derive(Debug, Clone, Copy, Default)]
@@ -123,8 +125,9 @@ impl WarpId {
 pub struct WarpCtx<'a> {
     mem: &'a DeviceMemory,
     l1: &'a mut SectorCache,
-    l2: &'a SharedCache,
+    l2: &'a mut SectorCache,
     cfg: &'a DeviceConfig,
+    geometry: SectorGeometry,
     shared: &'a mut [f32],
     id: WarpId,
     /// DRAM row of this warp's last below-L1 load sector (`u64::MAX` =
@@ -140,6 +143,11 @@ type SectorSet = ([u64; WARP_SIZE], usize);
 #[inline]
 fn push_sector(set: &mut SectorSet, sector: u64) {
     let (buf, n) = set;
+    // Neighbouring lanes mostly share a sector: try the last one pushed
+    // before scanning the rest.
+    if *n > 0 && buf[*n - 1] == sector {
+        return;
+    }
     if !buf[..*n].contains(&sector) {
         buf[*n] = sector;
         *n += 1;
@@ -150,8 +158,9 @@ impl<'a> WarpCtx<'a> {
     pub(crate) fn new(
         mem: &'a DeviceMemory,
         l1: &'a mut SectorCache,
-        l2: &'a SharedCache,
+        l2: &'a mut SectorCache,
         cfg: &'a DeviceConfig,
+        geometry: SectorGeometry,
         shared: &'a mut [f32],
         id: WarpId,
     ) -> Self {
@@ -160,6 +169,7 @@ impl<'a> WarpCtx<'a> {
             l1,
             l2,
             cfg,
+            geometry,
             shared,
             id,
             last_dram_row: u64::MAX,
@@ -240,16 +250,15 @@ impl<'a> WarpCtx<'a> {
         buf: DeviceBuffer<T>,
         mut lane_idx: impl FnMut(usize) -> Option<usize>,
     ) -> [T; WARP_SIZE] {
+        let view = self.mem.view(buf);
         let mut out = [T::default(); WARP_SIZE];
         let mut sectors: SectorSet = ([0; WARP_SIZE], 0);
         let mut active = 0usize;
         for (lane, slot) in out.iter_mut().enumerate() {
             if let Some(idx) = lane_idx(lane) {
-                *slot = T::from_bits(self.mem.load_bits(buf.id, idx));
-                push_sector(
-                    &mut sectors,
-                    buf.addr_of(idx) / self.cfg.sector_bytes as u64,
-                );
+                let (word, addr) = view.at(idx);
+                *slot = T::from_bits(word.load(Ordering::Relaxed));
+                push_sector(&mut sectors, self.geometry.sector_of(addr));
                 active += 1;
             }
         }
@@ -263,10 +272,10 @@ impl<'a> WarpCtx<'a> {
     /// Load a single element, broadcast to the warp (all lanes read the
     /// same address: one sector, one request).
     pub fn ld_scalar<T: Word>(&mut self, buf: DeviceBuffer<T>, idx: usize) -> T {
-        let v = T::from_bits(self.mem.load_bits(buf.id, idx));
-        let sector = buf.addr_of(idx) / self.cfg.sector_bytes as u64;
+        let (word, addr) = self.mem.view(buf).at(idx);
+        let v = T::from_bits(word.load(Ordering::Relaxed));
         self.issue(1);
-        self.account_load(&[sector]);
+        self.account_load(&[self.geometry.sector_of(addr)]);
         v
     }
 
@@ -284,7 +293,7 @@ impl<'a> WarpCtx<'a> {
             } else {
                 // Below-L1 stream: row-buffer locality relative to this
                 // warp's previous sector that left the SM.
-                let row = dram_row(s, self.cfg.sector_bytes);
+                let row = self.geometry.dram_row(s);
                 if row == self.last_dram_row {
                     st.row_hit_sectors += 1;
                 } else {
@@ -316,15 +325,14 @@ impl<'a> WarpCtx<'a> {
         buf: DeviceBuffer<T>,
         mut lane_val: impl FnMut(usize) -> Option<(usize, T)>,
     ) {
+        let view = self.mem.view(buf);
         let mut sectors: SectorSet = ([0; WARP_SIZE], 0);
         let mut active = 0usize;
         for lane in 0..WARP_SIZE {
             if let Some((idx, v)) = lane_val(lane) {
-                self.mem.store_bits(buf.id, idx, v.to_bits());
-                push_sector(
-                    &mut sectors,
-                    buf.addr_of(idx) / self.cfg.sector_bytes as u64,
-                );
+                let (word, addr) = view.at(idx);
+                word.store(v.to_bits(), Ordering::Relaxed);
+                push_sector(&mut sectors, self.geometry.sector_of(addr));
                 active += 1;
             }
         }
@@ -353,6 +361,7 @@ impl<'a> WarpCtx<'a> {
         buf: DeviceBuffer<f32>,
         mut lane_op: impl FnMut(usize) -> Option<(usize, f32)>,
     ) {
+        let view = self.mem.view(buf);
         let mut sectors: SectorSet = ([0; WARP_SIZE], 0);
         let mut addrs: ([u64; WARP_SIZE], usize) = ([0; WARP_SIZE], 0);
         let mut max_conflict = 0usize;
@@ -360,9 +369,9 @@ impl<'a> WarpCtx<'a> {
         let mut active = 0usize;
         for lane in 0..WARP_SIZE {
             if let Some((idx, v)) = lane_op(lane) {
-                self.mem.atomic_add_f32(buf.id, idx, v);
-                let addr = buf.addr_of(idx);
-                push_sector(&mut sectors, addr / self.cfg.sector_bytes as u64);
+                let (word, addr) = view.at(idx);
+                mem::atomic_add_f32(word, v);
+                push_sector(&mut sectors, self.geometry.sector_of(addr));
                 let (abuf, n) = &mut addrs;
                 match abuf[..*n].iter().position(|&a| a == addr) {
                     Some(p) => counts[p] += 1,
@@ -387,10 +396,10 @@ impl<'a> WarpCtx<'a> {
     /// Single-lane atomic add on a `u32` (e.g. the software task-pool
     /// cursor of Algorithm 1). Returns the previous value.
     pub fn atomic_add_u32_scalar(&mut self, buf: DeviceBuffer<u32>, idx: usize, val: u32) -> u32 {
-        let old = self.mem.atomic_add_u32(buf.id, idx, val);
-        let sector = buf.addr_of(idx) / self.cfg.sector_bytes as u64;
+        let (word, addr) = self.mem.view(buf).at(idx);
+        let old = mem::atomic_add_u32(word, val);
         self.issue_simd(1, 1);
-        self.account_atomic(&[sector], 1, 1);
+        self.account_atomic(&[self.geometry.sector_of(addr)], 1, 1);
         old
     }
 
@@ -400,16 +409,15 @@ impl<'a> WarpCtx<'a> {
         buf: DeviceBuffer<f32>,
         mut lane_op: impl FnMut(usize) -> Option<(usize, f32)>,
     ) {
+        let view = self.mem.view(buf);
         let mut sectors: SectorSet = ([0; WARP_SIZE], 0);
         let mut distinct = 0usize;
         let mut active = 0usize;
         for lane in 0..WARP_SIZE {
             if let Some((idx, v)) = lane_op(lane) {
-                self.mem.atomic_max_f32(buf.id, idx, v);
-                push_sector(
-                    &mut sectors,
-                    buf.addr_of(idx) / self.cfg.sector_bytes as u64,
-                );
+                let (word, addr) = view.at(idx);
+                mem::atomic_max_f32(word, v);
+                push_sector(&mut sectors, self.geometry.sector_of(addr));
                 distinct += 1;
                 active += 1;
             }
@@ -493,12 +501,23 @@ mod tests {
     use super::*;
     use crate::config::DeviceConfig;
 
-    fn harness() -> (DeviceMemory, SectorCache, SharedCache, DeviceConfig) {
+    fn harness() -> (DeviceMemory, SectorCache, SectorCache, DeviceConfig) {
         let cfg = DeviceConfig::test_small();
         let mem = DeviceMemory::new();
         let l1 = SectorCache::new(cfg.l1_bytes, cfg.sector_bytes);
-        let l2 = SharedCache::new(cfg.l2_bytes, cfg.sector_bytes);
+        let l2 = SectorCache::sliced(cfg.l2_bytes, cfg.sector_bytes);
         (mem, l1, l2, cfg)
+    }
+
+    fn warp<'a>(
+        mem: &'a DeviceMemory,
+        l1: &'a mut SectorCache,
+        l2: &'a mut SectorCache,
+        cfg: &'a DeviceConfig,
+        shared: &'a mut [f32],
+    ) -> WarpCtx<'a> {
+        let geometry = SectorGeometry::new(cfg.sector_bytes);
+        WarpCtx::new(mem, l1, l2, cfg, geometry, shared, warp_id())
     }
 
     fn warp_id() -> WarpId {
@@ -512,11 +531,11 @@ mod tests {
 
     #[test]
     fn coalesced_load_touches_four_sectors() {
-        let (mut mem, mut l1, l2, cfg) = harness();
+        let (mut mem, mut l1, mut l2, cfg) = harness();
         let data: Vec<f32> = (0..32).map(|i| i as f32).collect();
         let buf = mem.alloc_from(&data);
         let mut shared = [];
-        let mut w = WarpCtx::new(&mem, &mut l1, &l2, &cfg, &mut shared, warp_id());
+        let mut w = warp(&mem, &mut l1, &mut l2, &cfg, &mut shared);
         let vals = w.ld(buf, Some);
         assert_eq!(vals[5], 5.0);
         // 32 consecutive f32 = 128 bytes = 4 sectors of 32B.
@@ -526,11 +545,11 @@ mod tests {
 
     #[test]
     fn strided_load_is_uncoalesced() {
-        let (mut mem, mut l1, l2, cfg) = harness();
+        let (mut mem, mut l1, mut l2, cfg) = harness();
         let data: Vec<f32> = (0..32 * 64).map(|i| i as f32).collect();
         let buf = mem.alloc_from(&data);
         let mut shared = [];
-        let mut w = WarpCtx::new(&mem, &mut l1, &l2, &cfg, &mut shared, warp_id());
+        let mut w = warp(&mem, &mut l1, &mut l2, &cfg, &mut shared);
         // Stride of 64 floats = 256 bytes: every lane in its own sector.
         let _ = w.ld(buf, |lane| Some(lane * 64));
         assert_eq!(w.stats.mem_sectors, 32);
@@ -539,10 +558,10 @@ mod tests {
 
     #[test]
     fn repeated_scalar_load_hits_l1() {
-        let (mut mem, mut l1, l2, cfg) = harness();
+        let (mut mem, mut l1, mut l2, cfg) = harness();
         let buf = mem.alloc_from(&[42.0f32]);
         let mut shared = [];
-        let mut w = WarpCtx::new(&mem, &mut l1, &l2, &cfg, &mut shared, warp_id());
+        let mut w = warp(&mem, &mut l1, &mut l2, &cfg, &mut shared);
         let a = w.ld_scalar(buf, 0);
         let b = w.ld_scalar(buf, 0);
         assert_eq!((a, b), (42.0, 42.0));
@@ -552,11 +571,11 @@ mod tests {
 
     #[test]
     fn row_locality_tracks_below_l1_stream() {
-        let (mut mem, mut l1, l2, cfg) = harness();
+        let (mut mem, mut l1, mut l2, cfg) = harness();
         let data: Vec<f32> = (0..32 * 256).map(|i| i as f32).collect();
         let buf = mem.alloc_from(&data);
         let mut shared = [];
-        let mut w = WarpCtx::new(&mem, &mut l1, &l2, &cfg, &mut shared, warp_id());
+        let mut w = warp(&mem, &mut l1, &mut l2, &cfg, &mut shared);
         // Streaming: 4 consecutive cold sectors share one 1 KiB row.
         let _ = w.ld(buf, Some);
         assert_eq!(w.stats.row_miss_sectors, 1);
@@ -574,10 +593,10 @@ mod tests {
 
     #[test]
     fn store_writes_and_counts() {
-        let (mut mem, mut l1, l2, cfg) = harness();
+        let (mut mem, mut l1, mut l2, cfg) = harness();
         let buf = mem.alloc::<f32>(32);
         let mut shared = [];
-        let mut w = WarpCtx::new(&mem, &mut l1, &l2, &cfg, &mut shared, warp_id());
+        let mut w = warp(&mem, &mut l1, &mut l2, &cfg, &mut shared);
         w.st(buf, |lane| Some((lane, lane as f32 * 2.0)));
         assert_eq!(w.stats.store_requests, 1);
         assert_eq!(w.stats.store_sectors, 4);
@@ -587,10 +606,10 @@ mod tests {
 
     #[test]
     fn atomic_conflict_serializes() {
-        let (mut mem, mut l1, l2, cfg) = harness();
+        let (mut mem, mut l1, mut l2, cfg) = harness();
         let buf = mem.alloc::<f32>(1);
         let mut shared = [];
-        let mut w = WarpCtx::new(&mem, &mut l1, &l2, &cfg, &mut shared, warp_id());
+        let mut w = warp(&mem, &mut l1, &mut l2, &cfg, &mut shared);
         // All 32 lanes add to the same address: worst-case conflict.
         w.atomic_add_f32(buf, |_| Some((0, 1.0)));
         assert_eq!(w.stats.atomic_requests, 1);
@@ -601,24 +620,24 @@ mod tests {
 
     #[test]
     fn atomic_disjoint_cheaper_than_conflicting() {
-        let (mut mem, mut l1, l2, cfg) = harness();
+        let (mut mem, mut l1, mut l2, cfg) = harness();
         let buf = mem.alloc::<f32>(64);
         let mut shared = [];
-        let mut w1 = WarpCtx::new(&mem, &mut l1, &l2, &cfg, &mut shared, warp_id());
+        let mut w1 = warp(&mem, &mut l1, &mut l2, &cfg, &mut shared);
         w1.atomic_add_f32(buf, |lane| Some((lane, 1.0)));
         let disjoint = w1.stats.atomic_lat_cycles;
         let _ = w1;
         let mut shared2 = [];
-        let mut w2 = WarpCtx::new(&mem, &mut l1, &l2, &cfg, &mut shared2, warp_id());
+        let mut w2 = warp(&mem, &mut l1, &mut l2, &cfg, &mut shared2);
         w2.atomic_add_f32(buf, |_| Some((0, 1.0)));
         assert!(w2.stats.atomic_lat_cycles > disjoint);
     }
 
     #[test]
     fn divergence_tracked() {
-        let (mem, mut l1, l2, cfg) = harness();
+        let (mem, mut l1, mut l2, cfg) = harness();
         let mut shared = [];
-        let mut w = WarpCtx::new(&mem, &mut l1, &l2, &cfg, &mut shared, warp_id());
+        let mut w = warp(&mem, &mut l1, &mut l2, &cfg, &mut shared);
         w.issue_simd(10, 8);
         assert_eq!(w.stats.active_lane_steps, 80);
         assert_eq!(w.stats.total_lane_steps, 320);
@@ -626,9 +645,9 @@ mod tests {
 
     #[test]
     fn shared_bank_conflicts_counted() {
-        let (mem, mut l1, l2, cfg) = harness();
+        let (mem, mut l1, mut l2, cfg) = harness();
         let mut shared = [];
-        let mut w = WarpCtx::new(&mem, &mut l1, &l2, &cfg, &mut shared, warp_id());
+        let mut w = warp(&mem, &mut l1, &mut l2, &cfg, &mut shared);
         // Consecutive words: one word per bank, conflict-free.
         assert_eq!(w.shared_access(Some), 1);
         // Stride 32: every lane in bank 0 with a distinct word: 32-way.
@@ -641,10 +660,10 @@ mod tests {
 
     #[test]
     fn task_pool_cursor_behaves() {
-        let (mut mem, mut l1, l2, cfg) = harness();
+        let (mut mem, mut l1, mut l2, cfg) = harness();
         let cursor = mem.alloc::<u32>(1);
         let mut shared = [];
-        let mut w = WarpCtx::new(&mem, &mut l1, &l2, &cfg, &mut shared, warp_id());
+        let mut w = warp(&mem, &mut l1, &mut l2, &cfg, &mut shared);
         assert_eq!(w.atomic_add_u32_scalar(cursor, 0, 8), 0);
         assert_eq!(w.atomic_add_u32_scalar(cursor, 0, 8), 8);
         assert_eq!(w.atomic_add_u32_scalar(cursor, 0, 8), 16);

@@ -1,6 +1,6 @@
 //! Property-based tests of the simulator's core mechanics: coalescing
-//! accounting, cache behaviour, memory correctness under concurrency, and
-//! determinism of launches.
+//! accounting, cache behaviour, memory correctness of overlapping atomics,
+//! and determinism of launches.
 
 use gpu_sim::{Device, DeviceBuffer, DeviceConfig, Kernel, LaunchConfig, WarpCtx};
 use proptest::prelude::*;
@@ -91,8 +91,8 @@ proptest! {
     }
 }
 
-/// Atomic correctness under the real rayon-parallel execution: many warps
-/// incrementing overlapping counters must lose no updates.
+/// Atomic correctness through a whole launch: many warps (and lanes of
+/// one warp) incrementing overlapping counters must lose no updates.
 #[test]
 fn concurrent_atomics_lose_no_updates() {
     struct AtomicScatter {

@@ -1,6 +1,6 @@
 //! Continuous performance tracking for the TLPGNN reproduction.
 //!
-//! The simulator is deterministic (the rayon shim executes sequentially),
+//! The simulator is deterministic (one launch loop on one thread),
 //! so performance is a *testable property*: any cycle delta between two
 //! runs of the same pinned workload matrix is a real change, not noise.
 //! This crate closes the loop the paper's Section 3 methodology implies:

@@ -44,6 +44,11 @@ impl Linear {
         &self.weight
     }
 
+    /// The bias row, if the layer has one.
+    pub fn bias(&self) -> Option<&[f32]> {
+        self.bias.as_deref()
+    }
+
     /// Forward pass: `x @ W (+ b)`.
     pub fn forward(&self, x: &Matrix) -> Matrix {
         assert_eq!(x.cols(), self.in_dim(), "input feature dim mismatch");
@@ -96,6 +101,7 @@ mod tests {
     #[test]
     fn bias_applied() {
         let layer = Linear::from_parts(Matrix::zeros(2, 2), Some(vec![1.5, -0.5]));
+        assert_eq!(layer.bias(), Some(&[1.5, -0.5][..]));
         let x = Matrix::random(4, 2, 1.0, 4);
         let y = layer.forward(&x);
         for r in 0..4 {

@@ -2,10 +2,11 @@
 //! sequentially on the calling thread.
 //!
 //! The workspace treats rayon as an optional accelerator, not a semantic
-//! dependency — kernels must produce identical results at any worker
-//! count. Running the "parallel" iterators inline preserves semantics
-//! (and makes the gpu-sim fully deterministic, which the conformance
-//! harness relies on) at the cost of single-threaded throughput.
+//! dependency — callers must produce identical results at any worker
+//! count. Running the "parallel" iterators inline preserves semantics at
+//! the cost of single-threaded throughput. (`gpu-sim` does not use this
+//! crate: its launch loop is sequential by design, so its determinism
+//! does not hinge on what a `par_iter` does.)
 
 /// Sequential counterpart of `rayon::prelude`.
 pub mod prelude {
