@@ -17,6 +17,20 @@ cargo fmt --all -- --check
 echo "=== cargo clippy ==="
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "=== one home ==="
+# Things that were deleted stay deleted: the sequential rayon stand-in
+# and the unused crossbeam shim (host parallelism is tlpgnn_tensor::pool),
+# and the second JSON implementation (everything goes through
+# telemetry::json).
+if grep -qE '^name = "(rayon|crossbeam)"' Cargo.lock; then
+  echo "one home: rayon/crossbeam are back in Cargo.lock" >&2
+  exit 1
+fi
+if [ -e crates/conformance/src/json.rs ]; then
+  echo "one home: crates/conformance/src/json.rs is back (use telemetry::json)" >&2
+  exit 1
+fi
+
 echo "=== repro gate ==="
 # Writes results/repro_gate.json (PASS/FAIL per claim) and exits non-zero
 # on any failure. TLPGNN_SCALE keeps it fast on small CI machines.
@@ -71,8 +85,12 @@ echo "=== perf gate ==="
 # FaultPlan::none() (every gate workload) the committed baseline stays
 # byte-identical, checked via sha256 around the gate run.
 bench_baseline_sha="$(sha256sum BENCH_*.json)"
+# Re-asserted after every step below that must be invisible to the gate.
+assert_bench_unchanged() {
+  echo "${bench_baseline_sha}" | sha256sum --check --quiet -
+}
 ./target/release/perf_gate
-echo "${bench_baseline_sha}" | sha256sum --check --quiet -
+assert_bench_unchanged
 
 echo "=== serve smoke ==="
 # Short serving workload; the binary re-reads results/serve_bench.metrics.json
@@ -95,7 +113,7 @@ echo "=== chaos smoke ==="
 ./target/release/chaos_bench --smoke
 # The shard failover layer must be invisible when no faults are
 # injected: the committed perf-gate baseline stays byte-identical.
-echo "${bench_baseline_sha}" | sha256sum --check --quiet -
+assert_bench_unchanged
 
 echo "=== dynamic smoke ==="
 # Streaming-graph mutation layer: delta overlay vs from-scratch-rebuild
@@ -104,7 +122,7 @@ echo "=== dynamic smoke ==="
 # must be invisible when no mutations are applied: the perf-gate
 # baselines (produced by mutation-free workloads) stay byte-identical.
 ./target/release/dynamic_bench --smoke
-echo "${bench_baseline_sha}" | sha256sum --check --quiet -
+assert_bench_unchanged
 
 echo "=== shard smoke ==="
 # Sharded serving of a graph larger than one device's memory budget:
@@ -117,7 +135,7 @@ echo "=== shard smoke ==="
 # baselines must stay byte-identical: the shard layer lives beside the
 # engine, not inside it.
 ./target/release/shard_bench --smoke
-echo "${bench_baseline_sha}" | sha256sum --check --quiet -
+assert_bench_unchanged
 
 echo "=== slo smoke ==="
 # Causal-tracing and SLO-monitor invariants, checked from the exported
@@ -157,7 +175,7 @@ awk -v on="${rps_on}" -v off="${rps_off}" 'BEGIN {
 # 4. The tracing layer must not perturb the perf-gate baseline: with
 #    telemetry enabled for the whole smoke, BENCH_<seq>.json is still
 #    byte-identical to the committed snapshot.
-echo "${bench_baseline_sha}" | sha256sum --check --quiet -
+assert_bench_unchanged
 
 echo "=== perf report ==="
 # Hardware-counter-grade attribution over the full 30-workload suite:
@@ -180,6 +198,6 @@ awk -v on="${wall_on}" -v off="${wall_off}" 'BEGIN {
 }'
 # Profiling (on or off) must never perturb the gated numbers: the
 # committed BENCH_<seq>.json baseline is still byte-identical.
-echo "${bench_baseline_sha}" | sha256sum --check --quiet -
+assert_bench_unchanged
 
 echo "ci: all green"

@@ -357,12 +357,7 @@ impl FeatGraphSystem {
                 mem.free(s);
             }
             _ => {
-                let agg = match model {
-                    GnnModel::Gcn => Aggregator::GcnSum,
-                    GnnModel::Gin { eps } => Aggregator::GinSum { eps: *eps },
-                    GnnModel::Sage => Aggregator::SageMean,
-                    GnnModel::Gat { .. } => unreachable!(),
-                };
+                let agg = Aggregator::of_model(model).expect("GAT ran its own pipeline above");
                 let mem = self.device.mem_mut();
                 let norm = mem.alloc_from(&tlpgnn::oracle::gcn_norm(g));
                 let degs: Vec<u32> = (0..n).map(|v| g.degree(v) as u32).collect();

@@ -9,7 +9,7 @@
 
 use gpu_sim::{Device, LaunchConfig, OpProfile};
 use tlpgnn::kernels::weighted::WeightedAggKernel;
-use tlpgnn::{Assignment, GatParams, WorkSource};
+use tlpgnn::{Assignment, GatParams};
 use tlpgnn_graph::Csr;
 use tlpgnn_tensor::Matrix;
 
@@ -161,7 +161,6 @@ impl ThreeKernelGatSystem {
         let k2 = FgSoftmaxKernel { indptr, s, n };
         op.add(&self.device.launch(&k2, LaunchConfig::new(n.max(1), 32)));
 
-        let mut cursor = None;
         match mode {
             AggMode::EdgeCentricAtomic => {
                 let k3 = EdgeCentricKernel {
@@ -179,20 +178,8 @@ impl ThreeKernelGatSystem {
                 assignment,
                 reg_cache,
             } => {
-                let regs = if reg_cache { 48 } else { 26 };
-                let lc = assignment.launch_config(n, self.device.cfg(), regs);
-                let work = match assignment {
-                    Assignment::Hardware { .. } => WorkSource::Hardware,
-                    Assignment::Software { step, .. } => {
-                        let c = self.device.mem_mut().alloc::<u32>(1);
-                        cursor = Some(c);
-                        WorkSource::Software {
-                            cursor: c,
-                            step,
-                            total_warps: lc.total_warps(),
-                        }
-                    }
-                };
+                let bound =
+                    assignment.bind(&mut self.device, n, WeightedAggKernel::regs(reg_cache));
                 let k3 = WeightedAggKernel {
                     indptr,
                     indices,
@@ -201,10 +188,11 @@ impl ThreeKernelGatSystem {
                     out: output,
                     n,
                     f,
-                    work,
+                    work: bound.work,
                     reg_cache,
                 };
-                op.add(&self.device.launch(&k3, lc));
+                op.add(&self.device.launch(&k3, bound.lc));
+                bound.release(&mut self.device);
             }
         }
         for _ in 0..op.kernel_launches {
@@ -222,9 +210,6 @@ impl ThreeKernelGatSystem {
         mem.free(al);
         mem.free(ar);
         mem.free(s);
-        if let Some(c) = cursor {
-            self.device.mem_mut().free(c);
-        }
         (out, op)
     }
 }

@@ -158,12 +158,7 @@ impl PushSystem {
     /// Aggregator for a supported model (GAT is not expressible as a push
     /// scatter without extra passes).
     pub fn aggregator(model: &GnnModel) -> Option<Aggregator> {
-        match model {
-            GnnModel::Gcn => Some(Aggregator::GcnSum),
-            GnnModel::Gin { eps } => Some(Aggregator::GinSum { eps: *eps }),
-            GnnModel::Sage => Some(Aggregator::SageMean),
-            GnnModel::Gat { .. } => None,
-        }
+        Aggregator::of_model(model)
     }
 }
 

@@ -106,11 +106,7 @@ impl GnnSystem for AdvisorSystem {
     }
     fn run(&mut self, model: &GnnModel, g: &Csr, x: &Matrix) -> Option<RunResult> {
         let _span = telemetry::span!("system.run", system = "GNNAdvisor", model = model.name());
-        let agg = match model {
-            GnnModel::Gcn => tlpgnn::Aggregator::GcnSum,
-            GnnModel::Gin { eps } => tlpgnn::Aggregator::GinSum { eps: *eps },
-            _ => return None,
-        };
+        let agg = tlpgnn::Aggregator::of_model(model).filter(|_| AdvisorSystem::supports(model))?;
         let (output, profile) = AdvisorSystem::run(self, agg, g, x);
         Some(RunResult { output, profile })
     }

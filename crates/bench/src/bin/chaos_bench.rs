@@ -121,13 +121,6 @@ fn parse_args() -> Args {
     a
 }
 
-fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
 /// FNV-1a over the bit patterns of a float row — the "is this answer
 /// bitwise right" fingerprint.
 fn hash_row(row: &[f32]) -> u64 {
@@ -212,7 +205,7 @@ impl Fixture {
     /// The `i`-th target of a scenario's request stream (seeded draw
     /// from the pool).
     fn target(&self, seed: u64, i: usize) -> u32 {
-        self.pool[(splitmix64(seed ^ (i as u64).wrapping_mul(0x51ed)) as usize) % POOL]
+        self.pool[(bench::splitmix64(seed ^ (i as u64).wrapping_mul(0x51ed)) as usize) % POOL]
     }
 
     fn expected_for(&self, target: u32) -> u64 {
@@ -474,8 +467,7 @@ fn device_loss(fx: &Fixture, args: &Args) -> ScenarioResult {
 /// must have dumped `flightrec_device_loss.json` — present, parseable,
 /// and bounded by the ring capacity.
 fn check_flight_dump(r: &mut ScenarioResult) {
-    let dir = std::env::var("TLPGNN_RESULTS_DIR").unwrap_or_else(|_| "results".into());
-    let path = std::path::Path::new(&dir).join(format!("flightrec_{}.json", r.name));
+    let path = bench::results_dir().join(format!("flightrec_{}.json", r.name));
     let text = match std::fs::read_to_string(&path) {
         Ok(t) => t,
         Err(e) => {
@@ -568,7 +560,7 @@ fn overload_faults(fx: &Fixture, args: &Args) -> ScenarioResult {
         threads.push(std::thread::spawn(move || {
             let (mut resolved, mut wrong) = (0u64, 0u64);
             for i in 0..per_client {
-                let idx = (splitmix64(seed ^ (i as u64)) as usize) % POOL;
+                let idx = (bench::splitmix64(seed ^ (i as u64)) as usize) % POOL;
                 let t = pool[idx];
                 let mut req = Request::new(vec![t]);
                 if i % 2 == 1 {
@@ -885,14 +877,16 @@ fn dynamic(fx: &Fixture, args: &Args) -> ScenarioResult {
     let feat_dim = fx.x.cols();
     let new_row = |v: usize| -> Vec<f32> {
         (0..feat_dim)
-            .map(|j| ((splitmix64(seed ^ ((v * feat_dim + j) as u64)) % 1000) as f32) * 1e-3 - 0.5)
+            .map(|j| {
+                ((bench::splitmix64(seed ^ ((v * feat_dim + j) as u64)) % 1000) as f32) * 1e-3 - 0.5
+            })
             .collect()
     };
 
     let steps = args.requests * 2;
     let (mut queries, mut stale) = (0u64, 0u64);
     for i in 0..steps {
-        let roll = splitmix64(seed ^ (i as u64).wrapping_mul(0x9e37));
+        let roll = bench::splitmix64(seed ^ (i as u64).wrapping_mul(0x9e37));
         if i % 10 == 5 {
             server.compact_graph();
             r.log.push(format!("step={i} compact epoch={epoch}"));
@@ -902,7 +896,7 @@ fn dynamic(fx: &Fixture, args: &Args) -> ScenarioResult {
             // One mutation batch of 1–2 seeded entries.
             let mut batch = Vec::new();
             for k in 0..(1 + (roll % 2) as usize) {
-                let d = splitmix64(roll ^ (k as u64 + 1));
+                let d = bench::splitmix64(roll ^ (k as u64 + 1));
                 match d % 4 {
                     0 | 1 => {
                         let (src, dst) =
@@ -968,7 +962,7 @@ fn dynamic(fx: &Fixture, args: &Args) -> ScenarioResult {
                 if !resp.degraded.any() {
                     // Fresh ego+engine oracle on the independently
                     // materialized graph at this epoch.
-                    let g = pack_mirror(n, &edges);
+                    let g = bench::pack_csr(n, &edges);
                     let mut flat = Vec::with_capacity(n * feat_dim);
                     for row in &feats {
                         flat.extend_from_slice(row);
@@ -1425,20 +1419,6 @@ fn halo_storm(fx: &Fixture, args: &Args) -> ScenarioResult {
     r
 }
 
-/// Independent CSR packer over the mirror's `(dst, src)` edge list.
-fn pack_mirror(n: usize, edges: &[(u32, u32)]) -> Csr {
-    let mut es = edges.to_vec();
-    es.sort_unstable();
-    let mut indptr = vec![0u32; n + 1];
-    for &(dst, _) in &es {
-        indptr[dst as usize + 1] += 1;
-    }
-    for i in 1..=n {
-        indptr[i] += indptr[i - 1];
-    }
-    Csr::new(n, indptr, es.into_iter().map(|(_, s)| s).collect())
-}
-
 fn run_all(fx: &Fixture, args: &Args) -> Vec<ScenarioResult> {
     vec![
         baseline(fx, args),
@@ -1454,40 +1434,31 @@ fn run_all(fx: &Fixture, args: &Args) -> Vec<ScenarioResult> {
     ]
 }
 
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
 fn write_report(results: &[ScenarioResult], determinism_ok: bool) -> std::io::Result<()> {
-    let dir = std::env::var("TLPGNN_RESULTS_DIR").unwrap_or_else(|_| "results".into());
+    use telemetry::json::{self, Value};
+    let dir = bench::results_dir();
     std::fs::create_dir_all(&dir)?;
-    let mut out = String::from("{\n  \"scenarios\": [\n");
-    for (i, r) in results.iter().enumerate() {
-        let fails: Vec<String> = r
-            .fails
-            .iter()
-            .map(|f| format!("\"{}\"", json_escape(f)))
-            .collect();
-        out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"requests\": {}, \"pass\": {}, \"failures\": [{}]}}{}\n",
-            r.name,
-            r.requests,
-            r.fails.is_empty(),
-            fails.join(", "),
-            if i + 1 < results.len() { "," } else { "" }
-        ));
+    let mut scenarios = Value::array();
+    for r in results {
+        let failures: Vec<Value> = r.fails.iter().map(|f| Value::from(f.as_str())).collect();
+        let mut o = Value::object();
+        o.set("name", r.name)
+            .set("requests", r.requests)
+            .set("pass", r.fails.is_empty())
+            .set("failures", failures);
+        scenarios.push(o);
     }
-    out.push_str(&format!(
-        "  ],\n  \"deterministic\": {determinism_ok}\n}}\n"
-    ));
-    std::fs::write(std::path::Path::new(&dir).join("chaos_bench.json"), out)
+    let mut report = Value::object();
+    report
+        .set("scenarios", scenarios)
+        .set("deterministic", determinism_ok);
+    std::fs::write(dir.join("chaos_bench.json"), json::pretty(&report))
 }
 
 fn main() {
     let args = parse_args();
     let scope = bench::telemetry_scope("chaos_bench");
-    let dump_dir = std::env::var("TLPGNN_RESULTS_DIR").unwrap_or_else(|_| "results".into());
-    telemetry::flight::recorder().set_dump_dir(&dump_dir);
+    telemetry::flight::recorder().set_dump_dir(bench::results_dir());
     bench::print_header("chaos_bench: fault-injection SLO gate for the serving stack");
     println!(
         "graph: rmat {}v/{}e | net: {}->{}->{} GCN | {} reqs/scenario | seed {} | {}",

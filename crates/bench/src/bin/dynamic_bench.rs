@@ -102,28 +102,6 @@ fn parse_args() -> Args {
     a
 }
 
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e3779b97f4a7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d049bb133111eb);
-    x ^ (x >> 31)
-}
-
-/// Independent CSR packer over a `(dst, src)` edge list — shares no code
-/// with the delta overlay it oracles.
-fn pack(n: usize, edges: &[(u32, u32)]) -> Csr {
-    let mut es = edges.to_vec();
-    es.sort_unstable();
-    let mut indptr = vec![0u32; n + 1];
-    for &(dst, _) in &es {
-        indptr[dst as usize + 1] += 1;
-    }
-    for i in 1..=n {
-        indptr[i] += indptr[i - 1];
-    }
-    Csr::new(n, indptr, es.into_iter().map(|(_, s)| s).collect())
-}
-
 /// A deterministic mutation stream shared by the phases: applies the
 /// `i`-th mutation to both the delta graph and a mirror edge list,
 /// returning whether the overlay accepted it (duplicate edges don't).
@@ -146,13 +124,15 @@ impl Stream {
 
     fn feat_row(&self, tag: u64) -> Vec<f32> {
         (0..self.feat)
-            .map(|j| ((splitmix64(self.seed ^ tag ^ (j as u64) << 17) % 1000) as f32) * 1e-3 - 0.5)
+            .map(|j| {
+                ((bench::splitmix64(self.seed ^ tag ^ (j as u64) << 17) % 1000) as f32) * 1e-3 - 0.5
+            })
             .collect()
     }
 
     fn apply(&mut self, i: usize, dg: &mut DeltaGraph) -> bool {
         let n = dg.num_vertices() as u64;
-        let d = splitmix64(self.seed ^ (i as u64).wrapping_mul(0x9e37));
+        let d = bench::splitmix64(self.seed ^ (i as u64).wrapping_mul(0x9e37));
         match d % 4 {
             0..=2 => {
                 let (src, dst) = (((d >> 8) % n) as u32, ((d >> 40) % n) as u32);
@@ -201,7 +181,7 @@ fn overlay_phase(args: &Args) -> PhaseOutcome {
         apply_ns += t0.elapsed().as_nanos();
         if (i + 1) % checkpoint_every == 0 {
             let got = dg.materialize();
-            let want = pack(dg.num_vertices(), &stream.edges);
+            let want = bench::pack_csr(dg.num_vertices(), &stream.edges);
             if got != want {
                 fails.push(format!(
                     "checkpoint after {} mutations: materialized overlay is not \
@@ -275,7 +255,8 @@ fn serving_phase(args: &Args) -> PhaseOutcome {
             let mut accepted = 0u64;
             let mut n = server.num_vertices() as u64;
             for _ in 0..2 {
-                let d = splitmix64((args.seed ^ 0x5e1f) ^ (mut_i as u64).wrapping_mul(0x9e37));
+                let d =
+                    bench::splitmix64((args.seed ^ 0x5e1f) ^ (mut_i as u64).wrapping_mul(0x9e37));
                 mut_i += 1;
                 match d % 4 {
                     0..=2 => {
@@ -307,7 +288,7 @@ fn serving_phase(args: &Args) -> PhaseOutcome {
             continue;
         }
         let n = server.num_vertices() as u64;
-        let t = (splitmix64(args.seed ^ (i as u64).wrapping_mul(0x51ed)) % n) as u32;
+        let t = (bench::splitmix64(args.seed ^ (i as u64).wrapping_mul(0x51ed)) % n) as u32;
         match server.submit(Request::new(vec![t])).and_then(|h| h.wait()) {
             Ok(resp) => {
                 served += 1;

@@ -31,15 +31,6 @@ fn engine(cfg: gpu_sim::DeviceConfig, scale: usize) -> TlpgnnEngine {
     )
 }
 
-fn sum_family(model: &GnnModel) -> Option<Aggregator> {
-    match model {
-        GnnModel::Gcn => Some(Aggregator::GcnSum),
-        GnnModel::Gin { eps } => Some(Aggregator::GinSum { eps: *eps }),
-        GnnModel::Sage => Some(Aggregator::SageMean),
-        GnnModel::Gat { .. } => None,
-    }
-}
-
 fn main() {
     let _telemetry = tlpgnn_bench::telemetry_scope("fig10");
     bench::print_header("Figure 10: technique benefits (speedup over edge-centric baseline)");
@@ -65,7 +56,7 @@ fn main() {
             let heuristic = HybridHeuristic::scaled(scale);
             let chosen = heuristic.choose(g.num_vertices(), g.avg_degree());
 
-            let times: Vec<f64> = if let Some(agg) = sum_family(&model) {
+            let times: Vec<f64> = if let Some(agg) = Aggregator::of_model(&model) {
                 let (_, p_base) = EdgeCentricSystem::new(bench::device_for(spec)).run(agg, &g, &x);
                 let mut e = engine(bench::device_for(spec), scale);
                 let (_, p_tlp) = e.conv_tlp_only(&model, &g, &x);

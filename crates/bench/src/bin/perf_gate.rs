@@ -87,8 +87,7 @@ fn main() {
     };
 
     // Keep the run inspectable regardless of the gate's verdict.
-    let results_dir =
-        PathBuf::from(std::env::var("TLPGNN_RESULTS_DIR").unwrap_or_else(|_| "results".into()));
+    let results_dir = tlpgnn_bench::results_dir();
     let _ = std::fs::create_dir_all(&results_dir);
     let current_path = results_dir.join("perf_gate.current.json");
 

@@ -94,8 +94,7 @@ fn main() {
     let runs = suite::run_profiled(&s);
     let suite_wall_ms = t0.elapsed().as_secs_f64() * 1e3;
 
-    let results_dir =
-        PathBuf::from(std::env::var("TLPGNN_RESULTS_DIR").unwrap_or_else(|_| "results".into()));
+    let results_dir = tlpgnn_bench::results_dir();
     let _ = std::fs::create_dir_all(&results_dir);
 
     // ---- roofline attribution --------------------------------------

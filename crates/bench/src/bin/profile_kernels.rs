@@ -61,19 +61,9 @@ fn main() {
     {
         let mut dev = Device::new(cfg.clone());
         let gd = GraphOnDevice::upload(&mut dev, &g, &x);
-        let lc = Assignment::software().launch_config(n, dev.cfg(), 48);
-        let cursor = dev.mem_mut().alloc::<u32>(1);
-        let k = FusedConvKernel::new(
-            gd,
-            Aggregator::GcnSum,
-            WorkSource::Software {
-                cursor,
-                step: 8,
-                total_warps: lc.total_warps(),
-            },
-            true,
-        );
-        show("tlpgnn fused (sw)", &dev.launch(&k, lc));
+        let bound = Assignment::software().bind(&mut dev, n, FusedConvKernel::regs(true));
+        let k = FusedConvKernel::new(gd, Aggregator::GcnSum, bound.work, true);
+        show("tlpgnn fused (sw)", &dev.launch(&k, bound.lc));
     }
     // No register caching.
     {

@@ -340,8 +340,8 @@ fn main() {
         gate.results.len(),
         gate.failures().count()
     );
-    let dir = std::env::var("TLPGNN_RESULTS_DIR").unwrap_or_else(|_| "results".into());
-    let path = std::path::Path::new(&dir).join("repro_gate.json");
+    let dir = tlpgnn_bench::results_dir();
+    let path = dir.join("repro_gate.json");
     let write = std::fs::create_dir_all(&dir)
         .and_then(|()| std::fs::write(&path, gate.to_json().to_string()));
     match write {

@@ -371,7 +371,7 @@ fn main() {
         eprintln!("serve_bench: cannot write slo_report.json: {e}");
     }
 
-    let telemetry_active = !std::env::var("TLPGNN_TELEMETRY").is_ok_and(|v| v == "0");
+    let telemetry_active = bench::telemetry_active();
     if telemetry_active {
         print_latency_percentiles();
     }
@@ -422,7 +422,7 @@ fn print_slo_report(phases: &[PhaseOutcome]) {
 /// Write `results/slo_report.json`: the declared objectives and their
 /// end-of-run evaluation, one entry per phase.
 fn write_slo_report(phases: &[PhaseOutcome]) -> std::io::Result<()> {
-    let dir = std::env::var("TLPGNN_RESULTS_DIR").unwrap_or_else(|_| "results".into());
+    let dir = bench::results_dir();
     std::fs::create_dir_all(&dir)?;
     let mut arr = telemetry::json::Value::array();
     for p in phases {
@@ -549,15 +549,9 @@ fn check_metrics_file(smoke: bool, telemetry_active: bool) -> Vec<String> {
     if !telemetry_active {
         return Vec::new(); // nothing was exported
     }
-    let dir = std::env::var("TLPGNN_RESULTS_DIR").unwrap_or_else(|_| "results".into());
-    let path = std::path::Path::new(&dir).join("serve_bench.metrics.json");
-    let text = match std::fs::read_to_string(&path) {
-        Ok(t) => t,
-        Err(e) => return vec![format!("cannot read {}: {e}", path.display())],
-    };
-    let snap = match telemetry::MetricsSnapshot::from_json_str(&text) {
+    let snap = match bench::load_metrics_snapshot("serve_bench") {
         Ok(s) => s,
-        Err(e) => return vec![format!("cannot parse {}: {e}", path.display())],
+        Err(e) => return vec![e],
     };
     let mut fails = Vec::new();
     for phase in ["batch1", "dynamic", "cached"] {

@@ -530,7 +530,7 @@ fn main() {
     t.print();
 
     failures.extend(check_load(&args, &load));
-    let telemetry_active = !std::env::var("TLPGNN_TELEMETRY").is_ok_and(|v| v == "0");
+    let telemetry_active = bench::telemetry_active();
     failures.extend(determinism_phase(&args, &g, &x, &net, telemetry_active));
 
     drop(scope); // export results/shard_bench.* so the self-check can read it back
@@ -607,15 +607,9 @@ fn check_metrics_file(args: &Args, telemetry_active: bool) -> Vec<String> {
     if !telemetry_active {
         return Vec::new();
     }
-    let dir = std::env::var("TLPGNN_RESULTS_DIR").unwrap_or_else(|_| "results".into());
-    let path = std::path::Path::new(&dir).join("shard_bench.metrics.json");
-    let text = match std::fs::read_to_string(&path) {
-        Ok(t) => t,
-        Err(e) => return vec![format!("cannot read {}: {e}", path.display())],
-    };
-    let snap = match telemetry::MetricsSnapshot::from_json_str(&text) {
+    let snap = match bench::load_metrics_snapshot("shard_bench") {
         Ok(s) => s,
-        Err(e) => return vec![format!("cannot parse {}: {e}", path.display())],
+        Err(e) => return vec![e],
     };
     let mut fails = Vec::new();
     if snap.counters.get("shard.completed").copied().unwrap_or(0) == 0 {

@@ -61,6 +61,53 @@ pub fn device_for(spec: &DatasetSpec) -> DeviceConfig {
     cfg
 }
 
+/// Where run artifacts land: `TLPGNN_RESULTS_DIR`, default `results/`.
+pub fn results_dir() -> std::path::PathBuf {
+    std::env::var("TLPGNN_RESULTS_DIR")
+        .unwrap_or_else(|_| "results".into())
+        .into()
+}
+
+/// Whether telemetry collection/export is on (`TLPGNN_TELEMETRY=0`
+/// turns it off).
+pub fn telemetry_active() -> bool {
+    !std::env::var("TLPGNN_TELEMETRY").is_ok_and(|v| v == "0")
+}
+
+/// Re-read `<results_dir>/<name>.metrics.json` — the file a
+/// [`TelemetryScope`] named `name` exported — the way a CI step or
+/// dashboard would consume it.
+pub fn load_metrics_snapshot(name: &str) -> Result<telemetry::MetricsSnapshot, String> {
+    let path = results_dir().join(format!("{name}.metrics.json"));
+    let text = std::fs::read_to_string(&path)
+        .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
+    telemetry::MetricsSnapshot::from_json_str(&text)
+        .map_err(|e| format!("cannot parse {}: {e}", path.display()))
+}
+
+/// splitmix64: the stateless seeded mixer the load generators draw from.
+pub fn splitmix64(x: u64) -> u64 {
+    let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+/// Independent CSR packer over a `(dst, src)` edge list — shares no code
+/// with the delta overlay the mutation benches oracle with it.
+pub fn pack_csr(n: usize, edges: &[(u32, u32)]) -> Csr {
+    let mut es = edges.to_vec();
+    es.sort_unstable();
+    let mut indptr = vec![0u32; n + 1];
+    for &(dst, _) in &es {
+        indptr[dst as usize + 1] += 1;
+    }
+    for i in 1..=n {
+        indptr[i] += indptr[i - 1];
+    }
+    Csr::new(n, indptr, es.into_iter().map(|(_, s)| s).collect())
+}
+
 /// Random features for a graph, seeded per dataset (paper §7.1: random
 /// 32-bit floats).
 pub fn features(g: &Csr, feat_dim: usize, seed: u64) -> Matrix {
@@ -158,15 +205,14 @@ pub struct TelemetryScope {
 /// Start a telemetry scope named after the experiment (see
 /// [`TelemetryScope`] for the files it writes on drop).
 pub fn telemetry_scope(name: &str) -> TelemetryScope {
-    let active = !std::env::var("TLPGNN_TELEMETRY").is_ok_and(|v| v == "0");
-    let dir = std::env::var("TLPGNN_RESULTS_DIR").unwrap_or_else(|_| "results".into());
+    let active = telemetry_active();
     if active {
         telemetry::reset();
         telemetry::set_enabled(true);
     }
     TelemetryScope {
         name: name.to_string(),
-        dir: dir.into(),
+        dir: results_dir(),
         active,
     }
 }

@@ -5,14 +5,11 @@
 //! label, and device shape — so a failure reproduces bit-for-bit from its
 //! corpus file alone.
 
-use std::collections::BTreeMap;
-
 use gpu_sim::DeviceConfig;
+use telemetry::json::{self, Value};
 use tlpgnn::GnnModel;
 use tlpgnn_graph::Csr;
 use tlpgnn_tensor::Matrix;
-
-use crate::json::Json;
 
 /// Which sum-family model a case exercises. (GAT is excluded: the variant
 /// kernels under test implement only the sum family.)
@@ -104,49 +101,50 @@ impl TestCase {
         cfg
     }
 
-    /// Serialize to pretty JSON (the corpus on-disk format).
+    /// Serialize to pretty JSON (the corpus on-disk format; keys in
+    /// alphabetical order, so files diff stably). Numbers travel as
+    /// `f64`: integers are exact below 2^53 and an `f32` ε widens
+    /// losslessly.
     pub fn to_json(&self) -> String {
-        let mut obj = BTreeMap::new();
-        obj.insert("name".into(), Json::Str(self.name.clone()));
-        obj.insert("n".into(), Json::Num(self.n as f64));
-        obj.insert(
-            "edges".into(),
-            Json::Arr(
-                self.edges
-                    .iter()
-                    .map(|&(v, u)| Json::Arr(vec![Json::Num(v as f64), Json::Num(u as f64)]))
-                    .collect(),
-            ),
-        );
-        obj.insert("feat_dim".into(), Json::Num(self.feat_dim as f64));
-        obj.insert("feature_seed".into(), Json::Num(self.feature_seed as f64));
-        let mut model = BTreeMap::new();
-        model.insert("kind".into(), Json::Str(self.model.label().into()));
-        if let ModelSpec::Gin { eps } = self.model {
-            model.insert("eps".into(), Json::Num(eps as f64));
+        let mut edges = Value::array();
+        for &(v, u) in &self.edges {
+            edges.push(vec![Value::from(v), Value::from(u)]);
         }
-        obj.insert("model".into(), Json::Obj(model));
-        obj.insert("backend".into(), Json::Str(self.backend.clone()));
-        obj.insert("sms".into(), Json::Num(self.sms as f64));
-        obj.insert(
-            "failure".into(),
-            match &self.failure {
-                Some(f) => Json::Str(f.clone()),
-                None => Json::Null,
-            },
-        );
-        Json::Obj(obj).pretty()
+        let mut model = Value::object();
+        if let ModelSpec::Gin { eps } = self.model {
+            model.set("eps", eps as f64);
+        }
+        model.set("kind", self.model.label());
+        let mut obj = Value::object();
+        obj.set("backend", self.backend.as_str())
+            .set("edges", edges)
+            .set(
+                "failure",
+                self.failure.as_deref().map_or(Value::Null, Value::from),
+            )
+            .set("feat_dim", self.feat_dim)
+            .set("feature_seed", self.feature_seed)
+            .set("model", model)
+            .set("n", self.n)
+            .set("name", self.name.as_str())
+            .set("sms", self.sms);
+        json::pretty(&obj)
     }
 
     /// Parse a corpus file.
     pub fn from_json(text: &str) -> Result<TestCase, String> {
-        let v = Json::parse(text)?;
+        let v = json::parse(text)?;
         let req = |key: &str| v.get(key).ok_or_else(|| format!("missing key `{key}`"));
+        let as_u64 = |x: &Value| {
+            x.as_f64()
+                .filter(|n| *n >= 0.0 && n.fract() == 0.0)
+                .map(|n| n as u64)
+        };
         let name = req("name")?
             .as_str()
             .ok_or("`name` must be a string")?
             .to_string();
-        let n = req("n")?.as_u64().ok_or("`n` must be an integer")? as usize;
+        let n = as_u64(req("n")?).ok_or("`n` must be an integer")? as usize;
         let edges = req("edges")?
             .as_arr()
             .ok_or("`edges` must be an array")?
@@ -156,8 +154,8 @@ impl TestCase {
                     .as_arr()
                     .filter(|p| p.len() == 2)
                     .ok_or("edge must be a pair")?;
-                let v = pair[0].as_u64().ok_or("edge endpoint must be an integer")? as u32;
-                let u = pair[1].as_u64().ok_or("edge endpoint must be an integer")? as u32;
+                let v = as_u64(&pair[0]).ok_or("edge endpoint must be an integer")? as u32;
+                let u = as_u64(&pair[1]).ok_or("edge endpoint must be an integer")? as u32;
                 if (v as usize) < n && (u as usize) < n {
                     Ok((v, u))
                 } else {
@@ -165,19 +163,16 @@ impl TestCase {
                 }
             })
             .collect::<Result<Vec<_>, String>>()?;
-        let feat_dim = req("feat_dim")?
-            .as_u64()
-            .ok_or("`feat_dim` must be an integer")? as usize;
-        let feature_seed = req("feature_seed")?
-            .as_u64()
-            .ok_or("`feature_seed` must be an integer")?;
+        let feat_dim = as_u64(req("feat_dim")?).ok_or("`feat_dim` must be an integer")? as usize;
+        let feature_seed =
+            as_u64(req("feature_seed")?).ok_or("`feature_seed` must be an integer")?;
         let model_v = req("model")?;
-        let model = match model_v.get("kind").and_then(Json::as_str) {
+        let model = match model_v.get("kind").and_then(Value::as_str) {
             Some("gcn") => ModelSpec::Gcn,
             Some("gin") => ModelSpec::Gin {
                 eps: model_v
                     .get("eps")
-                    .and_then(Json::as_f64)
+                    .and_then(Value::as_f64)
                     .ok_or("gin needs `eps`")? as f32,
             },
             Some("sage") => ModelSpec::Sage,
@@ -187,11 +182,8 @@ impl TestCase {
             .as_str()
             .ok_or("`backend` must be a string")?
             .to_string();
-        let sms = req("sms")?.as_u64().ok_or("`sms` must be an integer")? as usize;
-        let failure = match v.get("failure") {
-            Some(Json::Str(s)) => Some(s.clone()),
-            _ => None,
-        };
+        let sms = as_u64(req("sms")?).ok_or("`sms` must be an integer")? as usize;
+        let failure = v.get("failure").and_then(Value::as_str).map(str::to_string);
         Ok(TestCase {
             name,
             n,
@@ -226,14 +218,26 @@ mod tests {
 
     #[test]
     fn json_roundtrip_is_lossless() {
-        let case = sample();
-        let back = TestCase::from_json(&case.to_json()).unwrap();
-        assert_eq!(back.name, case.name);
-        assert_eq!(back.edges, case.edges);
-        assert_eq!(back.model, case.model);
-        assert_eq!(back.backend, case.backend);
-        assert_eq!(back.sms, case.sms);
-        assert_eq!(back.failure, case.failure);
+        // 0.3f32 widens to 0.30000001192092896: a GIN ε must survive the
+        // trip through the f64 number model bit for bit.
+        let awkward = TestCase {
+            model: ModelSpec::Gin { eps: 0.3 },
+            failure: Some("line one\n\"quoted\" \\ line two".into()),
+            ..sample()
+        };
+        for case in [sample(), awkward] {
+            let back = TestCase::from_json(&case.to_json()).unwrap();
+            assert_eq!(back.name, case.name);
+            assert_eq!(back.edges, case.edges);
+            assert_eq!(back.model, case.model);
+            assert_eq!(back.backend, case.backend);
+            assert_eq!(back.sms, case.sms);
+            assert_eq!(back.failure, case.failure);
+            if let (ModelSpec::Gin { eps: a }, ModelSpec::Gin { eps: b }) = (back.model, case.model)
+            {
+                assert_eq!(a.to_bits(), b.to_bits());
+            }
+        }
     }
 
     #[test]

@@ -25,7 +25,6 @@ pub mod backends;
 pub mod case;
 pub mod corpus;
 pub mod fuzz;
-pub mod json;
 pub mod metamorphic;
 pub mod shrink;
 pub mod ulp;

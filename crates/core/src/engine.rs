@@ -4,19 +4,26 @@
 //! This is the public entry point a downstream user calls; it packages the
 //! paper's whole pipeline (two-level parallelism, hybrid workload
 //! balancing, kernel fusion, register caching) behind one `conv` call.
+//!
+//! Every convolution entry point (`try_conv_with`, the packed
+//! narrow-feature path, `conv_with_grid`) is the one private
+//! `TlpgnnEngine::run_uploaded` sequence — upload, bind, launch, read
+//! back, free, with the fault-path cleanup written once — and differs
+//! only in the [`PreparedLaunch`] it hands it. Assignments become
+//! launches in [`Assignment::bind`] and models become kernels in
+//! [`crate::kernels::fused_kernel`], nowhere else.
 
 use std::borrow::Cow;
 
-use gpu_sim::{Device, DeviceConfig, Kernel, LaunchError, OpProfile};
+use gpu_sim::{Device, DeviceConfig, Kernel, LaunchConfig, LaunchError, OpProfile};
 use tlpgnn_graph::Csr;
 use tlpgnn_tensor::Matrix;
 
 use crate::gpu::{GatScoresOnDevice, GraphOnDevice};
-use crate::kernels::fused::FusedConvKernel;
-use crate::kernels::gat::FusedGatKernel;
-use crate::kernels::{Aggregator, WorkSource};
+use crate::kernels::weighted::WeightedAggKernel;
+use crate::kernels::{fused_kernel, fused_regs, Aggregator, PreparedLaunch};
 use crate::model::GnnModel;
-use crate::schedule::{Assignment, HybridHeuristic};
+use crate::schedule::{Assignment, BoundLaunch, HybridHeuristic};
 
 /// Tunables of the engine. The defaults are the paper's configuration.
 #[derive(Debug, Clone)]
@@ -137,43 +144,65 @@ impl TlpgnnEngine {
         if !self.options.pack_narrow_features || f == 0 || f > 16 || !f.is_power_of_two() {
             return Ok(None);
         }
-        let agg = match model {
-            GnnModel::Gcn => Aggregator::GcnSum,
-            GnnModel::Gin { eps } => Aggregator::GinSum { eps: *eps },
-            GnnModel::Sage => Aggregator::SageMean,
-            GnnModel::Gat { .. } => return Ok(None),
+        let Some(agg) = Aggregator::of_model(model) else {
+            return Ok(None);
         };
+        let op_name = format!("tlpgnn_packed_{}", model.name());
+        self.run_uploaded(op_name, g, x, |_, gd| PreparedLaunch {
+            kernel: Box::new(crate::kernels::variants::SubWarpKernel {
+                gd,
+                agg,
+                lanes_per_vertex: f,
+            }),
+            bound: BoundLaunch::hardware(
+                LaunchConfig::warp_per_item(gd.n.div_ceil(32 / f), 256),
+                gd.n,
+            ),
+            scores: None,
+        })
+        .map(Some)
+    }
+
+    /// The one device sequence behind every convolution: upload the
+    /// graph, let `prepare` bind the launch and build the kernel, launch,
+    /// read back, free. On an injected fault every buffer the call
+    /// allocated (graph, features, GAT scores, software cursor) is freed
+    /// before the error is returned, leaving device memory exactly as
+    /// before the call.
+    fn run_uploaded(
+        &mut self,
+        op_name: String,
+        g: &Csr,
+        x: &Matrix,
+        prepare: impl FnOnce(&mut Device, GraphOnDevice) -> PreparedLaunch,
+    ) -> Result<(Matrix, OpProfile), LaunchError> {
         let gd = {
             let _span = telemetry::span!("upload");
             GraphOnDevice::upload(&mut self.device, g, x)
         };
-        let groups = 32 / f;
-        let k = crate::kernels::variants::SubWarpKernel {
-            gd,
-            agg,
-            lanes_per_vertex: f,
+        let PreparedLaunch {
+            kernel,
+            bound,
+            scores,
+        } = prepare(&mut self.device, gd);
+        let launched = {
+            let _span = telemetry::span!("kernel", name = kernel.name());
+            self.device.try_launch(kernel.as_ref(), bound.lc)
         };
-        let lc = gpu_sim::LaunchConfig::warp_per_item(gd.n.div_ceil(groups), 256);
-        let mut op = OpProfile::new(format!("tlpgnn_packed_{}", model.name()));
-        let p = {
-            let _span = telemetry::span!("kernel", name = k.name());
-            self.device.try_launch(&k, lc)
-        };
-        let p = match p {
-            Ok(p) => p,
-            Err(e) => {
-                gd.free(&mut self.device);
-                return Err(e);
-            }
-        };
-        op.add(&p);
-        op.add_framework_overhead_ms(self.options.dispatch_ms);
-        let out = {
+        if let Some(scores) = scores {
+            scores.free(&mut self.device);
+        }
+        let result = launched.map(|profile| {
+            let mut op = OpProfile::new(op_name);
+            op.add(&profile);
+            op.add_framework_overhead_ms(self.options.dispatch_ms);
+            op.peak_mem_bytes = self.device.mem().peak_bytes();
             let _span = telemetry::span!("readback");
-            gd.read_output(&self.device)
-        };
+            (gd.read_output(&self.device), op)
+        });
+        bound.release(&mut self.device);
         gd.free(&mut self.device);
-        Ok(Some((out, op)))
+        result
     }
 
     /// Run one graph convolution under an explicit assignment and
@@ -202,76 +231,14 @@ impl TlpgnnEngine {
         assignment: Assignment,
         reg_cache: bool,
     ) -> Result<(Matrix, OpProfile), LaunchError> {
-        let gd = {
-            let _span = telemetry::span!("upload");
-            GraphOnDevice::upload(&mut self.device, g, x)
-        };
-        let mut op = OpProfile::new(format!("tlpgnn_{}", model.name()));
-        let regs = match (model, reg_cache) {
-            (GnnModel::Gat { .. }, true) => 56,
-            (GnnModel::Gat { .. }, false) => 32,
-            (_, true) => 48,
-            (_, false) => 26,
-        };
-        let lc = assignment.launch_config(gd.n, self.device.cfg(), regs);
-        let mut cursor = None;
-        let work = match assignment {
-            Assignment::Hardware { .. } => WorkSource::Hardware,
-            Assignment::Software { step, .. } => {
-                let c = self.device.mem_mut().alloc::<u32>(1);
-                cursor = Some(c);
-                WorkSource::Software {
-                    cursor: c,
-                    step,
-                    total_warps: lc.total_warps(),
-                }
-            }
-        };
-        let profile = match model {
-            GnnModel::Gat { params } => {
-                let scores = GatScoresOnDevice::upload(&mut self.device, x, params);
-                let k = FusedGatKernel::new(gd, scores, work, reg_cache);
-                let p = {
-                    let _span = telemetry::span!("kernel", name = k.name());
-                    self.device.try_launch(&k, lc)
-                };
-                scores.free(&mut self.device);
-                p
-            }
-            _ => {
-                let agg = match model {
-                    GnnModel::Gcn => Aggregator::GcnSum,
-                    GnnModel::Gin { eps } => Aggregator::GinSum { eps: *eps },
-                    GnnModel::Sage => Aggregator::SageMean,
-                    GnnModel::Gat { .. } => unreachable!(),
-                };
-                let k = FusedConvKernel::new(gd, agg, work, reg_cache);
-                let _span = telemetry::span!("kernel", name = k.name());
-                self.device.try_launch(&k, lc)
-            }
-        };
-        let profile = match profile {
-            Ok(p) => p,
-            Err(e) => {
-                if let Some(c) = cursor {
-                    self.device.mem_mut().free(c);
-                }
-                gd.free(&mut self.device);
-                return Err(e);
-            }
-        };
-        op.add(&profile);
-        op.add_framework_overhead_ms(self.options.dispatch_ms);
-        op.peak_mem_bytes = self.device.mem().peak_bytes();
-        let out = {
-            let _span = telemetry::span!("readback");
-            gd.read_output(&self.device)
-        };
-        if let Some(c) = cursor {
-            self.device.mem_mut().free(c);
-        }
-        gd.free(&mut self.device);
-        Ok((out, op))
+        let regs = fused_regs(model, reg_cache);
+        let op_name = format!("tlpgnn_{}", model.name());
+        self.run_uploaded(op_name, g, x, |dev, gd| {
+            let bound = assignment.bind(dev, gd.n, regs);
+            fused_kernel(model, gd, bound, reg_cache, |params| {
+                GatScoresOnDevice::upload(dev, x, params)
+            })
+        })
     }
 
     /// Run an edge-weighted aggregation
@@ -293,7 +260,7 @@ impl TlpgnnEngine {
         let n = g.num_vertices();
         let f = x.cols();
         let assignment = self.assignment_for(g);
-        let lc = assignment.launch_config(n, self.device.cfg(), 48);
+        let reg_cache = self.options.reg_cache;
         let upload_span = telemetry::span!("upload");
         let mem = self.device.mem_mut();
         let indptr = mem.alloc_from(g.indptr());
@@ -302,20 +269,8 @@ impl TlpgnnEngine {
         let xb = mem.alloc_from(x.data());
         let out = mem.alloc::<f32>(n * f);
         drop(upload_span);
-        let mut cursor = None;
-        let work = match assignment {
-            Assignment::Hardware { .. } => WorkSource::Hardware,
-            Assignment::Software { step, .. } => {
-                let c = self.device.mem_mut().alloc::<u32>(1);
-                cursor = Some(c);
-                WorkSource::Software {
-                    cursor: c,
-                    step,
-                    total_warps: lc.total_warps(),
-                }
-            }
-        };
-        let k = crate::kernels::weighted::WeightedAggKernel {
+        let bound = assignment.bind(&mut self.device, n, WeightedAggKernel::regs(reg_cache));
+        let k = WeightedAggKernel {
             indptr,
             indices,
             values,
@@ -323,13 +278,13 @@ impl TlpgnnEngine {
             out,
             n,
             f,
-            work,
-            reg_cache: self.options.reg_cache,
+            work: bound.work,
+            reg_cache,
         };
         let mut op = OpProfile::new("tlpgnn_edge_weighted");
         let p = {
             let _span = telemetry::span!("kernel", name = k.name());
-            self.device.launch(&k, lc)
+            self.device.launch(&k, bound.lc)
         };
         op.add(&p);
         op.add_framework_overhead_ms(self.options.dispatch_ms);
@@ -343,9 +298,7 @@ impl TlpgnnEngine {
         mem.free(values);
         mem.free(xb);
         mem.free(out);
-        if let Some(c) = cursor {
-            mem.free(c);
-        }
+        bound.release(&mut self.device);
         (result, op)
     }
 
@@ -454,48 +407,15 @@ impl TlpgnnEngine {
             grid_blocks = grid_blocks,
             block_threads = block_threads
         );
-        let gd = {
-            let _span = telemetry::span!("upload");
-            GraphOnDevice::upload(&mut self.device, g, x)
-        };
-        let mut op = OpProfile::new(format!("tlpgnn_grid_{}", model.name()));
-        let cursor = self.device.mem_mut().alloc::<u32>(1);
-        let lc = gpu_sim::LaunchConfig::new(grid_blocks.max(1), block_threads);
-        let work = WorkSource::Software {
-            cursor,
-            step: 8,
-            total_warps: lc.total_warps(),
-        };
-        let profile = match model {
-            GnnModel::Gat { params } => {
-                let scores = GatScoresOnDevice::upload(&mut self.device, x, params);
-                let k = FusedGatKernel::new(gd, scores, work, true);
-                let _span = telemetry::span!("kernel", name = k.name());
-                let p = self.device.launch(&k, lc);
-                scores.free(&mut self.device);
-                p
-            }
-            _ => {
-                let agg = match model {
-                    GnnModel::Gcn => Aggregator::GcnSum,
-                    GnnModel::Gin { eps } => Aggregator::GinSum { eps: *eps },
-                    GnnModel::Sage => Aggregator::SageMean,
-                    GnnModel::Gat { .. } => unreachable!(),
-                };
-                let k = FusedConvKernel::new(gd, agg, work, true);
-                let _span = telemetry::span!("kernel", name = k.name());
-                self.device.launch(&k, lc)
-            }
-        };
-        op.add(&profile);
-        op.add_framework_overhead_ms(self.options.dispatch_ms);
-        let out = {
-            let _span = telemetry::span!("readback");
-            gd.read_output(&self.device)
-        };
-        self.device.mem_mut().free(cursor);
-        gd.free(&mut self.device);
-        (out, op)
+        let op_name = format!("tlpgnn_grid_{}", model.name());
+        self.run_uploaded(op_name, g, x, |dev, gd| {
+            let lc = LaunchConfig::new(grid_blocks.max(1), block_threads);
+            let bound = BoundLaunch::persistent(dev, lc, 8, gd.n);
+            fused_kernel(model, gd, bound, true, |params| {
+                GatScoresOnDevice::upload(dev, x, params)
+            })
+        })
+        .unwrap_or_else(|e| panic!("unhandled launch fault: {e}"))
     }
 
     /// Run a "TLP only" convolution: the naive first implementation of
@@ -670,6 +590,42 @@ mod tests {
             .1
             .gpu_time_ms;
         assert!(t16 < t1);
+    }
+
+    #[test]
+    fn software_grid_is_sized_from_the_kernel_it_launches() {
+        // The persistent grid fills the device once for the launched
+        // kernel's own register budget. The table is spelled out here on
+        // purpose: it pins what the kernels declare.
+        let cfg = DeviceConfig::v100();
+        let g = generators::rmat_default(300, 2400, 91);
+        let x = Matrix::random(300, 32, 1.0, 92);
+        let mut e = TlpgnnEngine::new(cfg.clone(), EngineOptions::default());
+        for model in GnnModel::all_four(32) {
+            for reg_cache in [true, false] {
+                let regs = match (&model, reg_cache) {
+                    (GnnModel::Gat { .. }, true) => 56,
+                    (GnnModel::Gat { .. }, false) => 32,
+                    (_, true) => 48,
+                    (_, false) => 26,
+                };
+                assert_eq!(fused_regs(&model, reg_cache), regs, "{}", model.name());
+                let (out, op) = e.conv_with(&model, &g, &x, Assignment::software(), reg_cache);
+                assert_eq!(
+                    op.blocks_run,
+                    (cfg.num_sms * cfg.resident_blocks(regs, 256)) as u64,
+                    "{} reg_cache={reg_cache}",
+                    model.name()
+                );
+                let want = conv_reference(&model, &g, &x);
+                assert!(out.max_abs_diff(&want) < 1e-3, "{}", model.name());
+            }
+        }
+        assert_eq!(
+            e.device().mem().current_bytes(),
+            0,
+            "cursor and scores freed"
+        );
     }
 
     #[test]

@@ -33,6 +33,10 @@ pub struct FusedConvKernel {
     pub work: WorkSource,
     /// Register caching of index bounds and partial sums (Section 6).
     pub reg_cache: bool,
+    /// The launch covers rows `0..rows`: `gd.n` from [`Self::new`];
+    /// narrow it to leave the rest of `gd` as read-only neighbor state
+    /// (e.g. a shard's halo rows).
+    pub rows: usize,
     name: String,
 }
 
@@ -49,7 +53,19 @@ impl FusedConvKernel {
             agg,
             work,
             reg_cache,
+            rows: gd.n,
             name,
+        }
+    }
+
+    /// Registers per thread: register caching spends registers on the
+    /// cached bounds and the accumulator tile; the uncached variant is
+    /// leaner per thread.
+    pub const fn regs(reg_cache: bool) -> usize {
+        if reg_cache {
+            48
+        } else {
+            26
         }
     }
 
@@ -167,19 +183,13 @@ impl Kernel for FusedConvKernel {
         &self.name
     }
 
-    /// Register caching spends registers on the cached bounds and the
-    /// accumulator tile; the uncached variant is leaner per thread.
     fn regs_per_thread(&self) -> usize {
-        if self.reg_cache {
-            48
-        } else {
-            26
-        }
+        Self::regs(self.reg_cache)
     }
 
     fn run_warp(&self, w: &mut WarpCtx<'_>) {
         self.work
-            .for_each_vertex(w, self.gd.n, |w, v| self.process_vertex(w, v));
+            .for_each_vertex(w, self.rows, |w, v| self.process_vertex(w, v));
     }
 }
 

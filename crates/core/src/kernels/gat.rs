@@ -33,6 +33,10 @@ pub struct FusedGatKernel {
     pub work: WorkSource,
     /// Register caching (bounds + accumulator), as in the sum kernels.
     pub reg_cache: bool,
+    /// The launch covers rows `0..rows`: `gd.n` from [`Self::new`];
+    /// narrow it to leave the rest of `gd` as read-only neighbor state
+    /// (e.g. a shard's halo rows).
+    pub rows: usize,
 }
 
 impl FusedGatKernel {
@@ -48,6 +52,16 @@ impl FusedGatKernel {
             scores,
             work,
             reg_cache,
+            rows: gd.n,
+        }
+    }
+
+    /// Registers per thread, with and without register caching.
+    pub const fn regs(reg_cache: bool) -> usize {
+        if reg_cache {
+            56
+        } else {
+            32
         }
     }
 
@@ -141,16 +155,12 @@ impl Kernel for FusedGatKernel {
     }
 
     fn regs_per_thread(&self) -> usize {
-        if self.reg_cache {
-            56
-        } else {
-            32
-        }
+        Self::regs(self.reg_cache)
     }
 
     fn run_warp(&self, w: &mut WarpCtx<'_>) {
         self.work
-            .for_each_vertex(w, self.gd.n, |w, v| self.process_vertex(w, v));
+            .for_each_vertex(w, self.rows, |w, v| self.process_vertex(w, v));
     }
 }
 

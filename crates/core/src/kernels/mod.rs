@@ -15,8 +15,12 @@ pub mod gat;
 pub mod variants;
 pub mod weighted;
 
-use gpu_sim::DeviceBuffer;
+use gpu_sim::{DeviceBuffer, Kernel};
 use serde::{Deserialize, Serialize};
+
+use crate::gpu::{GatScoresOnDevice, GraphOnDevice};
+use crate::model::{GatParams, GnnModel};
+use crate::schedule::BoundLaunch;
 
 /// Aggregation operator of the sum-family models. (GAT has its own kernel:
 /// its softmax needs two passes over the edge list.)
@@ -36,12 +40,12 @@ pub enum Aggregator {
 impl Aggregator {
     /// The aggregator implementing a sum-family model, or `None` for GAT
     /// (whose softmax needs the dedicated two-pass kernel).
-    pub fn of_model(model: &crate::model::GnnModel) -> Option<Aggregator> {
+    pub fn of_model(model: &GnnModel) -> Option<Aggregator> {
         match model {
-            crate::model::GnnModel::Gcn => Some(Aggregator::GcnSum),
-            crate::model::GnnModel::Gin { eps } => Some(Aggregator::GinSum { eps: *eps }),
-            crate::model::GnnModel::Sage => Some(Aggregator::SageMean),
-            crate::model::GnnModel::Gat { .. } => None,
+            GnnModel::Gcn => Some(Aggregator::GcnSum),
+            GnnModel::Gin { eps } => Some(Aggregator::GinSum { eps: *eps }),
+            GnnModel::Sage => Some(Aggregator::SageMean),
+            GnnModel::Gat { .. } => None,
         }
     }
 
@@ -52,6 +56,59 @@ impl Aggregator {
             Aggregator::GinSum { .. } => "gin",
             Aggregator::SageMean => "sage",
         }
+    }
+}
+
+/// Registers per thread of `model`'s fused kernel — what
+/// [`crate::Assignment::bind`] sizes a persistent grid with.
+pub fn fused_regs(model: &GnnModel, reg_cache: bool) -> usize {
+    match Aggregator::of_model(model) {
+        Some(_) => fused::FusedConvKernel::regs(reg_cache),
+        None => gat::FusedGatKernel::regs(reg_cache),
+    }
+}
+
+/// A kernel bound to its launch, ready to go.
+pub struct PreparedLaunch {
+    /// The kernel to launch on `bound.lc`.
+    pub kernel: Box<dyn Kernel>,
+    /// Geometry, work source and cursor lifetime.
+    pub bound: BoundLaunch,
+    /// GAT attention scores the kernel reads; the caller frees them
+    /// after the launch.
+    pub scores: Option<GatScoresOnDevice>,
+}
+
+/// `model`'s fused kernel over `gd` under `bound`: the sum-family kernel
+/// for the aggregator [`Aggregator::of_model`] names, else the GAT
+/// kernel over the scores `upload_scores` puts on the device (called for
+/// GAT only — so after `bound` took its cursor: graph buffers → cursor →
+/// scores is the allocation order the sector model sees).
+pub fn fused_kernel(
+    model: &GnnModel,
+    gd: GraphOnDevice,
+    bound: BoundLaunch,
+    reg_cache: bool,
+    upload_scores: impl FnOnce(&GatParams) -> GatScoresOnDevice,
+) -> PreparedLaunch {
+    let (kernel, scores): (Box<dyn Kernel>, _) = match model {
+        GnnModel::Gat { params } => {
+            let scores = upload_scores(params);
+            let mut k = gat::FusedGatKernel::new(gd, scores, bound.work, reg_cache);
+            k.rows = bound.rows;
+            (Box::new(k), Some(scores))
+        }
+        _ => {
+            let agg = Aggregator::of_model(model).expect("every model but GAT is sum-family");
+            let mut k = fused::FusedConvKernel::new(gd, agg, bound.work, reg_cache);
+            k.rows = bound.rows;
+            (Box::new(k), None)
+        }
+    };
+    PreparedLaunch {
+        kernel,
+        bound,
+        scores,
     }
 }
 

@@ -39,16 +39,20 @@ pub struct WeightedAggKernel {
     pub reg_cache: bool,
 }
 
+impl WeightedAggKernel {
+    /// Registers per thread, with and without register caching (the
+    /// fused sum kernel's budget: same loop, same cached state).
+    pub const fn regs(reg_cache: bool) -> usize {
+        super::fused::FusedConvKernel::regs(reg_cache)
+    }
+}
+
 impl Kernel for WeightedAggKernel {
     fn name(&self) -> &str {
         "weighted_aggregate"
     }
     fn regs_per_thread(&self) -> usize {
-        if self.reg_cache {
-            48
-        } else {
-            26
-        }
+        Self::regs(self.reg_cache)
     }
     fn run_warp(&self, w: &mut WarpCtx<'_>) {
         self.work.for_each_vertex(w, self.n, |w, v| {

@@ -57,4 +57,4 @@ pub use kernels::variants::KernelVariant;
 pub use kernels::{Aggregator, WorkSource};
 pub use model::{Combine, GatParams, GnnLayer, GnnModel, GnnNetwork};
 pub use native::{NativeEngine, NativeSchedule};
-pub use schedule::{Assignment, HybridHeuristic};
+pub use schedule::{Assignment, BoundLaunch, HybridHeuristic};

@@ -25,9 +25,8 @@ use tlpgnn_graph::partition::{self, VertexPartition};
 use tlpgnn_graph::{Csr, GraphBuilder};
 use tlpgnn_tensor::Matrix;
 
-use crate::gpu::GraphOnDevice;
-use crate::kernels::fused::FusedConvKernel;
-use crate::kernels::{Aggregator, WorkSource};
+use crate::gpu::{GatScoresOnDevice, GraphOnDevice};
+use crate::kernels::{fused_kernel, fused_regs};
 use crate::model::GnnModel;
 use crate::oracle;
 use crate::schedule::HybridHeuristic;
@@ -86,6 +85,8 @@ pub struct MultiGpuProfile {
     pub step_ms: f64,
     /// Per-device GPU compute times.
     pub gpu_ms: Vec<f64>,
+    /// Per-device blocks launched (the grid each shard's assignment bound).
+    pub blocks_run: Vec<u64>,
     /// Per-device halo-receive volumes, bytes.
     pub halo_bytes: Vec<u64>,
     /// Total communication volume, bytes.
@@ -212,6 +213,7 @@ impl MultiGpuEngine {
 
         let mut out = Matrix::zeros(n, f);
         let mut gpu_ms = Vec::with_capacity(devices);
+        let mut blocks_run = Vec::with_capacity(devices);
         let mut halo_bytes = Vec::with_capacity(devices);
 
         for (shard_idx, shard) in shards.iter().enumerate() {
@@ -244,73 +246,41 @@ impl MultiGpuEngine {
             let conv_span = telemetry::span!("local_conv", shard = shard_idx, owned = n_owned);
 
             // Run the fused kernel on this shard's own device. The local
-            // graph's degree/norm arrays must be the GLOBAL ones, so the
-            // device state is assembled manually.
+            // graph's degree/norm arrays must be the GLOBAL ones, so they
+            // are overwritten after the upload.
             let mut dev = Device::new(self.cfg.clone());
-            let gd = {
-                let mut tmp = GraphOnDevice::upload(&mut dev, &shard.local, &feats);
-                dev.mem().write_slice(tmp.norm, &norm);
-                dev.mem().write_slice(tmp.degree, &deg);
-                // Only owned rows receive output, but the buffer spans all
-                // local rows; harmless, we read the owned prefix.
-                tmp.n = shard.local.num_vertices();
-                tmp
-            };
+            let gd = GraphOnDevice::upload(&mut dev, &shard.local, &feats);
+            dev.mem().write_slice(gd.norm, &norm);
+            dev.mem().write_slice(gd.degree, &deg);
+            // Launch on the owned rows only: halo vertices have rows in
+            // the local CSR and feed their neighbors, but their outputs
+            // belong to other devices. (The output buffer still spans
+            // all local rows; we read the owned prefix.)
             let assignment = self.heuristic.choose(n_owned, shard.local.avg_degree());
-            let lc = assignment.launch_config(n_owned.max(1), dev.cfg(), 48);
-            let mut cursor = None;
-            let work = match assignment {
-                crate::schedule::Assignment::Hardware { .. } => WorkSource::Hardware,
-                crate::schedule::Assignment::Software { step, .. } => {
-                    let c = dev.mem_mut().alloc::<u32>(1);
-                    cursor = Some(c);
-                    WorkSource::Software {
-                        cursor: c,
-                        step,
-                        total_warps: lc.total_warps(),
-                    }
+            let bound = assignment.bind(&mut dev, n_owned, fused_regs(model, true));
+            let launch = fused_kernel(model, gd, bound, true, |params| {
+                let (gal, gar) = gat_scores.as_ref().expect("scores computed above");
+                let mut al = vec![0.0f32; total.max(1)];
+                let mut ar = vec![0.0f32; total.max(1)];
+                for (local, global) in shard.owned.clone().enumerate() {
+                    al[local] = gal[global];
+                    ar[local] = gar[global];
                 }
-            };
-            // Restrict the kernel to owned rows: halo rows have no
-            // in-edges in the local CSR... but they do have CSR rows; we
-            // process only the first n_owned vertices.
-            let mut kernel_gd = gd;
-            kernel_gd.n = n_owned;
-            let p = match model {
-                GnnModel::Gat { params } => {
-                    let (gal, gar) = gat_scores.as_ref().expect("scores computed above");
-                    let mut al = vec![0.0f32; total.max(1)];
-                    let mut ar = vec![0.0f32; total.max(1)];
-                    for (local, global) in shard.owned.clone().enumerate() {
-                        al[local] = gal[global];
-                        ar[local] = gar[global];
-                    }
-                    for (k, &u) in shard.halo.iter().enumerate() {
-                        al[n_owned + k] = gal[u as usize];
-                        ar[n_owned + k] = gar[u as usize];
-                    }
-                    let mem = dev.mem_mut();
-                    let scores = crate::gpu::GatScoresOnDevice {
-                        al: mem.alloc_from(&al),
-                        ar: mem.alloc_from(&ar),
-                        slope: params.slope,
-                    };
-                    let k = crate::kernels::gat::FusedGatKernel::new(kernel_gd, scores, work, true);
-                    dev.launch(&k, lc)
+                for (k, &u) in shard.halo.iter().enumerate() {
+                    al[n_owned + k] = gal[u as usize];
+                    ar[n_owned + k] = gar[u as usize];
                 }
-                _ => {
-                    let agg = match model {
-                        GnnModel::Gcn => Aggregator::GcnSum,
-                        GnnModel::Gin { eps } => Aggregator::GinSum { eps: *eps },
-                        GnnModel::Sage => Aggregator::SageMean,
-                        GnnModel::Gat { .. } => unreachable!(),
-                    };
-                    let k = FusedConvKernel::new(kernel_gd, agg, work, true);
-                    dev.launch(&k, lc)
+                let mem = dev.mem_mut();
+                GatScoresOnDevice {
+                    al: mem.alloc_from(&al),
+                    ar: mem.alloc_from(&ar),
+                    slope: params.slope,
                 }
-            };
+            });
+            // The device is dropped with the shard: nothing to free.
+            let p = dev.launch(launch.kernel.as_ref(), launch.bound.lc);
             gpu_ms.push(p.gpu_time_ms);
-            let _ = cursor;
+            blocks_run.push(p.blocks_run);
             drop(conv_span);
 
             let _gather_span = telemetry::span!("gather", shard = shard_idx);
@@ -328,6 +298,7 @@ impl MultiGpuEngine {
             devices,
             step_ms: 0.0,
             gpu_ms: gpu_ms.clone(),
+            blocks_run,
             halo_bytes: halo_bytes.clone(),
             total_comm_bytes: total_comm,
             cut_edges: cut,
@@ -376,6 +347,29 @@ mod tests {
                 assert_eq!(prof.devices, devices);
             }
         }
+    }
+
+    #[test]
+    fn software_gat_grid_uses_the_gat_kernels_registers() {
+        // With the heuristic forced to software, every shard launches a
+        // persistent grid sized for the kernel it runs: GAT declares 56
+        // registers (4 resident 256-thread blocks per V100 SM), the sum
+        // kernels 48 (5 blocks).
+        let cfg = DeviceConfig::v100();
+        let g = generators::rmat_default(300, 2400, 191);
+        let x = Matrix::random(300, 32, 1.0, 192);
+        let mut e = MultiGpuEngine::new(cfg.clone());
+        e.heuristic.degree_threshold = 0.0;
+        let gat = GnnModel::Gat {
+            params: crate::model::GatParams::random(32, 199),
+        };
+        for (model, regs) in [(gat, 56), (GnnModel::Gcn, 48)] {
+            let (got, prof) = e.conv(&model, &g, &x, 2);
+            let want = (cfg.num_sms * cfg.resident_blocks(regs, 256)) as u64;
+            assert_eq!(prof.blocks_run, vec![want; 2], "{}", model.name());
+            assert!(got.max_abs_diff(&conv_reference(&model, &g, &x)) < 1e-3);
+        }
+        assert_ne!(cfg.resident_blocks(56, 256), cfg.resident_blocks(48, 256));
     }
 
     #[test]

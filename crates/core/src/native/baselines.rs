@@ -4,15 +4,17 @@
 //!
 //! * [`push_conv`] — every source scatters its feature into each
 //!   out-neighbor's row with atomic adds (push updating policy);
-//! * [`edge_centric_conv`] — edges processed in parallel, each atomically
-//!   accumulating into its destination row (X-Stream style);
-//! * [`pull_serial_conv`] — single-threaded pull, the trivial lower bound.
+//! * [`edge_centric_conv`] — the flat edge list is streamed, each edge
+//!   atomically accumulating into its destination row (X-Stream style);
+//! * [`pull_serial_conv`] — pull, the atomic-free lower bound.
 //!
-//! They compute plain neighbor sums (GIN with ε = 0, i.e. sum aggregation
-//! *without* the self term) so the atomic-vs-atomic-free comparison is
-//! isolated from model details. All are oracle-checked.
+//! All three run on the calling thread: what the comparison isolates is
+//! the per-update price of the policy — a compare-exchange loop per
+//! scattered float against a plain add — not contention, so results are
+//! deterministic. They compute plain neighbor sums (GIN with ε = 0, i.e.
+//! sum aggregation *without* the self term) so the atomic-vs-atomic-free
+//! comparison is isolated from model details. All are oracle-checked.
 
-use rayon::prelude::*;
 use std::sync::atomic::{AtomicU32, Ordering};
 use tlpgnn_graph::Csr;
 use tlpgnn_tensor::Matrix;
@@ -45,8 +47,8 @@ fn into_matrix(n: usize, f: usize, cells: Vec<AtomicU32>) -> Matrix {
     )
 }
 
-/// Push policy: parallel over sources; each scatters its feature row to
-/// all out-neighbors with atomic adds.
+/// Push policy: each source scatters its feature row to all
+/// out-neighbors with atomic adds.
 ///
 /// `out_csr` must be the **push orientation** (row `u` lists the vertices
 /// `u` sends to), i.e. `pull_csr.reverse()`; pass it precomputed so the
@@ -56,7 +58,7 @@ pub fn push_conv(out_csr: &Csr, x: &Matrix) -> Matrix {
     let f = x.cols();
     assert_eq!(n, x.rows());
     let out = atomic_output(n, f);
-    (0..n).into_par_iter().for_each(|u| {
+    (0..n).for_each(|u| {
         let row = x.row(u);
         for &v in out_csr.neighbors(u) {
             let base = v as usize * f;
@@ -68,7 +70,7 @@ pub fn push_conv(out_csr: &Csr, x: &Matrix) -> Matrix {
     into_matrix(n, f, out)
 }
 
-/// Edge-centric: parallel over the flat edge list; each edge atomically
+/// Edge-centric: over the flat edge list; each edge atomically
 /// accumulates the source row into the destination row.
 pub fn edge_centric_conv(pull_csr: &Csr, x: &Matrix) -> Matrix {
     let n = pull_csr.num_vertices();
@@ -81,8 +83,8 @@ pub fn edge_centric_conv(pull_csr: &Csr, x: &Matrix) -> Matrix {
         .collect();
     pull_csr
         .indices()
-        .par_iter()
-        .zip(dsts.par_iter())
+        .iter()
+        .zip(dsts.iter())
         .for_each(|(&src, &dst)| {
             let row = x.row(src as usize);
             let base = dst as usize * f;
@@ -93,7 +95,7 @@ pub fn edge_centric_conv(pull_csr: &Csr, x: &Matrix) -> Matrix {
     into_matrix(n, f, out)
 }
 
-/// Serial pull: the straightforward single-threaded gather.
+/// Serial pull: the straightforward gather.
 pub fn pull_serial_conv(pull_csr: &Csr, x: &Matrix) -> Matrix {
     let n = pull_csr.num_vertices();
     let f = x.cols();

@@ -18,8 +18,10 @@
 //! atomic overhead amortizes); the paper's thresholds are |V| > 1M or
 //! avg degree > 50.
 
-use gpu_sim::{DeviceConfig, LaunchConfig};
+use gpu_sim::{Device, DeviceBuffer, DeviceConfig, LaunchConfig};
 use serde::{Deserialize, Serialize};
+
+use crate::kernels::WorkSource;
 
 /// Workload assignment strategy for the first-level (vertex) parallelism.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -74,6 +76,70 @@ impl Assignment {
                 let resident = cfg.resident_blocks(regs_per_thread, block_threads);
                 LaunchConfig::new((cfg.num_sms * resident).max(1), block_threads)
             }
+        }
+    }
+
+    /// Bind this assignment to one launch over the first `rows` rows of
+    /// a graph on `dev`, for a kernel using `regs_per_thread` registers
+    /// (take it from the kernel's own `regs`, which also feeds the
+    /// occupancy model — a second table would size the persistent grid
+    /// for a different kernel than the one launched). The only place an
+    /// assignment becomes a geometry, a [`WorkSource`] and a cursor.
+    pub fn bind(&self, dev: &mut Device, rows: usize, regs_per_thread: usize) -> BoundLaunch {
+        let lc = self.launch_config(rows, dev.cfg(), regs_per_thread);
+        match *self {
+            Assignment::Hardware { .. } => BoundLaunch::hardware(lc, rows),
+            Assignment::Software { step, .. } => BoundLaunch::persistent(dev, lc, step, rows),
+        }
+    }
+}
+
+/// One launch's first-level binding: geometry, how warps find their
+/// vertices, how many rows there are to find, and — for the software
+/// pool — the device cursor that lives until [`Self::release`] (not
+/// `Copy`: the cursor is freed once).
+pub struct BoundLaunch {
+    /// Launch geometry.
+    pub lc: LaunchConfig,
+    /// First-level work source for the kernel.
+    pub work: WorkSource,
+    /// The launch covers rows `0..rows`.
+    pub rows: usize,
+    cursor: Option<DeviceBuffer<u32>>,
+}
+
+impl BoundLaunch {
+    /// Hardware scheduling on an explicit geometry `lc`: no device state.
+    pub fn hardware(lc: LaunchConfig, rows: usize) -> Self {
+        Self {
+            lc,
+            work: WorkSource::Hardware,
+            rows,
+            cursor: None,
+        }
+    }
+
+    /// Algorithm 1's task pool on an explicit persistent grid `lc`: the
+    /// cursor is allocated here (after the graph buffers, before any
+    /// kernel-specific ones — addresses feed the sector model).
+    pub fn persistent(dev: &mut Device, lc: LaunchConfig, step: u32, rows: usize) -> Self {
+        let cursor = dev.mem_mut().alloc::<u32>(1);
+        Self {
+            lc,
+            work: WorkSource::Software {
+                cursor,
+                step,
+                total_warps: lc.total_warps(),
+            },
+            rows,
+            cursor: Some(cursor),
+        }
+    }
+
+    /// Free the software cursor, if this binding allocated one.
+    pub fn release(self, dev: &mut Device) {
+        if let Some(c) = self.cursor {
+            dev.mem_mut().free(c);
         }
     }
 }

@@ -20,9 +20,8 @@
 use crate::model::GnnModel;
 use crate::native::NativeEngine;
 use crate::oracle;
-use rayon::prelude::*;
 use tlpgnn_graph::Csr;
-use tlpgnn_tensor::{activations, ops, Matrix};
+use tlpgnn_tensor::{activations, ops, pool, Matrix};
 
 /// The GCN convolution and its transpose, with the reverse graph cached.
 ///
@@ -73,9 +72,9 @@ impl GcnConvPair {
         self.engine.conv(&GnnModel::Gcn, &self.forward, x)
     }
 
-    /// Transposed convolution: `A_hatᵀ g` — the gradient path. Runs the
-    /// same two-level engine over the reverse graph, with the forward
-    /// graph's norms.
+    /// Transposed convolution: `A_hatᵀ g` — the gradient path. The same
+    /// two-level pull (rows over the task pool, features inside a row)
+    /// over the reverse graph, with the forward graph's norms.
     pub fn conv_transpose(&self, g: &Matrix) -> Matrix {
         let _span = telemetry::span!("train.conv_transpose", rows = g.rows());
         let n = self.reverse.num_vertices();
@@ -84,10 +83,12 @@ impl GcnConvPair {
         let mut out = Matrix::zeros(n, f);
         let norm = &self.norm;
         let rev = &self.reverse;
-        out.data_mut()
-            .par_chunks_mut(f.max(1))
-            .enumerate()
-            .for_each(|(u, row)| {
+        // Rows are independent, so the result is the same bits on any
+        // number of pool threads.
+        let row_work = (rev.avg_degree() as usize + 1) * f;
+        pool::for_each_row_block(out.data_mut(), f, row_work, |first, block| {
+            for (i, row) in block.chunks_exact_mut(f).enumerate() {
+                let u = first + i;
                 let cu = norm[u];
                 for &v in rev.neighbors(u) {
                     let w = cu * norm[v as usize];
@@ -99,7 +100,8 @@ impl GcnConvPair {
                 for (o, &gv) in row.iter_mut().zip(g.row(u)) {
                     *o += sw * gv;
                 }
-            });
+            }
+        });
         out
     }
 }

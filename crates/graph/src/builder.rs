@@ -1,7 +1,6 @@
 //! Edge-list (COO) accumulation and conversion to CSR.
 
 use crate::csr::Csr;
-use rayon::prelude::*;
 
 /// An edge-list builder. Collects `(src, dst)` pairs, then sorts,
 /// deduplicates, and emits a [`Csr`] whose rows are **destinations**
@@ -89,7 +88,7 @@ impl GraphBuilder {
         let n = self.num_vertices;
         // Sort by (dst, src) so rows come out grouped and sorted.
         self.edges
-            .par_sort_unstable_by_key(|&(s, d)| ((d as u64) << 32) | s as u64);
+            .sort_unstable_by_key(|&(s, d)| ((d as u64) << 32) | s as u64);
         self.edges.dedup();
         let mut indptr = vec![0u32; n + 1];
         for &(_, d) in &self.edges {

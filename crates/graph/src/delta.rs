@@ -431,8 +431,4 @@ impl Neighborhoods for GraphEpoch {
             f,
         );
     }
-
-    fn degree_of(&self, v: usize) -> usize {
-        self.degree(v)
-    }
 }

@@ -7,6 +7,16 @@
 //! relabels them densely, and builds the induced CSR — the small graph a
 //! serving batch actually runs `conv`/`layer_forward` on.
 //!
+//! **One extraction.** [`ego_graph_on`] is the only traversal: it is
+//! generic over a [`Neighborhoods`] row source, and every other
+//! extraction is that function over a view — a frozen [`Csr`], a
+//! [`crate::delta::GraphEpoch`] snapshot, the fanout-capped sample of
+//! [`sampled_ego_graph`], the shard crate's store-backed
+//! `distributed_ego`. Bitwise equality between them is therefore a
+//! property of the rows a view serves, not of transcribed code; local
+//! ids are in BFS order, so `hop` is non-decreasing in local id for all
+//! of them.
+//!
 //! **Exactness.** Rows of the induced CSR are complete for every vertex
 //! at hop distance `< hops` (all its in-neighbors are inside the
 //! extraction), so an `L`-layer model whose convolution reads only
@@ -17,14 +27,15 @@
 //! `tlpgnn` crate).
 
 use crate::csr::Csr;
+use std::cell::RefCell;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 /// Read-only neighborhood access, the minimal surface k-hop extraction
-/// needs. Implemented by [`Csr`] (a frozen graph) and by
-/// [`crate::delta::GraphEpoch`] (an epoch snapshot of a mutating graph),
-/// so the same traversal — and therefore bitwise-identical extraction —
-/// runs over both.
+/// needs. Implemented by [`Csr`] (a frozen graph), by
+/// [`crate::delta::GraphEpoch`] (an epoch snapshot of a mutating graph)
+/// and by the sampled and sharded views, so the same traversal — and
+/// therefore bitwise-identical extraction — runs over all of them.
 ///
 /// Implementations must visit `v`'s in-neighbors in the row order the
 /// materialized CSR would store them (ascending ids; duplicates, where
@@ -35,9 +46,12 @@ pub trait Neighborhoods {
     fn num_vertices(&self) -> usize;
     /// Visit `v`'s in-neighbors in row order.
     fn visit_neighbors(&self, v: usize, f: &mut dyn FnMut(u32));
-    /// In-degree of `v` (must equal the number of `visit_neighbors`
-    /// callbacks).
-    fn degree_of(&self, v: usize) -> usize;
+    /// The rows of `vs` are about to be visited: [`ego_graph_on`] calls
+    /// this with each BFS frontier before expanding it, and once more
+    /// with every extracted vertex before the induced-row pass. A view
+    /// whose rows live elsewhere batches its fetches here; in-memory
+    /// graphs keep the no-op default.
+    fn will_visit(&self, _vs: &[u32]) {}
 }
 
 impl Neighborhoods for Csr {
@@ -49,10 +63,6 @@ impl Neighborhoods for Csr {
         for &u in self.neighbors(v) {
             f(u);
         }
-    }
-
-    fn degree_of(&self, v: usize) -> usize {
-        self.degree(v)
     }
 }
 
@@ -106,11 +116,14 @@ pub fn ego_graph(g: &Csr, targets: &[u32], hops: usize) -> EgoGraph {
     ego_graph_on(g, targets, hops)
 }
 
-/// [`ego_graph`] generalised over any [`Neighborhoods`] view. Running it
-/// over a [`crate::delta::GraphEpoch`] produces the bitwise-identical
+/// [`ego_graph`] generalised over any [`Neighborhoods`] view — the one
+/// place targets are deduplicated, the BFS runs, locals and `hop` are
+/// assigned and induced rows are built. Running it over a
+/// [`crate::delta::GraphEpoch`] produces the bitwise-identical
 /// extraction the compacted/materialized CSR would: traversal order,
 /// relabelling, and induced rows depend only on the visit order the trait
-/// contract fixes.
+/// contract fixes. [`sampled_ego_graph`] and the shard crate's
+/// `distributed_ego` are this function over their own views.
 pub fn ego_graph_on<G: Neighborhoods + ?Sized>(g: &G, targets: &[u32], hops: usize) -> EgoGraph {
     let n = g.num_vertices();
     let mut local: HashMap<u32, u32> = HashMap::with_capacity(targets.len() * 4);
@@ -131,6 +144,7 @@ pub fn ego_graph_on<G: Neighborhoods + ?Sized>(g: &G, targets: &[u32], hops: usi
     let mut frontier = 0;
     for depth in 1..=hops.min(u8::MAX as usize) {
         let level_end = vertices.len();
+        g.will_visit(&vertices[frontier..level_end]);
         for i in frontier..level_end {
             let v = vertices[i] as usize;
             g.visit_neighbors(v, &mut |u| {
@@ -148,6 +162,7 @@ pub fn ego_graph_on<G: Neighborhoods + ?Sized>(g: &G, targets: &[u32], hops: usi
     }
     // Induced CSR: keep each extracted vertex's in-edges whose source was
     // also extracted, relabelled to local ids. Rows stay sorted.
+    g.will_visit(&vertices);
     let mut indptr = Vec::with_capacity(vertices.len() + 1);
     indptr.push(0u32);
     let mut indices = Vec::new();
@@ -183,7 +198,7 @@ fn mix64(mut z: u64) -> u64 {
 /// `(seed, v)` alone, returned **sorted**. Rows at or under the cap are
 /// returned whole. Same `(g, v, fanout, seed)` → same sample, always.
 fn sampled_row<G: Neighborhoods + ?Sized>(g: &G, v: usize, fanout: usize, seed: u64) -> Vec<u32> {
-    let mut row = Vec::with_capacity(g.degree_of(v));
+    let mut row = Vec::new();
     g.visit_neighbors(v, &mut |u| row.push(u));
     if row.len() <= fanout {
         return row;
@@ -199,15 +214,39 @@ fn sampled_row<G: Neighborhoods + ?Sized>(g: &G, v: usize, fanout: usize, seed: 
     row
 }
 
+/// `g` with every row capped by [`sampled_row`]. Draws are memoised per
+/// vertex: the expansion pass and the induced-row pass of
+/// [`ego_graph_on`] must see the same sample.
+struct Sampled<'a, G: ?Sized> {
+    g: &'a G,
+    fanout: usize,
+    seed: u64,
+    chosen: RefCell<HashMap<u32, Vec<u32>>>,
+}
+
+impl<G: Neighborhoods + ?Sized> Neighborhoods for Sampled<'_, G> {
+    fn num_vertices(&self) -> usize {
+        self.g.num_vertices()
+    }
+
+    fn visit_neighbors(&self, v: usize, f: &mut dyn FnMut(u32)) {
+        let mut chosen = self.chosen.borrow_mut();
+        let row = chosen
+            .entry(v as u32)
+            .or_insert_with(|| sampled_row(self.g, v, self.fanout, self.seed));
+        row.iter().copied().for_each(f);
+    }
+}
+
 /// GraphSAGE-style seeded, fanout-capped ego extraction: the `Sampled`
 /// degradation rung's cheap stand-in for [`ego_graph`].
 ///
-/// Identical multi-source BFS and relabelling discipline as `ego_graph`,
-/// except each expanded or induced row is first capped to at most
-/// `fanout` in-neighbors by [`sampled_row`]'s per-vertex seeded draw. The
-/// sample is a function of `(seed, vertex)` only, so the extraction is
-/// deterministic for a given `(graph, targets, hops, fanout, seed)` and
-/// the extracted vertex set is always a subset of the exact ego graph's.
+/// This is [`ego_graph_on`] over a view of `g` whose every row is first
+/// capped to at most `fanout` in-neighbors by [`sampled_row`]'s
+/// per-vertex seeded draw. The sample is a function of `(seed, vertex)`
+/// only, so the extraction is deterministic for a given
+/// `(graph, targets, hops, fanout, seed)` and the extracted vertex set
+/// is always a subset of the exact ego graph's.
 /// Rows are *incomplete* by construction — callers must flag results as
 /// degraded and must not cache them as exact.
 pub fn sampled_ego_graph<G: Neighborhoods + ?Sized>(
@@ -217,65 +256,13 @@ pub fn sampled_ego_graph<G: Neighborhoods + ?Sized>(
     fanout: usize,
     seed: u64,
 ) -> EgoGraph {
-    let n = g.num_vertices();
-    let mut local: HashMap<u32, u32> = HashMap::with_capacity(targets.len() * 4);
-    let mut vertices: Vec<u32> = Vec::with_capacity(targets.len() * 4);
-    let mut hop: Vec<u8> = Vec::with_capacity(targets.len() * 4);
-    // Memoised per-vertex samples: the expansion pass and the induced-row
-    // pass must see the same draw.
-    let mut chosen: HashMap<u32, Vec<u32>> = HashMap::new();
-    for &t in targets {
-        assert!((t as usize) < n, "target {t} out of range (n = {n})");
-        if let Entry::Vacant(e) = local.entry(t) {
-            e.insert(vertices.len() as u32);
-            vertices.push(t);
-            hop.push(0);
-        }
-    }
-    let num_targets = vertices.len();
-    let mut frontier = 0;
-    for depth in 1..=hops.min(u8::MAX as usize) {
-        let level_end = vertices.len();
-        for i in frontier..level_end {
-            let v = vertices[i];
-            let row = chosen
-                .entry(v)
-                .or_insert_with(|| sampled_row(g, v as usize, fanout, seed));
-            for &u in row.iter() {
-                if let Entry::Vacant(e) = local.entry(u) {
-                    e.insert(vertices.len() as u32);
-                    vertices.push(u);
-                    hop.push(depth as u8);
-                }
-            }
-        }
-        if vertices.len() == level_end {
-            break;
-        }
-        frontier = level_end;
-    }
-    let mut indptr = Vec::with_capacity(vertices.len() + 1);
-    indptr.push(0u32);
-    let mut indices = Vec::new();
-    for &orig in vertices.iter() {
-        let row = chosen
-            .entry(orig)
-            .or_insert_with(|| sampled_row(g, orig as usize, fanout, seed));
-        let start = indices.len();
-        for &u in row.iter() {
-            if let Some(&l) = local.get(&u) {
-                indices.push(l);
-            }
-        }
-        indices[start..].sort_unstable();
-        indptr.push(indices.len() as u32);
-    }
-    EgoGraph {
-        csr: Csr::new(vertices.len(), indptr, indices),
-        vertices,
-        hop,
-        num_targets,
-    }
+    let view = Sampled {
+        g,
+        fanout,
+        seed,
+        chosen: RefCell::new(HashMap::new()),
+    };
+    ego_graph_on(&view, targets, hops)
 }
 
 /// `(vertex, hop)` assignment produced by [`ego_reference`].

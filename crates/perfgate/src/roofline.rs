@@ -199,7 +199,7 @@ pub fn report_json(device: &str, points: &[RooflinePoint]) -> Value {
 
 /// [`report_json`] in the committed pretty form (`results/roofline.json`).
 pub fn report_pretty_string(device: &str, points: &[RooflinePoint]) -> String {
-    crate::snapshot::pretty_json(&report_json(device, points))
+    telemetry::json::pretty(&report_json(device, points))
 }
 
 #[cfg(test)]

@@ -86,10 +86,7 @@ impl Snapshot {
     /// Serialize with indentation, one metric per line — the form that
     /// gets committed, so baseline changes produce reviewable diffs.
     pub fn to_pretty_string(&self) -> String {
-        let mut out = String::new();
-        pretty(&self.to_json(), 0, &mut out);
-        out.push('\n');
-        out
+        json::pretty(&self.to_json())
     }
 
     /// Parse a document produced by [`Self::to_json`] /
@@ -173,62 +170,11 @@ impl Snapshot {
     }
 }
 
-/// Render any JSON value with the snapshot pretty-printer (two-space
-/// indent, one scalar per line) — shared with the roofline report so
-/// every committed/inspected JSON artifact diffs the same way.
-pub fn pretty_json(v: &Value) -> String {
-    let mut out = String::new();
-    pretty(v, 0, &mut out);
-    out.push('\n');
-    out
-}
-
 fn req_str(v: &Value, key: &str) -> Result<String, String> {
     v.get(key)
         .and_then(Value::as_str)
         .map(str::to_string)
         .ok_or_else(|| format!("missing string field {key:?}"))
-}
-
-fn pretty(v: &Value, depth: usize, out: &mut String) {
-    let pad = "  ".repeat(depth + 1);
-    if let Some(fields) = v.as_obj() {
-        if fields.is_empty() {
-            out.push_str("{}");
-            return;
-        }
-        out.push_str("{\n");
-        for (i, (k, child)) in fields.iter().enumerate() {
-            out.push_str(&pad);
-            out.push_str(&Value::from(k.clone()).to_string());
-            out.push_str(": ");
-            pretty(child, depth + 1, out);
-            if i + 1 < fields.len() {
-                out.push(',');
-            }
-            out.push('\n');
-        }
-        out.push_str(&"  ".repeat(depth));
-        out.push('}');
-    } else if let Some(items) = v.as_arr() {
-        if items.is_empty() {
-            out.push_str("[]");
-            return;
-        }
-        out.push_str("[\n");
-        for (i, child) in items.iter().enumerate() {
-            out.push_str(&pad);
-            pretty(child, depth + 1, out);
-            if i + 1 < items.len() {
-                out.push(',');
-            }
-            out.push('\n');
-        }
-        out.push_str(&"  ".repeat(depth));
-        out.push(']');
-    } else {
-        out.push_str(&v.to_string());
-    }
 }
 
 /// `BENCH_<seq>.json` inside `dir`.

@@ -28,8 +28,8 @@
 //! counted under `<prefix>.halo.*`, and the modelled transfer time
 //! (the core crate's [`Interconnect`] cost model, the same one
 //! `multi_gpu` uses) is charged to the request's latency. Because the
-//! traversal is order-identical to the single-device `ego_graph` and
-//! the fused engine is atomic-free, sharded responses are **bitwise
+//! traversal is the single-device `ego_graph_on` over a store-backed
+//! view and the fused engine is atomic-free, sharded responses are **bitwise
 //! equal** to the unsharded server's given the same batch composition.
 //!
 //! ## Failover

@@ -1,19 +1,20 @@
 //! Distributed k-hop ego-graph extraction with halo-exchange
 //! accounting.
 //!
-//! [`distributed_ego`] mirrors the graph crate's `ego_graph` step for
-//! step — same BFS discovery order, same induced-CSR build — but reads
-//! every adjacency and feature row through the [`ShardStore`]s instead
-//! of the global graph. Rows the home shard does not host are "halo"
-//! fetches: they are grouped into one batch per (BFS level, remote
-//! shard) pair, the way a real multi-GPU runtime would coalesce
-//! boundary traffic into one transfer per peer per step, and every
-//! batch/row/byte is counted in [`HaloStats`].
+//! [`distributed_ego`] is the graph crate's `ego_graph_on` — the one
+//! BFS, relabelling and induced-CSR build — run over a view that reads
+//! every adjacency row through the [`ShardStore`]s instead of the
+//! global graph, followed by a feature gather through the same stores.
+//! Rows the home shard does not host are "halo" fetches: they are
+//! grouped into one batch per (BFS level, remote shard) pair, the way a
+//! real multi-GPU runtime would coalesce boundary traffic into one
+//! transfer per peer per step, and every batch/row/byte is counted in
+//! [`HaloStats`].
 //!
-//! Because the traversal order is identical, the returned [`EgoGraph`]
-//! and gathered feature matrix are bitwise equal to the single-device
-//! extraction — sharding changes where bytes live, never what the
-//! engine computes.
+//! Because the traversal is the same code over the same rows, the
+//! returned [`EgoGraph`] and gathered feature matrix are bitwise equal
+//! to the single-device extraction — sharding changes where bytes live,
+//! never what the engine computes.
 //!
 //! [`distributed_ego_with_health`] extends the same traversal across
 //! device loss: rows owned by a dead shard are served from the standby
@@ -23,13 +24,12 @@
 //! nothing live holds them — the partial-service signal the serve tier
 //! flags instead of failing.
 
-use std::collections::hash_map::Entry;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::cell::RefCell;
+use std::collections::{BTreeMap, HashSet};
 
 use crate::plan::ShardPlan;
 use crate::store::ShardStore;
-use tlpgnn_graph::subgraph::EgoGraph;
-use tlpgnn_graph::Csr;
+use tlpgnn_graph::subgraph::{ego_graph_on, EgoGraph, Neighborhoods};
 use tlpgnn_tensor::Matrix;
 
 /// Halo-exchange accounting for one distributed extraction.
@@ -99,62 +99,72 @@ fn serving_shard(plan: &ShardPlan, alive: &[bool], v: u32) -> Option<usize> {
     }
 }
 
-/// Read `v`'s adjacency row from the home store when hosted there
-/// (owned, replica, or standby mirror), otherwise from whichever live
-/// shard serves it. `None` when the row is unreachable.
-fn hosted_row<'a>(
+/// The global graph as shard `home` sees it under a liveness mask: the
+/// [`Neighborhoods`] view `ego_graph_on` runs over. Rows come from the
+/// home store when hosted there (owned, replica, or standby mirror),
+/// otherwise from whichever live shard serves them; unreachable rows
+/// read empty. `will_visit` is the halo exchange: each batch of rows the
+/// traversal announces is accounted into `stats` exactly once per row.
+struct ShardView<'a> {
+    plan: &'a ShardPlan,
     stores: &'a [ShardStore],
-    plan: &ShardPlan,
     home: usize,
-    alive: &[bool],
-    v: u32,
-) -> Option<&'a [u32]> {
-    if stores[home].hosts(v) {
-        Some(stores[home].row(v))
-    } else {
-        serving_shard(plan, alive, v).map(|s| stores[s].row(v))
-    }
+    alive: &'a [bool],
+    /// Rows already accounted (fetched rows are free the second time).
+    fetched: RefCell<HashSet<u32>>,
+    stats: RefCell<HaloStats>,
 }
 
-/// Account one BFS level's adjacency-row needs: rows already fetched
-/// are free, hosted rows count as local/replica/mirror hits, the rest
-/// are grouped into one batch per serving remote shard, and rows no
-/// live shard can serve count as missing.
-fn account_rows(
-    need: &[u32],
-    stores: &[ShardStore],
-    plan: &ShardPlan,
-    home: usize,
-    alive: &[bool],
-    fetched: &mut HashSet<u32>,
-    stats: &mut HaloStats,
-) {
-    let mut remote: BTreeMap<usize, (u64, u64)> = BTreeMap::new();
-    for &v in need {
-        if !fetched.insert(v) {
-            continue;
-        }
-        if stores[home].owns(v) {
-            stats.local_hits += 1;
-        } else if plan.is_replicated(v) {
-            stats.replica_hits += 1;
-        } else if stores[home].mirrors(v) {
-            stats.mirror_hits += 1;
+impl Neighborhoods for ShardView<'_> {
+    fn num_vertices(&self) -> usize {
+        self.plan.num_vertices()
+    }
+
+    fn visit_neighbors(&self, v: usize, f: &mut dyn FnMut(u32)) {
+        let v = v as u32;
+        let row = if self.stores[self.home].hosts(v) {
+            self.stores[self.home].row(v)
         } else {
-            match serving_shard(plan, alive, v) {
-                Some(s) => {
-                    let e = remote.entry(s).or_insert((0, 0));
-                    e.0 += 1;
-                    e.1 += stores[s].row(v).len() as u64 * 4;
+            serving_shard(self.plan, self.alive, v).map_or(&[][..], |s| self.stores[s].row(v))
+        };
+        row.iter().copied().for_each(f);
+    }
+
+    /// Account one batch of adjacency-row needs: rows already fetched
+    /// are free, hosted rows count as local/replica/mirror hits, the
+    /// rest are grouped into one transfer per serving remote shard, and
+    /// rows no live shard can serve count as missing.
+    fn will_visit(&self, need: &[u32]) {
+        let (plan, stores, home) = (self.plan, self.stores, self.home);
+        let mut fetched = self.fetched.borrow_mut();
+        let mut stats = self.stats.borrow_mut();
+        let mut remote: BTreeMap<usize, (u64, u64)> = BTreeMap::new();
+        for &v in need {
+            if !fetched.insert(v) {
+                continue;
+            }
+            if stores[home].owns(v) {
+                stats.local_hits += 1;
+            } else if plan.is_replicated(v) {
+                stats.replica_hits += 1;
+            } else if stores[home].mirrors(v) {
+                stats.mirror_hits += 1;
+            } else {
+                match serving_shard(plan, self.alive, v) {
+                    Some(s) => {
+                        let e = remote.entry(s).or_insert((0, 0));
+                        e.0 += 1;
+                        e.1 += stores[s].row(v).len() as u64 * 4;
+                    }
+                    None => stats.missing_rows += 1,
                 }
-                None => stats.missing_rows += 1,
             }
         }
-    }
-    for &(rows, bytes) in remote.values() {
-        stats.fetch_batches += 1;
-        stats.fetched_rows += rows;
-        stats.fetched_bytes += bytes;
+        for &(rows, bytes) in remote.values() {
+            stats.fetch_batches += 1;
+            stats.fetched_rows += rows;
+            stats.fetched_bytes += bytes;
+        }
     }
 }
 
@@ -211,79 +221,20 @@ pub fn distributed_ego_with_health(
     assert!(home < stores.len(), "home shard out of range");
     assert_eq!(alive.len(), plan.shards(), "liveness mask must match");
     assert!(alive[home], "the home shard must be alive to extract");
-    let n = plan.num_vertices();
-    let mut stats = HaloStats::default();
-    let mut fetched: HashSet<u32> = HashSet::new();
-
-    // Discovery mirrors `ego_graph`: dedup targets in first-occurrence
-    // order, then level-synchronous multi-source BFS over in-edges.
-    let mut local: HashMap<u32, u32> = HashMap::with_capacity(targets.len() * 4);
-    let mut vertices: Vec<u32> = Vec::with_capacity(targets.len() * 4);
-    let mut hop: Vec<u8> = Vec::with_capacity(targets.len() * 4);
-    for &t in targets {
-        assert!((t as usize) < n, "target {t} out of range (n = {n})");
-        if let Entry::Vacant(e) = local.entry(t) {
-            e.insert(vertices.len() as u32);
-            vertices.push(t);
-            hop.push(0);
-        }
-    }
-    let num_targets = vertices.len();
-    let mut frontier = 0;
-    for depth in 1..=hops.min(u8::MAX as usize) {
-        let level_end = vertices.len();
-        // One batched transfer per remote shard holding rows this level
-        // expands — the halo exchange proper.
-        account_rows(
-            &vertices[frontier..level_end],
-            stores,
-            plan,
-            home,
-            alive,
-            &mut fetched,
-            &mut stats,
-        );
-        for i in frontier..level_end {
-            let v = vertices[i];
-            for &u in hosted_row(stores, plan, home, alive, v).unwrap_or(&[]) {
-                if let Entry::Vacant(e) = local.entry(u) {
-                    e.insert(vertices.len() as u32);
-                    vertices.push(u);
-                    hop.push(depth as u8);
-                }
-            }
-        }
-        if vertices.len() == level_end {
-            break;
-        }
-        frontier = level_end;
-    }
-
-    // The induced-CSR build reads every extracted vertex's row; rows
-    // the BFS never expanded (the final frontier) are fetched in one
-    // more batched round per remote shard.
-    account_rows(
-        &vertices,
-        stores,
+    // One batched transfer per (BFS level, remote shard), plus one more
+    // round for the rows only the induced-CSR build reads (the final
+    // frontier): `ego_graph_on` announces exactly those batches.
+    let view = ShardView {
         plan,
+        stores,
         home,
         alive,
-        &mut fetched,
-        &mut stats,
-    );
-    let mut indptr = Vec::with_capacity(vertices.len() + 1);
-    indptr.push(0u32);
-    let mut indices = Vec::new();
-    for &orig in &vertices {
-        let start = indices.len();
-        for &u in hosted_row(stores, plan, home, alive, orig).unwrap_or(&[]) {
-            if let Some(&l) = local.get(&u) {
-                indices.push(l);
-            }
-        }
-        indices[start..].sort_unstable();
-        indptr.push(indices.len() as u32);
-    }
+        fetched: RefCell::new(HashSet::new()),
+        stats: RefCell::new(HaloStats::default()),
+    };
+    let ego = ego_graph_on(&view, targets, hops);
+    let mut stats = view.stats.into_inner();
+    let vertices = &ego.vertices;
 
     // Boundary-feature gather, batched per owning shard. Each vertex's
     // feature row is needed exactly once.
@@ -324,12 +275,6 @@ pub fn distributed_ego_with_health(
         stats.fetched_bytes += rows * f as u64 * 4;
     }
 
-    let ego = EgoGraph {
-        csr: Csr::new(vertices.len(), indptr, indices),
-        vertices,
-        hop,
-        num_targets,
-    };
     (ego, feats, stats)
 }
 
@@ -337,8 +282,8 @@ pub fn distributed_ego_with_health(
 mod tests {
     use super::*;
     use crate::store::ShardStore;
-    use tlpgnn_graph::generators;
     use tlpgnn_graph::subgraph::ego_graph;
+    use tlpgnn_graph::{generators, Csr};
 
     fn fixture(shards: usize, replicate: usize) -> (Csr, Matrix, ShardPlan, Vec<ShardStore>) {
         let g = generators::rmat_default(400, 3200, 29);

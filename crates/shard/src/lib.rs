@@ -16,8 +16,9 @@
 //! * [`distributed_ego`] extracts a k-hop ego graph while reading rows
 //!   only through the stores, batching cross-shard "halo" fetches per
 //!   BFS level and per remote shard, and accounting every fetch in
-//!   [`HaloStats`]. Its output is bitwise identical to the
-//!   single-device `ego_graph` on the unpartitioned graph.
+//!   [`HaloStats`]. It is the graph crate's one extraction
+//!   (`ego_graph_on`) over a store-backed view, so its output is bitwise
+//!   identical to `ego_graph` on the unpartitioned graph.
 //! * **Standby replicas** (`ShardPlan::build_with_standby`): each
 //!   shard's owned range is mirrored in full on one buddy shard, priced
 //!   against the device budget. [`distributed_ego_with_health`] then

@@ -216,6 +216,53 @@ fn write_value(out: &mut String, v: &Value) {
     }
 }
 
+/// Serialize with two-space indentation, one field or element per line
+/// — the form committed artifacts (`BENCH_<seq>.json`, the roofline
+/// report, the conformance corpus) are written in, so they diff line by
+/// line. Arrays holding only scalars stay on one line (edge lists).
+/// Ends with a newline.
+pub fn pretty(v: &Value) -> String {
+    let mut out = String::new();
+    write_pretty(v, 0, &mut out);
+    out.push('\n');
+    out
+}
+
+fn write_pretty(v: &Value, depth: usize, out: &mut String) {
+    let is_scalar = |item: &Value| !matches!(item, Value::Arr(_) | Value::Obj(_));
+    let (open, close, children): (_, _, Vec<(Option<&str>, &Value)>) = match v {
+        Value::Obj(fields) if !fields.is_empty() => {
+            let keyed = fields.iter().map(|(k, child)| (Some(k.as_str()), child));
+            ('{', '}', keyed.collect())
+        }
+        Value::Arr(items) if !items.iter().all(is_scalar) => {
+            ('[', ']', items.iter().map(|child| (None, child)).collect())
+        }
+        Value::Arr(items) if !items.is_empty() => {
+            let flat: Vec<String> = items.iter().map(Value::to_string).collect();
+            return out.push_str(&format!("[{}]", flat.join(", ")));
+        }
+        scalar_or_empty => return write_value(out, scalar_or_empty),
+    };
+    out.push(open);
+    out.push('\n');
+    for (i, (key, child)) in children.iter().enumerate() {
+        out.push_str(&"  ".repeat(depth + 1));
+        if let Some(key) = key {
+            out.push('"');
+            escape_into(out, key);
+            out.push_str("\": ");
+        }
+        write_pretty(child, depth + 1, out);
+        if i + 1 < children.len() {
+            out.push(',');
+        }
+        out.push('\n');
+    }
+    out.push_str(&"  ".repeat(depth));
+    out.push(close);
+}
+
 impl fmt::Display for Value {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let mut s = String::new();
@@ -494,6 +541,25 @@ mod tests {
         assert!(parse("[1,]").is_err());
         assert!(parse("{} extra").is_err());
         assert!(parse("").is_err());
+    }
+
+    #[test]
+    fn pretty_is_line_per_field_and_reparses() {
+        let mut v = Value::object();
+        v.set("name", "a\"b").set("edges", {
+            let mut edges = Value::array();
+            edges.push(vec![Value::from(0u32), Value::from(1u32)]);
+            edges.push(vec![Value::from(2u32), Value::from(0u32)]);
+            edges
+        });
+        v.set("empty", Value::array()).set("eps", 0.1f32 as f64);
+        let text = pretty(&v);
+        assert_eq!(
+            text,
+            "{\n  \"name\": \"a\\\"b\",\n  \"edges\": [\n    [0, 1],\n    [2, 0]\n  ],\n  \
+             \"empty\": [],\n  \"eps\": 0.10000000149011612\n}\n"
+        );
+        assert_eq!(parse(&text).unwrap(), v);
     }
 
     #[test]
