@@ -20,10 +20,11 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "=== one home ==="
 # Things that were deleted stay deleted: the sequential rayon stand-in
 # and the unused crossbeam shim (host parallelism is tlpgnn_tensor::pool),
-# and the second JSON implementation (everything goes through
+# the parking_lot shim (its one user, gpu-sim's L2, needs no lock), and
+# the second JSON implementation (everything goes through
 # telemetry::json).
-if grep -qE '^name = "(rayon|crossbeam)"' Cargo.lock; then
-  echo "one home: rayon/crossbeam are back in Cargo.lock" >&2
+if grep -qE '^name = "(rayon|crossbeam|parking_lot)"' Cargo.lock; then
+  echo "one home: rayon/crossbeam/parking_lot are back in Cargo.lock" >&2
   exit 1
 fi
 if [ -e crates/conformance/src/json.rs ]; then
@@ -70,6 +71,32 @@ for workload in native_conv sim_conv serve_cold serve_churn serve_sharded; do
       ;;
   esac
 done
+# Every modelled number unchanged, as a step instead of by hand: one
+# traced pass of the simulator's own workload (GCN, GAT and the three
+# baseline systems on the modelled V100) and of serve_cold (the probe's
+# ego graphs and five-launch forward pass), whose device-clock lines —
+# simulated counts, rates and times, which repeat bit for bit for a seed
+# on any machine — must equal the committed record. A change that means
+# to move the model re-records results/device_clock_seed42.txt in the
+# same commit; a change to how the simulator *executes* never does.
+# serve_cold's probe reads the first 32 full batches (512 targets) of the
+# timed section, so it gets two seconds: one second can end after a
+# single 500-request repetition on a slow machine.
+device_clock_lines() {
+  grep -E '^[a-z_]+ (gpu_sim\.|baselines\.|core\.engine\.(sim_device_ms|classify_forward_sim_ms|kernel_launches) |graph\.subgraph\.ego_(vertices|edges)_mean )' |
+    grep -v ' gpu_sim\.host_'
+}
+device_clock="$(mktemp)"
+for traced in "sim_conv 1" "serve_cold 2"; do
+  cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
+    --workload "${traced% *}" --seed 42 --seconds "${traced#* }" --trace 1 | device_clock_lines
+done > "${device_clock}"
+if ! diff -u results/device_clock_seed42.txt "${device_clock}"; then
+  echo "benchmark smoke: device-clock lines differ from results/device_clock_seed42.txt" >&2
+  exit 1
+fi
+rm -f "${device_clock}"
+echo "benchmark smoke: device clock: $(wc -l < results/device_clock_seed42.txt) lines identical"
 trap - EXIT
 mv "${bench_lock}" benchmark/Cargo.lock
 

@@ -81,10 +81,7 @@ impl Kernel for AdvisorKernel {
                     Aggregator::GcnSum => w.ld_scalar(self.norm, u) * norm_v,
                     _ => 1.0,
                 };
-                let vals = w.ld(self.features, |l| {
-                    let c = base + l;
-                    (c < f).then(|| u * f + c)
-                });
+                let vals = w.ld_run(self.features, u * f + base, active);
                 w.issue_simd(2, active);
                 for l in 0..active {
                     acc[l] += scale * vals[l];
@@ -92,10 +89,7 @@ impl Kernel for AdvisorKernel {
             }
             if is_first {
                 let sw = w.ld_scalar(self.self_w, v);
-                let own = w.ld(self.features, |l| {
-                    let c = base + l;
-                    (c < f).then(|| v * f + c)
-                });
+                let own = w.ld_run(self.features, v * f + base, active);
                 w.issue_simd(2, active);
                 for l in 0..active {
                     acc[l] += sw * own[l];

@@ -47,10 +47,7 @@ impl Kernel for EdgeCentricKernel {
         for tile in 0..f.div_ceil(WARP_SIZE) {
             let base = tile * WARP_SIZE;
             let active = (f - base).min(WARP_SIZE);
-            let feats = w.ld(self.features, |l| {
-                let c = base + l;
-                (c < f).then(|| u * f + c)
-            });
+            let feats = w.ld_run(self.features, u * f + base, active);
             w.issue_simd(2, active);
             w.atomic_add_f32(self.output, |l| {
                 let c = base + l;

@@ -89,10 +89,7 @@ impl Kernel for FgConvKernel {
                 Aggregator::GinSum { .. } => 1.0,
                 Aggregator::SageMean => inv_deg,
             };
-            let vals = w.ld(self.features, |l| {
-                let c = base + l;
-                (c < f).then(|| u * f + c)
-            });
+            let vals = w.ld_run(self.features, u * f + base, active);
             w.issue_simd(2, active);
             for l in 0..active {
                 acc[l] += scale * vals[l];
@@ -100,19 +97,13 @@ impl Kernel for FgConvKernel {
         }
         let sw = w.ld_scalar(self.self_w, v);
         if sw != 0.0 {
-            let own = w.ld(self.features, |l| {
-                let c = base + l;
-                (c < f).then(|| v * f + c)
-            });
+            let own = w.ld_run(self.features, v * f + base, active);
             w.issue_simd(2, active);
             for l in 0..active {
                 acc[l] += sw * own[l];
             }
         }
-        w.st(self.output, |l| {
-            let c = base + l;
-            (c < f).then(|| (v * f + c, acc[l]))
-        });
+        w.st_run(self.output, v * f + base, active, &acc);
     }
 }
 
@@ -144,16 +135,14 @@ impl Kernel for FgEdgeScoreKernel {
         if base >= self.m {
             return;
         }
-        let m = self.m;
-        let srcs = w.ld(self.src, |l| (base + l < m).then(|| base + l));
-        let dsts = w.ld(self.dst, |l| (base + l < m).then(|| base + l));
-        let als = w.ld(self.al, |l| (base + l < m).then(|| srcs[l] as usize));
-        let ars = w.ld(self.ar, |l| (base + l < m).then(|| dsts[l] as usize));
+        let active = (self.m - base).min(WARP_SIZE);
+        let srcs = w.ld_run(self.src, base, active);
+        let dsts = w.ld_run(self.dst, base, active);
+        let als = w.ld(self.al, |l| (l < active).then(|| srcs[l] as usize));
+        let ars = w.ld(self.ar, |l| (l < active).then(|| dsts[l] as usize));
         w.issue(3);
-        let slope = self.slope;
-        w.st(self.s, |l| {
-            (base + l < m).then(|| (base + l, leaky_relu_scalar(als[l] + ars[l], slope)))
-        });
+        let scores = std::array::from_fn(|l| leaky_relu_scalar(als[l] + ars[l], self.slope));
+        w.st_run(self.s, base, active, &scores);
     }
 }
 
@@ -188,7 +177,7 @@ impl Kernel for FgSoftmaxKernel {
         let mut i = start;
         while i < end {
             let count = (end - i).min(WARP_SIZE);
-            let vals = w.ld(self.s, |l| (l < count).then(|| i + l));
+            let vals = w.ld_run(self.s, i, count);
             w.shfl_reduce();
             for &x in vals.iter().take(count) {
                 mx = mx.max(x);
@@ -200,7 +189,7 @@ impl Kernel for FgSoftmaxKernel {
         let mut i = start;
         while i < end {
             let count = (end - i).min(WARP_SIZE);
-            let vals = w.ld(self.s, |l| (l < count).then(|| i + l));
+            let vals = w.ld_run(self.s, i, count);
             w.issue_simd(2, count);
             w.shfl_reduce();
             for &x in vals.iter().take(count) {
@@ -212,11 +201,9 @@ impl Kernel for FgSoftmaxKernel {
         let mut i = start;
         while i < end {
             let count = (end - i).min(WARP_SIZE);
-            let vals = w.ld(self.s, |l| (l < count).then(|| i + l));
+            let vals = w.ld_run(self.s, i, count);
             w.issue_simd(2, count);
-            w.st(self.s, |l| {
-                (l < count).then(|| (i + l, (vals[l] - mx).exp() / sum))
-            });
+            w.st_run(self.s, i, count, &vals.map(|x| (x - mx).exp() / sum));
             i += count;
         }
     }
@@ -262,19 +249,13 @@ impl Kernel for FgAggregateKernel {
         for i in start..end {
             let u = w.ld_scalar(self.indices, i) as usize;
             let weight = w.ld_scalar(self.s, i);
-            let vals = w.ld(self.features, |l| {
-                let c = base + l;
-                (c < f).then(|| u * f + c)
-            });
+            let vals = w.ld_run(self.features, u * f + base, active);
             w.issue_simd(2, active);
             for l in 0..active {
                 acc[l] += weight * vals[l];
             }
         }
-        w.st(self.output, |l| {
-            let c = base + l;
-            (c < f).then(|| (v * f + c, acc[l]))
-        });
+        w.st_run(self.output, v * f + base, active, &acc);
     }
 }
 

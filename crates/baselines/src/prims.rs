@@ -32,13 +32,10 @@ impl Kernel for ScaleCopyKernel {
         if base >= self.len {
             return;
         }
-        let n = self.len;
-        let vals = w.ld(self.src, |l| (base + l < n).then(|| base + l));
+        let active = (self.len - base).min(WARP_SIZE);
+        let vals = w.ld_run(self.src, base, active);
         w.issue(1);
-        let scale = self.scale;
-        w.st(self.dst, |l| {
-            (base + l < n).then(|| (base + l, scale * vals[l]))
-        });
+        w.st_run(self.dst, base, active, &vals.map(|x| self.scale * x));
     }
 }
 
@@ -63,13 +60,12 @@ impl Kernel for AddKernel {
         if base >= self.len {
             return;
         }
-        let n = self.len;
-        let av = w.ld(self.a, |l| (base + l < n).then(|| base + l));
-        let bv = w.ld(self.b, |l| (base + l < n).then(|| base + l));
+        let active = (self.len - base).min(WARP_SIZE);
+        let av = w.ld_run(self.a, base, active);
+        let bv = w.ld_run(self.b, base, active);
         w.issue(1);
-        w.st(self.out, |l| {
-            (base + l < n).then(|| (base + l, av[l] + bv[l]))
-        });
+        let sum = std::array::from_fn(|l| av[l] + bv[l]);
+        w.st_run(self.out, base, active, &sum);
     }
 }
 
@@ -98,11 +94,11 @@ impl Kernel for GatherKernel {
         if base >= self.len {
             return;
         }
-        let n = self.len;
-        let ids = w.ld(self.ids, |l| (base + l < n).then(|| base + l));
-        let vals = w.ld(self.table, |l| (base + l < n).then(|| ids[l] as usize));
+        let active = (self.len - base).min(WARP_SIZE);
+        let ids = w.ld_run(self.ids, base, active);
+        let vals = w.ld(self.table, |l| (l < active).then(|| ids[l] as usize));
         w.issue(1);
-        w.st(self.out, |l| (base + l < n).then(|| (base + l, vals[l])));
+        w.st_run(self.out, base, active, &vals);
     }
 }
 
@@ -140,33 +136,27 @@ impl Kernel for EdgeUnaryKernel {
         if base >= self.len {
             return;
         }
-        let n = self.len;
-        let vals = w.ld(self.data, |l| (base + l < n).then(|| base + l));
+        let active = (self.len - base).min(WARP_SIZE);
+        let vals = w.ld_run(self.data, base, active);
         w.issue(2);
-        let op = self.op;
-        w.st(self.data, |l| {
-            (base + l < n).then(|| {
-                let x = vals[l];
-                let y = match op {
-                    EdgeUnaryOp::Leaky(s) => {
-                        if x >= 0.0 {
-                            x
-                        } else {
-                            s * x
-                        }
-                    }
-                    EdgeUnaryOp::Exp => x.exp(),
-                    EdgeUnaryOp::Recip => {
-                        if x == 0.0 {
-                            0.0
-                        } else {
-                            1.0 / x
-                        }
-                    }
-                };
-                (base + l, y)
-            })
+        let out = vals.map(|x| match self.op {
+            EdgeUnaryOp::Leaky(s) => {
+                if x >= 0.0 {
+                    x
+                } else {
+                    s * x
+                }
+            }
+            EdgeUnaryOp::Exp => x.exp(),
+            EdgeUnaryOp::Recip => {
+                if x == 0.0 {
+                    0.0
+                } else {
+                    1.0 / x
+                }
+            }
         });
+        w.st_run(self.data, base, active, &out);
     }
 }
 
@@ -216,7 +206,7 @@ impl Kernel for RowReduceKernel {
         let mut i = start;
         while i < end {
             let count = (end - i).min(WARP_SIZE);
-            let vals = w.ld(self.data, |l| (l < count).then(|| i + l));
+            let vals = w.ld_run(self.data, i, count);
             w.shfl_reduce();
             for &x in vals.iter().take(count) {
                 acc = match self.op {
@@ -273,28 +263,23 @@ impl Kernel for EdgeRowBinaryKernel {
         if base >= self.len {
             return;
         }
-        let n = self.len;
-        let vals = w.ld(self.data, |l| (base + l < n).then(|| base + l));
-        let dsts = w.ld(self.dst, |l| (base + l < n).then(|| base + l));
-        let tabs = w.ld(self.table, |l| (base + l < n).then(|| dsts[l] as usize));
+        let active = (self.len - base).min(WARP_SIZE);
+        let vals = w.ld_run(self.data, base, active);
+        let dsts = w.ld_run(self.dst, base, active);
+        let tabs = w.ld(self.table, |l| (l < active).then(|| dsts[l] as usize));
         w.issue(2);
-        let op = self.op;
-        w.st(self.data, |l| {
-            (base + l < n).then(|| {
-                let y = match op {
-                    EdgeRowBinaryOp::Sub => vals[l] - tabs[l],
-                    EdgeRowBinaryOp::Div => {
-                        if tabs[l] == 0.0 {
-                            0.0
-                        } else {
-                            vals[l] / tabs[l]
-                        }
-                    }
-                    EdgeRowBinaryOp::Mul => vals[l] * tabs[l],
-                };
-                (base + l, y)
-            })
+        let out = std::array::from_fn(|l| match self.op {
+            EdgeRowBinaryOp::Sub => vals[l] - tabs[l],
+            EdgeRowBinaryOp::Div => {
+                if tabs[l] == 0.0 {
+                    0.0
+                } else {
+                    vals[l] / tabs[l]
+                }
+            }
+            EdgeRowBinaryOp::Mul => vals[l] * tabs[l],
         });
+        w.st_run(self.data, base, active, &out);
     }
 }
 
@@ -341,19 +326,13 @@ impl Kernel for SpmmCsrKernel {
             for i in start..end {
                 let u = w.ld_scalar(self.indices, i) as usize;
                 let val = w.ld_scalar(self.values, i);
-                let xs = w.ld(self.x, |l| {
-                    let c = base + l;
-                    (c < f).then(|| u * f + c)
-                });
+                let xs = w.ld_run(self.x, u * f + base, active);
                 w.issue_simd(2, active);
                 for l in 0..active {
                     acc[l] += val * xs[l];
                 }
             }
-            w.st(self.out, |l| {
-                let c = base + l;
-                (c < f).then(|| (v * f + c, acc[l]))
-            });
+            w.st_run(self.out, v * f + base, active, &acc);
         }
     }
 }
@@ -377,10 +356,9 @@ impl Kernel for FillKernel {
         if base >= self.len {
             return;
         }
-        let n = self.len;
+        let active = (self.len - base).min(WARP_SIZE);
         w.issue(1);
-        let value = self.value;
-        w.st(self.out, |l| (base + l < n).then(|| (base + l, value)));
+        w.st_run(self.out, base, active, &[self.value; WARP_SIZE]);
     }
 }
 
@@ -405,10 +383,10 @@ impl Kernel for CopyU32Kernel {
         if base >= self.len {
             return;
         }
-        let n = self.len;
-        let vals = w.ld(self.src, |l| (base + l < n).then(|| base + l));
+        let active = (self.len - base).min(WARP_SIZE);
+        let vals = w.ld_run(self.src, base, active);
         w.issue(1);
-        w.st(self.dst, |l| (base + l < n).then(|| (base + l, vals[l])));
+        w.st_run(self.dst, base, active, &vals);
     }
 }
 
@@ -432,13 +410,12 @@ impl Kernel for DegreeKernel {
         if base >= self.n {
             return;
         }
-        let n = self.n;
-        let lo = w.ld(self.indptr, |l| (base + l < n).then(|| base + l));
-        let hi = w.ld(self.indptr, |l| (base + l < n).then(|| base + l + 1));
+        let active = (self.n - base).min(WARP_SIZE);
+        let lo = w.ld_run(self.indptr, base, active);
+        let hi = w.ld_run(self.indptr, base + 1, active);
         w.issue(1);
-        w.st(self.out, |l| {
-            (base + l < n).then(|| (base + l, (hi[l] - lo[l]) as f32))
-        });
+        let degrees = std::array::from_fn(|l| (hi[l] - lo[l]) as f32);
+        w.st_run(self.out, base, active, &degrees);
     }
 }
 
@@ -470,15 +447,10 @@ impl Kernel for RowScaleKernel {
         let s = w.ld_scalar(self.s, v);
         for tile in 0..f.div_ceil(WARP_SIZE) {
             let base = tile * WARP_SIZE;
-            let xs = w.ld(self.x, |l| {
-                let c = base + l;
-                (c < f).then(|| v * f + c)
-            });
+            let active = (f - base).min(WARP_SIZE);
+            let xs = w.ld_run(self.x, v * f + base, active);
             w.issue(1);
-            w.st(self.out, |l| {
-                let c = base + l;
-                (c < f).then(|| (v * f + c, s * xs[l]))
-            });
+            w.st_run(self.out, v * f + base, active, &xs.map(|x| s * x));
         }
     }
 }

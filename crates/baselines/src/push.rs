@@ -60,10 +60,7 @@ impl Kernel for PushConvKernel {
             let base = tile * WARP_SIZE;
             let active = (f - base).min(WARP_SIZE);
             // Load this source's feature tile once (registers).
-            let feats = w.ld(self.features, |l| {
-                let c = base + l;
-                (c < f).then(|| u * f + c)
-            });
+            let feats = w.ld_run(self.features, u * f + base, active);
             for i in start..end {
                 let v = w.ld_scalar(self.out_indices, i) as usize;
                 let scale = match self.agg {

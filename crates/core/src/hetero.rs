@@ -136,12 +136,7 @@ impl Kernel for FusedHeteroKernel {
             let base = tile * WARP_SIZE;
             let active = (f - base).min(WARP_SIZE);
             // Register accumulator initialized with the self term.
-            let own = w.ld(self.features, |l| {
-                let c = base + l;
-                (c < f).then(|| v * f + c)
-            });
-            let mut acc = [0.0f32; WARP_SIZE];
-            acc[..active].copy_from_slice(&own[..active]);
+            let mut acc = w.ld_run(self.features, v * f + base, active);
             for rel in &self.relations {
                 let start = w.ld_scalar(rel.indptr, v) as usize;
                 let end = w.ld_scalar(rel.indptr, v + 1) as usize;
@@ -151,20 +146,14 @@ impl Kernel for FusedHeteroKernel {
                 let inv = 1.0 / (end - start) as f32;
                 for i in start..end {
                     let u = w.ld_scalar(rel.indices, i) as usize;
-                    let vals = w.ld(self.features, |l| {
-                        let c = base + l;
-                        (c < f).then(|| u * f + c)
-                    });
+                    let vals = w.ld_run(self.features, u * f + base, active);
                     w.issue_simd(2, active);
                     for l in 0..active {
                         acc[l] += inv * vals[l];
                     }
                 }
             }
-            w.st(self.output, |l| {
-                let c = base + l;
-                (c < f).then(|| (v * f + c, acc[l]))
-            });
+            w.st_run(self.output, v * f + base, active, &acc);
         }
     }
 }
@@ -201,10 +190,7 @@ impl Kernel for RelationMeanKernel {
             let mut acc = [0.0f32; WARP_SIZE];
             for i in start..end {
                 let u = w.ld_scalar(self.rel.indices, i) as usize;
-                let vals = w.ld(self.features, |l| {
-                    let c = base + l;
-                    (c < f).then(|| u * f + c)
-                });
+                let vals = w.ld_run(self.features, u * f + base, active);
                 w.issue_simd(2, active);
                 for l in 0..active {
                     acc[l] += inv * vals[l];
@@ -212,14 +198,9 @@ impl Kernel for RelationMeanKernel {
             }
             // Accumulate into the (already initialized) output: an extra
             // read-modify-write per relation — the unfused cost.
-            let cur = w.ld(self.output, |l| {
-                let c = base + l;
-                (c < f).then(|| v * f + c)
-            });
-            w.st(self.output, |l| {
-                let c = base + l;
-                (c < f).then(|| (v * f + c, cur[l] + acc[l]))
-            });
+            let cur = w.ld_run(self.output, v * f + base, active);
+            let sum = std::array::from_fn(|l| cur[l] + acc[l]);
+            w.st_run(self.output, v * f + base, active, &sum);
         }
     }
 }
@@ -337,10 +318,10 @@ impl Kernel for CopyKernel {
         if base >= self.len {
             return;
         }
-        let n = self.len;
-        let vals = w.ld(self.src, |l| (base + l < n).then(|| base + l));
+        let active = (self.len - base).min(WARP_SIZE);
+        let vals = w.ld_run(self.src, base, active);
         w.issue(1);
-        w.st(self.dst, |l| (base + l < n).then(|| (base + l, vals[l])));
+        w.st_run(self.dst, base, active, &vals);
     }
 }
 

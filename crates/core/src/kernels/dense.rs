@@ -54,20 +54,14 @@ impl Kernel for DenseLayerKernel {
             // tile (coalesced: lanes read consecutive W columns).
             for k in 0..id {
                 let xv = w.ld_scalar(self.x, r * id + k);
-                let ws = w.ld(self.w, |l| {
-                    let c = base + l;
-                    (c < od).then(|| k * od + c)
-                });
+                let ws = w.ld_run(self.w, k * od + base, active);
                 w.issue_simd(2, active);
                 for l in 0..active {
                     acc[l] += xv * ws[l];
                 }
             }
             if let Some(b) = self.bias {
-                let bs = w.ld(b, |l| {
-                    let c = base + l;
-                    (c < od).then_some(c)
-                });
+                let bs = w.ld_run(b, base, active);
                 w.issue_simd(1, active);
                 for l in 0..active {
                     acc[l] += bs[l];
@@ -79,10 +73,7 @@ impl Kernel for DenseLayerKernel {
                     *a = a.max(0.0);
                 }
             }
-            w.st(self.y, |l| {
-                let c = base + l;
-                (c < od).then(|| (r * od + c, acc[l]))
-            });
+            w.st_run(self.y, r * od + base, active, &acc);
         }
     }
 }
@@ -171,12 +162,10 @@ impl Kernel for RowLogSoftmaxKernel {
         let mut mx = f32::NEG_INFINITY;
         for t in 0..tiles {
             let base = t * WARP_SIZE;
-            let vals = w.ld(self.data, |l| {
-                let j = base + l;
-                (j < c).then(|| r * c + j)
-            });
-            for l in 0..(c - base).min(WARP_SIZE) {
-                mx = mx.max(vals[l]);
+            let active = (c - base).min(WARP_SIZE);
+            let vals = w.ld_run(self.data, r * c + base, active);
+            for &x in &vals[..active] {
+                mx = mx.max(x);
             }
             w.shfl_reduce();
         }
@@ -185,10 +174,7 @@ impl Kernel for RowLogSoftmaxKernel {
         for t in 0..tiles {
             let base = t * WARP_SIZE;
             let active = (c - base).min(WARP_SIZE);
-            let vals = w.ld(self.data, |l| {
-                let j = base + l;
-                (j < c).then(|| r * c + j)
-            });
+            let vals = w.ld_run(self.data, r * c + base, active);
             w.issue_simd(2, active);
             for l in 0..active {
                 sum += (vals[l] - mx).exp();
@@ -200,15 +186,10 @@ impl Kernel for RowLogSoftmaxKernel {
         for t in 0..tiles {
             let base = t * WARP_SIZE;
             let active = (c - base).min(WARP_SIZE);
-            let vals = w.ld(self.data, |l| {
-                let j = base + l;
-                (j < c).then(|| r * c + j)
-            });
+            let vals = w.ld_run(self.data, r * c + base, active);
             w.issue_simd(2, active);
-            w.st(self.data, |l| {
-                let j = base + l;
-                (j < c).then(|| (r * c + j, vals[l] - mx - log_sum))
-            });
+            let normalized = vals.map(|x| x - mx - log_sum);
+            w.st_run(self.data, r * c + base, active, &normalized);
         }
     }
 }

@@ -98,13 +98,12 @@ impl FusedConvKernel {
         for tile in 0..gd.tiles() {
             let base = tile * WARP_SIZE;
             let active = (f - base).min(WARP_SIZE);
+            // This tile of row `v` (own features, output) starts here.
+            let own_at = v * f + base;
             let mut acc = [0.0f32; WARP_SIZE];
             if !self.reg_cache {
                 // Figure 7(b): result[threadIdx.x] = 0.0 in global memory.
-                w.st(gd.output, |lane| {
-                    let c = base + lane;
-                    (c < f).then_some((v * f + c, 0.0))
-                });
+                w.st_run(gd.output, own_at, active, &[0.0; WARP_SIZE]);
             }
             for i in start..end {
                 if !self.reg_cache {
@@ -117,10 +116,7 @@ impl FusedConvKernel {
                     Aggregator::GinSum { .. } => 1.0,
                     Aggregator::SageMean => inv_deg,
                 };
-                let vals = w.ld(gd.features, |lane| {
-                    let c = base + lane;
-                    (c < f).then(|| u * f + c)
-                });
+                let vals = w.ld_run(gd.features, u * f + base, active);
                 w.issue_simd(2, active); // fused multiply-add + loop step
                 if self.reg_cache {
                     for lane in 0..active {
@@ -128,14 +124,9 @@ impl FusedConvKernel {
                     }
                 } else {
                     // Read-modify-write the result in global memory.
-                    let cur = w.ld(gd.output, |lane| {
-                        let c = base + lane;
-                        (c < f).then(|| v * f + c)
-                    });
-                    w.st(gd.output, |lane| {
-                        let c = base + lane;
-                        (c < f).then(|| (v * f + c, cur[lane] + scale * vals[lane]))
-                    });
+                    let cur = w.ld_run(gd.output, own_at, active);
+                    let sum = std::array::from_fn(|lane| cur[lane] + scale * vals[lane]);
+                    w.st_run(gd.output, own_at, active, &sum);
                 }
             }
             // Self term / finalization.
@@ -146,33 +137,19 @@ impl FusedConvKernel {
             };
             if self.reg_cache {
                 if self_scale != 0.0 {
-                    let own = w.ld(gd.features, |lane| {
-                        let c = base + lane;
-                        (c < f).then(|| v * f + c)
-                    });
+                    let own = w.ld_run(gd.features, own_at, active);
                     w.issue_simd(2, active);
                     for lane in 0..active {
                         acc[lane] += self_scale * own[lane];
                     }
                 }
-                w.st(gd.output, |lane| {
-                    let c = base + lane;
-                    (c < f).then(|| (v * f + c, acc[lane]))
-                });
+                w.st_run(gd.output, own_at, active, &acc);
             } else if self_scale != 0.0 {
-                let own = w.ld(gd.features, |lane| {
-                    let c = base + lane;
-                    (c < f).then(|| v * f + c)
-                });
-                let cur = w.ld(gd.output, |lane| {
-                    let c = base + lane;
-                    (c < f).then(|| v * f + c)
-                });
+                let own = w.ld_run(gd.features, own_at, active);
+                let cur = w.ld_run(gd.output, own_at, active);
                 w.issue_simd(2, active);
-                w.st(gd.output, |lane| {
-                    let c = base + lane;
-                    (c < f).then(|| (v * f + c, cur[lane] + self_scale * own[lane]))
-                });
+                let sum = std::array::from_fn(|lane| cur[lane] + self_scale * own[lane]);
+                w.st_run(gd.output, own_at, active, &sum);
             }
         }
     }

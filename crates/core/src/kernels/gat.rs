@@ -74,10 +74,8 @@ impl FusedGatKernel {
             // Isolated vertex: zero output (softmax over an empty set).
             for tile in 0..gd.tiles() {
                 let base = tile * WARP_SIZE;
-                w.st(gd.output, |lane| {
-                    let c = base + lane;
-                    (c < f).then_some((v * f + c, 0.0))
-                });
+                let active = (f - base).min(WARP_SIZE);
+                w.st_run(gd.output, v * f + base, active, &[0.0; WARP_SIZE]);
             }
             return;
         }
@@ -104,12 +102,10 @@ impl FusedGatKernel {
         for tile in 0..gd.tiles() {
             let base = tile * WARP_SIZE;
             let active = (f - base).min(WARP_SIZE);
+            let out_at = v * f + base;
             let mut acc = [0.0f32; WARP_SIZE];
             if !self.reg_cache {
-                w.st(gd.output, |lane| {
-                    let c = base + lane;
-                    (c < f).then_some((v * f + c, 0.0))
-                });
+                w.st_run(gd.output, out_at, active, &[0.0; WARP_SIZE]);
             }
             for i in start..end {
                 if !self.reg_cache {
@@ -119,31 +115,20 @@ impl FusedGatKernel {
                 let al_u = w.ld_scalar(self.scores.al, u);
                 let e = leaky_relu_scalar(al_u + ar_v, slope);
                 let weight = (e - m).exp() / s;
-                let vals = w.ld(gd.features, |lane| {
-                    let c = base + lane;
-                    (c < f).then(|| u * f + c)
-                });
+                let vals = w.ld_run(gd.features, u * f + base, active);
                 w.issue_simd(4, active); // exp + div + fma
                 if self.reg_cache {
                     for lane in 0..active {
                         acc[lane] += weight * vals[lane];
                     }
                 } else {
-                    let cur = w.ld(gd.output, |lane| {
-                        let c = base + lane;
-                        (c < f).then(|| v * f + c)
-                    });
-                    w.st(gd.output, |lane| {
-                        let c = base + lane;
-                        (c < f).then(|| (v * f + c, cur[lane] + weight * vals[lane]))
-                    });
+                    let cur = w.ld_run(gd.output, out_at, active);
+                    let sum = std::array::from_fn(|lane| cur[lane] + weight * vals[lane]);
+                    w.st_run(gd.output, out_at, active, &sum);
                 }
             }
             if self.reg_cache {
-                w.st(gd.output, |lane| {
-                    let c = base + lane;
-                    (c < f).then(|| (v * f + c, acc[lane]))
-                });
+                w.st_run(gd.output, out_at, active, &acc);
             }
         }
     }
@@ -295,13 +280,13 @@ impl Kernel for FusedMultiHeadGatKernel {
         let start = w.ld_scalar(gd.indptr, v) as usize;
         let end = w.ld_scalar(gd.indptr, v + 1) as usize;
         for h in 0..heads {
+            // Head `h`'s slice of row `v` in the concatenated output.
+            let out_row = v * out_stride + h * f;
             if start == end {
                 for tile in 0..f.div_ceil(WARP_SIZE) {
                     let base = tile * WARP_SIZE;
-                    w.st(self.output, |lane| {
-                        let c = base + lane;
-                        (c < f).then(|| (v * out_stride + h * f + c, 0.0))
-                    });
+                    let active = (f - base).min(WARP_SIZE);
+                    w.st_run(self.output, out_row + base, active, &[0.0; WARP_SIZE]);
                 }
                 continue;
             }
@@ -329,19 +314,13 @@ impl Kernel for FusedMultiHeadGatKernel {
                     let al_u = w.ld_scalar(self.scores.al, h * n + u);
                     let e = leaky_relu_scalar(al_u + ar_v, slope);
                     let weight = (e - m).exp() / s;
-                    let vals = w.ld(gd.features, |lane| {
-                        let c = base + lane;
-                        (c < f).then(|| u * f + c)
-                    });
+                    let vals = w.ld_run(gd.features, u * f + base, active);
                     w.issue_simd(4, active);
                     for lane in 0..active {
                         acc[lane] += weight * vals[lane];
                     }
                 }
-                w.st(self.output, |lane| {
-                    let c = base + lane;
-                    (c < f).then(|| (v * out_stride + h * f + c, acc[lane]))
-                });
+                w.st_run(self.output, out_row + base, active, &acc);
             }
         }
     }

@@ -165,14 +165,15 @@ impl Kernel for ThreadPerVertexKernel {
             (v < n).then_some(v)
         };
         // Coalesced reads of each lane's row bounds.
-        let starts = w.ld(gd.indptr, lane_vertex);
-        let ends = w.ld(gd.indptr, |lane| lane_vertex(lane).map(|v| v + 1));
+        let count = (n - base).min(WARP_SIZE);
+        let starts = w.ld_run(gd.indptr, base, count);
+        let ends = w.ld_run(gd.indptr, base + 1, count);
         let norms = match self.agg {
-            Aggregator::GcnSum => w.ld(gd.norm, lane_vertex),
+            Aggregator::GcnSum => w.ld_run(gd.norm, base, count),
             _ => [0.0; WARP_SIZE],
         };
         let degs = match self.agg {
-            Aggregator::SageMean => w.ld(gd.degree, lane_vertex),
+            Aggregator::SageMean => w.ld_run(gd.degree, base, count),
             _ => [0u32; WARP_SIZE],
         };
         let max_deg = (0..WARP_SIZE)
@@ -277,22 +278,15 @@ impl Kernel for SubWarpKernel {
             (v < n).then_some(v)
         };
         // One request covering the bounds of all groups' vertices.
-        let starts = w.ld(gd.indptr, |lane| {
-            (lane < groups).then(|| base + lane).filter(|&v| v < n)
-        });
-        let ends = w.ld(gd.indptr, |lane| {
-            (lane < groups).then(|| base + lane + 1).filter(|&v| v <= n)
-        });
+        let count = (n - base).min(groups);
+        let starts = w.ld_run(gd.indptr, base, count);
+        let ends = w.ld_run(gd.indptr, base + 1, count);
         let norms = match self.agg {
-            Aggregator::GcnSum => w.ld(gd.norm, |lane| {
-                (lane < groups).then(|| base + lane).filter(|&v| v < n)
-            }),
+            Aggregator::GcnSum => w.ld_run(gd.norm, base, count),
             _ => [0.0; WARP_SIZE],
         };
         let degs = match self.agg {
-            Aggregator::SageMean => w.ld(gd.degree, |lane| {
-                (lane < groups).then(|| base + lane).filter(|&v| v < n)
-            }),
+            Aggregator::SageMean => w.ld_run(gd.degree, base, count),
             _ => [0u32; WARP_SIZE],
         };
         let max_deg = (0..groups)
@@ -466,10 +460,7 @@ impl Kernel for CtaPerVertexKernel {
                     Aggregator::GinSum { .. } => 1.0,
                     Aggregator::SageMean => inv_deg,
                 };
-                let vals = w.ld(gd.features, |lane| {
-                    let c = base + lane;
-                    (c < f).then(|| u * f + c)
-                });
+                let vals = w.ld_run(gd.features, u * f + base, active);
                 w.issue_simd(2, active);
                 for lane in 0..active {
                     acc[lane] += scale * vals[lane];
@@ -506,19 +497,13 @@ impl Kernel for CtaPerVertexKernel {
                 }
                 let self_w = self_scale(self.agg, norm_v);
                 if self_w != 0.0 {
-                    let own = w.ld(gd.features, |lane| {
-                        let c = base + lane;
-                        (c < f).then(|| v * f + c)
-                    });
+                    let own = w.ld_run(gd.features, v * f + base, active);
                     w.issue_simd(2, active);
                     for lane in 0..active {
                         total[lane] += self_w * own[lane];
                     }
                 }
-                w.st(gd.output, |lane| {
-                    let c = base + lane;
-                    (c < f).then(|| (v * f + c, total[lane]))
-                });
+                w.st_run(gd.output, v * f + base, active, &total);
             }
         }
         w.sync_threads();
@@ -574,7 +559,7 @@ impl Kernel for EdgeParallelSecondKernel {
         let mut chunk = start;
         while chunk < end {
             let count = (end - chunk).min(WARP_SIZE);
-            let us = w.ld(gd.indices, |lane| (lane < count).then(|| chunk + lane));
+            let us = w.ld_run(gd.indices, chunk, count);
             let scales: [f32; WARP_SIZE] = match self.agg {
                 Aggregator::GcnSum => {
                     let nu = w.ld(gd.norm, |lane| (lane < count).then(|| us[lane] as usize));
@@ -603,18 +588,16 @@ impl Kernel for EdgeParallelSecondKernel {
             let active = (f - base).min(WARP_SIZE);
             let self_w = self_scale(self.agg, norm_v);
             let own = if self_w != 0.0 {
-                w.ld(gd.features, |lane| {
-                    let c = base + lane;
-                    (c < f).then(|| v * f + c)
-                })
+                w.ld_run(gd.features, v * f + base, active)
             } else {
                 [0.0; WARP_SIZE]
             };
             w.issue_simd(1, active);
-            w.st(gd.output, |lane| {
-                let c = base + lane;
-                (c < f).then(|| (v * f + c, out_row[c] + self_w * own[lane]))
-            });
+            let mut row = [0.0f32; WARP_SIZE];
+            for lane in 0..active {
+                row[lane] = out_row[base + lane] + self_w * own[lane];
+            }
+            w.st_run(gd.output, v * f + base, active, &row);
         }
     }
 }

@@ -62,12 +62,10 @@ impl Kernel for WeightedAggKernel {
             for tile in 0..f.div_ceil(WARP_SIZE) {
                 let base = tile * WARP_SIZE;
                 let active = (f - base).min(WARP_SIZE);
+                let out_at = v * f + base;
                 let mut acc = [0.0f32; WARP_SIZE];
                 if !self.reg_cache {
-                    w.st(self.out, |l| {
-                        let c = base + l;
-                        (c < f).then_some((v * f + c, 0.0))
-                    });
+                    w.st_run(self.out, out_at, active, &[0.0; WARP_SIZE]);
                 }
                 for i in start..end {
                     if !self.reg_cache {
@@ -75,31 +73,20 @@ impl Kernel for WeightedAggKernel {
                     }
                     let u = w.ld_scalar(self.indices, i) as usize;
                     let val = w.ld_scalar(self.values, i);
-                    let xs = w.ld(self.x, |l| {
-                        let c = base + l;
-                        (c < f).then(|| u * f + c)
-                    });
+                    let xs = w.ld_run(self.x, u * f + base, active);
                     w.issue_simd(2, active);
                     if self.reg_cache {
                         for l in 0..active {
                             acc[l] += val * xs[l];
                         }
                     } else {
-                        let cur = w.ld(self.out, |l| {
-                            let c = base + l;
-                            (c < f).then(|| v * f + c)
-                        });
-                        w.st(self.out, |l| {
-                            let c = base + l;
-                            (c < f).then(|| (v * f + c, cur[l] + val * xs[l]))
-                        });
+                        let cur = w.ld_run(self.out, out_at, active);
+                        let sum = std::array::from_fn(|l| cur[l] + val * xs[l]);
+                        w.st_run(self.out, out_at, active, &sum);
                     }
                 }
                 if self.reg_cache {
-                    w.st(self.out, |l| {
-                        let c = base + l;
-                        (c < f).then(|| (v * f + c, acc[l]))
-                    });
+                    w.st_run(self.out, out_at, active, &acc);
                 }
             }
         });

@@ -49,11 +49,11 @@
 //! unhidden; and skewed workload assignments inflate the slot and
 //! critical-path terms.
 
+use std::cell::RefCell;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use parking_lot::Mutex;
 use telemetry::{BlockSlice, KernelSample, SimKernelTimeline, SmTimeline, MAX_BLOCK_EVENTS};
 
 use crate::cache::SectorCache;
@@ -94,9 +94,10 @@ static NEXT_DEVICE_ID: AtomicU64 = AtomicU64::new(0);
 pub struct Device {
     cfg: DeviceConfig,
     mem: DeviceMemory,
-    /// A launch holds `&mut self` and reaches the cache without locking;
-    /// the mutex is there only so [`Self::flush_l2`] works through `&self`.
-    l2: Mutex<SectorCache>,
+    /// A launch holds `&mut self` and reaches the cache directly; the cell
+    /// is there only so [`Self::flush_l2`] works through `&self`. A device
+    /// is driven by one thread at a time (`Send`, not `Sync`).
+    l2: RefCell<SectorCache>,
     launches: u64,
     id: u64,
     /// Simulated wall clock, µs: launches lay out sequentially on the
@@ -115,7 +116,7 @@ pub struct Device {
 impl Device {
     /// Create a device with the given configuration.
     pub fn new(cfg: DeviceConfig) -> Self {
-        let l2 = Mutex::new(SectorCache::sliced(cfg.l2_bytes, cfg.sector_bytes));
+        let l2 = RefCell::new(SectorCache::sliced(cfg.l2_bytes, cfg.sector_bytes));
         Self {
             cfg,
             mem: DeviceMemory::new(),
@@ -167,7 +168,7 @@ impl Device {
 
     /// Drop all cached state in the L2 (e.g. between experiments).
     pub fn flush_l2(&self) {
-        self.l2.lock().reset();
+        self.l2.borrow_mut().reset();
     }
 
     /// Whether the fault plan has permanently killed this device.

@@ -14,6 +14,11 @@
 //!   default with the same dynamic pull scheduling real hardware uses), and
 //!   each warp's `run_warp` executes *functionally* — all data movement is
 //!   real, against [`DeviceMemory`].
+//! * **Requests**: a warp load or store is either a *run* —
+//!   [`WarpCtx::ld_run`] / [`WarpCtx::st_run`], lanes `0..active` over
+//!   consecutive elements, the shape of every feature-parallel access — or
+//!   a per-lane closure ([`WarpCtx::ld`] / [`WarpCtx::st`]) for gathers
+//!   and other irregular shapes. Both are priced by the same code.
 //! * **Accounting**: the lane-level API of [`WarpCtx`] records, for every
 //!   warp: issued instructions (with SIMD lane activity for divergence),
 //!   memory requests grouped into 32-byte sectors (coalescing), sector hits
@@ -34,14 +39,13 @@
 //!     fn name(&self) -> &str { "saxpy" }
 //!     fn run_warp(&self, w: &mut WarpCtx<'_>) {
 //!         let base = w.global_warp() * w.lanes();
-//!         let n = self.n;
-//!         let xs = w.ld(self.x, |l| (base + l < n).then_some(base + l));
-//!         let ys = w.ld(self.y, |l| (base + l < n).then_some(base + l));
+//!         // The last warp's run is partial (`n` = 100 leaves 4 lanes).
+//!         let active = self.n.saturating_sub(base).min(w.lanes());
+//!         let xs = w.ld_run(self.x, base, active);
+//!         let ys = w.ld_run(self.y, base, active);
 //!         w.issue(2); // multiply-add
-//!         let a = self.a;
-//!         w.st(self.y, |l| {
-//!             (base + l < n).then_some((base + l, a * xs[l] + ys[l]))
-//!         });
+//!         let out = std::array::from_fn(|l| self.a * xs[l] + ys[l]);
+//!         w.st_run(self.y, base, active, &out);
 //!     }
 //! }
 //!

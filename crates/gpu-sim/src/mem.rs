@@ -41,6 +41,9 @@ pub(crate) struct SectorGeometry {
 
 impl SectorGeometry {
     pub(crate) fn new(sector_bytes: usize) -> Self {
+        // A run of consecutive words then touches every sector between its
+        // first and its last (what `WarpCtx::ld_run` relies on).
+        assert!(sector_bytes >= 4, "a sector holds at least one word");
         let sector_bytes = sector_bytes as u64;
         let row_sectors = (DRAM_ROW_BYTES / sector_bytes).max(1);
         Self {
@@ -178,10 +181,31 @@ impl<'a> BufferView<'a> {
             None => illegal_access(idx, self.words.len()),
         }
     }
+
+    /// Words `start..start + len` and the simulated byte address of the
+    /// first: one bounds check for a whole contiguous request. Panics if
+    /// any of it is out of bounds (a simulated illegal memory access).
+    #[inline]
+    pub(crate) fn run(&self, start: usize, len: usize) -> (&'a [AtomicU32], u64) {
+        match start
+            .checked_add(len)
+            .and_then(|end| self.words.get(start..end))
+        {
+            Some(words) => (words, self.addr + (start as u64) * 4),
+            None => illegal_access(
+                start.saturating_add(len).saturating_sub(1),
+                self.words.len(),
+            ),
+        }
+    }
 }
 
 struct Storage {
     words: Box<[AtomicU32]>,
+    /// Base address of the allocation living here. Addresses are never
+    /// reissued, so a handle whose address differs is stale: its buffer
+    /// was freed and the slot taken by a later one.
+    addr: u64,
 }
 
 /// The simulated global memory of one device: allocator plus storage.
@@ -190,8 +214,13 @@ struct Storage {
 /// materialize intermediates (like DGL's 18-kernel GAT) report the larger
 /// footprints the paper observes in Table 3.
 pub struct DeviceMemory {
+    /// Slot table, indexed by `DeviceBuffer::id`. A freed slot is reused
+    /// by the next allocation, so the table grows to the largest number
+    /// of buffers ever live at once, not the number ever allocated.
     buffers: Vec<Option<Storage>>,
-    addrs: Vec<(u64, usize)>,
+    free_slots: Vec<usize>,
+    /// Simulated addresses only ever bump: fresh addresses per launch are
+    /// what stop one batch's sectors hitting another's in the modelled L2.
     next_addr: u64,
     current_bytes: u64,
     peak_bytes: u64,
@@ -206,7 +235,7 @@ impl DeviceMemory {
     pub fn new() -> Self {
         Self {
             buffers: Vec::new(),
-            addrs: Vec::new(),
+            free_slots: Vec::new(),
             next_addr: Self::ALLOC_ALIGN,
             current_bytes: 0,
             peak_bytes: 0,
@@ -231,9 +260,17 @@ impl DeviceMemory {
         self.next_addr += bytes.div_ceil(Self::ALLOC_ALIGN).max(1) * Self::ALLOC_ALIGN;
         self.current_bytes += bytes;
         self.peak_bytes = self.peak_bytes.max(self.current_bytes);
-        let id = self.buffers.len();
-        self.buffers.push(Some(Storage { words }));
-        self.addrs.push((addr, len));
+        let storage = Some(Storage { words, addr });
+        let id = match self.free_slots.pop() {
+            Some(id) => {
+                self.buffers[id] = storage;
+                id
+            }
+            None => {
+                self.buffers.push(storage);
+                self.buffers.len() - 1
+            }
+        };
         DeviceBuffer {
             id,
             addr,
@@ -249,7 +286,9 @@ impl DeviceMemory {
             .buffers
             .get_mut(buf.id)
             .expect("free of unknown buffer");
-        if slot.take().is_some() {
+        if slot.as_ref().is_some_and(|s| s.addr == buf.addr) {
+            *slot = None;
+            self.free_slots.push(buf.id);
             self.current_bytes -= (buf.len as u64) * 4;
         } else {
             panic!("double free of device buffer {}", buf.id);
@@ -258,7 +297,7 @@ impl DeviceMemory {
 
     /// Copy a buffer's contents back to the host.
     pub fn read_vec<T: Word>(&self, buf: DeviceBuffer<T>) -> Vec<T> {
-        let storage = self.storage(buf.id);
+        let storage = self.storage(buf);
         storage
             .words
             .iter()
@@ -269,7 +308,7 @@ impl DeviceMemory {
     /// Overwrite a buffer's contents from a host slice (host-to-device copy).
     pub fn write_slice<T: Word>(&self, buf: DeviceBuffer<T>, data: &[T]) {
         assert_eq!(data.len(), buf.len, "write_slice length mismatch");
-        let storage = self.storage(buf.id);
+        let storage = self.storage(buf);
         for (w, v) in storage.words.iter().zip(data) {
             w.store(v.to_bits(), Ordering::Relaxed);
         }
@@ -277,7 +316,7 @@ impl DeviceMemory {
 
     /// Fill a buffer with a single value (device-side memset).
     pub fn fill<T: Word>(&self, buf: DeviceBuffer<T>, value: T) {
-        let storage = self.storage(buf.id);
+        let storage = self.storage(buf);
         let bits = value.to_bits();
         for w in storage.words.iter() {
             w.store(bits, Ordering::Relaxed);
@@ -301,11 +340,12 @@ impl DeviceMemory {
     }
 
     #[inline]
-    fn storage(&self, id: usize) -> &Storage {
+    fn storage<T>(&self, buf: DeviceBuffer<T>) -> &Storage {
         self.buffers
-            .get(id)
+            .get(buf.id)
             .expect("unknown device buffer")
             .as_ref()
+            .filter(|s| s.addr == buf.addr)
             .expect("use after free of device buffer")
     }
 
@@ -316,7 +356,7 @@ impl DeviceMemory {
     #[inline]
     pub(crate) fn view<T>(&self, buf: DeviceBuffer<T>) -> BufferView<'_> {
         BufferView {
-            words: &self.storage(buf.id).words,
+            words: &self.storage(buf).words,
             addr: buf.addr,
         }
     }
@@ -427,6 +467,60 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "use after free")]
+    fn stale_handle_to_a_reused_slot_panics() {
+        let mut mem = DeviceMemory::new();
+        let a = mem.alloc::<f32>(4);
+        mem.free(a);
+        let b = mem.alloc::<f32>(4);
+        assert_eq!(a.id, b.id, "the freed slot is reused");
+        let _ = mem.read_vec(a);
+    }
+
+    #[test]
+    #[should_panic(expected = "double free")]
+    fn double_free_panics() {
+        let mut mem = DeviceMemory::new();
+        let a = mem.alloc::<f32>(4);
+        mem.free(a);
+        mem.free(a);
+    }
+
+    #[test]
+    #[should_panic(expected = "double free")]
+    fn double_free_of_a_reused_slot_panics() {
+        let mut mem = DeviceMemory::new();
+        let a = mem.alloc::<f32>(4);
+        mem.free(a);
+        let _b = mem.alloc::<f32>(4);
+        mem.free(a);
+    }
+
+    #[test]
+    fn slot_table_is_bounded_by_live_buffers() {
+        let mut mem = DeviceMemory::new();
+        let resident = mem.alloc_from(&[1.0f32, 2.0]);
+        let mut last_addr = resident.addr;
+        for cycle in 0..10_000usize {
+            // A serving worker's batch: a few buffers up, then all down.
+            let bufs: Vec<_> = (0..19)
+                .map(|i| mem.alloc::<f32>(1 + (cycle + i) % 7))
+                .collect();
+            for b in &bufs {
+                assert!(b.addr > last_addr, "addresses only ever bump");
+                last_addr = b.addr;
+            }
+            for b in bufs {
+                mem.free(b);
+            }
+        }
+        assert_eq!(mem.buffers.len(), 1 + 19, "the live high-water mark");
+        assert_eq!(mem.free_slots.len(), 19);
+        assert_eq!(mem.current_bytes(), 8);
+        assert_eq!(mem.read_vec(resident), vec![1.0, 2.0]);
+    }
+
+    #[test]
     #[should_panic(expected = "illegal device memory access")]
     fn out_of_bounds_addr_panics() {
         let mut mem = DeviceMemory::new();
@@ -440,6 +534,29 @@ mod tests {
         let mut mem = DeviceMemory::new();
         let a = mem.alloc::<f32>(4);
         let _ = mem.view(a).at(4);
+    }
+
+    #[test]
+    #[should_panic(expected = "illegal device memory access")]
+    fn out_of_bounds_run_panics() {
+        let mut mem = DeviceMemory::new();
+        let a = mem.alloc::<f32>(4);
+        let _ = mem.view(a).run(2, 3);
+    }
+
+    #[test]
+    fn run_is_the_slice_at_would_walk() {
+        let mut mem = DeviceMemory::new();
+        let _pad = mem.alloc::<f32>(5);
+        let a = mem.alloc_from(&[1.0f32, 2.0, 3.0, 4.0]);
+        let (words, addr) = mem.view(a).run(1, 3);
+        assert_eq!(addr, a.addr_of(1));
+        let vals: Vec<f32> = words
+            .iter()
+            .map(|w| f32::from_bits(w.load(Ordering::Relaxed)))
+            .collect();
+        assert_eq!(vals, vec![2.0, 3.0, 4.0]);
+        assert_eq!(mem.view(a).run(4, 0).0.len(), 0);
     }
 
     #[test]

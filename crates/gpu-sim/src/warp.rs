@@ -2,13 +2,29 @@
 //! against, and the per-warp statistics it records.
 //!
 //! A kernel's `run_warp` receives a [`WarpCtx`] and expresses its work as
-//! warp-wide operations: SIMD issue ([`WarpCtx::issue`]), coalescable
-//! global loads/stores (closure maps lane → element index, `None` = lane
-//! inactive), atomics, shared memory, and barriers. Every operation both
+//! warp-wide operations: SIMD issue ([`WarpCtx::issue`]), global loads and
+//! stores, atomics, shared memory, and barriers. Every operation both
 //! *performs* the data movement against [`DeviceMemory`] (results are real)
 //! and *accounts* its cost: lane addresses are grouped into 32-byte sectors,
 //! sectors probe the L1/L2 models, and latencies/traffic accumulate into
 //! [`WarpStats`].
+//!
+//! A load or store request comes in two forms that model the same thing
+//! and are priced by the same code:
+//!
+//! * the **run form** — [`WarpCtx::ld_run`] / [`WarpCtx::st_run`]: lanes
+//!   `0..active` touch elements `start..start + active`. This is what a
+//!   feature-parallel kernel issues (32 lanes over 32 consecutive feature
+//!   dimensions, the last tile partial), and the simulator executes it as
+//!   one slice and one sector range;
+//! * the **closure form** — [`WarpCtx::ld`] / [`WarpCtx::st`]: a closure
+//!   maps lane → element index, `None` = lane inactive. For everything
+//!   irregular: gathers through an index array, strided access, sub-warp
+//!   packing, lanes masked by anything other than a prefix.
+//!
+//! A contiguous prefix handed to the closure form yields the same values,
+//! counters and cache state as the run form (a differential test holds
+//! them together); the run form only spares the host the per-lane work.
 
 use std::sync::atomic::Ordering;
 
@@ -264,9 +280,47 @@ impl<'a> WarpCtx<'a> {
         }
         self.issue_simd(1, active);
         if active > 0 {
-            self.account_load(&sectors.0[..sectors.1]);
+            self.account_load(sectors.0[..sectors.1].iter().copied());
         }
         out
+    }
+
+    /// Coalesced warp load, run form: lane `l < active` reads element
+    /// `start + l`. Returns one value per lane (the rest get
+    /// `T::default()`). Same request, same accounting as [`Self::ld`] over
+    /// `|l| (l < active).then(|| start + l)`.
+    pub fn ld_run<T: Word>(
+        &mut self,
+        buf: DeviceBuffer<T>,
+        start: usize,
+        active: usize,
+    ) -> [T; WARP_SIZE] {
+        let view = self.mem.view(buf);
+        let mut out = [T::default(); WARP_SIZE];
+        self.issue_simd(1, active);
+        if active > 0 {
+            let (words, first) = view.run(start, active);
+            for (slot, word) in out.iter_mut().zip(words) {
+                *slot = T::from_bits(word.load(Ordering::Relaxed));
+            }
+            let sectors = self.run_sectors(first, active);
+            self.account_load(sectors);
+        }
+        out
+    }
+
+    /// Sectors of `active` consecutive words from byte address `first`,
+    /// ascending: the order and the dedup [`push_sector`] arrives at when
+    /// the lanes walk the same words one by one.
+    #[inline]
+    fn run_sectors(&self, first: u64, active: usize) -> impl ExactSizeIterator<Item = u64> {
+        assert!(
+            active <= WARP_SIZE,
+            "a request has at most {WARP_SIZE} lanes"
+        );
+        let lo = self.geometry.sector_of(first);
+        let hi = self.geometry.sector_of(first + (active as u64 - 1) * 4);
+        (0..(hi - lo + 1) as usize).map(move |i| lo + i as u64)
     }
 
     /// Load a single element, broadcast to the warp (all lanes read the
@@ -275,18 +329,24 @@ impl<'a> WarpCtx<'a> {
         let (word, addr) = self.mem.view(buf).at(idx);
         let v = T::from_bits(word.load(Ordering::Relaxed));
         self.issue(1);
-        self.account_load(&[self.geometry.sector_of(addr)]);
+        self.account_load(std::iter::once(self.geometry.sector_of(addr)));
         v
     }
 
-    fn account_load(&mut self, sectors: &[u64]) {
+    /// The one place a load request is priced, whichever form built its
+    /// sector list. Inlined into each request, so a kernel's call sites
+    /// are specialised (one sector, a range) rather than funnelled through
+    /// one shared copy.
+    #[inline]
+    fn account_load(&mut self, sectors: impl ExactSizeIterator<Item = u64>) {
         let st = &mut self.stats;
+        let n = sectors.len() as u64;
         st.mem_requests += 1;
-        st.mem_sectors += sectors.len() as u64;
+        st.mem_sectors += n;
         // LSU wavefront replays: one per sector, consuming issue slots.
-        st.issue_cycles += (sectors.len() as f64 * self.cfg.lsu_cycles_per_sector) as u64;
+        st.issue_cycles += (n as f64 * self.cfg.lsu_cycles_per_sector) as u64;
         let mut worst = 0u64;
-        for &s in sectors {
+        for s in sectors {
             let lvl_lat = if self.l1.access(s) {
                 st.l1_hit_sectors += 1;
                 self.cfg.l1_latency
@@ -312,7 +372,7 @@ impl<'a> WarpCtx<'a> {
         }
         // Extra sectors in one request are issued back to back by the
         // memory controller: serialization on top of the slowest hit level.
-        st.mem_lat_cycles += worst + (sectors.len() as u64 - 1) * self.cfg.sector_issue_cycles;
+        st.mem_lat_cycles += worst + (n - 1) * self.cfg.sector_issue_cycles;
     }
 
     // ---- global memory: stores ----
@@ -338,17 +398,46 @@ impl<'a> WarpCtx<'a> {
         }
         self.issue_simd(1, active);
         if active > 0 {
-            let st = &mut self.stats;
-            st.store_requests += 1;
-            st.store_sectors += sectors.1 as u64;
-            st.issue_cycles += (sectors.1 as f64 * self.cfg.lsu_cycles_per_sector) as u64;
-            // Write-through: data lands in L2 (so later loads may hit).
-            for &s in &sectors.0[..sectors.1] {
-                self.l2.access(s);
-                self.l1.invalidate(s);
-            }
-            st.issue_cycles += (sectors.1 as u64 - 1) * self.cfg.sector_issue_cycles;
+            self.account_store(sectors.0[..sectors.1].iter().copied());
         }
+    }
+
+    /// Coalesced warp store, run form: lane `l < active` writes `vals[l]`
+    /// to element `start + l`. Same request, same accounting as
+    /// [`Self::st`] over `|l| (l < active).then(|| (start + l, vals[l]))`.
+    pub fn st_run<T: Word>(
+        &mut self,
+        buf: DeviceBuffer<T>,
+        start: usize,
+        active: usize,
+        vals: &[T; WARP_SIZE],
+    ) {
+        let view = self.mem.view(buf);
+        self.issue_simd(1, active);
+        if active > 0 {
+            let (words, first) = view.run(start, active);
+            for (word, v) in words.iter().zip(vals) {
+                word.store(v.to_bits(), Ordering::Relaxed);
+            }
+            let sectors = self.run_sectors(first, active);
+            self.account_store(sectors);
+        }
+    }
+
+    /// The one place a store request is priced (see [`Self::account_load`]).
+    #[inline]
+    fn account_store(&mut self, sectors: impl ExactSizeIterator<Item = u64>) {
+        let st = &mut self.stats;
+        let n = sectors.len() as u64;
+        st.store_requests += 1;
+        st.store_sectors += n;
+        st.issue_cycles += (n as f64 * self.cfg.lsu_cycles_per_sector) as u64;
+        // Write-through: data lands in L2 (so later loads may hit).
+        for s in sectors {
+            self.l2.access(s);
+            self.l1.invalidate(s);
+        }
+        st.issue_cycles += (n - 1) * self.cfg.sector_issue_cycles;
     }
 
     // ---- atomics ----
@@ -500,6 +589,7 @@ impl<'a> WarpCtx<'a> {
 mod tests {
     use super::*;
     use crate::config::DeviceConfig;
+    use proptest::prelude::*;
 
     fn harness() -> (DeviceMemory, SectorCache, SectorCache, DeviceConfig) {
         let cfg = DeviceConfig::test_small();
@@ -602,6 +692,132 @@ mod tests {
         assert_eq!(w.stats.store_sectors, 4);
         let _ = w;
         assert_eq!(mem.read_vec(buf)[31], 62.0);
+    }
+
+    /// Everything a sequence of requests leaves behind that the model can
+    /// see: the lanes each load returned, the buffer's final contents,
+    /// every `WarpStats` field, `(hits, misses, evictions)` of the L1 and
+    /// the L2, and both caches' answers to a follow-up access stream —
+    /// which depend on recency order within each set, not just on counts.
+    type Observed = (
+        Vec<[u32; WARP_SIZE]>,
+        Vec<u32>,
+        String,
+        [(u64, u64, u64); 2],
+        Vec<(bool, bool)>,
+    );
+
+    /// Drive `(is_store, start, active)` requests over a `len`-word buffer
+    /// through the run form or through the closure form it replaces.
+    fn drive(
+        sector_bytes: usize,
+        len: usize,
+        ops: &[(bool, usize, usize)],
+        run_form: bool,
+    ) -> Observed {
+        let cfg = DeviceConfig {
+            sector_bytes,
+            ..DeviceConfig::test_small()
+        };
+        let mut mem = DeviceMemory::new();
+        let data: Vec<u32> = (0..len as u32)
+            .map(|i| i.wrapping_mul(2_654_435_761))
+            .collect();
+        let buf = mem.alloc_from(&data);
+        // Eight sectors of L1 and the smallest L2: requests evict.
+        let mut l1 = SectorCache::new(8 * sector_bytes, sector_bytes);
+        let mut l2 = SectorCache::sliced(0, sector_bytes);
+        let mut shared = [];
+        let mut w = warp(&mem, &mut l1, &mut l2, &cfg, &mut shared);
+        let mut lanes = Vec::new();
+        for (i, &(is_store, start, active)) in ops.iter().enumerate() {
+            let vals: [u32; WARP_SIZE] = std::array::from_fn(|l| (i * WARP_SIZE + l) as u32);
+            match (is_store, run_form) {
+                (false, true) => lanes.push(w.ld_run(buf, start, active)),
+                (false, false) => lanes.push(w.ld(buf, |l| (l < active).then(|| start + l))),
+                (true, true) => w.st_run(buf, start, active, &vals),
+                (true, false) => w.st(buf, |l| (l < active).then(|| (start + l, vals[l]))),
+            }
+        }
+        let stats = format!("{:?}", w.stats);
+        let counts = [&l1, &l2].map(|c| (c.hits(), c.misses(), c.evictions()));
+        let first = buf.addr_of(0) / sector_bytes as u64;
+        let span = (len * 4).div_ceil(sector_bytes) as u64 + 16;
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        let follow_up = (0..512)
+            .map(|_| {
+                x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+                let sector = first.saturating_sub(8) + (x >> 33) % span;
+                (l1.access(sector), l2.access(sector))
+            })
+            .collect();
+        (lanes, mem.read_vec(buf), stats, counts, follow_up)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The run form is the closure form over a contiguous prefix: same
+        /// lanes, same memory, same counters, same cache state.
+        #[test]
+        fn run_form_equals_closure_form(
+            width in 0usize..5,
+            len in 32usize..700,
+            raw_ops in proptest::collection::vec((any::<bool>(), 0usize..4096, 0usize..=32), 1..24),
+        ) {
+            // 32 B is every stock device; 24 and 48 do not divide the
+            // 256 B allocation alignment evenly; 4 is one word per sector.
+            let sector_bytes = [32, 24, 48, 64, 4][width];
+            let ops: Vec<_> = raw_ops
+                .into_iter()
+                .map(|(is_store, start, active)| (is_store, start % (len - active + 1), active))
+                .collect();
+            prop_assert_eq!(
+                drive(sector_bytes, len, &ops, true),
+                drive(sector_bytes, len, &ops, false)
+            );
+        }
+    }
+
+    #[test]
+    fn empty_run_charges_an_issue_slot_and_no_request() {
+        let (mut mem, mut l1, mut l2, cfg) = harness();
+        let buf = mem.alloc::<f32>(8);
+        let mut shared = [];
+        let mut w = warp(&mem, &mut l1, &mut l2, &cfg, &mut shared);
+        // Past the end, but no lane is active: nothing is touched.
+        assert_eq!(w.ld_run(buf, 100, 0), [0.0; WARP_SIZE]);
+        w.st_run(buf, 100, 0, &[1.0; WARP_SIZE]);
+        assert_eq!((w.stats.insts, w.stats.issue_cycles), (2, 2));
+        assert_eq!(
+            (w.stats.active_lane_steps, w.stats.total_lane_steps),
+            (0, 64)
+        );
+        assert_eq!((w.stats.mem_requests, w.stats.store_requests), (0, 0));
+        assert_eq!((w.stats.mem_sectors, w.stats.store_sectors), (0, 0));
+        let _ = w;
+        assert_eq!((l1.misses(), l2.misses()), (0, 0));
+        assert_eq!(mem.read_vec(buf), vec![0.0; 8]);
+    }
+
+    #[test]
+    #[should_panic(expected = "illegal device memory access")]
+    fn run_load_past_the_end_is_an_illegal_access() {
+        let (mut mem, mut l1, mut l2, cfg) = harness();
+        let buf = mem.alloc::<f32>(40);
+        let mut shared = [];
+        let mut w = warp(&mem, &mut l1, &mut l2, &cfg, &mut shared);
+        let _ = w.ld_run(buf, 32, 9);
+    }
+
+    #[test]
+    #[should_panic(expected = "illegal device memory access")]
+    fn run_store_past_the_end_is_an_illegal_access() {
+        let (mut mem, mut l1, mut l2, cfg) = harness();
+        let buf = mem.alloc::<f32>(40);
+        let mut shared = [];
+        let mut w = warp(&mem, &mut l1, &mut l2, &cfg, &mut shared);
+        w.st_run(buf, 39, 2, &[0.0; WARP_SIZE]);
     }
 
     #[test]
