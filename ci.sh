@@ -20,22 +20,52 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "=== one home ==="
 # Things that were deleted stay deleted: the sequential rayon stand-in
 # and the unused crossbeam shim (host parallelism is tlpgnn_tensor::pool),
-# the parking_lot shim (its one user, gpu-sim's L2, needs no lock), and
-# the second JSON implementation (everything goes through
-# telemetry::json).
-if grep -qE '^name = "(rayon|crossbeam|parking_lot)"' Cargo.lock; then
-  echo "one home: rayon/crossbeam/parking_lot are back in Cargo.lock" >&2
+# the parking_lot shim (its one user, gpu-sim's L2, needs no lock), the
+# second JSON implementation (everything goes through
+# telemetry::json), the marker-only serde shims (nothing serialises
+# through serde), and the one-program-per-experiment binaries (an
+# experiment is a row of the registry in crates/bench/src/experiments/,
+# run as `repro <name>`; the ten programs left each have a flag grammar
+# and exit-code contract of their own).
+if grep -qE '^name = "(rayon|crossbeam|parking_lot|serde|serde_derive)"' Cargo.lock; then
+  echo "one home: rayon/crossbeam/parking_lot/serde are back in Cargo.lock" >&2
   exit 1
 fi
 if [ -e crates/conformance/src/json.rs ]; then
   echo "one home: crates/conformance/src/json.rs is back (use telemetry::json)" >&2
   exit 1
 fi
+bench_bins="$(LC_ALL=C ls crates/bench/src/bin | xargs)"
+if [ "${bench_bins}" != "chaos_bench.rs conformance_fuzz.rs dynamic_bench.rs gnnconv.rs perf_gate.rs perf_report.rs repro.rs serve_bench.rs shard_bench.rs telemetry_diff.rs" ]; then
+  echo "one home: crates/bench/src/bin/ holds ${bench_bins} (a new experiment is a registry row, not a binary)" >&2
+  exit 1
+fi
 
 echo "=== repro gate ==="
 # Writes results/repro_gate.json (PASS/FAIL per claim) and exits non-zero
-# on any failure. TLPGNN_SCALE keeps it fast on small CI machines.
-./target/release/repro_gate
+# on any failure. Its inputs are sized by a constant (1/8 of the default
+# registry scales), not by TLPGNN_SCALE, so the JSON repeats byte for byte.
+./target/release/repro gate
+
+echo "=== record canary ==="
+# results/<name>.txt is the record EXPERIMENTS.md quotes, and it is only a
+# record while it equals what the code prints. Regenerate, at the default
+# scale, the five experiments that take a few seconds each and compare
+# them byte for byte with the committed files: every experiment draws on
+# the same generators, RNG shim and cost model, so these are the canary
+# for all 17. A change that means to move them reruns
+# ./run_experiments.sh and commits the result.
+canary_dir="$(mktemp -d)"
+for exp in datasets table3 fig8 ext_hetero profile_kernels; do
+  env -u TLPGNN_SCALE -u TLPGNN_QUICK TLPGNN_TELEMETRY=0 \
+    ./target/release/repro "${exp}" > "${canary_dir}/${exp}.txt"
+  if ! cmp "results/${exp}.txt" "${canary_dir}/${exp}.txt"; then
+    echo "record canary: results/${exp}.txt is not what \`repro ${exp}\` prints; rerun ./run_experiments.sh" >&2
+    exit 1
+  fi
+done
+rm -rf "${canary_dir}"
+echo "record canary: 5 records identical"
 
 echo "=== conformance smoke ==="
 # Seeded differential/metamorphic fuzz over all 16 backends; exits

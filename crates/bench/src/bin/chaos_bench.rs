@@ -52,7 +52,7 @@ use std::time::{Duration, Instant};
 use gpu_sim::FaultPlan;
 use telemetry::TraceChain;
 use tlpgnn::{EngineOptions, GnnModel, GnnNetwork, TlpgnnEngine};
-use tlpgnn_bench as bench;
+use tlpgnn_bench::{self as bench, cli::flag};
 use tlpgnn_graph::{generators, subgraph, Csr};
 use tlpgnn_serve::{
     GnnServer, GraphMutation, Request, RetryPolicy, ServeConfig, ServeError, ShardedConfig,
@@ -93,26 +93,18 @@ impl Default for Args {
 
 fn parse_args() -> Args {
     let mut a = Args::default();
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        if flag == "--smoke" {
-            a.smoke = true;
-            continue;
-        }
-        let v = it
-            .next()
-            .unwrap_or_else(|| panic!("flag {flag} needs a value"));
-        match flag.as_str() {
-            "--vertices" => a.vertices = v.parse().expect("--vertices"),
-            "--edges" => a.edges = v.parse().expect("--edges"),
-            "--feat" => a.feat = v.parse().expect("--feat"),
-            "--hidden" => a.hidden = v.parse().expect("--hidden"),
-            "--classes" => a.classes = v.parse().expect("--classes"),
-            "--requests" => a.requests = v.parse().expect("--requests"),
-            "--seed" => a.seed = v.parse().expect("--seed"),
-            other => panic!("unknown flag {other} (see chaos_bench source for the flag list)"),
-        }
-    }
+    a.smoke = bench::cli::parse_or_exit(
+        "chaos_bench",
+        &mut [
+            flag("--vertices", &mut a.vertices),
+            flag("--edges", &mut a.edges),
+            flag("--feat", &mut a.feat),
+            flag("--hidden", &mut a.hidden),
+            flag("--classes", &mut a.classes),
+            flag("--requests", &mut a.requests),
+            flag("--seed", &mut a.seed),
+        ],
+    );
     if a.smoke {
         a.vertices = a.vertices.min(600);
         a.edges = a.edges.min(3_000);
@@ -1459,7 +1451,8 @@ fn main() {
     let args = parse_args();
     let scope = bench::telemetry_scope("chaos_bench");
     telemetry::flight::recorder().set_dump_dir(bench::results_dir());
-    bench::print_header("chaos_bench: fault-injection SLO gate for the serving stack");
+    bench::Env::from_env()
+        .print_header("chaos_bench: fault-injection SLO gate for the serving stack");
     println!(
         "graph: rmat {}v/{}e | net: {}->{}->{} GCN | {} reqs/scenario | seed {} | {}",
         args.vertices,

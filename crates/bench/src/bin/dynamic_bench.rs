@@ -33,7 +33,7 @@ use std::time::{Duration, Instant};
 
 use gpu_sim::DeviceConfig;
 use tlpgnn::{EngineOptions, GnnModel, GnnNetwork, TlpgnnEngine};
-use tlpgnn_bench as bench;
+use tlpgnn_bench::{self as bench, cli::flag};
 use tlpgnn_graph::{generators, subgraph, Csr, DeltaGraph};
 use tlpgnn_serve::{GnnServer, GraphMutation, Request, ServeConfig};
 use tlpgnn_tensor::Matrix;
@@ -71,28 +71,20 @@ impl Default for Args {
 
 fn parse_args() -> Args {
     let mut a = Args::default();
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        if flag == "--smoke" {
-            a.smoke = true;
-            continue;
-        }
-        let v = it
-            .next()
-            .unwrap_or_else(|| panic!("flag {flag} needs a value"));
-        match flag.as_str() {
-            "--vertices" => a.vertices = v.parse().expect("--vertices"),
-            "--edges" => a.edges = v.parse().expect("--edges"),
-            "--feat" => a.feat = v.parse().expect("--feat"),
-            "--hidden" => a.hidden = v.parse().expect("--hidden"),
-            "--classes" => a.classes = v.parse().expect("--classes"),
-            "--mutations" => a.mutations = v.parse().expect("--mutations"),
-            "--requests" => a.requests = v.parse().expect("--requests"),
-            "--fanout" => a.fanout = v.parse().expect("--fanout"),
-            "--seed" => a.seed = v.parse().expect("--seed"),
-            other => panic!("unknown flag {other} (see dynamic_bench source for the flag list)"),
-        }
-    }
+    a.smoke = bench::cli::parse_or_exit(
+        "dynamic_bench",
+        &mut [
+            flag("--vertices", &mut a.vertices),
+            flag("--edges", &mut a.edges),
+            flag("--feat", &mut a.feat),
+            flag("--hidden", &mut a.hidden),
+            flag("--classes", &mut a.classes),
+            flag("--mutations", &mut a.mutations),
+            flag("--requests", &mut a.requests),
+            flag("--fanout", &mut a.fanout),
+            flag("--seed", &mut a.seed),
+        ],
+    );
     if a.smoke {
         a.vertices = a.vertices.min(1_000);
         a.edges = a.edges.min(5_000);
@@ -489,7 +481,7 @@ fn compaction_phase(args: &Args) -> PhaseOutcome {
 
 fn main() {
     let args = parse_args();
-    bench::print_header("dynamic_bench: streaming mutations / epoch snapshots");
+    bench::Env::from_env().print_header("dynamic_bench: streaming mutations / epoch snapshots");
     let scope = bench::telemetry_scope("dynamic_bench");
 
     let phases = vec![

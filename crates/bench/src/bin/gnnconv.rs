@@ -111,7 +111,11 @@ fn load_graph(a: &Args) -> (String, Csr, DeviceConfig) {
             exit(2);
         });
         let g = spec.load_scaled(a.scale);
-        (spec.name.to_string(), g, bench::device_for(spec))
+        (
+            spec.name.to_string(),
+            g,
+            bench::Env::from_env().device_for(spec),
+        )
     }
 }
 

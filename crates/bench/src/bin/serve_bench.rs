@@ -28,11 +28,11 @@
 //! `--hops` [1], `--seed` [42], `--smoke` (small graph + short run +
 //! relaxed thresholds, for CI).
 
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use tlpgnn::{GnnModel, GnnNetwork};
-use tlpgnn_bench as bench;
+use tlpgnn_bench::load::{closed_loop, Load};
+use tlpgnn_bench::{self as bench, cli::flag};
 use tlpgnn_graph::{generators, Csr};
 use tlpgnn_serve::{GnnServer, Request, ServeConfig, ServeError, ZipfSampler};
 use tlpgnn_tensor::Matrix;
@@ -85,33 +85,25 @@ impl Default for Args {
 
 fn parse_args() -> Args {
     let mut a = Args::default();
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        if flag == "--smoke" {
-            a.smoke = true;
-            continue;
-        }
-        let v = it
-            .next()
-            .unwrap_or_else(|| panic!("flag {flag} needs a value"));
-        match flag.as_str() {
-            "--vertices" => a.vertices = v.parse().expect("--vertices"),
-            "--edges" => a.edges = v.parse().expect("--edges"),
-            "--feat" => a.feat = v.parse().expect("--feat"),
-            "--hidden" => a.hidden = v.parse().expect("--hidden"),
-            "--classes" => a.classes = v.parse().expect("--classes"),
-            "--workers" => a.workers = v.parse().expect("--workers"),
-            "--max-batch" => a.max_batch = v.parse().expect("--max-batch"),
-            "--max-wait-ms" => a.max_wait_ms = v.parse().expect("--max-wait-ms"),
-            "--cache" => a.cache = v.parse().expect("--cache"),
-            "--zipf" => a.zipf = v.parse().expect("--zipf"),
-            "--clients" => a.clients = v.parse().expect("--clients"),
-            "--requests" => a.requests = v.parse().expect("--requests"),
-            "--hops" => a.hops = v.parse().expect("--hops"),
-            "--seed" => a.seed = v.parse().expect("--seed"),
-            other => panic!("unknown flag {other} (see serve_bench source for the flag list)"),
-        }
-    }
+    a.smoke = bench::cli::parse_or_exit(
+        "serve_bench",
+        &mut [
+            flag("--vertices", &mut a.vertices),
+            flag("--edges", &mut a.edges),
+            flag("--feat", &mut a.feat),
+            flag("--hidden", &mut a.hidden),
+            flag("--classes", &mut a.classes),
+            flag("--workers", &mut a.workers),
+            flag("--max-batch", &mut a.max_batch),
+            flag("--max-wait-ms", &mut a.max_wait_ms),
+            flag("--cache", &mut a.cache),
+            flag("--zipf", &mut a.zipf),
+            flag("--clients", &mut a.clients),
+            flag("--requests", &mut a.requests),
+            flag("--hops", &mut a.hops),
+            flag("--seed", &mut a.seed),
+        ],
+    );
     if a.smoke {
         // Small enough for a CI smoke step, big enough to batch and to
         // repeat hot vertices.
@@ -139,7 +131,7 @@ struct PhaseOutcome {
 
 /// Run one closed-loop phase: `clients` threads, each `requests`
 /// submit-then-wait round trips with Zipf-drawn single-vertex targets.
-fn closed_loop(
+fn closed_loop_phase(
     name: &'static str,
     args: &Args,
     cfg: ServeConfig,
@@ -147,49 +139,21 @@ fn closed_loop(
     x: &Matrix,
     net: &GnnNetwork,
 ) -> PhaseOutcome {
-    let server = Arc::new(GnnServer::start(cfg, g.clone(), x.clone(), net.clone()));
-    let t0 = Instant::now();
-    let mut clients = Vec::new();
-    for c in 0..args.clients {
-        let server = Arc::clone(&server);
-        let n = args.vertices;
-        let (zipf, hops, requests) = (args.zipf, args.hops, args.requests);
-        let seed = args.seed ^ (0xc11e | (c as u64) << 32);
-        clients.push(std::thread::spawn(move || {
-            let mut sampler = ZipfSampler::new(n, zipf, seed);
-            let mut latencies = telemetry::Histogram::default();
-            let mut rejected = 0u64;
-            for _ in 0..requests {
-                let target = sampler.sample();
-                let t = Instant::now();
-                match server.submit(Request::with_hops(vec![target], hops)) {
-                    Ok(handle) => {
-                        handle.wait().expect("accepted request must be served");
-                        latencies.observe(t.elapsed().as_secs_f64() * 1e3);
-                    }
-                    Err(ServeError::Overloaded) => rejected += 1,
-                    Err(e) => panic!("unexpected serve error: {e}"),
-                }
-            }
-            (latencies, rejected)
-        }));
-    }
-    let mut latencies = telemetry::Histogram::default();
-    let mut client_rejected = 0u64;
-    for c in clients {
-        let (h, r) = c.join().expect("client thread");
-        for &v in h.samples() {
-            latencies.observe(v);
-        }
-        client_rejected += r;
-    }
-    let elapsed = t0.elapsed().as_secs_f64();
-    let server = Arc::try_unwrap(server).ok().expect("clients dropped");
+    let server = GnnServer::start(cfg, g.clone(), x.clone(), net.clone());
+    let load = Load {
+        clients: args.clients,
+        requests: args.requests,
+        vertices: args.vertices,
+        zipf: args.zipf,
+        hops: args.hops,
+        seed: args.seed ^ 0xc11e,
+    };
+    let out = closed_loop(&load, |rank| rank, |req| server.submit(req));
     let slo = server.slo_report();
     let stats = server.shutdown();
-    let offered = (args.clients * args.requests) as u64;
-    assert_eq!(stats.completed + client_rejected, offered);
-    let throughput = stats.completed as f64 / elapsed.max(1e-9);
+    let offered = out.offered;
+    assert_eq!(stats.completed + out.rejected, offered);
+    let throughput = stats.completed as f64 / out.elapsed_s.max(1e-9);
     telemetry::gauge_set(&format!("serve_bench.{name}.throughput_rps"), throughput);
     telemetry::gauge_set(&format!("serve_bench.{name}.offered"), offered as f64);
     PhaseOutcome {
@@ -198,8 +162,8 @@ fn closed_loop(
         completed: stats.completed,
         rejected: stats.rejected,
         throughput_rps: throughput,
-        p50_ms: latencies.percentile(50.0),
-        p99_ms: latencies.percentile(99.0),
+        p50_ms: out.latencies.percentile(50.0),
+        p99_ms: out.latencies.percentile(99.0),
         mean_batch: stats.completed as f64 / (stats.batches.max(1)) as f64,
         cache_hit_rate: stats.cache_hit_rate(),
         slo,
@@ -260,7 +224,7 @@ fn overload_phase(args: &Args, g: &Csr, x: &Matrix, net: &GnnNetwork) -> PhaseOu
 fn main() {
     let args = parse_args();
     let scope = bench::telemetry_scope("serve_bench");
-    bench::print_header("serve_bench: online GNN inference serving under load");
+    bench::Env::from_env().print_header("serve_bench: online GNN inference serving under load");
     println!(
         "graph: rmat {}v/{}e | net: {}->{}->{} GCN | {} clients x {} reqs | zipf {} | hops {} | {}",
         args.vertices,
@@ -292,7 +256,7 @@ fn main() {
         ..ServeConfig::default()
     };
     let phases = vec![
-        closed_loop(
+        closed_loop_phase(
             "batch1",
             &args,
             ServeConfig {
@@ -305,7 +269,7 @@ fn main() {
             &x,
             &net,
         ),
-        closed_loop(
+        closed_loop_phase(
             "dynamic",
             &args,
             ServeConfig {
@@ -318,7 +282,7 @@ fn main() {
             &x,
             &net,
         ),
-        closed_loop(
+        closed_loop_phase(
             "cached",
             &args,
             ServeConfig {

@@ -33,15 +33,13 @@
 //! [1.3], `--clients` [48], `--requests` [500], `--hops` [1], `--seed`
 //! [42], `--smoke` (small graph + short run, for CI).
 
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use tlpgnn::{GnnModel, GnnNetwork};
-use tlpgnn_bench as bench;
+use tlpgnn_bench::load::{closed_loop, Load};
+use tlpgnn_bench::{self as bench, cli::flag};
 use tlpgnn_graph::{generators, Csr};
-use tlpgnn_serve::{
-    GnnServer, Request, ServeConfig, ServeError, ShardedConfig, ShardedServer, ZipfSampler,
-};
+use tlpgnn_serve::{GnnServer, Request, ServeConfig, ShardedConfig, ShardedServer, ZipfSampler};
 use tlpgnn_shard::{graph_bytes, ShardPlan, ShardStore};
 use tlpgnn_tensor::Matrix;
 
@@ -99,35 +97,27 @@ impl Default for Args {
 
 fn parse_args() -> Args {
     let mut a = Args::default();
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        if flag == "--smoke" {
-            a.smoke = true;
-            continue;
-        }
-        let v = it
-            .next()
-            .unwrap_or_else(|| panic!("flag {flag} needs a value"));
-        match flag.as_str() {
-            "--vertices" => a.vertices = v.parse().expect("--vertices"),
-            "--edges" => a.edges = v.parse().expect("--edges"),
-            "--feat" => a.feat = v.parse().expect("--feat"),
-            "--hidden" => a.hidden = v.parse().expect("--hidden"),
-            "--classes" => a.classes = v.parse().expect("--classes"),
-            "--shards" => a.shards = v.parse().expect("--shards"),
-            "--replicate-hot" => a.replicate_hot = v.parse().expect("--replicate-hot"),
-            "--budget-bytes" => a.budget_bytes = v.parse().expect("--budget-bytes"),
-            "--max-batch" => a.max_batch = v.parse().expect("--max-batch"),
-            "--max-wait-ms" => a.max_wait_ms = v.parse().expect("--max-wait-ms"),
-            "--cache" => a.cache = v.parse().expect("--cache"),
-            "--zipf" => a.zipf = v.parse().expect("--zipf"),
-            "--clients" => a.clients = v.parse().expect("--clients"),
-            "--requests" => a.requests = v.parse().expect("--requests"),
-            "--hops" => a.hops = v.parse().expect("--hops"),
-            "--seed" => a.seed = v.parse().expect("--seed"),
-            other => panic!("unknown flag {other} (see shard_bench source for the flag list)"),
-        }
-    }
+    a.smoke = bench::cli::parse_or_exit(
+        "shard_bench",
+        &mut [
+            flag("--vertices", &mut a.vertices),
+            flag("--edges", &mut a.edges),
+            flag("--feat", &mut a.feat),
+            flag("--hidden", &mut a.hidden),
+            flag("--classes", &mut a.classes),
+            flag("--shards", &mut a.shards),
+            flag("--replicate-hot", &mut a.replicate_hot),
+            flag("--budget-bytes", &mut a.budget_bytes),
+            flag("--max-batch", &mut a.max_batch),
+            flag("--max-wait-ms", &mut a.max_wait_ms),
+            flag("--cache", &mut a.cache),
+            flag("--zipf", &mut a.zipf),
+            flag("--clients", &mut a.clients),
+            flag("--requests", &mut a.requests),
+            flag("--hops", &mut a.hops),
+            flag("--seed", &mut a.seed),
+        ],
+    );
     if a.smoke {
         // Still over-budget — the capacity proof must hold in CI too.
         a.vertices = a.vertices.min(6_000);
@@ -309,51 +299,27 @@ struct LoadOutcome {
 }
 
 /// Phase 3: closed-loop Zipfian load routed across the shards.
-fn load_phase(args: &Args, server: Arc<ShardedServer>) -> LoadOutcome {
-    let t0 = Instant::now();
-    let mut clients = Vec::new();
-    for c in 0..args.clients {
-        let server = Arc::clone(&server);
-        let n = args.vertices;
-        let (zipf, hops, requests) = (args.zipf, args.hops, args.requests);
-        let seed = args.seed ^ (0x5a4d | (c as u64) << 32);
-        clients.push(std::thread::spawn(move || {
-            let mut sampler = ZipfSampler::new(n, zipf, seed);
-            let mut latencies = telemetry::Histogram::default();
-            let mut rejected = 0u64;
-            for _ in 0..requests {
-                let target = permute_rank(sampler.sample(), n);
-                let t = Instant::now();
-                match server.submit(Request::with_hops(vec![target], hops)) {
-                    Ok(handle) => {
-                        handle.wait().expect("accepted request must be served");
-                        latencies.observe(t.elapsed().as_secs_f64() * 1e3);
-                    }
-                    Err(ServeError::Overloaded) => rejected += 1,
-                    Err(e) => panic!("unexpected serve error: {e}"),
-                }
-            }
-            (latencies, rejected)
-        }));
-    }
-    let mut latencies = telemetry::Histogram::default();
-    let mut client_rejected = 0u64;
-    for c in clients {
-        let (h, r) = c.join().expect("client thread");
-        for &v in h.samples() {
-            latencies.observe(v);
-        }
-        client_rejected += r;
-    }
-    let elapsed = t0.elapsed().as_secs_f64();
-    let server = Arc::try_unwrap(server).ok().expect("clients dropped");
+fn load_phase(args: &Args, server: ShardedServer) -> LoadOutcome {
+    let load = Load {
+        clients: args.clients,
+        requests: args.requests,
+        vertices: args.vertices,
+        zipf: args.zipf,
+        hops: args.hops,
+        seed: args.seed ^ 0x5a4d,
+    };
+    let out = closed_loop(
+        &load,
+        |rank| permute_rank(rank, args.vertices),
+        |req| server.submit(req),
+    );
     let per_shard_slo: Vec<telemetry::SloReport> = (0..args.shards)
         .map(|i| server.shard_slo_report(i))
         .collect();
     let stats = server.shutdown();
-    let offered = (args.clients * args.requests) as u64;
-    assert_eq!(stats.completed + client_rejected, offered);
-    let throughput = stats.completed as f64 / elapsed.max(1e-9);
+    let offered = out.offered;
+    assert_eq!(stats.completed + out.rejected, offered);
+    let throughput = stats.completed as f64 / out.elapsed_s.max(1e-9);
     telemetry::gauge_set("shard_bench.load.throughput_rps", throughput);
     telemetry::gauge_set("shard_bench.load.offered", offered as f64);
 
@@ -387,8 +353,8 @@ fn load_phase(args: &Args, server: Arc<ShardedServer>) -> LoadOutcome {
         completed: stats.completed,
         rejected: stats.rejected,
         throughput_rps: throughput,
-        p50_ms: latencies.percentile(50.0),
-        p99_ms: latencies.percentile(99.0),
+        p50_ms: out.latencies.percentile(50.0),
+        p99_ms: out.latencies.percentile(99.0),
         stats,
     }
 }
@@ -457,7 +423,7 @@ fn determinism_phase(
 fn main() {
     let args = parse_args();
     let scope = bench::telemetry_scope("shard_bench");
-    bench::print_header("shard_bench: sharded serving beyond single-device memory");
+    bench::Env::from_env().print_header("shard_bench: sharded serving beyond single-device memory");
     println!(
         "graph: rmat {}v/{}e feat {} | {} shards, budget {} B/device, replicate {} | \
          {} clients x {} reqs | zipf {} | hops {} | {}",
@@ -498,12 +464,12 @@ fn main() {
     failures.extend(oracle_phase(&args, &warm, &g, &x, &net));
     drop(warm);
 
-    let server = Arc::new(ShardedServer::start(
+    let server = ShardedServer::start(
         sharded_config(&args, "shard"),
         g.clone(),
         x.clone(),
         net.clone(),
-    ));
+    );
     let load = load_phase(&args, server);
 
     let mut t = bench::Table::new(

@@ -6,20 +6,19 @@
 //! more atomic traffic. This sweep makes that trade-off visible and
 //! compares every point against atomic-free TLPGNN.
 
-use tlpgnn::{Aggregator, EngineOptions, GnnModel, HybridHeuristic, TlpgnnEngine};
+use crate::{self as bench, Env};
+use tlpgnn::{Aggregator, GnnModel};
 use tlpgnn_baselines::AdvisorSystem;
-use tlpgnn_bench as bench;
 use tlpgnn_graph::datasets;
 
 const FEAT: usize = 32;
 const GROUP_SIZES: &[usize] = &[1, 2, 4, 8, 16, 32, 64];
 
-fn main() {
-    let _telemetry = tlpgnn_bench::telemetry_scope("ablation_advisor");
-    bench::print_header("Ablation: GNNAdvisor neighbor-group size (GCN)");
+pub fn run(env: &Env, _args: &[String]) {
+    env.print_header("Ablation: GNNAdvisor neighbor-group size (GCN)");
     for abbr in ["PI", "OA", "OH"] {
         let spec = datasets::by_abbr(abbr).unwrap();
-        let g = bench::load(spec);
+        let g = env.load(spec);
         let x = bench::features(&g, FEAT, 0x7c07);
         let mut t = bench::Table::new(
             format!(
@@ -29,16 +28,9 @@ fn main() {
             ),
             &["group size", "gpu ms", "atomic MB", "groups", "vs TLPGNN"],
         );
-        let mut engine = TlpgnnEngine::new(
-            bench::device_for(spec),
-            EngineOptions {
-                heuristic: HybridHeuristic::scaled(bench::effective_scale(spec)),
-                ..Default::default()
-            },
-        );
-        let (_, p_tlp) = engine.conv(&GnnModel::Gcn, &g, &x);
+        let (_, p_tlp) = env.engine_for(spec).conv(&GnnModel::Gcn, &g, &x);
         for &gs in GROUP_SIZES {
-            let mut sys = AdvisorSystem::new(bench::device_for(spec));
+            let mut sys = AdvisorSystem::new(env.device_for(spec));
             sys.group_size = gs;
             let (_, p) = sys.run(Aggregator::GcnSum, &g, &x);
             let groups =

@@ -13,10 +13,10 @@
 //! An ordering that flips under a ±2–4× knob change would mean the
 //! conclusion was an artifact of calibration; the table shows it is not.
 
+use crate::{self as bench, Env};
 use gpu_sim::DeviceConfig;
 use tlpgnn::{Aggregator, EngineOptions, GnnModel, TlpgnnEngine};
 use tlpgnn_baselines::{DglSystem, EdgeCentricSystem, PushSystem};
-use tlpgnn_bench as bench;
 use tlpgnn_graph::datasets;
 
 const FEAT: usize = 32;
@@ -26,9 +26,9 @@ struct Check {
     detail: String,
 }
 
-fn run_checks(cfg: DeviceConfig) -> Vec<Check> {
+fn run_checks(env: &Env, cfg: DeviceConfig) -> Vec<Check> {
     let spec = datasets::by_abbr("PI").unwrap();
-    let g = spec.load_scaled(bench::extra_scale() * 2);
+    let g = spec.load_scaled(env.extra_scale * 2);
     let x = bench::features(&g, FEAT, 0x7c06);
 
     let mut engine = TlpgnnEngine::new(cfg.clone(), EngineOptions::default());
@@ -92,9 +92,8 @@ fn run_checks(cfg: DeviceConfig) -> Vec<Check> {
     ]
 }
 
-fn main() {
-    let _telemetry = tlpgnn_bench::telemetry_scope("ablation_costmodel");
-    bench::print_header("Ablation: cost-model sensitivity of the headline orderings");
+pub fn run(env: &Env, _args: &[String]) {
+    env.print_header("Ablation: cost-model sensitivity of the headline orderings");
     let base = DeviceConfig::v100();
     let mut variants: Vec<(String, DeviceConfig)> = vec![("baseline".into(), base.clone())];
     for mlp in [5.0, 10.0, 40.0] {
@@ -124,7 +123,7 @@ fn main() {
     );
     let mut all_hold = true;
     for (name, cfg) in variants {
-        let checks = run_checks(cfg);
+        let checks = run_checks(env, cfg);
         all_hold &= checks.iter().all(|c| c.holds);
         t.row(vec![
             name,

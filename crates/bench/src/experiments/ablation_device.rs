@@ -6,26 +6,16 @@
 //! A100-class device (more SMs, 6.7× the L2, ~2× bandwidth) and checks
 //! the winner is the same everywhere.
 
+use crate::{self as bench, Env};
 use gpu_sim::DeviceConfig;
-use tlpgnn::{EngineOptions, GnnModel, HybridHeuristic, TlpgnnEngine};
+use tlpgnn::GnnModel;
 use tlpgnn_baselines::{DglSystem, FeatGraphSystem, GnnSystem};
-use tlpgnn_bench as bench;
 use tlpgnn_graph::datasets;
 
 const FEAT: usize = 32;
 
-fn scaled(cfg: DeviceConfig, spec: &tlpgnn_graph::DatasetSpec) -> DeviceConfig {
-    let scale = bench::effective_scale(spec);
-    let mut c = cfg;
-    let sms = (c.num_sms / scale).clamp(8, c.num_sms);
-    c.l2_bytes = (c.l2_bytes * sms / c.num_sms).max(768 * 1024);
-    c.num_sms = sms;
-    c
-}
-
-fn main() {
-    let _telemetry = tlpgnn_bench::telemetry_scope("ablation_device");
-    bench::print_header("Ablation: V100-class vs A100-class device");
+pub fn run(env: &Env, _args: &[String]) {
+    env.print_header("Ablation: V100-class vs A100-class device");
     for (dev_name, base) in [
         ("V100", DeviceConfig::v100()),
         ("A100", DeviceConfig::a100()),
@@ -36,7 +26,7 @@ fn main() {
         );
         for abbr in ["PD", "PI", "OH", "RD"] {
             let spec = datasets::by_abbr(abbr).unwrap();
-            let g = bench::load(spec);
+            let g = env.load(spec);
             let x = bench::features(&g, FEAT, 0x7c08);
             for model in [
                 GnnModel::Gcn,
@@ -44,7 +34,7 @@ fn main() {
                     params: tlpgnn::GatParams::random(FEAT, 0x6a7),
                 },
             ] {
-                let cfg = scaled(base.clone(), spec);
+                let cfg = env.shrink(base.clone(), spec);
                 let dgl = GnnSystem::run(&mut DglSystem::new(cfg.clone()), &model, &g, &x)
                     .unwrap()
                     .profile
@@ -53,14 +43,7 @@ fn main() {
                     .unwrap()
                     .profile
                     .runtime_ms;
-                let mut e = TlpgnnEngine::new(
-                    cfg,
-                    EngineOptions {
-                        heuristic: HybridHeuristic::scaled(bench::effective_scale(spec)),
-                        ..Default::default()
-                    },
-                );
-                let tlp = e.conv(&model, &g, &x).1.runtime_ms;
+                let tlp = env.engine_on(cfg, spec).conv(&model, &g, &x).1.runtime_ms;
                 t.row(vec![
                     abbr.to_string(),
                     model.name().to_string(),

@@ -6,16 +6,15 @@
 //! heuristic against the tuned optimum ("heuristic gap" = how much is
 //! left on the table by not tuning per graph).
 
+use crate::{self as bench, Env};
 use tlpgnn::tune::{autotune, STEP_CANDIDATES, WPB_CANDIDATES};
-use tlpgnn::{Assignment, EngineOptions, GnnModel, HybridHeuristic, TlpgnnEngine};
-use tlpgnn_bench as bench;
+use tlpgnn::{Assignment, GnnModel};
 use tlpgnn_graph::datasets::DATASETS;
 
 const FEAT: usize = 32;
 
-fn main() {
-    let _telemetry = tlpgnn_bench::telemetry_scope("ablation_tuning");
-    bench::print_header("Ablation: hardware wpb × software step tuning grid (GCN)");
+pub fn run(env: &Env, _args: &[String]) {
+    env.print_header("Ablation: hardware wpb × software step tuning grid (GCN)");
     let mut headers: Vec<String> = vec!["Dataset".into()];
     for &w in WPB_CANDIDATES {
         headers.push(format!("hw{w}"));
@@ -30,15 +29,9 @@ fn main() {
     let mut t = bench::Table::new("GPU time (ms) per configuration", &header_refs);
 
     for spec in DATASETS {
-        let g = bench::load(spec);
+        let g = env.load(spec);
         let x = bench::features(&g, FEAT, 0x7c04);
-        let mut e = TlpgnnEngine::new(
-            bench::device_for(spec),
-            EngineOptions {
-                heuristic: HybridHeuristic::scaled(bench::effective_scale(spec)),
-                ..Default::default()
-            },
-        );
+        let mut e = env.engine_for(spec);
         let report = autotune(&mut e, &GnnModel::Gcn, &g, &x);
         let mut cells = vec![spec.abbr.to_string()];
         for p in &report.points {

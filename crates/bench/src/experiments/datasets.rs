@@ -1,12 +1,11 @@
 //! **Table 4** — the graph benchmark registry: paper statistics vs the
 //! synthesized graphs actually used at the current scale.
 
-use tlpgnn_bench as bench;
+use crate::{self as bench, Env};
 use tlpgnn_graph::{datasets::DATASETS, GraphStats};
 
-fn main() {
-    let _telemetry = tlpgnn_bench::telemetry_scope("datasets");
-    bench::print_header("Table 4: graph benchmarks (paper vs synthesized)");
+pub fn run(env: &Env, _args: &[String]) {
+    env.print_header("Table 4: graph benchmarks (paper vs synthesized)");
     let mut t = bench::Table::new(
         "Table 4 (reproduced): datasets sorted by edge count",
         &[
@@ -24,7 +23,7 @@ fn main() {
         ],
     );
     for spec in DATASETS {
-        let g = bench::load(spec);
+        let g = env.load(spec);
         let s = GraphStats::of(&g);
         let comps = tlpgnn_graph::components::weakly_connected(&g);
         t.row(vec![
@@ -32,7 +31,7 @@ fn main() {
             spec.vertices.to_string(),
             spec.edges.to_string(),
             format!("{:.1}", spec.avg_degree()),
-            format!("1/{}", bench::effective_scale(spec)),
+            format!("1/{}", env.effective_scale(spec)),
             s.vertices.to_string(),
             s.edges.to_string(),
             format!("{:.1}", s.avg_degree),

@@ -5,8 +5,8 @@
 //! (one launch) vs one kernel per relation plus a self-copy — showing
 //! Observation III carries over to heterogeneous GNNs.
 
+use crate::{self as bench, Env};
 use tlpgnn::hetero::{HeteroEngine, HeteroGraph};
-use tlpgnn_bench as bench;
 use tlpgnn_graph::generators;
 use tlpgnn_tensor::Matrix;
 
@@ -23,9 +23,8 @@ fn build(n: usize, seed: u64) -> HeteroGraph {
     hg
 }
 
-fn main() {
-    let _telemetry = tlpgnn_bench::telemetry_scope("ext_hetero");
-    bench::print_header("Extension: heterogeneous R-GCN-style convolution");
+pub fn run(env: &Env, _args: &[String]) {
+    env.print_header("Extension: heterogeneous R-GCN-style convolution");
     let mut t = bench::Table::new(
         "Fused multi-relation kernel vs per-relation launches",
         &[

@@ -6,17 +6,16 @@
 //! edge cut) grows — the classic trade the paper defers to METIS-style
 //! partitioning.
 
+use crate::{self as bench, Env};
 use tlpgnn::multi_gpu::MultiGpuEngine;
 use tlpgnn::GnnModel;
-use tlpgnn_bench as bench;
 use tlpgnn_graph::datasets;
 
 const FEAT: usize = 32;
 const DEVICES: &[usize] = &[1, 2, 4, 8];
 
-fn main() {
-    let _telemetry = tlpgnn_bench::telemetry_scope("ext_multigpu");
-    bench::print_header("Extension: multi-GPU strong scaling (GCN, feature 32)");
+pub fn run(env: &Env, _args: &[String]) {
+    env.print_header("Extension: multi-GPU strong scaling (GCN, feature 32)");
     let mut headers: Vec<String> = vec!["Dataset".into()];
     for &d in DEVICES {
         headers.push(format!("{d}dev ms"));
@@ -27,10 +26,10 @@ fn main() {
     let mut t = bench::Table::new("Multi-GPU scaling", &header_refs);
 
     for spec in datasets::largest_four() {
-        let g = bench::load(spec);
+        let g = env.load(spec);
         let x = bench::features(&g, FEAT, 0x7c01);
-        let mut engine = MultiGpuEngine::new(bench::device_for(spec));
-        engine.heuristic = tlpgnn::HybridHeuristic::scaled(bench::effective_scale(spec));
+        let mut engine = MultiGpuEngine::new(env.device_for(spec));
+        engine.heuristic = env.heuristic_for(spec);
         let mut cells = vec![spec.abbr.to_string()];
         let mut times = Vec::new();
         for &d in DEVICES {

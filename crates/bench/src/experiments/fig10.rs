@@ -13,27 +13,16 @@
 //! GAT 8.6× (with per-rung factors ≈ 2.8 / 2.0 / 2.2, and 2.0× for GAT
 //! fusion).
 
-use tlpgnn::{Aggregator, EngineOptions, GnnModel, HybridHeuristic, TlpgnnEngine};
+use crate::{self as bench, Env};
+use tlpgnn::{Aggregator, GnnModel};
 use tlpgnn_baselines::multikernel::{AggMode, ThreeKernelGatSystem};
 use tlpgnn_baselines::EdgeCentricSystem;
-use tlpgnn_bench as bench;
 use tlpgnn_graph::datasets::DATASETS;
 
 const FEAT: usize = 32;
 
-fn engine(cfg: gpu_sim::DeviceConfig, scale: usize) -> TlpgnnEngine {
-    TlpgnnEngine::new(
-        cfg,
-        EngineOptions {
-            heuristic: HybridHeuristic::scaled(scale),
-            ..Default::default()
-        },
-    )
-}
-
-fn main() {
-    let _telemetry = tlpgnn_bench::telemetry_scope("fig10");
-    bench::print_header("Figure 10: technique benefits (speedup over edge-centric baseline)");
+pub fn run(env: &Env, _args: &[String]) {
+    env.print_header("Figure 10: technique benefits (speedup over edge-centric baseline)");
     for model in GnnModel::all_four(FEAT) {
         let is_gat = matches!(model, GnnModel::Gat { .. });
         let headers: &[&str] = if is_gat {
@@ -50,15 +39,15 @@ fn main() {
         );
         let mut final_speedups = Vec::new();
         for spec in DATASETS {
-            let g = bench::load(spec);
+            let g = env.load(spec);
             let x = bench::features(&g, FEAT, 0x7b10e);
-            let scale = bench::effective_scale(spec);
-            let heuristic = HybridHeuristic::scaled(scale);
-            let chosen = heuristic.choose(g.num_vertices(), g.avg_degree());
+            let chosen = env
+                .heuristic_for(spec)
+                .choose(g.num_vertices(), g.avg_degree());
 
             let times: Vec<f64> = if let Some(agg) = Aggregator::of_model(&model) {
-                let (_, p_base) = EdgeCentricSystem::new(bench::device_for(spec)).run(agg, &g, &x);
-                let mut e = engine(bench::device_for(spec), scale);
+                let (_, p_base) = EdgeCentricSystem::new(env.device_for(spec)).run(agg, &g, &x);
+                let mut e = env.engine_for(spec);
                 let (_, p_tlp) = e.conv_tlp_only(&model, &g, &x);
                 let (_, p_hybrid) = e.conv_with(&model, &g, &x, chosen, false);
                 let (_, p_cache) = e.conv_with(&model, &g, &x, chosen, true);
@@ -72,7 +61,7 @@ fn main() {
                 let GnnModel::Gat { params } = &model else {
                     unreachable!()
                 };
-                let mut sys = ThreeKernelGatSystem::new(bench::device_for(spec));
+                let mut sys = ThreeKernelGatSystem::new(env.device_for(spec));
                 let (_, p_base) = sys.run_mode(params, &g, &x, AggMode::EdgeCentricAtomic);
                 let (_, p_tlp) = sys.run_mode(
                     params,
@@ -103,8 +92,7 @@ fn main() {
                         reg_cache: true,
                     },
                 );
-                let mut e = engine(bench::device_for(spec), scale);
-                let (_, p_fused) = e.conv(&model, &g, &x);
+                let (_, p_fused) = env.engine_for(spec).conv(&model, &g, &x);
                 vec![
                     p_base.gpu_time_ms,
                     p_tlp.gpu_time_ms,

@@ -5,9 +5,9 @@
 //! Paper's shape: near-linear scaling; 128 blocks reach ~67.5× (GCN),
 //! 62.5× (GIN), 67.2× (Sage), 45.3× (GAT) over one block on average.
 
+use crate::{self as bench, Env};
 use gpu_sim::DeviceConfig;
 use tlpgnn::{EngineOptions, GnnModel, HybridHeuristic, TlpgnnEngine};
-use tlpgnn_bench as bench;
 use tlpgnn_graph::datasets;
 
 const FEAT: usize = 32;
@@ -16,13 +16,12 @@ const BLOCKS: &[usize] = &[1, 2, 4, 8, 16, 32, 64, 128];
 /// The sweep reaches 128 blocks × 16 warps = 2048 concurrent warps, so
 /// the graphs must keep enough vertices (task-pool chunks) to feed them:
 /// use a milder scale than the default registry divisor for this study.
-fn scale_for(spec: &tlpgnn_graph::DatasetSpec) -> usize {
-    (spec.default_scale / 4).max(4) * bench::extra_scale()
+fn scale_for(env: &Env, spec: &tlpgnn_graph::DatasetSpec) -> usize {
+    (spec.default_scale / 4).max(4) * env.extra_scale
 }
 
-fn main() {
-    let _telemetry = tlpgnn_bench::telemetry_scope("fig11");
-    bench::print_header("Figure 11: scalability vs thread count (512 threads/block)");
+pub fn run(env: &Env, _args: &[String]) {
+    env.print_header("Figure 11: scalability vs thread count (512 threads/block)");
     for model in GnnModel::all_four(FEAT) {
         let mut headers: Vec<String> = vec!["Dataset".into()];
         headers.extend(BLOCKS.iter().map(|b| format!("{b}b")));
@@ -36,14 +35,14 @@ fn main() {
         );
         let mut at_128 = Vec::new();
         for spec in datasets::largest_four() {
-            let g = spec.synthesize(scale_for(spec));
+            let g = spec.synthesize(scale_for(env, spec));
             let x = bench::features(&g, FEAT, 0x7b11e);
             // Thread-count scaling runs on the full device: the sweep
             // itself controls how much of it is used.
             let mut e = TlpgnnEngine::new(
                 DeviceConfig::v100(),
                 EngineOptions {
-                    heuristic: HybridHeuristic::scaled(scale_for(spec)),
+                    heuristic: HybridHeuristic::scaled(scale_for(env, spec)),
                     ..Default::default()
                 },
             );

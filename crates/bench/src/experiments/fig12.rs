@@ -7,15 +7,14 @@
 //! growth), and size 16 is only ~1.4× faster than size 32 even though
 //! half the warp idles.
 
-use tlpgnn::{EngineOptions, GnnModel, HybridHeuristic, TlpgnnEngine};
-use tlpgnn_bench as bench;
+use crate::{self as bench, Env};
+use tlpgnn::GnnModel;
 use tlpgnn_graph::datasets;
 
 const SIZES: &[usize] = &[16, 32, 64, 128, 256, 512];
 
-fn main() {
-    let _telemetry = tlpgnn_bench::telemetry_scope("fig12");
-    bench::print_header("Figure 12: scalability vs feature size (normalized to 16)");
+pub fn run(env: &Env, _args: &[String]) {
+    env.print_header("Figure 12: scalability vs feature size (normalized to 16)");
     // GAT's attention vectors depend on the feature dimension, so the
     // model is rebuilt per size inside the loop.
     for model_name in ["GCN", "GIN", "Sage", "GAT"] {
@@ -29,14 +28,8 @@ fn main() {
         let mut at_512 = Vec::new();
         let mut ratio_16_32 = Vec::new();
         for spec in datasets::largest_four() {
-            let g = bench::load(spec);
-            let mut e = TlpgnnEngine::new(
-                bench::device_for(spec),
-                EngineOptions {
-                    heuristic: HybridHeuristic::scaled(bench::effective_scale(spec)),
-                    ..Default::default()
-                },
-            );
+            let g = env.load(spec);
+            let mut e = env.engine_for(spec);
             let times: Vec<f64> = SIZES
                 .iter()
                 .map(|&f| {

@@ -5,41 +5,32 @@
 //! higher on every dataset because FeatGraph's rigid block-per-vertex
 //! mapping caps resident warps.
 
+use crate::{self as bench, Env};
 use tlpgnn::GnnModel;
-use tlpgnn_baselines::{FeatGraphSystem, GnnSystem, TlpgnnSystem};
-use tlpgnn_bench as bench;
+use tlpgnn_baselines::{FeatGraphSystem, GnnSystem};
 use tlpgnn_graph::datasets::DATASETS;
 
-fn main() {
-    let _telemetry = tlpgnn_bench::telemetry_scope("fig9");
-    bench::print_header("Figure 9: achieved occupancy, GCN, FeatGraph vs TLPGNN");
+pub fn run(env: &Env, _args: &[String]) {
+    env.print_header("Figure 9: achieved occupancy, GCN, FeatGraph vs TLPGNN");
     let mut t = bench::Table::new(
         "Figure 9 (reproduced): achieved occupancy (%)",
         &["Dataset", "FeatGraph", "TLPGNN"],
     );
     let (mut sum_fg, mut sum_tlp) = (0.0, 0.0);
     for spec in DATASETS {
-        let g = bench::load(spec);
+        let g = env.load(spec);
         let x = bench::features(&g, 32, 0x7ab9e);
         let fg = GnnSystem::run(
-            &mut FeatGraphSystem::new(bench::device_for(spec)),
+            &mut FeatGraphSystem::new(env.device_for(spec)),
             &GnnModel::Gcn,
             &g,
             &x,
         )
         .unwrap()
         .profile;
-        let tlp = GnnSystem::run(
-            &mut TlpgnnSystem::with_scaled_heuristic(
-                bench::device_for(spec),
-                bench::effective_scale(spec),
-            ),
-            &GnnModel::Gcn,
-            &g,
-            &x,
-        )
-        .unwrap()
-        .profile;
+        let tlp = GnnSystem::run(&mut env.system_for(spec), &GnnModel::Gcn, &g, &x)
+            .unwrap()
+            .profile;
         sum_fg += fg.achieved_occupancy;
         sum_tlp += tlp.achieved_occupancy;
         t.row(vec![

@@ -1,20 +1,25 @@
-//! **Repro gate** — a fast PASS/FAIL check of every headline claim the
-//! reproduction makes, on aggressively scaled-down inputs (runs in about
-//! a minute). Exit code 0 iff every claim holds; wire it into CI to keep
-//! the reproduction honest as the code evolves.
+//! **Repro gate** (`repro gate`) — a fast PASS/FAIL check of every
+//! headline claim the reproduction makes, on aggressively scaled-down
+//! inputs (a few seconds). Exit code 0 iff every claim holds; wire it into
+//! CI to keep the reproduction honest as the code evolves.
 
+use std::process::ExitCode;
+
+use crate::Env;
 use gpu_sim::DeviceConfig;
-use tlpgnn::{Aggregator, EngineOptions, GnnModel, HybridHeuristic, TlpgnnEngine};
+use tlpgnn::{Aggregator, EngineOptions, GnnModel, TlpgnnEngine};
 use tlpgnn_baselines::{
     AdvisorSystem, DglSystem, EdgeCentricSystem, FeatGraphSystem, GnnSystem, PushSystem,
-    ThreeKernelGatSystem, TlpgnnSystem,
+    ThreeKernelGatSystem,
 };
 use tlpgnn_graph::datasets;
 use tlpgnn_tensor::Matrix;
 
 const FEAT: usize = 32;
-/// Extra shrink on top of each dataset's default divisor.
-const GATE_SCALE: usize = 8;
+/// The gate's sizing: a fixed extra shrink on top of each dataset's
+/// default divisor (what `TLPGNN_QUICK` selects for the experiments),
+/// whatever the environment says.
+pub const GATE: Env = Env { extra_scale: 8 };
 
 struct CheckResult {
     name: String,
@@ -64,40 +69,27 @@ impl Gate {
     }
 }
 
-fn dev_for(spec: &tlpgnn_graph::DatasetSpec) -> DeviceConfig {
-    let mut cfg = DeviceConfig::v100();
-    let sms = (cfg.num_sms / (spec.default_scale * GATE_SCALE)).clamp(8, cfg.num_sms);
-    cfg.l2_bytes = (cfg.l2_bytes * sms / cfg.num_sms).max(768 * 1024);
-    cfg.num_sms = sms;
-    cfg
-}
-
-fn engine_for(spec: &tlpgnn_graph::DatasetSpec) -> TlpgnnEngine {
-    TlpgnnEngine::new(
-        dev_for(spec),
-        EngineOptions {
-            heuristic: HybridHeuristic::scaled(spec.default_scale * GATE_SCALE),
-            ..Default::default()
-        },
-    )
-}
-
-fn main() {
-    let telemetry_scope = tlpgnn_bench::telemetry_scope("repro_gate");
+/// Run every check, print PASS/FAIL per claim, write
+/// `<results_dir>/repro_gate.json`; failure iff any claim failed.
+pub fn run() -> ExitCode {
     let mut gate = Gate {
         results: Vec::new(),
     };
-    println!("repro gate (scale 1/{GATE_SCALE} of the default registry scales)\n");
+    println!(
+        "repro gate (scale 1/{} of the default registry scales)\n",
+        GATE.extra_scale
+    );
 
     // --- Table 1: atomic-free pull beats push/edge/advisor on OH ---
     {
         let spec = datasets::by_abbr("OH").unwrap();
-        let g = spec.load_scaled(GATE_SCALE);
+        let g = GATE.load(spec);
         let x = Matrix::random(g.num_vertices(), 128, 1.0, 1);
-        let (_, p_pull) = engine_for(spec).conv(&GnnModel::Gcn, &g, &x);
-        let (_, p_push) = PushSystem::new(dev_for(spec)).run(Aggregator::GcnSum, &g, &x);
-        let (_, p_edge) = EdgeCentricSystem::new(dev_for(spec)).run(Aggregator::GcnSum, &g, &x);
-        let (_, p_adv) = AdvisorSystem::new(dev_for(spec)).run(Aggregator::GcnSum, &g, &x);
+        let (_, p_pull) = GATE.engine_for(spec).conv(&GnnModel::Gcn, &g, &x);
+        let (_, p_push) = PushSystem::new(GATE.device_for(spec)).run(Aggregator::GcnSum, &g, &x);
+        let (_, p_edge) =
+            EdgeCentricSystem::new(GATE.device_for(spec)).run(Aggregator::GcnSum, &g, &x);
+        let (_, p_adv) = AdvisorSystem::new(GATE.device_for(spec)).run(Aggregator::GcnSum, &g, &x);
         gate.check(
             "T1 pull fastest",
             p_pull.gpu_time_ms < p_push.gpu_time_ms
@@ -118,9 +110,9 @@ fn main() {
     // --- Table 2: half-warp beats thread-per-vertex clearly ---
     {
         let spec = datasets::by_abbr("OH").unwrap();
-        let g = spec.load_scaled(GATE_SCALE);
+        let g = GATE.load(spec);
         let x = Matrix::random(g.num_vertices(), 128, 1.0, 2);
-        let mut d1 = gpu_sim::Device::new(dev_for(spec));
+        let mut d1 = gpu_sim::Device::new(GATE.device_for(spec));
         let gd1 = tlpgnn::GraphOnDevice::upload(&mut d1, &g, &x);
         let p_one = d1.launch(
             &tlpgnn::kernels::variants::ThreadPerVertexKernel {
@@ -129,7 +121,7 @@ fn main() {
             },
             gpu_sim::LaunchConfig::warp_per_item(g.num_vertices().div_ceil(32), 256),
         );
-        let mut d2 = gpu_sim::Device::new(dev_for(spec));
+        let mut d2 = gpu_sim::Device::new(GATE.device_for(spec));
         let gd2 = tlpgnn::GraphOnDevice::upload(&mut d2, &g, &x);
         let p_half = d2.launch(
             &tlpgnn::kernels::variants::SubWarpKernel {
@@ -160,15 +152,15 @@ fn main() {
     // --- Table 3: fusion wins on time, memory, overhead ---
     {
         let spec = datasets::by_abbr("RD").unwrap();
-        let g = spec.load_scaled(GATE_SCALE);
+        let g = GATE.load(spec);
         let x = Matrix::random(g.num_vertices(), FEAT, 1.0, 3);
         let params = tlpgnn::GatParams::random(FEAT, 0x6a7);
         let gat = GnnModel::Gat {
             params: params.clone(),
         };
-        let (_, p_dgl) = DglSystem::new(dev_for(spec)).run(&gat, &g, &x);
-        let (_, p_three) = ThreeKernelGatSystem::new(dev_for(spec)).run(&params, &g, &x);
-        let (_, p_one) = engine_for(spec).conv(&gat, &g, &x);
+        let (_, p_dgl) = DglSystem::new(GATE.device_for(spec)).run(&gat, &g, &x);
+        let (_, p_three) = ThreeKernelGatSystem::new(GATE.device_for(spec)).run(&params, &g, &x);
+        let (_, p_one) = GATE.engine_for(spec).conv(&gat, &g, &x);
         gate.check(
             "T3 runtime ordering",
             p_one.runtime_ms < p_three.runtime_ms && p_three.runtime_ms < p_dgl.runtime_ms,
@@ -207,24 +199,21 @@ fn main() {
         let mut cells = 0usize;
         for abbr in ["CR", "PI", "OH", "RD"] {
             let spec = datasets::by_abbr(abbr).unwrap();
-            let g = spec.load_scaled(GATE_SCALE);
+            let g = GATE.load(spec);
             let x = Matrix::random(g.num_vertices(), FEAT, 1.0, 4);
             for model in GnnModel::all_four(FEAT) {
-                let tlp = GnnSystem::run(
-                    &mut TlpgnnSystem::with_scaled_heuristic(
-                        dev_for(spec),
-                        spec.default_scale * GATE_SCALE,
-                    ),
-                    &model,
-                    &g,
-                    &x,
-                )
-                .unwrap()
-                .profile
-                .runtime_ms;
+                let tlp = GnnSystem::run(&mut GATE.system_for(spec), &model, &g, &x)
+                    .unwrap()
+                    .profile
+                    .runtime_ms;
                 let baselines: Vec<f64> = [
-                    GnnSystem::run(&mut DglSystem::new(dev_for(spec)), &model, &g, &x),
-                    GnnSystem::run(&mut FeatGraphSystem::new(dev_for(spec)), &model, &g, &x),
+                    GnnSystem::run(&mut DglSystem::new(GATE.device_for(spec)), &model, &g, &x),
+                    GnnSystem::run(
+                        &mut FeatGraphSystem::new(GATE.device_for(spec)),
+                        &model,
+                        &g,
+                        &x,
+                    ),
                 ]
                 .into_iter()
                 .flatten()
@@ -247,14 +236,15 @@ fn main() {
         let (mut occ_tlp, mut occ_fg) = (0.0, 0.0);
         for abbr in ["PD", "PI", "OH"] {
             let spec = datasets::by_abbr(abbr).unwrap();
-            let g = spec.load_scaled(GATE_SCALE);
+            let g = GATE.load(spec);
             let x = Matrix::random(g.num_vertices(), FEAT, 1.0, 5);
-            occ_tlp += engine_for(spec)
+            occ_tlp += GATE
+                .engine_for(spec)
                 .conv(&GnnModel::Gcn, &g, &x)
                 .1
                 .achieved_occupancy;
             occ_fg += GnnSystem::run(
-                &mut FeatGraphSystem::new(dev_for(spec)),
+                &mut FeatGraphSystem::new(GATE.device_for(spec)),
                 &GnnModel::Gcn,
                 &g,
                 &x,
@@ -277,10 +267,11 @@ fn main() {
     // --- Figure 10: the full ladder is monotone on PI ---
     {
         let spec = datasets::by_abbr("PI").unwrap();
-        let g = spec.load_scaled(GATE_SCALE);
+        let g = GATE.load(spec);
         let x = Matrix::random(g.num_vertices(), FEAT, 1.0, 6);
-        let (_, p_edge) = EdgeCentricSystem::new(dev_for(spec)).run(Aggregator::GcnSum, &g, &x);
-        let mut e = engine_for(spec);
+        let (_, p_edge) =
+            EdgeCentricSystem::new(GATE.device_for(spec)).run(Aggregator::GcnSum, &g, &x);
+        let mut e = GATE.engine_for(spec);
         let chosen = e.options.heuristic.choose(g.num_vertices(), g.avg_degree());
         let (_, p_tlp) = e.conv_tlp_only(&GnnModel::Gcn, &g, &x);
         let (_, p_hyb) = e.conv_with(&GnnModel::Gcn, &g, &x, chosen, false);
@@ -321,8 +312,8 @@ fn main() {
     // --- Figure 12: feature scaling is roughly linear ---
     {
         let spec = datasets::by_abbr("CL").unwrap();
-        let g = spec.load_scaled(GATE_SCALE);
-        let mut e = engine_for(spec);
+        let g = GATE.load(spec);
+        let mut e = GATE.engine_for(spec);
         let x16 = Matrix::random(g.num_vertices(), 16, 1.0, 8);
         let x256 = Matrix::random(g.num_vertices(), 256, 1.0, 8);
         let t16 = e.conv(&GnnModel::Gcn, &g, &x16).1.gpu_time_ms;
@@ -340,7 +331,7 @@ fn main() {
         gate.results.len(),
         gate.failures().count()
     );
-    let dir = tlpgnn_bench::results_dir();
+    let dir = crate::results_dir();
     let path = dir.join("repro_gate.json");
     let write = std::fs::create_dir_all(&dir)
         .and_then(|()| std::fs::write(&path, gate.to_json().to_string()));
@@ -348,13 +339,12 @@ fn main() {
         Ok(()) => println!("wrote {}", path.display()),
         Err(e) => eprintln!("could not write {}: {e}", path.display()),
     }
-    let failed = !gate.passed();
     for f in gate.failures() {
         eprintln!("FAILED: {}: {}", f.name, f.detail);
     }
-    // process::exit skips Drop, so flush the telemetry exports first.
-    drop(telemetry_scope);
-    if failed {
-        std::process::exit(1);
+    if gate.passed() {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
     }
 }

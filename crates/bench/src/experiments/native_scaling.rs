@@ -4,16 +4,16 @@
 //! design scales with whatever parallel substrate carries it.
 
 use std::time::Instant;
+
+use crate::{self as bench, Env};
 use tlpgnn::{GnnModel, NativeEngine, NativeSchedule};
-use tlpgnn_bench as bench;
 use tlpgnn_graph::generators;
 use tlpgnn_tensor::Matrix;
 
 const FEAT: usize = 32;
 
-fn main() {
-    let _telemetry = tlpgnn_bench::telemetry_scope("native_scaling");
-    bench::print_header("Native CPU engine: wall-clock thread scaling (GCN)");
+pub fn run(env: &Env, _args: &[String]) {
+    env.print_header("Native CPU engine: wall-clock thread scaling (GCN)");
     // The engine's thread count is a cap on the shared pool, which is as
     // large as the machine's available parallelism.
     let cores = tlpgnn_tensor::pool::participants(0);

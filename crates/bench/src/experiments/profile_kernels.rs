@@ -4,13 +4,14 @@
 //! critical-warp / scheduling) plus the Nsight-style metrics, naming what
 //! actually bounds each kernel.
 //!
-//! Usage: `profile_kernels [dataset-abbr] [feature-dim]` (defaults: OH 32).
+//! Usage: `repro profile_kernels [dataset-abbr] [feature-dim]` (defaults:
+//! OH 32).
 
+use crate::{self as bench, Env};
 use gpu_sim::{Device, Kernel, KernelProfile, LaunchConfig};
 use tlpgnn::kernels::fused::FusedConvKernel;
 use tlpgnn::kernels::variants::{EdgeParallelSecondKernel, SubWarpKernel, ThreadPerVertexKernel};
 use tlpgnn::{Aggregator, Assignment, GraphOnDevice, WorkSource};
-use tlpgnn_bench as bench;
 
 fn show(name: &str, p: &KernelProfile) {
     let l = &p.limiter;
@@ -28,17 +29,15 @@ fn show(name: &str, p: &KernelProfile) {
     );
 }
 
-fn main() {
-    let _telemetry = tlpgnn_bench::telemetry_scope("profile_kernels");
-    let args: Vec<String> = std::env::args().collect();
-    let abbr = args.get(1).map(|s| s.as_str()).unwrap_or("OH");
-    let feat: usize = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(32);
+pub fn run(env: &Env, args: &[String]) {
+    let abbr = args.first().map(|s| s.as_str()).unwrap_or("OH");
+    let feat: usize = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(32);
     let spec = tlpgnn_graph::datasets::by_abbr(abbr).unwrap_or_else(|| {
         eprintln!("unknown dataset {abbr}; use a Table 4 abbreviation");
         std::process::exit(2);
     });
-    bench::print_header("Kernel limiter analysis (GCN aggregation)");
-    let g = bench::load(spec);
+    env.print_header("Kernel limiter analysis (GCN aggregation)");
+    let g = env.load(spec);
     let x = bench::features(&g, feat, 0x7c05);
     println!(
         "graph: {} ({}), feature {}",
@@ -46,7 +45,7 @@ fn main() {
         tlpgnn_graph::GraphStats::of(&g),
         feat
     );
-    let cfg = bench::device_for(spec);
+    let cfg = env.device_for(spec);
     let n = g.num_vertices();
 
     // TLPGNN fused, hardware assignment.

@@ -7,22 +7,21 @@
 //! none, and Pull has the lowest memory stalls and the highest SM
 //! utilization.
 
+use crate::{self as bench, Env};
 use tlpgnn::{Aggregator, GnnModel};
 use tlpgnn_baselines::{AdvisorSystem, EdgeCentricSystem, PushSystem};
-use tlpgnn_bench as bench;
 
-fn main() {
-    let _telemetry = tlpgnn_bench::telemetry_scope("table1");
-    bench::print_header("Table 1: atomic-operation profiling (GCN, OH, feature 128)");
+pub fn run(env: &Env, _args: &[String]) {
+    env.print_header("Table 1: atomic-operation profiling (GCN, OH, feature 128)");
     let spec = tlpgnn_graph::datasets::by_abbr("OH").unwrap();
-    let g = bench::load(spec);
+    let g = env.load(spec);
     let x = bench::features(&g, 128, 0x7a81e);
     println!(
         "graph: {} ({})",
         spec.name,
         tlpgnn_graph::GraphStats::of(&g)
     );
-    let cfg = bench::device_for(spec);
+    let cfg = env.device_for(spec);
 
     let mut rows: Vec<(String, gpu_sim::OpProfile)> = Vec::new();
 
@@ -30,16 +29,9 @@ fn main() {
     rows.push(("Push".into(), p_push));
     let (_, p_edge) = EdgeCentricSystem::new(cfg.clone()).run(Aggregator::GcnSum, &g, &x);
     rows.push(("Edge".into(), p_edge));
-    let (_, p_gnna) = AdvisorSystem::new(cfg.clone()).run(Aggregator::GcnSum, &g, &x);
+    let (_, p_gnna) = AdvisorSystem::new(cfg).run(Aggregator::GcnSum, &g, &x);
     rows.push(("GnnA.".into(), p_gnna));
-    let mut engine = tlpgnn::TlpgnnEngine::new(
-        cfg,
-        tlpgnn::EngineOptions {
-            heuristic: tlpgnn::HybridHeuristic::scaled(bench::effective_scale(spec)),
-            ..Default::default()
-        },
-    );
-    let (_, p_pull) = engine.conv(&GnnModel::Gcn, &g, &x);
+    let (_, p_pull) = env.engine_for(spec).conv(&GnnModel::Gcn, &g, &x);
     rows.push(("Pull".into(), p_pull));
 
     let mut t = bench::Table::new(

@@ -5,16 +5,15 @@
 //! request is ~4.4× higher (9.2 vs 2.1) and its memory stalls ~3.3×
 //! higher.
 
+use crate::{self as bench, Env};
 use gpu_sim::{Device, LaunchConfig};
 use tlpgnn::kernels::variants::{SubWarpKernel, ThreadPerVertexKernel};
 use tlpgnn::Aggregator;
-use tlpgnn_bench as bench;
 
-fn main() {
-    let _telemetry = tlpgnn_bench::telemetry_scope("table2");
-    bench::print_header("Table 2: coalescing study (one thread vs half warp, feature 128)");
+pub fn run(env: &Env, _args: &[String]) {
+    env.print_header("Table 2: coalescing study (one thread vs half warp, feature 128)");
     let spec = tlpgnn_graph::datasets::by_abbr("OH").unwrap();
-    let g = bench::load(spec);
+    let g = env.load(spec);
     let x = bench::features(&g, 128, 0x7ab2e);
     println!(
         "graph: {} ({})",
@@ -24,7 +23,7 @@ fn main() {
     let n = g.num_vertices();
 
     // One thread per vertex.
-    let mut dev = Device::new(bench::device_for(spec));
+    let mut dev = Device::new(env.device_for(spec));
     let gd = tlpgnn::GraphOnDevice::upload(&mut dev, &g, &x);
     let one = ThreadPerVertexKernel {
         gd,
@@ -33,7 +32,7 @@ fn main() {
     let p_one = dev.launch(&one, LaunchConfig::warp_per_item(n.div_ceil(32), 256));
 
     // Half warp (16 threads) per vertex.
-    let mut dev2 = Device::new(bench::device_for(spec));
+    let mut dev2 = Device::new(env.device_for(spec));
     let gd2 = tlpgnn::GraphOnDevice::upload(&mut dev2, &g, &x);
     let half = SubWarpKernel {
         gd: gd2,

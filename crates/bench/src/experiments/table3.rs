@@ -6,15 +6,14 @@
 //! host overhead (runtime − GPU time) drops 20 → 3.69 → 0.5 ms; global
 //! memory use 10 → 2.8 → 1.5 GB; traffic 35.9 → 19.5 → 4.8 GB.
 
+use crate::{self as bench, Env};
 use tlpgnn::{GatParams, GnnModel};
 use tlpgnn_baselines::{DglSystem, ThreeKernelGatSystem};
-use tlpgnn_bench as bench;
 
-fn main() {
-    let _telemetry = tlpgnn_bench::telemetry_scope("table3");
-    bench::print_header("Table 3: kernel launches study (GAT, RD, feature 32)");
+pub fn run(env: &Env, _args: &[String]) {
+    env.print_header("Table 3: kernel launches study (GAT, RD, feature 32)");
     let spec = tlpgnn_graph::datasets::by_abbr("RD").unwrap();
-    let g = bench::load(spec);
+    let g = env.load(spec);
     let x = bench::features(&g, 32, 0x7ab3e);
     println!(
         "graph: {} ({})",
@@ -25,18 +24,11 @@ fn main() {
     let model = GnnModel::Gat {
         params: params.clone(),
     };
-    let cfg = bench::device_for(spec);
+    let cfg = env.device_for(spec);
 
     let (_, p_dgl) = DglSystem::new(cfg.clone()).run(&model, &g, &x);
-    let (_, p_three) = ThreeKernelGatSystem::new(cfg.clone()).run(&params, &g, &x);
-    let mut engine = tlpgnn::TlpgnnEngine::new(
-        cfg,
-        tlpgnn::EngineOptions {
-            heuristic: tlpgnn::HybridHeuristic::scaled(bench::effective_scale(spec)),
-            ..Default::default()
-        },
-    );
-    let (_, p_one) = engine.conv(&model, &g, &x);
+    let (_, p_three) = ThreeKernelGatSystem::new(cfg).run(&params, &g, &x);
+    let (_, p_one) = env.engine_for(spec).conv(&model, &g, &x);
 
     let rows = [
         ("DGL", &p_dgl),

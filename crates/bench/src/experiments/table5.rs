@@ -8,18 +8,17 @@
 //! runtimes (GPU time + amortized host dispatch, the quantity a framework
 //! user observes); speedup is TLPGNN vs the best baseline.
 
+use crate::{self as bench, Env};
 use tlpgnn::GnnModel;
-use tlpgnn_baselines::{AdvisorSystem, DglSystem, FeatGraphSystem, GnnSystem, TlpgnnSystem};
-use tlpgnn_bench as bench;
+use tlpgnn_baselines::{AdvisorSystem, DglSystem, FeatGraphSystem, GnnSystem};
 use tlpgnn_graph::datasets::DATASETS;
 
 const FEAT: usize = 32;
 /// The paper's GNNAdvisor failed on these (illegal CUDA memory access).
 const ADVISOR_SKIP: &[&str] = &["CL", "ON", "RD", "OT"];
 
-fn main() {
-    let _telemetry = tlpgnn_bench::telemetry_scope("table5");
-    bench::print_header("Table 5: main comparison, feature 32");
+pub fn run(env: &Env, _args: &[String]) {
+    env.print_header("Table 5: main comparison, feature 32");
 
     let mut summary: Vec<(String, f64)> = Vec::new();
 
@@ -30,17 +29,16 @@ fn main() {
         );
         let mut speedups = Vec::new();
         for spec in DATASETS {
-            let g = bench::load(spec);
+            let g = env.load(spec);
             let x = bench::features(&g, FEAT, 0x7ab5e ^ spec.abbr.len() as u64);
-            let scale = bench::effective_scale(spec);
 
-            let dgl = GnnSystem::run(&mut DglSystem::new(bench::device_for(spec)), &model, &g, &x)
+            let dgl = GnnSystem::run(&mut DglSystem::new(env.device_for(spec)), &model, &g, &x)
                 .map(|r| r.profile.runtime_ms);
             let advisor = if ADVISOR_SKIP.contains(&spec.abbr) || !AdvisorSystem::supports(&model) {
                 None
             } else {
                 GnnSystem::run(
-                    &mut AdvisorSystem::new(bench::device_for(spec)),
+                    &mut AdvisorSystem::new(env.device_for(spec)),
                     &model,
                     &g,
                     &x,
@@ -48,20 +46,15 @@ fn main() {
                 .map(|r| r.profile.runtime_ms)
             };
             let featg = GnnSystem::run(
-                &mut FeatGraphSystem::new(bench::device_for(spec)),
+                &mut FeatGraphSystem::new(env.device_for(spec)),
                 &model,
                 &g,
                 &x,
             )
             .map(|r| r.profile.runtime_ms);
-            let tlp = GnnSystem::run(
-                &mut TlpgnnSystem::with_scaled_heuristic(bench::device_for(spec), scale),
-                &model,
-                &g,
-                &x,
-            )
-            .map(|r| r.profile.runtime_ms)
-            .unwrap();
+            let tlp = GnnSystem::run(&mut env.system_for(spec), &model, &g, &x)
+                .map(|r| r.profile.runtime_ms)
+                .unwrap();
 
             let best_baseline = [dgl, advisor, featg]
                 .into_iter()

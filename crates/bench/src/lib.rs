@@ -1,8 +1,12 @@
 //! # tlpgnn-bench — experiment harness
 //!
-//! One binary per table/figure of the paper (see DESIGN.md §3 for the
-//! index). This library holds the shared pieces: dataset loading with
-//! scale control, feature generation, and table formatting.
+//! Every table, figure, extension and ablation of the reproduction is a
+//! function in [`experiments`] behind one registry, run as
+//! `repro <name>`; `repro list` prints the names. This library also holds
+//! the pieces the experiments and the system benches (`serve_bench`,
+//! `shard_bench`, `dynamic_bench`, `chaos_bench`) share: run sizing
+//! ([`Env`]), feature generation, table formatting, telemetry export, the
+//! flag parser ([`cli`]) and the closed-loop load generator ([`load`]).
 //!
 //! Environment knobs:
 //! * `TLPGNN_SCALE=<k>` — extra scale divisor on top of each dataset's
@@ -17,48 +21,112 @@
 #![warn(missing_docs)]
 
 use gpu_sim::DeviceConfig;
+use tlpgnn::{EngineOptions, HybridHeuristic, TlpgnnEngine};
+use tlpgnn_baselines::TlpgnnSystem;
 use tlpgnn_graph::{datasets::DatasetSpec, Csr};
 use tlpgnn_tensor::Matrix;
 
-/// Extra scale divisor from the environment (see crate docs).
-pub fn extra_scale() -> usize {
-    if std::env::var("TLPGNN_QUICK").is_ok_and(|v| v != "0" && !v.is_empty()) {
-        return 8;
+pub mod cli;
+pub mod experiments;
+pub mod load;
+
+/// How a run is sized: the extra scale divisor applied on top of every
+/// dataset's default, and everything that must shrink with it — the
+/// graph, the device (SM count and L2) and the hybrid heuristic's vertex
+/// threshold. The experiments read it from the environment once
+/// ([`Env::from_env`]); the repro gate pins it to a constant, so the two
+/// cannot size a device differently.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Env {
+    /// Extra scale divisor (≥ 1) on top of each dataset's default.
+    pub extra_scale: usize,
+}
+
+impl Env {
+    /// `TLPGNN_QUICK` / `TLPGNN_SCALE` (see crate docs); 1 when unset.
+    pub fn from_env() -> Self {
+        let quick = std::env::var("TLPGNN_QUICK").is_ok_and(|v| v != "0" && !v.is_empty());
+        let extra_scale = if quick {
+            8
+        } else {
+            std::env::var("TLPGNN_SCALE")
+                .ok()
+                .and_then(|v| v.parse().ok())
+                .filter(|&v| v >= 1)
+                .unwrap_or(1)
+        };
+        Self { extra_scale }
     }
-    std::env::var("TLPGNN_SCALE")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&v| v >= 1)
-        .unwrap_or(1)
-}
 
-/// Effective total scale of a dataset under the current environment.
-pub fn effective_scale(spec: &DatasetSpec) -> usize {
-    spec.default_scale * extra_scale()
-}
+    /// Effective total scale divisor of a dataset.
+    pub fn effective_scale(&self, spec: &DatasetSpec) -> usize {
+        spec.default_scale * self.extra_scale
+    }
 
-/// Load a dataset at its default scale × the environment's extra scale.
-pub fn load(spec: &DatasetSpec) -> Csr {
-    spec.load_scaled(extra_scale())
-}
+    /// Load a dataset at its default scale × the extra scale.
+    pub fn load(&self, spec: &DatasetSpec) -> Csr {
+        spec.load_scaled(self.extra_scale)
+    }
 
-/// Device scaled to match a dataset's scale divisor.
-///
-/// When a graph is shrunk 1/k, running it on the full 80-SM V100 changes
-/// the regime: a graph that filled the paper's device for dozens of waves
-/// would fit in a single wave, and block-scheduling/critical-path floors
-/// dominate instead of bandwidth. Shrinking the device by the same factor
-/// (SM count and L2, with a floor of 8 SMs) preserves waves-per-SM and
-/// the bytes-per-L2 ratio, so limiters and crossovers land where they do
-/// at full scale.
-pub fn device_for(spec: &DatasetSpec) -> DeviceConfig {
-    let scale = effective_scale(spec);
-    let mut cfg = DeviceConfig::v100();
-    let sms = (cfg.num_sms / scale).clamp(8, cfg.num_sms);
-    cfg.l2_bytes = (cfg.l2_bytes * sms / cfg.num_sms).max(768 * 1024);
-    cfg.num_sms = sms;
-    cfg.name = format!("SimV100/{}", cfg.num_sms);
-    cfg
+    /// `base` shrunk to match a dataset's scale divisor.
+    ///
+    /// When a graph is shrunk 1/k, running it on the full device changes
+    /// the regime: a graph that filled the paper's device for dozens of
+    /// waves would fit in a single wave, and block-scheduling/critical-path
+    /// floors dominate instead of bandwidth. Shrinking the device by the
+    /// same factor (SM count and L2, with a floor of 8 SMs) preserves
+    /// waves-per-SM and the bytes-per-L2 ratio, so limiters and crossovers
+    /// land where they do at full scale.
+    pub fn shrink(&self, mut base: DeviceConfig, spec: &DatasetSpec) -> DeviceConfig {
+        let sms = (base.num_sms / self.effective_scale(spec)).clamp(8, base.num_sms);
+        base.l2_bytes = (base.l2_bytes * sms / base.num_sms).max(768 * 1024);
+        base.num_sms = sms;
+        base
+    }
+
+    /// The simulated V100 scaled to a dataset (see [`Env::shrink`]).
+    pub fn device_for(&self, spec: &DatasetSpec) -> DeviceConfig {
+        let mut cfg = self.shrink(DeviceConfig::v100(), spec);
+        cfg.name = format!("SimV100/{}", cfg.num_sms);
+        cfg
+    }
+
+    /// Hybrid heuristic with its vertex threshold scaled to a dataset.
+    pub fn heuristic_for(&self, spec: &DatasetSpec) -> HybridHeuristic {
+        HybridHeuristic::scaled(self.effective_scale(spec))
+    }
+
+    /// TLPGNN engine on `cfg` with the heuristic scaled to a dataset.
+    pub fn engine_on(&self, cfg: DeviceConfig, spec: &DatasetSpec) -> TlpgnnEngine {
+        TlpgnnEngine::new(
+            cfg,
+            EngineOptions {
+                heuristic: self.heuristic_for(spec),
+                ..Default::default()
+            },
+        )
+    }
+
+    /// TLPGNN engine with device and heuristic scaled to a dataset.
+    pub fn engine_for(&self, spec: &DatasetSpec) -> TlpgnnEngine {
+        self.engine_on(self.device_for(spec), spec)
+    }
+
+    /// [`Env::engine_for`] behind the `GnnSystem` interface the
+    /// baselines share.
+    pub fn system_for(&self, spec: &DatasetSpec) -> TlpgnnSystem {
+        TlpgnnSystem::with_scaled_heuristic(self.device_for(spec), self.effective_scale(spec))
+    }
+
+    /// Print the standard run header (device, scale) so logs are
+    /// self-describing.
+    pub fn print_header(&self, experiment: &str) {
+        println!("=== {experiment} ===");
+        println!(
+            "device: SimV100 scaled per dataset (see device_for) | extra scale: {} | see EXPERIMENTS.md",
+            self.extra_scale
+        );
+    }
 }
 
 /// Where run artifacts land: `TLPGNN_RESULTS_DIR`, default `results/`.
@@ -180,10 +248,11 @@ impl Table {
 /// exports the results on drop.
 ///
 /// Created by [`telemetry_scope`] at the top of every bench binary's
-/// `main`. On creation it resets the global collector and turns
-/// collection on (unless `TLPGNN_TELEMETRY=0`); on drop it turns
-/// collection off and writes three files under the results directory
-/// (`TLPGNN_RESULTS_DIR`, default `results/`):
+/// `main` (by `repro` around each subcommand). On creation it resets the
+/// global collector and turns collection on (unless
+/// `TLPGNN_TELEMETRY=0`); on drop it turns collection off and writes
+/// these files under the results directory (`TLPGNN_RESULTS_DIR`,
+/// default `results/`):
 ///
 /// * `<name>.trace.json` — Chrome `trace_event` timeline; open in
 ///   Perfetto (<https://ui.perfetto.dev>) or `chrome://tracing`.
@@ -246,16 +315,6 @@ impl Drop for TelemetryScope {
             Err(e) => eprintln!("telemetry: export failed: {e}"),
         }
     }
-}
-
-/// Print the standard run header (device, scale) so logs are
-/// self-describing.
-pub fn print_header(experiment: &str) {
-    println!("=== {experiment} ===");
-    println!(
-        "device: SimV100 scaled per dataset (see device_for) | extra scale: {} | see EXPERIMENTS.md",
-        extra_scale()
-    );
 }
 
 #[cfg(test)]

@@ -16,7 +16,6 @@ pub mod variants;
 pub mod weighted;
 
 use gpu_sim::{DeviceBuffer, Kernel};
-use serde::{Deserialize, Serialize};
 
 use crate::gpu::{GatScoresOnDevice, GraphOnDevice};
 use crate::model::{GatParams, GnnModel};
@@ -24,7 +23,7 @@ use crate::schedule::BoundLaunch;
 
 /// Aggregation operator of the sum-family models. (GAT has its own kernel:
 /// its softmax needs two passes over the edge list.)
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Aggregator {
     /// GCN: `out[v] = c_v Σ c_u x[u] + c_v² x[v]`.
     GcnSum,

@@ -2,12 +2,11 @@
 //! (Section 7.1) and the layer/network API built on top of the
 //! graph-convolution engines.
 
-use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 use tlpgnn_tensor::{activations, Linear, Matrix};
 
 /// Parameters of a single-head graph attention layer.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GatParams {
     /// Source-side attention vector (`a_src · x[u]`).
     pub a_src: Vec<f32>,
@@ -31,7 +30,7 @@ impl GatParams {
 }
 
 /// The graph-convolution operator of one of the paper's four GNN models.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum GnnModel {
     /// Graph Convolutional Network: degree-normalized weighted sum with an
     /// implicit self loop.
@@ -77,7 +76,7 @@ impl GnnModel {
 
 /// How a [`GnnLayer`] combines the aggregated neighborhood with the
 /// vertex's own representation after convolution.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Combine {
     /// Use the convolution output directly (GCN/GIN/GAT style, where the
     /// self term is inside the conv).

@@ -20,7 +20,6 @@
 //! bytes — the quantity a METIS-quality partitioner minimizes).
 
 use gpu_sim::{Device, DeviceConfig};
-use serde::{Deserialize, Serialize};
 use tlpgnn_graph::partition::{self, VertexPartition};
 use tlpgnn_graph::{Csr, GraphBuilder};
 use tlpgnn_tensor::Matrix;
@@ -32,7 +31,7 @@ use crate::oracle;
 use crate::schedule::HybridHeuristic;
 
 /// Interconnect model for halo transfers.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Interconnect {
     /// Peer-to-peer bandwidth per link, GB/s (NVLink 2.0 ≈ 25 GB/s per
     /// direction per brick; use an aggregate effective figure).
@@ -77,7 +76,7 @@ impl Interconnect {
 }
 
 /// Profile of one multi-GPU convolution.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MultiGpuProfile {
     /// Devices used.
     pub devices: usize,

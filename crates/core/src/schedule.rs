@@ -19,12 +19,11 @@
 //! avg degree > 50.
 
 use gpu_sim::{Device, DeviceBuffer, DeviceConfig, LaunchConfig};
-use serde::{Deserialize, Serialize};
 
 use crate::kernels::WorkSource;
 
 /// Workload assignment strategy for the first-level (vertex) parallelism.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Assignment {
     /// One warp per vertex; the hardware block scheduler balances.
     Hardware {
@@ -155,7 +154,7 @@ impl BoundLaunch {
 /// assert!(matches!(h.choose(2_000_000, 4.0), Assignment::Software { .. }));
 /// assert!(matches!(h.choose(10_000, 200.0), Assignment::Software { .. }));
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct HybridHeuristic {
     /// Use software assignment when |V| exceeds this (paper: 1M).
     pub vertex_threshold: usize,

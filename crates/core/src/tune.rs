@@ -8,7 +8,6 @@
 //! workload and returns the best, the way a deployment would calibrate
 //! once per graph.
 
-use serde::{Deserialize, Serialize};
 use tlpgnn_graph::Csr;
 use tlpgnn_tensor::Matrix;
 
@@ -17,7 +16,7 @@ use crate::model::GnnModel;
 use crate::schedule::Assignment;
 
 /// One measured configuration.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TunePoint {
     /// The configuration.
     pub assignment: Assignment,
@@ -26,7 +25,7 @@ pub struct TunePoint {
 }
 
 /// Result of a tuning sweep.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TuneReport {
     /// Every configuration measured, in sweep order.
     pub points: Vec<TunePoint>,

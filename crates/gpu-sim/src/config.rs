@@ -9,8 +9,6 @@
 //! kernel-launch overhead) reproduce the orderings measured in the paper;
 //! they are not calibrated to absolute V100 timings.
 
-use serde::{Deserialize, Serialize};
-
 use crate::fault::FaultPlan;
 
 /// Number of threads in a warp. Fixed by the SIMT model (and by CUDA).
@@ -18,7 +16,7 @@ pub const WARP_SIZE: usize = 32;
 
 /// Hardware description plus analytic cost-model constants for a simulated
 /// device.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DeviceConfig {
     /// Human-readable device name (reported in profiles).
     pub name: String,

@@ -27,14 +27,12 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Seeded, deterministic fault schedule for one simulated device.
 ///
 /// The plan is consulted once per launch *attempt* (attempts are counted
 /// separately from successful launches, so a retried launch rolls new
 /// faults). Decisions derive from `splitmix64(seed, attempt_index)`.
-#[derive(Debug, Clone, Serialize, Deserialize, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
     /// Seed for the per-launch fault draws.
     pub seed: u64,
@@ -152,7 +150,7 @@ fn splitmix64(x: u64) -> u64 {
 }
 
 /// The kind of fault injected into one launch attempt.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FaultKind {
     /// The launch aborted before executing; retrying may succeed.
     Transient,
@@ -178,7 +176,7 @@ impl FaultKind {
 
 /// One injected fault, as recorded in the device's fault log (and, for
 /// stragglers, on the launch's [`KernelProfile`](crate::KernelProfile)).
-#[derive(Debug, Clone, Serialize, Deserialize, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultEvent {
     /// Launch-attempt index the fault fired at (0-based, per device).
     pub launch: u64,

@@ -13,8 +13,6 @@
 //! and all counters are exact integer sums over the (sequentially
 //! executed) warp traces — bitwise-identical across same-seed runs.
 
-use serde::{Deserialize, Serialize};
-
 use crate::config::DeviceConfig;
 use crate::warp::WarpStats;
 
@@ -26,7 +24,7 @@ pub const OCCUPANCY_BUCKETS: usize = 16;
 /// The time axis is warp-slot (serial) time — the same axis the list
 /// scheduler and the exported SM trace tracks use — not wall GPU cycles,
 /// which overlap resident warps.
-#[derive(Debug, Clone, Serialize, Deserialize, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SmOccupancy {
     /// SM index.
     pub sm: u32,
@@ -37,7 +35,7 @@ pub struct SmOccupancy {
 }
 
 /// Raw per-launch hardware counters (see the module docs).
-#[derive(Debug, Clone, Serialize, Deserialize, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct HwCounters {
     // ---- warp activity / stall reasons (cycles summed over all warps) ----
     /// Cycles warps spent issuing instructions (busy, not stalled).

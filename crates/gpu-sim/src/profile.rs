@@ -7,7 +7,6 @@
 //! (e.g. DGL's 18-kernel GAT graph convolution) the way the paper's
 //! Table 3 reports "runtime" vs "GPU time".
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 use crate::fault::FaultEvent;
@@ -27,7 +26,7 @@ use crate::hw::HwCounters;
 ///   `Σ sm.blocks == blocks_run` and `gpu_cycles == max(sm.sm_cycles)`;
 /// * per-SM issue cycles re-add to the launch total —
 ///   `Σ sm.issue_cycles == issue_cycles`.
-#[derive(Debug, Clone, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct Accounting {
     /// Global load requests.
     pub mem_requests: u64,
@@ -64,7 +63,7 @@ pub struct Accounting {
 }
 
 /// What one SM accumulated over the launch's block schedule.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct SmAccounting {
     /// Blocks scheduled onto this SM.
     pub blocks: u64,
@@ -83,7 +82,7 @@ pub struct SmAccounting {
 }
 
 /// Profile of a single kernel launch.
-#[derive(Debug, Clone, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct KernelProfile {
     /// Kernel name.
     pub name: String,
@@ -162,7 +161,7 @@ pub struct KernelProfile {
 }
 
 /// Per-term cycle components of the analytic cost model at the critical SM.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct LimiterBreakdown {
     /// Instruction-issue throughput bound, cycles.
     pub issue: f64,
@@ -336,7 +335,7 @@ impl fmt::Display for KernelProfile {
 /// assert_eq!(op.kernel_launches, 2);
 /// assert!((op.gpu_time_ms - 2.0).abs() < 1e-9);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct OpProfile {
     /// Operation name.
     pub name: String,

@@ -6,12 +6,10 @@
 //! memory traffic of index loads — the same reason GPU frameworks use
 //! `int32`).
 
-use serde::{Deserialize, Serialize};
-
 /// A directed graph in CSR form. For GNN aggregation the row vertex is the
 /// *destination* and `neighbors(v)` are the sources it pulls from (i.e.
 /// this is the in-adjacency unless documented otherwise by the builder).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Csr {
     num_vertices: usize,
     indptr: Vec<u32>,

@@ -11,10 +11,9 @@
 
 use crate::csr::Csr;
 use crate::generators;
-use serde::{Deserialize, Serialize};
 
 /// Degree-distribution family used to synthesize a dataset.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Family {
     /// Near-uniform degrees (citation and molecular graphs).
     Uniform,
@@ -31,7 +30,7 @@ pub enum Family {
 /// let g = pubmed.synthesize(4); // 1/4 scale
 /// assert!((g.avg_degree() - pubmed.avg_degree()).abs() < 1.0);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DatasetSpec {
     /// Table 4 abbreviation (e.g. "RD").
     pub abbr: &'static str,

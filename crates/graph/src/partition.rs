@@ -8,11 +8,10 @@
 //!   which needs an edge-balanced vertex partition in lieu of METIS.
 
 use crate::csr::Csr;
-use serde::{Deserialize, Serialize};
 
 /// One fixed-size neighbor group: a contiguous slice of a vertex's
 /// neighbor list, processed by one warp in the GNNAdvisor scheme.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NeighborGroup {
     /// Destination vertex the group accumulates into.
     pub vertex: u32,
@@ -77,7 +76,7 @@ pub fn grouping_cost_ms(g: &Csr, group_size: usize) -> f64 {
 /// A contiguous-range vertex partition with approximately equal edge
 /// counts per part: the lightweight stand-in for METIS the paper names
 /// for its multi-GPU future work.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct VertexPartition {
     /// `bounds[p]..bounds[p+1]` is the vertex range of part `p`.
     pub bounds: Vec<u32>,

@@ -2,10 +2,9 @@
 //! and dataset table speak in.
 
 use crate::csr::Csr;
-use serde::{Deserialize, Serialize};
 
 /// Summary statistics of one graph.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GraphStats {
     /// Vertex count.
     pub vertices: usize,

@@ -3,10 +3,9 @@
 
 use crate::matrix::Matrix;
 use crate::ops;
-use serde::{Deserialize, Serialize};
 
 /// A fully-connected layer.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Linear {
     weight: Matrix,
     bias: Option<Vec<f32>>,

@@ -1,17 +1,20 @@
 #!/usr/bin/env bash
-# Regenerate every table and figure of the paper, the extension
-# experiments, and the ablations. Results land in results/.
-# TLPGNN_SCALE can shrink everything for a quick pass (see crates/bench).
+# Regenerate the record: results/<name>.txt for every experiment in the
+# `repro` registry (tables, figures, extensions, ablations), then the
+# repro gate. Only stdout is recorded; telemetry exports and diagnostics
+# go to stderr and results/<name>.* side files. About 14 minutes at the
+# default scale on a 2-vCPU box; TLPGNN_SCALE shrinks everything for a
+# quick pass (see crates/bench) — but only a default-scale run may be
+# committed, since ci.sh compares results/ with fresh default-scale runs.
 set -euo pipefail
 cd "$(dirname "$0")"
 mkdir -p results
-for exp in datasets table1 table2 table3 table5 fig8 fig9 fig10 fig11 fig12 \
-           ext_multigpu ext_hetero ablation_tuning ablation_advisor \
-           ablation_costmodel ablation_device profile_kernels native_scaling \
-           serve_bench shard_bench; do
+for exp in $(./target/release/repro list); do
     echo "=== running $exp ==="
-    ./target/release/$exp > results/$exp.txt 2>&1
+    start=${SECONDS}
+    ./target/release/repro "$exp" > "results/$exp.txt"
+    echo "    $((SECONDS - start)) s"
 done
-echo "=== running repro_gate ==="
-./target/release/repro_gate | tee results/repro_gate.txt
+echo "=== running repro gate ==="
+./target/release/repro gate | tee results/repro_gate.txt
 echo "all experiments done"
