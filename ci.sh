@@ -26,7 +26,10 @@ echo "=== one home ==="
 # through serde), and the one-program-per-experiment binaries (an
 # experiment is a row of the registry in crates/bench/src/experiments/,
 # run as `repro <name>`; the ten programs left each have a flag grammar
-# and exit-code contract of their own).
+# and exit-code contract of their own), and the simulator's second
+# accounting views (a launch records one ledger, gpu_sim::Accounting; the
+# per-SM cost formula is SmAccounting::cost and nothing re-types it; the
+# per-SM occupancy histogram duplicated the telemetry SM tracks).
 if grep -qE '^name = "(rayon|crossbeam|parking_lot|serde|serde_derive)"' Cargo.lock; then
   echo "one home: rayon/crossbeam/parking_lot/serde are back in Cargo.lock" >&2
   exit 1
@@ -38,6 +41,14 @@ fi
 bench_bins="$(LC_ALL=C ls crates/bench/src/bin | xargs)"
 if [ "${bench_bins}" != "chaos_bench.rs conformance_fuzz.rs dynamic_bench.rs gnnconv.rs perf_gate.rs perf_report.rs repro.rs serve_bench.rs shard_bench.rs telemetry_diff.rs" ]; then
   echo "one home: crates/bench/src/bin/ holds ${bench_bins} (a new experiment is a registry row, not a binary)" >&2
+  exit 1
+fi
+if grep -rq 'recompute_breakdown' crates/perfgate; then
+  echo "one home: crates/perfgate recomputes the cost breakdown (call gpu_sim::Accounting::critical_sm)" >&2
+  exit 1
+fi
+if grep -rqE 'SmOccupancy|OCCUPANCY_BUCKETS|struct SmBin' crates; then
+  echo "one home: a second per-SM record is back in crates/ (the ledger's SmAccounting is the one)" >&2
   exit 1
 fi
 
@@ -236,10 +247,11 @@ assert_bench_unchanged
 
 echo "=== perf report ==="
 # Hardware-counter-grade attribution over the full 30-workload suite:
-# every workload's roofline classification (recomputed from raw per-SM
-# accounting) must agree with the cost model's stored limiter — the
-# binary exits non-zero on any disagreement — and results/roofline.json
-# is written for dashboards (schema pinned by the perfgate golden test).
+# every workload's roofline classification, read off its launch ledger
+# under the suite's device through the same cost function the launcher
+# used, must agree with the limiter stored on the profile — the binary
+# exits non-zero on any disagreement — and results/roofline.json is
+# written for dashboards (schema pinned by the perfgate golden test).
 ./target/release/perf_report | tee results/perf_report_summary.txt
 wall_on="$(awk -F= '/^perf_report: suite_wall_ms=/ {print $2; exit}' results/perf_report_summary.txt)"
 # Profiler overhead: the fully-instrumented suite run must stay within

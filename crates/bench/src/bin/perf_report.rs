@@ -152,7 +152,7 @@ fn main() {
         ],
     );
     for (id, p) in by_time.iter().take(top_k) {
-        let hw = &p.hw;
+        let hw = p.accounting.hw(&s.device);
         t.row(vec![
             id.clone(),
             fmt_ms(p.gpu_time_ms),

@@ -1,6 +1,7 @@
 //! The device: owns memory and the L2, executes kernels (functionally, one
-//! warp at a time on the calling thread), and converts the recorded
-//! per-warp traces into a [`KernelProfile`] via the analytic cost model.
+//! warp at a time on the calling thread), records each launch's ledger
+//! ([`Accounting`]) and reads a [`KernelProfile`] off it via the analytic
+//! cost model.
 //!
 //! # Execution vs. scheduling
 //!
@@ -18,12 +19,18 @@
 //! lets a grid with a few enormous blocks (hub vertices) still balance
 //! across SMs.
 //!
+//! Execution merges every warp's counters into the ledger; the scheduler
+//! fills the ledger's per-SM totals ([`SmAccounting`]) directly. Nothing
+//! else is recorded: every metric of the profile, the limiter and the
+//! hardware counters are functions of that one record.
+//!
 //! # Cost model
 //!
 //! Each warp's trace yields issue cycles, memory stall cycles, and
 //! bandwidth sectors; per block we also track the slowest warp (a block
 //! holds all its warp slots until that warp retires). For the set of
-//! blocks scheduled on one SM:
+//! blocks scheduled on one SM ([`SmAccounting::cost`], the one place this
+//! is written):
 //!
 //! ```text
 //! sm_time = max( Σ issue_cycles / issue_ipc,              (issue throughput)
@@ -38,7 +45,8 @@
 //!           + blocks × block_sched_cycles                 (HW scheduling)
 //! ```
 //!
-//! Kernel GPU time is the max over SMs; end-to-end runtime adds the host
+//! Kernel GPU time is the max over SMs ([`Accounting::critical_sm`]), whose
+//! terms are the profile's limiter; end-to-end runtime adds the host
 //! launch overhead. A warp's serial time overlaps its own outstanding
 //! loads: `warp_cycles = issue + mem_lat/warp_mlp + atomic_lat/atomic_mlp`.
 //!
@@ -59,11 +67,10 @@ use telemetry::{BlockSlice, KernelSample, SimKernelTimeline, SmTimeline, MAX_BLO
 use crate::cache::SectorCache;
 use crate::config::{DeviceConfig, WARP_SIZE};
 use crate::fault::{FaultEvent, FaultKind, LaunchError};
-use crate::hw::HwCounters;
 use crate::kernel::{Kernel, LaunchConfig};
 use crate::mem::{DeviceMemory, SectorGeometry};
-use crate::profile::{Accounting, KernelProfile, LimiterBreakdown, SmAccounting};
-use crate::warp::{WarpCtx, WarpId, WarpStats};
+use crate::profile::{Accounting, KernelProfile, SmAccounting};
+use crate::warp::{WarpCtx, WarpId};
 
 /// Cost record of one executed block, consumed by the list scheduler.
 #[derive(Clone, Default)]
@@ -264,8 +271,8 @@ impl Device {
         event
     }
 
-    /// The fault-free launch path: execute every warp and build the
-    /// profile.
+    /// The fault-free launch path: execute every warp, recording the
+    /// launch ledger, and build the profile from it.
     fn execute(&mut self, kernel: &dyn Kernel, lc: LaunchConfig) -> KernelProfile {
         assert!(
             lc.block_threads >= 1 && lc.block_threads <= self.cfg.max_threads_per_block,
@@ -275,15 +282,13 @@ impl Device {
         self.launches += 1;
         let warps_per_block = lc.warps_per_block();
         let block_threads = warps_per_block * WARP_SIZE;
+        let mut acc = Accounting {
+            warps_per_block: warps_per_block as u64,
+            resident_warps: self.resident_warps(kernel, lc),
+            ..Accounting::default()
+        };
         if lc.grid_blocks == 0 {
-            return self.finish_profile(
-                kernel,
-                lc,
-                warps_per_block,
-                WarpStats::default(),
-                Vec::new(),
-                0,
-            );
+            return self.finish_profile(kernel, lc, acc, Vec::new());
         }
 
         let shared_f32 = kernel.shared_f32_per_block();
@@ -297,19 +302,16 @@ impl Device {
         // would give every warp the whole L1 to itself; on hardware the
         // L1 is shared by all resident warps. Model that contention by
         // sizing each worker's cache to one resident warp's share.
-        let resident = self.resident_warps(kernel, lc);
-        let l1_eff = (self.cfg.l1_bytes as f64 / resident).max(2048.0) as usize;
+        let l1_eff = (self.cfg.l1_bytes as f64 / acc.resident_warps).max(2048.0) as usize;
 
         let cfg = &self.cfg;
         let mem = &self.mem;
         let l2 = self.l2.get_mut();
         let geometry = SectorGeometry::new(cfg.sector_bytes);
 
-        let mut total = WarpStats::default();
         // Indexed by block: launch order, in which the hardware
         // distributor hands blocks out and the list scheduler reads them.
         let mut blocks = vec![BlockCost::default(); grid];
-        let mut l1_evictions = 0u64;
         // Every worker starts from an empty L1 of the same geometry.
         let mut l1 = SectorCache::new(l1_eff, cfg.sector_bytes);
         let mut shared = vec![0.0f32; shared_f32];
@@ -335,16 +337,16 @@ impl Device {
                     bc.bw_sectors += (ctx.stats.below_l1_sectors() + ctx.stats.store_sectors)
                         as f64
                         + ctx.stats.atomic_sectors as f64 * cfg.atomic_bw_factor;
-                    total.merge(&ctx.stats);
+                    acc.warps.merge(&ctx.stats);
                 }
                 let ceiling = bc.max_warp * warps_per_block as u64;
                 bc.slot_cycles += ((ceiling - bc.slot_cycles) as f64 * RAMP_DOWN_CHARGE) as u64;
             }
-            l1_evictions += l1.evictions();
+            acc.l1_evictions += l1.evictions();
             l1.reset();
         }
 
-        self.finish_profile(kernel, lc, warps_per_block, total, blocks, l1_evictions)
+        self.finish_profile(kernel, lc, acc, blocks)
     }
 
     /// Resident warps per SM for this kernel/launch (registers, warp
@@ -363,100 +365,50 @@ impl Device {
             .max(1) as f64
     }
 
+    /// Place the executed blocks on SMs, completing the ledger, and read
+    /// the profile off it.
     fn finish_profile(
         &mut self,
         kernel: &dyn Kernel,
         lc: LaunchConfig,
-        warps_per_block: usize,
-        total: WarpStats,
+        mut acc: Accounting,
         blocks: Vec<BlockCost>,
-        l1_evictions: u64,
     ) -> KernelProfile {
         let cfg = &self.cfg;
-        let resident_warps = self.resident_warps(kernel, lc);
 
         // Greedy list scheduling of blocks onto SMs: each block (in launch
         // order) goes to the SM with the least accumulated slot time —
         // the deterministic fixed point of the hardware block distributor.
-        #[derive(Default, Clone)]
-        struct SmBin {
-            issue: u64,
-            bw: f64,
-            slot: u64,
-            max_warp: u64,
-            blocks: u64,
-        }
-        let mut bins = vec![SmBin::default(); cfg.num_sms];
+        acc.sm = vec![SmAccounting::default(); cfg.num_sms];
         let mut heap: BinaryHeap<Reverse<(u64, usize)>> =
             (0..cfg.num_sms).map(|i| Reverse((0u64, i))).collect();
-        let mut warps_run = 0u64;
-        // (sm, block, start_cycles, end_cycles) placements, captured from
-        // the schedule for the occupancy timeline (and, when telemetry is
-        // on, the per-SM trace track). Capturing is cheap — one tuple per
-        // block, no allocation beyond the reserved vec — and keeps the
-        // counters identical whether or not collection is enabled.
-        let mut placements: Vec<(usize, u32, u64, u64)> = Vec::with_capacity(blocks.len());
+        // `(sm, block, start_cycles, end_cycles)` of every block, for the
+        // per-SM trace track; only telemetry reads it.
+        let mut placements = telemetry::enabled().then(|| Vec::with_capacity(blocks.len()));
         for (idx, b) in blocks.iter().enumerate() {
-            let Reverse((load, sm)) = heap.pop().expect("bins nonempty");
-            let bin = &mut bins[sm];
-            bin.issue += b.issue_cycles;
-            bin.bw += b.bw_sectors;
-            bin.slot += b.slot_cycles;
-            bin.max_warp = bin.max_warp.max(b.max_warp);
-            bin.blocks += 1;
-            warps_run += warps_per_block as u64;
-            placements.push((sm, idx as u32, load, load + b.slot_cycles));
-            heap.push(Reverse((load + b.slot_cycles + cfg.block_sched_cycles, sm)));
-        }
-
-        let mut gpu_cycles = 0f64;
-        let mut sum_issue = 0u64;
-        let mut blocks_run = 0u64;
-        let mut sum_slots = 0u64;
-        let mut max_slot = 0u64;
-        let mut limiter = LimiterBreakdown::default();
-        let mut sm_accounting = Vec::with_capacity(bins.len());
-        for bin in &bins {
-            sum_slots += bin.slot;
-            max_slot = max_slot.max(bin.slot);
-            let issue_time = bin.issue as f64 / cfg.issue_ipc;
-            let bw_time = bin.bw * cfg.sector_bw_cycles;
-            let lat_time = bin.slot as f64 / resident_warps;
-            let sched_time = (bin.blocks * cfg.block_sched_cycles) as f64;
-            let sm_time = issue_time
-                .max(bw_time)
-                .max(lat_time)
-                .max(bin.max_warp as f64)
-                + sched_time;
-            if sm_time > gpu_cycles {
-                gpu_cycles = sm_time;
-                limiter = LimiterBreakdown {
-                    issue: issue_time,
-                    bandwidth: bw_time,
-                    latency: lat_time,
-                    critical_warp: bin.max_warp as f64,
-                    scheduling: sched_time,
-                };
+            let Reverse((load, i)) = heap.pop().expect("bins nonempty");
+            let sm = &mut acc.sm[i];
+            sm.issue_cycles += b.issue_cycles;
+            sm.bw_sectors += b.bw_sectors;
+            sm.slot_cycles += b.slot_cycles;
+            sm.max_warp_cycles = sm.max_warp_cycles.max(b.max_warp);
+            sm.blocks += 1;
+            if let Some(placements) = placements.as_mut() {
+                placements.push((i, idx as u32, load, load + b.slot_cycles));
             }
-            sum_issue += bin.issue;
-            blocks_run += bin.blocks;
-            sm_accounting.push(SmAccounting {
-                blocks: bin.blocks,
-                slot_cycles: bin.slot,
-                issue_cycles: bin.issue,
-                bw_sectors: bin.bw,
-                max_warp_cycles: bin.max_warp,
-                sm_cycles: sm_time,
-            });
+            heap.push(Reverse((load + b.slot_cycles + cfg.block_sched_cycles, i)));
         }
 
+        let (gpu_cycles, limiter) = acc.critical_sm(cfg);
         let gpu_time_ms = cfg.cycles_to_ms(gpu_cycles);
         let denom_cycles = gpu_cycles.max(1.0);
         let num_sms = cfg.num_sms as f64;
         let sector = cfg.sector_bytes as u64;
+        let sum_slots: u64 = acc.sm.iter().map(|sm| sm.slot_cycles).sum();
+        let max_slot = acc.sm.iter().map(|sm| sm.slot_cycles).max().unwrap_or(0);
+        let blocks_run = lc.grid_blocks as u64;
 
-        let load_requests = total.mem_requests.max(1);
-        let l1_total = total.l1_hit_sectors + total.below_l1_sectors();
+        let w = &acc.warps;
 
         let profile = KernelProfile {
             name: kernel.name().to_string(),
@@ -465,7 +417,7 @@ impl Device {
             gpu_cycles,
             gpu_time_ms,
             runtime_ms: gpu_time_ms + cfg.kernel_launch_us / 1e3,
-            sm_utilization: (sum_issue as f64 / cfg.issue_ipc) / (num_sms * denom_cycles),
+            sm_utilization: (w.issue_cycles as f64 / cfg.issue_ipc) / (num_sms * denom_cycles),
             // Achieved occupancy = configured residency × load balance:
             // warps stay resident for their block's whole duration, so a
             // fully balanced launch achieves its configured occupancy and
@@ -473,60 +425,43 @@ impl Device {
             achieved_occupancy: if max_slot == 0 {
                 0.0
             } else {
-                (resident_warps / cfg.max_warps_per_sm as f64)
+                (acc.resident_warps / cfg.max_warps_per_sm as f64)
                     * (sum_slots as f64 / (num_sms * max_slot as f64))
             },
-            simd_efficiency: if total.total_lane_steps == 0 {
+            simd_efficiency: if w.total_lane_steps == 0 {
                 1.0
             } else {
-                total.active_lane_steps as f64 / total.total_lane_steps as f64
+                w.active_lane_steps as f64 / w.total_lane_steps as f64
             },
-            sectors_per_request: total.mem_sectors as f64 / load_requests as f64,
-            stall_long_scoreboard: (total.mem_lat_cycles + total.atomic_lat_cycles) as f64
-                / total.insts.max(1) as f64,
-            l1_hit_rate: if l1_total == 0 {
+            sectors_per_request: w.mem_sectors() as f64 / w.mem_requests.max(1) as f64,
+            stall_long_scoreboard: (w.mem_lat_cycles + w.atomic_lat_cycles) as f64
+                / w.insts.max(1) as f64,
+            l1_hit_rate: if w.mem_sectors() == 0 {
                 0.0
             } else {
-                total.l1_hit_sectors as f64 / l1_total as f64
+                w.l1_hit_sectors as f64 / w.mem_sectors() as f64
             },
-            l2_hit_rate: if total.below_l1_sectors() == 0 {
+            l2_hit_rate: if w.below_l1_sectors() == 0 {
                 0.0
             } else {
-                total.l2_hit_sectors as f64 / total.below_l1_sectors() as f64
+                w.l2_hit_sectors as f64 / w.below_l1_sectors() as f64
             },
-            load_bytes: total.below_l1_sectors() * sector,
-            dram_load_bytes: total.dram_sectors * sector,
-            store_bytes: total.store_sectors * sector,
-            atomic_bytes: total.atomic_sectors * sector,
-            mem_requests: total.mem_requests,
-            atomic_requests: total.atomic_requests,
-            insts: total.insts,
-            warps_run,
+            load_bytes: w.below_l1_sectors() * sector,
+            dram_load_bytes: w.dram_sectors * sector,
+            store_bytes: w.store_sectors * sector,
+            atomic_bytes: w.atomic_sectors * sector,
+            mem_requests: w.mem_requests,
+            atomic_requests: w.atomic_requests,
+            insts: w.insts,
+            warps_run: blocks_run * acc.warps_per_block,
             blocks_run,
             peak_mem_bytes: self.mem.peak_bytes(),
             limiter,
-            accounting: Accounting {
-                mem_requests: total.mem_requests,
-                mem_sectors: total.mem_sectors,
-                l1_hit_sectors: total.l1_hit_sectors,
-                l2_hit_sectors: total.l2_hit_sectors,
-                dram_sectors: total.dram_sectors,
-                store_requests: total.store_requests,
-                store_sectors: total.store_sectors,
-                atomic_requests: total.atomic_requests,
-                atomic_sectors: total.atomic_sectors,
-                issue_cycles: total.issue_cycles,
-                active_lane_steps: total.active_lane_steps,
-                total_lane_steps: total.total_lane_steps,
-                warps_per_block: warps_per_block as u64,
-                resident_warps,
-                sm: sm_accounting,
-            },
-            hw: HwCounters::collect(cfg, &total, l1_evictions, &placements),
+            accounting: acc,
             injected_fault: None,
         };
 
-        if telemetry::enabled() {
+        if let Some(placements) = placements {
             self.publish_telemetry(&profile, placements);
         }
         self.sim_clock_us += profile.runtime_ms * 1e3;
@@ -547,7 +482,7 @@ impl Device {
             sm_utilization: profile.sm_utilization,
             limiter: profile.limiter.name().to_string(),
         });
-        for (counter, v) in profile.hw.scalar_counters() {
+        for (counter, v) in profile.accounting.hw(cfg).scalar_counters() {
             telemetry::counter_add(&format!("kernel.{}.hw.{counter}", profile.name), v);
         }
 
@@ -666,8 +601,9 @@ mod tests {
 
     #[test]
     fn hw_counters_bitwise_deterministic_and_conserving() {
+        let cfg = DeviceConfig::test_small();
         let run = || {
-            let mut dev = Device::new(DeviceConfig::test_small());
+            let mut dev = Device::new(cfg.clone());
             let n = 4096;
             let xs: Vec<f32> = (0..n).map(|i| (i % 97) as f32).collect();
             let x = dev.mem_mut().alloc_from(&xs);
@@ -678,21 +614,16 @@ mod tests {
         let a = run();
         let b = run();
         // All-integer counters: equality here is bitwise identity.
-        assert_eq!(a.hw, b.hw);
+        assert_eq!(a.accounting.hw(&cfg), b.accounting.hw(&cfg));
 
-        // Conservation against the raw accounting totals.
-        let hw = &a.hw;
+        // Conservation between the ledger's two recordings: the merged
+        // warp totals and the per-SM schedule.
         let acc = &a.accounting;
-        assert_eq!(hw.l1_hit_sectors + hw.l1_miss_sectors, acc.mem_sectors);
-        assert_eq!(hw.l2_hit_sectors + hw.l2_miss_sectors, hw.l1_miss_sectors);
-        assert_eq!(hw.row_hit_sectors + hw.row_miss_sectors, hw.l1_miss_sectors);
-        assert_eq!(hw.dram_sectors, acc.dram_sectors);
-        assert_eq!(hw.issue_active_cycles, acc.issue_cycles);
-        assert!(hw.stall_mem_cycles > 0);
-        // The occupancy timeline re-adds to the schedule's slot cycles.
-        let busy: u64 = hw.occupancy.iter().flat_map(|o| o.busy_cycles.iter()).sum();
-        let slots: u64 = acc.sm.iter().map(|s| s.slot_cycles).sum();
-        assert_eq!(busy, slots);
+        assert!(acc.hw(&cfg).stall_mem_cycles > 0);
+        let issue: u64 = acc.sm.iter().map(|s| s.issue_cycles).sum();
+        assert_eq!(issue, acc.warps.issue_cycles);
+        let blocks: u64 = acc.sm.iter().map(|s| s.blocks).sum();
+        assert_eq!(blocks, a.blocks_run);
         // Per-SM bandwidth sectors re-add to the atomic-weighted total.
         let bw: f64 = acc.sm.iter().map(|s| s.bw_sectors).sum();
         assert!(bw > 0.0);

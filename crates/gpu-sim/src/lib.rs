@@ -72,7 +72,7 @@ pub mod warp;
 
 pub use config::{DeviceConfig, WARP_SIZE};
 pub use fault::{FaultEvent, FaultKind, FaultPlan, LaunchError};
-pub use hw::{HwCounters, SmOccupancy, OCCUPANCY_BUCKETS};
+pub use hw::HwCounters;
 pub use kernel::{Kernel, LaunchConfig};
 pub use launch::Device;
 pub use mem::{DeviceBuffer, DeviceMemory, Word, DRAM_ROW_BYTES};

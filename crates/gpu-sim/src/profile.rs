@@ -1,65 +1,76 @@
-//! Nsight-Compute-like kernel profiles.
+//! Nsight-Compute-like kernel profiles, and the ledger they are read from.
 //!
-//! [`KernelProfile`] reports, for one launch, the metrics the paper's
-//! Section 2.3 defines: SM utilization, achieved occupancy, sectors per
-//! request, stall-for-long-scoreboard, plus traffic breakdowns. An
+//! A launch records one raw ledger, [`Accounting`]: the merged
+//! [`WarpStats`], the L1 eviction count, the residency the cost model
+//! assumed, and the per-SM totals of the block schedule
+//! ([`SmAccounting`]). [`SmAccounting::cost`] is the per-SM cost formula,
+//! written once; the launcher reads `gpu_cycles` and the
+//! [`LimiterBreakdown`] off it, and the roofline classifier calls the same
+//! function. [`KernelProfile`] reports, for one launch, the metrics the
+//! paper's Section 2.3 defines — SM utilization, achieved occupancy,
+//! sectors per request, stall-for-long-scoreboard — plus traffic
+//! breakdowns, each a function of the ledger it carries. An
 //! [`OpProfile`] aggregates several launches into one logical operation
 //! (e.g. DGL's 18-kernel GAT graph convolution) the way the paper's
 //! Table 3 reports "runtime" vs "GPU time".
 
 use std::fmt;
 
+use crate::config::DeviceConfig;
 use crate::fault::FaultEvent;
-use crate::hw::HwCounters;
+use crate::warp::WarpStats;
 
-/// Raw counter totals and per-SM schedule accounting for one launch.
+/// The launch's one raw ledger: every number the launcher records, stored
+/// once. Every other view is a function of it — the ratio metrics and
+/// byte counts on [`KernelProfile`], `gpu_cycles` and the
+/// [`LimiterBreakdown`] ([`Self::critical_sm`]), and the hardware
+/// counters ([`Self::hw`]).
 ///
-/// These are the un-derived numbers every ratio metric on
-/// [`KernelProfile`] is computed from, exposed so external checkers (the
-/// conformance harness) can verify the simulator's conservation laws:
+/// Conservation laws an external checker (the conformance harness) can
+/// verify, because two independent recordings must agree:
 ///
-/// * every load sector is served by exactly one level —
-///   `l1_hit_sectors + l2_hit_sectors + dram_sectors == mem_sectors`;
-/// * a load request touches at least one sector —
-///   `mem_sectors >= mem_requests` (and likewise for stores/atomics);
-/// * the block schedule loses nothing —
-///   `Σ sm.blocks == blocks_run` and `gpu_cycles == max(sm.sm_cycles)`;
-/// * per-SM issue cycles re-add to the launch total —
-///   `Σ sm.issue_cycles == issue_cycles`.
+/// * a request touches at least one sector —
+///   `warps.mem_sectors() >= warps.mem_requests` (and likewise for
+///   stores and atomics);
+/// * the block schedule loses nothing — `Σ sm.blocks == blocks_run`;
+/// * per-SM issue cycles re-add to the warp totals —
+///   `Σ sm.issue_cycles == warps.issue_cycles`.
+///
+/// Two relations hold by construction and need no check: load sectors
+/// are the sum of the three service levels ([`WarpStats::mem_sectors`]),
+/// and `gpu_cycles` and the limiter are one call over `sm`.
 #[derive(Debug, Clone, Default)]
 pub struct Accounting {
-    /// Global load requests.
-    pub mem_requests: u64,
-    /// Load sectors touched (serviced by L1 + L2 + DRAM).
-    pub mem_sectors: u64,
-    /// Load sectors served by the L1.
-    pub l1_hit_sectors: u64,
-    /// Load sectors served by the L2.
-    pub l2_hit_sectors: u64,
-    /// Load sectors served by DRAM.
-    pub dram_sectors: u64,
-    /// Store requests issued.
-    pub store_requests: u64,
-    /// Sectors written by stores.
-    pub store_sectors: u64,
-    /// Atomic requests issued.
-    pub atomic_requests: u64,
-    /// Sectors touched by atomics.
-    pub atomic_sectors: u64,
-    /// Cycles spent issuing instructions, all warps.
-    pub issue_cycles: u64,
-    /// Active lanes summed over SIMD steps.
-    pub active_lane_steps: u64,
-    /// `WARP_SIZE` × SIMD steps.
-    pub total_lane_steps: u64,
+    /// Every executed warp's counters, merged.
+    pub warps: WarpStats,
+    /// L1 misses that displaced a valid resident sector (capacity or
+    /// conflict pressure; cold fills excluded), summed over SM workers.
+    pub l1_evictions: u64,
     /// Warps per block of this launch.
     pub warps_per_block: u64,
     /// Resident warps per SM the cost model assumed for this launch
     /// (registers, warp slots, shared memory, and the block cap all
     /// considered; the latency-hiding divisor).
     pub resident_warps: f64,
-    /// Per-SM totals from the deterministic block list schedule.
+    /// Per-SM totals, filled by the deterministic block list schedule.
     pub sm: Vec<SmAccounting>,
+}
+
+impl Accounting {
+    /// Modelled kernel cycles and the cost breakdown at the critical SM:
+    /// the first SM whose [`SmAccounting::cost`] is the maximum.
+    pub fn critical_sm(&self, cfg: &DeviceConfig) -> (f64, LimiterBreakdown) {
+        self.sm
+            .iter()
+            .map(|sm| sm.cost(cfg, self.resident_warps))
+            .fold((0.0, LimiterBreakdown::default()), |critical, c| {
+                if c.0 > critical.0 {
+                    c
+                } else {
+                    critical
+                }
+            })
+    }
 }
 
 /// What one SM accumulated over the launch's block schedule.
@@ -76,9 +87,29 @@ pub struct SmAccounting {
     pub bw_sectors: f64,
     /// Longest single warp scheduled here, cycles.
     pub max_warp_cycles: u64,
-    /// This SM's modelled completion time under the cost model, cycles.
-    /// `KernelProfile::gpu_cycles` is the maximum of these.
-    pub sm_cycles: f64,
+}
+
+impl SmAccounting {
+    /// This SM's modelled completion time, cycles, and its per-term
+    /// breakdown — the one place the per-SM cost formula is written (see
+    /// the [`launch`](crate::launch) module docs):
+    /// `max(issue, bandwidth, latency, critical warp) + scheduling`.
+    pub fn cost(&self, cfg: &DeviceConfig, resident_warps: f64) -> (f64, LimiterBreakdown) {
+        let terms = LimiterBreakdown {
+            issue: self.issue_cycles as f64 / cfg.issue_ipc,
+            bandwidth: self.bw_sectors * cfg.sector_bw_cycles,
+            latency: self.slot_cycles as f64 / resident_warps,
+            critical_warp: self.max_warp_cycles as f64,
+            scheduling: (self.blocks * cfg.block_sched_cycles) as f64,
+        };
+        let cycles = terms
+            .issue
+            .max(terms.bandwidth)
+            .max(terms.latency)
+            .max(terms.critical_warp)
+            + terms.scheduling;
+        (cycles, terms)
+    }
 }
 
 /// Profile of a single kernel launch.
@@ -108,8 +139,8 @@ pub struct KernelProfile {
     // ---- memory ----
     /// Average sectors per global load request.
     pub sectors_per_request: f64,
-    /// Average cycles a warp waited per memory request ("stall long
-    /// scoreboard").
+    /// Cycles warps waited on loads and atomics per warp instruction
+    /// ("stall long scoreboard").
     pub stall_long_scoreboard: f64,
     /// L1 sector hit rate (0..1).
     pub l1_hit_rate: f64,
@@ -143,14 +174,9 @@ pub struct KernelProfile {
     /// critical-warp, and block-scheduling components. Which of these is
     /// largest names the kernel's limiter.
     pub limiter: LimiterBreakdown,
-    /// Raw counter totals and per-SM schedule accounting (conservation-law
-    /// inputs; every ratio metric above derives from these).
+    /// The launch's raw ledger: every scalar above, the limiter and the
+    /// hardware counters ([`Accounting::hw`]) derive from it.
     pub accounting: Accounting,
-    /// Hardware-counter-grade observability: warp stall reasons, cache
-    /// hit/miss/eviction sectors per level, DRAM row locality, and the
-    /// bucketed per-SM occupancy timeline. Pure observability — none of
-    /// these feed the cost model, and all are bitwise-deterministic.
-    pub hw: HwCounters,
     /// Fault injected into this launch, if any. Only stragglers can carry
     /// an event here (transient/device-lost launches never produce a
     /// profile); `None` always when the device's `FaultPlan` is empty.

@@ -32,7 +32,8 @@ use crate::cache::SectorCache;
 use crate::config::{DeviceConfig, WARP_SIZE};
 use crate::mem::{self, DeviceBuffer, DeviceMemory, SectorGeometry, Word};
 
-/// Per-warp counters; summed per SM and then per kernel by the launcher.
+/// Per-warp counters; the launcher merges every warp's into the launch
+/// ledger ([`Accounting::warps`](crate::Accounting::warps)).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct WarpStats {
     /// Warp instructions issued (memory instructions included).
@@ -41,13 +42,9 @@ pub struct WarpStats {
     pub issue_cycles: u64,
     /// Global-memory load requests (one per warp load instruction).
     pub mem_requests: u64,
-    /// Sectors touched by load requests (coalescing metric numerator).
-    pub mem_sectors: u64,
     /// Below-L1 load sectors that stayed in the same modelled DRAM row as
     /// the warp's previous below-L1 sector (row-buffer locality).
     pub row_hit_sectors: u64,
-    /// Below-L1 load sectors that crossed a DRAM row boundary.
-    pub row_miss_sectors: u64,
     /// Cycles the warp stalled waiting on loads ("long scoreboard").
     pub mem_lat_cycles: u64,
     /// Load sectors served by the L1.
@@ -70,8 +67,6 @@ pub struct WarpStats {
     pub active_lane_steps: u64,
     /// `WARP_SIZE` × SIMD steps (divergence denominator).
     pub total_lane_steps: u64,
-    /// Shared-memory requests.
-    pub shared_requests: u64,
     /// Block-level barriers executed.
     pub syncs: u64,
 }
@@ -82,9 +77,7 @@ impl WarpStats {
         self.insts += o.insts;
         self.issue_cycles += o.issue_cycles;
         self.mem_requests += o.mem_requests;
-        self.mem_sectors += o.mem_sectors;
         self.row_hit_sectors += o.row_hit_sectors;
-        self.row_miss_sectors += o.row_miss_sectors;
         self.mem_lat_cycles += o.mem_lat_cycles;
         self.l1_hit_sectors += o.l1_hit_sectors;
         self.l2_hit_sectors += o.l2_hit_sectors;
@@ -96,7 +89,6 @@ impl WarpStats {
         self.atomic_lat_cycles += o.atomic_lat_cycles;
         self.active_lane_steps += o.active_lane_steps;
         self.total_lane_steps += o.total_lane_steps;
-        self.shared_requests += o.shared_requests;
         self.syncs += o.syncs;
     }
 
@@ -113,6 +105,18 @@ impl WarpStats {
     /// interconnect/DRAM bandwidth).
     pub fn below_l1_sectors(&self) -> u64 {
         self.l2_hit_sectors + self.dram_sectors
+    }
+
+    /// Sectors touched by load requests (coalescing metric numerator):
+    /// every one is served by exactly one level.
+    pub fn mem_sectors(&self) -> u64 {
+        self.l1_hit_sectors + self.below_l1_sectors()
+    }
+
+    /// Below-L1 load sectors that crossed a DRAM row boundary: every
+    /// below-L1 sector is either a row hit or this.
+    pub fn row_miss_sectors(&self) -> u64 {
+        self.below_l1_sectors() - self.row_hit_sectors
     }
 }
 
@@ -342,7 +346,6 @@ impl<'a> WarpCtx<'a> {
         let st = &mut self.stats;
         let n = sectors.len() as u64;
         st.mem_requests += 1;
-        st.mem_sectors += n;
         // LSU wavefront replays: one per sector, consuming issue slots.
         st.issue_cycles += (n as f64 * self.cfg.lsu_cycles_per_sector) as u64;
         let mut worst = 0u64;
@@ -357,7 +360,6 @@ impl<'a> WarpCtx<'a> {
                 if row == self.last_dram_row {
                     st.row_hit_sectors += 1;
                 } else {
-                    st.row_miss_sectors += 1;
                     self.last_dram_row = row;
                 }
                 if self.l2.access(s) {
@@ -544,7 +546,6 @@ impl<'a> WarpCtx<'a> {
 
     /// Charge `requests` shared-memory accesses.
     pub fn charge_shared(&mut self, requests: u64) {
-        self.stats.shared_requests += requests;
         self.stats.issue_cycles += requests * self.cfg.shared_latency;
         self.stats.insts += requests;
     }
@@ -569,7 +570,6 @@ impl<'a> WarpCtx<'a> {
             }
         }
         let conflicts = bank_words.iter().map(|(_, n)| *n).max().unwrap_or(0).max(1) as u32;
-        self.stats.shared_requests += 1;
         self.stats.insts += 1;
         self.stats.issue_cycles += self.cfg.shared_latency * conflicts as u64;
         self.stats.active_lane_steps += active as u64;
@@ -630,7 +630,7 @@ mod tests {
         assert_eq!(vals[5], 5.0);
         // 32 consecutive f32 = 128 bytes = 4 sectors of 32B.
         assert_eq!(w.stats.mem_requests, 1);
-        assert_eq!(w.stats.mem_sectors, 4);
+        assert_eq!(w.stats.mem_sectors(), 4);
     }
 
     #[test]
@@ -642,7 +642,7 @@ mod tests {
         let mut w = warp(&mem, &mut l1, &mut l2, &cfg, &mut shared);
         // Stride of 64 floats = 256 bytes: every lane in its own sector.
         let _ = w.ld(buf, |lane| Some(lane * 64));
-        assert_eq!(w.stats.mem_sectors, 32);
+        assert_eq!(w.stats.mem_sectors(), 32);
         assert!(w.stats.mem_lat_cycles > cfg.dram_latency);
     }
 
@@ -668,17 +668,13 @@ mod tests {
         let mut w = warp(&mem, &mut l1, &mut l2, &cfg, &mut shared);
         // Streaming: 4 consecutive cold sectors share one 1 KiB row.
         let _ = w.ld(buf, Some);
-        assert_eq!(w.stats.row_miss_sectors, 1);
+        assert_eq!(w.stats.row_miss_sectors(), 1);
         assert_eq!(w.stats.row_hit_sectors, 3);
         // Stride 256 floats = 1 KiB: every below-L1 lane lands in a fresh
         // row (lane 0 re-reads a sector still resident in the L1).
         let _ = w.ld(buf, |lane| Some(lane * 256));
-        assert_eq!(w.stats.row_miss_sectors, 1 + 31);
-        // Conservation: every below-L1 sector is classified exactly once.
-        assert_eq!(
-            w.stats.row_hit_sectors + w.stats.row_miss_sectors,
-            w.stats.below_l1_sectors()
-        );
+        assert_eq!(w.stats.row_miss_sectors(), 1 + 31);
+        assert_eq!(w.stats.row_hit_sectors, 3);
     }
 
     #[test]
@@ -794,7 +790,7 @@ mod tests {
             (0, 64)
         );
         assert_eq!((w.stats.mem_requests, w.stats.store_requests), (0, 0));
-        assert_eq!((w.stats.mem_sectors, w.stats.store_sectors), (0, 0));
+        assert_eq!((w.stats.mem_sectors(), w.stats.store_sectors), (0, 0));
         let _ = w;
         assert_eq!((l1.misses(), l2.misses()), (0, 0));
         assert_eq!(mem.read_vec(buf), vec![0.0; 8]);

@@ -17,11 +17,11 @@ type Pin = (f64, u64, u64, u64, u64, u64);
 fn pin(p: &KernelProfile) -> Pin {
     (
         p.gpu_cycles,
-        p.hw.l1_hit_sectors,
-        p.hw.l2_hit_sectors,
-        p.hw.dram_sectors,
-        p.hw.l1_evictions,
-        p.accounting.atomic_sectors,
+        p.accounting.warps.l1_hit_sectors,
+        p.accounting.warps.l2_hit_sectors,
+        p.accounting.warps.dram_sectors,
+        p.accounting.l1_evictions,
+        p.accounting.warps.atomic_sectors,
     )
 }
 

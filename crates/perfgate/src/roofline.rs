@@ -1,16 +1,16 @@
 //! Roofline attribution: place every workload on the device's roofline
 //! (arithmetic intensity vs. achieved throughput), classify it as
 //! compute-, bandwidth-, or latency-bound, and cross-check that
-//! classification against the cost model's own [`LimiterBreakdown`].
+//! classification against the limiter stored on the profile.
 //!
-//! The classification is *recomputed* from the raw per-SM accounting —
-//! the same inputs `launch.rs` folded into `gpu_cycles` — rather than
-//! read back from the stored limiter. The two derivations must agree on
-//! every workload; a disagreement means the analytic cost model and the
-//! counter model have drifted apart, and the `perf_report` bin (and CI)
-//! treat it as a gated error, not a warning.
+//! The classification is *recomputed* from the profile's launch ledger
+//! under the suite's device config, through the one cost function the
+//! launcher itself used (`gpu_sim::Accounting::critical_sm`), rather than
+//! read back from the stored limiter. The two readings must agree on
+//! every workload; a disagreement means a profile was priced under a
+//! different device than the one it is classified on, and the
+//! `perf_report` bin (and CI) treat it as a gated error, not a warning.
 
-use gpu_sim::profile::LimiterBreakdown;
 use gpu_sim::{DeviceConfig, KernelProfile, WARP_SIZE};
 use telemetry::json::Value;
 
@@ -67,7 +67,7 @@ pub struct RooflinePoint {
     pub peak_ops_per_cycle: f64,
     /// Device bandwidth roof, bytes per cycle.
     pub peak_bytes_per_cycle: f64,
-    /// Classification recomputed from the per-SM accounting.
+    /// Classification recomputed from the launch ledger.
     pub class: BoundClass,
     /// Dominant term of the recomputed breakdown (finer-grained than
     /// `class`: distinguishes latency / critical-warp / scheduling).
@@ -92,44 +92,12 @@ impl RooflinePoint {
     }
 }
 
-/// Recompute the per-SM cost breakdown exactly as `launch.rs` does and
-/// return the breakdown at the critical SM (first maximum, matching the
-/// launch-time `>` comparison).
-fn recompute_breakdown(p: &KernelProfile, cfg: &DeviceConfig) -> LimiterBreakdown {
-    let acc = &p.accounting;
-    let mut gpu_cycles = 0f64;
-    let mut limiter = LimiterBreakdown::default();
-    for sm in &acc.sm {
-        let issue_time = sm.issue_cycles as f64 / cfg.issue_ipc;
-        let bw_time = sm.bw_sectors * cfg.sector_bw_cycles;
-        let lat_time = sm.slot_cycles as f64 / acc.resident_warps.max(1.0);
-        let sched_time = (sm.blocks * cfg.block_sched_cycles) as f64;
-        let sm_time = issue_time
-            .max(bw_time)
-            .max(lat_time)
-            .max(sm.max_warp_cycles as f64)
-            + sched_time;
-        if sm_time > gpu_cycles {
-            gpu_cycles = sm_time;
-            limiter = LimiterBreakdown {
-                issue: issue_time,
-                bandwidth: bw_time,
-                latency: lat_time,
-                critical_warp: sm.max_warp_cycles as f64,
-                scheduling: sched_time,
-            };
-        }
-    }
-    limiter
-}
-
 /// Place one profiled workload on the roofline of `cfg`.
 pub fn classify(id: &str, p: &KernelProfile, cfg: &DeviceConfig) -> RooflinePoint {
-    let recomputed = recompute_breakdown(p, cfg);
-    let recomputed_limiter = recomputed.name();
+    let recomputed_limiter = p.accounting.critical_sm(cfg).1.name();
     let stored_limiter = p.limiter.name().to_string();
     let traffic = p.total_traffic_bytes() as f64;
-    let ops = p.accounting.active_lane_steps as f64;
+    let ops = p.accounting.warps.active_lane_steps as f64;
     let cycles = p.gpu_cycles.max(1e-12);
     RooflinePoint {
         id: id.to_string(),
@@ -152,7 +120,8 @@ pub fn classify_all(runs: &[(String, KernelProfile)], cfg: &DeviceConfig) -> Vec
 }
 
 /// The ids of every point whose recomputed limiter disagrees with the
-/// stored one. Empty means the counter model and the cost model agree.
+/// stored one. Empty means every profile was read under the device it
+/// is classified on.
 pub fn check_agreement(points: &[RooflinePoint]) -> Vec<String> {
     points
         .iter()
