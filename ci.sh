@@ -1,7 +1,10 @@
 #!/usr/bin/env bash
-# CI entry point: build, test, format, lint — then the repro gate and the
-# serving smoke test. Fails fast on the first broken step, including
-# failures inside pipelines and any use of an unset variable.
+# CI entry point: build, test, format, lint — then the repro gate, the
+# record and device-clock checks, and the perf and chaos gates. Every
+# check here is deterministic or a correctness verdict; wall-clock
+# serving numbers come only from benchmark/ (BENCHMARK.json). Fails fast
+# on the first broken step, including failures inside pipelines and any
+# use of an unset variable.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -23,10 +26,13 @@ echo "=== one home ==="
 # the parking_lot shim (its one user, gpu-sim's L2, needs no lock), the
 # second JSON implementation (everything goes through
 # telemetry::json), the marker-only serde shims (nothing serialises
-# through serde), and the one-program-per-experiment binaries (an
+# through serde), the one-program-per-experiment binaries (an
 # experiment is a row of the registry in crates/bench/src/experiments/,
-# run as `repro <name>`; the ten programs left each have a flag grammar
-# and exit-code contract of their own), and the simulator's second
+# run as `repro <name>`; the seven programs left each have a flag grammar
+# and exit-code contract of their own), the second wall-clock harness
+# (serve_bench, shard_bench, dynamic_bench and their closed-loop load
+# generator: serving is timed by benchmark/ alone, and the checks they
+# made are tests or chaos_bench scenarios), and the simulator's second
 # accounting views (a launch records one ledger, gpu_sim::Accounting; the
 # per-SM cost formula is SmAccounting::cost and nothing re-types it; the
 # per-SM occupancy histogram duplicated the telemetry SM tracks).
@@ -39,8 +45,12 @@ if [ -e crates/conformance/src/json.rs ]; then
   exit 1
 fi
 bench_bins="$(LC_ALL=C ls crates/bench/src/bin | xargs)"
-if [ "${bench_bins}" != "chaos_bench.rs conformance_fuzz.rs dynamic_bench.rs gnnconv.rs perf_gate.rs perf_report.rs repro.rs serve_bench.rs shard_bench.rs telemetry_diff.rs" ]; then
+if [ "${bench_bins}" != "chaos_bench.rs conformance_fuzz.rs gnnconv.rs perf_gate.rs perf_report.rs repro.rs telemetry_diff.rs" ]; then
   echo "one home: crates/bench/src/bin/ holds ${bench_bins} (a new experiment is a registry row, not a binary)" >&2
+  exit 1
+fi
+if [ -e crates/bench/src/load.rs ] || grep -rq 'load_metrics_snapshot' crates; then
+  echo "one home: a second serving load generator is back in crates/bench (serving wall-clock is benchmark/'s)" >&2
   exit 1
 fi
 if grep -rq 'recompute_breakdown' crates/perfgate; then
@@ -160,13 +170,6 @@ assert_bench_unchanged() {
 ./target/release/perf_gate
 assert_bench_unchanged
 
-echo "=== serve smoke ==="
-# Short serving workload; the binary re-reads results/serve_bench.metrics.json
-# and exits non-zero unless requests completed, nothing was dropped while
-# idle, the cache registered hits, and the overload burst saw rejections.
-mkdir -p results
-./target/release/serve_bench --smoke | tee results/serve_bench_summary.txt
-
 echo "=== chaos smoke ==="
 # Seeded fault-injection scenarios (transient storm, device loss,
 # straggler, overload+faults, cache poison, sharded serving, streaming
@@ -179,70 +182,18 @@ echo "=== chaos smoke ==="
 # loss — unbounded requeueing, a misrouted shard request, a salvage that
 # is not exactly-once, or halo accounting double-counted by a retry).
 ./target/release/chaos_bench --smoke
-# The shard failover layer must be invisible when no faults are
-# injected: the committed perf-gate baseline stays byte-identical.
-assert_bench_unchanged
-
-echo "=== dynamic smoke ==="
-# Streaming-graph mutation layer: delta overlay vs from-scratch-rebuild
-# bitwise oracle, serving throughput + epoch bookkeeping under churn,
-# sampled-extraction split, and compaction invisibility. The epoch layer
-# must be invisible when no mutations are applied: the perf-gate
-# baselines (produced by mutation-free workloads) stay byte-identical.
-./target/release/dynamic_bench --smoke
-assert_bench_unchanged
-
-echo "=== shard smoke ==="
-# Sharded serving of a graph larger than one device's memory budget:
-# capacity proof, bitwise oracle equality against the single-device
-# server, Zipfian load with per-shard telemetry, and same-seed trace
-# determinism — the binary re-reads results/shard_bench.metrics.json and
-# exits non-zero if any invariant fails. (At shard count 1 the layer is
-# provably invisible — zero halo fetches, bitwise-equal output — covered
-# by the tlpgnn-serve/tlpgnn-shard test suites above.) The perf-gate
-# baselines must stay byte-identical: the shard layer lives beside the
-# engine, not inside it.
-./target/release/shard_bench --smoke
-assert_bench_unchanged
-
-echo "=== slo smoke ==="
-# Causal-tracing and SLO-monitor invariants, checked from the exported
-# artifacts the way a dashboard or alerting pipe would consume them:
-#
-# 1. chaos_bench's device-loss scenario dumped a flight recording, and
-#    it is bounded (the recorder is a fixed 256-slot ring, so the dump
-#    can never grow past a few hundred KB even under event storms).
+# The device-loss scenario dumped a flight recording, and it is bounded:
+# the recorder is a fixed 256-slot ring, so the dump can never grow past
+# a few hundred KB even under event storms.
 test -s results/flightrec_device_loss.json
 flight_bytes="$(wc -c < results/flightrec_device_loss.json)"
 if [ "${flight_bytes}" -gt 262144 ]; then
-  echo "slo smoke: flight recorder dump unbounded (${flight_bytes} bytes)" >&2
+  echo "chaos smoke: flight recorder dump unbounded (${flight_bytes} bytes)" >&2
   exit 1
 fi
-# 2. serve_bench's slo_report: exactly one objective fired the
-#    burn-rate alert (the overload phase), the clean phases stayed ok.
-alerts="$(grep -o '"burn_alert": *true' results/slo_report.json | wc -l)"
-if [ "${alerts}" -ne 1 ]; then
-  echo "slo smoke: expected exactly 1 burn-rate alert (overload), saw ${alerts}" >&2
-  exit 1
-fi
-# 3. Telemetry overhead: serve_bench throughput with tracing disabled
-#    must be within noise of the enabled run above. Smoke runs on shared
-#    CI machines are noisy, so "within noise" is a deliberately generous
-#    3x band — this catches pathological overhead (accidental O(n) work
-#    or lock convoys on the hot path), not single-digit percentages,
-#    which the zero-alloc test in crates/telemetry covers.
-rps_on="$(awk -F'|' '$2 ~ /dynamic/ {gsub(/ /,"",$6); print $6; exit}' results/serve_bench_summary.txt)"
-TLPGNN_TELEMETRY=0 ./target/release/serve_bench --smoke | tee results/serve_bench_off.txt
-rps_off="$(awk -F'|' '$2 ~ /dynamic/ {gsub(/ /,"",$6); print $6; exit}' results/serve_bench_off.txt)"
-awk -v on="${rps_on}" -v off="${rps_off}" 'BEGIN {
-  if (on <= 0 || off <= 0 || on < off / 3 || on > off * 3) {
-    printf "slo smoke: throughput parity violated (enabled %s rps vs disabled %s rps)\n", on, off
-    exit 1
-  }
-}'
-# 4. The tracing layer must not perturb the perf-gate baseline: with
-#    telemetry enabled for the whole smoke, BENCH_<seq>.json is still
-#    byte-identical to the committed snapshot.
+# The shard failover, epoch and tracing layers must be invisible when no
+# faults or mutations are injected: the committed perf-gate baseline
+# stays byte-identical.
 assert_bench_unchanged
 
 echo "=== perf report ==="
@@ -253,20 +204,9 @@ echo "=== perf report ==="
 # exits non-zero on any disagreement — and results/roofline.json is
 # written for dashboards (schema pinned by the perfgate golden test).
 ./target/release/perf_report | tee results/perf_report_summary.txt
-wall_on="$(awk -F= '/^perf_report: suite_wall_ms=/ {print $2; exit}' results/perf_report_summary.txt)"
-# Profiler overhead: the fully-instrumented suite run must stay within
-# the same generous 3x band of a run with the collector and the scope
-# profiler both disabled (catches pathological overhead, not noise).
-TLPGNN_TELEMETRY=0 TLPGNN_PROF=0 ./target/release/perf_report | tee results/perf_report_off.txt
-wall_off="$(awk -F= '/^perf_report: suite_wall_ms=/ {print $2; exit}' results/perf_report_off.txt)"
-awk -v on="${wall_on}" -v off="${wall_off}" 'BEGIN {
-  if (on <= 0 || off <= 0 || on > off * 3 || off > on * 3) {
-    printf "perf report: profiling overhead parity violated (on %s ms vs off %s ms)\n", on, off
-    exit 1
-  }
-}'
-# Profiling (on or off) must never perturb the gated numbers: the
-# committed BENCH_<seq>.json baseline is still byte-identical.
+# Profiling must never perturb the gated numbers: the committed
+# BENCH_<seq>.json baseline is still byte-identical. (What telemetry
+# costs when off is held by crates/telemetry's zero_cost test.)
 assert_bench_unchanged
 
 echo "ci: all green"

@@ -764,9 +764,20 @@ fn sharded(fx: &Fixture, args: &Args) -> ScenarioResult {
     r.requests = args.requests as u64;
     let s = server.shutdown();
     r.check(oks == args.requests as u64, "not every request resolved Ok");
+    // No faults are injected here, so the failover layer must be
+    // invisible: every one of its counters stays at zero.
     r.check(
-        s.rejected == 0 && s.device_faults == 0,
-        "clean sharded run rejected or faulted",
+        s.rejected == 0
+            && s.device_faults == 0
+            && s.worker_deaths == 0
+            && s.failovers == 0
+            && s.requeued == 0
+            && s.worker_lost == 0
+            && s.retries == 0
+            && s.halo_retries == 0
+            && s.partial == 0
+            && s.degraded == 0,
+        "clean sharded run rejected, faulted or engaged the failover layer",
     );
     r.check(
         s.per_shard_completed.iter().filter(|&&c| c > 0).count() >= 2,

@@ -1,7 +1,6 @@
-//! The flag grammar `serve_bench`, `shard_bench`, `dynamic_bench` and
-//! `chaos_bench` share: `--smoke`, then `--flag value` pairs. An unknown
-//! flag, a flag without a value or a value that does not parse prints the
-//! valid flags to stderr and exits 2.
+//! `chaos_bench`'s flag grammar: `--smoke`, then `--flag value` pairs. An
+//! unknown flag, a flag without a value or a value that does not parse
+//! prints the valid flags to stderr and exits 2.
 
 use std::str::FromStr;
 

@@ -3,10 +3,10 @@
 //! Every table, figure, extension and ablation of the reproduction is a
 //! function in [`experiments`] behind one registry, run as
 //! `repro <name>`; `repro list` prints the names. This library also holds
-//! the pieces the experiments and the system benches (`serve_bench`,
-//! `shard_bench`, `dynamic_bench`, `chaos_bench`) share: run sizing
-//! ([`Env`]), feature generation, table formatting, telemetry export, the
-//! flag parser ([`cli`]) and the closed-loop load generator ([`load`]).
+//! the pieces the experiments and the gate programs share: run sizing
+//! ([`Env`]), feature generation, table formatting, telemetry export and
+//! `chaos_bench`'s flag parser ([`cli`]). Serving wall-clock is measured
+//! by the standalone `benchmark/` package, not here.
 //!
 //! Environment knobs:
 //! * `TLPGNN_SCALE=<k>` — extra scale divisor on top of each dataset's
@@ -28,7 +28,6 @@ use tlpgnn_tensor::Matrix;
 
 pub mod cli;
 pub mod experiments;
-pub mod load;
 
 /// How a run is sized: the extra scale divisor applied on top of every
 /// dataset's default, and everything that must shrink with it — the
@@ -136,24 +135,7 @@ pub fn results_dir() -> std::path::PathBuf {
         .into()
 }
 
-/// Whether telemetry collection/export is on (`TLPGNN_TELEMETRY=0`
-/// turns it off).
-pub fn telemetry_active() -> bool {
-    !std::env::var("TLPGNN_TELEMETRY").is_ok_and(|v| v == "0")
-}
-
-/// Re-read `<results_dir>/<name>.metrics.json` — the file a
-/// [`TelemetryScope`] named `name` exported — the way a CI step or
-/// dashboard would consume it.
-pub fn load_metrics_snapshot(name: &str) -> Result<telemetry::MetricsSnapshot, String> {
-    let path = results_dir().join(format!("{name}.metrics.json"));
-    let text = std::fs::read_to_string(&path)
-        .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-    telemetry::MetricsSnapshot::from_json_str(&text)
-        .map_err(|e| format!("cannot parse {}: {e}", path.display()))
-}
-
-/// splitmix64: the stateless seeded mixer the load generators draw from.
+/// splitmix64: the stateless seeded mixer `chaos_bench` draws from.
 pub fn splitmix64(x: u64) -> u64 {
     let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
@@ -162,7 +144,8 @@ pub fn splitmix64(x: u64) -> u64 {
 }
 
 /// Independent CSR packer over a `(dst, src)` edge list — shares no code
-/// with the delta overlay the mutation benches oracle with it.
+/// with the delta overlay, so `chaos_bench`'s `dynamic` scenario can use
+/// it as the oracle graph at each epoch.
 pub fn pack_csr(n: usize, edges: &[(u32, u32)]) -> Csr {
     let mut es = edges.to_vec();
     es.sort_unstable();
@@ -274,7 +257,7 @@ pub struct TelemetryScope {
 /// Start a telemetry scope named after the experiment (see
 /// [`TelemetryScope`] for the files it writes on drop).
 pub fn telemetry_scope(name: &str) -> TelemetryScope {
-    let active = telemetry_active();
+    let active = !std::env::var("TLPGNN_TELEMETRY").is_ok_and(|v| v == "0");
     if active {
         telemetry::reset();
         telemetry::set_enabled(true);

@@ -54,9 +54,9 @@
 //! metrics prefix (default `serve`): `<prefix>.queue_depth` gauge,
 //! `<prefix>.{batch_size, extraction_ms, compute_ms, e2e_latency_ms}`
 //! histograms, and `<prefix>.{completed, rejected}` plus cache hit/miss
-//! counters. The `serve_bench` binary in `tlpgnn-bench` drives a closed
-//! loop of Zipfian clients ([`workload`]) against the server and writes
-//! `results/serve_bench.metrics.json`.
+//! counters; `tests/metric_names.rs` pins the names dashboards read.
+//! Wall-clock load (Zipfian targets from [`workload`]) is driven by the
+//! standalone `benchmark/` package's `serve_*` workloads.
 //!
 //! ## Quick start
 //!

@@ -138,8 +138,8 @@ pub struct ShardedConfig {
     /// Interconnect cost model for halo transfers.
     pub interconnect: Interconnect,
     /// Optional per-device memory budget, bytes. When set, `start`
-    /// panics if any shard's store exceeds it — the guard `shard_bench`
-    /// uses to prove the serving graph outgrew a single device.
+    /// panics if any shard's store exceeds it — the guard that proves a
+    /// serving graph outgrew a single device.
     pub device_budget_bytes: Option<u64>,
     /// Prefix for every telemetry metric (halo counters land under
     /// `<prefix>.halo.*`, per-shard gauges under `<prefix>.shard.<i>.*`).
@@ -668,6 +668,46 @@ mod tests {
         let mut cfg = sharded_config(2);
         cfg.device_budget_bytes = Some(16);
         let _ = ShardedServer::start(cfg, g, x, net);
+    }
+
+    /// The capacity premise end to end: a budget no single device could
+    /// hold the graph under, which every store of a 4-shard plan fits,
+    /// admits the sharded server, and it answers like the single device.
+    #[test]
+    fn budget_below_the_whole_graph_serves_like_one_device() {
+        let (g, x, net) = fixture();
+        let cfg = sharded_config(4);
+        let plan = ShardPlan::build(&g, cfg.shards, cfg.replicate_hot);
+        let budget = ShardStore::build_all(&g, &x, &plan)
+            .iter()
+            .map(ShardStore::bytes)
+            .max()
+            .unwrap();
+        let whole = graph_bytes(&g, x.cols());
+        assert!(
+            budget < whole,
+            "largest shard store {budget} B must be under the whole graph's {whole} B"
+        );
+        let sharded = ShardedServer::start(
+            ShardedConfig {
+                device_budget_bytes: Some(budget),
+                ..cfg
+            },
+            g,
+            x,
+            net,
+        );
+        assert_eq!(sharded.max_store_bytes(), budget);
+        let single = oracle();
+        for t in (0u32..300).step_by(37) {
+            let a = sharded.submit(Request::new(vec![t])).unwrap().wait();
+            let b = single.submit(Request::new(vec![t])).unwrap().wait();
+            assert_eq!(
+                a.unwrap().outputs.data(),
+                b.unwrap().outputs.data(),
+                "sharded response for {t} diverged from the oracle"
+            );
+        }
     }
 
     #[test]

@@ -146,6 +146,12 @@ fn overload_rejects_with_bounded_queue_and_loses_nothing() {
         let resp = h.wait().expect("accepted requests are always served");
         assert_eq!(resp.outputs.rows(), 1);
     }
+    // A rejection is an unflagged failure and burns error budget: with at
+    // most 64 outcomes in the window, one rejection is an error rate of at
+    // least 1/64, past the 1 % budget.
+    let slo = server.slo_report();
+    assert!(slo.burn_alert, "rejections must fire the burn alert");
+    assert_eq!(slo.total_errors, rejected, "every rejection is one error");
     let server = Arc::try_unwrap(server).ok().expect("all clones dropped");
     let stats = server.shutdown();
     assert_eq!(stats.completed, accepted, "no accepted request was lost");

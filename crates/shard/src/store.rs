@@ -240,8 +240,8 @@ impl ShardStore {
 
 /// Resident bytes of the *unpartitioned* graph + feature matrix on a
 /// single device: CSR arrays (u32) plus the dense feature matrix
-/// (f32). `shard_bench` uses this to prove its graph exceeds any one
-/// device's budget while each [`ShardStore::bytes`] fits.
+/// (f32). A device budget below this but above every
+/// [`ShardStore::bytes`] is the case sharding exists for.
 pub fn graph_bytes(g: &Csr, feat_dim: usize) -> u64 {
     let words = g.indptr().len() + g.indices().len();
     let floats = g.num_vertices() * feat_dim;
