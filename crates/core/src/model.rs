@@ -177,13 +177,14 @@ impl GnnNetwork {
     }
 
     /// Ego-graph extraction depth needed for *exact* target outputs when
-    /// serving this network on an induced k-hop subgraph (see
-    /// `tlpgnn_graph::subgraph`): one hop per layer, plus one extra hop
-    /// when any layer is GCN — its symmetric normalization reads
-    /// *source-vertex* degrees, so sources one hop past the receptive
-    /// field must keep complete in-neighbor rows (hence true degrees) in
-    /// the extraction. GIN/Sage/GAT read only destination-side structure
-    /// and need no slack.
+    /// serving this network on a k-hop ego graph (see
+    /// `tlpgnn_graph::subgraph`, which keeps rows only for the vertices
+    /// it expanded): one hop per layer, plus one extra hop when any layer
+    /// is GCN — its symmetric normalization reads *source-vertex*
+    /// degrees, so sources one hop past the receptive field must be
+    /// expanded too, keeping complete in-neighbor rows (hence true
+    /// degrees). GIN/Sage/GAT read only destination-side structure and
+    /// need no slack.
     pub fn receptive_hops(&self) -> usize {
         let gcn = self.layers.iter().any(|l| matches!(l.model, GnnModel::Gcn));
         self.layers.len() + usize::from(gcn)

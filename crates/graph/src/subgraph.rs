@@ -4,8 +4,9 @@
 //! their outputs does not need the full graph, only the targets'
 //! receptive field. [`ego_graph`] collects every vertex within `hops`
 //! in-edge hops of the targets (multi-source BFS over the pull CSR),
-//! relabels them densely, and builds the induced CSR — the small graph a
-//! serving batch actually runs `conv`/`layer_forward` on.
+//! relabels them densely, and keeps the rows of the vertices it expanded
+//! — the small graph a serving batch actually runs
+//! `conv`/`layer_forward` on.
 //!
 //! **One extraction.** [`ego_graph_on`] is the only traversal: it is
 //! generic over a [`Neighborhoods`] row source, and every other
@@ -17,17 +18,21 @@
 //! ids are in BFS order, so `hop` is non-decreasing in local id for all
 //! of them.
 //!
-//! **Exactness.** Rows of the induced CSR are complete for every vertex
-//! at hop distance `< hops` (all its in-neighbors are inside the
-//! extraction), so an `L`-layer model whose convolution reads only
-//! destination-side structure (GIN, Sage-mean, GAT) is exact at the
+//! **Exactness.** A row is present iff its vertex was expanded: every
+//! vertex at hop distance `< hops` carries its complete in-neighbor row,
+//! and the last level discovered (hop `== hops`, the frontier) carries an
+//! empty one. A hop-`h` row's layer value reads only rows at hop
+//! `≤ h + 1`, and the targets' outputs need aggregation only at hop
+//! `< L` for an `L`-layer network, so a model whose convolution reads
+//! only destination-side structure (GIN, Sage-mean, GAT) is exact at the
 //! targets with `hops = L`. GCN's symmetric normalization additionally
-//! reads *source-vertex* degrees, which are truncated on the frontier, so
-//! GCN needs `hops = L + 1` (see `GnnNetwork::receptive_hops` in the
-//! `tlpgnn` crate).
+//! reads *source-vertex* degrees, which are complete only for expanded
+//! vertices, so GCN needs `hops = L + 1` (see
+//! `GnnNetwork::receptive_hops` in the `tlpgnn` crate). A shallower
+//! extraction is an approximation: its frontier vertices contribute
+//! their features but aggregate nothing.
 
 use crate::csr::Csr;
-use std::cell::RefCell;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
@@ -47,10 +52,11 @@ pub trait Neighborhoods {
     /// Visit `v`'s in-neighbors in row order.
     fn visit_neighbors(&self, v: usize, f: &mut dyn FnMut(u32));
     /// The rows of `vs` are about to be visited: [`ego_graph_on`] calls
-    /// this with each BFS frontier before expanding it, and once more
-    /// with every extracted vertex before the induced-row pass. A view
-    /// whose rows live elsewhere batches its fetches here; in-memory
-    /// graphs keep the no-op default.
+    /// this once per BFS level, with that level, before expanding it.
+    /// Levels are disjoint and every row the extraction reads is
+    /// announced exactly once; the last level is never announced, since
+    /// its rows are not read. A view whose rows live elsewhere batches
+    /// its fetches here; in-memory graphs keep the no-op default.
     fn will_visit(&self, _vs: &[u32]) {}
 }
 
@@ -70,10 +76,14 @@ impl Neighborhoods for Csr {
 ///
 /// Local ids are assigned in BFS discovery order: the (deduplicated)
 /// targets occupy locals `0..num_targets` in the order given, followed by
-/// hop-1 vertices, then hop-2, and so on.
+/// hop-1 vertices, then hop-2, and so on. Every vertex at hop `< hops()`
+/// has its complete in-neighbor row (in local ids, sorted); vertices at
+/// hop `== hops()` — the frontier, present only when the BFS did not
+/// close early — have empty rows.
 #[derive(Debug, Clone)]
 pub struct EgoGraph {
-    /// The induced subgraph over the extracted vertices, in local ids.
+    /// The extracted vertices in local ids: expanded rows, empty
+    /// frontier rows.
     pub csr: Csr,
     /// `vertices[local]` is the original id of local vertex `local`.
     pub vertices: Vec<u32>,
@@ -81,6 +91,8 @@ pub struct EgoGraph {
     pub hop: Vec<u8>,
     /// The first `num_targets` locals are the deduplicated targets.
     pub num_targets: usize,
+    /// The extraction depth (capped at `u8::MAX`, the widest `hop`).
+    hops: usize,
 }
 
 impl EgoGraph {
@@ -89,26 +101,28 @@ impl EgoGraph {
         &self.vertices[..self.num_targets]
     }
 
-    /// The extraction depth this ego graph was built with.
+    /// The extraction depth this ego graph was built with — not the
+    /// deepest hop reached, which is smaller when the BFS closed early.
     pub fn hops(&self) -> usize {
-        self.hop.iter().copied().max().unwrap_or(0) as usize
+        self.hops
     }
 
-    /// Whether local vertex `v` has its complete in-neighbor row (true
-    /// for every vertex strictly inside the extraction radius; frontier
-    /// rows may be truncated).
-    pub fn row_is_complete(&self, v: usize, hops: usize) -> bool {
-        (self.hop[v] as usize) < hops
+    /// Whether local vertex `v` has its complete in-neighbor row: true
+    /// for every expanded vertex (hop `< hops()`); frontier rows are
+    /// empty.
+    pub fn row_is_complete(&self, v: usize) -> bool {
+        (self.hop[v] as usize) < self.hops
     }
 }
 
 /// Extract the `hops`-hop ego graph of `targets` from `g`.
 ///
 /// Multi-source BFS over the pull CSR (each step follows in-edges, i.e.
-/// expands the receptive field by one GNN layer), then an induced-CSR
-/// build with dense relabelling. Duplicate targets are deduplicated;
-/// order of first occurrence is preserved. `hops = 0` keeps only the
-/// targets and any edges among them.
+/// expands the receptive field by one GNN layer) with dense relabelling;
+/// each expanded vertex's row is emitted as it is expanded, and the
+/// frontier's rows are empty. Duplicate targets are deduplicated; order
+/// of first occurrence is preserved. `hops = 0` keeps only the targets,
+/// with empty rows.
 ///
 /// # Panics
 /// Panics if a target id is out of range for `g`.
@@ -118,14 +132,15 @@ pub fn ego_graph(g: &Csr, targets: &[u32], hops: usize) -> EgoGraph {
 
 /// [`ego_graph`] generalised over any [`Neighborhoods`] view — the one
 /// place targets are deduplicated, the BFS runs, locals and `hop` are
-/// assigned and induced rows are built. Running it over a
+/// assigned and rows are built. Running it over a
 /// [`crate::delta::GraphEpoch`] produces the bitwise-identical
 /// extraction the compacted/materialized CSR would: traversal order,
-/// relabelling, and induced rows depend only on the visit order the trait
+/// relabelling, and rows depend only on the visit order the trait
 /// contract fixes. [`sampled_ego_graph`] and the shard crate's
 /// `distributed_ego` are this function over their own views.
 pub fn ego_graph_on<G: Neighborhoods + ?Sized>(g: &G, targets: &[u32], hops: usize) -> EgoGraph {
     let n = g.num_vertices();
+    let hops = hops.min(u8::MAX as usize);
     let mut local: HashMap<u32, u32> = HashMap::with_capacity(targets.len() * 4);
     let mut vertices: Vec<u32> = Vec::with_capacity(targets.len() * 4);
     let mut hop: Vec<u8> = Vec::with_capacity(targets.len() * 4);
@@ -138,49 +153,51 @@ pub fn ego_graph_on<G: Neighborhoods + ?Sized>(g: &G, targets: &[u32], hops: usi
         }
     }
     let num_targets = vertices.len();
-    // Level-synchronous expansion: vertices[frontier..] is the previous
-    // level; anything first seen from it belongs to the next level (all
-    // targets start at level 0, so discovery depth is the min distance).
+    // Level-synchronous expansion: vertices[frontier..level_end] is the
+    // level being expanded; anything first seen from it belongs to the
+    // next level (all targets start at level 0, so discovery depth is the
+    // min distance). Levels are expanded in local-id order, so each
+    // expanded vertex's row — every in-neighbor, relabelled, sorted — is
+    // the next row of the CSR.
+    let mut indptr = Vec::with_capacity(targets.len() * 4);
+    indptr.push(0u32);
+    let mut indices = Vec::new();
     let mut frontier = 0;
-    for depth in 1..=hops.min(u8::MAX as usize) {
+    for depth in 1..=hops {
         let level_end = vertices.len();
         g.will_visit(&vertices[frontier..level_end]);
         for i in frontier..level_end {
-            let v = vertices[i] as usize;
-            g.visit_neighbors(v, &mut |u| {
-                if let Entry::Vacant(e) = local.entry(u) {
-                    e.insert(vertices.len() as u32);
-                    vertices.push(u);
-                    hop.push(depth as u8);
-                }
+            let start = indices.len();
+            g.visit_neighbors(vertices[i] as usize, &mut |u| {
+                let l = match local.entry(u) {
+                    Entry::Occupied(e) => *e.get(),
+                    Entry::Vacant(e) => {
+                        let l = vertices.len() as u32;
+                        e.insert(l);
+                        vertices.push(u);
+                        hop.push(depth as u8);
+                        l
+                    }
+                };
+                indices.push(l);
             });
-        }
-        if vertices.len() == level_end {
-            break; // closed under in-edges already
+            indices[start..].sort_unstable();
+            indptr.push(indices.len() as u32);
         }
         frontier = level_end;
+        if vertices.len() == level_end {
+            break; // closed under in-edges: every vertex was expanded
+        }
     }
-    // Induced CSR: keep each extracted vertex's in-edges whose source was
-    // also extracted, relabelled to local ids. Rows stay sorted.
-    g.will_visit(&vertices);
-    let mut indptr = Vec::with_capacity(vertices.len() + 1);
-    indptr.push(0u32);
-    let mut indices = Vec::new();
-    for &orig in &vertices {
-        let start = indices.len();
-        g.visit_neighbors(orig as usize, &mut |u| {
-            if let Some(&l) = local.get(&u) {
-                indices.push(l);
-            }
-        });
-        indices[start..].sort_unstable();
-        indptr.push(indices.len() as u32);
-    }
+    // vertices[frontier..] were discovered at the last level and never
+    // expanded: their rows are empty.
+    indptr.resize(vertices.len() + 1, indices.len() as u32);
     EgoGraph {
         csr: Csr::new(vertices.len(), indptr, indices),
         vertices,
         hop,
         num_targets,
+        hops,
     }
 }
 
@@ -214,14 +231,12 @@ fn sampled_row<G: Neighborhoods + ?Sized>(g: &G, v: usize, fanout: usize, seed: 
     row
 }
 
-/// `g` with every row capped by [`sampled_row`]. Draws are memoised per
-/// vertex: the expansion pass and the induced-row pass of
-/// [`ego_graph_on`] must see the same sample.
+/// `g` with every row capped by [`sampled_row`]. [`ego_graph_on`] reads
+/// each row once, so a draw is made once per expanded vertex.
 struct Sampled<'a, G: ?Sized> {
     g: &'a G,
     fanout: usize,
     seed: u64,
-    chosen: RefCell<HashMap<u32, Vec<u32>>>,
 }
 
 impl<G: Neighborhoods + ?Sized> Neighborhoods for Sampled<'_, G> {
@@ -230,11 +245,9 @@ impl<G: Neighborhoods + ?Sized> Neighborhoods for Sampled<'_, G> {
     }
 
     fn visit_neighbors(&self, v: usize, f: &mut dyn FnMut(u32)) {
-        let mut chosen = self.chosen.borrow_mut();
-        let row = chosen
-            .entry(v as u32)
-            .or_insert_with(|| sampled_row(self.g, v, self.fanout, self.seed));
-        row.iter().copied().for_each(f);
+        sampled_row(self.g, v, self.fanout, self.seed)
+            .into_iter()
+            .for_each(f);
     }
 }
 
@@ -256,23 +269,18 @@ pub fn sampled_ego_graph<G: Neighborhoods + ?Sized>(
     fanout: usize,
     seed: u64,
 ) -> EgoGraph {
-    let view = Sampled {
-        g,
-        fanout,
-        seed,
-        chosen: RefCell::new(HashMap::new()),
-    };
-    ego_graph_on(&view, targets, hops)
+    ego_graph_on(&Sampled { g, fanout, seed }, targets, hops)
 }
 
 /// `(vertex, hop)` assignment produced by [`ego_reference`].
 pub type RefHops = Vec<(u32, usize)>;
-/// `(dst, src)` induced edge list (original ids) from [`ego_reference`].
+/// `(src, dst)` edge list (original ids) from [`ego_reference`].
 pub type RefEdges = Vec<(u32, u32)>;
 
 /// Naive reference extraction: per-vertex distances by repeated
-/// relaxation, induced edges by `has_edge` probes. Quadratic — used to
-/// cross-check [`ego_graph`] in tests.
+/// relaxation, then, by `has_edge` probes, every edge between members
+/// whose destination lies at distance `< hops` (frontier rows are
+/// empty). Quadratic — used to cross-check [`ego_graph`] in tests.
 pub fn ego_reference(g: &Csr, targets: &[u32], hops: usize) -> (RefHops, RefEdges) {
     let n = g.num_vertices();
     let mut dist = vec![usize::MAX; n];
@@ -297,7 +305,7 @@ pub fn ego_reference(g: &Csr, targets: &[u32], hops: usize) -> (RefHops, RefEdge
         .collect();
     let mut edges = Vec::new();
     for &(src, _) in &members {
-        for &(dst, _) in &members {
+        for &(dst, _) in members.iter().filter(|&&(_, d)| d < hops) {
             if g.has_edge(src, dst) {
                 edges.push((src, dst));
             }
@@ -323,7 +331,7 @@ mod tests {
             .collect();
         got.sort_unstable();
         assert_eq!(got, want_members, "vertex set / distances differ");
-        // Same induced edge set, in original ids.
+        // Same edge set, in original ids.
         let mut got_edges: Vec<(u32, u32)> = ego
             .csr
             .edge_iter()
@@ -332,7 +340,9 @@ mod tests {
         got_edges.sort_unstable();
         let mut want_edges = want_edges;
         want_edges.sort_unstable();
-        assert_eq!(got_edges, want_edges, "induced edge set differs");
+        assert_eq!(got_edges, want_edges, "edge set differs");
+        // The requested depth, even where the BFS closed before it.
+        assert_eq!(ego.hops(), hops);
     }
 
     #[test]
@@ -343,24 +353,29 @@ mod tests {
         check_against_reference(&g, &[1, 1, 1], 1); // duplicate targets
         let ws = generators::watts_strogatz(200, 4, 0.1, 5);
         check_against_reference(&ws, &[0, 100], 2);
+        // The BFS closes at vertex 0 after four levels: no frontier, so
+        // every edge is kept and `hops()` is still the 6 asked for.
+        check_against_reference(&generators::path(5), &[4], 6);
     }
 
     #[test]
     fn inner_vertices_preserve_degrees() {
         let g = generators::rmat_default(500, 5000, 13);
-        let hops = 2;
-        let ego = ego_graph(&g, &[3, 77, 200], hops);
+        let ego = ego_graph(&g, &[3, 77, 200], 2);
+        assert!(ego.hop.contains(&2), "the extraction must have a frontier");
         for v in 0..ego.csr.num_vertices() {
-            if ego.row_is_complete(v, hops) {
-                assert_eq!(
-                    ego.csr.degree(v),
-                    g.degree(ego.vertices[v] as usize),
-                    "inner vertex {v} (orig {}) lost in-edges",
-                    ego.vertices[v]
-                );
+            let want = if ego.row_is_complete(v) {
+                g.degree(ego.vertices[v] as usize)
             } else {
-                assert!(ego.csr.degree(v) <= g.degree(ego.vertices[v] as usize));
-            }
+                0
+            };
+            assert_eq!(
+                ego.csr.degree(v),
+                want,
+                "vertex {v} (orig {}, hop {})",
+                ego.vertices[v],
+                ego.hop[v]
+            );
         }
     }
 
@@ -379,20 +394,27 @@ mod tests {
         let g = generators::ring_lattice(10, 2);
         let ego = ego_graph(&g, &[3, 4], 0);
         assert_eq!(ego.csr.num_vertices(), 2);
-        // Edge 3 -> 4 survives (3 is an in-neighbor of 4), nothing else.
-        assert_eq!(ego.csr.num_edges(), 1);
-        assert!(ego.csr.has_edge(0, 1)); // local 0 = vertex 3, local 1 = 4
+        // Nothing is expanded, so both targets are frontier rows: edge
+        // 3 -> 4 is not kept although both ends were extracted.
+        assert_eq!(ego.csr.num_edges(), 0);
+        assert!(!ego.row_is_complete(0) && !ego.row_is_complete(1));
     }
 
     #[test]
     fn saturates_to_whole_component() {
         let g = generators::complete(20);
+        // One hop reaches every vertex, but only the target is expanded.
         let ego = ego_graph(&g, &[0], 1);
         assert_eq!(ego.csr.num_vertices(), 20);
-        assert_eq!(ego.csr.num_edges(), g.num_edges());
-        // Extra hops add nothing once closed.
-        let ego5 = ego_graph(&g, &[0], 5);
-        assert_eq!(ego5.csr.num_vertices(), 20);
+        assert_eq!(ego.csr.num_edges(), g.degree(0));
+        // The second level discovers nothing: the BFS closes with every
+        // vertex expanded, so the whole graph is kept, and extra hops add
+        // nothing.
+        for hops in [2, 5] {
+            let closed = ego_graph(&g, &[0], hops);
+            assert_eq!(closed.csr.num_vertices(), 20);
+            assert_eq!(closed.csr.num_edges(), g.num_edges());
+        }
     }
 
     #[test]

@@ -194,7 +194,7 @@ proptest! {
         got.sort_unstable();
         want.sort_unstable();
         prop_assert_eq!(got, want);
-        // Same induced edge set (in original ids).
+        // Same edge set (in original ids): rows of expanded vertices.
         let mut got_edges: Vec<(u32, u32)> = ego
             .csr
             .edge_iter()
@@ -204,11 +204,12 @@ proptest! {
         want_edges.sort_unstable();
         prop_assert_eq!(got_edges, want_edges);
         // Interior vertices (strictly inside the extraction radius) keep
-        // their complete in-neighbor rows, hence exact degrees.
+        // their complete in-neighbor rows, hence exact degrees; frontier
+        // rows are empty.
+        prop_assert_eq!(ego.hops(), hops);
         for (local, &orig) in ego.vertices.iter().enumerate() {
-            if ego.row_is_complete(local, hops) {
-                prop_assert_eq!(ego.csr.degree(local), g.degree(orig as usize));
-            }
+            let want = if ego.row_is_complete(local) { g.degree(orig as usize) } else { 0 };
+            prop_assert_eq!(ego.csr.degree(local), want);
         }
     }
 

@@ -15,7 +15,7 @@
 //!   has waited `max_wait`, whichever comes first ([`batcher`]).
 //! * Each batch runs one **k-hop ego-graph extraction**
 //!   (`tlpgnn_graph::subgraph`) over the union of its miss targets, then
-//!   a single engine forward pass on the induced subgraph — one upload +
+//!   a single engine forward pass on the ego graph — one upload +
 //!   kernel-launch sequence for the whole batch instead of one per
 //!   request ([`pipeline`]).
 //! * An **LRU feature cache** keyed by

@@ -156,8 +156,10 @@ pub enum DegradationLevel {
     /// Sampled outputs are approximate and are never cached.
     Sampled = 2,
     /// Additionally truncate ego-graph extraction by one hop, flagged
-    /// `degraded.reduced_hops` (truncated outputs cache only under
-    /// their own depth key). Supersedes sampling.
+    /// `degraded.reduced_hops`: the vertices at the reduced depth keep
+    /// their features but have empty rows, so they aggregate nothing
+    /// (truncated outputs cache only under their own depth key).
+    /// Supersedes sampling.
     ReducedHops = 3,
     /// Additionally reject new submissions (`ServeError::Overloaded`).
     Shed = 4,

@@ -14,9 +14,11 @@ pub struct Request {
     pub targets: Vec<u32>,
     /// Optional ego-graph extraction depth override. `None` uses the
     /// server's exact receptive field (`GnnNetwork::receptive_hops`);
-    /// a smaller value trades accuracy for latency (truncated receptive
-    /// field), a larger one only costs extraction time. Batches use the
-    /// maximum requested depth.
+    /// a smaller value trades accuracy for latency: vertices at the
+    /// requested depth contribute their features but aggregate nothing
+    /// (their rows are empty), so every layer past the first sees a
+    /// truncated field. A larger value only costs extraction time.
+    /// Batches use the maximum requested depth.
     pub hops: Option<usize>,
     /// Optional end-to-end deadline, measured from submission. A request
     /// still queued (or awaiting a retry) past its deadline is shed with

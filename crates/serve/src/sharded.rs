@@ -24,7 +24,7 @@
 //!
 //! A request's receptive field rarely stays inside one shard. The
 //! extraction ([`tlpgnn_shard::distributed_ego`]) pulls remote rows in
-//! one batched fetch per (BFS level, remote shard), every fetch is
+//! one batched fetch per (expanded BFS level, remote shard), every fetch is
 //! counted under `<prefix>.halo.*`, and the modelled transfer time
 //! (the core crate's [`Interconnect`] cost model, the same one
 //! `multi_gpu` uses) is charged to the request's latency. Because the

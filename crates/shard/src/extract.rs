@@ -2,11 +2,11 @@
 //! accounting.
 //!
 //! [`distributed_ego`] is the graph crate's `ego_graph_on` — the one
-//! BFS, relabelling and induced-CSR build — run over a view that reads
-//! every adjacency row through the [`ShardStore`]s instead of the
-//! global graph, followed by a feature gather through the same stores.
-//! Rows the home shard does not host are "halo" fetches: they are
-//! grouped into one batch per (BFS level, remote shard) pair, the way a
+//! BFS, relabelling and row build — run over a view that reads every
+//! adjacency row through the [`ShardStore`]s instead of the global
+//! graph, followed by a feature gather through the same stores. Rows
+//! the home shard does not host are "halo" fetches: they are grouped
+//! into one batch per (expanded BFS level, remote shard) pair, the way a
 //! real multi-GPU runtime would coalesce boundary traffic into one
 //! transfer per peer per step, and every batch/row/byte is counted in
 //! [`HaloStats`].
@@ -25,19 +25,22 @@
 //! flags instead of failing.
 
 use std::cell::RefCell;
-use std::collections::{BTreeMap, HashSet};
+use std::collections::BTreeMap;
 
 use crate::plan::ShardPlan;
 use crate::store::ShardStore;
 use tlpgnn_graph::subgraph::{ego_graph_on, EgoGraph, Neighborhoods};
 use tlpgnn_tensor::Matrix;
 
-/// Halo-exchange accounting for one distributed extraction.
+/// Halo-exchange accounting for one distributed extraction. Adjacency
+/// rows are counted for the expanded vertices only (hop `< hops`): the
+/// extraction never reads a frontier vertex's row, so it never moves
+/// one. Feature rows are counted for every extracted vertex.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct HaloStats {
-    /// Batched transfers issued: one per (BFS level, remote shard) with
-    /// at least one row to move, plus one per remote shard in the
-    /// feature gather.
+    /// Batched transfers issued: one per (expanded BFS level, remote
+    /// shard) with at least one row to move, plus one per remote shard
+    /// in the feature gather.
     pub fetch_batches: u64,
     /// Adjacency rows pulled from remote shards.
     pub fetched_rows: u64,
@@ -103,15 +106,14 @@ fn serving_shard(plan: &ShardPlan, alive: &[bool], v: u32) -> Option<usize> {
 /// [`Neighborhoods`] view `ego_graph_on` runs over. Rows come from the
 /// home store when hosted there (owned, replica, or standby mirror),
 /// otherwise from whichever live shard serves them; unreachable rows
-/// read empty. `will_visit` is the halo exchange: each batch of rows the
-/// traversal announces is accounted into `stats` exactly once per row.
+/// read empty. `will_visit` is the halo exchange: `ego_graph_on`
+/// announces each row it reads exactly once, one BFS level at a time, so
+/// each announced row is accounted into `stats` once.
 struct ShardView<'a> {
     plan: &'a ShardPlan,
     stores: &'a [ShardStore],
     home: usize,
     alive: &'a [bool],
-    /// Rows already accounted (fetched rows are free the second time).
-    fetched: RefCell<HashSet<u32>>,
     stats: RefCell<HaloStats>,
 }
 
@@ -130,19 +132,15 @@ impl Neighborhoods for ShardView<'_> {
         row.iter().copied().for_each(f);
     }
 
-    /// Account one batch of adjacency-row needs: rows already fetched
-    /// are free, hosted rows count as local/replica/mirror hits, the
-    /// rest are grouped into one transfer per serving remote shard, and
-    /// rows no live shard can serve count as missing.
+    /// Account one BFS level of adjacency-row needs: hosted rows count
+    /// as local/replica/mirror hits, the rest are grouped into one
+    /// transfer per serving remote shard, and rows no live shard can
+    /// serve count as missing.
     fn will_visit(&self, need: &[u32]) {
         let (plan, stores, home) = (self.plan, self.stores, self.home);
-        let mut fetched = self.fetched.borrow_mut();
         let mut stats = self.stats.borrow_mut();
         let mut remote: BTreeMap<usize, (u64, u64)> = BTreeMap::new();
         for &v in need {
-            if !fetched.insert(v) {
-                continue;
-            }
             if stores[home].owns(v) {
                 stats.local_hits += 1;
             } else if plan.is_replicated(v) {
@@ -221,15 +219,15 @@ pub fn distributed_ego_with_health(
     assert!(home < stores.len(), "home shard out of range");
     assert_eq!(alive.len(), plan.shards(), "liveness mask must match");
     assert!(alive[home], "the home shard must be alive to extract");
-    // One batched transfer per (BFS level, remote shard), plus one more
-    // round for the rows only the induced-CSR build reads (the final
-    // frontier): `ego_graph_on` announces exactly those batches.
+    // One batched transfer per (expanded BFS level, remote shard):
+    // `ego_graph_on` announces exactly those batches. The last level's
+    // rows are never read — frontier rows are empty — so they never
+    // cross the interconnect; their features still do, below.
     let view = ShardView {
         plan,
         stores,
         home,
         alive,
-        fetched: RefCell::new(HashSet::new()),
         stats: RefCell::new(HaloStats::default()),
     };
     let ego = ego_graph_on(&view, targets, hops);

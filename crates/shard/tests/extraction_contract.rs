@@ -23,8 +23,16 @@ fn graph() -> Csr {
 }
 
 /// The extraction contract: targets first in first-occurrence order,
-/// `hop` non-decreasing in local id, sorted rows, closed levels.
-fn assert_contract(view: &str, ego: &EgoGraph, targets: &[u32], hops: usize) {
+/// `hop` non-decreasing in local id, sorted rows, closed levels, and a
+/// row present iff its vertex was expanded — frontier rows empty,
+/// interior rows at the full in-degree `degree` of the view's row.
+fn assert_contract(
+    view: &str,
+    ego: &EgoGraph,
+    targets: &[u32],
+    hops: usize,
+    degree: impl Fn(u32) -> usize,
+) {
     let mut want_targets: Vec<u32> = Vec::new();
     for &t in targets {
         if !want_targets.contains(&t) {
@@ -43,9 +51,24 @@ fn assert_contract(view: &str, ego: &EgoGraph, targets: &[u32], hops: usize) {
         ego.hop.windows(2).all(|w| w[0] <= w[1]),
         "{view}: hop must be non-decreasing in local id (BFS order)"
     );
-    assert!(ego.hops() <= hops, "{view}: deeper than asked");
+    assert_eq!(ego.hops(), hops, "{view}: extraction depth");
+    assert!(
+        ego.hop.iter().all(|&h| h as usize <= hops),
+        "{view}: deeper than asked"
+    );
     for v in 0..ego.csr.num_vertices() {
         let row = ego.csr.neighbors(v);
+        let want = if ego.row_is_complete(v) {
+            degree(ego.vertices[v])
+        } else {
+            0
+        };
+        assert_eq!(
+            row.len(),
+            want,
+            "{view}: local {v} at hop {} (frontier rows empty, interior rows full)",
+            ego.hop[v]
+        );
         assert!(
             row.windows(2).all(|w| w[0] <= w[1]),
             "{view}: row {v} unsorted"
@@ -71,8 +94,13 @@ fn assert_same(view: &str, got: &EgoGraph, want: &EgoGraph) {
 #[test]
 fn every_view_honours_the_extraction_contract() {
     let g = graph();
+    let full = |v: u32| g.degree(v as usize);
     let exact = subgraph::ego_graph(&g, &TARGETS, HOPS);
-    assert_contract("csr", &exact, &TARGETS, HOPS);
+    assert_contract("csr", &exact, &TARGETS, HOPS, full);
+    assert!(
+        exact.hop.contains(&(HOPS as u8)),
+        "the fixture must have frontier rows"
+    );
 
     // A snapshot whose overlay reaches into the targets' neighbourhood.
     let mut dg = DeltaGraph::new(g.clone());
@@ -81,23 +109,33 @@ fn every_view_honours_the_extraction_contract() {
     }
     assert!(dg.delta_edges() > 0, "the overlay must be non-empty");
     let snap = dg.snapshot();
+    let materialized = snap.materialize();
+    let over_full = |v: u32| materialized.degree(v as usize);
     let over = snap.ego_graph(&TARGETS, HOPS);
-    assert_contract("epoch+overlay", &over, &TARGETS, HOPS);
+    assert_contract("epoch+overlay", &over, &TARGETS, HOPS, over_full);
     assert_same(
         "epoch+overlay vs materialized",
         &over,
-        &subgraph::ego_graph(&snap.materialize(), &TARGETS, HOPS),
+        &subgraph::ego_graph(&materialized, &TARGETS, HOPS),
     );
 
     // An uncapped sample is the exact extraction, field for field.
     let uncapped = subgraph::sampled_ego_graph(&g, &TARGETS, HOPS, usize::MAX, 7);
-    assert_contract("sampled(MAX)", &uncapped, &TARGETS, HOPS);
+    assert_contract("sampled(MAX)", &uncapped, &TARGETS, HOPS, full);
     assert_same("sampled(MAX) vs exact", &uncapped, &exact);
+    // A sampled row is the whole row when it fits the fanout, else
+    // exactly `fanout` draws.
     let capped = subgraph::sampled_ego_graph(&g, &TARGETS, HOPS, 3, 7);
-    assert_contract("sampled(3)", &capped, &TARGETS, HOPS);
+    assert_contract("sampled(3)", &capped, &TARGETS, HOPS, |v| full(v).min(3));
     assert!(capped.vertices.len() < exact.vertices.len());
     let capped_overlay = snap.sampled_ego_graph(&TARGETS, HOPS, 3, 7);
-    assert_contract("epoch+overlay sampled(3)", &capped_overlay, &TARGETS, HOPS);
+    assert_contract(
+        "epoch+overlay sampled(3)",
+        &capped_overlay,
+        &TARGETS,
+        HOPS,
+        |v| over_full(v).min(3),
+    );
 
     let x = Matrix::random(400, 6, 1.0, 3);
     for shards in 1..=3usize {
@@ -106,7 +144,7 @@ fn every_view_honours_the_extraction_contract() {
         let home = plan.route(&TARGETS);
         let (ego, _, _) = distributed_ego(&plan, &stores, home, &TARGETS, HOPS);
         let view = format!("distributed/{shards}");
-        assert_contract(&view, &ego, &TARGETS, HOPS);
+        assert_contract(&view, &ego, &TARGETS, HOPS, full);
         assert_same(&view, &ego, &exact);
     }
 
@@ -121,7 +159,7 @@ fn every_view_honours_the_extraction_contract() {
             distributed_ego_with_health(&plan, &stores, home, &TARGETS, HOPS, &alive);
         assert_eq!(stats.missing(), 0);
         let view = format!("distributed/3, shard {dead} dead");
-        assert_contract(&view, &ego, &TARGETS, HOPS);
+        assert_contract(&view, &ego, &TARGETS, HOPS, full);
         assert_same(&view, &ego, &exact);
     }
 }
@@ -151,14 +189,17 @@ fn halo_accounting_is_pinned() {
     assert_eq!(partial, UNMIRRORED, "partial-service accounting drifted");
 }
 
+/// Adjacency rows move only for the two expanded levels; the rows of
+/// the 107 remote frontier vertices are never read, so never fetched.
+/// Every extracted vertex's feature row still crosses.
 const CLEAN: HaloStats = HaloStats {
-    fetch_batches: 6,
-    fetched_rows: 128,
+    fetch_batches: 4,
+    fetched_rows: 21,
     fetched_features: 128,
-    fetched_bytes: 7100,
+    fetched_bytes: 4252,
     replica_hits: 6,
-    local_hits: 38,
-    mirror_hits: 200,
+    local_hits: 29,
+    mirror_hits: 112,
     missing_rows: 0,
     missing_features: 0,
 };
@@ -166,18 +207,21 @@ const CLEAN: HaloStats = HaloStats {
 /// Shard 1 dead: its rows come from buddy 2's mirror, so the same rows
 /// and bytes move in half the transfers (one remote peer, not two).
 const ONE_DEAD: HaloStats = HaloStats {
-    fetch_batches: 3,
+    fetch_batches: 2,
     ..CLEAN
 };
 
+/// Only the 13 unreachable *expanded* rows count as missing rows; all
+/// 51 unreachable vertices still count as missing features, so the
+/// extraction is flagged partial exactly as before.
 const UNMIRRORED: HaloStats = HaloStats {
-    fetch_batches: 7,
-    fetched_rows: 163,
+    fetch_batches: 5,
+    fetched_rows: 23,
     fetched_features: 163,
-    fetched_bytes: 8164,
+    fetched_bytes: 5352,
     replica_hits: 0,
-    local_hits: 36,
+    local_hits: 28,
     mirror_hits: 0,
-    missing_rows: 51,
+    missing_rows: 13,
     missing_features: 51,
 };
