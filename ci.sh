@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # CI entry point: build, test, format, lint — then the repro gate, the
-# record and device-clock checks, and the perf and chaos gates. Every
+# record and device-clock checks, and the perf gate. Every
 # check here is deterministic or a correctness verdict; wall-clock
 # serving numbers come only from benchmark/ (BENCHMARK.json). Fails fast
 # on the first broken step, including failures inside pipelines and any
@@ -28,14 +28,17 @@ echo "=== one home ==="
 # telemetry::json), the marker-only serde shims (nothing serialises
 # through serde), the one-program-per-experiment binaries (an
 # experiment is a row of the registry in crates/bench/src/experiments/,
-# run as `repro <name>`; the seven programs left each have a flag grammar
+# run as `repro <name>`; the six programs left each have a flag grammar
 # and exit-code contract of their own), the second wall-clock harness
 # (serve_bench, shard_bench, dynamic_bench and their closed-loop load
 # generator: serving is timed by benchmark/ alone, and the checks they
-# made are tests or chaos_bench scenarios), and the simulator's second
-# accounting views (a launch records one ledger, gpu_sim::Accounting; the
-# per-SM cost formula is SmAccounting::cost and nothing re-types it; the
-# per-SM occupancy histogram duplicated the telemetry SM tracks).
+# made are tests), the chaos harness (chaos_bench, its flag parser
+# crates/bench/src/cli.rs and crates/bench's tlpgnn-serve dependency:
+# the scenarios are tests in crates/serve/tests/chaos.rs), and the
+# simulator's second accounting views (a launch records one ledger,
+# gpu_sim::Accounting; the per-SM cost formula is SmAccounting::cost and
+# nothing re-types it; the per-SM occupancy histogram duplicated the
+# telemetry SM tracks).
 if grep -qE '^name = "(rayon|crossbeam|parking_lot|serde|serde_derive)"' Cargo.lock; then
   echo "one home: rayon/crossbeam/parking_lot/serde are back in Cargo.lock" >&2
   exit 1
@@ -45,8 +48,12 @@ if [ -e crates/conformance/src/json.rs ]; then
   exit 1
 fi
 bench_bins="$(LC_ALL=C ls crates/bench/src/bin | xargs)"
-if [ "${bench_bins}" != "chaos_bench.rs conformance_fuzz.rs gnnconv.rs perf_gate.rs perf_report.rs repro.rs telemetry_diff.rs" ]; then
+if [ "${bench_bins}" != "conformance_fuzz.rs gnnconv.rs perf_gate.rs perf_report.rs repro.rs telemetry_diff.rs" ]; then
   echo "one home: crates/bench/src/bin/ holds ${bench_bins} (a new experiment is a registry row, not a binary)" >&2
+  exit 1
+fi
+if [ -e crates/bench/src/cli.rs ] || grep -q 'tlpgnn-serve' crates/bench/Cargo.toml; then
+  echo "one home: crates/bench drives the serving stack again (chaos scenarios are crates/serve/tests/chaos.rs)" >&2
   exit 1
 fi
 if [ -e crates/bench/src/load.rs ] || grep -rq 'load_metrics_snapshot' crates; then
@@ -168,32 +175,6 @@ assert_bench_unchanged() {
   echo "${bench_baseline_sha}" | sha256sum --check --quiet -
 }
 ./target/release/perf_gate
-assert_bench_unchanged
-
-echo "=== chaos smoke ==="
-# Seeded fault-injection scenarios (transient storm, device loss,
-# straggler, overload+faults, cache poison, sharded serving, streaming
-# mutations under load, shard-worker loss with standby failover,
-# halo-fetch timeout storm, clean baseline) against the serving stack.
-# Each runs twice with the same seed and must produce an identical event
-# log; exits non-zero on any SLO violation (a hang, a lost request, an
-# unflagged wrong answer — including an unflagged *stale* answer after a
-# mutation or an unflagged *partial* answer after an uncovered shard
-# loss — unbounded requeueing, a misrouted shard request, a salvage that
-# is not exactly-once, or halo accounting double-counted by a retry).
-./target/release/chaos_bench --smoke
-# The device-loss scenario dumped a flight recording, and it is bounded:
-# the recorder is a fixed 256-slot ring, so the dump can never grow past
-# a few hundred KB even under event storms.
-test -s results/flightrec_device_loss.json
-flight_bytes="$(wc -c < results/flightrec_device_loss.json)"
-if [ "${flight_bytes}" -gt 262144 ]; then
-  echo "chaos smoke: flight recorder dump unbounded (${flight_bytes} bytes)" >&2
-  exit 1
-fi
-# The shard failover, epoch and tracing layers must be invisible when no
-# faults or mutations are injected: the committed perf-gate baseline
-# stays byte-identical.
 assert_bench_unchanged
 
 echo "=== perf report ==="

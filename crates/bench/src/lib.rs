@@ -4,9 +4,10 @@
 //! function in [`experiments`] behind one registry, run as
 //! `repro <name>`; `repro list` prints the names. This library also holds
 //! the pieces the experiments and the gate programs share: run sizing
-//! ([`Env`]), feature generation, table formatting, telemetry export and
-//! `chaos_bench`'s flag parser ([`cli`]). Serving wall-clock is measured
-//! by the standalone `benchmark/` package, not here.
+//! ([`Env`]), feature generation, table formatting and telemetry export.
+//! The serving stack's checks are `tlpgnn-serve`'s tests, and its
+//! wall-clock is measured by the standalone `benchmark/` package, not
+//! here.
 //!
 //! Environment knobs:
 //! * `TLPGNN_SCALE=<k>` — extra scale divisor on top of each dataset's
@@ -26,7 +27,6 @@ use tlpgnn_baselines::TlpgnnSystem;
 use tlpgnn_graph::{datasets::DatasetSpec, Csr};
 use tlpgnn_tensor::Matrix;
 
-pub mod cli;
 pub mod experiments;
 
 /// How a run is sized: the extra scale divisor applied on top of every
@@ -133,30 +133,6 @@ pub fn results_dir() -> std::path::PathBuf {
     std::env::var("TLPGNN_RESULTS_DIR")
         .unwrap_or_else(|_| "results".into())
         .into()
-}
-
-/// splitmix64: the stateless seeded mixer `chaos_bench` draws from.
-pub fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-/// Independent CSR packer over a `(dst, src)` edge list — shares no code
-/// with the delta overlay, so `chaos_bench`'s `dynamic` scenario can use
-/// it as the oracle graph at each epoch.
-pub fn pack_csr(n: usize, edges: &[(u32, u32)]) -> Csr {
-    let mut es = edges.to_vec();
-    es.sort_unstable();
-    let mut indptr = vec![0u32; n + 1];
-    for &(dst, _) in &es {
-        indptr[dst as usize + 1] += 1;
-    }
-    for i in 1..=n {
-        indptr[i] += indptr[i - 1];
-    }
-    Csr::new(n, indptr, es.into_iter().map(|(_, s)| s).collect())
 }
 
 /// Random features for a graph, seeded per dataset (paper §7.1: random

@@ -93,20 +93,6 @@ fn bad_subcommands_and_flags_exit_2_naming_the_choices() {
         .expect("run repro profile_kernels ZZ");
     assert_eq!(out.status.code(), Some(2));
     assert!(out.stdout.is_empty());
-
-    let out = Command::new(env!("CARGO_BIN_EXE_chaos_bench"))
-        .arg("--nope")
-        .output()
-        .expect("run chaos_bench --nope");
-    assert_eq!(out.status.code(), Some(2));
-    assert!(out.stdout.is_empty());
-    let err = String::from_utf8(out.stderr).expect("utf-8");
-    assert!(err.contains("unknown flag --nope"), "{err}");
-    assert!(
-        err.contains("--requests") && err.contains("--smoke"),
-        "{err}"
-    );
-    assert!(!err.contains("panicked"), "{err}");
 }
 
 /// `repro_gate` had private `dev_for` / `engine_for` at `GATE_SCALE = 8`;

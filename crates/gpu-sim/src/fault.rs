@@ -20,7 +20,8 @@
 //! Injection is a pure function of `(seed, launch index)` — no wall
 //! clock, no OS randomness — so a faulty run is exactly reproducible:
 //! the same seed yields the same fault schedule on every machine, which
-//! is what lets `chaos_bench` assert SLO invariants deterministically.
+//! is what lets the serving stack's chaos tests assert SLO invariants
+//! deterministically.
 //! With [`FaultPlan::none`] (the default) the fault path is a single
 //! branch per launch and profiles are bitwise identical to a build
 //! without the fault layer.

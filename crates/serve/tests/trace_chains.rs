@@ -2,8 +2,10 @@
 //! simulated device throws at the server, every chain it publishes for a
 //! terminally-resolved request is well-formed — starts at `submit`,
 //! sequence numbers are dense and monotonic, exactly one terminal event
-//! (and it is last), and `salvage` appears at most once. The structural
-//! checks live in [`telemetry::TraceChain::validate`]; this test's job
+//! (and it is last), `salvage` appears at most once, and the chain
+//! explains its outcome (a `device_fault` error has a `fault` event, a
+//! `worker_lost` error a `salvage`, …). The checks live in
+//! [`telemetry::TraceChain::validate`]; this test's job
 //! is to drive them against the real server under randomized fault
 //! plans rather than hand-built chains.
 

@@ -16,8 +16,6 @@
 use std::collections::VecDeque;
 use std::sync::Mutex;
 
-use crate::json::Value;
-
 /// A service-level objective, declared in code.
 #[derive(Debug, Clone)]
 pub struct SloSpec {
@@ -78,25 +76,6 @@ pub struct SloReport {
     pub total: u64,
     /// Lifetime unflagged errors.
     pub total_errors: u64,
-}
-
-impl SloReport {
-    /// Serialize for `slo_report` summaries.
-    pub fn to_json(&self) -> Value {
-        let mut o = Value::object();
-        o.set("name", self.name.clone())
-            .set("window_len", self.window_len)
-            .set("p99_ms", self.p99_ms)
-            .set("p99_target_ms", self.p99_target_ms)
-            .set("latency_breach", self.latency_breach)
-            .set("error_rate", self.error_rate)
-            .set("error_budget", self.error_budget)
-            .set("burn_rate", self.burn_rate)
-            .set("burn_alert", self.burn_alert)
-            .set("total", self.total)
-            .set("total_errors", self.total_errors);
-        o
-    }
 }
 
 /// Incremental monitor for one [`SloSpec`]. Thread-safe; feed it every
@@ -291,27 +270,5 @@ mod tests {
         let r = m.report();
         assert_eq!(r.p99_ms, 2.0);
         assert!(!r.p99_ms.is_nan());
-    }
-
-    #[test]
-    fn report_json_is_complete() {
-        let m = SloMonitor::new(spec(4, 0.01));
-        m.record_ok(1.0);
-        let v = m.report().to_json();
-        for key in [
-            "name",
-            "window_len",
-            "p99_ms",
-            "p99_target_ms",
-            "latency_breach",
-            "error_rate",
-            "error_budget",
-            "burn_rate",
-            "burn_alert",
-            "total",
-            "total_errors",
-        ] {
-            assert!(v.get(key).is_some(), "slo_report missing {key}");
-        }
     }
 }

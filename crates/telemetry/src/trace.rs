@@ -15,7 +15,7 @@
 //! Trace ids and event sequence numbers derive from submission and
 //! append *order*, never from the wall clock. Timestamps are carried for
 //! waterfall rendering but excluded from [`TraceChain::canonical`], the
-//! representation the chaos harness compares across same-seed runs.
+//! representation the chaos tests compare across same-seed runs.
 
 use std::cell::Cell;
 use std::fmt::Write as _;
@@ -100,6 +100,11 @@ impl TraceChain {
     ///   re-routed to the buddy exactly once), only in a routed chain,
     ///   and only after a `salvage` — failover *is* the salvage's
     ///   re-routing, never a spontaneous second routing decision
+    /// * the chain explains its outcome: a degraded response has a
+    ///   `degrade` event, a `device_fault` error a `fault` event, a
+    ///   `worker_lost` error a `salvage` event or `buddy=none` (no live
+    ///   lane to salvage to), and a `deadline_exceeded` error a `shed`
+    ///   event
     pub fn validate(&self) -> Result<(), String> {
         if self.events.is_empty() {
             return Err(format!("trace {}: empty chain", self.id));
@@ -206,6 +211,26 @@ impl TraceChain {
                     self.canonical()
                 ));
             }
+        }
+        let term = &self.events[self.events.len() - 1];
+        let has = |k: &str| self.events.iter().any(|e| e.kind == k);
+        let explained = match term.kind {
+            "response" if term.detail == "degraded" => has("degrade"),
+            "error" if term.detail.starts_with("device_fault") => has("fault"),
+            "error" if term.detail.starts_with("worker_lost") => {
+                has("salvage") || term.detail.contains("buddy=none")
+            }
+            "error" if term.detail.starts_with("deadline_exceeded") => has("shed"),
+            _ => true,
+        };
+        if !explained {
+            return Err(format!(
+                "trace {}: outcome {}({}) unexplained by its chain: {}",
+                self.id,
+                term.kind,
+                term.detail,
+                self.canonical()
+            ));
         }
         Ok(())
     }
@@ -447,6 +472,68 @@ mod tests {
             .is_err(),
             "double failover"
         );
+    }
+
+    /// `chain(kinds)` with `detail` on its terminal event.
+    fn ending(kinds: &[&'static str], detail: &str) -> TraceChain {
+        let mut c = chain(kinds);
+        c.events.last_mut().unwrap().detail = detail.into();
+        c
+    }
+
+    #[test]
+    fn degraded_response_needs_a_degrade_event() {
+        ending(&["submit", "pickup", "degrade", "response"], "degraded")
+            .validate()
+            .unwrap();
+        ending(&["submit", "pickup", "response"], "ok")
+            .validate()
+            .unwrap();
+        assert!(ending(&["submit", "pickup", "response"], "degraded")
+            .validate()
+            .is_err());
+    }
+
+    #[test]
+    fn device_fault_needs_a_fault_event() {
+        let detail = "device_fault (retry budget exhausted)";
+        ending(&["submit", "pickup", "fault", "retry", "error"], detail)
+            .validate()
+            .unwrap();
+        assert!(ending(&["submit", "pickup", "retry", "error"], detail)
+            .validate()
+            .is_err());
+    }
+
+    #[test]
+    fn worker_lost_needs_a_salvage_or_no_buddy() {
+        ending(
+            &["submit", "pickup", "salvage", "pickup", "error"],
+            "worker_lost cause=panic",
+        )
+        .validate()
+        .unwrap();
+        ending(
+            &["submit", "pickup", "error"],
+            "worker_lost cause=device_lost buddy=none",
+        )
+        .validate()
+        .unwrap();
+        assert!(
+            ending(&["submit", "pickup", "error"], "worker_lost cause=panic")
+                .validate()
+                .is_err()
+        );
+    }
+
+    #[test]
+    fn deadline_exceeded_needs_a_shed_event() {
+        ending(&["submit", "pickup", "shed", "error"], "deadline_exceeded")
+            .validate()
+            .unwrap();
+        assert!(ending(&["submit", "pickup", "error"], "deadline_exceeded")
+            .validate()
+            .is_err());
     }
 
     #[test]
