@@ -34,13 +34,24 @@ echo "=== one home ==="
 # generator: serving is timed by benchmark/ alone, and the checks they
 # made are tests), the chaos harness (chaos_bench, its flag parser
 # crates/bench/src/cli.rs and crates/bench's tlpgnn-serve dependency:
-# the scenarios are tests in crates/serve/tests/chaos.rs), and the
+# the scenarios are tests in crates/serve/tests/chaos.rs), the
 # simulator's second accounting views (a launch records one ledger,
 # gpu_sim::Accounting; the per-SM cost formula is SmAccounting::cost and
 # nothing re-types it; the per-SM occupancy histogram duplicated the
-# telemetry SM tracks).
-if grep -qE '^name = "(rayon|crossbeam|parking_lot|serde|serde_derive)"' Cargo.lock; then
-  echo "one home: rayon/crossbeam/parking_lot/serde are back in Cargo.lock" >&2
+# telemetry SM tracks), and every second host clock (the criterion shim
+# and its benches, perfgate's native wall-clock ride-along and the prof
+# scope sampler: host time is measured by benchmark/ alone and
+# attributed by span!).
+if grep -qE '^name = "(rayon|crossbeam|parking_lot|serde|serde_derive|criterion)"' Cargo.lock; then
+  echo "one home: rayon/crossbeam/parking_lot/serde/criterion are back in Cargo.lock" >&2
+  exit 1
+fi
+if [ -e shims/criterion ] || [ -e crates/bench/benches ] || [ -e crates/perfgate/src/native.rs ]; then
+  echo "one home: a second host clock is back (shims/criterion, crates/bench/benches/ or crates/perfgate/src/native.rs; host time is benchmark/'s)" >&2
+  exit 1
+fi
+if grep -rqE 'prof::scope|TLPGNN_PROF' crates; then
+  echo "one home: the prof scope sampler is back in crates/ (attribute host time with span!)" >&2
   exit 1
 fi
 if [ -e crates/conformance/src/json.rs ]; then

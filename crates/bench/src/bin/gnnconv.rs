@@ -52,6 +52,15 @@ struct Args {
     csv: bool,
 }
 
+/// `v` parsed as a number, or exit 2 naming `flag`: a typo must not run
+/// the default and report it as what was asked for.
+fn num<T: std::str::FromStr>(flag: &str, v: String) -> T {
+    v.parse().unwrap_or_else(|_| {
+        eprintln!("{flag} needs a number, got {v:?}");
+        exit(2);
+    })
+}
+
 fn parse_args() -> Args {
     let mut a = Args {
         dataset: None,
@@ -75,10 +84,10 @@ fn parse_args() -> Args {
             "--dataset" => a.dataset = Some(val("--dataset")),
             "--graph" => a.graph = Some(val("--graph")),
             "--model" => a.model = val("--model").to_lowercase(),
-            "--feat" => a.feat = val("--feat").parse().unwrap_or(32),
+            "--feat" => a.feat = num("--feat", val("--feat")),
             "--system" => a.system = val("--system").to_lowercase(),
-            "--scale" => a.scale = val("--scale").parse().unwrap_or(1),
-            "--seed" => a.seed = val("--seed").parse().unwrap_or(7),
+            "--scale" => a.scale = num("--scale", val("--scale")),
+            "--seed" => a.seed = num("--seed", val("--seed")),
             "--csv" => a.csv = true,
             "--help" | "-h" => {
                 print!("{HELP}");

@@ -20,16 +20,11 @@
 //!
 //! The run also writes the usual telemetry bundle (including the folded
 //! flamegraph) plus `results/perf_gate.current.json` with the snapshot
-//! that was compared, for offline diffing via `telemetry-diff`. The
-//! current snapshot carries native host-engine wall-clock medians as
-//! non-gated `info` metrics; `--bless` strips those before writing a
-//! baseline, so committed `BENCH_*.json` files stay machine-independent
-//! and byte-identical.
+//! that was compared, for offline diffing via `telemetry-diff`.
 
 use std::path::{Path, PathBuf};
 
 use tlpgnn_perfgate::gate::{self, GateConfig};
-use tlpgnn_perfgate::native;
 use tlpgnn_perfgate::snapshot::{self, Snapshot};
 use tlpgnn_perfgate::suite::{self, Suite};
 
@@ -77,14 +72,6 @@ fn main() {
     );
     let mut current = suite::run(&s);
     current.git_sha = snapshot::git_sha(Path::new("."));
-    // Native wall-clock ride-alongs: recorded as `info` metrics in the
-    // inspectable current.json, never gated, stripped before any bless.
-    native::annotate(&mut current, &s, native::DEFAULT_TIMED_RUNS);
-    let gated = |c: &Snapshot| {
-        let mut g = c.clone();
-        g.strip_info();
-        g
-    };
 
     // Keep the run inspectable regardless of the gate's verdict.
     let results_dir = tlpgnn_bench::results_dir();
@@ -96,7 +83,7 @@ fn main() {
         let _ = current.save(&current_path);
         if bless {
             let p = snapshot::bench_path(&baseline_dir, 1);
-            if let Err(e) = gated(&current).save(&p) {
+            if let Err(e) = current.save(&p) {
                 eprintln!("perf_gate: cannot write {}: {e}", p.display());
                 std::process::exit(2);
             }
@@ -127,13 +114,13 @@ fn main() {
 
     if bless {
         if baseline.config_fingerprint == current.config_fingerprint
-            && baseline.workloads == gated(&current).workloads
+            && baseline.workloads == current.workloads
         {
             println!("perf_gate: baseline {} already up to date", path.display());
             return;
         }
         let p = snapshot::bench_path(&baseline_dir, seq + 1);
-        if let Err(e) = gated(&current).save(&p) {
+        if let Err(e) = current.save(&p) {
             eprintln!("perf_gate: cannot write {}: {e}", p.display());
             std::process::exit(2);
         }

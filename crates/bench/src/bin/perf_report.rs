@@ -17,32 +17,25 @@
 //!   counters (cache hit rates, DRAM row locality, stall split).
 //! * **Regressions** — the current run diffed against the latest
 //!   committed `BENCH_<seq>.json`, top-K attributed regressions.
-//! * **Native path** — host-engine wall-clock medians per
-//!   model/dataset, the scope profiler's aggregated stage timings
-//!   (written as folded stacks, self + cumulative), and — when the
-//!   `count-alloc` feature installed the counting allocator — heap
-//!   allocation totals.
+//! * **Heap** — the main thread's allocation totals, from the counting
+//!   allocator this binary installs.
 //!
-//! Knobs: `TLPGNN_PROF=0` disables the native scope profiler,
-//! `TLPGNN_TELEMETRY=0` the collector (CI uses both to verify the
-//! instrumented run stays within a 3× overhead band of the bare one; the
-//! `suite_wall_ms=` line is the parseable hook for that check).
+//! Host time is not measured here (that is `benchmark/`'s job); the
+//! telemetry bundle's span-based folded stacks
+//! (`results/perf_report.folded{,_total}.txt`) attribute it.
 
 use std::path::PathBuf;
-use std::time::Instant;
 
 use tlpgnn_bench::{fmt_ms, Table};
 use tlpgnn_perfgate::gate::{self, GateConfig};
+use tlpgnn_perfgate::roofline;
 use tlpgnn_perfgate::snapshot::{self, Snapshot};
 use tlpgnn_perfgate::suite::{self, Suite};
-use tlpgnn_perfgate::{native, roofline};
 
-// Per-request / per-conv heap attribution: count every allocation. The
-// feature exists so the default build of every *other* bench binary
-// keeps the system allocator untouched.
-#[cfg(feature = "count-alloc")]
+// Heap attribution: count every allocation. Only this binary installs
+// it; every other binary keeps the system allocator.
 #[global_allocator]
-static ALLOC: telemetry::prof::CountingAlloc = telemetry::prof::CountingAlloc;
+static ALLOC: telemetry::alloc::CountingAlloc = telemetry::alloc::CountingAlloc;
 
 fn usage() -> ! {
     eprintln!("usage: perf_report [--smoke] [--baseline-dir DIR] [--top K]");
@@ -51,11 +44,6 @@ fn usage() -> ! {
 
 fn main() {
     let _telemetry = tlpgnn_bench::telemetry_scope("perf_report");
-    let prof_on = !std::env::var("TLPGNN_PROF").is_ok_and(|v| v == "0");
-    if prof_on {
-        telemetry::prof::reset();
-        telemetry::prof::set_enabled(true);
-    }
 
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut smoke = false;
@@ -83,16 +71,13 @@ fn main() {
 
     let s = if smoke { Suite::smoke() } else { Suite::full() };
     println!(
-        "perf_report: suite `{}` ({} workloads) on {} | prof {}",
+        "perf_report: suite `{}` ({} workloads) on {}",
         s.name,
         s.workloads.len(),
         s.device.name,
-        if prof_on { "on" } else { "off" },
     );
 
-    let t0 = Instant::now();
     let runs = suite::run_profiled(&s);
-    let suite_wall_ms = t0.elapsed().as_secs_f64() * 1e3;
 
     let results_dir = tlpgnn_bench::results_dir();
     let _ = std::fs::create_dir_all(&results_dir);
@@ -209,68 +194,12 @@ fn main() {
         ),
     }
 
-    // ---- native path ------------------------------------------------
-    let timings = native::measure(&s, native::DEFAULT_TIMED_RUNS);
-    let mut t = Table::new(
-        format!(
-            "Native engine wall-clock (median of {})",
-            native::DEFAULT_TIMED_RUNS
-        ),
-        &["model/dataset", "wall ms"],
+    let a = telemetry::alloc::thread_alloc_stats();
+    println!(
+        "alloc (main thread): {} allocations, {:.2} MB requested",
+        a.allocs,
+        a.bytes as f64 / 1e6
     );
-    for (key, ms) in &timings {
-        t.row(vec![key.clone(), fmt_ms(*ms)]);
-    }
-    t.print();
-
-    if prof_on {
-        telemetry::prof::set_enabled(false);
-        let snap = telemetry::prof::take();
-        let stats = telemetry::prof::aggregate(&snap.samples);
-        let mut by_total: Vec<&telemetry::prof::ScopeStat> = stats.iter().collect();
-        by_total.sort_by_key(|s| std::cmp::Reverse(s.total_ns));
-        let mut t = Table::new(
-            "Native profiler scopes (by inclusive time)",
-            &["scope", "count", "total ms", "self ms", "max us"],
-        );
-        for st in by_total.iter().take(top_k.max(8)) {
-            t.row(vec![
-                st.path.clone(),
-                st.count.to_string(),
-                fmt_ms(st.total_ns as f64 / 1e6),
-                fmt_ms(st.self_ns as f64 / 1e6),
-                format!("{:.1}", st.max_ns as f64 / 1e3),
-            ]);
-        }
-        t.print();
-        if snap.dropped > 0 {
-            println!(
-                "prof: {} sample(s) dropped (ring overflow / deep nesting)",
-                snap.dropped
-            );
-        }
-        let folded = results_dir.join("perf_report.prof.folded.txt");
-        let folded_total = results_dir.join("perf_report.prof.folded_total.txt");
-        let _ = std::fs::write(&folded, telemetry::prof::folded(&snap.samples, false));
-        let _ = std::fs::write(&folded_total, telemetry::prof::folded(&snap.samples, true));
-        println!(
-            "prof: wrote {}, {}",
-            folded.display(),
-            folded_total.display()
-        );
-    }
-
-    if telemetry::prof::alloc_counting_installed() {
-        let a = telemetry::prof::thread_alloc_stats();
-        println!(
-            "alloc (main thread): {} allocations, {:.2} MB requested",
-            a.allocs,
-            a.bytes as f64 / 1e6
-        );
-    }
-
-    // Parseable hook for the CI overhead-parity check.
-    println!("perf_report: suite_wall_ms={suite_wall_ms:.3}");
 
     if !disagreements.is_empty() {
         eprintln!(

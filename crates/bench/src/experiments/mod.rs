@@ -21,7 +21,6 @@ mod fig12;
 mod fig8;
 mod fig9;
 pub mod gate;
-mod native_scaling;
 mod profile_kernels;
 mod table1;
 mod table2;
@@ -35,10 +34,6 @@ pub struct Experiment {
     pub name: &'static str,
     /// One line for the usage listing.
     pub title: &'static str,
-    /// Whether stdout is a pure function of the code and `TLPGNN_SCALE`
-    /// (simulated clock only), i.e. whether `results/<name>.txt` is a
-    /// tracked record that must equal a fresh run.
-    pub deterministic: bool,
     /// The experiment body: sizing, then the arguments after the name
     /// (a bad argument exits 2).
     pub run: fn(&Env, &[String]),
@@ -49,110 +44,87 @@ pub const REGISTRY: &[Experiment] = &[
     Experiment {
         name: "datasets",
         title: "Table 4: graph benchmarks, paper statistics vs synthesized",
-        deterministic: true,
         run: datasets::run,
     },
     Experiment {
         name: "table1",
         title: "Table 1: push / edge-centric / GNNAdvisor / pull profiling (GCN, OH)",
-        deterministic: true,
         run: table1::run,
     },
     Experiment {
         name: "table2",
         title: "Table 2: one thread vs half warp per vertex (coalescing)",
-        deterministic: true,
         run: table2::run,
     },
     Experiment {
         name: "table3",
         title: "Table 3: DGL vs three-kernel vs fused one-kernel GAT (RD)",
-        deterministic: true,
         run: table3::run,
     },
     Experiment {
         name: "table5",
         title: "Table 5: 4 models x 11 datasets, TLPGNN vs DGL / GNNAdvisor / FeatGraph",
-        deterministic: true,
         run: table5::run,
     },
     Experiment {
         name: "fig8",
         title: "Figure 8: GNNAdvisor atomic-write traffic",
-        deterministic: true,
         run: fig8::run,
     },
     Experiment {
         name: "fig9",
         title: "Figure 9: achieved occupancy, FeatGraph vs TLPGNN",
-        deterministic: true,
         run: fig9::run,
     },
     Experiment {
         name: "fig10",
         title: "Figure 10: stacked technique speedups over edge-centric",
-        deterministic: true,
         run: fig10::run,
     },
     Experiment {
         name: "fig11",
         title: "Figure 11: scaling with thread blocks, 1 to 128",
-        deterministic: true,
         run: fig11::run,
     },
     Experiment {
         name: "fig12",
         title: "Figure 12: scaling with feature size, 16 to 512",
-        deterministic: true,
         run: fig12::run,
     },
     Experiment {
         name: "ext_multigpu",
         title: "Extension: multi-GPU strong scaling",
-        deterministic: true,
         run: ext_multigpu::run,
     },
     Experiment {
         name: "ext_hetero",
         title: "Extension: fused heterogeneous-graph convolution",
-        deterministic: true,
         run: ext_hetero::run,
     },
     Experiment {
         name: "ablation_tuning",
         title: "Ablation: warps-per-block x task-pool step grid vs the heuristic",
-        deterministic: true,
         run: ablation_tuning::run,
     },
     Experiment {
         name: "ablation_advisor",
         title: "Ablation: GNNAdvisor neighbor-group size",
-        deterministic: true,
         run: ablation_advisor::run,
     },
     Experiment {
         name: "ablation_costmodel",
         title: "Ablation: headline orderings under cost-knob perturbation",
-        deterministic: true,
         run: ablation_costmodel::run,
     },
     Experiment {
         name: "ablation_device",
         title: "Ablation: V100-class vs A100-class device",
-        deterministic: true,
         run: ablation_device::run,
     },
     Experiment {
         name: "profile_kernels",
         title: "Kernel limiter analysis [dataset-abbr] [feature-dim] (default OH 32)",
-        deterministic: true,
         run: profile_kernels::run,
-    },
-    Experiment {
-        name: "native_scaling",
-        title: "Native CPU engine thread scaling (wall-clock)",
-        deterministic: false,
-        run: native_scaling::run,
     },
 ];
 

@@ -31,19 +31,14 @@ fn names_are_unique_and_equal_repro_list() {
     assert_eq!(listed.lines().collect::<Vec<_>>(), names);
 }
 
-/// A deterministic experiment without a record, or a record without an
-/// experiment, fails here. The two records that are not experiment
-/// tables are named.
+/// Every experiment has a committed record and every record an
+/// experiment. The two records that are not experiment tables are named.
 #[test]
-fn deterministic_experiments_are_exactly_the_committed_records() {
+fn experiments_are_exactly_the_committed_records() {
     const OTHER_RECORDS: [&str; 2] = ["repro_gate", "device_clock_seed42"];
     let root = repo_root();
-    let deterministic: BTreeSet<String> = REGISTRY
-        .iter()
-        .filter(|e| e.deterministic)
-        .map(|e| e.name.to_string())
-        .collect();
-    for name in &deterministic {
+    let experiments: BTreeSet<String> = REGISTRY.iter().map(|e| e.name.to_string()).collect();
+    for name in &experiments {
         let record = root.join(format!("results/{name}.txt"));
         assert!(record.is_file(), "no record {}", record.display());
     }
@@ -68,7 +63,7 @@ fn deterministic_experiments_are_exactly_the_committed_records() {
     for other in OTHER_RECORDS {
         assert!(records.remove(other), "results/{other}.txt is not tracked");
     }
-    assert_eq!(records, deterministic);
+    assert_eq!(records, experiments);
 }
 
 #[test]
@@ -93,6 +88,16 @@ fn bad_subcommands_and_flags_exit_2_naming_the_choices() {
         .expect("run repro profile_kernels ZZ");
     assert_eq!(out.status.code(), Some(2));
     assert!(out.stdout.is_empty());
+
+    let out = Command::new(env!("CARGO_BIN_EXE_gnnconv"))
+        .args(["--feat", "abc"])
+        .env("TLPGNN_TELEMETRY", "0")
+        .output()
+        .expect("run gnnconv --feat abc");
+    assert_eq!(out.status.code(), Some(2));
+    assert!(out.stdout.is_empty());
+    let err = String::from_utf8(out.stderr).expect("utf-8");
+    assert!(err.contains("--feat"), "stderr does not name --feat: {err}");
 }
 
 /// `repro_gate` had private `dev_for` / `engine_for` at `GATE_SCALE = 8`;

@@ -241,16 +241,15 @@ impl NativeEngine {
             model = model.name(),
             vertices = g.num_vertices()
         );
-        let _prof = telemetry::prof::scope("native.conv");
         assert_eq!(g.num_vertices(), x.rows(), "graph/feature mismatch");
         let n = g.num_vertices();
         let f = x.cols();
         let rc = {
-            let _p = telemetry::prof::scope("native.prepare");
+            let _span = telemetry::span!("native.prepare");
             RowComputer::new(model, g, x, self.threads)
         };
         let mut out = Matrix::zeros(n, f);
-        let _p = telemetry::prof::scope("native.aggregate");
+        let _aggregate = telemetry::span!("native.aggregate");
         let step = match self.schedule {
             NativeSchedule::Static => n.div_ceil(pool::participants(self.threads)),
             NativeSchedule::TaskPool { step } => step,

@@ -331,7 +331,6 @@ mod tests {
                 id: "warp_per_vertex/gcn/power_law".to_string(),
                 limiter: limiter.to_string(),
                 metrics,
-                info: BTreeMap::new(),
             }],
         }
     }

@@ -16,15 +16,12 @@
 //!    cost-model terms), in the spirit of Nsight Compute's limiter
 //!    analysis.
 //! 4. [`roofline`] — arithmetic-intensity/roofline placement per
-//!    workload, cross-checked against the cost model's limiter; and
-//!    [`native`] — host-engine wall-clock ride-alongs recorded as
-//!    non-gated `info` metrics.
+//!    workload, cross-checked against the cost model's limiter.
 //!
 //! The `perf_gate` bin in `tlpgnn-bench` drives all three from `ci.sh`;
 //! `--bless` re-baselines after an intentional change.
 
 pub mod gate;
-pub mod native;
 pub mod roofline;
 pub mod snapshot;
 pub mod suite;

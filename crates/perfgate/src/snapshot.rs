@@ -24,11 +24,6 @@ pub struct WorkloadResult {
     pub limiter: String,
     /// Every gate metric by name (see `KernelProfile::gate_metrics`).
     pub metrics: BTreeMap<String, f64>,
-    /// Informational (non-gated) metrics, e.g. native wall-clock medians.
-    /// The gate never compares these, `--bless` strips them before the
-    /// byte-identity check, and serialization omits the field entirely
-    /// when empty so gated snapshots stay byte-stable.
-    pub info: BTreeMap<String, f64>,
 }
 
 /// One versioned bench snapshot (`BENCH_<seq>.json`).
@@ -63,13 +58,6 @@ impl Snapshot {
             o.set("id", w.id.clone())
                 .set("limiter", w.limiter.clone())
                 .set("metrics", metrics);
-            if !w.info.is_empty() {
-                let mut info = Value::object();
-                for (k, v) in &w.info {
-                    info.set(k.clone(), *v);
-                }
-                o.set("info", info);
-            }
             workloads.push(o);
         }
         let mut o = Value::object();
@@ -118,20 +106,10 @@ impl Snapshot {
                     .ok_or_else(|| format!("workload {i}: metric {k:?} is not a number"))?;
                 metrics.insert(k.clone(), n);
             }
-            let mut info = BTreeMap::new();
-            if let Some(fields) = w.get("info").and_then(Value::as_obj) {
-                for (k, m) in fields {
-                    let n = m
-                        .as_f64()
-                        .ok_or_else(|| format!("workload {i}: info {k:?} is not a number"))?;
-                    info.insert(k.clone(), n);
-                }
-            }
             workloads.push(WorkloadResult {
                 id: req_str(w, "id").map_err(|e| format!("workload {i}: {e}"))?,
                 limiter: req_str(w, "limiter").map_err(|e| format!("workload {i}: {e}"))?,
                 metrics,
-                info,
             });
         }
         Ok(Snapshot {
@@ -146,15 +124,6 @@ impl Snapshot {
             device: req_str(&v, "device")?,
             workloads,
         })
-    }
-
-    /// Drop every workload's informational metrics. Used before the
-    /// `--bless` byte-identity check and before committing a baseline, so
-    /// machine-dependent numbers (wall-clock) never enter a gated file.
-    pub fn strip_info(&mut self) {
-        for w in &mut self.workloads {
-            w.info.clear();
-        }
     }
 
     /// Write the pretty form to `path`.
@@ -256,7 +225,6 @@ mod tests {
                 id: "fused/gcn/power_law".to_string(),
                 limiter: "bandwidth".to_string(),
                 metrics,
-                info: BTreeMap::new(),
             }],
         }
     }
@@ -270,25 +238,6 @@ mod tests {
         // The compact form parses too.
         let back2 = Snapshot::from_json_str(&s.to_json().to_string()).unwrap();
         assert_eq!(back2, s);
-    }
-
-    #[test]
-    fn info_roundtrips_and_strips() {
-        let mut s = sample();
-        // No info => the field is absent from the serialized form, so
-        // gated snapshots are byte-identical to the pre-info layout.
-        assert!(!s.to_pretty_string().contains("\"info\""));
-        s.workloads[0]
-            .info
-            .insert("native_wall_ms_median".to_string(), 1.75);
-        let text = s.to_pretty_string();
-        assert!(text.contains("\"info\""));
-        let back = Snapshot::from_json_str(&text).unwrap();
-        assert_eq!(back, s);
-        let mut stripped = back;
-        stripped.strip_info();
-        assert!(stripped.workloads[0].info.is_empty());
-        assert!(!stripped.to_pretty_string().contains("\"info\""));
     }
 
     #[test]

@@ -287,7 +287,6 @@ pub fn run_profiled(suite: &Suite) -> Vec<(String, KernelProfile)> {
     for w in &suite.workloads {
         let id = w.id();
         let _span = telemetry::span!("perfgate.workload", id = id);
-        let _prof = telemetry::prof::scope("perfgate.workload");
         let g = w.dataset.build();
         let x = Matrix::random(g.num_vertices(), suite.feat_dim, 1.0, FEAT_SEED);
         let mut dev = Device::new(suite.device.clone());
@@ -313,7 +312,6 @@ pub fn snapshot_from(suite: &Suite, runs: &[(String, KernelProfile)]) -> Snapsho
                 .into_iter()
                 .map(|(k, v)| (k.to_string(), v))
                 .collect(),
-            info: Default::default(),
         })
         .collect();
     Snapshot {

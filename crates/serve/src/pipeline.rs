@@ -723,11 +723,10 @@ impl<S: GraphSource> Core<S> {
         batch: Batch<S::View>,
     ) -> Result<(), WorkerExit> {
         let _span = telemetry::span!("serve.process_batch", requests = batch.len());
-        let _prof = telemetry::prof::scope("serve.process_batch");
         // Per-batch allocation accounting: free when no counting
         // allocator is installed (the deltas read zero), real
         // bytes/allocs when the `perf_report` binary installs one.
-        let alloc0 = telemetry::prof::thread_alloc_stats();
+        let alloc0 = telemetry::alloc::thread_alloc_stats();
         let picked_up = Instant::now();
         let (m, cfg, lane) = (&self.names, &self.cfg, &self.lanes[lane_idx]);
         let classes = self.net.out_dim();
@@ -795,7 +794,6 @@ impl<S: GraphSource> Core<S> {
         let mut stale_targets: HashSet<u32> = HashSet::new();
         {
             let _span = telemetry::span!("serve.cache_lookup", targets = uniq.len());
-            let _prof = telemetry::prof::scope("serve.cache_lookup");
             let grace = if level >= DegradationLevel::StaleOk {
                 cfg.stale_grace
             } else {
@@ -841,7 +839,6 @@ impl<S: GraphSource> Core<S> {
             let extracted = {
                 let _span =
                     telemetry::span!("serve.extract", misses = miss_targets.len(), hops = hops);
-                let _prof = telemetry::prof::scope("serve.extract");
                 let job = ExtractJob {
                     lane: lane_idx,
                     batch: &batch,
@@ -872,7 +869,6 @@ impl<S: GraphSource> Core<S> {
                 let out = loop {
                     trace_all(&batch, "attempt", || format!("idx={attempt}"));
                     let _span = telemetry::span!("serve.compute", vertices = x.ego.vertices.len());
-                    let _prof = telemetry::prof::scope("serve.compute");
                     match engine.try_classify_forward(&self.net, &x.ego.csr, &x.feats) {
                         Ok((out, _profile)) => break Some(out),
                         Err(LaunchError::DeviceLost) => {
@@ -934,7 +930,6 @@ impl<S: GraphSource> Core<S> {
         // rows (a retry budget exhausted) fails with `DeviceFault` —
         // terminally resolved either way.
         let _respond = telemetry::span!("serve.respond", requests = batch.len());
-        let _prof_respond = telemetry::prof::scope("serve.respond");
         let miss_set: HashSet<u32> = miss_targets.iter().copied().collect();
         for (p, enqueued) in batch.iter() {
             let targets = &p.request.targets;
@@ -1017,8 +1012,8 @@ impl<S: GraphSource> Core<S> {
                 trace,
             }));
         }
-        if telemetry::enabled() && telemetry::prof::alloc_counting_installed() {
-            let d = telemetry::prof::thread_alloc_stats().since(&alloc0);
+        if telemetry::enabled() && telemetry::alloc::alloc_counting_installed() {
+            let d = telemetry::alloc::thread_alloc_stats().since(&alloc0);
             if d.allocs > 0 {
                 telemetry::observe(&m.batch_alloc_bytes, d.bytes as f64);
                 telemetry::observe(&m.batch_allocs, d.allocs as f64);

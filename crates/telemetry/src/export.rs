@@ -287,7 +287,7 @@ pub fn events_jsonl(c: &Collector) -> String {
 
 /// A frame name, made safe for the folded-stack line format: `;` is the
 /// frame separator and the weight is whitespace-delimited at end of line.
-pub(crate) fn folded_frame(name: &str) -> String {
+fn folded_frame(name: &str) -> String {
     name.chars()
         .map(|c| match c {
             ';' => ':',

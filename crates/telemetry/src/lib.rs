@@ -42,12 +42,12 @@
 
 #![warn(missing_docs)]
 
+pub mod alloc;
 pub mod diff;
 pub mod export;
 pub mod flight;
 pub mod json;
 pub mod metrics;
-pub mod prof;
 pub mod sim;
 pub mod slo;
 pub mod span;

@@ -1,14 +1,15 @@
 //! Integration: the telemetry subsystem observing a real engine run.
 //!
-//! These tests drive `TlpgnnEngine::conv` with collection enabled and
-//! assert the whole pipeline — span tree, auto-published kernel metrics,
-//! simulator timelines, and the Chrome-trace export — hangs together.
+//! These tests drive `TlpgnnEngine::conv` and `NativeEngine::conv` with
+//! collection enabled and assert the whole pipeline — span trees,
+//! auto-published kernel metrics, simulator timelines, folded stacks and
+//! the Chrome-trace export — hangs together.
 //! They share the process-global collector, so they serialize on a mutex.
 
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
 use gpu_sim::DeviceConfig;
-use tlpgnn::{EngineOptions, GnnModel, TlpgnnEngine};
+use tlpgnn::{EngineOptions, GnnModel, NativeEngine, TlpgnnEngine};
 use tlpgnn_graph::generators;
 use tlpgnn_tensor::Matrix;
 
@@ -59,6 +60,43 @@ fn conv_produces_expected_span_tree() {
         assert_eq!(child.depth, conv.depth + 1);
         assert!(child.start_ns >= conv.start_ns && child.end_ns <= conv.end_ns);
     }
+}
+
+#[test]
+fn native_conv_produces_expected_span_tree() {
+    let _guard = telemetry_lock();
+    telemetry::reset();
+    telemetry::set_enabled(true);
+    let g = generators::rmat_default(200, 1500, 11);
+    let x = Matrix::random(200, 32, 1.0, 12);
+    let _ = NativeEngine::default().conv(&GnnModel::Gcn, &g, &x);
+    telemetry::set_enabled(false);
+    let c = telemetry::collector();
+    let spans = c.spans_snapshot();
+
+    let conv = spans
+        .iter()
+        .find(|s| s.name == "native.conv")
+        .expect("native.conv span recorded");
+    assert!(conv.parent.is_none(), "native.conv is a root span");
+    assert!(
+        conv.args.iter().any(|(k, v)| *k == "model" && v == "GCN"),
+        "native.conv carries the model arg: {:?}",
+        conv.args
+    );
+    for child_name in ["native.prepare", "native.aggregate"] {
+        let child = spans
+            .iter()
+            .find(|s| s.name == child_name)
+            .unwrap_or_else(|| panic!("{child_name} span recorded"));
+        assert_eq!(child.parent, Some(conv.id), "{child_name} nests under conv");
+        assert!(child.start_ns >= conv.start_ns && child.end_ns <= conv.end_ns);
+    }
+    let folded = telemetry::export::folded_stacks(c);
+    assert!(
+        folded.contains("native.conv;native.aggregate"),
+        "folded stacks attribute the aggregation: {folded}"
+    );
 }
 
 #[test]
