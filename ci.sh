@@ -8,19 +8,32 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
-echo "=== cargo build --release ==="
+# Each step's wall-clock seconds, printed when the next one starts (and
+# after the last), so a change in the simulator's host speed shows where
+# it lands: perf gate, repro gate, record canary.
+step_name=""
+step() {
+  if [ -n "${step_name}" ]; then
+    echo "--- ${step_name}: $((SECONDS - step_start)) s"
+  fi
+  step_name="$1"
+  step_start=${SECONDS}
+  [ -z "${step_name}" ] || echo "=== ${step_name} ==="
+}
+
+step "cargo build --release"
 cargo build --release --workspace
 
-echo "=== cargo test ==="
+step "cargo test"
 cargo test -q --workspace
 
-echo "=== cargo fmt --check ==="
+step "cargo fmt --check"
 cargo fmt --all -- --check
 
-echo "=== cargo clippy ==="
+step "cargo clippy"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "=== one home ==="
+step "one home"
 # Things that were deleted stay deleted: the sequential rayon stand-in
 # and the unused crossbeam shim (host parallelism is tlpgnn_tensor::pool),
 # the parking_lot shim (its one user, gpu-sim's L2, needs no lock), the
@@ -79,14 +92,23 @@ if grep -rqE 'SmOccupancy|OCCUPANCY_BUCKETS|struct SmBin' crates; then
   echo "one home: a second per-SM record is back in crates/ (the ledger's SmAccounting is the one)" >&2
   exit 1
 fi
+# A request is priced by one function, Pricer::price in
+# crates/gpu-sim/src/price.rs, whether inline or replayed from the launch
+# log: nothing else looks a sector up in, or drops one from, the cache
+# model (cache.rs's own tests exercise the model itself).
+if grep -rnE '\.(access|invalidate)\(' --include='*.rs' crates src tests examples |
+  grep -vE '^crates/gpu-sim/src/(cache|price)\.rs:'; then
+  echo "one home: SectorCache::access/invalidate called outside gpu-sim's pricing function (crates/gpu-sim/src/price.rs)" >&2
+  exit 1
+fi
 
-echo "=== repro gate ==="
+step "repro gate"
 # Writes results/repro_gate.json (PASS/FAIL per claim) and exits non-zero
 # on any failure. Its inputs are sized by a constant (1/8 of the default
 # registry scales), not by TLPGNN_SCALE, so the JSON repeats byte for byte.
 ./target/release/repro gate
 
-echo "=== record canary ==="
+step "record canary"
 # results/<name>.txt is the record EXPERIMENTS.md quotes, and it is only a
 # record while it equals what the code prints. Regenerate, at the default
 # scale, the five experiments that take a few seconds each and compare
@@ -106,12 +128,12 @@ done
 rm -rf "${canary_dir}"
 echo "record canary: 5 records identical"
 
-echo "=== conformance smoke ==="
+step "conformance smoke"
 # Seeded differential/metamorphic fuzz over all 16 backends; exits
 # non-zero (and prints the shrunk case) on any invariant violation.
 ./target/release/conformance_fuzz --seed 42 --iters 200 --no-save
 
-echo "=== benchmark smoke ==="
+step "benchmark smoke"
 # benchmark/ is a package of its own (empty [workspace], own lock file)
 # that reaches the program only through the public items of crates/, so
 # nothing above compiles it: an API change there would otherwise first
@@ -169,7 +191,7 @@ echo "benchmark smoke: device clock: $(wc -l < results/device_clock_seed42.txt) 
 trap - EXIT
 mv "${bench_lock}" benchmark/Cargo.lock
 
-echo "=== perf gate ==="
+step "perf gate"
 # Runs the pinned bench matrix through the deterministic simulator and
 # diffs per-workload cycles/peak-memory against the committed
 # BENCH_<seq>.json baseline, attributing any regression to the limiter
@@ -188,7 +210,7 @@ assert_bench_unchanged() {
 ./target/release/perf_gate
 assert_bench_unchanged
 
-echo "=== perf report ==="
+step "perf report"
 # Hardware-counter-grade attribution over the full 30-workload suite:
 # every workload's roofline classification, read off its launch ledger
 # under the suite's device through the same cost function the launcher
@@ -201,4 +223,5 @@ echo "=== perf report ==="
 # costs when off is held by crates/telemetry's zero_cost test.)
 assert_bench_unchanged
 
+step ""
 echo "ci: all green"

@@ -12,8 +12,9 @@
 //! | latency hidden by resident warps     | software prefetch of the feature row a few edges ahead |
 //!
 //! [`baselines`] provides the push/edge-centric contrast that needs real
-//! CPU atomics, so the paper's Observation I is measurable as wall-clock
-//! on the host too (see the `native_engine` Criterion bench).
+//! CPU atomics. Both baselines are checked against the oracle but timed
+//! by nothing: Observation I in host wall-clock waits for the
+//! simulator-vs-hardware correlation gate (ROADMAP item 14).
 
 pub mod baselines;
 pub mod taskpool;

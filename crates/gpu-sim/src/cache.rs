@@ -6,10 +6,11 @@
 //! both simpler and exactly the granularity the paper's metrics speak.
 //!
 //! [`SectorCache`] is the one model: a 4-way set-associative cache of
-//! sector tags with true LRU replacement. The launcher walks blocks on one
-//! thread in a fixed order, so a cache has exactly one user at a time and
-//! needs no locking: each SM worker's L1 is built with [`SectorCache::new`],
-//! the device-wide L2 with [`SectorCache::sliced`].
+//! sector tags with true LRU replacement. Only the launch's pricing
+//! function looks sectors up or invalidates them, one request at a time
+//! in the launch's fixed order, so a cache has exactly one user at a time
+//! and needs no locking: each SM worker's L1 is built with
+//! [`SectorCache::new`], the device-wide L2 with [`SectorCache::sliced`].
 
 const WAYS: usize = 4;
 
@@ -110,8 +111,9 @@ impl SectorCache {
         found.is_some()
     }
 
-    /// Probe without inserting (used for write-through stores that do not
-    /// allocate).
+    /// Whether a sector is resident, without touching recency (the tests'
+    /// view of the cache).
+    #[cfg(test)]
     pub fn probe(&self, sector: u64) -> bool {
         let base = self.set_of(sector);
         self.tags[base..base + WAYS].contains(&sector)

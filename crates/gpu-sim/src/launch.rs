@@ -3,26 +3,45 @@
 //! ([`Accounting`]) and reads a [`KernelProfile`] off it via the analytic
 //! cost model.
 //!
-//! # Execution vs. scheduling
+//! # Execution, log, replay
 //!
 //! Blocks are *executed* by one loop over simulated SM workers: worker `w`
 //! of `W` runs blocks `w, w + W, w + 2W, …` to completion before worker
-//! `w + 1` starts (blocks of one worker share a simulated L1). That fixed
-//! order is the simulator's determinism — every cache sees one access
-//! stream, the same on every run and every machine — and it is why no
-//! cache is locked.
+//! `w + 1` starts (blocks of one worker share a simulated L1). Every warp
+//! runs on the calling thread, so a kernel sees device memory exactly as
+//! the sequential order leaves it.
 //!
-//! Their *placement* for the cost model is computed afterwards by
+//! Each request is *priced* — looked up in the L1/L2 models, charged its
+//! latency — by one function, `Pricer::price`, and each retired warp,
+//! block and worker is closed by `Pricer::mark`. A launch prices inline,
+//! request by request, until it shows itself large (`PIPELINE_REQUESTS`:
+//! a quarter of it executed, all of it projected); from that worker
+//! boundary on, the warps instead append their requests to a bounded log
+//! (`log.rs`) that a parked helper of
+//! `tlpgnn_tensor::pool` replays through the same two functions while the
+//! caller executes on. A busy pool (a nested call, another thread's launch
+//! or job) keeps the launch inline. Serving launches stay below the size
+//! rule; full-graph convolutions cross it.
+//!
+//! The fixed replay order, not the thread it runs on, is the simulator's
+//! determinism: the log is replayed in exactly the worker → block → warp
+//! → request order the inline path prices in, so every cache sees one
+//! access stream — the same on every run, every machine and either
+//! schedule — and every counter comes out bit for bit the same. Only one
+//! party prices at a time, which is why no cache is locked.
+//!
+//! Blocks' *placement* for the cost model is computed afterwards by
 //! deterministic greedy list scheduling — each block, in launch order,
 //! goes to the SM with the least accumulated work — which is exactly the
 //! fixed point of the hardware's dynamic block distributor and is what
 //! lets a grid with a few enormous blocks (hub vertices) still balance
 //! across SMs.
 //!
-//! Execution merges every warp's counters into the ledger; the scheduler
-//! fills the ledger's per-SM totals ([`SmAccounting`]) directly. Nothing
-//! else is recorded: every metric of the profile, the limiter and the
-//! hardware counters are functions of that one record.
+//! Execution merges every warp's cache-independent counters, pricing the
+//! rest, into the ledger; the scheduler fills the ledger's per-SM totals
+//! ([`SmAccounting`]) directly. Nothing else is recorded: every metric of
+//! the profile, the limiter and the hardware counters are functions of
+//! that one record.
 //!
 //! # Cost model
 //!
@@ -57,41 +76,153 @@
 //! unhidden; and skewed workload assignments inflate the slot and
 //! critical-path terms.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use telemetry::{BlockSlice, KernelSample, SimKernelTimeline, SmTimeline, MAX_BLOCK_EVENTS};
+use tlpgnn_tensor::pool;
 
 use crate::cache::SectorCache;
 use crate::config::{DeviceConfig, WARP_SIZE};
 use crate::fault::{FaultEvent, FaultKind, LaunchError};
 use crate::kernel::{Kernel, LaunchConfig};
+use crate::log::{Log, Producer};
 use crate::mem::{DeviceMemory, SectorGeometry};
+use crate::price::{BlockCost, Mark, PriceState, Pricer, WarpEnd};
 use crate::profile::{Accounting, KernelProfile, SmAccounting};
-use crate::warp::{WarpCtx, WarpId};
+use crate::warp::{Sink, WarpCtx, WarpId, WarpStats};
 
-/// Cost record of one executed block, consumed by the list scheduler.
-#[derive(Clone, Default)]
-struct BlockCost {
-    issue_cycles: u64,
-    /// Atomic-weighted bandwidth sectors.
-    bw_sectors: f64,
-    /// Warp-slot time the block occupies: the sum of per-warp cycles
-    /// plus [`RAMP_DOWN_CHARGE`] of the tail where early-retiring warps'
-    /// slots sit idle until the whole CTA completes.
-    slot_cycles: u64,
-    max_warp: u64,
+/// Launch size, in requests, from which pricing is pipelined: above every
+/// serving launch (the largest, a dense layer over a batch's ego graphs,
+/// runs about 0.65 M), well below a full-graph convolution (3 M and
+/// more), where the hand-off costs nothing next to the launch. A launch
+/// hands its pricing to the replay at the first SM-worker boundary where,
+/// at the rate of the workers done so far, it will execute this many, and
+/// has executed a quarter of them: the projection lets a full-graph
+/// launch leave only its first few workers inline, and the floor keeps a
+/// small launch whose first workers are its busiest (an ego graph's
+/// targets come first) from projecting itself large.
+const PIPELINE_REQUESTS: u64 = 1 << 20;
+
+/// How a launch's requests are priced. Only the schedule-equivalence tests
+/// choose anything but [`Schedule::Auto`] (through [`with_schedule`]); the
+/// results are bitwise the same under all three.
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum Schedule {
+    /// Inline until the launch shows itself large (`PIPELINE_REQUESTS`),
+    /// then pipelined if the pool has a free helper.
+    #[default]
+    Auto,
+    /// Every request priced as it is issued.
+    Inline,
+    /// Every request logged and replayed — by a pool helper if one is
+    /// free, else by the calling thread.
+    Pipelined,
 }
 
-/// Fraction of a block's ramp-down tail (slot-cycles between a warp's
-/// retirement and its CTA's completion) charged as occupied. Warp slots
-/// free individually when warps exit, but a successor CTA launches only
-/// once the whole block's allotment is free, so part of the tail is
-/// unusable in practice; 0 would model perfect per-warp backfill, 1
-/// CTA-granular holding of every slot until the slowest warp ends.
-const RAMP_DOWN_CHARGE: f64 = 0.3;
+thread_local! {
+    static SCHEDULE: Cell<Schedule> = const { Cell::new(Schedule::Auto) };
+}
+
+/// Run `f` with every launch made on this thread priced under `schedule`.
+#[doc(hidden)]
+pub fn with_schedule<R>(schedule: Schedule, f: impl FnOnce() -> R) -> R {
+    struct Restore(Schedule);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            SCHEDULE.with(|s| s.set(self.0));
+        }
+    }
+    let _restore = Restore(SCHEDULE.with(|s| s.replace(schedule)));
+    f()
+}
+
+/// Who replays a pipelined launch's log.
+enum Replay {
+    /// A pool helper, next to the calling thread's execution.
+    Helper(pool::Reserved),
+    /// The calling thread: between chunks when the log is full, and the
+    /// rest after execution (no helper was free).
+    Caller,
+}
+
+impl Schedule {
+    /// Whether the launch hands pricing over to a replay at this worker
+    /// boundary, `workers_done` of its `workers` having executed `done`,
+    /// and to whom.
+    fn replay_from_here(
+        self,
+        done: &WarpStats,
+        workers_done: usize,
+        workers: usize,
+    ) -> Option<Replay> {
+        match self {
+            Schedule::Inline => None,
+            Schedule::Auto => {
+                let executed = done.mem_requests + done.store_requests + done.atomic_requests;
+                let projected = executed * workers as u64 / workers_done.max(1) as u64;
+                (executed >= PIPELINE_REQUESTS / 4 && projected >= PIPELINE_REQUESTS)
+                    .then(pool::reserve)
+                    .flatten()
+                    .map(Replay::Helper)
+            }
+            Schedule::Pipelined => Some(pool::reserve().map_or(Replay::Caller, Replay::Helper)),
+        }
+    }
+}
+
+/// The functional half of a launch: runs the warps in the fixed worker →
+/// block → warp order, handing every request and boundary to a [`Sink`].
+struct Executor<'l> {
+    kernel: &'l dyn Kernel,
+    mem: &'l DeviceMemory,
+    cfg: &'l DeviceConfig,
+    geometry: SectorGeometry,
+    grid: usize,
+    workers: usize,
+    warps_per_block: usize,
+}
+
+impl Executor<'_> {
+    /// Run SM worker `worker`'s blocks, merging every warp's
+    /// cache-independent counters into `done`.
+    fn run_worker(
+        &self,
+        worker: usize,
+        shared: &mut [f32],
+        sink: &mut Sink<'_>,
+        done: &mut WarpStats,
+    ) {
+        for block in (worker..self.grid).step_by(self.workers) {
+            shared.fill(0.0);
+            for warp in 0..self.warps_per_block {
+                let id = WarpId {
+                    block_idx: block,
+                    warp_in_block: warp,
+                    warps_per_block: self.warps_per_block,
+                    block_dim: self.warps_per_block * WARP_SIZE,
+                };
+                let mut ctx = WarpCtx::new(
+                    self.mem,
+                    self.cfg,
+                    self.geometry,
+                    shared,
+                    id,
+                    sink.reborrow(),
+                );
+                self.kernel.run_warp(&mut ctx);
+                let stats = ctx.stats;
+                done.merge(&stats);
+                sink.mark(Mark::Warp(WarpEnd::of(&stats)));
+            }
+            sink.mark(Mark::Block(block));
+        }
+        sink.mark(Mark::Worker);
+    }
+}
 
 /// Process-wide device id source, so telemetry can tell multiple
 /// simulated devices (multi-GPU runs) apart in one trace.
@@ -281,7 +412,6 @@ impl Device {
         );
         self.launches += 1;
         let warps_per_block = lc.warps_per_block();
-        let block_threads = warps_per_block * WARP_SIZE;
         let mut acc = Accounting {
             warps_per_block: warps_per_block as u64,
             resident_warps: self.resident_warps(kernel, lc),
@@ -305,47 +435,61 @@ impl Device {
         let l1_eff = (self.cfg.l1_bytes as f64 / acc.resident_warps).max(2048.0) as usize;
 
         let cfg = &self.cfg;
-        let mem = &self.mem;
         let l2 = self.l2.get_mut();
         let geometry = SectorGeometry::new(cfg.sector_bytes);
-
-        // Indexed by block: launch order, in which the hardware
-        // distributor hands blocks out and the list scheduler reads them.
-        let mut blocks = vec![BlockCost::default(); grid];
-        // Every worker starts from an empty L1 of the same geometry.
-        let mut l1 = SectorCache::new(l1_eff, cfg.sector_bytes);
+        let exec = Executor {
+            kernel,
+            mem: &self.mem,
+            cfg,
+            geometry,
+            grid,
+            workers: cfg.num_sms.min(grid),
+            warps_per_block,
+        };
+        let mut state = PriceState::new(l1_eff, cfg.sector_bytes, grid, warps_per_block);
+        let mut done = WarpStats::default();
         let mut shared = vec![0.0f32; shared_f32];
 
-        let workers = cfg.num_sms.min(grid);
-        for worker in 0..workers {
-            for block in (worker..grid).step_by(workers) {
-                shared.fill(0.0);
-                let bc = &mut blocks[block];
-                for warp in 0..warps_per_block {
-                    let id = WarpId {
-                        block_idx: block,
-                        warp_in_block: warp,
-                        warps_per_block,
-                        block_dim: block_threads,
-                    };
-                    let mut ctx = WarpCtx::new(mem, &mut l1, l2, cfg, geometry, &mut shared, id);
-                    kernel.run_warp(&mut ctx);
-                    let wc = ctx.stats.warp_cycles(cfg);
-                    bc.max_warp = bc.max_warp.max(wc);
-                    bc.slot_cycles += wc;
-                    bc.issue_cycles += ctx.stats.issue_cycles;
-                    bc.bw_sectors += (ctx.stats.below_l1_sectors() + ctx.stats.store_sectors)
-                        as f64
-                        + ctx.stats.atomic_sectors as f64 * cfg.atomic_bw_factor;
-                    acc.warps.merge(&ctx.stats);
+        // Price inline until the schedule hands the rest of the launch to
+        // a replay, at a worker boundary.
+        let schedule = SCHEDULE.with(Cell::get);
+        let mut worker = 0;
+        let mut replay = None;
+        {
+            let mut sink = Sink::Price(Pricer::new(cfg, geometry, l2, &mut state));
+            while worker < exec.workers {
+                replay = schedule.replay_from_here(&done, worker, exec.workers);
+                if replay.is_some() {
+                    break;
                 }
-                let ceiling = bc.max_warp * warps_per_block as u64;
-                bc.slot_cycles += ((ceiling - bc.slot_cycles) as f64 * RAMP_DOWN_CHARGE) as u64;
+                exec.run_worker(worker, &mut shared, &mut sink, &mut done);
+                worker += 1;
             }
-            acc.l1_evictions += l1.evictions();
-            l1.reset();
+        }
+        if let Some(replay) = replay {
+            telemetry::counter_add("sim.launch.pipelined", 1);
+            let log = Log::new(cfg, geometry, l2, state);
+            let mut execute = || {
+                let mut producer = Producer::new(&log);
+                let mut sink = Sink::Log(producer.writer());
+                for w in worker..exec.workers {
+                    exec.run_worker(w, &mut shared, &mut sink, &mut done);
+                }
+            };
+            match replay {
+                Replay::Helper(pool) => pool.alongside(|| log.replay_all(), execute),
+                Replay::Caller => {
+                    execute();
+                    log.replay_all();
+                }
+            }
+            state = log.finish();
         }
 
+        let (priced, l1_evictions, blocks) = state.finish();
+        acc.warps = done;
+        acc.warps.merge(&priced);
+        acc.l1_evictions = l1_evictions;
         self.finish_profile(kernel, lc, acc, blocks)
     }
 

@@ -21,9 +21,12 @@
 //!   and other irregular shapes. Both are priced by the same code.
 //! * **Accounting**: the lane-level API of [`WarpCtx`] records, for every
 //!   warp: issued instructions (with SIMD lane activity for divergence),
-//!   memory requests grouped into 32-byte sectors (coalescing), sector hits
-//!   in sectored L1/L2 cache models, atomic round trips with conflict
-//!   serialization, shared-memory traffic, and barriers.
+//!   memory requests grouped into 32-byte sectors (coalescing),
+//!   shared-memory traffic, and barriers. One pricing function then looks
+//!   each request's sectors up in sectored L1/L2 cache models and charges
+//!   its latency (atomic round trips with conflict serialization
+//!   included) — as the request is issued, or, for a large launch, from a
+//!   request log a pool helper replays in the same order (see [`launch`]).
 //! * **Cost**: an analytic model (see [`launch`]) turns those traces into
 //!   per-kernel GPU time plus Nsight-style metrics ([`KernelProfile`]).
 //!
@@ -66,7 +69,9 @@ pub mod fault;
 pub mod hw;
 pub mod kernel;
 pub mod launch;
+mod log;
 pub mod mem;
+mod price;
 pub mod profile;
 pub mod warp;
 
@@ -75,6 +80,10 @@ pub use fault::{FaultEvent, FaultKind, FaultPlan, LaunchError};
 pub use hw::HwCounters;
 pub use kernel::{Kernel, LaunchConfig};
 pub use launch::Device;
+#[doc(hidden)]
+pub use launch::{with_schedule, Schedule};
+#[doc(hidden)]
+pub use log::{log_high_water_words, LOG_WORDS};
 pub use mem::{DeviceBuffer, DeviceMemory, Word, DRAM_ROW_BYTES};
 pub use profile::{Accounting, KernelProfile, OpProfile, SmAccounting};
 pub use warp::{WarpCtx, WarpId, WarpStats};

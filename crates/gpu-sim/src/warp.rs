@@ -3,11 +3,14 @@
 //!
 //! A kernel's `run_warp` receives a [`WarpCtx`] and expresses its work as
 //! warp-wide operations: SIMD issue ([`WarpCtx::issue`]), global loads and
-//! stores, atomics, shared memory, and barriers. Every operation both
-//! *performs* the data movement against [`DeviceMemory`] (results are real)
-//! and *accounts* its cost: lane addresses are grouped into 32-byte sectors,
-//! sectors probe the L1/L2 models, and latencies/traffic accumulate into
-//! [`WarpStats`].
+//! stores, atomics, shared memory, and barriers. Every operation
+//! *performs* the data movement against [`DeviceMemory`] (results are
+//! real) and counts what depends on no cache: instructions, lane activity,
+//! requests, and the 32-byte sectors the lane addresses group into. The
+//! request then goes to the launch's pricing half (`Pricer::price` in
+//! `price.rs`), which walks its sectors through the L1/L2 models — at
+//! once, or later from the launch's request log (`log.rs`); the order is
+//! the same either way.
 //!
 //! A load or store request comes in two forms that model the same thing
 //! and are priced by the same code:
@@ -28,9 +31,10 @@
 
 use std::sync::atomic::Ordering;
 
-use crate::cache::SectorCache;
 use crate::config::{DeviceConfig, WARP_SIZE};
+use crate::log::LogWriter;
 use crate::mem::{self, DeviceBuffer, DeviceMemory, SectorGeometry, Word};
+use crate::price::{Mark, Op, Pricer};
 
 /// Per-warp counters; the launcher merges every warp's into the launch
 /// ledger ([`Accounting::warps`](crate::Accounting::warps)).
@@ -144,17 +148,77 @@ impl WarpId {
 /// Execution context handed to `Kernel::run_warp`.
 pub struct WarpCtx<'a> {
     mem: &'a DeviceMemory,
-    l1: &'a mut SectorCache,
-    l2: &'a mut SectorCache,
     cfg: &'a DeviceConfig,
     geometry: SectorGeometry,
     shared: &'a mut [f32],
     id: WarpId,
-    /// DRAM row of this warp's last below-L1 load sector (`u64::MAX` =
-    /// no below-L1 access yet), for the row-locality counters.
-    last_dram_row: u64,
-    /// Counters for this warp (read by the launcher afterwards).
-    pub stats: WarpStats,
+    sink: Sink<'a>,
+    /// This warp's cache-independent counters (read by the launcher
+    /// afterwards; the pricing half keeps the others).
+    pub(crate) stats: WarpStats,
+}
+
+/// The sectors of one request, in the shape the request form found them.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Sectors<'s> {
+    /// The one sector of a broadcast scalar.
+    One(u64),
+    /// `n` consecutive sectors from `first`, ascending.
+    Run { first: u64, n: usize },
+    /// Distinct sectors in the order the lanes first touched them.
+    Set(&'s [u64]),
+}
+
+impl Sectors<'_> {
+    #[inline]
+    pub(crate) fn len(&self) -> usize {
+        match self {
+            Sectors::One(_) => 1,
+            Sectors::Run { n, .. } => *n,
+            Sectors::Set(set) => set.len(),
+        }
+    }
+}
+
+/// Where a warp's requests go: priced as they are issued, or appended to
+/// the launch's log for the replay to price.
+pub(crate) enum Sink<'a> {
+    Price(Pricer<'a>),
+    Log(LogWriter<'a>),
+}
+
+impl Sink<'_> {
+    /// The same sink, borrowed for a shorter while (one warp).
+    #[inline]
+    pub(crate) fn reborrow(&mut self) -> Sink<'_> {
+        match self {
+            Sink::Price(p) => Sink::Price(p.reborrow()),
+            Sink::Log(log) => Sink::Log(log.reborrow()),
+        }
+    }
+
+    /// Always inlined into the request that issues it, where the sector
+    /// shape is known: each shape gets its own copy of the pricing loop,
+    /// as a kernel's one-sector, range and gathered requests should.
+    #[inline(always)]
+    fn request(&mut self, op: Op, sectors: Sectors<'_>) {
+        match self {
+            Sink::Price(p) => match sectors {
+                Sectors::One(sector) => p.price(op, std::iter::once(sector)),
+                Sectors::Run { first, n } => p.price(op, crate::log::run(first, n)),
+                Sectors::Set(set) => p.price(op, set.iter().copied()),
+            },
+            Sink::Log(log) => log.request(op, sectors),
+        }
+    }
+
+    /// Close a warp, a block or a worker.
+    pub(crate) fn mark(&mut self, mark: Mark) {
+        match self {
+            Sink::Price(p) => p.mark(mark),
+            Sink::Log(log) => log.mark(mark),
+        }
+    }
 }
 
 /// Scratch for sector grouping: at most one sector per lane.
@@ -177,22 +241,19 @@ fn push_sector(set: &mut SectorSet, sector: u64) {
 impl<'a> WarpCtx<'a> {
     pub(crate) fn new(
         mem: &'a DeviceMemory,
-        l1: &'a mut SectorCache,
-        l2: &'a mut SectorCache,
         cfg: &'a DeviceConfig,
         geometry: SectorGeometry,
         shared: &'a mut [f32],
         id: WarpId,
+        sink: Sink<'a>,
     ) -> Self {
         Self {
             mem,
-            l1,
-            l2,
             cfg,
             geometry,
             shared,
             id,
-            last_dram_row: u64::MAX,
+            sink,
             stats: WarpStats::default(),
         }
     }
@@ -284,7 +345,7 @@ impl<'a> WarpCtx<'a> {
         }
         self.issue_simd(1, active);
         if active > 0 {
-            self.account_load(sectors.0[..sectors.1].iter().copied());
+            self.account_load(Sectors::Set(&sectors.0[..sectors.1]));
         }
         out
     }
@@ -317,14 +378,17 @@ impl<'a> WarpCtx<'a> {
     /// ascending: the order and the dedup [`push_sector`] arrives at when
     /// the lanes walk the same words one by one.
     #[inline]
-    fn run_sectors(&self, first: u64, active: usize) -> impl ExactSizeIterator<Item = u64> {
+    fn run_sectors(&self, first: u64, active: usize) -> Sectors<'static> {
         assert!(
             active <= WARP_SIZE,
             "a request has at most {WARP_SIZE} lanes"
         );
         let lo = self.geometry.sector_of(first);
         let hi = self.geometry.sector_of(first + (active as u64 - 1) * 4);
-        (0..(hi - lo + 1) as usize).map(move |i| lo + i as u64)
+        Sectors::Run {
+            first: lo,
+            n: (hi - lo + 1) as usize,
+        }
     }
 
     /// Load a single element, broadcast to the warp (all lanes read the
@@ -333,48 +397,21 @@ impl<'a> WarpCtx<'a> {
         let (word, addr) = self.mem.view(buf).at(idx);
         let v = T::from_bits(word.load(Ordering::Relaxed));
         self.issue(1);
-        self.account_load(std::iter::once(self.geometry.sector_of(addr)));
+        self.account_load(Sectors::One(self.geometry.sector_of(addr)));
         v
     }
 
-    /// The one place a load request is priced, whichever form built its
-    /// sector list. Inlined into each request, so a kernel's call sites
-    /// are specialised (one sector, a range) rather than funnelled through
-    /// one shared copy.
+    /// Count a load request, whichever form built its sector list, and
+    /// hand it to the pricing half. Inlined into each request, so a
+    /// kernel's call sites are specialised (one sector, a range) rather
+    /// than funnelled through one shared copy.
     #[inline]
-    fn account_load(&mut self, sectors: impl ExactSizeIterator<Item = u64>) {
-        let st = &mut self.stats;
+    fn account_load(&mut self, sectors: Sectors<'_>) {
         let n = sectors.len() as u64;
-        st.mem_requests += 1;
+        self.stats.mem_requests += 1;
         // LSU wavefront replays: one per sector, consuming issue slots.
-        st.issue_cycles += (n as f64 * self.cfg.lsu_cycles_per_sector) as u64;
-        let mut worst = 0u64;
-        for s in sectors {
-            let lvl_lat = if self.l1.access(s) {
-                st.l1_hit_sectors += 1;
-                self.cfg.l1_latency
-            } else {
-                // Below-L1 stream: row-buffer locality relative to this
-                // warp's previous sector that left the SM.
-                let row = self.geometry.dram_row(s);
-                if row == self.last_dram_row {
-                    st.row_hit_sectors += 1;
-                } else {
-                    self.last_dram_row = row;
-                }
-                if self.l2.access(s) {
-                    st.l2_hit_sectors += 1;
-                    self.cfg.l2_latency
-                } else {
-                    st.dram_sectors += 1;
-                    self.cfg.dram_latency
-                }
-            };
-            worst = worst.max(lvl_lat);
-        }
-        // Extra sectors in one request are issued back to back by the
-        // memory controller: serialization on top of the slowest hit level.
-        st.mem_lat_cycles += worst + (n - 1) * self.cfg.sector_issue_cycles;
+        self.stats.issue_cycles += (n as f64 * self.cfg.lsu_cycles_per_sector) as u64;
+        self.sink.request(Op::Load, sectors);
     }
 
     // ---- global memory: stores ----
@@ -400,7 +437,7 @@ impl<'a> WarpCtx<'a> {
         }
         self.issue_simd(1, active);
         if active > 0 {
-            self.account_store(sectors.0[..sectors.1].iter().copied());
+            self.account_store(Sectors::Set(&sectors.0[..sectors.1]));
         }
     }
 
@@ -426,20 +463,16 @@ impl<'a> WarpCtx<'a> {
         }
     }
 
-    /// The one place a store request is priced (see [`Self::account_load`]).
+    /// Count a store request and hand it on (see [`Self::account_load`]).
     #[inline]
-    fn account_store(&mut self, sectors: impl ExactSizeIterator<Item = u64>) {
+    fn account_store(&mut self, sectors: Sectors<'_>) {
         let st = &mut self.stats;
         let n = sectors.len() as u64;
         st.store_requests += 1;
         st.store_sectors += n;
         st.issue_cycles += (n as f64 * self.cfg.lsu_cycles_per_sector) as u64;
-        // Write-through: data lands in L2 (so later loads may hit).
-        for s in sectors {
-            self.l2.access(s);
-            self.l1.invalidate(s);
-        }
         st.issue_cycles += (n - 1) * self.cfg.sector_issue_cycles;
+        self.sink.request(Op::Store, sectors);
     }
 
     // ---- atomics ----
@@ -519,18 +552,14 @@ impl<'a> WarpCtx<'a> {
         }
     }
 
-    fn account_atomic(&mut self, sectors: &[u64], distinct_addrs: usize, max_conflict: usize) {
+    /// Count an atomic request and hand it on (see [`Self::account_load`]).
+    fn account_atomic(&mut self, sectors: &[u64], distinct: usize, conflict: usize) {
         let st = &mut self.stats;
         st.atomic_requests += 1;
         st.atomic_sectors += sectors.len() as u64;
         st.issue_cycles += (sectors.len() as f64 * self.cfg.lsu_cycles_per_sector) as u64;
-        for &s in sectors {
-            self.l1.invalidate(s);
-            self.l2.access(s);
-        }
-        st.atomic_lat_cycles += self.cfg.atomic_latency
-            + (distinct_addrs.saturating_sub(1) as u64) * self.cfg.sector_issue_cycles
-            + (max_conflict.saturating_sub(1) as u64) * self.cfg.atomic_conflict_cycles;
+        self.sink
+            .request(Op::Atomic { distinct, conflict }, Sectors::Set(sectors));
     }
 
     // ---- shared memory and barriers ----
@@ -587,105 +616,176 @@ impl<'a> WarpCtx<'a> {
 
 #[cfg(test)]
 mod tests {
+    use std::cell::RefCell;
+
     use super::*;
+    use crate::cache::SectorCache;
     use crate::config::DeviceConfig;
+    use crate::log::{replay, Spill, CHUNK_WORDS};
+    use crate::price::{PriceState, WarpEnd};
     use proptest::prelude::*;
 
-    fn harness() -> (DeviceMemory, SectorCache, SectorCache, DeviceConfig) {
-        let cfg = DeviceConfig::test_small();
-        let mem = DeviceMemory::new();
-        let l1 = SectorCache::new(cfg.l1_bytes, cfg.sector_bytes);
-        let l2 = SectorCache::sliced(cfg.l2_bytes, cfg.sector_bytes);
-        (mem, l1, l2, cfg)
+    /// The pricing half of a one-warp launch: a warp under test logs its
+    /// requests, and whatever it has logged is replayed here when the
+    /// test reads its counters.
+    struct Replayer {
+        cfg: DeviceConfig,
+        geometry: SectorGeometry,
+        caches: RefCell<(PriceState, SectorCache)>,
     }
 
-    fn warp<'a>(
-        mem: &'a DeviceMemory,
-        l1: &'a mut SectorCache,
-        l2: &'a mut SectorCache,
-        cfg: &'a DeviceConfig,
-        shared: &'a mut [f32],
-    ) -> WarpCtx<'a> {
-        let geometry = SectorGeometry::new(cfg.sector_bytes);
-        WarpCtx::new(mem, l1, l2, cfg, geometry, shared, warp_id())
-    }
-
-    fn warp_id() -> WarpId {
-        WarpId {
-            block_idx: 0,
-            warp_in_block: 0,
-            warps_per_block: 1,
-            block_dim: 32,
+    impl Spill for Replayer {
+        fn spill(&self, chunk: &mut Vec<u64>) {
+            let (state, l2) = &mut *self.caches.borrow_mut();
+            replay(chunk, &mut Pricer::new(&self.cfg, self.geometry, l2, state));
+            chunk.clear();
         }
+    }
+
+    impl Replayer {
+        fn new(cfg: DeviceConfig, l1_bytes: usize, l2: SectorCache) -> Self {
+            let state = PriceState::new(l1_bytes, cfg.sector_bytes, 1, 1);
+            Self {
+                geometry: SectorGeometry::new(cfg.sector_bytes),
+                cfg,
+                caches: RefCell::new((state, l2)),
+            }
+        }
+
+        fn warp<'a>(&'a self, mem: &'a DeviceMemory, log: &'a mut Vec<u64>) -> WarpCtx<'a> {
+            let id = WarpId {
+                block_idx: 0,
+                warp_in_block: 0,
+                warps_per_block: 1,
+                block_dim: 32,
+            };
+            let sink = Sink::Log(LogWriter::new(log, self));
+            WarpCtx::new(mem, &self.cfg, self.geometry, &mut [], id, sink)
+        }
+
+        /// Replay what `w` has logged so far; its counters, both halves.
+        fn settle(&self, w: &mut WarpCtx<'_>) -> WarpStats {
+            if let Sink::Log(log) = &mut w.sink {
+                log.flush();
+            }
+            let mut stats = w.stats;
+            stats.merge(self.caches.borrow().0.warp());
+            stats
+        }
+
+        /// Retire `w`, so the next warp starts from fresh counters.
+        fn retire(&self, mut w: WarpCtx<'_>) {
+            w.sink.mark(Mark::Warp(WarpEnd::of(&w.stats)));
+            self.settle(&mut w);
+        }
+
+        /// `(hits, misses, evictions)` of the L1 and the L2.
+        fn counts(&self) -> [(u64, u64, u64); 2] {
+            let (state, l2) = &*self.caches.borrow();
+            [state.l1(), l2].map(|c| (c.hits(), c.misses(), c.evictions()))
+        }
+
+        /// Whether a one-sector load of `sector` now hits in the L1, and
+        /// whether (having missed there) it hits in the L2.
+        fn serve(&self, sector: u64) -> (bool, bool) {
+            let (state, l2) = &mut *self.caches.borrow_mut();
+            let before = *state.warp();
+            Pricer::new(&self.cfg, self.geometry, l2, state)
+                .price(Op::Load, std::iter::once(sector));
+            let after = state.warp();
+            (
+                after.l1_hit_sectors > before.l1_hit_sectors,
+                after.l2_hit_sectors > before.l2_hit_sectors,
+            )
+        }
+    }
+
+    fn harness() -> (DeviceMemory, Replayer) {
+        let cfg = DeviceConfig::test_small();
+        let l2 = SectorCache::sliced(cfg.l2_bytes, cfg.sector_bytes);
+        (
+            DeviceMemory::new(),
+            Replayer::new(cfg.clone(), cfg.l1_bytes, l2),
+        )
+    }
+
+    fn log() -> Vec<u64> {
+        Vec::with_capacity(CHUNK_WORDS)
     }
 
     #[test]
     fn coalesced_load_touches_four_sectors() {
-        let (mut mem, mut l1, mut l2, cfg) = harness();
+        let (mut mem, r) = harness();
         let data: Vec<f32> = (0..32).map(|i| i as f32).collect();
         let buf = mem.alloc_from(&data);
-        let mut shared = [];
-        let mut w = warp(&mem, &mut l1, &mut l2, &cfg, &mut shared);
+        let mut log = log();
+        let mut w = r.warp(&mem, &mut log);
         let vals = w.ld(buf, Some);
         assert_eq!(vals[5], 5.0);
         // 32 consecutive f32 = 128 bytes = 4 sectors of 32B.
-        assert_eq!(w.stats.mem_requests, 1);
-        assert_eq!(w.stats.mem_sectors(), 4);
+        let s = r.settle(&mut w);
+        assert_eq!(s.mem_requests, 1);
+        assert_eq!(s.mem_sectors(), 4);
     }
 
     #[test]
     fn strided_load_is_uncoalesced() {
-        let (mut mem, mut l1, mut l2, cfg) = harness();
+        let (mut mem, r) = harness();
         let data: Vec<f32> = (0..32 * 64).map(|i| i as f32).collect();
         let buf = mem.alloc_from(&data);
-        let mut shared = [];
-        let mut w = warp(&mem, &mut l1, &mut l2, &cfg, &mut shared);
+        let mut log = log();
+        let mut w = r.warp(&mem, &mut log);
         // Stride of 64 floats = 256 bytes: every lane in its own sector.
         let _ = w.ld(buf, |lane| Some(lane * 64));
-        assert_eq!(w.stats.mem_sectors(), 32);
-        assert!(w.stats.mem_lat_cycles > cfg.dram_latency);
+        let s = r.settle(&mut w);
+        assert_eq!(s.mem_sectors(), 32);
+        assert!(s.mem_lat_cycles > r.cfg.dram_latency);
     }
 
     #[test]
     fn repeated_scalar_load_hits_l1() {
-        let (mut mem, mut l1, mut l2, cfg) = harness();
+        let (mut mem, r) = harness();
         let buf = mem.alloc_from(&[42.0f32]);
-        let mut shared = [];
-        let mut w = warp(&mem, &mut l1, &mut l2, &cfg, &mut shared);
+        let mut log = log();
+        let mut w = r.warp(&mem, &mut log);
         let a = w.ld_scalar(buf, 0);
         let b = w.ld_scalar(buf, 0);
         assert_eq!((a, b), (42.0, 42.0));
-        assert_eq!(w.stats.l1_hit_sectors, 1);
-        assert_eq!(w.stats.dram_sectors, 1);
+        let s = r.settle(&mut w);
+        assert_eq!(s.l1_hit_sectors, 1);
+        assert_eq!(s.dram_sectors, 1);
     }
 
     #[test]
     fn row_locality_tracks_below_l1_stream() {
-        let (mut mem, mut l1, mut l2, cfg) = harness();
+        let (mut mem, r) = harness();
         let data: Vec<f32> = (0..32 * 256).map(|i| i as f32).collect();
         let buf = mem.alloc_from(&data);
-        let mut shared = [];
-        let mut w = warp(&mem, &mut l1, &mut l2, &cfg, &mut shared);
+        let mut log = log();
+        let mut w = r.warp(&mem, &mut log);
         // Streaming: 4 consecutive cold sectors share one 1 KiB row.
         let _ = w.ld(buf, Some);
-        assert_eq!(w.stats.row_miss_sectors(), 1);
-        assert_eq!(w.stats.row_hit_sectors, 3);
+        let s = r.settle(&mut w);
+        assert_eq!(s.row_miss_sectors(), 1);
+        assert_eq!(s.row_hit_sectors, 3);
         // Stride 256 floats = 1 KiB: every below-L1 lane lands in a fresh
         // row (lane 0 re-reads a sector still resident in the L1).
         let _ = w.ld(buf, |lane| Some(lane * 256));
-        assert_eq!(w.stats.row_miss_sectors(), 1 + 31);
-        assert_eq!(w.stats.row_hit_sectors, 3);
+        let s = r.settle(&mut w);
+        assert_eq!(s.row_miss_sectors(), 1 + 31);
+        assert_eq!(s.row_hit_sectors, 3);
     }
 
     #[test]
     fn store_writes_and_counts() {
-        let (mut mem, mut l1, mut l2, cfg) = harness();
+        let (mut mem, r) = harness();
         let buf = mem.alloc::<f32>(32);
-        let mut shared = [];
-        let mut w = warp(&mem, &mut l1, &mut l2, &cfg, &mut shared);
+        let mut log = log();
+        let mut w = r.warp(&mem, &mut log);
         w.st(buf, |lane| Some((lane, lane as f32 * 2.0)));
-        assert_eq!(w.stats.store_requests, 1);
-        assert_eq!(w.stats.store_sectors, 4);
+        let s = r.settle(&mut w);
+        assert_eq!(s.store_requests, 1);
+        assert_eq!(s.store_sectors, 4);
         let _ = w;
         assert_eq!(mem.read_vec(buf)[31], 62.0);
     }
@@ -693,8 +793,8 @@ mod tests {
     /// Everything a sequence of requests leaves behind that the model can
     /// see: the lanes each load returned, the buffer's final contents,
     /// every `WarpStats` field, `(hits, misses, evictions)` of the L1 and
-    /// the L2, and both caches' answers to a follow-up access stream —
-    /// which depend on recency order within each set, not just on counts.
+    /// the L2, and which level serves each load of a follow-up stream —
+    /// which depends on recency order within each set, not just on counts.
     type Observed = (
         Vec<[u32; WARP_SIZE]>,
         Vec<u32>,
@@ -721,10 +821,9 @@ mod tests {
             .collect();
         let buf = mem.alloc_from(&data);
         // Eight sectors of L1 and the smallest L2: requests evict.
-        let mut l1 = SectorCache::new(8 * sector_bytes, sector_bytes);
-        let mut l2 = SectorCache::sliced(0, sector_bytes);
-        let mut shared = [];
-        let mut w = warp(&mem, &mut l1, &mut l2, &cfg, &mut shared);
+        let r = Replayer::new(cfg, 8 * sector_bytes, SectorCache::sliced(0, sector_bytes));
+        let mut log = log();
+        let mut w = r.warp(&mem, &mut log);
         let mut lanes = Vec::new();
         for (i, &(is_store, start, active)) in ops.iter().enumerate() {
             let vals: [u32; WARP_SIZE] = std::array::from_fn(|l| (i * WARP_SIZE + l) as u32);
@@ -735,18 +834,18 @@ mod tests {
                 (true, false) => w.st(buf, |l| (l < active).then(|| (start + l, vals[l]))),
             }
         }
-        let stats = format!("{:?}", w.stats);
-        let counts = [&l1, &l2].map(|c| (c.hits(), c.misses(), c.evictions()));
+        let stats = format!("{:?}", r.settle(&mut w));
+        let counts = r.counts();
         let first = buf.addr_of(0) / sector_bytes as u64;
         let span = (len * 4).div_ceil(sector_bytes) as u64 + 16;
         let mut x = 0x9e37_79b9_7f4a_7c15u64;
         let follow_up = (0..512)
             .map(|_| {
                 x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
-                let sector = first.saturating_sub(8) + (x >> 33) % span;
-                (l1.access(sector), l2.access(sector))
+                r.serve(first.saturating_sub(8) + (x >> 33) % span)
             })
             .collect();
+        let _ = w;
         (lanes, mem.read_vec(buf), stats, counts, follow_up)
     }
 
@@ -777,89 +876,90 @@ mod tests {
 
     #[test]
     fn empty_run_charges_an_issue_slot_and_no_request() {
-        let (mut mem, mut l1, mut l2, cfg) = harness();
+        let (mut mem, r) = harness();
         let buf = mem.alloc::<f32>(8);
-        let mut shared = [];
-        let mut w = warp(&mem, &mut l1, &mut l2, &cfg, &mut shared);
+        let mut log = log();
+        let mut w = r.warp(&mem, &mut log);
         // Past the end, but no lane is active: nothing is touched.
         assert_eq!(w.ld_run(buf, 100, 0), [0.0; WARP_SIZE]);
         w.st_run(buf, 100, 0, &[1.0; WARP_SIZE]);
-        assert_eq!((w.stats.insts, w.stats.issue_cycles), (2, 2));
-        assert_eq!(
-            (w.stats.active_lane_steps, w.stats.total_lane_steps),
-            (0, 64)
-        );
-        assert_eq!((w.stats.mem_requests, w.stats.store_requests), (0, 0));
-        assert_eq!((w.stats.mem_sectors(), w.stats.store_sectors), (0, 0));
+        let s = r.settle(&mut w);
+        assert_eq!((s.insts, s.issue_cycles), (2, 2));
+        assert_eq!((s.active_lane_steps, s.total_lane_steps), (0, 64));
+        assert_eq!((s.mem_requests, s.store_requests), (0, 0));
+        assert_eq!((s.mem_sectors(), s.store_sectors), (0, 0));
         let _ = w;
-        assert_eq!((l1.misses(), l2.misses()), (0, 0));
+        let [l1, l2] = r.counts();
+        assert_eq!((l1.1, l2.1), (0, 0));
         assert_eq!(mem.read_vec(buf), vec![0.0; 8]);
     }
 
     #[test]
     #[should_panic(expected = "illegal device memory access")]
     fn run_load_past_the_end_is_an_illegal_access() {
-        let (mut mem, mut l1, mut l2, cfg) = harness();
+        let (mut mem, r) = harness();
         let buf = mem.alloc::<f32>(40);
-        let mut shared = [];
-        let mut w = warp(&mem, &mut l1, &mut l2, &cfg, &mut shared);
+        let mut log = log();
+        let mut w = r.warp(&mem, &mut log);
         let _ = w.ld_run(buf, 32, 9);
     }
 
     #[test]
     #[should_panic(expected = "illegal device memory access")]
     fn run_store_past_the_end_is_an_illegal_access() {
-        let (mut mem, mut l1, mut l2, cfg) = harness();
+        let (mut mem, r) = harness();
         let buf = mem.alloc::<f32>(40);
-        let mut shared = [];
-        let mut w = warp(&mem, &mut l1, &mut l2, &cfg, &mut shared);
+        let mut log = log();
+        let mut w = r.warp(&mem, &mut log);
         w.st_run(buf, 39, 2, &[0.0; WARP_SIZE]);
     }
 
     #[test]
     fn atomic_conflict_serializes() {
-        let (mut mem, mut l1, mut l2, cfg) = harness();
+        let (mut mem, r) = harness();
         let buf = mem.alloc::<f32>(1);
-        let mut shared = [];
-        let mut w = warp(&mem, &mut l1, &mut l2, &cfg, &mut shared);
+        let mut log = log();
+        let mut w = r.warp(&mem, &mut log);
         // All 32 lanes add to the same address: worst-case conflict.
         w.atomic_add_f32(buf, |_| Some((0, 1.0)));
-        assert_eq!(w.stats.atomic_requests, 1);
-        assert!(w.stats.atomic_lat_cycles >= cfg.atomic_latency + 31 * cfg.atomic_conflict_cycles);
+        let s = r.settle(&mut w);
+        assert_eq!(s.atomic_requests, 1);
+        let cfg = &r.cfg;
+        assert!(s.atomic_lat_cycles >= cfg.atomic_latency + 31 * cfg.atomic_conflict_cycles);
         let _ = w;
         assert_eq!(mem.read_vec(buf)[0], 32.0);
     }
 
     #[test]
     fn atomic_disjoint_cheaper_than_conflicting() {
-        let (mut mem, mut l1, mut l2, cfg) = harness();
+        let (mut mem, r) = harness();
         let buf = mem.alloc::<f32>(64);
-        let mut shared = [];
-        let mut w1 = warp(&mem, &mut l1, &mut l2, &cfg, &mut shared);
+        let mut log = log();
+        let mut w1 = r.warp(&mem, &mut log);
         w1.atomic_add_f32(buf, |lane| Some((lane, 1.0)));
-        let disjoint = w1.stats.atomic_lat_cycles;
-        let _ = w1;
-        let mut shared2 = [];
-        let mut w2 = warp(&mem, &mut l1, &mut l2, &cfg, &mut shared2);
+        let disjoint = r.settle(&mut w1).atomic_lat_cycles;
+        r.retire(w1);
+        let mut w2 = r.warp(&mem, &mut log);
         w2.atomic_add_f32(buf, |_| Some((0, 1.0)));
-        assert!(w2.stats.atomic_lat_cycles > disjoint);
+        assert!(r.settle(&mut w2).atomic_lat_cycles > disjoint);
     }
 
     #[test]
     fn divergence_tracked() {
-        let (mem, mut l1, mut l2, cfg) = harness();
-        let mut shared = [];
-        let mut w = warp(&mem, &mut l1, &mut l2, &cfg, &mut shared);
+        let (mem, r) = harness();
+        let mut log = log();
+        let mut w = r.warp(&mem, &mut log);
         w.issue_simd(10, 8);
-        assert_eq!(w.stats.active_lane_steps, 80);
-        assert_eq!(w.stats.total_lane_steps, 320);
+        let s = r.settle(&mut w);
+        assert_eq!(s.active_lane_steps, 80);
+        assert_eq!(s.total_lane_steps, 320);
     }
 
     #[test]
     fn shared_bank_conflicts_counted() {
-        let (mem, mut l1, mut l2, cfg) = harness();
-        let mut shared = [];
-        let mut w = warp(&mem, &mut l1, &mut l2, &cfg, &mut shared);
+        let (mem, r) = harness();
+        let mut log = log();
+        let mut w = r.warp(&mem, &mut log);
         // Consecutive words: one word per bank, conflict-free.
         assert_eq!(w.shared_access(Some), 1);
         // Stride 32: every lane in bank 0 with a distinct word: 32-way.
@@ -872,10 +972,10 @@ mod tests {
 
     #[test]
     fn task_pool_cursor_behaves() {
-        let (mut mem, mut l1, mut l2, cfg) = harness();
+        let (mut mem, r) = harness();
         let cursor = mem.alloc::<u32>(1);
-        let mut shared = [];
-        let mut w = warp(&mem, &mut l1, &mut l2, &cfg, &mut shared);
+        let mut log = log();
+        let mut w = r.warp(&mem, &mut log);
         assert_eq!(w.atomic_add_u32_scalar(cursor, 0, 8), 0);
         assert_eq!(w.atomic_add_u32_scalar(cursor, 0, 8), 8);
         assert_eq!(w.atomic_add_u32_scalar(cursor, 0, 8), 16);

@@ -14,6 +14,12 @@
 //! inline on its own thread: nothing blocks, nothing oversubscribes, and
 //! concurrent callers cannot deadlock on each other.
 //!
+//! The simulator uses the pool the other way round: [`reserve`] and
+//! [`Reserved::alongside`] run one long body on a helper next to the
+//! caller's own, different work (a launch's replay beside its execution),
+//! under the same rule — a busy pool answers `None` and the caller goes
+//! on alone.
+//!
 //! Results never depend on the number of participants: chunks are disjoint
 //! and every caller in this workspace computes each item independently of
 //! which chunk it landed in.
@@ -212,9 +218,25 @@ impl Pool {
         let Ok(turn) = self.turn.try_lock() else {
             return job.drain();
         };
+        let outcome = self.post(&job, wanted, || ());
+        // Released before any panic resumes, so the turn is never poisoned.
+        drop(turn);
+        outcome.unwrap_or_else(|payload| panic::resume_unwind(payload));
+    }
+
+    /// Post `job` to `wanted` helpers, run `mine` and then the rest of the
+    /// job on the caller, and return once every helper has left the job:
+    /// `mine`'s result, or the first panic of any participant. The caller
+    /// must hold `turn`.
+    fn post<R>(
+        &self,
+        job: &Job<'_>,
+        wanted: usize,
+        mine: impl FnOnce() -> R,
+    ) -> Result<R, Box<dyn Any + Send>> {
         {
             let mut slot = self.shared.lock();
-            let erased: *const Job<'_> = &job;
+            let erased: *const Job<'_> = job;
             slot.job = Some(JobRef(erased.cast()));
             slot.epoch += 1;
             slot.open = wanted;
@@ -224,7 +246,11 @@ impl Pool {
         } else {
             self.shared.work.notify_all();
         }
-        let mine = panic::catch_unwind(AssertUnwindSafe(|| job.drain()));
+        let mine = panic::catch_unwind(AssertUnwindSafe(|| {
+            let r = mine();
+            job.drain();
+            r
+        }));
         if mine.is_err() {
             job.abort();
         }
@@ -244,9 +270,9 @@ impl Pool {
             }
             slot.panic.take()
         };
-        drop(turn);
-        if let Some(payload) = mine.err().or(theirs) {
-            panic::resume_unwind(payload);
+        match (mine, theirs) {
+            (Ok(r), None) => Ok(r),
+            (Err(payload), _) | (Ok(_), Some(payload)) => Err(payload),
         }
     }
 }
@@ -285,6 +311,48 @@ pub fn participants(cap: usize) -> usize {
 /// `body` must tolerate concurrent calls on different ranges.
 pub fn for_each_chunk(n: usize, step: usize, cap: usize, body: impl Fn(Range<usize>) + Sync) {
     global().run(n, step, cap, &body);
+}
+
+/// The pool held for one caller/helper pair by [`reserve`]: until it is
+/// used or dropped, every other caller of the pool runs its jobs inline.
+pub struct Reserved {
+    _turn: MutexGuard<'static, ()>,
+}
+
+/// Reserve the pool for [`Reserved::alongside`]: `None` when there is no
+/// helper thread, or when the pool is busy — a job of another thread, or
+/// this call nested inside a job — in which case the caller should do
+/// its work alone rather than wait.
+pub fn reserve() -> Option<Reserved> {
+    let pool = global();
+    if pool.helpers.is_empty() {
+        return None;
+    }
+    pool.turn
+        .try_lock()
+        .ok()
+        .map(|turn| Reserved { _turn: turn })
+}
+
+impl Reserved {
+    /// Run `caller` on this thread while one helper runs `helper`, and
+    /// return `caller`'s result once both are done. Should no helper have
+    /// started `helper` by the time `caller` returns, the calling thread
+    /// runs it then, so `helper` must finish on its own once `caller` has
+    /// (it never runs if `caller` panics before a helper took it). A
+    /// panic of either is rethrown here.
+    pub fn alongside<R>(self, helper: impl Fn() + Sync, caller: impl FnOnce() -> R) -> R {
+        let body = |_: Range<usize>| helper();
+        let job = Job {
+            body: &body,
+            n: 1,
+            step: 1,
+            cursor: Cursor(AtomicUsize::new(0)),
+        };
+        let outcome = global().post(&job, 1, caller);
+        drop(self);
+        outcome.unwrap_or_else(|payload| panic::resume_unwind(payload))
+    }
 }
 
 /// `data` as a `*mut` that chunk bodies on other threads may carve up.
@@ -464,6 +532,77 @@ mod tests {
             });
         });
         assert_eq!(total.into_inner(), 80);
+    }
+
+    /// [`reserve`] on the global pool, waiting out other tests' jobs;
+    /// `None` only on a machine with a single hardware thread.
+    fn reserve_global() -> Option<Reserved> {
+        if global().helpers.is_empty() {
+            return None;
+        }
+        loop {
+            if let Some(r) = reserve() {
+                return Some(r);
+            }
+            thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn alongside_runs_the_helper_body_next_to_the_caller() {
+        let Some(reserved) = reserve_global() else {
+            return;
+        };
+        // Both bodies block until the other has arrived: this only returns
+        // if a helper really runs `helper` while the caller runs its own.
+        let barrier = std::sync::Barrier::new(2);
+        let me = thread::current().id();
+        let helper_thread = Mutex::new(None);
+        let got = reserved.alongside(
+            || {
+                *helper_thread.lock().unwrap() = Some(thread::current().id());
+                barrier.wait();
+            },
+            || {
+                barrier.wait();
+                7
+            },
+        );
+        assert_eq!(got, 7);
+        assert_ne!(helper_thread.into_inner().unwrap(), Some(me));
+    }
+
+    #[test]
+    fn reserve_inside_a_job_is_refused() {
+        let Some(reserved) = reserve_global() else {
+            return;
+        };
+        let nested = AtomicU32::new(0);
+        reserved.alongside(
+            || (),
+            || {
+                // The pool is taken by this very pair: a nested reservation
+                // or pooled op must not wait for it.
+                assert!(reserve().is_none());
+                for_each_chunk(10, 1, 0, |r| {
+                    nested.fetch_add(r.len() as u32, Ordering::Relaxed);
+                });
+            },
+        );
+        assert_eq!(nested.into_inner(), 10);
+    }
+
+    #[test]
+    fn alongside_rethrows_the_helpers_panic() {
+        let Some(reserved) = reserve_global() else {
+            return;
+        };
+        let caught = panic::catch_unwind(AssertUnwindSafe(|| {
+            reserved.alongside(|| panic!("helper boom"), || ());
+        }));
+        let payload = caught.expect_err("the helper's panic must reach the caller");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"helper boom"));
+        assert!(!global().turn.is_poisoned(), "the pool is free again");
     }
 
     #[test]
