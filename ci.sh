@@ -101,6 +101,15 @@ if grep -rnE '\.(access|invalidate)\(' --include='*.rs' crates src tests example
   echo "one home: SectorCache::access/invalidate called outside gpu-sim's pricing function (crates/gpu-sim/src/price.rs)" >&2
   exit 1
 fi
+# An option with one value in every caller is a constant: the settings
+# that no caller set to anything but their default became constants
+# where they are read, with the code paths only another value reached
+# (the packed narrow-feature conv, the forced assignment, respawns on a
+# faulty device). None comes back as a field or a struct-literal entry.
+if grep -rnE --include='*.rs' '^\s*(pub(\(crate\))? )?(pack_narrow_features|force_assignment|respawn_healthy|attribution_floor|jitter_frac|unhealthy_weight|sample_seed|model_version|engine_options)\s*:' crates; then
+  echo "one home: a one-valued option is back as a field in crates/ (it is a constant where it is read)" >&2
+  exit 1
+fi
 
 step "repro gate"
 # Writes results/repro_gate.json (PASS/FAIL per claim) and exits non-zero

@@ -27,8 +27,6 @@ pub const DGL_DISPATCH_MS: f64 = 0.06;
 /// The DGL-like system.
 pub struct DglSystem {
     device: Device,
-    /// Per-launch framework overhead, ms.
-    pub dispatch_ms: f64,
 }
 
 struct Ctx {
@@ -47,7 +45,6 @@ impl DglSystem {
     pub fn new(cfg: gpu_sim::DeviceConfig) -> Self {
         Self {
             device: Device::new(cfg),
-            dispatch_ms: DGL_DISPATCH_MS,
         }
     }
 
@@ -80,13 +77,13 @@ impl DglSystem {
     fn launch_flat(&mut self, op: &mut OpProfile, k: &dyn Kernel, len: usize) {
         let lc = LaunchConfig::warp_per_item(len.div_ceil(32).max(1), 256);
         op.add(&self.device.launch(k, lc));
-        op.add_framework_overhead_ms(self.dispatch_ms);
+        op.add_framework_overhead_ms(DGL_DISPATCH_MS);
     }
 
     fn launch_rows(&mut self, op: &mut OpProfile, k: &dyn Kernel, rows: usize) {
         let lc = LaunchConfig::warp_per_item(rows.max(1), 256);
         op.add(&self.device.launch(k, lc));
-        op.add_framework_overhead_ms(self.dispatch_ms);
+        op.add_framework_overhead_ms(DGL_DISPATCH_MS);
     }
 
     /// Run one convolution. Supports all four models (DGL does).

@@ -262,8 +262,6 @@ impl Kernel for FgAggregateKernel {
 /// The FeatGraph-like system.
 pub struct FeatGraphSystem {
     device: Device,
-    /// Per-launch dispatch overhead, ms.
-    pub dispatch_ms: f64,
 }
 
 impl FeatGraphSystem {
@@ -271,7 +269,6 @@ impl FeatGraphSystem {
     pub fn new(cfg: gpu_sim::DeviceConfig) -> Self {
         Self {
             device: Device::new(cfg),
-            dispatch_ms: FEATGRAPH_DISPATCH_MS,
         }
     }
 
@@ -316,10 +313,10 @@ impl FeatGraphSystem {
                         .device
                         .launch(&k1, LaunchConfig::warp_per_item(m.div_ceil(32).max(1), 256)),
                 );
-                op.add_framework_overhead_ms(self.dispatch_ms);
+                op.add_framework_overhead_ms(FEATGRAPH_DISPATCH_MS);
                 let k2 = FgSoftmaxKernel { indptr, s, n };
                 op.add(&self.device.launch(&k2, self.rigid_launch(n, 32)));
-                op.add_framework_overhead_ms(self.dispatch_ms);
+                op.add_framework_overhead_ms(FEATGRAPH_DISPATCH_MS);
                 let k3 = FgAggregateKernel {
                     indptr,
                     indices,
@@ -330,7 +327,7 @@ impl FeatGraphSystem {
                     f,
                 };
                 op.add(&self.device.launch(&k3, self.rigid_launch(n, f)));
-                op.add_framework_overhead_ms(self.dispatch_ms);
+                op.add_framework_overhead_ms(FEATGRAPH_DISPATCH_MS);
                 coo.free(&mut self.device);
                 let mem = self.device.mem_mut();
                 mem.free(al);
@@ -357,7 +354,7 @@ impl FeatGraphSystem {
                     f,
                 };
                 op.add(&self.device.launch(&k, self.rigid_launch(n, f)));
-                op.add_framework_overhead_ms(self.dispatch_ms);
+                op.add_framework_overhead_ms(FEATGRAPH_DISPATCH_MS);
                 let mem = self.device.mem_mut();
                 mem.free(norm);
                 mem.free(degree);

@@ -36,12 +36,14 @@ pub enum AggMode {
     },
 }
 
+/// Per-launch host dispatch overhead of the three-kernel GAT, ms
+/// (hand-written C++ host code — cheaper than a framework, same class as
+/// TLPGNN's own dispatch).
+const THREE_KERNEL_DISPATCH_MS: f64 = 0.06;
+
 /// The three-kernel GAT system.
 pub struct ThreeKernelGatSystem {
     device: Device,
-    /// Per-launch host dispatch overhead, ms (hand-written C++ host code —
-    /// cheaper than a framework, same class as TLPGNN's own dispatch).
-    pub dispatch_ms: f64,
 }
 
 impl ThreeKernelGatSystem {
@@ -49,7 +51,6 @@ impl ThreeKernelGatSystem {
     pub fn new(cfg: gpu_sim::DeviceConfig) -> Self {
         Self {
             device: Device::new(cfg),
-            dispatch_ms: 0.06,
         }
     }
 
@@ -87,11 +88,11 @@ impl ThreeKernelGatSystem {
                 .device
                 .launch(&k1, LaunchConfig::warp_per_item(m.div_ceil(32).max(1), 256)),
         );
-        op.add_framework_overhead_ms(self.dispatch_ms);
+        op.add_framework_overhead_ms(THREE_KERNEL_DISPATCH_MS);
         // Kernel 2: ApplyVertex — softmax over each row's scores.
         let k2 = FgSoftmaxKernel { indptr, s, n };
         op.add(&self.device.launch(&k2, LaunchConfig::new(n.max(1), 32)));
-        op.add_framework_overhead_ms(self.dispatch_ms);
+        op.add_framework_overhead_ms(THREE_KERNEL_DISPATCH_MS);
         // Kernel 3: ApplyVertex — weighted aggregation (warp per row).
         let k3 = SpmmCsrKernel {
             indptr,
@@ -103,7 +104,7 @@ impl ThreeKernelGatSystem {
             f,
         };
         op.add(&self.device.launch(&k3, LaunchConfig::warp_per_item(n, 256)));
-        op.add_framework_overhead_ms(self.dispatch_ms);
+        op.add_framework_overhead_ms(THREE_KERNEL_DISPATCH_MS);
 
         op.peak_mem_bytes = self.device.mem().peak_bytes();
         let out = Matrix::from_vec(n, f, self.device.mem().read_vec(output));
@@ -196,7 +197,7 @@ impl ThreeKernelGatSystem {
             }
         }
         for _ in 0..op.kernel_launches {
-            op.add_framework_overhead_ms(self.dispatch_ms / 3.0);
+            op.add_framework_overhead_ms(THREE_KERNEL_DISPATCH_MS / 3.0);
         }
 
         op.peak_mem_bytes = self.device.mem().peak_bytes();

@@ -5,55 +5,42 @@
 //! paper's whole pipeline (two-level parallelism, hybrid workload
 //! balancing, kernel fusion, register caching) behind one `conv` call.
 //!
-//! Every convolution entry point (`try_conv_with`, the packed
-//! narrow-feature path, `conv_with_grid`) is the one private
-//! `TlpgnnEngine::run_uploaded` sequence — upload, bind, launch, read
-//! back, free, with the fault-path cleanup written once — and differs
-//! only in the [`PreparedLaunch`] it hands it. Assignments become
-//! launches in [`Assignment::bind`] and models become kernels in
-//! [`crate::kernels::fused_kernel`], nowhere else.
+//! Both convolution entry points (`try_conv_with`, `conv_with_grid`)
+//! are the one private `TlpgnnEngine::run_uploaded` sequence — upload,
+//! bind, launch, read back, free, with the fault-path cleanup written
+//! once — and differ only in the [`PreparedLaunch`] they hand it.
+//! Assignments become launches in [`Assignment::bind`] and models become
+//! kernels in [`crate::kernels::fused_kernel`], nowhere else.
 
 use std::borrow::Cow;
 
-use gpu_sim::{Device, DeviceConfig, Kernel, LaunchConfig, LaunchError, OpProfile};
+use gpu_sim::{Device, DeviceConfig, LaunchConfig, LaunchError, OpProfile};
 use tlpgnn_graph::Csr;
 use tlpgnn_tensor::Matrix;
 
 use crate::gpu::{GatScoresOnDevice, GraphOnDevice};
-use crate::kernels::weighted::WeightedAggKernel;
-use crate::kernels::{fused_kernel, fused_regs, Aggregator, PreparedLaunch};
+use crate::kernels::{fused_kernel, fused_regs, PreparedLaunch};
 use crate::model::GnnModel;
 use crate::schedule::{Assignment, BoundLaunch, HybridHeuristic};
+
+/// Host-side dispatch overhead per launch, ms (a thin C++/PyTorch
+/// binding; much smaller than a Python framework's per-kernel cost).
+const DISPATCH_MS: f64 = 0.02;
 
 /// Tunables of the engine. The defaults are the paper's configuration.
 #[derive(Debug, Clone)]
 pub struct EngineOptions {
     /// Hybrid workload heuristic (thresholds scale with dataset scale).
     pub heuristic: HybridHeuristic,
-    /// Force a specific assignment instead of the heuristic (ablations).
-    pub force_assignment: Option<Assignment>,
     /// Register caching (Section 6); disable only for ablations.
     pub reg_cache: bool,
-    /// Pack multiple vertices per warp when the feature dimension is
-    /// narrower than a warp (an extension past the paper, which notes
-    /// that at feature 16 half of every warp idles). The packed vertices
-    /// advance in lock-step, so this wins on near-regular degree
-    /// distributions and can lose under heavy skew — hence opt-in.
-    /// Sum-family models with hardware assignment only.
-    pub pack_narrow_features: bool,
-    /// Host-side dispatch overhead per launch, ms (a thin C++/PyTorch
-    /// binding; much smaller than a Python framework's per-kernel cost).
-    pub dispatch_ms: f64,
 }
 
 impl Default for EngineOptions {
     fn default() -> Self {
         Self {
             heuristic: HybridHeuristic::default(),
-            force_assignment: None,
             reg_cache: true,
-            pack_narrow_features: false,
-            dispatch_ms: 0.02,
         }
     }
 }
@@ -89,14 +76,11 @@ impl TlpgnnEngine {
         &mut self.device
     }
 
-    /// Pick the workload assignment for a graph per the hybrid heuristic
-    /// (or the forced override).
+    /// Pick the workload assignment for a graph per the hybrid heuristic.
     pub fn assignment_for(&self, g: &Csr) -> Assignment {
-        self.options.force_assignment.unwrap_or_else(|| {
-            self.options
-                .heuristic
-                .choose(g.num_vertices(), g.avg_degree())
-        })
+        self.options
+            .heuristic
+            .choose(g.num_vertices(), g.avg_degree())
     }
 
     /// Run one graph convolution, returning the aggregated features and
@@ -123,44 +107,8 @@ impl TlpgnnEngine {
             vertices = g.num_vertices(),
             edges = g.num_edges()
         );
-        if let Some(result) = self.try_conv_packed(model, g, x)? {
-            return Ok(result);
-        }
         let assignment = self.assignment_for(g);
         self.try_conv_with(model, g, x, assignment, self.options.reg_cache)
-    }
-
-    /// Narrow-feature packed convolution: `32 / feat_dim` vertices share
-    /// one warp via the sub-warp kernel, recovering the lanes the plain
-    /// warp-per-vertex mapping would idle. Sum-family models only;
-    /// `Ok(None)` when packing does not apply.
-    fn try_conv_packed(
-        &mut self,
-        model: &GnnModel,
-        g: &Csr,
-        x: &Matrix,
-    ) -> Result<Option<(Matrix, OpProfile)>, LaunchError> {
-        let f = x.cols();
-        if !self.options.pack_narrow_features || f == 0 || f > 16 || !f.is_power_of_two() {
-            return Ok(None);
-        }
-        let Some(agg) = Aggregator::of_model(model) else {
-            return Ok(None);
-        };
-        let op_name = format!("tlpgnn_packed_{}", model.name());
-        self.run_uploaded(op_name, g, x, |_, gd| PreparedLaunch {
-            kernel: Box::new(crate::kernels::variants::SubWarpKernel {
-                gd,
-                agg,
-                lanes_per_vertex: f,
-            }),
-            bound: BoundLaunch::hardware(
-                LaunchConfig::warp_per_item(gd.n.div_ceil(32 / f), 256),
-                gd.n,
-            ),
-            scores: None,
-        })
-        .map(Some)
     }
 
     /// The one device sequence behind every convolution: upload the
@@ -195,7 +143,7 @@ impl TlpgnnEngine {
         let result = launched.map(|profile| {
             let mut op = OpProfile::new(op_name);
             op.add(&profile);
-            op.add_framework_overhead_ms(self.options.dispatch_ms);
+            op.add_framework_overhead_ms(DISPATCH_MS);
             op.peak_mem_bytes = self.device.mem().peak_bytes();
             let _span = telemetry::span!("readback");
             (gd.read_output(&self.device), op)
@@ -241,67 +189,6 @@ impl TlpgnnEngine {
         })
     }
 
-    /// Run an edge-weighted aggregation
-    /// (`out[v] = Σ_{(u,v)} w_e · x[u]`, weights in CSR edge order) —
-    /// the reduced ψ for graphs that carry per-edge features, on the same
-    /// fused one-kernel path with the hybrid assignment.
-    pub fn conv_edge_weighted(
-        &mut self,
-        g: &Csr,
-        x: &Matrix,
-        weights: &[f32],
-    ) -> (Matrix, OpProfile) {
-        assert_eq!(weights.len(), g.num_edges(), "one weight per edge");
-        let _span = telemetry::span!(
-            "tlpgnn.conv_edge_weighted",
-            vertices = g.num_vertices(),
-            edges = g.num_edges()
-        );
-        let n = g.num_vertices();
-        let f = x.cols();
-        let assignment = self.assignment_for(g);
-        let reg_cache = self.options.reg_cache;
-        let upload_span = telemetry::span!("upload");
-        let mem = self.device.mem_mut();
-        let indptr = mem.alloc_from(g.indptr());
-        let indices = mem.alloc_from(g.indices());
-        let values = mem.alloc_from(weights);
-        let xb = mem.alloc_from(x.data());
-        let out = mem.alloc::<f32>(n * f);
-        drop(upload_span);
-        let bound = assignment.bind(&mut self.device, n, WeightedAggKernel::regs(reg_cache));
-        let k = WeightedAggKernel {
-            indptr,
-            indices,
-            values,
-            x: xb,
-            out,
-            n,
-            f,
-            work: bound.work,
-            reg_cache,
-        };
-        let mut op = OpProfile::new("tlpgnn_edge_weighted");
-        let p = {
-            let _span = telemetry::span!("kernel", name = k.name());
-            self.device.launch(&k, bound.lc)
-        };
-        op.add(&p);
-        op.add_framework_overhead_ms(self.options.dispatch_ms);
-        let result = {
-            let _span = telemetry::span!("readback");
-            Matrix::from_vec(n, f, self.device.mem().read_vec(out))
-        };
-        let mem = self.device.mem_mut();
-        mem.free(indptr);
-        mem.free(indices);
-        mem.free(values);
-        mem.free(xb);
-        mem.free(out);
-        bound.release(&mut self.device);
-        (result, op)
-    }
-
     /// Run one full GNN layer on the device: the fused graph convolution
     /// followed by the fused dense kernel (`act(conv(x)·W + b)`), two
     /// kernel launches total — the whole-layer version of Observation III.
@@ -340,7 +227,7 @@ impl TlpgnnEngine {
             layer.relu,
         )?;
         op.add(&p_dense);
-        op.add_framework_overhead_ms(self.options.dispatch_ms);
+        op.add_framework_overhead_ms(DISPATCH_MS);
         Ok((out, op))
     }
 
@@ -385,7 +272,7 @@ impl TlpgnnEngine {
         }
         let (out, p) = crate::kernels::dense::try_log_softmax_on_device(&mut self.device, &h)?;
         op.add(&p);
-        op.add_framework_overhead_ms(self.options.dispatch_ms);
+        op.add_framework_overhead_ms(DISPATCH_MS);
         Ok((out, op))
     }
 
@@ -482,17 +369,6 @@ mod tests {
     }
 
     #[test]
-    fn forced_assignment_respected() {
-        let opts = EngineOptions {
-            force_assignment: Some(Assignment::hardware()),
-            ..Default::default()
-        };
-        let e = TlpgnnEngine::new(DeviceConfig::test_small(), opts);
-        let g = generators::rmat_default(100, 8000, 66);
-        assert!(matches!(e.assignment_for(&g), Assignment::Hardware { .. }));
-    }
-
-    #[test]
     fn classify_forward_matches_host_network() {
         let g = generators::rmat_default(120, 900, 79);
         let x = Matrix::random(120, 12, 1.0, 80);
@@ -506,48 +382,6 @@ mod tests {
             got.max_abs_diff(&want)
         );
         assert_eq!(op.kernel_launches, 2 * 2 + 1);
-    }
-
-    #[test]
-    fn edge_weighted_conv_matches_reference() {
-        let g = generators::rmat_default(250, 2000, 76);
-        let x = Matrix::random(250, 32, 1.0, 77);
-        let weights = Matrix::random(1, g.num_edges(), 1.0, 78).into_vec();
-        let mut e = engine();
-        let (got, op) = e.conv_edge_weighted(&g, &x, &weights);
-        let want = crate::kernels::weighted::weighted_reference(&g, &x, &weights);
-        assert!(got.max_abs_diff(&want) < 1e-3);
-        assert_eq!(op.kernel_launches, 1);
-        assert_eq!(e.device().mem().current_bytes(), 0, "buffers freed");
-    }
-
-    #[test]
-    fn packed_narrow_features_correct_and_faster_on_regular_graphs() {
-        // Packing shares a warp between 32/f vertices in lock-step, so it
-        // pays the max degree of the group: a win on regular graphs (the
-        // test), a wash or loss under heavy skew — which is why it is an
-        // opt-in and the paper's warp-per-vertex stays the default.
-        let g = generators::ring_lattice(4000, 10);
-        let x = Matrix::random(4000, 8, 1.0, 75); // only 8 of 32 lanes busy
-        let want = conv_reference(&GnnModel::Gcn, &g, &x);
-        let mut plain = TlpgnnEngine::new(DeviceConfig::v100(), EngineOptions::default());
-        let (out_plain, p_plain) = plain.conv(&GnnModel::Gcn, &g, &x);
-        let mut packed = TlpgnnEngine::new(
-            DeviceConfig::v100(),
-            EngineOptions {
-                pack_narrow_features: true,
-                ..Default::default()
-            },
-        );
-        let (out_packed, p_packed) = packed.conv(&GnnModel::Gcn, &g, &x);
-        assert!(out_plain.max_abs_diff(&want) < 1e-3);
-        assert!(out_packed.max_abs_diff(&want) < 1e-3);
-        assert!(
-            p_packed.gpu_time_ms < p_plain.gpu_time_ms,
-            "packed {} should beat idle-lane {}",
-            p_packed.gpu_time_ms,
-            p_plain.gpu_time_ms
-        );
     }
 
     #[test]

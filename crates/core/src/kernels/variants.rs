@@ -71,11 +71,6 @@ impl KernelVariant {
         }
     }
 
-    /// Parse a [`label`](Self::label) back into a variant.
-    pub fn from_label(label: &str) -> Option<KernelVariant> {
-        Self::all().into_iter().find(|v| v.label() == label)
-    }
-
     /// Construct the kernel for a device-resident graph.
     pub fn build(&self, gd: GraphOnDevice, agg: Aggregator) -> Box<dyn Kernel> {
         match *self {

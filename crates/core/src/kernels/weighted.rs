@@ -1,12 +1,8 @@
 //! Edge-weighted aggregation: `out[v] = Σ_{e=(u,v)} w_e · x[u]`.
 //!
-//! Several consumers share this kernel shape:
-//! * GNNs on graphs with learned or given per-edge weights (e.g.
-//!   Ogbn-protein carries edge features; a scalar per edge is the reduced
-//!   form the paper's ψ admits);
-//! * the unfused GAT pipelines, whose third stage aggregates with the
-//!   materialized softmax weights;
-//! * cuSPARSE-style SpMM with an explicit `values` array.
+//! The unfused GAT pipelines run it as their third stage, aggregating
+//! with the materialized softmax weights (the Figure 10 ablation ladder
+//! in `tlpgnn_baselines::multikernel`).
 //!
 //! It is the fused TLPGNN aggregation with the per-edge scale read from a
 //! device buffer instead of computed from vertex state, and keeps the
@@ -93,37 +89,33 @@ impl Kernel for WeightedAggKernel {
     }
 }
 
-/// Serial reference for the edge-weighted aggregation. `weights` is in
-/// CSR edge order.
-pub fn weighted_reference(
-    g: &tlpgnn_graph::Csr,
-    x: &tlpgnn_tensor::Matrix,
-    weights: &[f32],
-) -> tlpgnn_tensor::Matrix {
-    assert_eq!(weights.len(), g.num_edges());
-    let f = x.cols();
-    let mut out = tlpgnn_tensor::Matrix::zeros(g.num_vertices(), f);
-    let mut e = 0usize;
-    for v in 0..g.num_vertices() {
-        let row = out.row_mut(v);
-        for &u in g.neighbors(v) {
-            let w = weights[e];
-            e += 1;
-            for (o, &xv) in row.iter_mut().zip(x.row(u as usize)) {
-                *o += w * xv;
-            }
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::schedule::Assignment;
     use gpu_sim::{Device, DeviceConfig};
-    use tlpgnn_graph::generators;
+    use tlpgnn_graph::{generators, Csr};
     use tlpgnn_tensor::Matrix;
+
+    /// Serial reference for the edge-weighted aggregation. `weights` is
+    /// in CSR edge order.
+    fn weighted_reference(g: &Csr, x: &Matrix, weights: &[f32]) -> Matrix {
+        assert_eq!(weights.len(), g.num_edges());
+        let f = x.cols();
+        let mut out = Matrix::zeros(g.num_vertices(), f);
+        let mut e = 0usize;
+        for v in 0..g.num_vertices() {
+            let row = out.row_mut(v);
+            for &u in g.neighbors(v) {
+                let w = weights[e];
+                e += 1;
+                for (o, &xv) in row.iter_mut().zip(x.row(u as usize)) {
+                    *o += w * xv;
+                }
+            }
+        }
+        out
+    }
 
     #[test]
     fn weighted_kernel_matches_reference_all_modes() {

@@ -109,7 +109,7 @@ pub struct BoundLaunch {
 
 impl BoundLaunch {
     /// Hardware scheduling on an explicit geometry `lc`: no device state.
-    pub fn hardware(lc: LaunchConfig, rows: usize) -> Self {
+    fn hardware(lc: LaunchConfig, rows: usize) -> Self {
         Self {
             lc,
             work: WorkSource::Hardware,

@@ -35,11 +35,6 @@ impl GraphBuilder {
         self.num_vertices
     }
 
-    /// Edges currently buffered (pre-dedup).
-    pub fn num_buffered_edges(&self) -> usize {
-        self.edges.len()
-    }
-
     /// Add a directed edge `src -> dst`. Out-of-range endpoints panic;
     /// disallowed self loops are silently dropped (generator convenience).
     pub fn add_edge(&mut self, src: u32, dst: u32) {

@@ -20,21 +20,19 @@ const DERIVED: &[&str] = &["gpu_time_ms", "runtime_ms"];
 /// At most this many movers are listed per regression.
 const MAX_ATTRIBUTION: usize = 6;
 
-/// Gate thresholds (relative changes, e.g. `0.005` = 0.5%).
+/// Minimum |relative change| for a metric to appear in attribution.
+const ATTRIBUTION_FLOOR: f64 = 0.02;
+
+/// Gate threshold (a relative change, e.g. `0.005` = 0.5%).
 #[derive(Debug, Clone, Copy)]
 pub struct GateConfig {
     /// Maximum tolerated relative increase of a gated metric.
     pub threshold: f64,
-    /// Minimum |relative change| for a metric to appear in attribution.
-    pub attribution_floor: f64,
 }
 
 impl Default for GateConfig {
     fn default() -> Self {
-        Self {
-            threshold: 0.005,
-            attribution_floor: 0.02,
-        }
+        Self { threshold: 0.005 }
     }
 }
 
@@ -265,7 +263,7 @@ pub fn compare(baseline: &Snapshot, current: &Snapshot, cfg: &GateConfig) -> Gat
                 rel,
                 limiter_old: old.limiter.clone(),
                 limiter_new: w.limiter.clone(),
-                attribution: attribution(&old.metrics, &w.metrics, cfg.attribution_floor),
+                attribution: attribution(&old.metrics, &w.metrics),
             };
             if rel > 0.0 {
                 report.regressions.push(diff);
@@ -277,20 +275,17 @@ pub fn compare(baseline: &Snapshot, current: &Snapshot, cfg: &GateConfig) -> Gat
     report
 }
 
-/// Non-gated metrics whose |relative change| clears `floor`, largest
-/// first (±∞ sorts above everything), capped at [`MAX_ATTRIBUTION`].
-fn attribution(
-    old: &BTreeMap<String, f64>,
-    new: &BTreeMap<String, f64>,
-    floor: f64,
-) -> Vec<MetricMove> {
+/// Non-gated metrics whose |relative change| clears
+/// [`ATTRIBUTION_FLOOR`], largest first (±∞ sorts above everything),
+/// capped at [`MAX_ATTRIBUTION`].
+fn attribution(old: &BTreeMap<String, f64>, new: &BTreeMap<String, f64>) -> Vec<MetricMove> {
     let mut moves: Vec<MetricMove> = old
         .iter()
         .filter(|(k, _)| !GATED.contains(&k.as_str()) && !DERIVED.contains(&k.as_str()))
         .filter_map(|(k, &ov)| {
             let &nv = new.get(k)?;
             let rel = rel_change(ov, nv);
-            (rel.abs() >= floor).then(|| MetricMove {
+            (rel.abs() >= ATTRIBUTION_FLOOR).then(|| MetricMove {
                 metric: k.clone(),
                 old: ov,
                 new: nv,

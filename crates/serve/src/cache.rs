@@ -3,9 +3,8 @@
 //! Under skewed (Zipfian) request traffic a small set of hot vertices is
 //! asked for over and over; caching their final-layer embeddings lets
 //! repeats skip ego-graph extraction *and* the engine forward pass. Keys
-//! carry the layer index and a model version so partial-layer reuse and
-//! model rollouts invalidate naturally (bump `version`, old entries are
-//! never hit again and age out via LRU).
+//! carry the layer index and extraction depth, so a row is only ever
+//! served to a lookup that would have computed it the same way.
 
 use std::collections::{BTreeMap, HashMap};
 use std::time::{Duration, Instant};
@@ -24,7 +23,8 @@ pub struct CacheKey {
     /// soundly under their own key — and can never be served to a
     /// request wanting a different depth.
     pub hops: u16,
-    /// Model version; bumping it invalidates every older entry.
+    /// Model version. A server holds one network for its whole life, so
+    /// both servers stamp the same constant.
     pub version: u32,
     /// Graph epoch the row was computed against (0 for a frozen graph,
     /// so the epoch layer is invisible when no mutations are applied).

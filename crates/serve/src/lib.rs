@@ -19,7 +19,7 @@
 //!   kernel-launch sequence for the whole batch instead of one per
 //!   request ([`pipeline`]).
 //! * An **LRU feature cache** keyed by
-//!   `(vertex, layer, hops, model_version, shard, epoch)` lets hot
+//!   `(vertex, layer, hops, version, shard, epoch)` lets hot
 //!   vertices skip extraction and recomputation entirely ([`cache`]).
 //! * **Streaming graph mutations**: [`server::GnnServer::mutate`] applies
 //!   atomic batches of edge/vertex insertions and feature updates against

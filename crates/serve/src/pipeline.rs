@@ -56,7 +56,7 @@ use std::time::{Duration, Instant};
 
 use gpu_sim::{DeviceConfig, FaultPlan, LaunchError};
 use telemetry::{SloMonitor, TraceContext};
-use tlpgnn::{GnnNetwork, TlpgnnEngine};
+use tlpgnn::{EngineOptions, GnnNetwork, TlpgnnEngine};
 use tlpgnn_graph::subgraph::EgoGraph;
 use tlpgnn_shard::HaloStats;
 use tlpgnn_tensor::Matrix;
@@ -67,6 +67,10 @@ use crate::policy::{DegradationController, DegradationLevel};
 use crate::request::{Degradation, Request, RequestTiming, Response, ServeError};
 use crate::server::ServeConfig;
 use crate::supervisor::{DeathCause, HealthSnapshot, Supervisor, WorkerExit};
+
+/// Model version stamped into every cache key: a server holds one
+/// network for its whole life.
+const MODEL_VERSION: u32 = 1;
 
 /// Where the graph lives: the only thing the two servers disagree on.
 pub(crate) trait GraphSource: Sized + Send + Sync + 'static {
@@ -674,7 +678,7 @@ impl<S: GraphSource> Core<S> {
     fn worker_loop(&self, slot: usize, device: DeviceConfig) -> WorkerExit {
         let lane_idx = slot / self.cfg.workers;
         let lane = &self.lanes[lane_idx];
-        let mut engine = TlpgnnEngine::new(device, self.cfg.engine_options.clone());
+        let mut engine = TlpgnnEngine::new(device, EngineOptions::default());
         let mut worker = S::Worker::default();
         while let Some(batch) = lane.queue.pop_batch() {
             telemetry::gauge_set(&lane.depth_gauge, lane.queue.len() as f64);
@@ -781,7 +785,7 @@ impl<S: GraphSource> Core<S> {
             vertex,
             layer: self.net.depth() as u16,
             hops: hops as u16,
-            version: cfg.model_version,
+            version: MODEL_VERSION,
             shard: lane_idx as u16,
             epoch,
         };
@@ -1070,10 +1074,10 @@ impl<S: GraphSource> Pipeline<S> {
             cfg,
         });
         let [c0, c1, c2, c3] = [(); 4].map(|()| Arc::clone(&core));
-        let spawn = Box::new(move |slot: usize, generation: u32, healthy: bool| {
+        let spawn = Box::new(move |slot: usize, generation: u32| {
             let core = Arc::clone(&c0);
             let mut device = core.cfg.device.clone();
-            device.fault = if healthy {
+            device.fault = if generation > 0 {
                 // Replacement workers get a fresh fault-free device; the
                 // broken one stays out of rotation.
                 FaultPlan::none()
@@ -1174,7 +1178,6 @@ pub(crate) mod tests {
             max_respawns: 0,
             monitor_interval: Duration::from_millis(2),
             slot_breaker_threshold: 1,
-            ..SupervisorConfig::default()
         };
         let lost = FaultPlan::device_lost_at(0);
         let (g, x, net) = fixture();

@@ -9,13 +9,17 @@
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::time::{Duration, Instant};
 
+/// Jitter width: a retry's backoff is multiplied by a deterministic
+/// draw from `[1 - JITTER_FRAC, 1]`. At most 0.5, so the ×2 growth
+/// dominates the worst-case shrink.
+const JITTER_FRAC: f64 = 0.25;
+
 /// Bounded retry with exponential backoff and deterministic jitter.
 ///
 /// Attempt `a` (1-based) backs off `base_backoff · 2^(a-1)`, capped at
 /// `max_backoff`, then shrunk by a seeded jitter drawn from
-/// `[1 - jitter_frac, 1]`. With `jitter_frac ≤ 0.5` the sequence is
-/// monotone non-decreasing despite the jitter (the ×2 growth dominates
-/// the worst-case shrink).
+/// `[0.75, 1]`, so the sequence is monotone non-decreasing despite the
+/// jitter.
 #[derive(Debug, Clone)]
 pub struct RetryPolicy {
     /// Retry budget per operation; 0 disables retrying.
@@ -24,9 +28,6 @@ pub struct RetryPolicy {
     pub base_backoff: Duration,
     /// Backoff growth cap.
     pub max_backoff: Duration,
-    /// Jitter width in `[0, 1]`: attempt backoff is multiplied by a
-    /// deterministic draw from `[1 - jitter_frac, 1]`.
-    pub jitter_frac: f64,
     /// Seed of the jitter stream.
     pub seed: u64,
 }
@@ -37,7 +38,6 @@ impl Default for RetryPolicy {
             max_retries: 3,
             base_backoff: Duration::from_micros(200),
             max_backoff: Duration::from_millis(20),
-            jitter_frac: 0.25,
             seed: 0,
         }
     }
@@ -57,7 +57,7 @@ impl RetryPolicy {
             .min(self.max_backoff);
         let h = splitmix64(self.seed ^ (attempt as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15));
         let u = (h >> 11) as f64 / (1u64 << 53) as f64;
-        let scale = 1.0 - self.jitter_frac.clamp(0.0, 1.0) * u;
+        let scale = 1.0 - JITTER_FRAC * u;
         Some(exp.mul_f64(scale))
     }
 
@@ -189,7 +189,7 @@ impl DegradationLevel {
 }
 
 /// Thresholds of the degradation ladder over a single *pressure* signal:
-/// `queue_load + unhealthy_weight · unhealthy_frac`, where `queue_load`
+/// `queue_load + unhealthy_frac`, where `queue_load`
 /// is the queue depth as a fraction of capacity and `unhealthy_frac` the
 /// fraction of worker slots out of rotation.
 ///
@@ -203,8 +203,6 @@ pub struct DegradationPolicy {
     /// Pressure below which levels 1..4 disengage (each below its
     /// `enter`).
     pub exit: [f64; 4],
-    /// How much a fully-unhealthy worker pool adds to pressure.
-    pub unhealthy_weight: f64,
 }
 
 impl Default for DegradationPolicy {
@@ -212,7 +210,6 @@ impl Default for DegradationPolicy {
         Self {
             enter: [0.50, 0.70, 0.85, 0.95],
             exit: [0.35, 0.55, 0.70, 0.85],
-            unhealthy_weight: 1.0,
         }
     }
 }
@@ -243,7 +240,7 @@ impl DegradationController {
     /// active level. `queue_load` and `unhealthy_frac` are fractions in
     /// `[0, 1]`.
     pub fn update(&self, queue_load: f64, unhealthy_frac: f64) -> DegradationLevel {
-        let pressure = queue_load + self.policy.unhealthy_weight * unhealthy_frac;
+        let pressure = queue_load + unhealthy_frac;
         let current = self.level.load(Ordering::Relaxed);
         let mut next = 0u8;
         for (i, &enter) in self.policy.enter.iter().enumerate() {
@@ -274,7 +271,6 @@ mod tests {
             max_retries: 8,
             base_backoff: Duration::from_millis(1),
             max_backoff: Duration::from_millis(100),
-            jitter_frac: 0.25,
             seed: 42,
         };
         let mut prev = Duration::ZERO;
@@ -310,9 +306,12 @@ mod tests {
             max_retries: 5,
             base_backoff: Duration::from_millis(10),
             max_backoff: Duration::from_secs(1),
-            jitter_frac: 0.0,
             seed: 0,
         };
+        // The first backoff lies in the jitter band [7.5 ms, 10 ms], so a
+        // 5 ms deadline always falls before it lands.
+        let first = p.backoff(1).unwrap();
+        assert!(first >= Duration::from_micros(7_500) && first <= Duration::from_millis(10));
         let now = Instant::now();
         // Deadline far away: scheduled.
         assert!(p

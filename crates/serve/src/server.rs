@@ -27,7 +27,7 @@ use std::time::Duration;
 
 use gpu_sim::DeviceConfig;
 use telemetry::{SloReport, SloSpec, TraceContext};
-use tlpgnn::{EngineOptions, GnnNetwork};
+use tlpgnn::GnnNetwork;
 use tlpgnn_graph::{Csr, DeltaGraph, GraphEpoch};
 use tlpgnn_tensor::Matrix;
 
@@ -36,6 +36,11 @@ pub use crate::pipeline::{ResponseHandle, ServeStats as ServerStats};
 use crate::policy::{DegradationLevel, DegradationPolicy, RetryPolicy};
 use crate::request::{GraphMutation, Request, ServeError};
 use crate::supervisor::SupervisorConfig;
+
+/// Base seed of the sampled extraction's per-vertex draws; combined with
+/// the pinned epoch so samples are stable within an epoch and refresh
+/// across mutations.
+const SAMPLE_SEED: u64 = 0x5a3d_11e9_c0de_f00d;
 
 /// Configuration of a [`GnnServer`].
 #[derive(Debug, Clone)]
@@ -59,15 +64,10 @@ pub struct ServeConfig {
     /// How far past the TTL a stale entry may still be served when the
     /// degradation ladder allows it.
     pub stale_grace: Duration,
-    /// Model version stamped into cache keys; bump on weight updates to
-    /// invalidate cached outputs.
-    pub model_version: u32,
     /// Simulated device each worker runs on (including its fault plan;
     /// worker `i` salts the plan's seed with its slot index so workers
     /// fault independently).
     pub device: DeviceConfig,
-    /// Engine tunables.
-    pub engine_options: EngineOptions,
     /// Retry policy for transient device faults.
     pub retry: RetryPolicy,
     /// Thresholds of the load-shedding degradation ladder.
@@ -89,10 +89,6 @@ pub struct ServeConfig {
     /// neighbor-sampled extraction (GraphSAGE-style). 0 disables the
     /// rung (it behaves like `StaleOk`).
     pub sample_fanout: usize,
-    /// Base seed of the sampled extraction's per-vertex draws; combined
-    /// with the pinned epoch so samples are stable within an epoch and
-    /// refresh across mutations.
-    pub sample_seed: u64,
 }
 
 impl Default for ServeConfig {
@@ -105,9 +101,7 @@ impl Default for ServeConfig {
             cache_capacity: 65_536,
             cache_ttl: None,
             stale_grace: Duration::from_secs(30),
-            model_version: 1,
             device: DeviceConfig::test_small(),
-            engine_options: EngineOptions::default(),
             retry: RetryPolicy::default(),
             degradation: DegradationPolicy::default(),
             supervisor: SupervisorConfig::default(),
@@ -115,7 +109,6 @@ impl Default for ServeConfig {
             metrics_prefix: "serve".to_string(),
             slo: SloSpec::default(),
             sample_fanout: 8,
-            sample_seed: 0x5a3d_11e9_c0de_f00d,
         }
     }
 }
@@ -220,7 +213,7 @@ impl GraphSource for LocalSource {
                 job.misses,
                 job.hops,
                 core.cfg.sample_fanout,
-                core.cfg.sample_seed ^ view.snap.epoch(),
+                SAMPLE_SEED ^ view.snap.epoch(),
             )
         } else {
             view.snap.ego_graph(job.misses, job.hops)

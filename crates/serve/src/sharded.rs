@@ -66,7 +66,7 @@ use std::time::Duration;
 use gpu_sim::{DeviceConfig, FaultKind, FaultPlan};
 use telemetry::{SloReport, SloSpec, TraceContext};
 use tlpgnn::multi_gpu::Interconnect;
-use tlpgnn::{EngineOptions, GnnNetwork};
+use tlpgnn::GnnNetwork;
 use tlpgnn_graph::Csr;
 use tlpgnn_shard::{distributed_ego_with_health, graph_bytes, ShardPlan, ShardStore};
 use tlpgnn_tensor::Matrix;
@@ -107,8 +107,6 @@ pub struct ShardedConfig {
     pub queue_capacity: usize,
     /// Per-shard LRU cache capacity in vertex rows (0 disables).
     pub cache_capacity: usize,
-    /// Model version stamped into cache keys.
-    pub model_version: u32,
     /// Simulated device each shard runs on, including its fault plan:
     /// shard `i` salts the plan's seed with its index so shards fault
     /// independently (replacement workers get a fresh fault-free
@@ -133,10 +131,6 @@ pub struct ShardedConfig {
     /// Shard-worker supervision knobs (respawn budget, breaker,
     /// monitor cadence).
     pub supervisor: SupervisorConfig,
-    /// Engine tunables.
-    pub engine_options: EngineOptions,
-    /// Interconnect cost model for halo transfers.
-    pub interconnect: Interconnect,
     /// Optional per-device memory budget, bytes. When set, `start`
     /// panics if any shard's store exceeds it — the guard that proves a
     /// serving graph outgrew a single device.
@@ -159,15 +153,12 @@ impl Default for ShardedConfig {
             max_wait: Duration::from_millis(2),
             queue_capacity: 256,
             cache_capacity: 65_536,
-            model_version: 1,
             device: DeviceConfig::test_small(),
             per_shard_fault: None,
             halo_fault: FaultPlan::none(),
             retry: RetryPolicy::default(),
             degradation: DegradationPolicy::default(),
             supervisor: SupervisorConfig::default(),
-            engine_options: EngineOptions::default(),
-            interconnect: Interconnect::default(),
             device_budget_bytes: None,
             metrics_prefix: "shard".to_string(),
             slo: SloSpec::default(),
@@ -176,11 +167,10 @@ impl Default for ShardedConfig {
 }
 
 /// The graph partitioned across devices: a plan, one resident store per
-/// shard, and the interconnect between them.
+/// shard, and the halo-fetch fault stream.
 pub(crate) struct ShardSource {
     plan: ShardPlan,
     stores: Vec<ShardStore>,
-    interconnect: Interconnect,
     halo_fault: FaultPlan,
 }
 
@@ -297,9 +287,8 @@ impl GraphSource for ShardSource {
             &alive,
         );
         // Price the batched halo transfers on the modelled interconnect.
-        let halo_ms = self
-            .interconnect
-            .batched_transfer_ms(halo.fetch_batches, halo.fetched_bytes);
+        let halo_ms =
+            Interconnect::default().batched_transfer_ms(halo.fetch_batches, halo.fetched_bytes);
         let m = &core.names;
         telemetry::observe(&m.halo_ms, halo_ms);
         telemetry::counter_add(&m.halo_fetch_batches, halo.fetch_batches);
@@ -397,7 +386,6 @@ impl ShardedServer {
         let source = ShardSource {
             plan,
             stores,
-            interconnect: cfg.interconnect,
             halo_fault: cfg.halo_fault,
         };
         // One worker per shard; the knobs a frozen graph has no use for
@@ -408,9 +396,7 @@ impl ShardedServer {
             max_wait: cfg.max_wait,
             queue_capacity: cfg.queue_capacity,
             cache_capacity: cfg.cache_capacity,
-            model_version: cfg.model_version,
             device: cfg.device,
-            engine_options: cfg.engine_options,
             retry: cfg.retry,
             degradation: cfg.degradation,
             supervisor: cfg.supervisor,
@@ -515,7 +501,6 @@ mod tests {
             max_respawns: budget,
             monitor_interval: Duration::from_millis(2),
             slot_breaker_threshold: breaker,
-            ..SupervisorConfig::default()
         }
     }
 

@@ -55,10 +55,6 @@ pub struct SupervisorConfig {
     pub max_respawns: u32,
     /// Monitor poll interval.
     pub monitor_interval: Duration,
-    /// Respawn replacements on a fresh, fault-free device (`true`), or on
-    /// the same configured fault plan (`false`, for chaos scenarios that
-    /// exercise repeated loss).
-    pub respawn_healthy: bool,
     /// Consecutive deaths after which a slot's circuit breaker opens and
     /// the slot is retired, even with respawn budget left — a slot that
     /// keeps dying (bad device, poisoned workload) must not drain the
@@ -71,7 +67,6 @@ impl Default for SupervisorConfig {
         Self {
             max_respawns: 4,
             monitor_interval: Duration::from_millis(1),
-            respawn_healthy: true,
             slot_breaker_threshold: 3,
         }
     }
@@ -113,9 +108,9 @@ struct Slot {
     breaker: CircuitBreaker,
 }
 
-/// Start a worker: `(slot, generation, healthy)` → its join handle.
-/// `healthy` is true only for respawns under `respawn_healthy`.
-pub type SpawnFn = Box<dyn Fn(usize, u32, bool) -> JoinHandle<WorkerExit> + Send + Sync>;
+/// Start a worker: `(slot, generation)` → its join handle. Generation 0
+/// is the slot's first worker; every later generation is a respawn.
+pub type SpawnFn = Box<dyn Fn(usize, u32) -> JoinHandle<WorkerExit> + Send + Sync>;
 /// Salvage a dead worker's state: `(slot, cause)`; called exactly once
 /// per death, before any replacement starts.
 pub type DeathFn = Box<dyn Fn(usize, DeathCause) + Send + Sync>;
@@ -164,7 +159,7 @@ impl Supervisor {
             .map(|i| Slot {
                 generation: 0,
                 state: SlotState::Running,
-                handle: Some(spawn(i, 0, false)),
+                handle: Some(spawn(i, 0)),
                 breaker: CircuitBreaker::new(cfg.slot_breaker_threshold),
             })
             .collect();
@@ -360,7 +355,7 @@ fn poll_once(inner: &Inner) {
             let mut slots = lock_slots(inner);
             let generation = slots[i].generation + 1;
             slots[i].generation = generation;
-            slots[i].handle = Some((inner.spawn)(i, generation, inner.cfg.respawn_healthy));
+            slots[i].handle = Some((inner.spawn)(i, generation));
         } else {
             {
                 let mut slots = lock_slots(inner);
@@ -386,7 +381,7 @@ mod tests {
         let sup = Supervisor::start(
             SupervisorConfig::default(),
             3,
-            Box::new(|slot, _, _| {
+            Box::new(|slot, _| {
                 thread::Builder::new()
                     .name(format!("w{slot}"))
                     .spawn(|| WorkerExit::Drained)
@@ -415,12 +410,13 @@ mod tests {
                 monitor_interval: Duration::from_micros(200),
                 // Breaker above the death count: budget is what retires.
                 slot_breaker_threshold: 10,
-                respawn_healthy: true,
             },
             1,
-            Box::new(move |_, generation, healthy| {
-                s.fetch_add(1, Ordering::SeqCst);
-                assert_eq!(healthy, generation > 0, "only respawns are healthy");
+            Box::new(move |_, generation| {
+                // Generation 0 is the first worker, each respawn the next
+                // (the pipeline gives generations > 0 a fault-free device).
+                let spawned_before = s.fetch_add(1, Ordering::SeqCst);
+                assert_eq!(generation as usize, spawned_before);
                 thread::spawn(|| WorkerExit::DeviceLost)
             }),
             Box::new(move |slot, cause| {
@@ -451,10 +447,9 @@ mod tests {
                 max_respawns: 10, // plenty left when the breaker opens
                 monitor_interval: Duration::from_micros(200),
                 slot_breaker_threshold: 2,
-                respawn_healthy: true,
             },
             1,
-            Box::new(|_, _, _| thread::spawn(|| WorkerExit::DeviceLost)),
+            Box::new(|_, _| thread::spawn(|| WorkerExit::DeviceLost)),
             on_death,
             on_retire,
             tick,
@@ -479,13 +474,12 @@ mod tests {
                 SupervisorConfig {
                     max_respawns: 0,
                     monitor_interval: Duration::from_micros(200),
-                    respawn_healthy: true,
                     // breaker=10: budget exhaustion retires; breaker=1:
                     // the circuit opens first. Both must fire the hook.
                     slot_breaker_threshold: breaker,
                 },
                 1,
-                Box::new(|_, _, _| thread::spawn(|| WorkerExit::DeviceLost)),
+                Box::new(|_, _| thread::spawn(|| WorkerExit::DeviceLost)),
                 on_death,
                 Box::new(move |slot| r.lock().unwrap().push(slot)),
                 tick,
@@ -504,11 +498,10 @@ mod tests {
             SupervisorConfig {
                 max_respawns: 0,
                 monitor_interval: Duration::from_micros(200),
-                respawn_healthy: true,
                 ..SupervisorConfig::default()
             },
             1,
-            Box::new(|_, _, _| {
+            Box::new(|_, _| {
                 thread::Builder::new()
                     .name("doomed".into())
                     .spawn(|| -> WorkerExit { panic!("chaos") })

@@ -140,7 +140,6 @@ fn retry() -> RetryPolicy {
         base_backoff: Duration::from_micros(10),
         max_backoff: Duration::from_micros(200),
         seed: SEED,
-        ..RetryPolicy::default()
     }
 }
 
@@ -718,7 +717,6 @@ fn shard_loss_config(standby: bool, respawns: u32, breaker: u32, prefix: &str) -
             max_respawns: respawns,
             monitor_interval: Duration::from_millis(2),
             slot_breaker_threshold: breaker,
-            ..SupervisorConfig::default()
         },
         ..sharded_config(prefix, 0)
     }

@@ -54,7 +54,6 @@ fn chaos_config(standby: bool, victim: usize, prefix: &str) -> ShardedConfig {
             max_respawns: 0,
             monitor_interval: Duration::from_millis(2),
             slot_breaker_threshold: 1,
-            ..SupervisorConfig::default()
         },
         metrics_prefix: prefix.to_string(),
         ..ShardedConfig::default()

@@ -145,11 +145,6 @@ impl ShardStore {
         (self.end - self.start) as usize
     }
 
-    /// Number of non-owned replica vertices hosted here.
-    pub fn num_replicas(&self) -> usize {
-        self.replica_ids.len()
-    }
-
     /// Feature dimensionality.
     pub fn feat_dim(&self) -> usize {
         self.feat_dim

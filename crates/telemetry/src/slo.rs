@@ -2,9 +2,9 @@
 //! burn rate, computed incrementally from request completions.
 //!
 //! Objectives are declared in code as an [`SloSpec`] — a p99 latency
-//! target and an error budget (the fraction of requests allowed to fail
-//! *unflagged*; degraded-but-flagged responses are within contract and
-//! do not burn budget). The monitor keeps the last `window` completions;
+//! target — and share one error budget of 1 % (the fraction of requests
+//! allowed to fail *unflagged*; degraded-but-flagged responses are
+//! within contract and do not burn budget). The monitor keeps the last `window` completions;
 //! the burn rate is the window's error rate divided by the budget, so
 //! `burn_rate >= 1` means the service is failing faster than the budget
 //! allows and [`SloReport::burn_alert`] fires.
@@ -16,6 +16,10 @@
 use std::collections::VecDeque;
 use std::sync::Mutex;
 
+/// Error budget: the fraction of completions allowed to be unflagged
+/// errors. The burn rate is error-rate / budget.
+const ERROR_BUDGET: f64 = 0.01;
+
 /// A service-level objective, declared in code.
 #[derive(Debug, Clone)]
 pub struct SloSpec {
@@ -23,9 +27,6 @@ pub struct SloSpec {
     pub name: String,
     /// Target: windowed p99 latency must stay below this.
     pub p99_target_ms: f64,
-    /// Budget: fraction of completions allowed to be unflagged errors
-    /// (must be > 0; the burn rate is error-rate / budget).
-    pub error_budget: f64,
     /// Completions per sliding window.
     pub window: usize,
 }
@@ -35,7 +36,6 @@ impl Default for SloSpec {
         Self {
             name: "serve".to_string(),
             p99_target_ms: 250.0,
-            error_budget: 0.01,
             window: 256,
         }
     }
@@ -65,7 +65,7 @@ pub struct SloReport {
     pub latency_breach: bool,
     /// Windowed unflagged-error rate.
     pub error_rate: f64,
-    /// The declared error budget.
+    /// The error budget (the fixed 1 %).
     pub error_budget: f64,
     /// `error_rate / error_budget`.
     pub burn_rate: f64,
@@ -153,7 +153,7 @@ impl SloMonitor {
         } else {
             s.window_errors as f64 / s.window.len() as f64
         };
-        let burn_rate = error_rate / self.spec.error_budget.max(f64::MIN_POSITIVE);
+        let burn_rate = error_rate / ERROR_BUDGET;
         SloReport {
             name: self.spec.name.clone(),
             window_len: s.window.len(),
@@ -161,7 +161,7 @@ impl SloMonitor {
             p99_target_ms: self.spec.p99_target_ms,
             latency_breach: !lat.is_empty() && p99 > self.spec.p99_target_ms,
             error_rate,
-            error_budget: self.spec.error_budget,
+            error_budget: ERROR_BUDGET,
             burn_rate,
             burn_alert: burn_rate >= 1.0,
             total: s.total,
@@ -195,18 +195,17 @@ impl SloMonitor {
 mod tests {
     use super::*;
 
-    fn spec(window: usize, budget: f64) -> SloSpec {
+    fn spec(window: usize) -> SloSpec {
         SloSpec {
             name: "t".into(),
             p99_target_ms: 10.0,
-            error_budget: budget,
             window,
         }
     }
 
     #[test]
     fn clean_window_does_not_alert() {
-        let m = SloMonitor::new(spec(8, 0.01));
+        let m = SloMonitor::new(spec(8));
         for _ in 0..100 {
             m.record_ok(1.0);
         }
@@ -221,14 +220,14 @@ mod tests {
 
     #[test]
     fn errors_burn_budget_and_alert() {
-        let m = SloMonitor::new(spec(10, 0.10));
-        for _ in 0..9 {
+        let m = SloMonitor::new(spec(100));
+        for _ in 0..99 {
             m.record_ok(1.0);
         }
         assert!(!m.report().burn_alert);
         m.record_error();
         let r = m.report();
-        assert_eq!(r.error_rate, 0.10);
+        assert_eq!(r.error_rate, 0.01);
         assert!((r.burn_rate - 1.0).abs() < 1e-12);
         assert!(r.burn_alert, "burn rate 1.0 is the alert threshold");
         assert_eq!(r.total_errors, 1);
@@ -236,7 +235,7 @@ mod tests {
 
     #[test]
     fn errors_age_out_of_the_window() {
-        let m = SloMonitor::new(spec(4, 0.10));
+        let m = SloMonitor::new(spec(4));
         m.record_error();
         assert!(m.report().burn_alert);
         for _ in 0..4 {
@@ -250,7 +249,7 @@ mod tests {
 
     #[test]
     fn latency_breach_tracks_windowed_p99() {
-        let m = SloMonitor::new(spec(100, 0.01));
+        let m = SloMonitor::new(spec(100));
         for _ in 0..98 {
             m.record_ok(1.0);
         }
@@ -264,7 +263,7 @@ mod tests {
 
     #[test]
     fn errors_excluded_from_latency_percentile() {
-        let m = SloMonitor::new(spec(10, 0.5));
+        let m = SloMonitor::new(spec(10));
         m.record_ok(2.0);
         m.record_error();
         let r = m.report();

@@ -42,15 +42,6 @@ pub fn leaky_relu_scalar(x: f32, slope: f32) -> f32 {
     }
 }
 
-/// ELU in place.
-pub fn elu(m: &mut Matrix, alpha: f32) {
-    for v in m.data_mut() {
-        if *v < 0.0 {
-            *v = alpha * (v.exp() - 1.0);
-        }
-    }
-}
-
 /// Numerically-stable row softmax in place.
 pub fn softmax_rows(m: &mut Matrix) {
     let cols = m.cols();
