@@ -106,8 +106,56 @@ fi
 # where they are read, with the code paths only another value reached
 # (the packed narrow-feature conv, the forced assignment, respawns on a
 # faulty device). None comes back as a field or a struct-literal entry.
-if grep -rnE --include='*.rs' '^\s*(pub(\(crate\))? )?(pack_narrow_features|force_assignment|respawn_healthy|attribution_floor|jitter_frac|unhealthy_weight|sample_seed|model_version|engine_options)\s*:' crates; then
+if grep -rnE --include='*.rs' '^\s*(pub(\(crate\))? )?(pack_narrow_features|force_assignment|respawn_healthy|attribution_floor|jitter_frac|unhealthy_weight|sample_seed|model_version|engine_options|allow_self_loops)\s*:' crates; then
   echo "one home: a one-valued option is back as a field in crates/ (it is a constant where it is read)" >&2
+  exit 1
+fi
+# Public means called: every `pub fn` under crates/<c>/src (each file cut
+# at its first #[cfg(test)]; src/bin/ targets are crates of their own) is
+# named in some tracked .rs file outside that crate's src/ — another
+# crate, a tests/ or examples/ file, a bin target, benchmark/ — counting
+# code only (// comments and string literals removed). A function nothing
+# outside its crate calls is pub(crate) or private, so rustc's dead_code
+# lint (clippy -D warnings above) sees when nothing calls it at all.
+# Exceptions, one per line as `<crate>::<fn> <reason>`; an entry without a
+# reason, or one no longer needed, fails the step too.
+public_fn_allowlist='
+core::push_conv native push baseline: oracle-checked but untimed; kept until the simulator-vs-hardware correlation gate times it or it is deleted
+core::edge_centric_conv native edge-centric baseline: as core::push_conv
+core::pull_serial_conv native serial pull baseline: as core::push_conv
+'
+uncalled="$(git ls-files '*.rs' | ALLOW="${public_fn_allowlist}" perl -e '
+  my (%allow, %owner, @pairs, %seen);
+  for (grep { /\S/ } split /\n/, $ENV{ALLOW}) {
+    my ($item, $why) = /^\s*(\S+)\s*(.*?)\s*$/;
+    die "one home: public-fn allowlist entry $item gives no reason\n" unless length $why;
+    $allow{$item} = 0;
+  }
+  while (my $file = <STDIN>) {
+    chomp $file;
+    open my $fh, "<", $file or die "$file: $!\n";
+    my $src = do { local $/; <$fh> };
+    my ($home) = $file =~ m{^crates/([^/]+)/src/(?!bin/)};
+    $home //= "";
+    if ($home) {
+      (my $decl = $src) =~ s/^\s*#\[cfg\(test\)\].*//ms;
+      $decl =~ s{//[^\n]*}{}g;
+      push @pairs, grep { !$seen{$_}++ }
+        map { "${home}::$_" } $decl =~ /^\s*pub\s+(?:const\s+|unsafe\s+)*fn\s+(\w+)/mg;
+    }
+    $src =~ s{//[^\n]*|(?<!\w)b?r(#*)".*?"\1|b?"(?:[^"\\]|\\.)*"|b?\x27(?:[^\x27\\]|\\.)\x27}{ }gs;
+    $owner{$_}{$home} = 1 for $src =~ /[A-Za-z_]\w*/g;
+  }
+  for my $pair (@pairs) {
+    my ($crate, $name) = split /::/, $pair;
+    next if grep { $_ ne $crate } keys %{ $owner{$name} };
+    if (exists $allow{$pair}) { $allow{$pair} = 1 } else { print "$pair\n" }
+  }
+  print "$_ (allowlisted, but no longer an uncalled pub fn)\n" for grep { !$allow{$_} } sort keys %allow;
+')"
+if [ -n "${uncalled}" ]; then
+  echo "one home: pub fns that nothing outside their crate calls (make them pub(crate) or private):" >&2
+  echo "${uncalled}" >&2
   exit 1
 fi
 

@@ -43,7 +43,7 @@ impl CooOnDevice {
 
 /// Host-side per-edge weights for the sum-family aggregators, in CSR edge
 /// order: `c_u c_v` for GCN, `1` for GIN, `1/deg(v)` for Sage.
-pub fn edge_weights(g: &Csr, agg: tlpgnn::Aggregator) -> Vec<f32> {
+pub(crate) fn edge_weights(g: &Csr, agg: tlpgnn::Aggregator) -> Vec<f32> {
     use tlpgnn::Aggregator;
     let norm = tlpgnn::oracle::gcn_norm(g);
     let mut w = Vec::with_capacity(g.num_edges());

@@ -120,7 +120,7 @@ impl EdgeCentricSystem {
     }
 
     /// Aggregator for a supported model.
-    pub fn aggregator(model: &GnnModel) -> Option<Aggregator> {
+    pub(crate) fn aggregator(model: &GnnModel) -> Option<Aggregator> {
         crate::push::PushSystem::aggregator(model)
     }
 }

@@ -154,7 +154,7 @@ impl PushSystem {
 
     /// Aggregator for a supported model (GAT is not expressible as a push
     /// scatter without extra passes).
-    pub fn aggregator(model: &GnnModel) -> Option<Aggregator> {
+    pub(crate) fn aggregator(model: &GnnModel) -> Option<Aggregator> {
         Aggregator::of_model(model)
     }
 }

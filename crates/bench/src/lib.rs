@@ -58,7 +58,7 @@ impl Env {
     }
 
     /// Effective total scale divisor of a dataset.
-    pub fn effective_scale(&self, spec: &DatasetSpec) -> usize {
+    pub(crate) fn effective_scale(&self, spec: &DatasetSpec) -> usize {
         spec.default_scale * self.extra_scale
     }
 
@@ -96,7 +96,7 @@ impl Env {
     }
 
     /// TLPGNN engine on `cfg` with the heuristic scaled to a dataset.
-    pub fn engine_on(&self, cfg: DeviceConfig, spec: &DatasetSpec) -> TlpgnnEngine {
+    pub(crate) fn engine_on(&self, cfg: DeviceConfig, spec: &DatasetSpec) -> TlpgnnEngine {
         TlpgnnEngine::new(
             cfg,
             EngineOptions {
@@ -113,13 +113,13 @@ impl Env {
 
     /// [`Env::engine_for`] behind the `GnnSystem` interface the
     /// baselines share.
-    pub fn system_for(&self, spec: &DatasetSpec) -> TlpgnnSystem {
+    pub(crate) fn system_for(&self, spec: &DatasetSpec) -> TlpgnnSystem {
         TlpgnnSystem::with_scaled_heuristic(self.device_for(spec), self.effective_scale(spec))
     }
 
     /// Print the standard run header (device, scale) so logs are
     /// self-describing.
-    pub fn print_header(&self, experiment: &str) {
+    pub(crate) fn print_header(&self, experiment: &str) {
         println!("=== {experiment} ===");
         println!(
             "device: SimV100 scaled per dataset (see device_for) | extra scale: {} | see EXPERIMENTS.md",

@@ -30,7 +30,7 @@ pub struct FuzzReport {
 
 /// Deterministically sample the `i`-th case of a fuzz run. Exposed so a
 /// reported case can be regenerated from `(seed, index)` alone.
-pub fn sample_case(seed: u64, i: usize) -> TestCase {
+fn sample_case(seed: u64, i: usize) -> TestCase {
     let mut rng = StdRng::seed_from_u64(seed ^ (i as u64).wrapping_mul(0x9e3779b97f4a7c15));
     let backends = Backend::all();
     let backend = backends[rng.random_range(0..backends.len())]
@@ -125,11 +125,6 @@ pub fn fuzz_with(
     report
 }
 
-/// [`fuzz_with`] under the default tolerance, without progress reporting.
-pub fn fuzz(seed: u64, iters: usize) -> FuzzReport {
-    fuzz_with(seed, iters, &Tolerance::default(), |_, _| {})
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -153,7 +148,7 @@ mod tests {
 
     #[test]
     fn smoke_iterations_pass() {
-        let report = fuzz(42, 6);
+        let report = fuzz_with(42, 6, &Tolerance::default(), |_, _| {});
         assert_eq!(report.iterations, 6);
         assert!(
             report.failures.is_empty(),

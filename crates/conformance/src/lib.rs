@@ -31,7 +31,7 @@ pub mod ulp;
 
 pub use backends::{Backend, BackendRun};
 pub use case::{ModelSpec, TestCase};
-pub use fuzz::{fuzz, fuzz_with, sample_case, FuzzReport};
-pub use metamorphic::{check_accounting, check_case, oracle_only};
+pub use fuzz::{fuzz_with, FuzzReport};
+pub use metamorphic::check_case;
 pub use shrink::shrink as shrink_case;
-pub use ulp::{ulp_distance, Mismatch, Tolerance};
+pub use ulp::{Mismatch, Tolerance};

@@ -147,7 +147,7 @@ pub fn check_case(case: &TestCase, tol: &Tolerance) -> Result<(), String> {
 
 /// Same-seed determinism and capped-subset invariants of
 /// `subgraph::sampled_ego_graph`, for a handful of targets on `g`.
-pub fn check_sampled_extraction(g: &tlpgnn_graph::Csr, seed: u64) -> Result<(), String> {
+fn check_sampled_extraction(g: &tlpgnn_graph::Csr, seed: u64) -> Result<(), String> {
     use tlpgnn_graph::subgraph;
     let n = g.num_vertices();
     if n == 0 {
@@ -202,26 +202,8 @@ pub fn check_sampled_extraction(g: &tlpgnn_graph::Csr, seed: u64) -> Result<(), 
     Ok(())
 }
 
-/// Run only the oracle comparison (the shrinker's predicate: invariants
-/// like determinism are not what a shrunk case must preserve).
-pub fn oracle_only(case: &TestCase, tol: &Tolerance) -> Result<(), String> {
-    let backend = Backend::by_label(&case.backend)
-        .ok_or_else(|| format!("unknown backend `{}`", case.backend))?;
-    let model = case.model.model();
-    let g = case.graph();
-    let x = case.features();
-    let Some(run) = backend.run(&case.device_config(), &model, &g, &x) else {
-        return Ok(());
-    };
-    let want = conv_reference(&model, &g, &x);
-    match tol.compare(run.output.data(), want.data()) {
-        Some(m) => Err(format!("oracle: {m}")),
-        None => Ok(()),
-    }
-}
-
 /// Verify the conservation laws over a kernel profile's launch ledger.
-pub fn check_accounting(p: &KernelProfile) -> Result<(), String> {
+fn check_accounting(p: &KernelProfile) -> Result<(), String> {
     let a = &p.accounting;
     let w = &a.warps;
     for (what, sectors, requests) in [
@@ -257,7 +239,7 @@ pub fn check_accounting(p: &KernelProfile) -> Result<(), String> {
 }
 
 /// Deterministic Fisher–Yates permutation of `0..n`.
-pub fn permutation(n: usize, seed: u64) -> Vec<u32> {
+fn permutation(n: usize, seed: u64) -> Vec<u32> {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut perm: Vec<u32> = (0..n as u32).collect();
     for i in (1..n).rev() {

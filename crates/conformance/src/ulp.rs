@@ -33,7 +33,7 @@ impl Default for Tolerance {
 /// Distance between two floats in units of representable values
 /// (`u32::MAX` for NaN or differing signs, so those always fail the ULP
 /// branch).
-pub fn ulp_distance(a: f32, b: f32) -> u32 {
+fn ulp_distance(a: f32, b: f32) -> u32 {
     if a.is_nan() || b.is_nan() {
         return u32::MAX;
     }
@@ -100,7 +100,7 @@ pub struct Mismatch {
 
 impl Mismatch {
     /// Absolute difference (NaN-safe: NaN compares as infinite).
-    pub fn abs_diff(&self) -> f32 {
+    fn abs_diff(&self) -> f32 {
         let d = (self.got - self.want).abs();
         if d.is_nan() {
             f32::INFINITY

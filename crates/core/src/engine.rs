@@ -95,7 +95,7 @@ impl TlpgnnEngine {
     /// freed, and — because the whole convolution is **one** fused kernel
     /// launch that aborts before execution — there is no partial state to
     /// reconcile: the call can simply be retried.
-    pub fn try_conv(
+    fn try_conv(
         &mut self,
         model: &GnnModel,
         g: &Csr,
@@ -171,7 +171,7 @@ impl TlpgnnEngine {
     /// uploaded buffer (graph, features, GAT scores, software cursor) and
     /// returns the error, leaving device memory exactly as before the
     /// call.
-    pub fn try_conv_with(
+    fn try_conv_with(
         &mut self,
         model: &GnnModel,
         g: &Csr,
@@ -193,22 +193,10 @@ impl TlpgnnEngine {
     /// followed by the fused dense kernel (`act(conv(x)·W + b)`), two
     /// kernel launches total — the whole-layer version of Observation III.
     /// (GraphSage's self-concat happens between the two stages on the
-    /// host, as in `GnnLayer::forward_with`.)
-    pub fn layer_forward(
-        &mut self,
-        layer: &crate::model::GnnLayer,
-        g: &Csr,
-        x: &Matrix,
-    ) -> (Matrix, OpProfile) {
-        self.try_layer_forward(layer, g, x)
-            .unwrap_or_else(|e| panic!("unhandled launch fault: {e}"))
-    }
-
-    /// Fallible [`Self::layer_forward`]: either of the layer's two
-    /// launches (fused conv, fused dense) may surface an injected fault;
-    /// both paths clean up their buffers, so the layer can be retried
-    /// whole.
-    pub fn try_layer_forward(
+    /// host, as in `GnnLayer::forward_with`.) Either launch may surface an
+    /// injected fault; both paths clean up their buffers, so the layer can
+    /// be retried whole.
+    fn try_layer_forward(
         &mut self,
         layer: &crate::model::GnnLayer,
         g: &Csr,
@@ -391,7 +379,7 @@ mod tests {
         for model in GnnModel::all_four(16) {
             let layer = crate::model::GnnLayer::new(model, 16, 12, 73);
             let mut e = engine();
-            let (got, op) = e.layer_forward(&layer, &g, &x);
+            let (got, op) = e.try_layer_forward(&layer, &g, &x).unwrap();
             let want = layer.forward_with(&x, |m, feats| conv_reference(m, &g, feats));
             assert!(
                 got.max_abs_diff(&want) < 1e-3,

@@ -66,12 +66,6 @@ impl GraphOnDevice {
         Matrix::from_vec(self.n, self.feat_dim, dev.mem().read_vec(self.output))
     }
 
-    /// Zero the output buffer (before kernels that accumulate with
-    /// atomics).
-    pub fn clear_output(&self, dev: &Device) {
-        dev.mem().fill(self.output, 0.0);
-    }
-
     /// Number of 32-lane feature tiles per vertex.
     pub fn tiles(&self) -> usize {
         self.feat_dim.div_ceil(32).max(1)

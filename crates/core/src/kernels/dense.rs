@@ -92,7 +92,7 @@ pub fn dense_forward_on_device(
 
 /// Fallible [`dense_forward_on_device`]: an injected launch fault frees
 /// every buffer this call uploaded and returns the error.
-pub fn try_dense_forward_on_device(
+pub(crate) fn try_dense_forward_on_device(
     dev: &mut Device,
     layer: &Linear,
     x: &Matrix,
@@ -201,7 +201,7 @@ pub fn log_softmax_on_device(dev: &mut Device, x: &Matrix) -> (Matrix, gpu_sim::
 
 /// Fallible [`log_softmax_on_device`]: an injected launch fault frees the
 /// uploaded buffer and returns the error.
-pub fn try_log_softmax_on_device(
+pub(crate) fn try_log_softmax_on_device(
     dev: &mut Device,
     x: &Matrix,
 ) -> Result<(Matrix, gpu_sim::KernelProfile), gpu_sim::LaunchError> {

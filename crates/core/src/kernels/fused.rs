@@ -307,7 +307,7 @@ mod tests {
             ),
             lc,
         );
-        gd.clear_output(&dev);
+        dev.mem().fill(gd.output, 0.0);
         let uncached = dev.launch(
             &FusedConvKernel::new(
                 gd,

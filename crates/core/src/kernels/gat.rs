@@ -169,7 +169,7 @@ impl MultiHeadGatParams {
     }
 
     /// Number of heads.
-    pub fn num_heads(&self) -> usize {
+    fn num_heads(&self) -> usize {
         self.heads.len()
     }
 

@@ -60,7 +60,7 @@ impl Aggregator {
 
 /// Registers per thread of `model`'s fused kernel — what
 /// [`crate::Assignment::bind`] sizes a persistent grid with.
-pub fn fused_regs(model: &GnnModel, reg_cache: bool) -> usize {
+pub(crate) fn fused_regs(model: &GnnModel, reg_cache: bool) -> usize {
     match Aggregator::of_model(model) {
         Some(_) => fused::FusedConvKernel::regs(reg_cache),
         None => gat::FusedGatKernel::regs(reg_cache),
@@ -83,7 +83,7 @@ pub struct PreparedLaunch {
 /// kernel over the scores `upload_scores` puts on the device (called for
 /// GAT only — so after `bound` took its cursor: graph buffers → cursor →
 /// scores is the allocation order the sector model sees).
-pub fn fused_kernel(
+pub(crate) fn fused_kernel(
     model: &GnnModel,
     gd: GraphOnDevice,
     bound: BoundLaunch,
@@ -152,7 +152,7 @@ impl WorkSource {
     ///
     /// This is the shared first-level loop used by all warp-per-vertex
     /// kernels (TLPGNN's fused kernels and several variants).
-    pub fn for_each_vertex(
+    pub(crate) fn for_each_vertex(
         &self,
         w: &mut gpu_sim::WarpCtx<'_>,
         n: usize,

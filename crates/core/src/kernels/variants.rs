@@ -702,7 +702,7 @@ mod tests {
             agg: Aggregator::GinSum { eps: 0.0 },
         };
         let p_one = dev.launch(&one, LaunchConfig::warp_per_item(gd.n.div_ceil(32), 128));
-        gd.clear_output(&dev);
+        dev.mem().fill(gd.output, 0.0);
         let half = SubWarpKernel {
             gd,
             agg: Aggregator::GinSum { eps: 0.0 },
@@ -774,7 +774,7 @@ mod tests {
             true,
         );
         let p_fp = dev.launch(&fp, LaunchConfig::warp_per_item(gd.n, 256));
-        gd.clear_output(&dev);
+        dev.mem().fill(gd.output, 0.0);
         let ep = EdgeParallelSecondKernel {
             gd,
             agg: Aggregator::GinSum { eps: 0.0 },

@@ -53,7 +53,7 @@ impl Interconnect {
     /// Modelled time of one transfer of `bytes`, ms: the per-transfer
     /// latency plus the bandwidth term. Zero bytes cost nothing (no
     /// transfer is issued).
-    pub fn transfer_ms(&self, bytes: u64) -> f64 {
+    fn transfer_ms(&self, bytes: u64) -> f64 {
         if bytes == 0 {
             0.0
         } else {
@@ -96,7 +96,7 @@ pub struct MultiGpuProfile {
 
 impl MultiGpuProfile {
     /// Communication time of device `d`, ms.
-    pub fn comm_ms(&self, ic: &Interconnect, d: usize) -> f64 {
+    fn comm_ms(&self, ic: &Interconnect, d: usize) -> f64 {
         ic.transfer_ms(self.halo_bytes[d])
     }
 }

@@ -17,7 +17,6 @@
 //! simulator-vs-hardware correlation gate (ROADMAP item 14).
 
 pub mod baselines;
-pub mod taskpool;
 
 use crate::model::GnnModel;
 use crate::oracle;

@@ -20,7 +20,7 @@ pub fn gcn_norm(g: &Csr) -> Vec<f32> {
 /// One GAT attention projection for a run of rows:
 /// `out[i] = a · x[first + i]`, each a left-to-right sum. [`gat_scores`]
 /// is this over all rows; the native engine chunks it over its pool.
-pub fn gat_project_rows(x: &Matrix, a: &[f32], first: usize, out: &mut [f32]) {
+pub(crate) fn gat_project_rows(x: &Matrix, a: &[f32], first: usize, out: &mut [f32]) {
     assert_eq!(a.len(), x.cols());
     for (i, o) in out.iter_mut().enumerate() {
         *o = x.row(first + i).iter().zip(a).map(|(r, w)| r * w).sum();

@@ -121,7 +121,7 @@ impl BoundLaunch {
     /// Algorithm 1's task pool on an explicit persistent grid `lc`: the
     /// cursor is allocated here (after the graph buffers, before any
     /// kernel-specific ones — addresses feed the sector model).
-    pub fn persistent(dev: &mut Device, lc: LaunchConfig, step: u32, rows: usize) -> Self {
+    pub(crate) fn persistent(dev: &mut Device, lc: LaunchConfig, step: u32, rows: usize) -> Self {
         let cursor = dev.mem_mut().alloc::<u32>(1);
         Self {
             lc,

@@ -158,7 +158,7 @@ impl GcnClassifier {
     }
 
     /// Predicted class per vertex.
-    pub fn predict(&self, x: &Matrix) -> Vec<usize> {
+    fn predict(&self, x: &Matrix) -> Vec<usize> {
         activations::argmax_rows(&self.forward(x))
     }
 
@@ -246,14 +246,8 @@ impl GcnClassifier {
     }
 
     /// One SGD step on masked cross-entropy; returns the epoch stats.
-    pub fn train_epoch(
-        &mut self,
-        x: &Matrix,
-        labels: &[usize],
-        mask: &[bool],
-        lr: f32,
-    ) -> EpochStats {
-        let _span = telemetry::span!("train.epoch", optimizer = "sgd");
+    fn train_epoch(&mut self, x: &Matrix, labels: &[usize], mask: &[bool], lr: f32) -> EpochStats {
+        let _span = telemetry::span!("train.epoch");
         let (g, stats) = self.gradients(x, labels, mask);
         for (w, d) in self.w2.data_mut().iter_mut().zip(g.dw2.data()) {
             *w -= lr * d;
@@ -268,40 +262,6 @@ impl GcnClassifier {
             *b -= lr * d;
         }
         stats
-    }
-
-    /// One Adam step; returns the epoch stats.
-    pub fn train_epoch_adam(
-        &mut self,
-        x: &Matrix,
-        labels: &[usize],
-        mask: &[bool],
-        adam: &mut Adam,
-    ) -> EpochStats {
-        let _span = telemetry::span!("train.epoch", optimizer = "adam");
-        let (g, stats) = self.gradients(x, labels, mask);
-        adam.t += 1;
-        let t = adam.t;
-        adam.w1.step(self.w1.data_mut(), g.dw1.data(), &adam.hp, t);
-        adam.b1.step(&mut self.b1, &g.db1, &adam.hp, t);
-        adam.w2.step(self.w2.data_mut(), g.dw2.data(), &adam.hp, t);
-        adam.b2.step(&mut self.b2, &g.db2, &adam.hp, t);
-        stats
-    }
-
-    /// Train with Adam for `epochs` epochs.
-    pub fn fit_adam(
-        &mut self,
-        x: &Matrix,
-        labels: &[usize],
-        mask: &[bool],
-        epochs: usize,
-        lr: f32,
-    ) -> Vec<EpochStats> {
-        let mut adam = Adam::new(self, lr);
-        (0..epochs)
-            .map(|_| self.train_epoch_adam(x, labels, mask, &mut adam))
-            .collect()
     }
 
     /// Train for `epochs` epochs; returns per-epoch stats.
@@ -325,75 +285,6 @@ struct Grads {
     db1: Vec<f32>,
     dw2: Matrix,
     db2: Vec<f32>,
-}
-
-/// Adam hyper-parameters.
-#[derive(Debug, Clone, Copy)]
-pub struct AdamHyper {
-    /// Learning rate.
-    pub lr: f32,
-    /// First-moment decay.
-    pub beta1: f32,
-    /// Second-moment decay.
-    pub beta2: f32,
-    /// Numerical floor.
-    pub eps: f32,
-}
-
-/// First/second-moment state for one parameter tensor.
-struct AdamSlot {
-    m: Vec<f32>,
-    v: Vec<f32>,
-}
-
-impl AdamSlot {
-    fn new(len: usize) -> Self {
-        Self {
-            m: vec![0.0; len],
-            v: vec![0.0; len],
-        }
-    }
-
-    fn step(&mut self, params: &mut [f32], grads: &[f32], hp: &AdamHyper, t: u64) {
-        let bc1 = 1.0 - hp.beta1.powi(t as i32);
-        let bc2 = 1.0 - hp.beta2.powi(t as i32);
-        for i in 0..params.len() {
-            self.m[i] = hp.beta1 * self.m[i] + (1.0 - hp.beta1) * grads[i];
-            self.v[i] = hp.beta2 * self.v[i] + (1.0 - hp.beta2) * grads[i] * grads[i];
-            let mhat = self.m[i] / bc1;
-            let vhat = self.v[i] / bc2;
-            params[i] -= hp.lr * mhat / (vhat.sqrt() + hp.eps);
-        }
-    }
-}
-
-/// Adam optimizer state for a [`GcnClassifier`].
-pub struct Adam {
-    hp: AdamHyper,
-    t: u64,
-    w1: AdamSlot,
-    b1: AdamSlot,
-    w2: AdamSlot,
-    b2: AdamSlot,
-}
-
-impl Adam {
-    /// Fresh optimizer state for a classifier's parameters.
-    pub fn new(clf: &GcnClassifier, lr: f32) -> Self {
-        Self {
-            hp: AdamHyper {
-                lr,
-                beta1: 0.9,
-                beta2: 0.999,
-                eps: 1e-8,
-            },
-            t: 0,
-            w1: AdamSlot::new(clf.w1.data().len()),
-            b1: AdamSlot::new(clf.b1.len()),
-            w2: AdamSlot::new(clf.w2.data().len()),
-            b2: AdamSlot::new(clf.b2.len()),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -495,42 +386,6 @@ mod tests {
                 "dW1[{i},{j}]: numeric {numeric} vs analytic {analytic}"
             );
         }
-    }
-
-    #[test]
-    fn adam_also_converges_and_faster_per_epoch_count() {
-        use rand::{RngExt, SeedableRng};
-        let mut rng = rand::rngs::StdRng::seed_from_u64(185);
-        let n = 100;
-        let labels: Vec<usize> = (0..n).map(|v| v % 2).collect();
-        let mut b = tlpgnn_graph::GraphBuilder::new(n);
-        for _ in 0..600 {
-            let u = rng.random_range(0..n);
-            let mut v = rng.random_range(0..n);
-            let mut tries = 0;
-            while (labels[v] != labels[u] || v == u) && tries < 50 {
-                v = rng.random_range(0..n);
-                tries += 1;
-            }
-            if u != v {
-                b.add_undirected(u as u32, v as u32);
-            }
-        }
-        let g = b.build();
-        let mut x = Matrix::random(n, 8, 0.5, 186);
-        for v in 0..n {
-            x.row_mut(v)[labels[v]] += 1.0;
-        }
-        let mask = vec![true; n];
-        let mut clf = GcnClassifier::new(g, 8, 8, 2, 187);
-        let stats = clf.fit_adam(&x, &labels, &mask, 40, 0.02);
-        assert!(
-            stats.last().unwrap().loss < stats[0].loss * 0.6,
-            "adam loss did not drop: {} -> {}",
-            stats[0].loss,
-            stats.last().unwrap().loss
-        );
-        assert!(clf.accuracy(&x, &labels, &mask) > 0.85);
     }
 
     #[test]

@@ -57,7 +57,7 @@ impl SectorCache {
     /// up to a power-of-two set count) on its own, so the capacity is
     /// `L2_SLICES ×` one slice's, and slice and in-slice set together are
     /// simply the low bits of the sector id.
-    pub fn sliced(capacity_bytes: usize, sector_bytes: usize) -> Self {
+    pub(crate) fn sliced(capacity_bytes: usize, sector_bytes: usize) -> Self {
         let per_slice = (capacity_bytes / L2_SLICES).max(sector_bytes * WAYS);
         Self::with_sets(L2_SLICES * sets_for(per_slice, sector_bytes))
     }
@@ -81,7 +81,7 @@ impl SectorCache {
     /// Look up a sector; on miss, insert it (allocate-on-miss). Returns
     /// whether the access hit.
     #[inline]
-    pub fn access(&mut self, sector: u64) -> bool {
+    pub(crate) fn access(&mut self, sector: u64) -> bool {
         let base = self.set_of(sector);
         let ways: &mut [u64; WAYS] = (&mut self.tags[base..base + WAYS])
             .try_into()
@@ -123,7 +123,7 @@ impl SectorCache {
     /// must not leave stale data behind). The way is blanked in place, so
     /// the recency order of the set's other ways is untouched.
     #[inline]
-    pub fn invalidate(&mut self, sector: u64) {
+    pub(crate) fn invalidate(&mut self, sector: u64) {
         let base = self.set_of(sector);
         for t in &mut self.tags[base..base + WAYS] {
             if *t == sector {
@@ -201,7 +201,7 @@ mod reference {
             }
         }
 
-        pub fn access(&mut self, sector: u64) -> bool {
+        pub(crate) fn access(&mut self, sector: u64) -> bool {
             self.clock += 1;
             let set = (sector as usize) & (self.num_sets - 1);
             let base = set * WAYS;
@@ -276,7 +276,7 @@ mod reference {
             }
         }
 
-        pub fn access(&mut self, sector: u64) -> bool {
+        pub(crate) fn access(&mut self, sector: u64) -> bool {
             self.shards[(sector as usize) & (L2_SHARDS - 1)].access(sector >> L2_SHARD_BITS)
         }
 

@@ -40,8 +40,6 @@ pub struct DeviceConfig {
     pub l2_bytes: usize,
     /// Bytes per memory sector (minimum DRAM transaction).
     pub sector_bytes: usize,
-    /// Bytes per cache line (4 sectors on Volta).
-    pub line_bytes: usize,
 
     // ---- cost model ----
     /// Core clock in GHz; converts cycles to wall time.
@@ -114,7 +112,6 @@ impl DeviceConfig {
             l1_bytes: 128 * 1024,
             l2_bytes: 6 * 1024 * 1024,
             sector_bytes: 32,
-            line_bytes: 128,
             clock_ghz: 1.38,
             issue_ipc: 2.0,
             l1_latency: 32,
@@ -177,13 +174,8 @@ impl DeviceConfig {
     }
 
     /// Convert a cycle count on this device to milliseconds.
-    pub fn cycles_to_ms(&self, cycles: f64) -> f64 {
+    pub(crate) fn cycles_to_ms(&self, cycles: f64) -> f64 {
         cycles / (self.clock_ghz * 1e9) * 1e3
-    }
-
-    /// Number of sectors per cache line.
-    pub fn sectors_per_line(&self) -> usize {
-        self.line_bytes / self.sector_bytes
     }
 
     /// Maximum number of resident blocks per SM for a kernel using
@@ -212,7 +204,6 @@ mod tests {
     fn v100_shape() {
         let c = DeviceConfig::v100();
         assert_eq!(c.num_sms, 80);
-        assert_eq!(c.sectors_per_line(), 4);
         assert_eq!(c.max_warps_per_sm, 64);
     }
 

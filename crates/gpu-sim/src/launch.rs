@@ -85,7 +85,7 @@ use telemetry::{BlockSlice, KernelSample, SimKernelTimeline, SmTimeline, MAX_BLO
 use tlpgnn_tensor::pool;
 
 use crate::cache::SectorCache;
-use crate::config::{DeviceConfig, WARP_SIZE};
+use crate::config::DeviceConfig;
 use crate::fault::{FaultEvent, FaultKind, LaunchError};
 use crate::kernel::{Kernel, LaunchConfig};
 use crate::log::{Log, Producer};
@@ -203,7 +203,6 @@ impl Executor<'_> {
                     block_idx: block,
                     warp_in_block: warp,
                     warps_per_block: self.warps_per_block,
-                    block_dim: self.warps_per_block * WARP_SIZE,
                 };
                 let mut ctx = WarpCtx::new(
                     self.mem,

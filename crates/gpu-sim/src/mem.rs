@@ -25,7 +25,7 @@ pub const DRAM_ROW_BYTES: u64 = 1024;
 
 /// DRAM row index of a sector id (sectors are `sector_bytes` wide).
 #[inline]
-pub fn dram_row(sector: u64, sector_bytes: usize) -> u64 {
+pub(crate) fn dram_row(sector: u64, sector_bytes: usize) -> u64 {
     sector / (DRAM_ROW_BYTES / sector_bytes as u64).max(1)
 }
 
@@ -144,16 +144,6 @@ impl<T> DeviceBuffer<T> {
     /// Whether the buffer holds zero elements.
     pub fn is_empty(&self) -> bool {
         self.len == 0
-    }
-
-    /// Simulated byte address of element `idx`. Used by the coalescing
-    /// model; panics if out of bounds (a simulated illegal memory access).
-    #[inline]
-    pub fn addr_of(&self, idx: usize) -> u64 {
-        if idx >= self.len {
-            illegal_access(idx, self.len);
-        }
-        self.addr + (idx as u64) * 4
     }
 }
 
@@ -379,17 +369,6 @@ pub(crate) fn atomic_add_u32(word: &AtomicU32, val: u32) -> u32 {
     old
 }
 
-/// Float max returning the previous value (CUDA `atomicMax` on floats).
-#[inline]
-pub(crate) fn atomic_max_f32(word: &AtomicU32, val: f32) -> f32 {
-    let old = f32::from_bits(word.load(Ordering::Relaxed));
-    if old >= val {
-        return old;
-    }
-    word.store(val.to_bits(), Ordering::Relaxed);
-    old
-}
-
 impl Default for DeviceMemory {
     fn default() -> Self {
         Self::new()
@@ -413,15 +392,16 @@ mod tests {
         let a = mem.alloc::<f32>(3);
         let b = mem.alloc::<f32>(3);
         // Different buffers never share a 32-byte sector.
-        assert!(b.addr_of(0) / 32 > a.addr_of(2) / 32);
+        assert!(mem.view(b).at(0).1 / 32 > mem.view(a).at(2).1 / 32);
     }
 
     #[test]
     fn consecutive_elements_share_sectors() {
         let mut mem = DeviceMemory::new();
         let a = mem.alloc::<f32>(64);
-        assert_eq!(a.addr_of(0) / 32, a.addr_of(7) / 32);
-        assert_ne!(a.addr_of(0) / 32, a.addr_of(8) / 32);
+        let sector = |i| mem.view(a).at(i).1 / 32;
+        assert_eq!(sector(0), sector(7));
+        assert_ne!(sector(0), sector(8));
     }
 
     #[test]
@@ -432,17 +412,6 @@ mod tests {
             atomic_add_f32(mem.view(buf).at(0).0, 0.5);
         }
         assert_eq!(mem.read_vec(buf)[0], 50.0);
-    }
-
-    #[test]
-    fn atomic_max_f32() {
-        let mut mem = DeviceMemory::new();
-        let buf = mem.alloc::<f32>(1);
-        mem.write_slice(buf, &[-1.0]);
-        let word = mem.view(buf).at(0).0;
-        assert_eq!(super::atomic_max_f32(word, 3.0), -1.0);
-        assert_eq!(super::atomic_max_f32(word, 2.0), 3.0);
-        assert_eq!(mem.read_vec(buf)[0], 3.0);
     }
 
     #[test]
@@ -522,14 +491,6 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "illegal device memory access")]
-    fn out_of_bounds_addr_panics() {
-        let mut mem = DeviceMemory::new();
-        let a = mem.alloc::<f32>(4);
-        let _ = a.addr_of(4);
-    }
-
-    #[test]
-    #[should_panic(expected = "illegal device memory access")]
     fn out_of_bounds_view_panics() {
         let mut mem = DeviceMemory::new();
         let a = mem.alloc::<f32>(4);
@@ -550,7 +511,7 @@ mod tests {
         let _pad = mem.alloc::<f32>(5);
         let a = mem.alloc_from(&[1.0f32, 2.0, 3.0, 4.0]);
         let (words, addr) = mem.view(a).run(1, 3);
-        assert_eq!(addr, a.addr_of(1));
+        assert_eq!(addr, mem.view(a).at(1).1);
         let vals: Vec<f32> = words
             .iter()
             .map(|w| f32::from_bits(w.load(Ordering::Relaxed)))
@@ -560,12 +521,12 @@ mod tests {
     }
 
     #[test]
-    fn view_addresses_match_addr_of() {
+    fn view_addresses_step_by_element() {
         let mut mem = DeviceMemory::new();
         let _pad = mem.alloc::<f32>(5);
         let a = mem.alloc_from(&[1.0f32, 2.0, 3.0]);
         let (word, addr) = mem.view(a).at(2);
-        assert_eq!(addr, a.addr_of(2));
+        assert_eq!(addr, mem.view(a).at(0).1 + 8);
         assert_eq!(f32::from_bits(word.load(Ordering::Relaxed)), 3.0);
     }
 

@@ -94,7 +94,7 @@ impl SmAccounting {
     /// breakdown — the one place the per-SM cost formula is written (see
     /// the [`launch`](crate::launch) module docs):
     /// `max(issue, bandwidth, latency, critical warp) + scheduling`.
-    pub fn cost(&self, cfg: &DeviceConfig, resident_warps: f64) -> (f64, LimiterBreakdown) {
+    fn cost(&self, cfg: &DeviceConfig, resident_warps: f64) -> (f64, LimiterBreakdown) {
         let terms = LimiterBreakdown {
             issue: self.issue_cycles as f64 / cfg.issue_ipc,
             bandwidth: self.bw_sectors * cfg.sector_bw_cycles,
@@ -219,19 +219,6 @@ impl LimiterBreakdown {
             .max_by(|a, b| finite(a.0).total_cmp(&finite(b.0)))
             .map(|(_, n)| n)
             .unwrap_or("none")
-    }
-
-    /// Every cost-model term as `(name, cycles)`, in declaration order.
-    /// The perf gate records these per workload so a cycle regression can
-    /// be attributed to the term(s) that moved.
-    pub fn terms(&self) -> [(&'static str, f64); 5] {
-        [
-            ("issue", self.issue),
-            ("bandwidth", self.bandwidth),
-            ("latency", self.latency),
-            ("critical_warp", self.critical_warp),
-            ("scheduling", self.scheduling),
-        ]
     }
 }
 
@@ -574,10 +561,6 @@ mod tests {
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), gm.len(), "duplicate gate metric name");
-        // terms() order and values match the named fields.
-        let terms = p.limiter.terms();
-        assert_eq!(terms[0], ("issue", 1.0));
-        assert_eq!(terms[4], ("scheduling", 0.5));
     }
 
     #[test]

@@ -77,7 +77,7 @@ pub struct WarpStats {
 
 impl WarpStats {
     /// Merge another warp's counters into this accumulator.
-    pub fn merge(&mut self, o: &WarpStats) {
+    pub(crate) fn merge(&mut self, o: &WarpStats) {
         self.insts += o.insts;
         self.issue_cycles += o.issue_cycles;
         self.mem_requests += o.mem_requests;
@@ -99,7 +99,7 @@ impl WarpStats {
     /// Total cycles this warp was busy or stalled: its serial execution
     /// time, with outstanding loads overlapped per the device's
     /// memory-level-parallelism factors.
-    pub fn warp_cycles(&self, cfg: &DeviceConfig) -> u64 {
+    pub(crate) fn warp_cycles(&self, cfg: &DeviceConfig) -> u64 {
         self.issue_cycles
             + (self.mem_lat_cycles as f64 / cfg.warp_mlp.max(1.0)) as u64
             + (self.atomic_lat_cycles as f64 / cfg.atomic_mlp.max(1.0)) as u64
@@ -107,7 +107,7 @@ impl WarpStats {
 
     /// Load sectors that had to be serviced below the L1 (consume
     /// interconnect/DRAM bandwidth).
-    pub fn below_l1_sectors(&self) -> u64 {
+    pub(crate) fn below_l1_sectors(&self) -> u64 {
         self.l2_hit_sectors + self.dram_sectors
     }
 
@@ -119,7 +119,7 @@ impl WarpStats {
 
     /// Below-L1 load sectors that crossed a DRAM row boundary: every
     /// below-L1 sector is either a row hit or this.
-    pub fn row_miss_sectors(&self) -> u64 {
+    pub(crate) fn row_miss_sectors(&self) -> u64 {
         self.below_l1_sectors() - self.row_hit_sectors
     }
 }
@@ -133,8 +133,6 @@ pub struct WarpId {
     pub warp_in_block: usize,
     /// Warps per block for this launch.
     pub warps_per_block: usize,
-    /// Threads per block for this launch.
-    pub block_dim: usize,
 }
 
 impl WarpId {
@@ -280,12 +278,6 @@ impl<'a> WarpCtx<'a> {
     #[inline]
     pub fn warps_per_block(&self) -> usize {
         self.id.warps_per_block
-    }
-
-    /// Threads per block.
-    #[inline]
-    pub fn block_dim(&self) -> usize {
-        self.id.block_dim
     }
 
     /// Flat warp index across the grid.
@@ -527,31 +519,6 @@ impl<'a> WarpCtx<'a> {
         old
     }
 
-    /// Warp atomic float max (used by multi-kernel softmax pipelines).
-    pub fn atomic_max_f32(
-        &mut self,
-        buf: DeviceBuffer<f32>,
-        mut lane_op: impl FnMut(usize) -> Option<(usize, f32)>,
-    ) {
-        let view = self.mem.view(buf);
-        let mut sectors: SectorSet = ([0; WARP_SIZE], 0);
-        let mut distinct = 0usize;
-        let mut active = 0usize;
-        for lane in 0..WARP_SIZE {
-            if let Some((idx, v)) = lane_op(lane) {
-                let (word, addr) = view.at(idx);
-                mem::atomic_max_f32(word, v);
-                push_sector(&mut sectors, self.geometry.sector_of(addr));
-                distinct += 1;
-                active += 1;
-            }
-        }
-        self.issue_simd(1, active);
-        if active > 0 {
-            self.account_atomic(&sectors.0[..sectors.1], distinct.min(WARP_SIZE), 1);
-        }
-    }
-
     /// Count an atomic request and hand it on (see [`Self::account_load`]).
     fn account_atomic(&mut self, sectors: &[u64], distinct: usize, conflict: usize) {
         let st = &mut self.stats;
@@ -565,18 +532,12 @@ impl<'a> WarpCtx<'a> {
     // ---- shared memory and barriers ----
 
     /// Raw access to this block's shared memory. The caller is responsible
-    /// for charging requests via [`WarpCtx::charge_shared`]. Warps of one
+    /// for charging requests via [`WarpCtx::shared_access`]. Warps of one
     /// block execute sequentially on the simulated SM, so `&mut` access is
     /// race-free; ordering across warps still requires [`WarpCtx::sync_threads`]
     /// semantics at the algorithm level, as on hardware.
     pub fn shared(&mut self) -> &mut [f32] {
         self.shared
-    }
-
-    /// Charge `requests` shared-memory accesses.
-    pub fn charge_shared(&mut self, requests: u64) {
-        self.stats.issue_cycles += requests * self.cfg.shared_latency;
-        self.stats.insts += requests;
     }
 
     /// Account one warp-wide shared-memory access with bank-conflict
@@ -657,7 +618,6 @@ mod tests {
                 block_idx: 0,
                 warp_in_block: 0,
                 warps_per_block: 1,
-                block_dim: 32,
             };
             let sink = Sink::Log(LogWriter::new(log, self));
             WarpCtx::new(mem, &self.cfg, self.geometry, &mut [], id, sink)
@@ -836,7 +796,7 @@ mod tests {
         }
         let stats = format!("{:?}", r.settle(&mut w));
         let counts = r.counts();
-        let first = buf.addr_of(0) / sector_bytes as u64;
+        let first = mem.view(buf).at(0).1 / sector_bytes as u64;
         let span = (len * 4).div_ceil(sector_bytes) as u64 + 16;
         let mut x = 0x9e37_79b9_7f4a_7c15u64;
         let follow_up = (0..512)

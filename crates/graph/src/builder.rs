@@ -10,7 +10,6 @@ use crate::csr::Csr;
 pub struct GraphBuilder {
     num_vertices: usize,
     edges: Vec<(u32, u32)>,
-    allow_self_loops: bool,
 }
 
 impl GraphBuilder {
@@ -20,14 +19,7 @@ impl GraphBuilder {
         Self {
             num_vertices,
             edges: Vec::new(),
-            allow_self_loops: false,
         }
-    }
-
-    /// Permit self loops (many GNN formulations add them explicitly).
-    pub fn allow_self_loops(mut self, allow: bool) -> Self {
-        self.allow_self_loops = allow;
-        self
     }
 
     /// Number of vertices this builder targets.
@@ -36,14 +28,15 @@ impl GraphBuilder {
     }
 
     /// Add a directed edge `src -> dst`. Out-of-range endpoints panic;
-    /// disallowed self loops are silently dropped (generator convenience).
-    pub fn add_edge(&mut self, src: u32, dst: u32) {
+    /// self loops are silently dropped (generator convenience: a model
+    /// that wants `A + I` adds the self term itself).
+    pub(crate) fn add_edge(&mut self, src: u32, dst: u32) {
         assert!(
             (src as usize) < self.num_vertices && (dst as usize) < self.num_vertices,
             "edge ({src}, {dst}) out of range for {} vertices",
             self.num_vertices
         );
-        if src == dst && !self.allow_self_loops {
+        if src == dst {
             return;
         }
         self.edges.push((src, dst));
@@ -65,16 +58,6 @@ impl GraphBuilder {
     /// Reserve capacity for `n` more edges.
     pub fn reserve(&mut self, n: usize) {
         self.edges.reserve(n);
-    }
-
-    /// Add a self loop on every vertex (GCN's `A + I`).
-    pub fn add_all_self_loops(&mut self) {
-        let was = self.allow_self_loops;
-        self.allow_self_loops = true;
-        for v in 0..self.num_vertices as u32 {
-            self.add_edge(v, v);
-        }
-        self.allow_self_loops = was;
     }
 
     /// Sort, deduplicate, and build the pull-oriented CSR (rows are
@@ -120,25 +103,6 @@ mod tests {
         b.add_edge(0, 0);
         b.add_edge(0, 1);
         assert_eq!(b.build().num_edges(), 1);
-    }
-
-    #[test]
-    fn self_loops_kept_when_allowed() {
-        let mut b = GraphBuilder::new(2).allow_self_loops(true);
-        b.add_edge(0, 0);
-        b.add_edge(0, 1);
-        assert_eq!(b.build().num_edges(), 2);
-    }
-
-    #[test]
-    fn add_all_self_loops_covers_every_vertex() {
-        let mut b = GraphBuilder::new(4);
-        b.add_all_self_loops();
-        let g = b.build();
-        assert_eq!(g.num_edges(), 4);
-        for v in 0..4 {
-            assert_eq!(g.neighbors(v), &[v as u32]);
-        }
     }
 
     #[test]

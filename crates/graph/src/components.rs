@@ -35,7 +35,7 @@ impl UnionFind {
     }
 
     /// Merge the sets of `a` and `b`; returns whether a merge happened.
-    pub fn union(&mut self, a: u32, b: u32) -> bool {
+    fn union(&mut self, a: u32, b: u32) -> bool {
         let (ra, rb) = (self.find(a), self.find(b));
         if ra == rb {
             return false;
@@ -57,7 +57,7 @@ impl UnionFind {
     }
 
     /// Size of `x`'s set.
-    pub fn component_size(&mut self, x: u32) -> usize {
+    fn component_size(&mut self, x: u32) -> usize {
         let r = self.find(x);
         self.size[r as usize] as usize
     }

@@ -187,13 +187,14 @@ impl Csr {
     }
 
     /// Whether edge `src -> dst` exists (binary search on the sorted row).
-    pub fn has_edge(&self, src: u32, dst: u32) -> bool {
+    pub(crate) fn has_edge(&self, src: u32, dst: u32) -> bool {
         (dst as usize) < self.num_vertices
             && self.neighbors(dst as usize).binary_search(&src).is_ok()
     }
 
     /// Sum of degrees squared — a cheap skew indicator used in tests.
-    pub fn degree_second_moment(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn degree_second_moment(&self) -> f64 {
         (0..self.num_vertices)
             .map(|v| {
                 let d = self.degree(v) as f64;

@@ -351,16 +351,6 @@ impl GraphEpoch {
         out
     }
 
-    /// Whether edge `src -> dst` exists in this snapshot.
-    pub fn has_edge(&self, src: u32, dst: u32) -> bool {
-        (dst as usize) < self.num_vertices
-            && merged_row_contains(
-                self.base_row(dst),
-                self.delta.extra.get(&dst).map_or(&[][..], Vec::as_slice),
-                src,
-            )
-    }
-
     /// The overlay feature row for `v`, if one was written this delta
     /// generation (new vertices always have one until folded).
     pub fn feature_row(&self, v: u32) -> Option<&[f32]> {

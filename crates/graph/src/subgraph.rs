@@ -6,7 +6,7 @@
 //! in-edge hops of the targets (multi-source BFS over the pull CSR),
 //! relabels them densely, and keeps the rows of the vertices it expanded
 //! — the small graph a serving batch actually runs
-//! `conv`/`layer_forward` on.
+//! `conv`/`classify_forward` on.
 //!
 //! **One extraction.** [`ego_graph_on`] is the only traversal: it is
 //! generic over a [`Neighborhoods`] row source, and every other

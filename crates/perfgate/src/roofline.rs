@@ -40,7 +40,7 @@ impl BoundClass {
     }
 
     /// The class a cost-model limiter term maps onto.
-    pub fn from_limiter_name(name: &str) -> BoundClass {
+    fn from_limiter_name(name: &str) -> BoundClass {
         match name {
             "issue" => BoundClass::Compute,
             "bandwidth" => BoundClass::Bandwidth,
@@ -93,7 +93,7 @@ impl RooflinePoint {
 }
 
 /// Place one profiled workload on the roofline of `cfg`.
-pub fn classify(id: &str, p: &KernelProfile, cfg: &DeviceConfig) -> RooflinePoint {
+fn classify(id: &str, p: &KernelProfile, cfg: &DeviceConfig) -> RooflinePoint {
     let recomputed_limiter = p.accounting.critical_sm(cfg).1.name();
     let stored_limiter = p.limiter.name().to_string();
     let traffic = p.total_traffic_bytes() as f64;
@@ -136,7 +136,7 @@ pub fn check_agreement(points: &[RooflinePoint]) -> Vec<String> {
 }
 
 /// Serialize the roofline report (`results/roofline.json` layout).
-pub fn report_json(device: &str, points: &[RooflinePoint]) -> Value {
+fn report_json(device: &str, points: &[RooflinePoint]) -> Value {
     let mut arr = Value::array();
     for pt in points {
         let mut o = Value::object();

@@ -152,7 +152,7 @@ pub fn bench_path(dir: &Path, seq: u64) -> PathBuf {
 }
 
 /// Every `BENCH_<seq>.json` in `dir`, ascending by sequence number.
-pub fn scan(dir: &Path) -> Vec<(u64, PathBuf)> {
+fn scan(dir: &Path) -> Vec<(u64, PathBuf)> {
     let mut out = Vec::new();
     let Ok(entries) = std::fs::read_dir(dir) else {
         return out;

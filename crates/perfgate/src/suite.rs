@@ -231,7 +231,7 @@ impl Suite {
     /// *configuration* (not its cost model): schema version, device
     /// geometry, feature width and seed, and the full workload matrix
     /// with generator parameters.
-    pub fn describe(&self) -> String {
+    fn describe(&self) -> String {
         let d = &self.device;
         let mut s = format!(
             "schema={SCHEMA};suite={};device={};sms={};warps_per_sm={};l2={};l1={};feat_dim={};feat_seed={FEAT_SEED:#x}",

@@ -85,7 +85,11 @@ impl<T> BatchQueue<T> {
     /// `on_admit` records (e.g. the `enqueue` trace event) is strictly
     /// ordered before any worker-side event for the same item — pushing
     /// the event after `push` returns would race the worker's `pickup`.
-    pub fn push_with(&self, item: T, on_admit: impl FnOnce(usize)) -> Result<usize, PushError<T>> {
+    pub(crate) fn push_with(
+        &self,
+        item: T,
+        on_admit: impl FnOnce(usize),
+    ) -> Result<usize, PushError<T>> {
         let mut st = self.state.lock().unwrap();
         if st.shutdown {
             return Err(PushError::ShutDown(item));
@@ -150,7 +154,7 @@ impl<T> BatchQueue<T> {
     /// Take every queued item unconditionally, ending with an empty
     /// queue. Final-shutdown cleanup: after the workers are gone, whatever
     /// is left can only be failed back to its callers.
-    pub fn drain_remaining(&self) -> Vec<(T, Instant)> {
+    pub(crate) fn drain_remaining(&self) -> Vec<(T, Instant)> {
         let mut st = self.state.lock().unwrap_or_else(|p| p.into_inner());
         st.items.drain(..).collect()
     }

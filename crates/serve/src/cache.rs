@@ -130,7 +130,7 @@ impl FeatureCache {
     }
 
     /// Hits that served a past-TTL entry (subset of [`hits`](Self::hits)).
-    pub fn stale_hits(&self) -> u64 {
+    pub(crate) fn stale_hits(&self) -> u64 {
         self.stale_hits
     }
 
@@ -175,7 +175,7 @@ impl FeatureCache {
     /// refuse stale service (full-fidelity mode). Counts a hit for fresh
     /// *and* stale outcomes, refreshing recency; stale hits are also
     /// tallied separately.
-    pub fn get_aged(
+    pub(crate) fn get_aged(
         &mut self,
         key: CacheKey,
         ttl: Option<Duration>,
@@ -318,7 +318,7 @@ impl FeatureCache {
     /// entry is keyed there. Mutation invalidation must walk the
     /// out-edge frontier at least this deep — a row cached at depth `h`
     /// has an `h`-hop receptive field regardless of the server's default.
-    pub fn max_hops_at_epoch(&self, epoch: u64) -> Option<u16> {
+    pub(crate) fn max_hops_at_epoch(&self, epoch: u64) -> Option<u16> {
         self.map
             .keys()
             .filter(|k| k.epoch == epoch)

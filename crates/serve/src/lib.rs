@@ -90,9 +90,7 @@ pub mod workload;
 pub use batcher::{BatchQueue, PushError};
 pub use cache::{CacheKey, FeatureCache, Lookup};
 pub use pipeline::ServeStats;
-pub use policy::{
-    CircuitBreaker, DegradationController, DegradationLevel, DegradationPolicy, RetryPolicy,
-};
+pub use policy::{DegradationController, DegradationLevel, DegradationPolicy, RetryPolicy};
 pub use request::{Degradation, GraphMutation, Request, RequestTiming, Response, ServeError};
 pub use server::{GnnServer, ResponseHandle, ServeConfig, ServerStats};
 pub use sharded::{ShardedConfig, ShardedServer, ShardedStats};

@@ -368,19 +368,6 @@ pub struct ServeStats {
     pub halo: HaloStats,
 }
 
-impl ServeStats {
-    /// `cache_hits / (cache_hits + cache_misses)`, or 0.0 before any
-    /// lookup.
-    pub fn cache_hit_rate(&self) -> f64 {
-        let total = self.cache_hits + self.cache_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.cache_hits as f64 / total as f64
-        }
-    }
-}
-
 /// A handle on one submitted request; [`wait`](ResponseHandle::wait)
 /// blocks until the serving worker answers.
 #[derive(Debug)]
@@ -444,7 +431,7 @@ fn ms(d: Duration) -> f64 {
 
 impl<S: GraphSource> Core<S> {
     /// Whether every worker of `lane` has been permanently retired.
-    pub fn is_retired(&self, lane: usize) -> bool {
+    pub(crate) fn is_retired(&self, lane: usize) -> bool {
         self.lanes[lane].live_workers.load(Ordering::Acquire) == 0
     }
 
@@ -452,7 +439,7 @@ impl<S: GraphSource> Core<S> {
     /// that dies while holding the lock may have left a torn write
     /// behind, so the first recovery invalidates that whole cache —
     /// recomputing is cheap, serving a corrupt row is not.
-    pub fn lock_cache(&self, lane: usize) -> MutexGuard<'_, FeatureCache> {
+    pub(crate) fn lock_cache(&self, lane: usize) -> MutexGuard<'_, FeatureCache> {
         let cache = &self.lanes[lane].cache;
         cache.lock().unwrap_or_else(|poisoned| {
             cache.clear_poison();
@@ -568,7 +555,7 @@ impl<S: GraphSource> Core<S> {
     /// After a transient fault on `attempt`: sleep the retry policy's
     /// next backoff (counted under `counter`/`name`, traced as `retry`)
     /// and return true — or false once the budget is spent.
-    pub fn back_off(
+    pub(crate) fn back_off(
         &self,
         batch: &Batch<S::View>,
         attempt: u32,
@@ -1106,7 +1093,7 @@ impl<S: GraphSource> Pipeline<S> {
 
     /// Stop accepting requests, serve everything already queued, join
     /// the workers. Idempotent.
-    pub fn stop_and_join(&mut self) {
+    pub(crate) fn stop_and_join(&mut self) {
         let core = &self.core;
         core.shutting_down.store(true, Ordering::Release);
         for lane in &core.lanes {

@@ -1,6 +1,7 @@
-//! Resilience policies: bounded retry with exponential backoff + jitter,
-//! a per-device circuit breaker, and the load-shedding degradation
-//! ladder.
+//! Resilience policies: bounded retry with exponential backoff + jitter
+//! and the load-shedding degradation ladder. (A slot that keeps dying is
+//! retired by the supervisor's per-slot death count,
+//! [`crate::SupervisorConfig::slot_breaker_threshold`].)
 //!
 //! Everything here is deterministic given its configuration (jitter is
 //! seeded, thresholds are explicit) so the chaos harness can assert exact
@@ -47,7 +48,7 @@ impl RetryPolicy {
     /// The backoff before retry `attempt` (1-based), or `None` when the
     /// retry budget is exhausted. Pure: same policy, same attempt, same
     /// duration.
-    pub fn backoff(&self, attempt: u32) -> Option<Duration> {
+    pub(crate) fn backoff(&self, attempt: u32) -> Option<Duration> {
         if attempt == 0 || attempt > self.max_retries {
             return None;
         }
@@ -85,60 +86,6 @@ fn splitmix64(x: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     z ^ (z >> 31)
-}
-
-/// Per-device circuit breaker: opens after `threshold` consecutive
-/// failures (or an explicit [`trip`](Self::trip) on a permanent fault)
-/// and marks the device out of rotation until reset by a successful
-/// respawn.
-#[derive(Debug)]
-pub struct CircuitBreaker {
-    threshold: u32,
-    consecutive: u32,
-    open: bool,
-}
-
-impl CircuitBreaker {
-    /// A closed breaker that opens after `threshold` consecutive
-    /// failures.
-    pub fn new(threshold: u32) -> Self {
-        Self {
-            threshold: threshold.max(1),
-            consecutive: 0,
-            open: false,
-        }
-    }
-
-    /// Whether the breaker is open (device out of rotation).
-    pub fn is_open(&self) -> bool {
-        self.open
-    }
-
-    /// Record a success; closes nothing (reset is explicit) but clears
-    /// the consecutive-failure count.
-    pub fn record_success(&mut self) {
-        self.consecutive = 0;
-    }
-
-    /// Record a failure; returns whether the breaker is now open.
-    pub fn record_failure(&mut self) -> bool {
-        self.consecutive += 1;
-        if self.consecutive >= self.threshold {
-            self.open = true;
-        }
-        self.open
-    }
-
-    /// Open immediately (permanent fault observed).
-    pub fn trip(&mut self) {
-        self.open = true;
-    }
-
-    /// Close after recovery (e.g. the device was respawned fresh).
-    pub fn reset(&mut self) {
-        self.open = false;
-        self.consecutive = 0;
-    }
 }
 
 /// The degradation ladder, mildest first. Each level includes every
@@ -232,14 +179,14 @@ impl DegradationController {
     }
 
     /// The active level.
-    pub fn level(&self) -> DegradationLevel {
+    pub(crate) fn level(&self) -> DegradationLevel {
         DegradationLevel::from_u8(self.level.load(Ordering::Relaxed))
     }
 
     /// Fold one pressure observation in and return the (possibly new)
     /// active level. `queue_load` and `unhealthy_frac` are fractions in
     /// `[0, 1]`.
-    pub fn update(&self, queue_load: f64, unhealthy_frac: f64) -> DegradationLevel {
+    pub(crate) fn update(&self, queue_load: f64, unhealthy_frac: f64) -> DegradationLevel {
         let pressure = queue_load + unhealthy_frac;
         let current = self.level.load(Ordering::Relaxed);
         let mut next = 0u8;
@@ -325,22 +272,6 @@ mod tests {
         // No deadline: only the budget gates.
         assert!(p.schedule(5, now, None).is_some());
         assert_eq!(p.schedule(6, now, None), None);
-    }
-
-    #[test]
-    fn breaker_opens_and_resets() {
-        let mut b = CircuitBreaker::new(3);
-        assert!(!b.record_failure());
-        assert!(!b.record_failure());
-        b.record_success();
-        assert!(!b.record_failure());
-        assert!(!b.record_failure());
-        assert!(b.record_failure(), "third consecutive opens");
-        assert!(b.is_open());
-        b.reset();
-        assert!(!b.is_open());
-        b.trip();
-        assert!(b.is_open());
     }
 
     #[test]

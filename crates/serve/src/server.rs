@@ -428,16 +428,6 @@ impl GnnServer {
             .fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Requests currently waiting in the queue.
-    pub fn queue_depth(&self) -> usize {
-        self.pipeline.core.lanes[0].queue.len()
-    }
-
-    /// The active degradation level.
-    pub fn degradation_level(&self) -> DegradationLevel {
-        self.pipeline.core.degradation.level()
-    }
-
     /// A snapshot of the server's counters.
     pub fn stats(&self) -> ServerStats {
         ServerStats {
@@ -451,6 +441,14 @@ impl GnnServer {
     pub fn shutdown(mut self) -> ServerStats {
         self.pipeline.stop_and_join();
         self.stats()
+    }
+}
+
+#[cfg(test)]
+impl GnnServer {
+    /// The active degradation level.
+    fn degradation_level(&self) -> DegradationLevel {
+        self.pipeline.core.degradation.level()
     }
 }
 

@@ -441,27 +441,9 @@ impl ShardedServer {
         self.pipeline.core.is_retired(i)
     }
 
-    /// Resident bytes of the largest shard store — the figure a device
-    /// memory budget must cover (standby mirrors included).
-    pub fn max_store_bytes(&self) -> u64 {
-        let stores = &self.pipeline.core.source.stores;
-        stores.iter().map(ShardStore::bytes).max().unwrap_or(0)
-    }
-
-    /// Requests currently queued on `shard`.
-    pub fn queue_depth(&self, shard: usize) -> usize {
-        self.pipeline.core.lanes[shard].queue.len()
-    }
-
     /// Evaluate the global SLO against the current completion window.
     pub fn slo_report(&self) -> SloReport {
         self.pipeline.core.slo.report()
-    }
-
-    /// Evaluate shard `i`'s SLO.
-    pub fn shard_slo_report(&self, i: usize) -> SloReport {
-        let own = self.pipeline.core.lanes[i].own.as_ref();
-        own.expect("every shard has an SLO").1.report()
     }
 
     /// A snapshot of the server's counters.
@@ -474,6 +456,22 @@ impl ShardedServer {
     pub fn shutdown(mut self) -> ShardedStats {
         self.pipeline.stop_and_join();
         self.stats()
+    }
+}
+
+#[cfg(test)]
+impl ShardedServer {
+    /// Resident bytes of the largest shard store — the figure a device
+    /// memory budget must cover (standby mirrors included).
+    fn max_store_bytes(&self) -> u64 {
+        let stores = &self.pipeline.core.source.stores;
+        stores.iter().map(ShardStore::bytes).max().unwrap_or(0)
+    }
+
+    /// Evaluate shard `i`'s SLO.
+    fn shard_slo_report(&self, i: usize) -> SloReport {
+        let own = self.pipeline.core.lanes[i].own.as_ref();
+        own.expect("every shard has an SLO").1.report()
     }
 }
 
@@ -494,8 +492,8 @@ mod tests {
         }
     }
 
-    /// A fast-tick supervisor for fault tests: `budget` respawns, a
-    /// breaker that opens after `breaker` consecutive deaths.
+    /// A fast-tick supervisor for fault tests: `budget` respawns, a slot
+    /// retired at its `breaker`-th death.
     fn fast_supervisor(budget: u32, breaker: u32) -> SupervisorConfig {
         SupervisorConfig {
             max_respawns: budget,

@@ -16,8 +16,6 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
-use crate::policy::CircuitBreaker;
-
 /// How a worker thread ended, as reported by the worker itself.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WorkerExit {
@@ -55,10 +53,11 @@ pub struct SupervisorConfig {
     pub max_respawns: u32,
     /// Monitor poll interval.
     pub monitor_interval: Duration,
-    /// Consecutive deaths after which a slot's circuit breaker opens and
-    /// the slot is retired, even with respawn budget left — a slot that
-    /// keeps dying (bad device, poisoned workload) must not drain the
-    /// whole pool's budget.
+    /// Deaths of one slot at which it is retired, even with respawn
+    /// budget left: a slot that keeps dying (bad device, poisoned
+    /// workload) must not drain the whole pool's budget. Every death of
+    /// the slot counts, over the server's lifetime: a respawn does not
+    /// reset the count. 0 acts as 1.
     pub slot_breaker_threshold: u32,
 }
 
@@ -85,7 +84,7 @@ pub struct HealthSnapshot {
 
 impl HealthSnapshot {
     /// Fraction of the pool out of rotation, in `[0, 1]`.
-    pub fn unhealthy_frac(&self) -> f64 {
+    pub(crate) fn unhealthy_frac(&self) -> f64 {
         if self.slots == 0 {
             0.0
         } else {
@@ -105,7 +104,8 @@ struct Slot {
     generation: u32,
     state: SlotState,
     handle: Option<JoinHandle<WorkerExit>>,
-    breaker: CircuitBreaker,
+    /// Deaths of this slot so far, across all its generations.
+    deaths: u32,
 }
 
 /// Start a worker: `(slot, generation)` → its join handle. Generation 0
@@ -160,7 +160,7 @@ impl Supervisor {
                 generation: 0,
                 state: SlotState::Running,
                 handle: Some(spawn(i, 0)),
-                breaker: CircuitBreaker::new(cfg.slot_breaker_threshold),
+                deaths: 0,
             })
             .collect();
         let inner = Arc::new(Inner {
@@ -203,24 +203,9 @@ impl Supervisor {
         }
     }
 
-    /// Pool health right now.
-    pub fn health(&self) -> HealthSnapshot {
-        health_of(&self.inner)
-    }
-
     /// Respawns performed.
     pub fn respawns(&self) -> u64 {
         self.inner.respawns.load(Ordering::Relaxed)
-    }
-
-    /// Workers that died on a lost device.
-    pub fn lost_devices(&self) -> u64 {
-        self.inner.lost_devices.load(Ordering::Relaxed)
-    }
-
-    /// Workers that died by panic.
-    pub fn panics(&self) -> u64 {
-        self.inner.panics.load(Ordering::Relaxed)
     }
 
     /// Wait until every slot has retired (drained or dead). The work
@@ -243,7 +228,7 @@ impl Supervisor {
 
     /// Stop the monitor and join every remaining worker handle. Call
     /// after [`drain`](Self::drain) for a clean shutdown.
-    pub fn stop(mut self) {
+    pub(crate) fn stop(mut self) {
         self.stop_and_join();
     }
 
@@ -325,11 +310,13 @@ fn poll_once(inner: &Inner) {
         // events leading up to the death.
         telemetry::flight::trigger(&format!("worker_death:{}", cause.label()));
         (inner.on_death)(i, cause);
-        // A slot that keeps dying trips its circuit breaker and is
-        // retired without touching the pool-wide respawn budget.
+        // A slot that keeps dying is retired at its
+        // `slot_breaker_threshold`-th death without touching the pool-wide
+        // respawn budget.
         let tripped = {
             let mut slots = lock_slots(inner);
-            slots[i].breaker.record_failure()
+            slots[i].deaths += 1;
+            slots[i].deaths >= inner.cfg.slot_breaker_threshold.max(1)
         };
         if tripped {
             telemetry::counter_add("serve.supervisor.circuit_open", 1);
@@ -363,6 +350,24 @@ fn poll_once(inner: &Inner) {
             }
             (inner.on_retire)(i);
         }
+    }
+}
+
+#[cfg(test)]
+impl Supervisor {
+    /// Pool health right now.
+    fn health(&self) -> HealthSnapshot {
+        health_of(&self.inner)
+    }
+
+    /// Workers that died on a lost device.
+    fn lost_devices(&self) -> u64 {
+        self.inner.lost_devices.load(Ordering::Relaxed)
+    }
+
+    /// Workers that died by panic.
+    fn panics(&self) -> u64 {
+        self.inner.panics.load(Ordering::Relaxed)
     }
 }
 

@@ -117,11 +117,6 @@ impl ShardPlan {
         self.replicated.binary_search(&v).is_ok()
     }
 
-    /// Whether this plan carries a standby-replica assignment.
-    pub fn has_standby(&self) -> bool {
-        !self.standby.is_empty()
-    }
-
     /// The buddy shard holding a full standby mirror of shard `p`'s
     /// owned range, or `None` when the plan has no standby assignment.
     pub fn buddy_of(&self, p: usize) -> Option<usize> {
@@ -130,7 +125,7 @@ impl ShardPlan {
 
     /// The shard whose owned range shard `b` mirrors (the inverse of
     /// [`buddy_of`](Self::buddy_of)), or `None` without standby.
-    pub fn mirror_source(&self, b: usize) -> Option<usize> {
+    pub(crate) fn mirror_source(&self, b: usize) -> Option<usize> {
         if self.standby.is_empty() {
             None
         } else {
@@ -268,7 +263,6 @@ mod tests {
         let g = generators::rmat_default(400, 3000, 13);
         let plan = ShardPlan::build_with_standby(&g, 4, 8, true);
         plan.validate().unwrap();
-        assert!(plan.has_standby());
         let mut seen = [false; 4];
         for p in 0..4 {
             let b = plan.buddy_of(p).unwrap();
@@ -283,12 +277,15 @@ mod tests {
     fn standby_is_a_noop_without_the_flag_or_at_one_shard() {
         let g = generators::erdos_renyi(100, 700, 3);
         let plain = ShardPlan::build(&g, 4, 8);
-        assert!(!plain.has_standby());
         assert_eq!(plain.buddy_of(0), None);
         assert_eq!(plain.mirror_source(0), None);
         let single = ShardPlan::build_with_standby(&g, 1, 8, true);
         single.validate().unwrap();
-        assert!(!single.has_standby(), "one shard has no buddy to mirror to");
+        assert_eq!(
+            single.buddy_of(0),
+            None,
+            "one shard has no buddy to mirror to"
+        );
     }
 
     #[test]

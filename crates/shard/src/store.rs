@@ -14,7 +14,7 @@ use tlpgnn_tensor::Matrix;
 /// BFS expansion or feature gather touching a hot vertex never leaves
 /// the device.
 ///
-/// Under a standby plan ([`ShardPlan::has_standby`]) the store also
+/// Under a standby plan ([`ShardPlan::buddy_of`]) the store also
 /// carries a full **standby mirror** of one buddy shard's owned range
 /// (adjacency + features, bitwise copies), so the buddy's rows stay
 /// servable after its device is lost. Mirror bytes count against the
@@ -140,18 +140,13 @@ impl ShardStore {
         self.shard
     }
 
-    /// Number of vertices this shard owns.
-    pub fn num_owned(&self) -> usize {
-        (self.end - self.start) as usize
-    }
-
     /// Feature dimensionality.
     pub fn feat_dim(&self) -> usize {
         self.feat_dim
     }
 
     /// Whether this shard owns vertex `v`.
-    pub fn owns(&self, v: u32) -> bool {
+    pub(crate) fn owns(&self, v: u32) -> bool {
         v >= self.start && v < self.end
     }
 
@@ -167,13 +162,8 @@ impl ShardStore {
 
     /// Whether `v` falls in the buddy range this store carries a
     /// standby mirror of. Always false without a standby plan.
-    pub fn mirrors(&self, v: u32) -> bool {
+    pub(crate) fn mirrors(&self, v: u32) -> bool {
         v >= self.mirror_start && v < self.mirror_end
-    }
-
-    /// Vertices in this store's standby mirror (0 without standby).
-    pub fn num_mirrored(&self) -> usize {
-        (self.mirror_end - self.mirror_start) as usize
     }
 
     /// In-neighbor row of `v` (global source ids), from owned storage,
@@ -255,7 +245,10 @@ mod tests {
         let plan = ShardPlan::build(&g, 4, 8);
         let stores = ShardStore::build_all(&g, &x, &plan);
         assert_eq!(stores.len(), 4);
-        let owned_total: usize = stores.iter().map(|s| s.num_owned()).sum();
+        let owned_total: usize = stores
+            .iter()
+            .map(|s| (0..300u32).filter(|&v| s.owns(v)).count())
+            .sum();
         assert_eq!(owned_total, 300);
         for v in 0..300u32 {
             let s = &stores[plan.owner_of(v)];
@@ -307,7 +300,8 @@ mod tests {
         for p in 0..4 {
             let b = plan.buddy_of(p).unwrap();
             let buddy = &stores[b];
-            assert_eq!(buddy.num_mirrored(), stores[p].num_owned());
+            let mirrored = (0..300u32).filter(|&v| buddy.mirrors(v)).count();
+            assert_eq!(mirrored, plan.owned_range(p).len());
             for v in plan.owned_range(p) {
                 let v = v as u32;
                 assert!(buddy.mirrors(v), "buddy {b} must mirror {v}");

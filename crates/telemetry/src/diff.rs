@@ -23,7 +23,7 @@ pub struct MetricDelta {
 
 impl MetricDelta {
     /// Whether the change exceeds `threshold` in magnitude.
-    pub fn exceeds(&self, threshold: f64) -> bool {
+    fn exceeds(&self, threshold: f64) -> bool {
         self.rel_change.abs() > threshold
     }
 }
@@ -46,11 +46,6 @@ impl DiffReport {
             .iter()
             .filter(|d| d.exceeds(self.threshold))
             .collect()
-    }
-
-    /// Whether any watched metric moved beyond the threshold.
-    pub fn has_regressions(&self) -> bool {
-        self.deltas.iter().any(|d| d.exceeds(self.threshold))
     }
 }
 
@@ -126,14 +121,14 @@ mod tests {
     #[test]
     fn within_threshold_passes() {
         let r = diff(&snap(1.00, 4), &snap(1.05, 4), 0.10);
-        assert!(!r.has_regressions(), "{:?}", r.regressions());
+        assert!(r.regressions().is_empty(), "{:?}", r.regressions());
         assert!(r.missing.is_empty());
     }
 
     #[test]
     fn beyond_threshold_flags() {
         let r = diff(&snap(1.00, 4), &snap(1.25, 4), 0.10);
-        assert!(r.has_regressions());
+        assert!(!r.regressions().is_empty());
         let regs = r.regressions();
         // Both mean and p50 of the single-sample histogram moved 25%.
         assert_eq!(regs.len(), 2);
@@ -143,7 +138,7 @@ mod tests {
     #[test]
     fn counter_changes_watched() {
         let r = diff(&snap(1.0, 4), &snap(1.0, 8), 0.10);
-        assert!(r.has_regressions());
+        assert!(!r.regressions().is_empty());
         assert!(r.regressions()[0].metric.contains("launches"));
     }
 
@@ -152,7 +147,7 @@ mod tests {
         // A 50% speedup still trips the diff: the trajectory moved and a
         // human should acknowledge it (re-baseline), same as a regression.
         let r = diff(&snap(2.0, 4), &snap(1.0, 4), 0.10);
-        assert!(r.has_regressions());
+        assert!(!r.regressions().is_empty());
         assert!(r.regressions()[0].rel_change < 0.0);
     }
 
@@ -163,14 +158,14 @@ mod tests {
         let m_new = Metrics::new();
         m_new.gauge_set("g", 3.0);
         let r = diff(&m_old.snapshot(), &m_new.snapshot(), 0.10);
-        assert!(r.has_regressions());
+        assert!(!r.regressions().is_empty());
         assert!(r.deltas[0].rel_change.is_infinite());
     }
 
     #[test]
     fn missing_metrics_reported_not_failed() {
         let r = diff(&snap(1.0, 4), &MetricsSnapshot::default(), 0.10);
-        assert!(!r.has_regressions());
+        assert!(r.regressions().is_empty());
         assert_eq!(r.missing.len(), 3); // counter + hist mean + hist p50
     }
 }

@@ -65,7 +65,7 @@ impl FlightRecorder {
     }
 
     /// The retained events, oldest first (at most `capacity`).
-    pub fn recent(&self) -> Vec<TraceEvent> {
+    fn recent(&self) -> Vec<TraceEvent> {
         let mut with_tickets: Vec<(u64, TraceEvent)> = self
             .slots
             .iter()
@@ -85,7 +85,7 @@ impl FlightRecorder {
     }
 
     /// The dump document for `reason`, without writing it.
-    pub fn dump_json(&self, reason: &str) -> Value {
+    fn dump_json(&self, reason: &str) -> Value {
         let events = self.recent();
         let total = self.tickets.load(Ordering::SeqCst);
         let mut evs = Value::array();
@@ -128,7 +128,7 @@ impl FlightRecorder {
     }
 
     /// Write the dump document for `reason` to an explicit path.
-    pub fn dump_to(&self, reason: &str, path: &Path) -> std::io::Result<()> {
+    fn dump_to(&self, reason: &str, path: &Path) -> std::io::Result<()> {
         if let Some(dir) = path.parent() {
             if !dir.as_os_str().is_empty() {
                 std::fs::create_dir_all(dir)?;

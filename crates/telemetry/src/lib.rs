@@ -124,7 +124,7 @@ impl Collector {
     }
 
     /// Allocate a unique span id.
-    pub fn alloc_span_id(&self) -> u64 {
+    pub(crate) fn alloc_span_id(&self) -> u64 {
         self.next_span_id.fetch_add(1, Ordering::Relaxed)
     }
 
@@ -140,7 +140,7 @@ impl Collector {
 
     /// Store a completed causal chain (called by
     /// [`trace::TraceContext::finish`]).
-    pub fn record_trace(&self, chain: TraceChain) {
+    pub(crate) fn record_trace(&self, chain: TraceChain) {
         self.metrics.counter_add("telemetry.self.traces", 1);
         self.metrics
             .counter_add("telemetry.self.trace_events", chain.events.len() as u64);
@@ -149,7 +149,7 @@ impl Collector {
 
     /// Remember a display name for a telemetry thread id (the Chrome
     /// trace exporter renders it as the track name).
-    pub fn register_thread_name(&self, tid: u64, name: &str) {
+    fn register_thread_name(&self, tid: u64, name: &str) {
         self.thread_names
             .lock()
             .unwrap()
@@ -157,7 +157,7 @@ impl Collector {
     }
 
     /// Clone of the tid → display-name map.
-    pub fn thread_names_snapshot(&self) -> BTreeMap<u64, String> {
+    pub(crate) fn thread_names_snapshot(&self) -> BTreeMap<u64, String> {
         self.thread_names.lock().unwrap().clone()
     }
 
@@ -210,7 +210,7 @@ impl Collector {
     }
 
     /// Clone of every completed causal chain so far.
-    pub fn traces_snapshot(&self) -> Vec<TraceChain> {
+    pub(crate) fn traces_snapshot(&self) -> Vec<TraceChain> {
         self.traces.lock().unwrap().clone()
     }
 

@@ -390,7 +390,7 @@ mod tests {
         let roundtrip =
             MetricsSnapshot::from_json_str(&m2.snapshot().to_json().to_string()).unwrap();
         let report = crate::diff::diff(&full.snapshot(), &roundtrip, 0.10);
-        assert!(!report.has_regressions());
+        assert!(report.regressions().is_empty());
         assert_eq!(report.missing, vec!["gauge.lat.p50 (only in old)"]);
     }
 

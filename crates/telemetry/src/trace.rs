@@ -44,7 +44,7 @@ pub struct TraceEvent {
 
 impl TraceEvent {
     /// Whether this event kind terminates a chain.
-    pub fn is_terminal(&self) -> bool {
+    fn is_terminal(&self) -> bool {
         TERMINAL_KINDS.contains(&self.kind)
     }
 }
@@ -65,11 +65,6 @@ pub struct TraceChain {
 }
 
 impl TraceChain {
-    /// The terminal event, if the chain has one.
-    pub fn terminal(&self) -> Option<&TraceEvent> {
-        self.events.iter().find(|e| e.is_terminal())
-    }
-
     /// Timestamp-free canonical rendering, identical across same-seed
     /// runs: `id=3 submit(targets=1 hops=exact) pickup(batch=1) response(ok)`.
     pub fn canonical(&self) -> String {

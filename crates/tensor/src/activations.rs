@@ -25,14 +25,8 @@ pub fn relu(m: &mut Matrix) {
     );
 }
 
-/// LeakyReLU in place (GAT's edge-score activation uses slope 0.2).
-pub fn leaky_relu(m: &mut Matrix, slope: f32) {
-    for v in m.data_mut() {
-        *v = leaky_relu_scalar(*v, slope);
-    }
-}
-
-/// Scalar LeakyReLU (used inside fused kernels).
+/// Scalar LeakyReLU (GAT's edge-score activation, slope 0.2, inside the
+/// fused kernels).
 #[inline]
 pub fn leaky_relu_scalar(x: f32, slope: f32) -> f32 {
     if x >= 0.0 {
@@ -119,10 +113,8 @@ mod tests {
 
     #[test]
     fn leaky_relu_scales_negatives() {
-        let mut m = Matrix::from_vec(1, 2, vec![-1.0, 2.0]);
-        leaky_relu(&mut m, 0.2);
-        assert_eq!(m.data(), &[-0.2, 2.0]);
         assert_eq!(leaky_relu_scalar(-1.0, 0.2), -0.2);
+        assert_eq!(leaky_relu_scalar(2.0, 0.2), 2.0);
     }
 
     #[test]

@@ -133,11 +133,6 @@ impl Matrix {
     pub fn all_finite(&self) -> bool {
         self.data.iter().all(|v| v.is_finite())
     }
-
-    /// Frobenius norm.
-    pub fn frobenius(&self) -> f32 {
-        self.data.iter().map(|v| v * v).sum::<f32>().sqrt()
-    }
 }
 
 #[cfg(test)]
@@ -181,11 +176,5 @@ mod tests {
     #[should_panic(expected = "shape/buffer mismatch")]
     fn from_vec_validates() {
         let _ = Matrix::from_vec(2, 2, vec![0.0; 3]);
-    }
-
-    #[test]
-    fn frobenius_matches_hand_value() {
-        let m = Matrix::from_vec(1, 2, vec![3.0, 4.0]);
-        assert!((m.frobenius() - 5.0).abs() < 1e-6);
     }
 }

@@ -190,7 +190,7 @@ pub fn matmul(a: &Matrix, b: &Matrix) -> Matrix {
 /// `[a1 | a2] @ b` without building `[a1 | a2]`: k walks `a1`'s columns,
 /// then `a2`'s, so the result is bit-for-bit
 /// `matmul(&concat_cols(a1, a2), b)`.
-pub fn matmul_concat(a1: &Matrix, a2: &Matrix, b: &Matrix) -> Matrix {
+pub(crate) fn matmul_concat(a1: &Matrix, a2: &Matrix, b: &Matrix) -> Matrix {
     matmul_parts(&[a1, a2], b, has_avx2())
 }
 
