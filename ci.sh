@@ -105,13 +105,24 @@ fi
 # that no caller set to anything but their default became constants
 # where they are read, with the code paths only another value reached
 # (the packed narrow-feature conv, the forced assignment, respawns on a
-# faulty device). None comes back as a field or a struct-literal entry.
-if grep -rnE --include='*.rs' '^\s*(pub(\(crate\))? )?(pack_narrow_features|force_assignment|respawn_healthy|attribution_floor|jitter_frac|unhealthy_weight|sample_seed|model_version|engine_options|allow_self_loops)\s*:' crates; then
+# faulty device, the cache TTL). None comes back as a field or a
+# struct-literal entry.
+if grep -rnE --include='*.rs' '^\s*(pub(\(crate\))? )?(pack_narrow_features|force_assignment|respawn_healthy|attribution_floor|jitter_frac|unhealthy_weight|sample_seed|model_version|engine_options|allow_self_loops|cache_ttl|stale_grace|sample_fanout)\s*:' crates; then
   echo "one home: a one-valued option is back as a field in crates/ (it is a constant where it is read)" >&2
   exit 1
 fi
-# Public means called: every `pub fn` under crates/<c>/src (each file cut
-# at its first #[cfg(test)]; src/bin/ targets are crates of their own) is
+# Cache rows do not age: a key fixes vertex, epoch, depth and shard, and
+# a mutation evicts every row it reaches, so a row is exact for as long
+# as it is cached. The TTL lookup, the stale-cache flag and the ladder
+# rung that served past-TTL rows stay deleted, and the ladder's
+# thresholds stay one const table in crates/serve/src/policy.rs.
+if grep -rnE --include='*.rs' 'StaleOk|stale_cache|get_aged|cache_stale_hits|DegradationPolicy' crates; then
+  echo "one home: the cache TTL path or a settable ladder policy is back in crates/ (cache rows do not age)" >&2
+  exit 1
+fi
+# Public means called: every `pub fn` under crates/<c>/src (comments,
+# string literals and each #[cfg(test)] item, braces balanced, removed;
+# src/bin/ targets are crates of their own) is
 # named in some tracked .rs file outside that crate's src/ — another
 # crate, a tests/ or examples/ file, a bin target, benchmark/ — counting
 # code only (// comments and string literals removed). A function nothing
@@ -137,13 +148,12 @@ uncalled="$(git ls-files '*.rs' | ALLOW="${public_fn_allowlist}" perl -e '
     my $src = do { local $/; <$fh> };
     my ($home) = $file =~ m{^crates/([^/]+)/src/(?!bin/)};
     $home //= "";
+    $src =~ s{//[^\n]*|(?<!\w)b?r(#*)".*?"\1|b?"(?:[^"\\]|\\.)*"|b?\x27(?:[^\x27\\]|\\.)\x27}{ }gs;
     if ($home) {
-      (my $decl = $src) =~ s/^\s*#\[cfg\(test\)\].*//ms;
-      $decl =~ s{//[^\n]*}{}g;
+      (my $decl = $src) =~ s/#\[cfg\(test\)\][^{;]*(?:;|(\{(?:[^{}]++|(?-1))*+\}))//g;
       push @pairs, grep { !$seen{$_}++ }
         map { "${home}::$_" } $decl =~ /^\s*pub\s+(?:const\s+|unsafe\s+)*fn\s+(\w+)/mg;
     }
-    $src =~ s{//[^\n]*|(?<!\w)b?r(#*)".*?"\1|b?"(?:[^"\\]|\\.)*"|b?\x27(?:[^\x27\\]|\\.)\x27}{ }gs;
     $owner{$_}{$home} = 1 for $src =~ /[A-Za-z_]\w*/g;
   }
   for my $pair (@pairs) {

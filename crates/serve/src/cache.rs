@@ -5,9 +5,14 @@
 //! repeats skip ego-graph extraction *and* the engine forward pass. Keys
 //! carry the layer index and extraction depth, so a row is only ever
 //! served to a lookup that would have computed it the same way.
+//!
+//! Rows do not age. A key fixes the vertex, graph epoch, depth and
+//! shard, and [`FeatureCache::invalidate_mutated`] evicts every row a
+//! mutation reaches, so a cached row is bitwise the row a fresh
+//! computation would return for as long as it is cached: the cache
+//! reads no clock, and a hit is never a degraded answer.
 
 use std::collections::{BTreeMap, HashMap};
-use std::time::{Duration, Instant};
 
 /// Cache key: which embedding this is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -49,25 +54,11 @@ pub struct CacheKey {
 struct Entry {
     row: Vec<f32>,
     stamp: u64,
-    inserted: Instant,
-}
-
-/// The outcome of a TTL-aware lookup ([`FeatureCache::get_aged`]).
-#[derive(Debug, PartialEq)]
-pub enum Lookup<'a> {
-    /// Present and within its TTL.
-    Fresh(&'a [f32]),
-    /// Present but past its TTL, within the stale grace window — usable
-    /// only under degraded service, and the response must say so.
-    Stale(&'a [f32]),
-    /// Absent, or expired beyond the grace window (expired entries are
-    /// dropped on lookup).
-    Miss,
 }
 
 /// An LRU map from [`CacheKey`] to an embedding row, with hit/miss
-/// accounting. A capacity of 0 disables caching (every lookup misses,
-/// inserts are dropped).
+/// accounting. Recency is a logical counter, not a clock. A capacity of
+/// 0 disables caching (every lookup misses, inserts are dropped).
 pub struct FeatureCache {
     capacity: usize,
     map: HashMap<CacheKey, Entry>,
@@ -79,7 +70,6 @@ pub struct FeatureCache {
     hits: u64,
     misses: u64,
     evictions: u64,
-    stale_hits: u64,
     mutation_evictions: u64,
 }
 
@@ -94,7 +84,6 @@ impl FeatureCache {
             hits: 0,
             misses: 0,
             evictions: 0,
-            stale_hits: 0,
             mutation_evictions: 0,
         }
     }
@@ -127,11 +116,6 @@ impl FeatureCache {
     /// Entries evicted to make room.
     pub fn evictions(&self) -> u64 {
         self.evictions
-    }
-
-    /// Hits that served a past-TTL entry (subset of [`hits`](Self::hits)).
-    pub(crate) fn stale_hits(&self) -> u64 {
-        self.stale_hits
     }
 
     /// `hits / (hits + misses)`, or 0.0 before any lookup.
@@ -168,58 +152,6 @@ impl FeatureCache {
         }
     }
 
-    /// TTL-aware lookup. `ttl` of `None` means entries never go stale
-    /// (equivalent to [`get`](Self::get)); otherwise entries older than
-    /// `ttl` are [`Lookup::Stale`] up to `ttl + stale_grace` and dropped
-    /// (a miss) beyond that. Pass `stale_grace = Duration::ZERO` to
-    /// refuse stale service (full-fidelity mode). Counts a hit for fresh
-    /// *and* stale outcomes, refreshing recency; stale hits are also
-    /// tallied separately.
-    pub(crate) fn get_aged(
-        &mut self,
-        key: CacheKey,
-        ttl: Option<Duration>,
-        stale_grace: Duration,
-    ) -> Lookup<'_> {
-        if self.capacity == 0 {
-            self.misses += 1;
-            return Lookup::Miss;
-        }
-        let Some(entry) = self.map.get(&key) else {
-            self.misses += 1;
-            return Lookup::Miss;
-        };
-        let fresh = match ttl {
-            None => true,
-            Some(t) => {
-                let age = entry.inserted.elapsed();
-                if age > t + stale_grace {
-                    // Expired beyond grace: drop it so it cannot linger
-                    // as a permanently-stale LRU resident.
-                    let stamp = entry.stamp;
-                    self.map.remove(&key);
-                    self.lru.remove(&stamp);
-                    self.misses += 1;
-                    return Lookup::Miss;
-                }
-                age <= t
-            }
-        };
-        self.clock += 1;
-        let clock = self.clock;
-        let entry = self.map.get_mut(&key).expect("entry checked above");
-        self.lru.remove(&entry.stamp);
-        entry.stamp = clock;
-        self.lru.insert(clock, key);
-        self.hits += 1;
-        if fresh {
-            Lookup::Fresh(&entry.row)
-        } else {
-            self.stale_hits += 1;
-            Lookup::Stale(&entry.row)
-        }
-    }
-
     /// Insert (or refresh) an embedding row, evicting the least recently
     /// used entry if at capacity. No-op when the cache is disabled.
     pub fn insert(&mut self, key: CacheKey, row: Vec<f32>) {
@@ -232,7 +164,6 @@ impl FeatureCache {
             self.lru.remove(&entry.stamp);
             entry.stamp = clock;
             entry.row = row;
-            entry.inserted = Instant::now();
             self.lru.insert(clock, key);
             return;
         }
@@ -242,14 +173,7 @@ impl FeatureCache {
                 self.evictions += 1;
             }
         }
-        self.map.insert(
-            key,
-            Entry {
-                row,
-                stamp: clock,
-                inserted: Instant::now(),
-            },
-        );
+        self.map.insert(key, Entry { row, stamp: clock });
         self.lru.insert(clock, key);
     }
 
@@ -411,48 +335,6 @@ mod tests {
     fn hit_rate_defined_before_any_lookup() {
         let c = FeatureCache::new(4);
         assert_eq!(c.hit_rate(), 0.0);
-    }
-
-    #[test]
-    fn aged_lookup_without_ttl_is_always_fresh() {
-        let mut c = FeatureCache::new(4);
-        c.insert(key(1), vec![1.0]);
-        assert_eq!(
-            c.get_aged(key(1), None, Duration::ZERO),
-            Lookup::Fresh(&[1.0][..])
-        );
-        assert_eq!(c.get_aged(key(2), None, Duration::ZERO), Lookup::Miss);
-        assert_eq!((c.hits(), c.misses(), c.stale_hits()), (1, 1, 0));
-    }
-
-    #[test]
-    fn zero_ttl_entries_are_stale_within_grace() {
-        let mut c = FeatureCache::new(4);
-        c.insert(key(1), vec![1.0]);
-        // TTL 0: any age is past TTL; a generous grace serves it stale.
-        assert_eq!(
-            c.get_aged(key(1), Some(Duration::ZERO), Duration::from_secs(3600)),
-            Lookup::Stale(&[1.0][..])
-        );
-        assert_eq!((c.hits(), c.stale_hits()), (1, 1));
-        // Zero grace refuses stale service and drops the entry.
-        assert_eq!(
-            c.get_aged(key(1), Some(Duration::ZERO), Duration::ZERO),
-            Lookup::Miss
-        );
-        assert_eq!(c.len(), 0, "expired entry dropped on lookup");
-    }
-
-    #[test]
-    fn reinsert_refreshes_age() {
-        let mut c = FeatureCache::new(4);
-        c.insert(key(1), vec![1.0]);
-        c.insert(key(1), vec![2.0]);
-        // A long TTL keeps a just-(re)inserted entry fresh.
-        assert_eq!(
-            c.get_aged(key(1), Some(Duration::from_secs(3600)), Duration::ZERO),
-            Lookup::Fresh(&[2.0][..])
-        );
     }
 
     #[test]

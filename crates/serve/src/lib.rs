@@ -20,7 +20,9 @@
 //!   request ([`pipeline`]).
 //! * An **LRU feature cache** keyed by
 //!   `(vertex, layer, hops, version, shard, epoch)` lets hot
-//!   vertices skip extraction and recomputation entirely ([`cache`]).
+//!   vertices skip extraction and recomputation entirely. Rows do not
+//!   age: the key pins the epoch and mutations evict what they reach,
+//!   so a hit is always exact ([`cache`]).
 //! * **Streaming graph mutations**: [`server::GnnServer::mutate`] applies
 //!   atomic batches of edge/vertex insertions and feature updates against
 //!   an epoch-versioned delta overlay (`tlpgnn_graph::DeltaGraph`).
@@ -34,10 +36,13 @@
 //! * **Resilience** against injected device faults (`gpu_sim::FaultPlan`):
 //!   per-request deadlines, bounded retry with seeded exponential backoff
 //!   ([`policy`]), worker supervision with exactly-once batch requeueing
-//!   ([`supervisor`]), and a load-shedding degradation ladder whose
-//!   responses are explicitly flagged ([`request::Degradation`]). The
-//!   fault-handling contract is written once, in the [`pipeline`] module
-//!   docs.
+//!   ([`supervisor`]), and a load-shedding degradation ladder —
+//!   sampled extraction, then one hop less, then shedding, at fixed
+//!   pressure thresholds — whose approximate responses are explicitly
+//!   flagged ([`request::Degradation`]). The supervisor and the ladder
+//!   are internal; callers tune supervision through
+//!   [`SupervisorConfig`]. The fault-handling contract is written once,
+//!   in the [`pipeline`] module docs.
 //! * **Sharded serving** for graphs larger than one device: a
 //!   [`sharded::ShardedServer`] partitions the graph across N simulated
 //!   devices (`tlpgnn_shard`), routes each request to the shard owning
@@ -88,11 +93,11 @@ pub mod supervisor;
 pub mod workload;
 
 pub use batcher::{BatchQueue, PushError};
-pub use cache::{CacheKey, FeatureCache, Lookup};
+pub use cache::{CacheKey, FeatureCache};
 pub use pipeline::ServeStats;
-pub use policy::{DegradationController, DegradationLevel, DegradationPolicy, RetryPolicy};
+pub use policy::RetryPolicy;
 pub use request::{Degradation, GraphMutation, Request, RequestTiming, Response, ServeError};
 pub use server::{GnnServer, ResponseHandle, ServeConfig, ServerStats};
 pub use sharded::{ShardedConfig, ShardedServer, ShardedStats};
-pub use supervisor::{DeathCause, HealthSnapshot, Supervisor, SupervisorConfig, WorkerExit};
+pub use supervisor::SupervisorConfig;
 pub use workload::ZipfSampler;

@@ -29,19 +29,19 @@
 //!   with [`ServeError::DeviceFault`]. A source may retry its extraction
 //!   under the same policy.
 //! * **Worker death** (lost device or panic) is detected by the
-//!   [`Supervisor`]: the dead worker's parked batch is salvaged *exactly
-//!   once* to the lane its source names (a second death, or no lane to
-//!   go to, fails those requests with [`ServeError::WorkerLost`]) and the
-//!   worker is respawned within a bounded budget — on a fresh fault-free
-//!   device by default. A lane whose workers are all retired is flagged,
-//!   and its source routes around it.
-//! * **Degradation ladder** ([`DegradationController`]): under pressure
-//!   (deep queues and/or dead workers) workers first serve stale cache
-//!   entries, then sample, then truncate extraction depth — as far as the
-//!   source supports — and finally `submit` sheds new load. Degraded
-//!   responses are flagged ([`Degradation`]); truncated outputs cache
-//!   under their own depth key, approximate (sampled or partial) rows are
-//!   never cached.
+//!   [supervisor](crate::supervisor): the dead worker's parked batch is
+//!   salvaged *exactly once* to the lane its source names (a second
+//!   death, or no lane to go to, fails those requests with
+//!   [`ServeError::WorkerLost`]) and the worker is respawned within a
+//!   bounded budget — on a fresh fault-free device by default. A lane
+//!   whose workers are all retired is flagged, and its source routes
+//!   around it.
+//! * **Degradation ladder** ([`crate::policy`]): under pressure (deep
+//!   queues and/or dead workers) workers first sample, then truncate
+//!   extraction depth — as far as the source supports — and finally
+//!   `submit` sheds new load. Degraded responses are flagged
+//!   ([`Degradation`]); truncated outputs cache under their own depth
+//!   key, approximate (sampled or partial) rows are never cached.
 //! * A worker panic while holding a lane's cache lock poisons it;
 //!   `Core::lock_cache` recovers the lock and invalidates that cache
 //!   once, so a torn write can never be served.
@@ -62,10 +62,10 @@ use tlpgnn_shard::HaloStats;
 use tlpgnn_tensor::Matrix;
 
 use crate::batcher::{BatchQueue, PushError};
-use crate::cache::{CacheKey, FeatureCache, Lookup};
+use crate::cache::{CacheKey, FeatureCache};
 use crate::policy::{DegradationController, DegradationLevel};
 use crate::request::{Degradation, Request, RequestTiming, Response, ServeError};
-use crate::server::ServeConfig;
+use crate::server::{ServeConfig, SAMPLE_FANOUT};
 use crate::supervisor::{DeathCause, HealthSnapshot, Supervisor, WorkerExit};
 
 /// Model version stamped into every cache key: a server holds one
@@ -121,7 +121,7 @@ pub(crate) struct ExtractJob<'a, V> {
     /// Unique cache-miss targets, first-occurrence order.
     pub misses: &'a [u32],
     pub hops: usize,
-    /// Cap expanded rows at `ServeConfig::sample_fanout` seeded-sampled
+    /// Cap expanded rows at [`SAMPLE_FANOUT`] seeded-sampled
     /// in-neighbors (the `Sampled` rung).
     pub sampled: bool,
 }
@@ -302,6 +302,8 @@ counters! {
 /// Counter snapshot of a running (or stopped) server. Both servers
 /// report this one struct; a counter whose machinery a server lacks (halo
 /// exchange on one device, mutations on the sharded tier) reads zero.
+/// A cache hit serves an exact row, so `degraded` counts only responses
+/// computed from a sampled, truncated or partial receptive field.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ServeStats {
     /// Requests answered with a [`Response`].
@@ -318,8 +320,6 @@ pub struct ServeStats {
     pub cache_misses: u64,
     /// Feature-cache evictions.
     pub cache_evictions: u64,
-    /// Cache hits that served a past-TTL entry under degraded service.
-    pub cache_stale_hits: u64,
     /// Requests shed with [`ServeError::DeadlineExceeded`].
     pub deadline_exceeded: u64,
     /// Batch forward-pass retries after transient device faults.
@@ -547,7 +547,6 @@ impl<S: GraphSource> Core<S> {
             stats.cache_hits += cache.hits();
             stats.cache_misses += cache.misses();
             stats.cache_evictions += cache.evictions();
-            stats.cache_stale_hits += cache.stale_hits();
         }
         stats
     }
@@ -760,12 +759,12 @@ impl<S: GraphSource> Core<S> {
             });
         }
         // The Sampled rung: full depth, but each expanded row is capped
-        // to `sample_fanout` seeded-sampled in-neighbors. ReducedHops and
+        // to `SAMPLE_FANOUT` seeded-sampled in-neighbors. ReducedHops and
         // above supersede it (hop truncation is the stronger measure).
-        let sampling = level == DegradationLevel::Sampled && cfg.sample_fanout > 0 && hops > 0;
+        let sampling = level == DegradationLevel::Sampled && hops > 0;
         if sampling {
             trace_all(&batch, "ladder", || {
-                format!("level=sampled fanout={}", cfg.sample_fanout)
+                format!("level=sampled fanout={SAMPLE_FANOUT}")
             });
         }
         let key = |vertex: u32| CacheKey {
@@ -777,31 +776,19 @@ impl<S: GraphSource> Core<S> {
             epoch,
         };
 
-        // Cache pass: pull every hit, collect the misses. Past-TTL
-        // entries count as hits only when the ladder permits stale
-        // service.
+        // Cache pass: pull every hit, collect the misses.
         let mut rows: HashMap<u32, Vec<f32>> = HashMap::with_capacity(uniq.len());
         let mut miss_targets: Vec<u32> = Vec::new();
-        let mut stale_targets: HashSet<u32> = HashSet::new();
         {
             let _span = telemetry::span!("serve.cache_lookup", targets = uniq.len());
-            let grace = if level >= DegradationLevel::StaleOk {
-                cfg.stale_grace
-            } else {
-                Duration::ZERO
-            };
             let mut cache = self.lock_cache(lane_idx);
             let hits_before = cache.hits();
             for &t in &uniq {
-                match cache.get_aged(key(t), cfg.cache_ttl, grace) {
-                    Lookup::Fresh(row) => {
+                match cache.get(key(t)) {
+                    Some(row) => {
                         rows.insert(t, row.to_vec());
                     }
-                    Lookup::Stale(row) => {
-                        rows.insert(t, row.to_vec());
-                        stale_targets.insert(t);
-                    }
-                    Lookup::Miss => miss_targets.push(t),
+                    None => miss_targets.push(t),
                 }
             }
             telemetry::counter_add(&m.cache_hits, cache.hits() - hits_before);
@@ -812,13 +799,8 @@ impl<S: GraphSource> Core<S> {
         for (p, _) in &batch {
             p.trace.push("cache", || {
                 let targets = &p.request.targets;
-                let stale = targets.iter().filter(|t| stale_targets.contains(t)).count();
                 let hits = targets.iter().filter(|t| rows.contains_key(t)).count();
-                format!(
-                    "hits={} stale={stale} miss={}",
-                    hits - stale,
-                    targets.len() - hits
-                )
+                format!("hits={hits} miss={}", targets.len() - hits)
             });
         }
 
@@ -950,7 +932,6 @@ impl<S: GraphSource> Core<S> {
                 cache_hits: targets.len() - computed,
             };
             let degraded = Degradation {
-                stale_cache: targets.iter().any(|t| stale_targets.contains(t)),
                 // Under reduction every row this batch serves — computed
                 // or cache-hit — is at the truncated depth; flag any
                 // request that asked for more.
@@ -971,11 +952,8 @@ impl<S: GraphSource> Core<S> {
                 }
                 p.trace.push("degrade", || {
                     format!(
-                        "stale_cache={} reduced_hops={} sampled={} partial={}",
-                        degraded.stale_cache,
-                        degraded.reduced_hops,
-                        degraded.sampled,
-                        degraded.partial
+                        "reduced_hops={} sampled={} partial={}",
+                        degraded.reduced_hops, degraded.sampled, degraded.partial
                     )
                 });
             }
@@ -1052,7 +1030,7 @@ impl<S: GraphSource> Pipeline<S> {
             per_slot_fault,
             lanes,
             in_flight: (0..slots).map(|_| Mutex::new(None)).collect(),
-            degradation: DegradationController::new(cfg.degradation.clone()),
+            degradation: DegradationController::new(),
             shutting_down: Arc::new(AtomicBool::new(false)),
             names: Names::new(&cfg.metrics_prefix),
             next_trace: AtomicU64::new(0),

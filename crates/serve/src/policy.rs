@@ -1,11 +1,12 @@
 //! Resilience policies: bounded retry with exponential backoff + jitter
-//! and the load-shedding degradation ladder. (A slot that keeps dying is
-//! retired by the supervisor's per-slot death count,
+//! and the load-shedding degradation ladder, Normal → Sampled →
+//! ReducedHops → Shed, whose thresholds are one const table. (A slot
+//! that keeps dying is retired by the supervisor's per-slot death count,
 //! [`crate::SupervisorConfig::slot_breaker_threshold`].)
 //!
 //! Everything here is deterministic given its configuration (jitter is
-//! seeded, thresholds are explicit) so the chaos harness can assert exact
-//! behaviour across runs.
+//! seeded, thresholds are constants) so the chaos harness can assert
+//! exact behaviour across runs.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::time::{Duration, Instant};
@@ -89,20 +90,18 @@ fn splitmix64(x: u64) -> u64 {
 }
 
 /// The degradation ladder, mildest first. Each level includes every
-/// milder one's measures.
+/// milder one's measures. The discriminants are the values of the
+/// `<prefix>.degradation_level` gauge.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 #[repr(u8)]
-pub enum DegradationLevel {
+pub(crate) enum DegradationLevel {
     /// Full service.
     Normal = 0,
-    /// Serve cache entries up to `stale_grace` past their TTL, flagged
-    /// `degraded.stale_cache`.
-    StaleOk = 1,
-    /// Additionally extract with seeded fanout-capped neighbor sampling
+    /// Extract with seeded fanout-capped neighbor sampling
     /// (GraphSAGE-style) at full depth, flagged `degraded.sampled`.
     /// Sampled outputs are approximate and are never cached.
     Sampled = 2,
-    /// Additionally truncate ego-graph extraction by one hop, flagged
+    /// Truncate ego-graph extraction by one hop instead, flagged
     /// `degraded.reduced_hops`: the vertices at the reduced depth keep
     /// their features but have empty rows, so they aggregate nothing
     /// (truncated outputs cache only under their own depth key).
@@ -116,7 +115,6 @@ impl DegradationLevel {
     fn from_u8(v: u8) -> Self {
         match v {
             0 => Self::Normal,
-            1 => Self::StaleOk,
             2 => Self::Sampled,
             3 => Self::ReducedHops,
             _ => Self::Shed,
@@ -124,10 +122,9 @@ impl DegradationLevel {
     }
 
     /// Stable label for logs and telemetry.
-    pub fn label(&self) -> &'static str {
+    pub(crate) fn label(&self) -> &'static str {
         match self {
             Self::Normal => "normal",
-            Self::StaleOk => "stale_ok",
             Self::Sampled => "sampled",
             Self::ReducedHops => "reduced_hops",
             Self::Shed => "shed",
@@ -135,46 +132,32 @@ impl DegradationLevel {
     }
 }
 
-/// Thresholds of the degradation ladder over a single *pressure* signal:
-/// `queue_load + unhealthy_frac`, where `queue_load`
-/// is the queue depth as a fraction of capacity and `unhealthy_frac` the
-/// fraction of worker slots out of rotation.
+/// The ladder's rungs above `Normal` over a single *pressure* signal,
+/// `queue_load + unhealthy_frac`, where `queue_load` is the deepest
+/// lane's queue depth as a fraction of its capacity and
+/// `unhealthy_frac` the fraction of worker slots out of rotation.
 ///
-/// Hysteresis: level `i` engages at `enter[i]` and disengages below
-/// `exit[i]` (each `exit[i] < enter[i]`), so pressure noise at a
-/// threshold does not flap the ladder.
-#[derive(Debug, Clone)]
-pub struct DegradationPolicy {
-    /// Pressure at which levels 1..4 engage, ascending.
-    pub enter: [f64; 4],
-    /// Pressure below which levels 1..4 disengage (each below its
-    /// `enter`).
-    pub exit: [f64; 4],
-}
-
-impl Default for DegradationPolicy {
-    fn default() -> Self {
-        Self {
-            enter: [0.50, 0.70, 0.85, 0.95],
-            exit: [0.35, 0.55, 0.70, 0.85],
-        }
-    }
-}
+/// Each rung is `(level, enter, exit)`: it engages at `enter` and
+/// disengages below `exit < enter`, so pressure noise at a threshold
+/// does not flap the ladder.
+const LADDER: [(DegradationLevel, f64, f64); 3] = [
+    (DegradationLevel::Sampled, 0.70, 0.55),
+    (DegradationLevel::ReducedHops, 0.85, 0.70),
+    (DegradationLevel::Shed, 0.95, 0.85),
+];
 
 /// Shared mutable state of the ladder: the active level, updated from
 /// pressure observations, readable from any thread.
 #[derive(Debug)]
-pub struct DegradationController {
-    policy: DegradationPolicy,
+pub(crate) struct DegradationController {
     level: AtomicU8,
 }
 
 impl DegradationController {
     /// A controller at [`DegradationLevel::Normal`].
-    pub fn new(policy: DegradationPolicy) -> Self {
+    pub(crate) fn new() -> Self {
         Self {
-            policy,
-            level: AtomicU8::new(0),
+            level: AtomicU8::new(DegradationLevel::Normal as u8),
         }
     }
 
@@ -188,23 +171,18 @@ impl DegradationController {
     /// `[0, 1]`.
     pub(crate) fn update(&self, queue_load: f64, unhealthy_frac: f64) -> DegradationLevel {
         let pressure = queue_load + unhealthy_frac;
-        let current = self.level.load(Ordering::Relaxed);
-        let mut next = 0u8;
-        for (i, &enter) in self.policy.enter.iter().enumerate() {
-            let lvl = (i + 1) as u8;
-            // Already at/above this level: hold it until pressure drops
+        let current = self.level();
+        let mut next = DegradationLevel::Normal;
+        for (rung, enter, exit) in LADDER {
+            // Already at/above this rung: hold it until pressure drops
             // below the exit threshold. Below it: engage at enter.
-            let threshold = if current >= lvl {
-                self.policy.exit[i]
-            } else {
-                enter
-            };
+            let threshold = if current >= rung { exit } else { enter };
             if pressure >= threshold {
-                next = lvl;
+                next = rung;
             }
         }
-        self.level.store(next, Ordering::Relaxed);
-        DegradationLevel::from_u8(next)
+        self.level.store(next as u8, Ordering::Relaxed);
+        next
     }
 }
 
@@ -276,9 +254,11 @@ mod tests {
 
     #[test]
     fn ladder_engages_in_order_with_hysteresis() {
-        let c = DegradationController::new(DegradationPolicy::default());
+        let c = DegradationController::new();
         assert_eq!(c.level(), DegradationLevel::Normal);
-        assert_eq!(c.update(0.55, 0.0), DegradationLevel::StaleOk);
+        // Below the first rung's enter (0.70) nothing engages.
+        assert_eq!(c.update(0.55, 0.0), DegradationLevel::Normal);
+        assert_eq!(c.update(0.69, 0.0), DegradationLevel::Normal);
         assert_eq!(c.update(0.75, 0.0), DegradationLevel::Sampled);
         assert_eq!(c.update(0.90, 0.0), DegradationLevel::ReducedHops);
         assert_eq!(c.update(1.0, 0.0), DegradationLevel::Shed);
@@ -286,26 +266,35 @@ mod tests {
         assert_eq!(c.update(0.90, 0.0), DegradationLevel::Shed);
         // ...and below each exit it steps down one rung at a time.
         assert_eq!(c.update(0.80, 0.0), DegradationLevel::ReducedHops);
+        assert_eq!(c.update(0.72, 0.0), DegradationLevel::ReducedHops);
         assert_eq!(c.update(0.60, 0.0), DegradationLevel::Sampled);
-        assert_eq!(c.update(0.45, 0.0), DegradationLevel::StaleOk);
-        assert_eq!(c.update(0.10, 0.0), DegradationLevel::Normal);
+        assert_eq!(c.update(0.55, 0.0), DegradationLevel::Sampled);
+        assert_eq!(c.update(0.50, 0.0), DegradationLevel::Normal);
+        // Re-engaging from Normal needs the enter threshold again.
+        assert_eq!(c.update(0.60, 0.0), DegradationLevel::Normal);
     }
 
     #[test]
     fn unhealthy_workers_add_pressure() {
-        let c = DegradationController::new(DegradationPolicy::default());
-        // Empty queue but half the pool is dead: pressure 0.5 → StaleOk.
-        assert_eq!(c.update(0.0, 0.5), DegradationLevel::StaleOk);
+        let c = DegradationController::new();
+        // Half the pool is dead: pressure 0.5 stays below every rung.
+        assert_eq!(c.update(0.0, 0.5), DegradationLevel::Normal);
+        // Plus a quarter-full queue: pressure 0.75 → Sampled.
+        assert_eq!(c.update(0.25, 0.5), DegradationLevel::Sampled);
         // A fully-dead pool sheds regardless of queue depth.
         assert_eq!(c.update(0.0, 1.0), DegradationLevel::Shed);
     }
 
     #[test]
     fn levels_are_ordered() {
-        assert!(DegradationLevel::Normal < DegradationLevel::StaleOk);
-        assert!(DegradationLevel::StaleOk < DegradationLevel::Sampled);
+        assert!(DegradationLevel::Normal < DegradationLevel::Sampled);
         assert!(DegradationLevel::Sampled < DegradationLevel::ReducedHops);
         assert!(DegradationLevel::ReducedHops < DegradationLevel::Shed);
+        // The gauge values dashboards read.
+        assert_eq!(DegradationLevel::Normal as u8, 0);
+        assert_eq!(DegradationLevel::Sampled as u8, 2);
+        assert_eq!(DegradationLevel::ReducedHops as u8, 3);
+        assert_eq!(DegradationLevel::Shed as u8, 4);
         assert_eq!(DegradationLevel::Shed.label(), "shed");
         assert_eq!(DegradationLevel::Sampled.label(), "sampled");
     }

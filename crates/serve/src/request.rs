@@ -83,14 +83,15 @@ pub enum GraphMutation {
     },
 }
 
-/// Which degraded-service measures shaped a response. A response with any
-/// flag set is *approximate* — correct under the degradation contract,
-/// but not bitwise what full service would have returned.
+/// Which degraded-service measures shaped a response. Each flag names a
+/// change to the computation itself (a shallower, sampled or incomplete
+/// receptive field), so a response with any flag set is *approximate* —
+/// correct under the degradation contract, but not bitwise what full
+/// service would have returned. A cache hit is never one of them: a
+/// cached row is exact for its key, and mutations evict every row they
+/// reach.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Degradation {
-    /// At least one target row came from a cache entry past its TTL
-    /// (within the stale grace window).
-    pub stale_cache: bool,
     /// At least one target row was computed with a truncated receptive
     /// field (extraction depth reduced under load).
     pub reduced_hops: bool,
@@ -108,7 +109,7 @@ pub struct Degradation {
 impl Degradation {
     /// Whether any degradation measure applied.
     pub fn any(&self) -> bool {
-        self.stale_cache || self.reduced_hops || self.sampled || self.partial
+        self.reduced_hops || self.sampled || self.partial
     }
 }
 
@@ -236,7 +237,7 @@ mod tests {
         assert_eq!(Request::new(vec![1]).deadline, None);
         assert!(!Degradation::default().any());
         assert!(Degradation {
-            stale_cache: true,
+            reduced_hops: true,
             ..Degradation::default()
         }
         .any());

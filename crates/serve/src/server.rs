@@ -15,7 +15,7 @@
 //! what only a single device can do: the graph lives behind one lock, so
 //! it can change. Submissions pin an epoch snapshot, [`mutate`] and
 //! [`compact_graph`] write, and every worker-side ladder rung
-//! (stale-cache, sampled, reduced-hops) is available.
+//! (sampled, reduced-hops) is available.
 //!
 //! [`mutate`]: GnnServer::mutate
 //! [`compact_graph`]: GnnServer::compact_graph
@@ -33,7 +33,7 @@ use tlpgnn_tensor::Matrix;
 
 use crate::pipeline::{count, Core, ExtractJob, Extracted, GraphSource, LaneNames, Pipeline};
 pub use crate::pipeline::{ResponseHandle, ServeStats as ServerStats};
-use crate::policy::{DegradationLevel, DegradationPolicy, RetryPolicy};
+use crate::policy::{DegradationLevel, RetryPolicy};
 use crate::request::{GraphMutation, Request, ServeError};
 use crate::supervisor::SupervisorConfig;
 
@@ -41,6 +41,10 @@ use crate::supervisor::SupervisorConfig;
 /// the pinned epoch so samples are stable within an epoch and refresh
 /// across mutations.
 const SAMPLE_SEED: u64 = 0x5a3d_11e9_c0de_f00d;
+
+/// Fanout cap of the `Sampled` degradation rung's seeded
+/// neighbor-sampled extraction (GraphSAGE-style).
+pub(crate) const SAMPLE_FANOUT: usize = 8;
 
 /// Configuration of a [`GnnServer`].
 #[derive(Debug, Clone)]
@@ -57,21 +61,12 @@ pub struct ServeConfig {
     pub queue_capacity: usize,
     /// LRU feature-cache capacity in vertex rows (0 disables caching).
     pub cache_capacity: usize,
-    /// Cache-entry time-to-live. `None` (the default) means entries
-    /// never go stale; with a TTL, entries past it are only served under
-    /// degraded service (flagged), within `stale_grace`.
-    pub cache_ttl: Option<Duration>,
-    /// How far past the TTL a stale entry may still be served when the
-    /// degradation ladder allows it.
-    pub stale_grace: Duration,
     /// Simulated device each worker runs on (including its fault plan;
     /// worker `i` salts the plan's seed with its slot index so workers
     /// fault independently).
     pub device: DeviceConfig,
     /// Retry policy for transient device faults.
     pub retry: RetryPolicy,
-    /// Thresholds of the load-shedding degradation ladder.
-    pub degradation: DegradationPolicy,
     /// Worker supervision knobs (respawn budget, monitor cadence).
     pub supervisor: SupervisorConfig,
     /// Chaos hook: a worker inserting this vertex's row into the cache
@@ -85,10 +80,6 @@ pub struct ServeConfig {
     /// p99 latency target and unflagged-error budget. Gauges publish
     /// under `<metrics_prefix>.slo.*`.
     pub slo: SloSpec,
-    /// Fanout cap of the `Sampled` degradation rung's seeded
-    /// neighbor-sampled extraction (GraphSAGE-style). 0 disables the
-    /// rung (it behaves like `StaleOk`).
-    pub sample_fanout: usize,
 }
 
 impl Default for ServeConfig {
@@ -99,16 +90,12 @@ impl Default for ServeConfig {
             max_wait: Duration::from_millis(2),
             queue_capacity: 256,
             cache_capacity: 65_536,
-            cache_ttl: None,
-            stale_grace: Duration::from_secs(30),
             device: DeviceConfig::test_small(),
             retry: RetryPolicy::default(),
-            degradation: DegradationPolicy::default(),
             supervisor: SupervisorConfig::default(),
             chaos_panic_on_vertex: None,
             metrics_prefix: "serve".to_string(),
             slo: SloSpec::default(),
-            sample_fanout: 8,
         }
     }
 }
@@ -200,7 +187,7 @@ impl GraphSource for LocalSource {
 
     fn extract(
         &self,
-        core: &Core<Self>,
+        _core: &Core<Self>,
         _worker: &mut (),
         job: &ExtractJob<'_, EpochView>,
     ) -> Option<Extracted> {
@@ -212,7 +199,7 @@ impl GraphSource for LocalSource {
             view.snap.sampled_ego_graph(
                 job.misses,
                 job.hops,
-                core.cfg.sample_fanout,
+                SAMPLE_FANOUT,
                 SAMPLE_SEED ^ view.snap.epoch(),
             )
         } else {
@@ -469,8 +456,12 @@ mod tests {
         }
     }
 
+    fn small_graph() -> Csr {
+        generators::rmat_default(200, 1200, 7)
+    }
+
     fn small_server_with(cfg: ServeConfig) -> GnnServer {
-        let g = generators::rmat_default(200, 1200, 7);
+        let g = small_graph();
         let x = Matrix::random(200, 8, 1.0, 9);
         let net = GnnNetwork::two_layer(|_| GnnModel::Gin { eps: 0.1 }, 8, 8, 4, 3);
         GnnServer::start(cfg, g, x, net)
@@ -580,43 +571,6 @@ mod tests {
     }
 
     #[test]
-    fn stale_cache_service_is_flagged_and_only_under_degradation() {
-        let mut cfg = small_config(64);
-        cfg.cache_ttl = Some(Duration::ZERO); // everything is stale
-        cfg.stale_grace = Duration::from_secs(3600);
-        freeze_ladder(&mut cfg);
-        let server = small_server_with(cfg);
-        settle(&server);
-        // Populate the cache at Normal level.
-        let a = server
-            .submit(Request::new(vec![4]))
-            .unwrap()
-            .wait()
-            .unwrap();
-        // At Normal, the stale entry is not served: recomputed instead.
-        let b = server
-            .submit(Request::new(vec![4]))
-            .unwrap()
-            .wait()
-            .unwrap();
-        assert_eq!(a.outputs.data(), b.outputs.data());
-        assert!(!b.degraded.stale_cache);
-        // Force the ladder up: full queue pressure via the controller.
-        server.pipeline.core.degradation.update(0.6, 0.0);
-        assert_eq!(server.degradation_level(), DegradationLevel::StaleOk);
-        let c = server
-            .submit(Request::new(vec![4]))
-            .unwrap()
-            .wait()
-            .unwrap();
-        assert!(c.degraded.stale_cache, "stale row must be flagged");
-        assert_eq!(a.outputs.data(), c.outputs.data());
-        let stats = server.shutdown();
-        assert!(stats.cache_stale_hits >= 1);
-        assert!(stats.degraded >= 1);
-    }
-
-    #[test]
     fn reduced_hops_is_flagged_and_invisible_at_full_depth() {
         let mut cfg = small_config(64);
         freeze_ladder(&mut cfg);
@@ -646,10 +600,18 @@ mod tests {
         );
     }
 
+    /// Whether `target`'s two-hop receptive field expands a row longer
+    /// than [`SAMPLE_FANOUT`] — the precondition for sampling to change
+    /// its output at all.
+    fn sampling_bites(target: u32) -> bool {
+        let ego = tlpgnn_graph::subgraph::ego_graph(&small_graph(), &[target], 2);
+        (0..ego.vertices.len()).any(|v| ego.csr.degree(v) > SAMPLE_FANOUT)
+    }
+
     #[test]
     fn sampled_rung_flags_responses_and_never_caches() {
+        assert!(sampling_bites(8), "target 8 must have a row to sample");
         let mut cfg = small_config(64);
-        cfg.sample_fanout = 2; // rmat rows routinely exceed this
         freeze_ladder(&mut cfg);
         let server = small_server_with(cfg);
         settle(&server);
@@ -671,6 +633,11 @@ mod tests {
             .wait()
             .unwrap();
         assert!(!full.degraded.any());
+        assert_ne!(
+            r.outputs.data(),
+            full.outputs.data(),
+            "sampling must change the output"
+        );
         let stats = server.shutdown();
         assert_eq!(
             stats.computed_targets, 2,
@@ -682,27 +649,37 @@ mod tests {
 
     #[test]
     fn sampled_service_is_same_seed_deterministic() {
+        assert!(sampling_bites(13), "target 13 must have a row to sample");
+        // The sampled answer for [13, 29], then the Normal one.
         let serve_once = || {
             let mut cfg = small_config(64);
-            cfg.sample_fanout = 2;
             freeze_ladder(&mut cfg);
             let server = small_server_with(cfg);
             settle(&server);
-            server.pipeline.core.degradation.update(0.75, 0.0);
-            let r = server
-                .submit(Request::new(vec![13, 29]))
-                .unwrap()
-                .wait()
-                .unwrap();
+            let serve_at = |pressure: f64| {
+                server.pipeline.core.degradation.update(pressure, 0.0);
+                server
+                    .submit(Request::new(vec![13, 29]))
+                    .unwrap()
+                    .wait()
+                    .unwrap()
+            };
+            let pair = (serve_at(0.75), serve_at(0.0));
             server.shutdown();
-            r
+            pair
         };
-        let (a, b) = (serve_once(), serve_once());
+        let ((a, full), (b, _)) = (serve_once(), serve_once());
         assert!(a.degraded.sampled && b.degraded.sampled);
         assert_eq!(
             a.outputs.data(),
             b.outputs.data(),
             "same seed, same epoch: the sampled draw must be bitwise stable"
+        );
+        assert!(!full.degraded.any());
+        assert_ne!(
+            a.outputs.row(0),
+            full.outputs.row(0),
+            "sampling must change target 13's output"
         );
     }
 

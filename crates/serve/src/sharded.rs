@@ -76,7 +76,7 @@ use crate::pipeline::{
     count, lock, trace_all, Core, ExtractJob, Extracted, GraphSource, LaneNames, OwnNames,
     Pipeline, ResponseHandle,
 };
-use crate::policy::{DegradationLevel, DegradationPolicy, RetryPolicy};
+use crate::policy::{DegradationLevel, RetryPolicy};
 use crate::request::{Request, ServeError};
 use crate::server::ServeConfig;
 use crate::supervisor::SupervisorConfig;
@@ -125,9 +125,6 @@ pub struct ShardedConfig {
     /// Retry policy for transient compute faults and halo-fetch
     /// timeouts.
     pub retry: RetryPolicy,
-    /// Thresholds of the load-shedding degradation ladder (pressure =
-    /// deepest queue load + dead-shard fraction).
-    pub degradation: DegradationPolicy,
     /// Shard-worker supervision knobs (respawn budget, breaker,
     /// monitor cadence).
     pub supervisor: SupervisorConfig,
@@ -157,7 +154,6 @@ impl Default for ShardedConfig {
             per_shard_fault: None,
             halo_fault: FaultPlan::none(),
             retry: RetryPolicy::default(),
-            degradation: DegradationPolicy::default(),
             supervisor: SupervisorConfig::default(),
             device_budget_bytes: None,
             metrics_prefix: "shard".to_string(),
@@ -389,7 +385,7 @@ impl ShardedServer {
             halo_fault: cfg.halo_fault,
         };
         // One worker per shard; the knobs a frozen graph has no use for
-        // (TTL, sampling, the chaos hook) keep their inert defaults.
+        // (the chaos hook) keeps its inert default.
         let pipeline_cfg = ServeConfig {
             workers: 1,
             max_batch: cfg.max_batch,
@@ -398,7 +394,6 @@ impl ShardedServer {
             cache_capacity: cfg.cache_capacity,
             device: cfg.device,
             retry: cfg.retry,
-            degradation: cfg.degradation,
             supervisor: cfg.supervisor,
             metrics_prefix: cfg.metrics_prefix,
             slo: cfg.slo,

@@ -18,7 +18,7 @@ use std::time::Duration;
 
 /// How a worker thread ended, as reported by the worker itself.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WorkerExit {
+pub(crate) enum WorkerExit {
     /// The queue shut down and the worker drained it — normal retirement.
     Drained,
     /// The worker's device was permanently lost; the worker abandoned its
@@ -28,7 +28,7 @@ pub enum WorkerExit {
 
 /// Why a worker died (a `Drained` exit is not a death).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DeathCause {
+pub(crate) enum DeathCause {
     /// The device reported [`WorkerExit::DeviceLost`].
     DeviceLost,
     /// The worker thread panicked mid-batch.
@@ -37,7 +37,7 @@ pub enum DeathCause {
 
 impl DeathCause {
     /// Stable label used in trace events and flight-recorder dump reasons.
-    pub fn label(&self) -> &'static str {
+    pub(crate) fn label(&self) -> &'static str {
         match self {
             DeathCause::DeviceLost => "device_lost",
             DeathCause::Panic => "panic",
@@ -73,7 +73,7 @@ impl Default for SupervisorConfig {
 
 /// Point-in-time pool health, passed to the `tick` callback.
 #[derive(Debug, Clone, Copy)]
-pub struct HealthSnapshot {
+pub(crate) struct HealthSnapshot {
     /// Worker slots in total.
     pub slots: usize,
     /// Slots retired dead (circuit broken, respawn budget spent).
@@ -110,17 +110,17 @@ struct Slot {
 
 /// Start a worker: `(slot, generation)` → its join handle. Generation 0
 /// is the slot's first worker; every later generation is a respawn.
-pub type SpawnFn = Box<dyn Fn(usize, u32) -> JoinHandle<WorkerExit> + Send + Sync>;
+pub(crate) type SpawnFn = Box<dyn Fn(usize, u32) -> JoinHandle<WorkerExit> + Send + Sync>;
 /// Salvage a dead worker's state: `(slot, cause)`; called exactly once
 /// per death, before any replacement starts.
-pub type DeathFn = Box<dyn Fn(usize, DeathCause) + Send + Sync>;
+pub(crate) type DeathFn = Box<dyn Fn(usize, DeathCause) + Send + Sync>;
 /// Slot retirement notification: `(slot)`; called exactly once when a
 /// slot is permanently taken out of rotation (circuit open or respawn
 /// budget spent), after the death's `DeathFn`. Routing layers use it to
 /// steer new work away from the dead slot.
-pub type RetireFn = Box<dyn Fn(usize) + Send + Sync>;
+pub(crate) type RetireFn = Box<dyn Fn(usize) + Send + Sync>;
 /// Health observation callback, invoked once per monitor poll.
-pub type TickFn = Box<dyn Fn(HealthSnapshot) + Send + Sync>;
+pub(crate) type TickFn = Box<dyn Fn(HealthSnapshot) + Send + Sync>;
 
 struct Inner {
     cfg: SupervisorConfig,
@@ -139,7 +139,7 @@ struct Inner {
 }
 
 /// Supervises a pool of worker threads; see the module docs.
-pub struct Supervisor {
+pub(crate) struct Supervisor {
     inner: Arc<Inner>,
     monitor: Option<JoinHandle<()>>,
 }
@@ -147,7 +147,7 @@ pub struct Supervisor {
 impl Supervisor {
     /// Spawn `workers` initial workers (generation 0, on their configured
     /// fault plan) and the monitor thread.
-    pub fn start(
+    pub(crate) fn start(
         cfg: SupervisorConfig,
         workers: usize,
         spawn: SpawnFn,
@@ -204,7 +204,7 @@ impl Supervisor {
     }
 
     /// Respawns performed.
-    pub fn respawns(&self) -> u64 {
+    pub(crate) fn respawns(&self) -> u64 {
         self.inner.respawns.load(Ordering::Relaxed)
     }
 
@@ -212,7 +212,7 @@ impl Supervisor {
     /// queue must already be shut down — otherwise workers never drain.
     /// Deaths during the drain are still salvaged and respawned within
     /// budget, so requeued batches get served when possible.
-    pub fn drain(&self) {
+    pub(crate) fn drain(&self) {
         loop {
             poll_once(&self.inner);
             let all_done = {
