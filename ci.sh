@@ -105,9 +105,9 @@ fi
 # that no caller set to anything but their default became constants
 # where they are read, with the code paths only another value reached
 # (the packed narrow-feature conv, the forced assignment, respawns on a
-# faulty device, the cache TTL). None comes back as a field or a
-# struct-literal entry.
-if grep -rnE --include='*.rs' '^\s*(pub(\(crate\))? )?(pack_narrow_features|force_assignment|respawn_healthy|attribution_floor|jitter_frac|unhealthy_weight|sample_seed|model_version|engine_options|allow_self_loops|cache_ttl|stale_grace|sample_fanout)\s*:' crates; then
+# faulty device, the cache TTL, the halo interconnect's bandwidth and
+# latency). None comes back as a field or a struct-literal entry.
+if grep -rnE --include='*.rs' '^\s*(pub(\(crate\))? )?(pack_narrow_features|force_assignment|respawn_healthy|attribution_floor|jitter_frac|unhealthy_weight|sample_seed|model_version|engine_options|allow_self_loops|cache_ttl|stale_grace|sample_fanout|bandwidth_gbps|latency_us)\s*:' crates; then
   echo "one home: a one-valued option is back as a field in crates/ (it is a constant where it is read)" >&2
   exit 1
 fi
@@ -120,6 +120,18 @@ if grep -rnE --include='*.rs' 'StaleOk|stale_cache|get_aged|cache_stale_hits|Deg
   echo "one home: the cache TTL path or a settable ladder policy is back in crates/ (cache rows do not age)" >&2
   exit 1
 fi
+# Extensions earn a gate or go: the trainer, the second multi-device
+# engine (sharded serving, tlpgnn_shard + ShardedServer, is the one
+# multi-device path, and the serve_sharded workload measures it) and the
+# untimed native push/edge-centric baselines stay deleted, with their
+# examples.
+for gone in crates/core/src/train.rs crates/core/src/multi_gpu.rs \
+  crates/core/src/native/baselines.rs examples/train_gcn.rs examples/multi_gpu_scaling.rs; do
+  if [ -e "${gone}" ]; then
+    echo "one home: ${gone} is back (an extension without a gate is deleted with its example)" >&2
+    exit 1
+  fi
+done
 # Public means called: every `pub fn` under crates/<c>/src (comments,
 # string literals and each #[cfg(test)] item, braces balanced, removed;
 # src/bin/ targets are crates of their own) is
@@ -128,20 +140,9 @@ fi
 # code only (// comments and string literals removed). A function nothing
 # outside its crate calls is pub(crate) or private, so rustc's dead_code
 # lint (clippy -D warnings above) sees when nothing calls it at all.
-# Exceptions, one per line as `<crate>::<fn> <reason>`; an entry without a
-# reason, or one no longer needed, fails the step too.
-public_fn_allowlist='
-core::push_conv native push baseline: oracle-checked but untimed; kept until the simulator-vs-hardware correlation gate times it or it is deleted
-core::edge_centric_conv native edge-centric baseline: as core::push_conv
-core::pull_serial_conv native serial pull baseline: as core::push_conv
-'
-uncalled="$(git ls-files '*.rs' | ALLOW="${public_fn_allowlist}" perl -e '
-  my (%allow, %owner, @pairs, %seen);
-  for (grep { /\S/ } split /\n/, $ENV{ALLOW}) {
-    my ($item, $why) = /^\s*(\S+)\s*(.*?)\s*$/;
-    die "one home: public-fn allowlist entry $item gives no reason\n" unless length $why;
-    $allow{$item} = 0;
-  }
+# There are no exceptions.
+uncalled="$(git ls-files '*.rs' | perl -e '
+  my (%owner, @pairs, %seen);
   while (my $file = <STDIN>) {
     chomp $file;
     open my $fh, "<", $file or die "$file: $!\n";
@@ -158,10 +159,8 @@ uncalled="$(git ls-files '*.rs' | ALLOW="${public_fn_allowlist}" perl -e '
   }
   for my $pair (@pairs) {
     my ($crate, $name) = split /::/, $pair;
-    next if grep { $_ ne $crate } keys %{ $owner{$name} };
-    if (exists $allow{$pair}) { $allow{$pair} = 1 } else { print "$pair\n" }
+    print "$pair\n" unless grep { $_ ne $crate } keys %{ $owner{$name} };
   }
-  print "$_ (allowlisted, but no longer an uncalled pub fn)\n" for grep { !$allow{$_} } sort keys %allow;
 ')"
 if [ -n "${uncalled}" ]; then
   echo "one home: pub fns that nothing outside their crate calls (make them pub(crate) or private):" >&2
@@ -181,7 +180,7 @@ step "record canary"
 # scale, the five experiments that take a few seconds each and compare
 # them byte for byte with the committed files: every experiment draws on
 # the same generators, RNG shim and cost model, so these are the canary
-# for all 17. A change that means to move them reruns
+# for all 16. A change that means to move them reruns
 # ./run_experiments.sh and commits the result.
 canary_dir="$(mktemp -d)"
 for exp in datasets table3 fig8 ext_hetero profile_kernels; do

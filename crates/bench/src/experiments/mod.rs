@@ -14,7 +14,6 @@ mod ablation_device;
 mod ablation_tuning;
 mod datasets;
 mod ext_hetero;
-mod ext_multigpu;
 mod fig10;
 mod fig11;
 mod fig12;
@@ -90,11 +89,6 @@ pub const REGISTRY: &[Experiment] = &[
         name: "fig12",
         title: "Figure 12: scaling with feature size, 16 to 512",
         run: fig12::run,
-    },
-    Experiment {
-        name: "ext_multigpu",
-        title: "Extension: multi-GPU strong scaling",
-        run: ext_multigpu::run,
     },
     Experiment {
         name: "ext_hetero",

@@ -174,7 +174,7 @@ mod tests {
         let x = Matrix::random(100, 8, 1.0, 415);
         let ones = vec![1.0f32; g.num_edges()];
         let weighted = weighted_reference(&g, &x, &ones);
-        let plain = crate::native::baselines::pull_serial_conv(&g, &x);
+        let plain = crate::oracle::conv_reference(&crate::GnnModel::Gin { eps: -1.0 }, &g, &x);
         assert!(weighted.max_abs_diff(&plain) < 1e-5);
     }
 }

@@ -16,8 +16,11 @@
 //!
 //! Kernels run on the [`gpu_sim`] software SIMT simulator (see that
 //! crate's docs for the substitution rationale); the [`native`] module
-//! additionally maps the same design onto host threads for real
-//! wall-clock measurements.
+//! additionally maps the pull design onto host threads, timed by the
+//! `native_conv` workload of `benchmark/`. The paper's future work is
+//! here as [`hetero`] (multi-relation graphs) and [`tune`] (the
+//! assignment's tunables); its multi-GPU item is the sharded serving
+//! tier (`tlpgnn_shard`, `tlpgnn_serve::ShardedServer`).
 //!
 //! ## Quick start
 //!
@@ -44,11 +47,9 @@ pub mod gpu;
 pub mod hetero;
 pub mod kernels;
 pub mod model;
-pub mod multi_gpu;
 pub mod native;
 pub mod oracle;
 pub mod schedule;
-pub mod train;
 pub mod tune;
 
 pub use engine::{EngineOptions, TlpgnnEngine};

@@ -11,12 +11,11 @@
 //! | kernel fusion (no materialized msgs) | one pass, no edge-length buffers |
 //! | latency hidden by resident warps     | software prefetch of the feature row a few edges ahead |
 //!
-//! [`baselines`] provides the push/edge-centric contrast that needs real
-//! CPU atomics. Both baselines are checked against the oracle but timed
-//! by nothing: Observation I in host wall-clock waits for the
-//! simulator-vs-hardware correlation gate (ROADMAP item 14).
-
-pub mod baselines;
+//! Only the pull design is realised here. The push and edge-centric
+//! contrasts of Observation I live on the simulated device
+//! (`tlpgnn_baselines`); a host-side realisation comes back with the
+//! simulator-vs-hardware correlation gate that would time it (ROADMAP
+//! item 15).
 
 use crate::model::GnnModel;
 use crate::oracle;

@@ -295,15 +295,6 @@ impl DeviceMemory {
             .collect()
     }
 
-    /// Overwrite a buffer's contents from a host slice (host-to-device copy).
-    pub fn write_slice<T: Word>(&self, buf: DeviceBuffer<T>, data: &[T]) {
-        assert_eq!(data.len(), buf.len, "write_slice length mismatch");
-        let storage = self.storage(buf);
-        for (w, v) in storage.words.iter().zip(data) {
-            w.store(v.to_bits(), Ordering::Relaxed);
-        }
-    }
-
     /// Fill a buffer with a single value (device-side memset).
     pub fn fill<T: Word>(&self, buf: DeviceBuffer<T>, value: T) {
         let storage = self.storage(buf);

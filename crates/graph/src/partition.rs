@@ -4,8 +4,9 @@
 //! * the GNNAdvisor-like baseline, which splits every vertex's neighbor
 //!   list into fixed-size groups and assigns one warp per group (Section 3.1
 //!   of the paper explains why this forces atomic combines);
-//! * the multi-GPU future-work extension (paper Section 1, "Limitations"),
-//!   which needs an edge-balanced vertex partition in lieu of METIS.
+//! * the sharded serving tier's `ShardPlan` (`tlpgnn_shard`), the paper's
+//!   multi-GPU future work (Section 1, "Limitations"), which needs an
+//!   edge-balanced vertex partition in lieu of METIS.
 
 use crate::csr::Csr;
 
@@ -149,21 +150,6 @@ pub fn edge_balanced_partition(g: &Csr, parts: usize) -> VertexPartition {
     VertexPartition { bounds }
 }
 
-/// Count edges crossing part boundaries (communication volume of a
-/// multi-device split).
-pub fn cut_edges(g: &Csr, part: &VertexPartition) -> usize {
-    let mut cut = 0;
-    for v in 0..g.num_vertices() {
-        let pv = part.part_of(v as u32);
-        cut += g
-            .neighbors(v)
-            .iter()
-            .filter(|&&u| part.part_of(u) != pv)
-            .count();
-    }
-    cut
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -241,13 +227,6 @@ mod tests {
         }
         .validate()
         .unwrap();
-    }
-
-    #[test]
-    fn cut_edges_zero_for_single_part() {
-        let g = generators::erdos_renyi(100, 700, 3);
-        let p = edge_balanced_partition(&g, 1);
-        assert_eq!(cut_edges(&g, &p), 0);
     }
 
     #[test]

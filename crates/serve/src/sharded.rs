@@ -26,8 +26,8 @@
 //! extraction ([`tlpgnn_shard::distributed_ego`]) pulls remote rows in
 //! one batched fetch per (expanded BFS level, remote shard), every fetch is
 //! counted under `<prefix>.halo.*`, and the modelled transfer time
-//! (the core crate's [`Interconnect`] cost model, the same one
-//! `multi_gpu` uses) is charged to the request's latency. Because the
+//! (an NVLink-style latency-plus-bandwidth price, `halo_transfer_ms`)
+//! is charged to the request's latency. Because the
 //! traversal is the single-device `ego_graph_on` over a store-backed
 //! view and the fused engine is atomic-free, sharded responses are **bitwise
 //! equal** to the unsharded server's given the same batch composition.
@@ -65,7 +65,6 @@ use std::time::Duration;
 
 use gpu_sim::{DeviceConfig, FaultKind, FaultPlan};
 use telemetry::{SloReport, SloSpec, TraceContext};
-use tlpgnn::multi_gpu::Interconnect;
 use tlpgnn::GnnNetwork;
 use tlpgnn_graph::Csr;
 use tlpgnn_shard::{distributed_ego_with_health, graph_bytes, ShardPlan, ShardStore};
@@ -80,6 +79,25 @@ use crate::policy::{DegradationLevel, RetryPolicy};
 use crate::request::{Request, ServeError};
 use crate::server::ServeConfig;
 use crate::supervisor::SupervisorConfig;
+
+/// Effective peer-to-peer bandwidth of the modelled interconnect, GB/s
+/// (NVLink 2.0 is ≈ 25 GB/s per direction per brick; this is an
+/// aggregate figure).
+const HALO_BANDWIDTH_GBPS: f64 = 50.0;
+
+/// Latency of one halo transfer, microseconds.
+const HALO_LATENCY_US: f64 = 10.0;
+
+/// Modelled time of `batches` coalesced halo transfers moving `bytes` in
+/// total, ms: each batch pays the latency once, the bytes pay the
+/// bandwidth term once; zero batches cost nothing.
+fn halo_transfer_ms(batches: u64, bytes: u64) -> f64 {
+    if batches == 0 {
+        0.0
+    } else {
+        batches as f64 * HALO_LATENCY_US / 1e3 + bytes as f64 / (HALO_BANDWIDTH_GBPS * 1e9) * 1e3
+    }
+}
 
 /// Configuration of a [`ShardedServer`].
 #[derive(Debug, Clone)]
@@ -283,8 +301,7 @@ impl GraphSource for ShardSource {
             &alive,
         );
         // Price the batched halo transfers on the modelled interconnect.
-        let halo_ms =
-            Interconnect::default().batched_transfer_ms(halo.fetch_batches, halo.fetched_bytes);
+        let halo_ms = halo_transfer_ms(halo.fetch_batches, halo.fetched_bytes);
         let m = &core.names;
         telemetry::observe(&m.halo_ms, halo_ms);
         telemetry::counter_add(&m.halo_fetch_batches, halo.fetch_batches);
@@ -475,6 +492,17 @@ mod tests {
     use super::*;
     use crate::pipeline::tests::{fixture, wait_until};
     use crate::server::GnnServer;
+
+    #[test]
+    fn halo_price_is_latency_per_batch_plus_bandwidth() {
+        // No batch moves nothing, whatever the byte count says.
+        assert_eq!(halo_transfer_ms(0, 0), 0.0);
+        assert_eq!(halo_transfer_ms(0, 50_000_000), 0.0);
+        // One empty batch pays the 10 µs latency alone.
+        assert_eq!(halo_transfer_ms(1, 0), 0.01);
+        // 50 MB at 50 GB/s is 1 ms, plus 10 µs for each of two batches.
+        assert_eq!(halo_transfer_ms(2, 50_000_000), 1.02);
+    }
 
     fn sharded_config(shards: usize) -> ShardedConfig {
         ShardedConfig {

@@ -86,20 +86,6 @@ pub fn dropout(m: &mut Matrix, p: f32, seed: u64) {
     }
 }
 
-/// Row argmax (class prediction).
-pub fn argmax_rows(m: &Matrix) -> Vec<usize> {
-    (0..m.rows())
-        .map(|r| {
-            m.row(r)
-                .iter()
-                .enumerate()
-                .max_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
-                .map(|(i, _)| i)
-                .unwrap_or(0)
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -163,11 +149,5 @@ mod tests {
         let before = m.clone();
         dropout(&mut m, 0.0, 1);
         assert_eq!(m, before);
-    }
-
-    #[test]
-    fn argmax_rows_picks_max() {
-        let m = Matrix::from_vec(2, 3, vec![0.1, 0.9, 0.0, 5.0, 1.0, 2.0]);
-        assert_eq!(argmax_rows(&m), vec![1, 0]);
     }
 }

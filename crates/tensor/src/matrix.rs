@@ -54,7 +54,7 @@ impl Matrix {
     }
 
     /// Glorot/Xavier-uniform initializer for weight matrices.
-    pub fn glorot(rows: usize, cols: usize, seed: u64) -> Self {
+    pub(crate) fn glorot(rows: usize, cols: usize, seed: u64) -> Self {
         let limit = (6.0 / (rows + cols) as f32).sqrt();
         Self::random(rows, cols, limit, seed)
     }

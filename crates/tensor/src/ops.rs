@@ -195,7 +195,7 @@ pub(crate) fn matmul_concat(a1: &Matrix, a2: &Matrix, b: &Matrix) -> Matrix {
 }
 
 /// Add a bias row vector to every row in place.
-pub fn add_bias(m: &mut Matrix, bias: &[f32]) {
+pub(crate) fn add_bias(m: &mut Matrix, bias: &[f32]) {
     assert_eq!(m.cols(), bias.len(), "bias length mismatch");
     let cols = m.cols();
     pool::for_each_row_block(

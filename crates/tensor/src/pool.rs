@@ -414,7 +414,7 @@ pub fn for_each_row_chunk(
 /// [`MIN_PARALLEL_WORK`] units): on the caller alone below the cutoff,
 /// over the whole pool above it. Both decisions read only the shape of
 /// the input.
-pub fn for_each_row_block(
+pub(crate) fn for_each_row_block(
     data: &mut [f32],
     cols: usize,
     row_work: usize,
