@@ -132,17 +132,27 @@ for gone in crates/core/src/train.rs crates/core/src/multi_gpu.rs \
     exit 1
   fi
 done
-# Public means called: every `pub fn` under crates/<c>/src (comments,
-# string literals and each #[cfg(test)] item, braces balanced, removed;
-# src/bin/ targets are crates of their own) is
-# named in some tracked .rs file outside that crate's src/ — another
-# crate, a tests/ or examples/ file, a bin target, benchmark/ — counting
-# code only (// comments and string literals removed). A function nothing
-# outside its crate calls is pub(crate) or private, so rustc's dead_code
-# lint (clippy -D warnings above) sees when nothing calls it at all.
-# There are no exceptions.
+# Public means called: every `pub` fn, mod, struct, enum, trait, union,
+# type alias, const, static and named field under crates/<c>/src
+# (comments, string literals and each #[cfg(test)] item, braces
+# balanced, removed; src/bin/ targets are crates of their own) is named
+# in some tracked .rs file outside that crate's src/ — another crate, a
+# tests/ or examples/ file, a bin target, benchmark/ — counting code only
+# (// comments and string literals removed). Three things also count as
+# a use, because rustc rejects the narrowed item there: a type named in
+# the declaration of a public item of its crate that passes (narrowing
+# it trips private_interfaces; a field's type, a fn's signature, an
+# enum's or trait's body), a field of a struct that code outside its
+# crate builds with `..base` (E0451 there), and a name in the body of a
+# #[macro_export] macro (it expands in the caller). Anything else is
+# pub(crate) or private, so rustc's dead_code lint (clippy -D warnings
+# above) sees when nothing uses it at all. There are no exceptions.
+# Blind spot: names are matched, not resolved, so a pub item whose name
+# is reused anywhere outside its crate (`new`, `len`, `spec`) passes; a
+# trial that narrows every `pub` to `pub(crate)` and lets rustc re-widen
+# what breaks (check, doc tests, clippy, benchmark/) is the exact method.
 uncalled="$(git ls-files '*.rs' | perl -e '
-  my (%owner, @pairs, %seen);
+  my (%owner, %fru, @decls, %seen);
   while (my $file = <STDIN>) {
     chomp $file;
     open my $fh, "<", $file or die "$file: $!\n";
@@ -150,20 +160,59 @@ uncalled="$(git ls-files '*.rs' | perl -e '
     my ($home) = $file =~ m{^crates/([^/]+)/src/(?!bin/)};
     $home //= "";
     $src =~ s{//[^\n]*|(?<!\w)b?r(#*)".*?"\1|b?"(?:[^"\\]|\\.)*"|b?\x27(?:[^\x27\\]|\\.)\x27}{ }gs;
-    if ($home) {
-      (my $decl = $src) =~ s/#\[cfg\(test\)\][^{;]*(?:;|(\{(?:[^{}]++|(?-1))*+\}))//g;
-      push @pairs, grep { !$seen{$_}++ }
-        map { "${home}::$_" } $decl =~ /^\s*pub\s+(?:const\s+|unsafe\s+)*fn\s+(\w+)/mg;
-    }
     $owner{$_}{$home} = 1 for $src =~ /[A-Za-z_]\w*/g;
+    while ($src =~ /\b([A-Z]\w*)\s*(\{(?:[^{}]++|(?-1))*+\})/g) {
+      my ($name, $body) = ($1, $2);
+      $fru{$name}{$home} = 1 if $body =~ /[{,]\s*\.\.[^,{}]*\}\z/;
+    }
+    next unless $home;
+    (my $decl = $src) =~ s/#\[cfg\(test\)\][^{;]*(?:;|(\{(?:[^{}]++|(?-1))*+\}))//g;
+    while ($decl =~ /#\[macro_export\]\s*macro_rules!\s*\w+\s*(\{(?:[^{}]++|(?-1))*+\})/g) {
+      $owner{$_}{"$home!"} = 1 for $1 =~ /[A-Za-z_]\w*/g;
+    }
+    my @found;
+    push @found, map { [$_->[0], "fn", $_->[1]] }
+      pairs($decl =~ /(?:^|[\s{;}])pub\s+(?:const\s+|unsafe\s+|async\s+)*fn\s+(\w+)([^{;]*)/g);
+    push @found, map { [$_->[0], "type", $_->[1]] }
+      pairs($decl =~ /(?:^|[\s{;}])pub\s+(?:unsafe\s+)?(?:struct|union)\s+(\w+)([^{;]*)/g);
+    while ($decl =~ /(?:^|[\s{;}])pub\s+(?:unsafe\s+)?(?:enum|trait)\s+(\w+)([^{;]*(\{(?:[^{}]++|(?-1))*+\})?)/g) {
+      push @found, [$1, "type", $2];
+    }
+    push @found, map { [$_->[0], "type", $_->[1]] }
+      pairs($decl =~ /(?:^|[\s{;}])pub\s+(?:type|static(?:\s+mut)?|const(?!\s+(?:unsafe\s+)?fn\b)|mod)\s+(\w+)([^;{]*)/g);
+    while ($decl =~ /\bstruct\s+(\w+)[^{;]*(\{(?:[^{}]++|(?-1))*+\})/g) {
+      my ($struct, $body) = ($1, $2);
+      push @found, map { [$_->[0], "field", $_->[1], $struct] }
+        pairs($body =~ /(?:^|[{,])\s*(?:#\[[^\]]*\]\s*)*pub\s+(\w+)\s*:(?!:)(?=([^\n]*))/mg);
+    }
+    for my $d (@found) {
+      push @decls, [$home, @$d] unless $seen{"$home\0$d->[0]\0$d->[1]\0" . ($d->[3] // "")}++;
+    }
   }
-  for my $pair (@pairs) {
-    my ($crate, $name) = split /::/, $pair;
-    print "$pair\n" unless grep { $_ ne $crate } keys %{ $owner{$name} };
+  sub pairs { my @p; push @p, [shift, shift] while @_; @p }
+  sub outside {
+    my ($crate, $set) = @_;
+    return grep { $_ ne $crate } keys %{ $set // {} };
   }
+  my (%ok, %reached);
+  for my $d (@decls) {
+    my ($crate, $name, $kind, undef, $struct) = @$d;
+    $ok{$d} = outside($crate, $owner{$name}) || ($kind eq "field" && outside($crate, $fru{$struct}));
+  }
+  for (my $grew = 1; $grew;) {
+    $grew = 0;
+    for my $d (grep { $ok{$_} } @decls) {
+      $reached{"$d->[0]\0$_"} //= $grew = 1 for $d->[3] =~ /[A-Za-z_]\w*/g;
+    }
+    for my $d (grep { !$ok{$_} && $_->[2] eq "type" } @decls) {
+      $ok{$d} = $grew = 1 if $reached{"$d->[0]\0$d->[1]"};
+    }
+  }
+  print "$_->[0]::" . ($_->[4] ? "$_->[4]." : "") . "$_->[1]\n"
+    for grep { !$ok{$_} } @decls;
 ')"
 if [ -n "${uncalled}" ]; then
-  echo "one home: pub fns that nothing outside their crate calls (make them pub(crate) or private):" >&2
+  echo "one home: pub items that nothing outside their crate names (make them pub(crate) or private):" >&2
   echo "${uncalled}" >&2
   exit 1
 fi
@@ -217,6 +266,11 @@ step "benchmark smoke"
 bench_lock="$(mktemp)"
 cp benchmark/Cargo.lock "${bench_lock}"
 trap 'mv "${bench_lock}" benchmark/Cargo.lock' EXIT
+# benchmark/ is linted like the workspace. It calls some inherent methods
+# by path inside a trait impl of the same name (ResponseHandle::wait and
+# try_wait in src/window.rs): narrowed, such a call resolves to the trait
+# method and recurses forever, which rustc reports only as a warning.
+cargo clippy --offline --manifest-path benchmark/Cargo.toml --all-targets -- -D warnings
 for workload in native_conv sim_conv serve_cold serve_churn serve_sharded; do
   bench_result="$(cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
     --workload "${workload}" --seed 42 --seconds 2 --trace 0 | tail -n 1)" || true

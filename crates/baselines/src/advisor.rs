@@ -21,31 +21,31 @@ use tlpgnn_tensor::Matrix;
 
 /// Neighbor-group aggregation kernel: one warp per group, register partial,
 /// atomic combine into the vertex's output row.
-pub struct AdvisorKernel {
+pub(crate) struct AdvisorKernel {
     /// Group destination vertex.
-    pub group_vertex: DeviceBuffer<u32>,
+    pub(crate) group_vertex: DeviceBuffer<u32>,
     /// Group start offset in `indices`.
-    pub group_start: DeviceBuffer<u32>,
+    pub(crate) group_start: DeviceBuffer<u32>,
     /// Group end offset.
-    pub group_end: DeviceBuffer<u32>,
+    pub(crate) group_end: DeviceBuffer<u32>,
     /// CSR neighbor ids.
-    pub indices: DeviceBuffer<u32>,
+    pub(crate) indices: DeviceBuffer<u32>,
     /// Input features.
-    pub features: DeviceBuffer<f32>,
+    pub(crate) features: DeviceBuffer<f32>,
     /// Output features (zero-initialized).
-    pub output: DeviceBuffer<f32>,
+    pub(crate) output: DeviceBuffer<f32>,
     /// GCN norms.
-    pub norm: DeviceBuffer<f32>,
+    pub(crate) norm: DeviceBuffer<f32>,
     /// Per-vertex self weight.
-    pub self_w: DeviceBuffer<f32>,
+    pub(crate) self_w: DeviceBuffer<f32>,
     /// CSR offsets (to detect the first group of each vertex).
-    pub indptr: DeviceBuffer<u32>,
+    pub(crate) indptr: DeviceBuffer<u32>,
     /// Aggregator (GCN or GIN).
-    pub agg: Aggregator,
+    pub(crate) agg: Aggregator,
     /// Number of groups.
-    pub num_groups: usize,
+    pub(crate) num_groups: usize,
     /// Feature dimension.
-    pub f: usize,
+    pub(crate) f: usize,
 }
 
 impl Kernel for AdvisorKernel {

@@ -7,21 +7,18 @@ use tlpgnn_graph::Csr;
 /// source `src[i]` and destination `dst[i]` (the row it belongs to).
 /// Edge-centric and DGL-style systems stream these.
 #[derive(Clone, Copy)]
-pub struct CooOnDevice {
+pub(crate) struct CooOnDevice {
     /// Source vertex per edge.
-    pub src: DeviceBuffer<u32>,
+    pub(crate) src: DeviceBuffer<u32>,
     /// Destination vertex per edge.
-    pub dst: DeviceBuffer<u32>,
-    /// Edge count.
-    pub m: usize,
+    pub(crate) dst: DeviceBuffer<u32>,
 }
 
 impl CooOnDevice {
     /// Upload the COO view of a pull-oriented CSR (edge order = CSR order,
     /// so edge id doubles as the CSR position).
-    pub fn upload(dev: &mut Device, g: &Csr) -> Self {
-        let m = g.num_edges();
-        let mut dsts = Vec::with_capacity(m);
+    pub(crate) fn upload(dev: &mut Device, g: &Csr) -> Self {
+        let mut dsts = Vec::with_capacity(g.num_edges());
         for v in 0..g.num_vertices() {
             dsts.extend(std::iter::repeat_n(v as u32, g.degree(v)));
         }
@@ -29,12 +26,11 @@ impl CooOnDevice {
         Self {
             src: mem.alloc_from(g.indices()),
             dst: mem.alloc_from(&dsts),
-            m,
         }
     }
 
     /// Release the buffers.
-    pub fn free(self, dev: &mut Device) {
+    pub(crate) fn free(self, dev: &mut Device) {
         let mem = dev.mem_mut();
         mem.free(self.src);
         mem.free(self.dst);

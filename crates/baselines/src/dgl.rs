@@ -22,7 +22,7 @@ use crate::prims::*;
 /// framework + graph runtime, amortized over repeated op invocations —
 /// calibrated so Table 5's small-graph rows land near the paper's: e.g.
 /// 6 kernels × 0.06 ms ≈ DGL's 0.4 ms on Citeseer).
-pub const DGL_DISPATCH_MS: f64 = 0.06;
+pub(crate) const DGL_DISPATCH_MS: f64 = 0.06;
 
 /// The DGL-like system.
 pub struct DglSystem {

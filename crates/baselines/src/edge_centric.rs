@@ -14,21 +14,21 @@ use tlpgnn_graph::Csr;
 use tlpgnn_tensor::Matrix;
 
 /// The edge-centric kernel: warp `e` processes COO edge `e`.
-pub struct EdgeCentricKernel {
+pub(crate) struct EdgeCentricKernel {
     /// Source per edge.
-    pub src: DeviceBuffer<u32>,
+    pub(crate) src: DeviceBuffer<u32>,
     /// Destination per edge.
-    pub dst: DeviceBuffer<u32>,
+    pub(crate) dst: DeviceBuffer<u32>,
     /// Weight per edge (precomputed host-side, as streaming systems do).
-    pub weight: DeviceBuffer<f32>,
+    pub(crate) weight: DeviceBuffer<f32>,
     /// Input features.
-    pub features: DeviceBuffer<f32>,
+    pub(crate) features: DeviceBuffer<f32>,
     /// Output features (zero-initialized).
-    pub output: DeviceBuffer<f32>,
+    pub(crate) output: DeviceBuffer<f32>,
     /// Edge count (including appended self edges).
-    pub m: usize,
+    pub(crate) m: usize,
     /// Feature dimension.
-    pub f: usize,
+    pub(crate) f: usize,
 }
 
 impl Kernel for EdgeCentricKernel {

@@ -18,30 +18,30 @@ use tlpgnn_tensor::Matrix;
 
 /// Host dispatch overhead per launch, ms (compiled TVM runtime — cheaper
 /// than a Python framework, pricier than a bare kernel launch).
-pub const FEATGRAPH_DISPATCH_MS: f64 = 0.045;
+pub(crate) const FEATGRAPH_DISPATCH_MS: f64 = 0.045;
 
 /// Sum-family convolution with the rigid block-per-vertex mapping.
-pub struct FgConvKernel {
+pub(crate) struct FgConvKernel {
     /// CSR offsets.
-    pub indptr: DeviceBuffer<u32>,
+    pub(crate) indptr: DeviceBuffer<u32>,
     /// CSR neighbor ids.
-    pub indices: DeviceBuffer<u32>,
+    pub(crate) indices: DeviceBuffer<u32>,
     /// Input features.
-    pub features: DeviceBuffer<f32>,
+    pub(crate) features: DeviceBuffer<f32>,
     /// Output features.
-    pub output: DeviceBuffer<f32>,
+    pub(crate) output: DeviceBuffer<f32>,
     /// GCN norms.
-    pub norm: DeviceBuffer<f32>,
+    pub(crate) norm: DeviceBuffer<f32>,
     /// In-degrees.
-    pub degree: DeviceBuffer<u32>,
+    pub(crate) degree: DeviceBuffer<u32>,
     /// Per-vertex self weights.
-    pub self_w: DeviceBuffer<f32>,
+    pub(crate) self_w: DeviceBuffer<f32>,
     /// Aggregator.
-    pub agg: Aggregator,
+    pub(crate) agg: Aggregator,
     /// Vertex count.
-    pub n: usize,
+    pub(crate) n: usize,
     /// Feature dimension.
-    pub f: usize,
+    pub(crate) f: usize,
 }
 
 impl Kernel for FgConvKernel {
@@ -109,21 +109,21 @@ impl Kernel for FgConvKernel {
 
 /// GAT kernel 1/3: per-edge attention score `s[e] = leaky(al[src] + ar[dst])`
 /// (TVM fuses the gathers and the activation into one kernel).
-pub struct FgEdgeScoreKernel {
+pub(crate) struct FgEdgeScoreKernel {
     /// Source per edge.
-    pub src: DeviceBuffer<u32>,
+    pub(crate) src: DeviceBuffer<u32>,
     /// Destination per edge.
-    pub dst: DeviceBuffer<u32>,
+    pub(crate) dst: DeviceBuffer<u32>,
     /// Source-side scores.
-    pub al: DeviceBuffer<f32>,
+    pub(crate) al: DeviceBuffer<f32>,
     /// Destination-side scores.
-    pub ar: DeviceBuffer<f32>,
+    pub(crate) ar: DeviceBuffer<f32>,
     /// Per-edge output.
-    pub s: DeviceBuffer<f32>,
+    pub(crate) s: DeviceBuffer<f32>,
     /// LeakyReLU slope.
-    pub slope: f32,
+    pub(crate) slope: f32,
     /// Edge count.
-    pub m: usize,
+    pub(crate) m: usize,
 }
 
 impl Kernel for FgEdgeScoreKernel {
@@ -149,13 +149,13 @@ impl Kernel for FgEdgeScoreKernel {
 /// GAT kernel 2/3: per-row softmax over the edge scores, in place.
 /// Block-per-vertex mapping; the row is walked three times (max, sum,
 /// normalize), with the scores living in global memory between passes.
-pub struct FgSoftmaxKernel {
+pub(crate) struct FgSoftmaxKernel {
     /// CSR offsets.
-    pub indptr: DeviceBuffer<u32>,
+    pub(crate) indptr: DeviceBuffer<u32>,
     /// Edge scores, normalized in place.
-    pub s: DeviceBuffer<f32>,
+    pub(crate) s: DeviceBuffer<f32>,
     /// Vertex count.
-    pub n: usize,
+    pub(crate) n: usize,
 }
 
 impl Kernel for FgSoftmaxKernel {
@@ -211,21 +211,21 @@ impl Kernel for FgSoftmaxKernel {
 
 /// GAT kernel 3/3: weighted aggregation with the normalized scores —
 /// the same rigid block-per-vertex mapping as [`FgConvKernel`].
-pub struct FgAggregateKernel {
+pub(crate) struct FgAggregateKernel {
     /// CSR offsets.
-    pub indptr: DeviceBuffer<u32>,
+    pub(crate) indptr: DeviceBuffer<u32>,
     /// CSR neighbor ids.
-    pub indices: DeviceBuffer<u32>,
+    pub(crate) indices: DeviceBuffer<u32>,
     /// Normalized attention per edge.
-    pub s: DeviceBuffer<f32>,
+    pub(crate) s: DeviceBuffer<f32>,
     /// Input features.
-    pub features: DeviceBuffer<f32>,
+    pub(crate) features: DeviceBuffer<f32>,
     /// Output features.
-    pub output: DeviceBuffer<f32>,
+    pub(crate) output: DeviceBuffer<f32>,
     /// Vertex count.
-    pub n: usize,
+    pub(crate) n: usize,
     /// Feature dimension.
-    pub f: usize,
+    pub(crate) f: usize,
 }
 
 impl Kernel for FgAggregateKernel {

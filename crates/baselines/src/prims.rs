@@ -10,17 +10,17 @@ use gpu_sim::{DeviceBuffer, Kernel, WarpCtx, WARP_SIZE};
 
 /// `dst[i] = scale * src[i]` over a flat array (covers the framework's
 /// copy / cast / "format manipulation" kernels; `scale = 1` is a copy).
-pub struct ScaleCopyKernel {
+pub(crate) struct ScaleCopyKernel {
     /// Input array.
-    pub src: DeviceBuffer<f32>,
+    pub(crate) src: DeviceBuffer<f32>,
     /// Output array.
-    pub dst: DeviceBuffer<f32>,
+    pub(crate) dst: DeviceBuffer<f32>,
     /// Multiplier.
-    pub scale: f32,
+    pub(crate) scale: f32,
     /// Elements to process.
-    pub len: usize,
+    pub(crate) len: usize,
     /// Kernel label (frameworks launch this under many names).
-    pub label: &'static str,
+    pub(crate) label: &'static str,
 }
 
 impl Kernel for ScaleCopyKernel {
@@ -40,15 +40,15 @@ impl Kernel for ScaleCopyKernel {
 }
 
 /// `out[i] = a[i] + b[i]` elementwise.
-pub struct AddKernel {
+pub(crate) struct AddKernel {
     /// First operand.
-    pub a: DeviceBuffer<f32>,
+    pub(crate) a: DeviceBuffer<f32>,
     /// Second operand.
-    pub b: DeviceBuffer<f32>,
+    pub(crate) b: DeviceBuffer<f32>,
     /// Output.
-    pub out: DeviceBuffer<f32>,
+    pub(crate) out: DeviceBuffer<f32>,
     /// Elements.
-    pub len: usize,
+    pub(crate) len: usize,
 }
 
 impl Kernel for AddKernel {
@@ -72,17 +72,17 @@ impl Kernel for AddKernel {
 /// Per-edge gather: `out[e] = table[ids[e]]` (e.g. `el[e] = al[src[e]]`).
 /// The gather addresses are data-dependent — partially uncoalesced, like
 /// the real SDDMM prologue kernels.
-pub struct GatherKernel {
+pub(crate) struct GatherKernel {
     /// Edge-indexed id array.
-    pub ids: DeviceBuffer<u32>,
+    pub(crate) ids: DeviceBuffer<u32>,
     /// Vertex-indexed table.
-    pub table: DeviceBuffer<f32>,
+    pub(crate) table: DeviceBuffer<f32>,
     /// Edge-indexed output.
-    pub out: DeviceBuffer<f32>,
+    pub(crate) out: DeviceBuffer<f32>,
     /// Edge count.
-    pub len: usize,
+    pub(crate) len: usize,
     /// Kernel label.
-    pub label: &'static str,
+    pub(crate) label: &'static str,
 }
 
 impl Kernel for GatherKernel {
@@ -103,18 +103,18 @@ impl Kernel for GatherKernel {
 }
 
 /// Per-edge unary transform (LeakyReLU / exp), in place.
-pub struct EdgeUnaryKernel {
+pub(crate) struct EdgeUnaryKernel {
     /// The edge array transformed in place.
-    pub data: DeviceBuffer<f32>,
+    pub(crate) data: DeviceBuffer<f32>,
     /// Which transform.
-    pub op: EdgeUnaryOp,
+    pub(crate) op: EdgeUnaryOp,
     /// Edge count.
-    pub len: usize,
+    pub(crate) len: usize,
 }
 
 /// Supported unary transforms.
 #[derive(Clone, Copy)]
-pub enum EdgeUnaryOp {
+pub(crate) enum EdgeUnaryOp {
     /// LeakyReLU with the given slope.
     Leaky(f32),
     /// `exp(x)`.
@@ -163,22 +163,22 @@ impl Kernel for EdgeUnaryKernel {
 /// Row reduction over CSR-ordered edge values: `out[v] = reduce(data[e])`
 /// for the edges of row `v`. One warp per row, edge-parallel lanes with a
 /// shuffle reduction (the standard segmented-reduce kernel shape).
-pub struct RowReduceKernel {
+pub(crate) struct RowReduceKernel {
     /// CSR offsets.
-    pub indptr: DeviceBuffer<u32>,
+    pub(crate) indptr: DeviceBuffer<u32>,
     /// Edge values in CSR order.
-    pub data: DeviceBuffer<f32>,
+    pub(crate) data: DeviceBuffer<f32>,
     /// Per-row result.
-    pub out: DeviceBuffer<f32>,
+    pub(crate) out: DeviceBuffer<f32>,
     /// Row count.
-    pub n: usize,
+    pub(crate) n: usize,
     /// Reduction kind.
-    pub op: RowReduceOp,
+    pub(crate) op: RowReduceOp,
 }
 
 /// Supported row reductions.
 #[derive(Clone, Copy)]
-pub enum RowReduceOp {
+pub(crate) enum RowReduceOp {
     /// Maximum (identity −∞ mapped to 0 for empty rows).
     Max,
     /// Sum.
@@ -226,22 +226,22 @@ impl Kernel for RowReduceKernel {
 /// Per-edge binary against a row-indexed table:
 /// `data[e] = combine(data[e], table[dst[e]])` (broadcast subtract of the
 /// row max, divide by the row sum).
-pub struct EdgeRowBinaryKernel {
+pub(crate) struct EdgeRowBinaryKernel {
     /// Edge values, transformed in place.
-    pub data: DeviceBuffer<f32>,
+    pub(crate) data: DeviceBuffer<f32>,
     /// Row-indexed operand.
-    pub table: DeviceBuffer<f32>,
+    pub(crate) table: DeviceBuffer<f32>,
     /// Destination row per edge.
-    pub dst: DeviceBuffer<u32>,
+    pub(crate) dst: DeviceBuffer<u32>,
     /// Edge count.
-    pub len: usize,
+    pub(crate) len: usize,
     /// Operation.
-    pub op: EdgeRowBinaryOp,
+    pub(crate) op: EdgeRowBinaryOp,
 }
 
 /// Supported edge-row binary operations.
 #[derive(Clone, Copy)]
-pub enum EdgeRowBinaryOp {
+pub(crate) enum EdgeRowBinaryOp {
     /// `data - table[dst]`.
     Sub,
     /// `data / table[dst]` (0 when the divisor is 0).
@@ -287,21 +287,21 @@ impl Kernel for EdgeRowBinaryKernel {
 /// over the edges of row `v`. Warp per row, feature-parallel lanes, tiled
 /// for wide features. A good library kernel — but it only computes the
 /// weighted sum; everything else needs more launches.
-pub struct SpmmCsrKernel {
+pub(crate) struct SpmmCsrKernel {
     /// CSR offsets.
-    pub indptr: DeviceBuffer<u32>,
+    pub(crate) indptr: DeviceBuffer<u32>,
     /// CSR neighbor ids.
-    pub indices: DeviceBuffer<u32>,
+    pub(crate) indices: DeviceBuffer<u32>,
     /// Per-edge values in CSR order.
-    pub values: DeviceBuffer<f32>,
+    pub(crate) values: DeviceBuffer<f32>,
     /// Dense input matrix (`n × f` row major).
-    pub x: DeviceBuffer<f32>,
+    pub(crate) x: DeviceBuffer<f32>,
     /// Dense output matrix.
-    pub out: DeviceBuffer<f32>,
+    pub(crate) out: DeviceBuffer<f32>,
     /// Rows.
-    pub n: usize,
+    pub(crate) n: usize,
     /// Feature dimension.
-    pub f: usize,
+    pub(crate) f: usize,
 }
 
 impl Kernel for SpmmCsrKernel {
@@ -338,13 +338,13 @@ impl Kernel for SpmmCsrKernel {
 }
 
 /// Fill a flat array with one value.
-pub struct FillKernel {
+pub(crate) struct FillKernel {
     /// Target array.
-    pub out: DeviceBuffer<f32>,
+    pub(crate) out: DeviceBuffer<f32>,
     /// Fill value.
-    pub value: f32,
+    pub(crate) value: f32,
     /// Elements.
-    pub len: usize,
+    pub(crate) len: usize,
 }
 
 impl Kernel for FillKernel {
@@ -363,15 +363,15 @@ impl Kernel for FillKernel {
 }
 
 /// Copy a `u32` array (index/format manipulation for the sparse library).
-pub struct CopyU32Kernel {
+pub(crate) struct CopyU32Kernel {
     /// Input.
-    pub src: DeviceBuffer<u32>,
+    pub(crate) src: DeviceBuffer<u32>,
     /// Output.
-    pub dst: DeviceBuffer<u32>,
+    pub(crate) dst: DeviceBuffer<u32>,
     /// Elements.
-    pub len: usize,
+    pub(crate) len: usize,
     /// Label.
-    pub label: &'static str,
+    pub(crate) label: &'static str,
 }
 
 impl Kernel for CopyU32Kernel {
@@ -392,13 +392,13 @@ impl Kernel for CopyU32Kernel {
 
 /// Compute per-row degrees from CSR offsets: `deg[v] = indptr[v+1] - indptr[v]`
 /// as `f32` (ready for the reciprocal kernel).
-pub struct DegreeKernel {
+pub(crate) struct DegreeKernel {
     /// CSR offsets.
-    pub indptr: DeviceBuffer<u32>,
+    pub(crate) indptr: DeviceBuffer<u32>,
     /// Output degrees.
-    pub out: DeviceBuffer<f32>,
+    pub(crate) out: DeviceBuffer<f32>,
     /// Rows.
-    pub n: usize,
+    pub(crate) n: usize,
 }
 
 impl Kernel for DegreeKernel {
@@ -421,17 +421,17 @@ impl Kernel for DegreeKernel {
 
 /// Row-broadcast scale of a dense matrix: `out[v, :] = s[v] * x[v, :]`
 /// (the "apply self weight" kernel of the frameworks).
-pub struct RowScaleKernel {
+pub(crate) struct RowScaleKernel {
     /// Input matrix.
-    pub x: DeviceBuffer<f32>,
+    pub(crate) x: DeviceBuffer<f32>,
     /// Per-row scale.
-    pub s: DeviceBuffer<f32>,
+    pub(crate) s: DeviceBuffer<f32>,
     /// Output matrix.
-    pub out: DeviceBuffer<f32>,
+    pub(crate) out: DeviceBuffer<f32>,
     /// Rows.
-    pub n: usize,
+    pub(crate) n: usize,
     /// Columns.
-    pub f: usize,
+    pub(crate) f: usize,
 }
 
 impl Kernel for RowScaleKernel {

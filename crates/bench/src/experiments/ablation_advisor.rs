@@ -14,7 +14,7 @@ use tlpgnn_graph::datasets;
 const FEAT: usize = 32;
 const GROUP_SIZES: &[usize] = &[1, 2, 4, 8, 16, 32, 64];
 
-pub fn run(env: &Env, _args: &[String]) {
+pub(crate) fn run(env: &Env, _args: &[String]) {
     env.print_header("Ablation: GNNAdvisor neighbor-group size (GCN)");
     for abbr in ["PI", "OA", "OH"] {
         let spec = datasets::by_abbr(abbr).unwrap();

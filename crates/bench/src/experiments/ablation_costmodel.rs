@@ -92,7 +92,7 @@ fn run_checks(env: &Env, cfg: DeviceConfig) -> Vec<Check> {
     ]
 }
 
-pub fn run(env: &Env, _args: &[String]) {
+pub(crate) fn run(env: &Env, _args: &[String]) {
     env.print_header("Ablation: cost-model sensitivity of the headline orderings");
     let base = DeviceConfig::v100();
     let mut variants: Vec<(String, DeviceConfig)> = vec![("baseline".into(), base.clone())];

@@ -14,7 +14,7 @@ use tlpgnn_graph::datasets;
 
 const FEAT: usize = 32;
 
-pub fn run(env: &Env, _args: &[String]) {
+pub(crate) fn run(env: &Env, _args: &[String]) {
     env.print_header("Ablation: V100-class vs A100-class device");
     for (dev_name, base) in [
         ("V100", DeviceConfig::v100()),

@@ -13,7 +13,7 @@ use tlpgnn_graph::datasets::DATASETS;
 
 const FEAT: usize = 32;
 
-pub fn run(env: &Env, _args: &[String]) {
+pub(crate) fn run(env: &Env, _args: &[String]) {
     env.print_header("Ablation: hardware wpb × software step tuning grid (GCN)");
     let mut headers: Vec<String> = vec!["Dataset".into()];
     for &w in WPB_CANDIDATES {

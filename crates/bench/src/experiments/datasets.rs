@@ -4,7 +4,7 @@
 use crate::{self as bench, Env};
 use tlpgnn_graph::{datasets::DATASETS, GraphStats};
 
-pub fn run(env: &Env, _args: &[String]) {
+pub(crate) fn run(env: &Env, _args: &[String]) {
     env.print_header("Table 4: graph benchmarks (paper vs synthesized)");
     let mut t = bench::Table::new(
         "Table 4 (reproduced): datasets sorted by edge count",

@@ -23,7 +23,7 @@ fn build(n: usize, seed: u64) -> HeteroGraph {
     hg
 }
 
-pub fn run(env: &Env, _args: &[String]) {
+pub(crate) fn run(env: &Env, _args: &[String]) {
     env.print_header("Extension: heterogeneous R-GCN-style convolution");
     let mut t = bench::Table::new(
         "Fused multi-relation kernel vs per-relation launches",

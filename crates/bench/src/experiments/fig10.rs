@@ -21,7 +21,7 @@ use tlpgnn_graph::datasets::DATASETS;
 
 const FEAT: usize = 32;
 
-pub fn run(env: &Env, _args: &[String]) {
+pub(crate) fn run(env: &Env, _args: &[String]) {
     env.print_header("Figure 10: technique benefits (speedup over edge-centric baseline)");
     for model in GnnModel::all_four(FEAT) {
         let is_gat = matches!(model, GnnModel::Gat { .. });

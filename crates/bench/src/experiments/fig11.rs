@@ -20,7 +20,7 @@ fn scale_for(env: &Env, spec: &tlpgnn_graph::DatasetSpec) -> usize {
     (spec.default_scale / 4).max(4) * env.extra_scale
 }
 
-pub fn run(env: &Env, _args: &[String]) {
+pub(crate) fn run(env: &Env, _args: &[String]) {
     env.print_header("Figure 11: scalability vs thread count (512 threads/block)");
     for model in GnnModel::all_four(FEAT) {
         let mut headers: Vec<String> = vec!["Dataset".into()];

@@ -13,7 +13,7 @@ use tlpgnn_graph::datasets;
 
 const SIZES: &[usize] = &[16, 32, 64, 128, 256, 512];
 
-pub fn run(env: &Env, _args: &[String]) {
+pub(crate) fn run(env: &Env, _args: &[String]) {
     env.print_header("Figure 12: scalability vs feature size (normalized to 16)");
     // GAT's attention vectors depend on the feature dimension, so the
     // model is rebuilt per size inside the loop.

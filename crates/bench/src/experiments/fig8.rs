@@ -9,7 +9,7 @@ use tlpgnn::Aggregator;
 use tlpgnn_baselines::AdvisorSystem;
 use tlpgnn_graph::datasets;
 
-pub fn run(env: &Env, _args: &[String]) {
+pub(crate) fn run(env: &Env, _args: &[String]) {
     env.print_header("Figure 8: GNNAdvisor atomic-write traffic (GCN & GIN)");
     let mut t = bench::Table::new(
         "Figure 8 (reproduced): atomic write traffic (MB)",

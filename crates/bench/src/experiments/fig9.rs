@@ -10,7 +10,7 @@ use tlpgnn::GnnModel;
 use tlpgnn_baselines::{FeatGraphSystem, GnnSystem};
 use tlpgnn_graph::datasets::DATASETS;
 
-pub fn run(env: &Env, _args: &[String]) {
+pub(crate) fn run(env: &Env, _args: &[String]) {
     env.print_header("Figure 9: achieved occupancy, GCN, FeatGraph vs TLPGNN");
     let mut t = bench::Table::new(
         "Figure 9 (reproduced): achieved occupancy (%)",

@@ -32,7 +32,7 @@ pub struct Experiment {
     /// `results/<name>.txt` record.
     pub name: &'static str,
     /// One line for the usage listing.
-    pub title: &'static str,
+    pub(crate) title: &'static str,
     /// The experiment body: sizing, then the arguments after the name
     /// (a bad argument exits 2).
     pub run: fn(&Env, &[String]),

@@ -29,7 +29,7 @@ fn show(name: &str, p: &KernelProfile) {
     );
 }
 
-pub fn run(env: &Env, args: &[String]) {
+pub(crate) fn run(env: &Env, args: &[String]) {
     let abbr = args.first().map(|s| s.as_str()).unwrap_or("OH");
     let feat: usize = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(32);
     let spec = tlpgnn_graph::datasets::by_abbr(abbr).unwrap_or_else(|| {

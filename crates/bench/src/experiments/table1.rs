@@ -11,7 +11,7 @@ use crate::{self as bench, Env};
 use tlpgnn::{Aggregator, GnnModel};
 use tlpgnn_baselines::{AdvisorSystem, EdgeCentricSystem, PushSystem};
 
-pub fn run(env: &Env, _args: &[String]) {
+pub(crate) fn run(env: &Env, _args: &[String]) {
     env.print_header("Table 1: atomic-operation profiling (GCN, OH, feature 128)");
     let spec = tlpgnn_graph::datasets::by_abbr("OH").unwrap();
     let g = env.load(spec);

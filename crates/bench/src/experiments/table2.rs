@@ -10,7 +10,7 @@ use gpu_sim::{Device, LaunchConfig};
 use tlpgnn::kernels::variants::{SubWarpKernel, ThreadPerVertexKernel};
 use tlpgnn::Aggregator;
 
-pub fn run(env: &Env, _args: &[String]) {
+pub(crate) fn run(env: &Env, _args: &[String]) {
     env.print_header("Table 2: coalescing study (one thread vs half warp, feature 128)");
     let spec = tlpgnn_graph::datasets::by_abbr("OH").unwrap();
     let g = env.load(spec);

@@ -10,7 +10,7 @@ use crate::{self as bench, Env};
 use tlpgnn::{GatParams, GnnModel};
 use tlpgnn_baselines::{DglSystem, ThreeKernelGatSystem};
 
-pub fn run(env: &Env, _args: &[String]) {
+pub(crate) fn run(env: &Env, _args: &[String]) {
     env.print_header("Table 3: kernel launches study (GAT, RD, feature 32)");
     let spec = tlpgnn_graph::datasets::by_abbr("RD").unwrap();
     let g = env.load(spec);

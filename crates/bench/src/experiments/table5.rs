@@ -17,7 +17,7 @@ const FEAT: usize = 32;
 /// The paper's GNNAdvisor failed on these (illegal CUDA memory access).
 const ADVISOR_SKIP: &[&str] = &["CL", "ON", "RD", "OT"];
 
-pub fn run(env: &Env, _args: &[String]) {
+pub(crate) fn run(env: &Env, _args: &[String]) {
     env.print_header("Table 5: main comparison, feature 32");
 
     let mut summary: Vec<(String, f64)> = Vec::new();

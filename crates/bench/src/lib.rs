@@ -18,6 +18,11 @@
 //!   default in the bench binaries; see [`telemetry_scope`]).
 //! * `TLPGNN_RESULTS_DIR=<dir>` — where telemetry exports land
 //!   (default `results/`).
+//!
+//! ## Public API
+//!
+//! The public API is the `pub` items of this file and the `pub mod`
+//! below, one path per item; everything else is `pub(crate)`.
 
 #![warn(missing_docs)]
 
@@ -63,7 +68,7 @@ impl Env {
     }
 
     /// Load a dataset at its default scale × the extra scale.
-    pub fn load(&self, spec: &DatasetSpec) -> Csr {
+    pub(crate) fn load(&self, spec: &DatasetSpec) -> Csr {
         spec.load_scaled(self.extra_scale)
     }
 
@@ -76,14 +81,14 @@ impl Env {
     /// same factor (SM count and L2, with a floor of 8 SMs) preserves
     /// waves-per-SM and the bytes-per-L2 ratio, so limiters and crossovers
     /// land where they do at full scale.
-    pub fn shrink(&self, mut base: DeviceConfig, spec: &DatasetSpec) -> DeviceConfig {
+    pub(crate) fn shrink(&self, mut base: DeviceConfig, spec: &DatasetSpec) -> DeviceConfig {
         let sms = (base.num_sms / self.effective_scale(spec)).clamp(8, base.num_sms);
         base.l2_bytes = (base.l2_bytes * sms / base.num_sms).max(768 * 1024);
         base.num_sms = sms;
         base
     }
 
-    /// The simulated V100 scaled to a dataset (see [`Env::shrink`]).
+    /// The simulated V100 scaled to a dataset (see `Env::shrink`).
     pub fn device_for(&self, spec: &DatasetSpec) -> DeviceConfig {
         let mut cfg = self.shrink(DeviceConfig::v100(), spec);
         cfg.name = format!("SimV100/{}", cfg.num_sms);
@@ -137,7 +142,7 @@ pub fn results_dir() -> std::path::PathBuf {
 
 /// Random features for a graph, seeded per dataset (paper §7.1: random
 /// 32-bit floats).
-pub fn features(g: &Csr, feat_dim: usize, seed: u64) -> Matrix {
+pub(crate) fn features(g: &Csr, feat_dim: usize, seed: u64) -> Matrix {
     Matrix::random(g.num_vertices(), feat_dim, 1.0, seed)
 }
 

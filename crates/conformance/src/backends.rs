@@ -21,12 +21,12 @@ use tlpgnn_graph::Csr;
 use tlpgnn_tensor::Matrix;
 
 /// What one backend produced for a case.
-pub struct BackendRun {
+pub(crate) struct BackendRun {
     /// The aggregated output features.
-    pub output: Matrix,
+    pub(crate) output: Matrix,
     /// The raw kernel profile, when the backend exposes one (the variant
     /// kernels do; it feeds the gpu-sim accounting conservation checks).
-    pub kernel_profile: Option<KernelProfile>,
+    pub(crate) kernel_profile: Option<KernelProfile>,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -52,17 +52,17 @@ pub struct Backend {
     /// warp, so block placement cannot reorder it. False for the
     /// atomic-add systems (GNNAdvisor, Push, Edge-centric), where hardware
     /// would commit colliding adds in a placement-dependent order.
-    pub deterministic_across_devices: bool,
+    pub(crate) deterministic_across_devices: bool,
 }
 
 impl Backend {
     /// The backend's stable label (used in corpus files).
-    pub fn label(&self) -> &str {
+    pub(crate) fn label(&self) -> &str {
         &self.label
     }
 
     /// All backends, in a fixed order.
-    pub fn all() -> Vec<Backend> {
+    pub(crate) fn all() -> Vec<Backend> {
         let mut out = Vec::new();
         for v in KernelVariant::all() {
             out.push(Backend {
@@ -111,14 +111,14 @@ impl Backend {
         out
     }
 
-    /// Look a backend up by its [`label`](Self::label).
+    /// Look a backend up by its `label`.
     pub fn by_label(label: &str) -> Option<Backend> {
         Self::all().into_iter().find(|b| b.label == label)
     }
 
     /// Whether the backend implements the model. (The conformance domain
     /// is the sum family; GAT has its own dedicated kernels and tests.)
-    pub fn supports(&self, model: &GnnModel) -> bool {
+    pub(crate) fn supports(&self, model: &GnnModel) -> bool {
         match (&self.kind, model) {
             (_, GnnModel::Gat { .. }) => false,
             // GNNAdvisor's reordering pipeline handles GCN and GIN only.
@@ -129,7 +129,7 @@ impl Backend {
 
     /// Run one convolution on a fresh device. Returns `None` when the
     /// model is unsupported.
-    pub fn run(
+    pub(crate) fn run(
         &self,
         cfg: &DeviceConfig,
         model: &GnnModel,

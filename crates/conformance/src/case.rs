@@ -28,7 +28,7 @@ pub enum ModelSpec {
 
 impl ModelSpec {
     /// The engine-facing model.
-    pub fn model(&self) -> GnnModel {
+    pub(crate) fn model(&self) -> GnnModel {
         match *self {
             ModelSpec::Gcn => GnnModel::Gcn,
             ModelSpec::Gin { eps } => GnnModel::Gin { eps },
@@ -37,7 +37,7 @@ impl ModelSpec {
     }
 
     /// Stable label for filenames and reports.
-    pub fn label(&self) -> &'static str {
+    pub(crate) fn label(&self) -> &'static str {
         match self {
             ModelSpec::Gcn => "gcn",
             ModelSpec::Gin { .. } => "gin",
@@ -61,7 +61,7 @@ pub struct TestCase {
     pub feature_seed: u64,
     /// Model under test.
     pub model: ModelSpec,
-    /// Backend label (see [`crate::backends::all_backends`]).
+    /// Backend label (see `crate::backends::all_backends`).
     pub backend: String,
     /// SM count of the simulated device (all other device parameters come
     /// from [`DeviceConfig::test_small`]).
@@ -105,7 +105,7 @@ impl TestCase {
     /// alphabetical order, so files diff stably). Numbers travel as
     /// `f64`: integers are exact below 2^53 and an `f32` ε widens
     /// losslessly.
-    pub fn to_json(&self) -> String {
+    pub(crate) fn to_json(&self) -> String {
         let mut edges = Value::array();
         for &(v, u) in &self.edges {
             edges.push(vec![Value::from(v), Value::from(u)]);
@@ -132,7 +132,7 @@ impl TestCase {
     }
 
     /// Parse a corpus file.
-    pub fn from_json(text: &str) -> Result<TestCase, String> {
+    pub(crate) fn from_json(text: &str) -> Result<TestCase, String> {
         let v = json::parse(text)?;
         let req = |key: &str| v.get(key).ok_or_else(|| format!("missing key `{key}`"));
         let as_u64 = |x: &Value| {

@@ -6,8 +6,8 @@
 //! function. This crate enforces that with three mechanisms:
 //!
 //! 1. **Differential checking** against the scalar reference
-//!    (`tlpgnn::oracle`) under a ULP-bounded float comparison ([`ulp`]).
-//! 2. **Metamorphic invariants** that need no oracle ([`metamorphic`]):
+//!    (`tlpgnn::oracle`) under a ULP-bounded float comparison (`ulp`).
+//! 2. **Metamorphic invariants** that need no oracle (`metamorphic`):
 //!    vertex-permutation equivariance, bitwise determinism under repeats
 //!    and (for atomic-free backends) under SM-count changes, exact
 //!    linearity in the features, and the gpu-sim accounting conservation
@@ -16,22 +16,28 @@
 //!    ([`shrink`]) to minimal form, serialized as JSON, and replayed on
 //!    every `cargo test` run.
 //!
-//! The seeded fuzzer ([`fuzz`]) ties them together; the
+//! The seeded fuzzer (`fuzz`) ties them together; the
 //! `conformance_fuzz` binary in `tlpgnn-bench` drives it from CI.
+//!
+//! ## Public API
+//!
+//! The public API is the `pub use` re-exports and `pub mod`s below, one
+//! path per item; everything else is `pub(crate)`. A `pub` type inside a
+//! private module is reached only through the signatures of those items.
 
 #![warn(missing_docs)]
 
-pub mod backends;
-pub mod case;
+pub(crate) mod backends;
+pub(crate) mod case;
 pub mod corpus;
-pub mod fuzz;
-pub mod metamorphic;
+pub(crate) mod fuzz;
+pub(crate) mod metamorphic;
 pub mod shrink;
-pub mod ulp;
+pub(crate) mod ulp;
 
-pub use backends::{Backend, BackendRun};
+pub use backends::Backend;
 pub use case::{ModelSpec, TestCase};
-pub use fuzz::{fuzz_with, FuzzReport};
+pub use fuzz::fuzz_with;
 pub use metamorphic::check_case;
 pub use shrink::shrink as shrink_case;
-pub use ulp::{Mismatch, Tolerance};
+pub use ulp::Tolerance;

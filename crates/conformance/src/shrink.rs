@@ -13,7 +13,7 @@ use crate::case::TestCase;
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ShrinkStats {
     /// Reductions attempted.
-    pub attempts: usize,
+    pub(crate) attempts: usize,
     /// Reductions that kept the failure and were accepted.
     pub accepted: usize,
 }

@@ -12,9 +12,9 @@
 #[derive(Debug, Clone, Copy)]
 pub struct Tolerance {
     /// Pass when `|a - b|` is at or below this, regardless of ULPs.
-    pub abs_tol: f32,
+    pub(crate) abs_tol: f32,
     /// Otherwise pass when the values are within this many ULPs.
-    pub max_ulps: u32,
+    pub(crate) max_ulps: u32,
 }
 
 impl Default for Tolerance {
@@ -53,7 +53,7 @@ fn ulp_distance(a: f32, b: f32) -> u32 {
 
 impl Tolerance {
     /// Whether a single pair of values matches.
-    pub fn matches(&self, a: f32, b: f32) -> bool {
+    pub(crate) fn matches(&self, a: f32, b: f32) -> bool {
         if a == b {
             return true;
         }
@@ -89,13 +89,13 @@ impl Tolerance {
 #[derive(Debug, Clone, Copy)]
 pub struct Mismatch {
     /// Flat element index.
-    pub index: usize,
+    pub(crate) index: usize,
     /// Value produced by the backend under test.
-    pub got: f32,
+    pub(crate) got: f32,
     /// Reference value.
-    pub want: f32,
+    pub(crate) want: f32,
     /// ULP distance between them.
-    pub ulps: u32,
+    pub(crate) ulps: u32,
 }
 
 impl Mismatch {

@@ -15,8 +15,6 @@ use crate::oracle;
 pub struct GraphOnDevice {
     /// Vertex count.
     pub n: usize,
-    /// Edge count.
-    pub m: usize,
     /// Feature dimension.
     pub feat_dim: usize,
     /// CSR offsets (`n + 1` entries).
@@ -30,7 +28,7 @@ pub struct GraphOnDevice {
     /// GCN normalization `1/sqrt(deg+1)` per vertex.
     pub norm: DeviceBuffer<f32>,
     /// In-degree per vertex.
-    pub degree: DeviceBuffer<u32>,
+    pub(crate) degree: DeviceBuffer<u32>,
 }
 
 impl GraphOnDevice {
@@ -38,7 +36,6 @@ impl GraphOnDevice {
     pub fn upload(dev: &mut Device, g: &Csr, feats: &Matrix) -> Self {
         assert_eq!(g.num_vertices(), feats.rows(), "graph/feature mismatch");
         let n = g.num_vertices();
-        let m = g.num_edges();
         let feat_dim = feats.cols();
         let mem = dev.mem_mut();
         let indptr = mem.alloc_from(g.indptr());
@@ -50,7 +47,6 @@ impl GraphOnDevice {
         let degree = mem.alloc_from(&degs);
         Self {
             n,
-            m,
             feat_dim,
             indptr,
             indices,
@@ -88,11 +84,11 @@ impl GraphOnDevice {
 #[derive(Clone, Copy)]
 pub struct GatScoresOnDevice {
     /// Source-side scores, one per vertex.
-    pub al: DeviceBuffer<f32>,
+    pub(crate) al: DeviceBuffer<f32>,
     /// Destination-side scores, one per vertex.
-    pub ar: DeviceBuffer<f32>,
+    pub(crate) ar: DeviceBuffer<f32>,
     /// LeakyReLU slope.
-    pub slope: f32,
+    pub(crate) slope: f32,
 }
 
 impl GatScoresOnDevice {
@@ -128,7 +124,7 @@ mod tests {
         let x = Matrix::random(50, 16, 1.0, 2);
         let gd = GraphOnDevice::upload(&mut dev, &g, &x);
         assert_eq!(gd.n, 50);
-        assert_eq!(gd.m, g.num_edges());
+        assert_eq!(gd.indices.len(), g.num_edges());
         assert_eq!(gd.tiles(), 1);
         assert_eq!(dev.mem().read_vec(gd.features), x.data());
         assert_eq!(dev.mem().read_vec(gd.indptr), g.indptr());

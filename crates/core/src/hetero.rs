@@ -111,7 +111,7 @@ struct RelationOnDevice {
 
 /// The fused multi-relation kernel: one warp per vertex, one launch for
 /// ALL relations.
-pub struct FusedHeteroKernel {
+pub(crate) struct FusedHeteroKernel {
     relations: Vec<RelationOnDevice>,
     features: DeviceBuffer<f32>,
     output: DeviceBuffer<f32>,

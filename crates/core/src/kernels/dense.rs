@@ -14,23 +14,23 @@ use tlpgnn_tensor::{Linear, Matrix};
 
 /// Fused `Y = act(X·W + b)` kernel: warp per output row, lanes per
 /// 32-column tile.
-pub struct DenseLayerKernel {
+pub(crate) struct DenseLayerKernel {
     /// Input matrix (`rows × in_dim`).
-    pub x: DeviceBuffer<f32>,
+    pub(crate) x: DeviceBuffer<f32>,
     /// Weights (`in_dim × out_dim`, row major).
-    pub w: DeviceBuffer<f32>,
+    pub(crate) w: DeviceBuffer<f32>,
     /// Bias (`out_dim`), or `None`.
-    pub bias: Option<DeviceBuffer<f32>>,
+    pub(crate) bias: Option<DeviceBuffer<f32>>,
     /// Output (`rows × out_dim`).
-    pub y: DeviceBuffer<f32>,
+    pub(crate) y: DeviceBuffer<f32>,
     /// Rows.
-    pub rows: usize,
+    pub(crate) rows: usize,
     /// Inner dimension.
-    pub in_dim: usize,
+    pub(crate) in_dim: usize,
     /// Output dimension.
-    pub out_dim: usize,
+    pub(crate) out_dim: usize,
     /// Apply ReLU in the same kernel.
-    pub relu: bool,
+    pub(crate) relu: bool,
 }
 
 impl Kernel for DenseLayerKernel {
@@ -138,13 +138,13 @@ pub(crate) fn try_dense_forward_on_device(
 /// Row-wise log-softmax kernel: warp per row, three tiled passes (max,
 /// sum of exponentials, normalize) with partials in registers — the
 /// classification head, on device.
-pub struct RowLogSoftmaxKernel {
+pub(crate) struct RowLogSoftmaxKernel {
     /// Matrix transformed in place (`rows × cols`).
-    pub data: DeviceBuffer<f32>,
+    pub(crate) data: DeviceBuffer<f32>,
     /// Rows.
-    pub rows: usize,
+    pub(crate) rows: usize,
     /// Columns.
-    pub cols: usize,
+    pub(crate) cols: usize,
 }
 
 impl Kernel for RowLogSoftmaxKernel {

@@ -26,17 +26,17 @@ use crate::gpu::GraphOnDevice;
 /// The fused convolution kernel for GCN / GIN / GraphSage.
 pub struct FusedConvKernel {
     /// Device-resident graph and features.
-    pub gd: GraphOnDevice,
+    pub(crate) gd: GraphOnDevice,
     /// Aggregation operator.
-    pub agg: Aggregator,
+    pub(crate) agg: Aggregator,
     /// First-level workload assignment.
-    pub work: WorkSource,
+    pub(crate) work: WorkSource,
     /// Register caching of index bounds and partial sums (Section 6).
-    pub reg_cache: bool,
+    pub(crate) reg_cache: bool,
     /// The launch covers rows `0..rows`: `gd.n` from [`Self::new`];
     /// narrow it to leave the rest of `gd` as read-only neighbor state
     /// (e.g. a shard's halo rows).
-    pub rows: usize,
+    pub(crate) rows: usize,
     name: String,
 }
 

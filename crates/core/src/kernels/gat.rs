@@ -26,17 +26,17 @@ use crate::gpu::{GatScoresOnDevice, GraphOnDevice};
 /// Fused single-kernel GAT convolution.
 pub struct FusedGatKernel {
     /// Device-resident graph and features.
-    pub gd: GraphOnDevice,
+    pub(crate) gd: GraphOnDevice,
     /// Device-resident attention scores.
-    pub scores: GatScoresOnDevice,
+    pub(crate) scores: GatScoresOnDevice,
     /// First-level workload assignment.
-    pub work: WorkSource,
+    pub(crate) work: WorkSource,
     /// Register caching (bounds + accumulator), as in the sum kernels.
-    pub reg_cache: bool,
+    pub(crate) reg_cache: bool,
     /// The launch covers rows `0..rows`: `gd.n` from [`Self::new`];
     /// narrow it to leave the rest of `gd` as read-only neighbor state
     /// (e.g. a shard's halo rows).
-    pub rows: usize,
+    pub(crate) rows: usize,
 }
 
 impl FusedGatKernel {
@@ -203,13 +203,13 @@ impl MultiHeadGatParams {
 #[derive(Clone, Copy)]
 pub struct MultiHeadScoresOnDevice {
     /// Flattened per-head source scores (`H × n`).
-    pub al: gpu_sim::DeviceBuffer<f32>,
+    pub(crate) al: gpu_sim::DeviceBuffer<f32>,
     /// Flattened per-head destination scores (`H × n`).
-    pub ar: gpu_sim::DeviceBuffer<f32>,
+    pub(crate) ar: gpu_sim::DeviceBuffer<f32>,
     /// Head count.
-    pub heads: usize,
+    pub(crate) heads: usize,
     /// LeakyReLU slope (shared across heads).
-    pub slope: f32,
+    pub(crate) slope: f32,
 }
 
 impl MultiHeadScoresOnDevice {
@@ -237,13 +237,6 @@ impl MultiHeadScoresOnDevice {
             heads: h,
             slope,
         }
-    }
-
-    /// Release the buffers.
-    pub fn free(self, dev: &mut gpu_sim::Device) {
-        let mem = dev.mem_mut();
-        mem.free(self.al);
-        mem.free(self.ar);
     }
 }
 

@@ -68,14 +68,14 @@ pub(crate) fn fused_regs(model: &GnnModel, reg_cache: bool) -> usize {
 }
 
 /// A kernel bound to its launch, ready to go.
-pub struct PreparedLaunch {
+pub(crate) struct PreparedLaunch {
     /// The kernel to launch on `bound.lc`.
-    pub kernel: Box<dyn Kernel>,
+    pub(crate) kernel: Box<dyn Kernel>,
     /// Geometry, work source and cursor lifetime.
-    pub bound: BoundLaunch,
+    pub(crate) bound: BoundLaunch,
     /// GAT attention scores the kernel reads; the caller frees them
     /// after the launch.
-    pub scores: Option<GatScoresOnDevice>,
+    pub(crate) scores: Option<GatScoresOnDevice>,
 }
 
 /// `model`'s fused kernel over `gd` under `bound`: the sum-family kernel

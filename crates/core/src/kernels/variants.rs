@@ -6,7 +6,7 @@
 //!   32 different vertices (fully uncoalesced).
 //! * [`SubWarpKernel`] — `lanes_per_vertex` threads per vertex (Table 2's
 //!   "Half Warp" is 16); coalescing improves with the group size.
-//! * [`CtaPerVertexKernel`] — one whole thread block per vertex: warps
+//! * `CtaPerVertexKernel` — one whole thread block per vertex: warps
 //!   split the edge list, combine partials in shared memory behind
 //!   barriers (the synchronization overhead of Section 4.2).
 //! * [`EdgeParallelSecondKernel`] — keeps warp-per-vertex but uses the
@@ -36,7 +36,7 @@ pub enum KernelVariant {
         /// Threads cooperating on one vertex.
         lanes_per_vertex: usize,
     },
-    /// [`CtaPerVertexKernel`].
+    /// `CtaPerVertexKernel`.
     CtaPerVertex,
     /// [`EdgeParallelSecondKernel`].
     EdgeParallelSecond,
@@ -72,7 +72,7 @@ impl KernelVariant {
     }
 
     /// Construct the kernel for a device-resident graph.
-    pub fn build(&self, gd: GraphOnDevice, agg: Aggregator) -> Box<dyn Kernel> {
+    pub(crate) fn build(&self, gd: GraphOnDevice, agg: Aggregator) -> Box<dyn Kernel> {
         match *self {
             KernelVariant::ThreadPerVertex => Box::new(ThreadPerVertexKernel { gd, agg }),
             KernelVariant::SubWarp { lanes_per_vertex } => Box::new(SubWarpKernel {
@@ -86,7 +86,7 @@ impl KernelVariant {
     }
 
     /// The launch geometry each variant's mapping requires.
-    pub fn launch_config(&self, gd: &GraphOnDevice) -> LaunchConfig {
+    pub(crate) fn launch_config(&self, gd: &GraphOnDevice) -> LaunchConfig {
         match *self {
             KernelVariant::ThreadPerVertex => {
                 LaunchConfig::warp_per_item(gd.n.div_ceil(WARP_SIZE), 128)
@@ -387,11 +387,11 @@ impl Kernel for SubWarpKernel {
 /// One thread block per vertex: `warps_per_block` warps split the edge
 /// list, accumulate partials into shared memory behind two barriers, and
 /// warp 0 writes the result. Models the CTA-mapping cost of Section 4.2.
-pub struct CtaPerVertexKernel {
+pub(crate) struct CtaPerVertexKernel {
     /// Device-resident graph and features.
-    pub gd: GraphOnDevice,
+    pub(crate) gd: GraphOnDevice,
     /// Aggregation operator.
-    pub agg: Aggregator,
+    pub(crate) agg: Aggregator,
 }
 
 impl Kernel for CtaPerVertexKernel {

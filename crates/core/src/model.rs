@@ -9,9 +9,9 @@ use tlpgnn_tensor::{activations, Linear, Matrix};
 #[derive(Debug, Clone, PartialEq)]
 pub struct GatParams {
     /// Source-side attention vector (`a_src · x[u]`).
-    pub a_src: Vec<f32>,
+    pub(crate) a_src: Vec<f32>,
     /// Destination-side attention vector (`a_dst · x[v]`).
-    pub a_dst: Vec<f32>,
+    pub(crate) a_dst: Vec<f32>,
     /// LeakyReLU negative slope for edge scores (0.2 in the GAT paper).
     pub slope: f32,
 }
@@ -77,7 +77,7 @@ impl GnnModel {
 /// How a [`GnnLayer`] combines the aggregated neighborhood with the
 /// vertex's own representation after convolution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Combine {
+pub(crate) enum Combine {
     /// Use the convolution output directly (GCN/GIN/GAT style, where the
     /// self term is inside the conv).
     Replace,
@@ -96,16 +96,16 @@ pub struct GnnLayer {
     /// Convolution operator.
     pub model: GnnModel,
     /// Learned projection applied before convolution.
-    pub linear: Linear,
+    pub(crate) linear: Linear,
     /// Self-combination mode.
-    pub combine: Combine,
+    pub(crate) combine: Combine,
     /// Apply ReLU at the end.
-    pub relu: bool,
+    pub(crate) relu: bool,
 }
 
 impl GnnLayer {
     /// Build a layer for `model` mapping `in_dim -> out_dim`.
-    pub fn new(model: GnnModel, in_dim: usize, out_dim: usize, seed: u64) -> Self {
+    pub(crate) fn new(model: GnnModel, in_dim: usize, out_dim: usize, seed: u64) -> Self {
         let combine = match model {
             GnnModel::Sage => Combine::ConcatSelf,
             _ => Combine::Replace,
@@ -124,7 +124,7 @@ impl GnnLayer {
 
     /// Forward pass using `conv` to perform the graph convolution.
     /// `conv(model, features)` must return the aggregated features.
-    pub fn forward_with(
+    pub(crate) fn forward_with(
         &self,
         x: &Matrix,
         mut conv: impl FnMut(&GnnModel, &Matrix) -> Matrix,

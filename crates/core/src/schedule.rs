@@ -103,7 +103,7 @@ pub struct BoundLaunch {
     /// First-level work source for the kernel.
     pub work: WorkSource,
     /// The launch covers rows `0..rows`.
-    pub rows: usize,
+    pub(crate) rows: usize,
     cursor: Option<DeviceBuffer<u32>>,
 }
 

@@ -19,7 +19,7 @@ use crate::schedule::Assignment;
 #[derive(Debug, Clone)]
 pub struct TunePoint {
     /// The configuration.
-    pub assignment: Assignment,
+    pub(crate) assignment: Assignment,
     /// Measured (modelled) GPU time, ms.
     pub gpu_ms: f64,
 }

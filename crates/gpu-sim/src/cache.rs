@@ -24,7 +24,7 @@ const EMPTY: u64 = u64::MAX;
 
 /// Set-associative cache of sector tags with LRU replacement.
 #[derive(Debug)]
-pub struct SectorCache {
+pub(crate) struct SectorCache {
     /// `tags[set * WAYS..][..WAYS]` are one set's ways, most recently
     /// used first; [`EMPTY`] marks an empty way. Recency is only ever
     /// compared inside one set, so the order of a set's ways is the whole
@@ -32,8 +32,6 @@ pub struct SectorCache {
     tags: Vec<u64>,
     /// `num_sets - 1`; the set count is a power of two.
     set_mask: usize,
-    hits: u64,
-    misses: u64,
     /// Misses that displaced a valid resident sector (capacity/conflict
     /// pressure); cold misses into an empty way are not evictions.
     evictions: u64,
@@ -47,7 +45,7 @@ fn sets_for(capacity_bytes: usize, sector_bytes: usize) -> usize {
 
 impl SectorCache {
     /// Build a cache holding `capacity_bytes` of `sector_bytes` sectors.
-    pub fn new(capacity_bytes: usize, sector_bytes: usize) -> Self {
+    pub(crate) fn new(capacity_bytes: usize, sector_bytes: usize) -> Self {
         Self::with_sets(sets_for(capacity_bytes, sector_bytes))
     }
 
@@ -67,8 +65,6 @@ impl SectorCache {
         Self {
             tags: vec![EMPTY; num_sets * WAYS],
             set_mask: num_sets - 1,
-            hits: 0,
-            misses: 0,
             evictions: 0,
         }
     }
@@ -89,19 +85,12 @@ impl SectorCache {
         // The way that becomes most recent: the one holding the sector, else
         // the first empty one, else the least recent (last), displaced.
         let found = ways.iter().position(|&t| t == sector);
-        let way = match found {
-            Some(way) => {
-                self.hits += 1;
-                way
-            }
-            None => {
-                self.misses += 1;
-                ways.iter().position(|&t| t == EMPTY).unwrap_or_else(|| {
-                    self.evictions += 1;
-                    WAYS - 1
-                })
-            }
-        };
+        let way = found.unwrap_or_else(|| {
+            ways.iter().position(|&t| t == EMPTY).unwrap_or_else(|| {
+                self.evictions += 1;
+                WAYS - 1
+            })
+        });
         // Ways ahead of it age by one place; a hit on the most recent way
         // (the common case) moves nothing.
         for i in (0..way).rev() {
@@ -114,7 +103,7 @@ impl SectorCache {
     /// Whether a sector is resident, without touching recency (the tests'
     /// view of the cache).
     #[cfg(test)]
-    pub fn probe(&self, sector: u64) -> bool {
+    pub(crate) fn probe(&self, sector: u64) -> bool {
         let base = self.set_of(sector);
         self.tags[base..base + WAYS].contains(&sector)
     }
@@ -132,36 +121,14 @@ impl SectorCache {
         }
     }
 
-    /// Total hits recorded.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Total misses recorded.
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
     /// Misses that displaced a valid resident sector.
-    pub fn evictions(&self) -> u64 {
+    pub(crate) fn evictions(&self) -> u64 {
         self.evictions
     }
 
-    /// Hit rate in `[0, 1]`; zero if never accessed.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-
     /// Clear contents and statistics.
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         self.tags.fill(EMPTY);
-        self.hits = 0;
-        self.misses = 0;
         self.evictions = 0;
     }
 }
@@ -176,18 +143,17 @@ impl SectorCache {
 mod reference {
     use super::WAYS;
 
-    pub struct SectorCache {
+    pub(crate) struct SectorCache {
         tags: Vec<u64>,
         stamps: Vec<u64>,
         num_sets: usize,
         clock: u64,
-        pub hits: u64,
-        pub misses: u64,
-        pub evictions: u64,
+        pub(crate) hits: u64,
+        pub(crate) evictions: u64,
     }
 
     impl SectorCache {
-        pub fn new(capacity_bytes: usize, sector_bytes: usize) -> Self {
+        pub(crate) fn new(capacity_bytes: usize, sector_bytes: usize) -> Self {
             let sectors = (capacity_bytes / sector_bytes).max(WAYS);
             let num_sets = (sectors / WAYS).next_power_of_two();
             Self {
@@ -196,7 +162,6 @@ mod reference {
                 num_sets,
                 clock: 0,
                 hits: 0,
-                misses: 0,
                 evictions: 0,
             }
         }
@@ -211,7 +176,6 @@ mod reference {
                 self.hits += 1;
                 return true;
             }
-            self.misses += 1;
             let mut victim = 0;
             let mut oldest = u64::MAX;
             let mut found_empty = false;
@@ -234,12 +198,12 @@ mod reference {
             false
         }
 
-        pub fn probe(&self, sector: u64) -> bool {
+        pub(crate) fn probe(&self, sector: u64) -> bool {
             let set = (sector as usize) & (self.num_sets - 1);
             self.tags[set * WAYS..set * WAYS + WAYS].contains(&sector)
         }
 
-        pub fn invalidate(&mut self, sector: u64) {
+        pub(crate) fn invalidate(&mut self, sector: u64) {
             let set = (sector as usize) & (self.num_sets - 1);
             let base = set * WAYS;
             for w in 0..WAYS {
@@ -249,12 +213,11 @@ mod reference {
             }
         }
 
-        pub fn reset(&mut self) {
+        pub(crate) fn reset(&mut self) {
             self.tags.fill(u64::MAX);
             self.stamps.fill(0);
             self.clock = 0;
             self.hits = 0;
-            self.misses = 0;
             self.evictions = 0;
         }
     }
@@ -262,12 +225,12 @@ mod reference {
     const L2_SHARDS: usize = 64;
     const L2_SHARD_BITS: u32 = L2_SHARDS.trailing_zeros();
 
-    pub struct SharedCache {
+    pub(crate) struct SharedCache {
         shards: Vec<SectorCache>,
     }
 
     impl SharedCache {
-        pub fn new(capacity_bytes: usize, sector_bytes: usize) -> Self {
+        pub(crate) fn new(capacity_bytes: usize, sector_bytes: usize) -> Self {
             let per_shard = (capacity_bytes / L2_SHARDS).max(sector_bytes * WAYS);
             Self {
                 shards: (0..L2_SHARDS)
@@ -280,14 +243,14 @@ mod reference {
             self.shards[(sector as usize) & (L2_SHARDS - 1)].access(sector >> L2_SHARD_BITS)
         }
 
-        /// Aggregate (hits, misses, evictions) over all shards.
-        pub fn stats(&self) -> (u64, u64, u64) {
-            self.shards.iter().fold((0, 0, 0), |(h, m, e), s| {
-                (h + s.hits, m + s.misses, e + s.evictions)
-            })
+        /// Aggregate (hits, evictions) over all shards.
+        pub(crate) fn stats(&self) -> (u64, u64) {
+            self.shards
+                .iter()
+                .fold((0, 0), |(h, e), s| (h + s.hits, e + s.evictions))
         }
 
-        pub fn reset(&mut self) {
+        pub(crate) fn reset(&mut self) {
             self.shards.iter_mut().for_each(SectorCache::reset);
         }
     }
@@ -306,8 +269,6 @@ mod tests {
         assert!(!c.access(7));
         assert!(c.access(7));
         assert!(c.access(7));
-        assert_eq!(c.hits(), 2);
-        assert_eq!(c.misses(), 1);
     }
 
     #[test]
@@ -317,13 +278,12 @@ mod tests {
         // Fill one set (sectors congruent mod 4): 5 distinct tags in a
         // 4-way set must evict the least recently used (sector 0).
         for s in [0u64, 4, 8, 12, 16] {
-            c.access(s);
+            assert!(!c.access(s));
         }
         assert!(!c.probe(0), "LRU victim should be evicted");
         assert!(c.probe(16));
         // Four cold fills into empty ways, then one true eviction.
         assert_eq!(c.evictions(), 1);
-        assert_eq!(c.misses(), 5);
         c.reset();
         assert_eq!(c.evictions(), 0);
     }
@@ -371,9 +331,7 @@ mod tests {
         let mut c = SectorCache::sliced(64 * 1024, 32);
         assert!(!c.access(100));
         assert!(c.access(100));
-        assert_eq!((c.hits(), c.misses()), (1, 1));
         c.reset();
-        assert_eq!((c.hits(), c.misses()), (0, 0));
         assert!(!c.probe(100));
     }
 
@@ -384,15 +342,6 @@ mod tests {
         assert_eq!(v100.set_mask + 1, 64 * 1024);
         // Tiny capacities still get one full set per slice.
         assert_eq!(SectorCache::sliced(1, 32).set_mask + 1, 64);
-    }
-
-    #[test]
-    fn hit_rate_bounds() {
-        let mut c = SectorCache::new(1024, 32);
-        assert_eq!(c.hit_rate(), 0.0);
-        c.access(1);
-        c.access(1);
-        assert!((c.hit_rate() - 0.5).abs() < 1e-12);
     }
 
     /// Seeded sector stream that keeps a cache of `num_sets` sets under
@@ -437,12 +386,8 @@ mod tests {
                     _ => assert_eq!(new.access(s), old.access(s), "access, step {step}"),
                 }
             }
-            assert_eq!(
-                (new.hits(), new.misses(), new.evictions()),
-                (old.hits, old.misses, old.evictions),
-                "capacity {capacity}"
-            );
-            assert!(new.evictions() > 0 && new.hits() > 0);
+            assert_eq!(new.evictions(), old.evictions, "capacity {capacity}");
+            assert!(old.evictions > 0 && old.hits > 0);
         }
     }
 
@@ -472,12 +417,9 @@ mod tests {
                     assert_eq!(new.access(s), old.access(s), "access, step {step}");
                 }
             }
-            assert_eq!(
-                (new.hits(), new.misses(), new.evictions()),
-                old.stats(),
-                "capacity {capacity}"
-            );
-            assert!(new.evictions() > 0 && new.hits() > 0);
+            let (hits, evictions) = old.stats();
+            assert_eq!(new.evictions(), evictions, "capacity {capacity}");
+            assert!(evictions > 0 && hits > 0);
         }
     }
 }

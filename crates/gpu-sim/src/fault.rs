@@ -126,15 +126,6 @@ impl FaultPlan {
         }
         None
     }
-
-    /// The fault schedule for the first `n` launch attempts — the
-    /// deterministic "event log" a chaos harness can compare across runs
-    /// without depending on execution timing.
-    pub fn schedule(&self, n: u64) -> Vec<(u64, FaultKind)> {
-        (0..n)
-            .filter_map(|i| self.decide(i).map(|k| (i, k)))
-            .collect()
-    }
 }
 
 impl Default for FaultPlan {
@@ -166,7 +157,7 @@ pub enum FaultKind {
 
 impl FaultKind {
     /// Stable label used in logs and telemetry counter names.
-    pub fn label(&self) -> &'static str {
+    pub(crate) fn label(&self) -> &'static str {
         match self {
             FaultKind::Transient => "transient",
             FaultKind::DeviceLost => "device_lost",
@@ -180,7 +171,7 @@ impl FaultKind {
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultEvent {
     /// Launch-attempt index the fault fired at (0-based, per device).
-    pub launch: u64,
+    pub(crate) launch: u64,
     /// What was injected.
     pub kind: FaultKind,
     /// Name of the kernel whose launch was hit.
@@ -188,7 +179,7 @@ pub struct FaultEvent {
     /// Causal trace id of the request whose launch triggered the fault
     /// (read from [`telemetry::trace::current`] at injection time); 0
     /// when the launch was not driven by a traced request.
-    pub trace: u64,
+    pub(crate) trace: u64,
 }
 
 impl fmt::Display for FaultEvent {
@@ -238,6 +229,11 @@ impl std::error::Error for LaunchError {}
 mod tests {
     use super::*;
 
+    /// The fault schedule for the first `n` launch attempts.
+    fn schedule(p: &FaultPlan, n: u64) -> Vec<(u64, FaultKind)> {
+        (0..n).filter_map(|i| p.decide(i).map(|k| (i, k))).collect()
+    }
+
     #[test]
     fn none_never_fires() {
         let p = FaultPlan::none();
@@ -245,7 +241,7 @@ mod tests {
         for i in 0..10_000 {
             assert_eq!(p.decide(i), None);
         }
-        assert!(p.schedule(1000).is_empty());
+        assert!(schedule(&p, 1000).is_empty());
     }
 
     #[test]
@@ -253,15 +249,15 @@ mod tests {
         let a = FaultPlan::transient(7, 0.3);
         let b = FaultPlan::transient(7, 0.3);
         let c = FaultPlan::transient(8, 0.3);
-        assert_eq!(a.schedule(500), b.schedule(500));
-        assert_ne!(a.schedule(500), c.schedule(500));
+        assert_eq!(schedule(&a, 500), schedule(&b, 500));
+        assert_ne!(schedule(&a, 500), schedule(&c, 500));
     }
 
     #[test]
     fn transient_rate_roughly_respected() {
         let p = FaultPlan::transient(42, 0.25);
         let n = 20_000;
-        let fired = p.schedule(n).len() as f64 / n as f64;
+        let fired = schedule(&p, n).len() as f64 / n as f64;
         assert!((fired - 0.25).abs() < 0.02, "observed rate {fired}");
     }
 
@@ -288,7 +284,7 @@ mod tests {
         let base = FaultPlan::transient(9, 0.2);
         let salted = base.with_salt(1);
         assert_eq!(salted.transient_rate, base.transient_rate);
-        assert_ne!(salted.schedule(200), base.schedule(200));
+        assert_ne!(schedule(&salted, 200), schedule(&base, 200));
         // Salting is itself deterministic.
         assert_eq!(base.with_salt(1), base.with_salt(1));
     }

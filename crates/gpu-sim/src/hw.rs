@@ -21,7 +21,7 @@ use crate::profile::Accounting;
 pub struct HwCounters {
     // ---- warp activity / stall reasons (cycles summed over all warps) ----
     /// Cycles warps spent issuing instructions (busy, not stalled).
-    pub issue_active_cycles: u64,
+    pub(crate) issue_active_cycles: u64,
     /// Cycles warps stalled on global-memory loads ("long scoreboard").
     pub stall_mem_cycles: u64,
     /// Cycles warps stalled in atomic round trips and conflict
@@ -30,29 +30,29 @@ pub struct HwCounters {
     /// Cycles charged to block-wide barriers (`__syncthreads`).
     pub stall_sync_cycles: u64,
     /// Barriers executed, all warps.
-    pub barriers: u64,
+    pub(crate) barriers: u64,
 
     // ---- cache hierarchy (load sectors) ----
     /// Load sectors served by the L1.
-    pub l1_hit_sectors: u64,
+    pub(crate) l1_hit_sectors: u64,
     /// Load sectors that missed the L1 (served by L2 or DRAM).
-    pub l1_miss_sectors: u64,
+    pub(crate) l1_miss_sectors: u64,
     /// L1 misses that displaced a valid resident sector (capacity or
     /// conflict pressure; cold fills excluded), summed over SM workers.
-    pub l1_evictions: u64,
+    pub(crate) l1_evictions: u64,
     /// Load sectors served by the L2.
-    pub l2_hit_sectors: u64,
+    pub(crate) l2_hit_sectors: u64,
     /// Load sectors that missed the L2 (served by DRAM).
-    pub l2_miss_sectors: u64,
+    pub(crate) l2_miss_sectors: u64,
 
     // ---- DRAM / row-buffer locality (below-L1 load stream) ----
     /// Load sectors served by DRAM.
-    pub dram_sectors: u64,
+    pub(crate) dram_sectors: u64,
     /// Below-L1 load sectors that stayed in the issuing warp's open
     /// modelled DRAM row (`crate::mem::DRAM_ROW_BYTES`).
-    pub row_hit_sectors: u64,
+    pub(crate) row_hit_sectors: u64,
     /// Below-L1 load sectors that crossed a DRAM row boundary.
-    pub row_miss_sectors: u64,
+    pub(crate) row_miss_sectors: u64,
 }
 
 impl Accounting {

@@ -8,7 +8,7 @@ pub struct LaunchConfig {
     /// Number of blocks in the grid.
     pub grid_blocks: usize,
     /// Threads per block (rounded up to whole warps by the launcher).
-    pub block_threads: usize,
+    pub(crate) block_threads: usize,
 }
 
 impl LaunchConfig {
@@ -32,7 +32,7 @@ impl LaunchConfig {
     }
 
     /// Warps per block.
-    pub fn warps_per_block(&self) -> usize {
+    pub(crate) fn warps_per_block(&self) -> usize {
         self.block_threads.div_ceil(32).max(1)
     }
 

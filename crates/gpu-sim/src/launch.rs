@@ -292,12 +292,6 @@ impl Device {
         self.launches
     }
 
-    /// Process-wide device id (assigned at creation; multi-GPU traces
-    /// use it to separate per-device tracks).
-    pub fn id(&self) -> u64 {
-        self.id
-    }
-
     /// Simulated device clock, µs (advances by each launch's runtime).
     pub fn sim_clock_us(&self) -> f64 {
         self.sim_clock_us
@@ -330,7 +324,7 @@ impl Device {
             .unwrap_or_else(|e| panic!("unhandled launch fault: {e}"))
     }
 
-    /// Launch a kernel, consulting the device's [`FaultPlan`]
+    /// Launch a kernel, consulting the device's `FaultPlan`
     /// (`crate::FaultPlan`) first.
     ///
     /// A transient fault aborts the launch *before* any execution —

@@ -13,7 +13,7 @@
 //!   ([`LaunchConfig`]); blocks are distributed to simulated SMs (by
 //!   default with the same dynamic pull scheduling real hardware uses), and
 //!   each warp's `run_warp` executes *functionally* — all data movement is
-//!   real, against [`DeviceMemory`].
+//!   real, against `DeviceMemory`.
 //! * **Requests**: a warp load or store is either a *run* —
 //!   [`WarpCtx::ld_run`] / [`WarpCtx::st_run`], lanes `0..active` over
 //!   consecutive elements, the shape of every feature-parallel access — or
@@ -26,8 +26,8 @@
 //!   each request's sectors up in sectored L1/L2 cache models and charges
 //!   its latency (atomic round trips with conflict serialization
 //!   included) — as the request is issued, or, for a large launch, from a
-//!   request log a pool helper replays in the same order (see [`launch`]).
-//! * **Cost**: an analytic model (see [`launch`]) turns those traces into
+//!   request log a pool helper replays in the same order (see `launch`).
+//! * **Cost**: an analytic model (see `launch`) turns those traces into
 //!   per-kernel GPU time plus Nsight-style metrics ([`KernelProfile`]).
 //!
 //! ## Example
@@ -60,30 +60,35 @@
 //! assert_eq!(dev.mem().read_vec(y)[0], 5.0);
 //! assert!(profile.gpu_time_ms > 0.0);
 //! ```
+//!
+//! ## Public API
+//!
+//! The public API is the `pub use` re-exports below, one path per item;
+//! everything else is `pub(crate)`. A `pub` type inside a private module
+//! is reached only through the signatures of those items.
 
 #![warn(missing_docs)]
 
-pub mod cache;
-pub mod config;
-pub mod fault;
-pub mod hw;
-pub mod kernel;
-pub mod launch;
+pub(crate) mod cache;
+pub(crate) mod config;
+pub(crate) mod fault;
+pub(crate) mod hw;
+pub(crate) mod kernel;
+pub(crate) mod launch;
 mod log;
-pub mod mem;
+pub(crate) mod mem;
 mod price;
-pub mod profile;
-pub mod warp;
+pub(crate) mod profile;
+pub(crate) mod warp;
 
 pub use config::{DeviceConfig, WARP_SIZE};
-pub use fault::{FaultEvent, FaultKind, FaultPlan, LaunchError};
-pub use hw::HwCounters;
+pub use fault::{FaultKind, FaultPlan, LaunchError};
 pub use kernel::{Kernel, LaunchConfig};
 pub use launch::Device;
 #[doc(hidden)]
 pub use launch::{with_schedule, Schedule};
 #[doc(hidden)]
 pub use log::{log_high_water_words, LOG_WORDS};
-pub use mem::{DeviceBuffer, DeviceMemory, Word, DRAM_ROW_BYTES};
-pub use profile::{Accounting, KernelProfile, OpProfile, SmAccounting};
-pub use warp::{WarpCtx, WarpId, WarpStats};
+pub use mem::DeviceBuffer;
+pub use profile::{KernelProfile, OpProfile};
+pub use warp::WarpCtx;

@@ -21,7 +21,7 @@ use std::sync::atomic::{AtomicU32, Ordering};
 /// hits/misses over each warp's below-L1 load stream at this granularity —
 /// it is an *observability* constant, not a priced cost-model input, so
 /// changing it cannot perturb modelled cycles.
-pub const DRAM_ROW_BYTES: u64 = 1024;
+pub(crate) const DRAM_ROW_BYTES: u64 = 1024;
 
 /// DRAM row index of a sector id (sectors are `sector_bytes` wide).
 #[inline]
@@ -120,7 +120,7 @@ impl Word for i32 {
 }
 
 /// Typed handle to a device allocation. Cheap to copy; the actual storage
-/// lives in [`DeviceMemory`].
+/// lives in `DeviceMemory`.
 pub struct DeviceBuffer<T> {
     pub(crate) id: usize,
     pub(crate) addr: u64,
@@ -219,10 +219,10 @@ pub struct DeviceMemory {
 impl DeviceMemory {
     /// Alignment of every allocation, in bytes. Matches `cudaMalloc`'s
     /// 256-byte guarantee so distinct buffers never share a sector.
-    pub const ALLOC_ALIGN: u64 = 256;
+    pub(crate) const ALLOC_ALIGN: u64 = 256;
 
     /// Create an empty memory space.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self {
             buffers: Vec::new(),
             free_slots: Vec::new(),

@@ -35,9 +35,9 @@ pub(crate) enum Op {
 /// What pricing needs of a finished warp's cache-independent counters.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct WarpEnd {
-    pub issue_cycles: u64,
-    pub store_sectors: u64,
-    pub atomic_sectors: u64,
+    pub(crate) issue_cycles: u64,
+    pub(crate) store_sectors: u64,
+    pub(crate) atomic_sectors: u64,
 }
 
 impl WarpEnd {
@@ -64,14 +64,14 @@ pub(crate) enum Mark {
 /// Cost record of one executed block, consumed by the list scheduler.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct BlockCost {
-    pub issue_cycles: u64,
+    pub(crate) issue_cycles: u64,
     /// Atomic-weighted bandwidth sectors.
-    pub bw_sectors: f64,
+    pub(crate) bw_sectors: f64,
     /// Warp-slot time the block occupies: the sum of per-warp cycles
     /// plus [`RAMP_DOWN_CHARGE`] of the tail where early-retiring warps'
     /// slots sit idle until the whole CTA completes.
-    pub slot_cycles: u64,
-    pub max_warp: u64,
+    pub(crate) slot_cycles: u64,
+    pub(crate) max_warp: u64,
 }
 
 /// Fraction of a block's ramp-down tail (slot-cycles between a warp's

@@ -47,11 +47,11 @@ pub struct Accounting {
     /// conflict pressure; cold fills excluded), summed over SM workers.
     pub l1_evictions: u64,
     /// Warps per block of this launch.
-    pub warps_per_block: u64,
+    pub(crate) warps_per_block: u64,
     /// Resident warps per SM the cost model assumed for this launch
     /// (registers, warp slots, shared memory, and the block cap all
     /// considered; the latency-hiding divisor).
-    pub resident_warps: f64,
+    pub(crate) resident_warps: f64,
     /// Per-SM totals, filled by the deterministic block list schedule.
     pub sm: Vec<SmAccounting>,
 }
@@ -79,14 +79,14 @@ pub struct SmAccounting {
     /// Blocks scheduled onto this SM.
     pub blocks: u64,
     /// Warp-slot cycles accumulated (latency-hiding numerator).
-    pub slot_cycles: u64,
+    pub(crate) slot_cycles: u64,
     /// Issue cycles accumulated.
     pub issue_cycles: u64,
     /// Atomic-weighted bandwidth sectors accumulated (the memory-bandwidth
     /// term's input: `bw_sectors × sector_bw_cycles` cycles).
-    pub bw_sectors: f64,
+    pub(crate) bw_sectors: f64,
     /// Longest single warp scheduled here, cycles.
-    pub max_warp_cycles: u64,
+    pub(crate) max_warp_cycles: u64,
 }
 
 impl SmAccounting {
@@ -175,7 +175,7 @@ pub struct KernelProfile {
     /// largest names the kernel's limiter.
     pub limiter: LimiterBreakdown,
     /// The launch's raw ledger: every scalar above, the limiter and the
-    /// hardware counters ([`Accounting::hw`]) derive from it.
+    /// hardware counters (`Accounting::hw`) derive from it.
     pub accounting: Accounting,
     /// Fault injected into this launch, if any. Only stragglers can carry
     /// an event here (transient/device-lost launches never produce a
@@ -351,7 +351,7 @@ impl fmt::Display for KernelProfile {
 #[derive(Debug, Clone, Default)]
 pub struct OpProfile {
     /// Operation name.
-    pub name: String,
+    pub(crate) name: String,
     /// Number of kernel launches composing the op.
     pub kernel_launches: usize,
     /// Sum of GPU times, ms.
@@ -383,7 +383,7 @@ pub struct OpProfile {
     /// Sum of warp instructions issued.
     pub insts: u64,
     /// Sum of warps executed.
-    pub warps_run: u64,
+    pub(crate) warps_run: u64,
     /// Sum of blocks executed.
     pub blocks_run: u64,
 }

@@ -41,16 +41,16 @@ use crate::price::{Mark, Op, Pricer};
 #[derive(Debug, Clone, Copy, Default)]
 pub struct WarpStats {
     /// Warp instructions issued (memory instructions included).
-    pub insts: u64,
+    pub(crate) insts: u64,
     /// Cycles spent issuing instructions.
     pub issue_cycles: u64,
     /// Global-memory load requests (one per warp load instruction).
     pub mem_requests: u64,
     /// Below-L1 load sectors that stayed in the same modelled DRAM row as
     /// the warp's previous below-L1 sector (row-buffer locality).
-    pub row_hit_sectors: u64,
+    pub(crate) row_hit_sectors: u64,
     /// Cycles the warp stalled waiting on loads ("long scoreboard").
-    pub mem_lat_cycles: u64,
+    pub(crate) mem_lat_cycles: u64,
     /// Load sectors served by the L1.
     pub l1_hit_sectors: u64,
     /// Load sectors served by the L2.
@@ -66,13 +66,13 @@ pub struct WarpStats {
     /// Sectors touched by atomics (all bypass L1).
     pub atomic_sectors: u64,
     /// Cycles spent in atomic round trips and conflict serialization.
-    pub atomic_lat_cycles: u64,
+    pub(crate) atomic_lat_cycles: u64,
     /// Active lanes summed over SIMD steps (divergence numerator).
     pub active_lane_steps: u64,
     /// `WARP_SIZE` × SIMD steps (divergence denominator).
     pub total_lane_steps: u64,
     /// Block-level barriers executed.
-    pub syncs: u64,
+    pub(crate) syncs: u64,
 }
 
 impl WarpStats {
@@ -126,19 +126,19 @@ impl WarpStats {
 
 /// Identity of a warp within a launch.
 #[derive(Debug, Clone, Copy)]
-pub struct WarpId {
+pub(crate) struct WarpId {
     /// Block index within the grid.
-    pub block_idx: usize,
+    pub(crate) block_idx: usize,
     /// Warp index within the block.
-    pub warp_in_block: usize,
+    pub(crate) warp_in_block: usize,
     /// Warps per block for this launch.
-    pub warps_per_block: usize,
+    pub(crate) warps_per_block: usize,
 }
 
 impl WarpId {
     /// Flat warp index across the whole grid.
     #[inline]
-    pub fn global_warp(&self) -> usize {
+    pub(crate) fn global_warp(&self) -> usize {
         self.block_idx * self.warps_per_block + self.warp_in_block
     }
 }
@@ -639,10 +639,10 @@ mod tests {
             self.settle(&mut w);
         }
 
-        /// `(hits, misses, evictions)` of the L1 and the L2.
-        fn counts(&self) -> [(u64, u64, u64); 2] {
+        /// Evictions of the L1 and the L2.
+        fn evictions(&self) -> [u64; 2] {
             let (state, l2) = &*self.caches.borrow();
-            [state.l1(), l2].map(|c| (c.hits(), c.misses(), c.evictions()))
+            [state.l1(), l2].map(|c| c.evictions())
         }
 
         /// Whether a one-sector load of `sector` now hits in the L1, and
@@ -759,7 +759,7 @@ mod tests {
         Vec<[u32; WARP_SIZE]>,
         Vec<u32>,
         String,
-        [(u64, u64, u64); 2],
+        [u64; 2],
         Vec<(bool, bool)>,
     );
 
@@ -795,7 +795,7 @@ mod tests {
             }
         }
         let stats = format!("{:?}", r.settle(&mut w));
-        let counts = r.counts();
+        let evictions = r.evictions();
         let first = mem.view(buf).at(0).1 / sector_bytes as u64;
         let span = (len * 4).div_ceil(sector_bytes) as u64 + 16;
         let mut x = 0x9e37_79b9_7f4a_7c15u64;
@@ -806,7 +806,7 @@ mod tests {
             })
             .collect();
         let _ = w;
-        (lanes, mem.read_vec(buf), stats, counts, follow_up)
+        (lanes, mem.read_vec(buf), stats, evictions, follow_up)
     }
 
     proptest! {
@@ -848,9 +848,12 @@ mod tests {
         assert_eq!((s.active_lane_steps, s.total_lane_steps), (0, 64));
         assert_eq!((s.mem_requests, s.store_requests), (0, 0));
         assert_eq!((s.mem_sectors(), s.store_sectors), (0, 0));
+        // No sector was priced: none hit either cache or went to DRAM.
+        assert_eq!(
+            (s.l1_hit_sectors, s.l2_hit_sectors, s.dram_sectors),
+            (0, 0, 0)
+        );
         let _ = w;
-        let [l1, l2] = r.counts();
-        assert_eq!((l1.1, l2.1), (0, 0));
         assert_eq!(mem.read_vec(buf), vec![0.0; 8]);
     }
 

@@ -22,11 +22,6 @@ impl GraphBuilder {
         }
     }
 
-    /// Number of vertices this builder targets.
-    pub fn num_vertices(&self) -> usize {
-        self.num_vertices
-    }
-
     /// Add a directed edge `src -> dst`. Out-of-range endpoints panic;
     /// self loops are silently dropped (generator convenience: a model
     /// that wants `A + I` adds the self term itself).
@@ -56,7 +51,7 @@ impl GraphBuilder {
     }
 
     /// Reserve capacity for `n` more edges.
-    pub fn reserve(&mut self, n: usize) {
+    pub(crate) fn reserve(&mut self, n: usize) {
         self.edges.reserve(n);
     }
 

@@ -8,7 +8,7 @@ use crate::csr::Csr;
 
 /// Union–find over `0..n` with path halving and union by size.
 #[derive(Debug, Clone)]
-pub struct UnionFind {
+pub(crate) struct UnionFind {
     parent: Vec<u32>,
     size: Vec<u32>,
     components: usize,
@@ -16,7 +16,7 @@ pub struct UnionFind {
 
 impl UnionFind {
     /// `n` singleton sets.
-    pub fn new(n: usize) -> Self {
+    pub(crate) fn new(n: usize) -> Self {
         Self {
             parent: (0..n as u32).collect(),
             size: vec![1; n],
@@ -25,7 +25,7 @@ impl UnionFind {
     }
 
     /// Representative of `x`'s set (with path halving).
-    pub fn find(&mut self, mut x: u32) -> u32 {
+    pub(crate) fn find(&mut self, mut x: u32) -> u32 {
         while self.parent[x as usize] != x {
             let grand = self.parent[self.parent[x as usize] as usize];
             self.parent[x as usize] = grand;
@@ -52,7 +52,7 @@ impl UnionFind {
     }
 
     /// Number of disjoint sets.
-    pub fn components(&self) -> usize {
+    pub(crate) fn components(&self) -> usize {
         self.components
     }
 

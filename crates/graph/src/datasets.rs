@@ -14,7 +14,7 @@ use crate::generators;
 
 /// Degree-distribution family used to synthesize a dataset.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Family {
+pub(crate) enum Family {
     /// Near-uniform degrees (citation and molecular graphs).
     Uniform,
     /// Power-law degrees (social networks, OGB product/protein graphs).
@@ -41,7 +41,7 @@ pub struct DatasetSpec {
     /// Directed edge count of the real dataset.
     pub edges: usize,
     /// Degree family for synthesis.
-    pub family: Family,
+    pub(crate) family: Family,
     /// Default scale divisor applied by [`DatasetSpec::load`]; >1 for the
     /// giant graphs so the simulator stays tractable.
     pub default_scale: usize,

@@ -121,7 +121,7 @@ impl DeltaGraph {
     }
 
     /// Edges in the current view (base plus delta).
-    pub fn num_edges(&self) -> usize {
+    pub(crate) fn num_edges(&self) -> usize {
         self.base.num_edges() + self.delta.extra_edges
     }
 
@@ -325,11 +325,6 @@ impl GraphEpoch {
     /// The epoch this snapshot pinned.
     pub fn epoch(&self) -> u64 {
         self.epoch
-    }
-
-    /// Vertices in this snapshot.
-    pub fn num_vertices(&self) -> usize {
-        self.num_vertices
     }
 
     /// Edges in this snapshot.

@@ -31,7 +31,7 @@ pub fn erdos_renyi(n: usize, m: usize, seed: u64) -> Csr {
 ///
 /// `(a, b, c, d)` are the standard quadrant probabilities; defaults in
 /// [`rmat_default`] are the Graph500 values.
-pub fn rmat(n: usize, m: usize, probs: (f64, f64, f64, f64), seed: u64) -> Csr {
+pub(crate) fn rmat(n: usize, m: usize, probs: (f64, f64, f64, f64), seed: u64) -> Csr {
     assert!(n >= 2);
     let (a, b, c, d) = probs;
     assert!(

@@ -15,28 +15,32 @@
 //! assert!(stats.vertices > 2_000);
 //! assert!((stats.avg_degree - cora.avg_degree()).abs() < 1.0);
 //! ```
+//!
+//! ## Public API
+//!
+//! The public API is the `pub use` re-exports and `pub mod`s below, one
+//! path per item; everything else is `pub(crate)`. A `pub` type inside a
+//! private module is reached only through the signatures of those items.
 
 #![warn(missing_docs)]
 // Index-based loops here typically walk several parallel arrays (CSR
 // offsets, norms, degrees) at once; iterator rewrites obscure that.
 #![allow(clippy::needless_range_loop)]
 
-pub mod builder;
+pub(crate) mod builder;
 pub mod components;
-pub mod csr;
+pub(crate) mod csr;
 pub mod datasets;
-pub mod delta;
+pub(crate) mod delta;
 pub mod generators;
 pub mod io;
 pub mod partition;
 pub mod reorder;
-pub mod stats;
+pub(crate) mod stats;
 pub mod subgraph;
 
 pub use builder::GraphBuilder;
 pub use csr::Csr;
-pub use datasets::{DatasetSpec, DATASETS};
+pub use datasets::DatasetSpec;
 pub use delta::{DeltaGraph, GraphEpoch};
-pub use partition::{NeighborGroup, VertexPartition};
 pub use stats::GraphStats;
-pub use subgraph::{EgoGraph, Neighborhoods};

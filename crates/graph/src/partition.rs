@@ -80,7 +80,7 @@ pub fn grouping_cost_ms(g: &Csr, group_size: usize) -> f64 {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct VertexPartition {
     /// `bounds[p]..bounds[p+1]` is the vertex range of part `p`.
-    pub bounds: Vec<u32>,
+    pub(crate) bounds: Vec<u32>,
 }
 
 impl VertexPartition {

@@ -10,7 +10,7 @@ use crate::csr::Csr;
 use std::collections::VecDeque;
 
 /// A vertex permutation: `perm[old_id] = new_id`.
-pub type Permutation = Vec<u32>;
+pub(crate) type Permutation = Vec<u32>;
 
 /// Order vertices by descending degree. Cheap, clusters the hubs, and a
 /// common component of GNN preprocessing pipelines.

@@ -15,7 +15,7 @@ pub struct GraphStats {
     /// Maximum degree.
     pub max_degree: usize,
     /// Fraction of vertices with zero degree.
-    pub isolated_fraction: f64,
+    pub(crate) isolated_fraction: f64,
     /// Gini coefficient of the degree distribution (0 = perfectly even,
     /// → 1 = all edges on one vertex). A robust skew measure.
     pub degree_gini: f64,

@@ -255,7 +255,7 @@ impl<G: Neighborhoods + ?Sized> Neighborhoods for Sampled<'_, G> {
 /// degradation rung's cheap stand-in for [`ego_graph`].
 ///
 /// This is [`ego_graph_on`] over a view of `g` whose every row is first
-/// capped to at most `fanout` in-neighbors by [`sampled_row`]'s
+/// capped to at most `fanout` in-neighbors by `sampled_row`'s
 /// per-vertex seeded draw. The sample is a function of `(seed, vertex)`
 /// only, so the extraction is deterministic for a given
 /// `(graph, targets, hops, fanout, seed)` and the extracted vertex set
@@ -273,9 +273,9 @@ pub fn sampled_ego_graph<G: Neighborhoods + ?Sized>(
 }
 
 /// `(vertex, hop)` assignment produced by [`ego_reference`].
-pub type RefHops = Vec<(u32, usize)>;
+pub(crate) type RefHops = Vec<(u32, usize)>;
 /// `(src, dst)` edge list (original ids) from [`ego_reference`].
-pub type RefEdges = Vec<(u32, u32)>;
+pub(crate) type RefEdges = Vec<(u32, u32)>;
 
 /// Naive reference extraction: per-vertex distances by repeated
 /// relaxation, then, by `has_edge` probes, every edge between members

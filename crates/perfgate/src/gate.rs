@@ -42,9 +42,9 @@ pub struct MetricMove {
     /// Metric name.
     pub metric: String,
     /// Baseline value.
-    pub old: f64,
+    pub(crate) old: f64,
     /// Current value.
-    pub new: f64,
+    pub(crate) new: f64,
     /// Relative change (±∞ when the baseline is zero).
     pub rel: f64,
 }
@@ -166,7 +166,7 @@ fn render_diff(tag: &str, r: &WorkloadDiff) -> String {
 
 /// Relative change, matching `telemetry::diff` semantics: zero baseline
 /// with a nonzero current value yields ±∞.
-pub fn rel_change(old: f64, new: f64) -> f64 {
+pub(crate) fn rel_change(old: f64, new: f64) -> f64 {
     if old == 0.0 {
         if new == 0.0 {
             0.0

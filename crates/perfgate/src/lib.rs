@@ -20,13 +20,13 @@
 //!
 //! The `perf_gate` bin in `tlpgnn-bench` drives all three from `ci.sh`;
 //! `--bless` re-baselines after an intentional change.
+//!
+//! ## Public API
+//!
+//! The public API is the four `pub mod`s below, one path per item; callers
+//! name their items by module path, so the crate re-exports nothing.
 
 pub mod gate;
 pub mod roofline;
 pub mod snapshot;
 pub mod suite;
-
-pub use gate::{compare, GateConfig, GateReport};
-pub use roofline::{BoundClass, RooflinePoint, ROOFLINE_SCHEMA};
-pub use snapshot::{Snapshot, WorkloadResult, SCHEMA};
-pub use suite::{run, run_profiled, snapshot_from, Suite, Workload};

@@ -64,18 +64,18 @@ pub struct RooflinePoint {
     /// Achieved memory throughput, bytes per cycle.
     pub achieved_bytes_per_cycle: f64,
     /// Device compute roof, lane-steps per cycle.
-    pub peak_ops_per_cycle: f64,
+    pub(crate) peak_ops_per_cycle: f64,
     /// Device bandwidth roof, bytes per cycle.
-    pub peak_bytes_per_cycle: f64,
+    pub(crate) peak_bytes_per_cycle: f64,
     /// Classification recomputed from the launch ledger.
     pub class: BoundClass,
     /// Dominant term of the recomputed breakdown (finer-grained than
     /// `class`: distinguishes latency / critical-warp / scheduling).
     pub recomputed_limiter: &'static str,
     /// Dominant term the launch-time cost model stored on the profile.
-    pub stored_limiter: String,
+    pub(crate) stored_limiter: String,
     /// Whether the recomputed and stored limiters name the same term.
-    pub agrees: bool,
+    pub(crate) agrees: bool,
 }
 
 impl RooflinePoint {
@@ -166,7 +166,7 @@ fn report_json(device: &str, points: &[RooflinePoint]) -> Value {
     o
 }
 
-/// [`report_json`] in the committed pretty form (`results/roofline.json`).
+/// `report_json` in the committed pretty form (`results/roofline.json`).
 pub fn report_pretty_string(device: &str, points: &[RooflinePoint]) -> String {
     telemetry::json::pretty(&report_json(device, points))
 }

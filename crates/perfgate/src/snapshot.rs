@@ -13,41 +13,41 @@ use std::path::{Path, PathBuf};
 use telemetry::json::{self, Value};
 
 /// Snapshot schema identifier; bump on any layout change.
-pub const SCHEMA: &str = "tlpgnn.bench.v1";
+pub(crate) const SCHEMA: &str = "tlpgnn.bench.v1";
 
 /// Metrics and limiter for one workload of the suite.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WorkloadResult {
     /// `kernel/model/dataset` id.
-    pub id: String,
+    pub(crate) id: String,
     /// Dominant cost-model term name at the critical SM.
-    pub limiter: String,
+    pub(crate) limiter: String,
     /// Every gate metric by name (see `KernelProfile::gate_metrics`).
-    pub metrics: BTreeMap<String, f64>,
+    pub(crate) metrics: BTreeMap<String, f64>,
 }
 
 /// One versioned bench snapshot (`BENCH_<seq>.json`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Snapshot {
     /// Schema identifier ([`SCHEMA`]).
-    pub schema: String,
+    pub(crate) schema: String,
     /// Baseline sequence number (the `<seq>` in the filename).
     pub seq: u64,
     /// Git commit the snapshot was taken at ("unknown" outside a repo).
     pub git_sha: String,
     /// Suite name ("full" / "smoke").
-    pub suite: String,
+    pub(crate) suite: String,
     /// Fingerprint of the suite configuration (see `Suite::fingerprint`).
     pub config_fingerprint: String,
     /// Simulated device name.
-    pub device: String,
+    pub(crate) device: String,
     /// Per-workload results, in suite order.
     pub workloads: Vec<WorkloadResult>,
 }
 
 impl Snapshot {
     /// Serialize to the snapshot JSON layout.
-    pub fn to_json(&self) -> Value {
+    pub(crate) fn to_json(&self) -> Value {
         let mut workloads = Value::array();
         for w in &self.workloads {
             let mut metrics = Value::object();
@@ -77,7 +77,7 @@ impl Snapshot {
         json::pretty(&self.to_json())
     }
 
-    /// Parse a document produced by [`Self::to_json`] /
+    /// Parse a document produced by `Self::to_json` /
     /// [`Self::to_pretty_string`].
     pub fn from_json_str(text: &str) -> Result<Self, String> {
         let v = json::parse(text)?;

@@ -21,7 +21,7 @@ pub(crate) const FEAT_SEED: u64 = 0x7e9f_6a7e;
 
 /// Which kernel a workload launches.
 #[derive(Debug, Clone)]
-pub enum KernelSpec {
+pub(crate) enum KernelSpec {
     /// The fused TLPGNN kernel: hardware assignment, register caching.
     Fused,
     /// One of the design-space variants (thread-per-vertex, sub-warp, …).
@@ -30,7 +30,7 @@ pub enum KernelSpec {
 
 impl KernelSpec {
     /// Stable label used in workload ids.
-    pub fn label(&self) -> String {
+    pub(crate) fn label(&self) -> String {
         match self {
             KernelSpec::Fused => "fused".into(),
             KernelSpec::Variant(v) => v.label(),
@@ -40,7 +40,7 @@ impl KernelSpec {
 
 /// A seeded synthetic dataset generator.
 #[derive(Debug, Clone, Copy)]
-pub enum DatasetSpec {
+pub(crate) enum DatasetSpec {
     /// R-MAT graph: skewed, power-law-ish degree distribution.
     PowerLaw {
         /// Vertices.
@@ -63,7 +63,7 @@ pub enum DatasetSpec {
 
 impl DatasetSpec {
     /// Stable label used in workload ids.
-    pub fn label(&self) -> &'static str {
+    pub(crate) fn label(&self) -> &'static str {
         match self {
             DatasetSpec::PowerLaw { .. } => "power_law",
             DatasetSpec::Uniform { .. } => "uniform",
@@ -71,7 +71,7 @@ impl DatasetSpec {
     }
 
     /// Generate the graph (same seed, same graph, every time).
-    pub fn build(&self) -> Csr {
+    pub(crate) fn build(&self) -> Csr {
         match *self {
             DatasetSpec::PowerLaw { n, m, seed } => generators::rmat_default(n, m, seed),
             DatasetSpec::Uniform { n, m, seed } => generators::erdos_renyi(n, m, seed),
@@ -90,11 +90,11 @@ impl DatasetSpec {
 #[derive(Debug, Clone)]
 pub struct Workload {
     /// Kernel under test.
-    pub kernel: KernelSpec,
+    pub(crate) kernel: KernelSpec,
     /// Aggregation model (GCN / GIN / Sage).
-    pub agg: Aggregator,
+    pub(crate) agg: Aggregator,
     /// Input graph generator.
-    pub dataset: DatasetSpec,
+    pub(crate) dataset: DatasetSpec,
 }
 
 impl Workload {
@@ -126,7 +126,7 @@ pub struct Suite {
     /// The simulated device every workload runs on.
     pub device: DeviceConfig,
     /// Feature width of the random input matrix.
-    pub feat_dim: usize,
+    pub(crate) feat_dim: usize,
     /// The workload matrix.
     pub workloads: Vec<Workload>,
 }
@@ -244,7 +244,7 @@ impl Suite {
         s
     }
 
-    /// FNV-1a hash of [`Self::describe`], hex. Stored in every snapshot;
+    /// FNV-1a hash of `Self::describe`, hex. Stored in every snapshot;
     /// the gate refuses to diff snapshots with different fingerprints.
     pub fn fingerprint(&self) -> String {
         format!("{:016x}", fnv1a(self.describe().as_bytes()))

@@ -58,17 +58,12 @@ impl<T> BatchQueue<T> {
     }
 
     /// Items currently queued.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.state.lock().unwrap().items.len()
     }
 
-    /// Whether the queue is currently empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// The maximum number of queued items.
-    pub fn capacity(&self) -> usize {
+    pub(crate) fn capacity(&self) -> usize {
         self.capacity
     }
 
@@ -190,7 +185,7 @@ mod tests {
             t0.elapsed() < Duration::from_secs(1),
             "size-triggered flush"
         );
-        assert!(q.is_empty());
+        assert_eq!(q.len(), 0);
     }
 
     #[test]
@@ -271,7 +266,7 @@ mod tests {
         }
         let left = q.drain_remaining();
         assert_eq!(left.len(), 3);
-        assert!(q.is_empty());
+        assert_eq!(q.len(), 0);
         assert!(q.drain_remaining().is_empty());
     }
 

@@ -70,7 +70,6 @@ pub struct FeatureCache {
     hits: u64,
     misses: u64,
     evictions: u64,
-    mutation_evictions: u64,
 }
 
 impl FeatureCache {
@@ -84,42 +83,26 @@ impl FeatureCache {
             hits: 0,
             misses: 0,
             evictions: 0,
-            mutation_evictions: 0,
         }
     }
 
-    /// Entries currently cached.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// Whether the cache holds no entries.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
-    /// Maximum entry count (0 = caching disabled).
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Lookups that found an entry.
-    pub fn hits(&self) -> u64 {
+    pub(crate) fn hits(&self) -> u64 {
         self.hits
     }
 
     /// Lookups that found nothing.
-    pub fn misses(&self) -> u64 {
+    pub(crate) fn misses(&self) -> u64 {
         self.misses
     }
 
     /// Entries evicted to make room.
-    pub fn evictions(&self) -> u64 {
+    pub(crate) fn evictions(&self) -> u64 {
         self.evictions
     }
 
     /// `hits / (hits + misses)`, or 0.0 before any lookup.
-    pub fn hit_rate(&self) -> f64 {
+    pub(crate) fn hit_rate(&self) -> f64 {
         let total = self.hits + self.misses;
         if total == 0 {
             0.0
@@ -178,7 +161,7 @@ impl FeatureCache {
     }
 
     /// Drop every entry (counters are kept).
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.map.clear();
         self.lru.clear();
     }
@@ -216,7 +199,6 @@ impl FeatureCache {
             let entry = self.map.remove(&key).expect("key enumerated above");
             if affected.contains(&key.vertex) {
                 self.lru.remove(&entry.stamp);
-                self.mutation_evictions += 1;
                 evicted += 1;
             } else {
                 let mut nk = key;
@@ -230,12 +212,6 @@ impl FeatureCache {
             }
         }
         (evicted, rekeyed)
-    }
-
-    /// Entries evicted by [`Self::invalidate_mutated`] (disjoint from
-    /// capacity [`evictions`](Self::evictions)).
-    pub fn mutation_evictions(&self) -> u64 {
-        self.mutation_evictions
     }
 
     /// The deepest extraction depth cached at `epoch`, or `None` when no
@@ -287,7 +263,7 @@ mod tests {
         c.insert(key(2), vec![2.0]);
         assert!(c.get(key(1)).is_some()); // 1 is now more recent than 2
         c.insert(key(3), vec![3.0]); // evicts 2
-        assert_eq!(c.len(), 2);
+        assert_eq!(c.map.len(), 2);
         assert!(c.get(key(2)).is_none(), "LRU victim was 2");
         assert!(c.get(key(1)).is_some());
         assert!(c.get(key(3)).is_some());
@@ -299,7 +275,7 @@ mod tests {
         let mut c = FeatureCache::new(0);
         c.insert(key(1), vec![1.0]);
         assert!(c.get(key(1)).is_none());
-        assert_eq!(c.len(), 0);
+        assert_eq!(c.map.len(), 0);
         assert_eq!(c.hit_rate(), 0.0);
     }
 
@@ -346,7 +322,6 @@ mod tests {
         let affected: std::collections::HashSet<u32> = [2].into_iter().collect();
         let (evicted, rekeyed) = c.invalidate_mutated(3, 4, &affected);
         assert_eq!((evicted, rekeyed), (1, 2));
-        assert_eq!(c.mutation_evictions(), 1);
         // Affected vertex is gone at every epoch.
         assert!(c.get(key_at(2, 3)).is_none());
         assert!(c.get(key_at(2, 4)).is_none());

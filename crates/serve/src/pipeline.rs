@@ -115,26 +115,26 @@ pub(crate) trait GraphSource: Sized + Send + Sync + 'static {
 
 /// One extraction request from the pipeline to its [`GraphSource`].
 pub(crate) struct ExtractJob<'a, V> {
-    pub lane: usize,
+    pub(crate) lane: usize,
     /// The single-epoch batch; every request shares `batch[0]`'s view.
-    pub batch: &'a Batch<V>,
+    pub(crate) batch: &'a Batch<V>,
     /// Unique cache-miss targets, first-occurrence order.
-    pub misses: &'a [u32],
-    pub hops: usize,
+    pub(crate) misses: &'a [u32],
+    pub(crate) hops: usize,
     /// Cap expanded rows at [`SAMPLE_FANOUT`] seeded-sampled
     /// in-neighbors (the `Sampled` rung).
-    pub sampled: bool,
+    pub(crate) sampled: bool,
 }
 
 /// What a [`GraphSource`] hands back for one [`ExtractJob`].
 pub(crate) struct Extracted {
-    pub ego: EgoGraph,
-    pub feats: Matrix,
+    pub(crate) ego: EgoGraph,
+    pub(crate) feats: Matrix,
     /// Modelled interconnect time charged to the batch's latency.
-    pub halo_ms: f64,
+    pub(crate) halo_ms: f64,
     /// Rows were unreachable: the answer is approximate, flagged, and
     /// never cached.
-    pub partial: bool,
+    pub(crate) partial: bool,
 }
 
 /// An admitted request: what to serve, its absolute deadline, how often
@@ -144,12 +144,12 @@ pub(crate) struct Extracted {
 /// events appended by either copy land in one history.
 #[derive(Clone)]
 pub(crate) struct Pending<V> {
-    pub request: Request,
-    pub deadline: Option<Instant>,
-    pub requeues: u32,
-    pub trace: TraceContext,
-    pub tx: mpsc::Sender<Result<Response, ServeError>>,
-    pub view: V,
+    pub(crate) request: Request,
+    pub(crate) deadline: Option<Instant>,
+    pub(crate) requeues: u32,
+    pub(crate) trace: TraceContext,
+    pub(crate) tx: mpsc::Sender<Result<Response, ServeError>>,
+    pub(crate) view: V,
 }
 
 pub(crate) type Batch<V> = Vec<(Pending<V>, Instant)>;
@@ -171,7 +171,7 @@ pub(crate) fn trace_all<V>(batch: &Batch<V>, kind: &'static str, detail: impl Fn
 /// server's `metrics_prefix` so the hot path never formats strings.
 macro_rules! metric_names {
     ($($field:ident => $suffix:literal,)*) => {
-        pub(crate) struct Names { $(pub $field: String,)* }
+        pub(crate) struct Names { $(pub(crate) $field: String,)* }
         impl Names {
             fn new(prefix: &str) -> Self {
                 Self { $($field: format!(concat!("{}.", $suffix), prefix),)* }
@@ -225,25 +225,25 @@ metric_names! {
 /// Metric names one lane publishes under, supplied by the façade.
 pub(crate) struct LaneNames {
     /// Queue-depth gauge.
-    pub depth: String,
+    pub(crate) depth: String,
     /// Per-lane names; a lane without them publishes only the global
     /// names and keeps no SLO monitor of its own.
-    pub own: Option<OwnNames>,
+    pub(crate) own: Option<OwnNames>,
 }
 
 /// A lane's own completion counter, latency histogram and SLO gauges.
 pub(crate) struct OwnNames {
-    pub completed: String,
-    pub e2e_latency_ms: String,
-    pub slo_prefix: String,
+    pub(crate) completed: String,
+    pub(crate) e2e_latency_ms: String,
+    pub(crate) slo_prefix: String,
 }
 
 /// One queue, one cache, and the workers draining them.
 pub(crate) struct Lane<V> {
-    pub queue: BatchQueue<Pending<V>>,
+    pub(crate) queue: BatchQueue<Pending<V>>,
     cache: Mutex<FeatureCache>,
     depth_gauge: String,
-    pub own: Option<(OwnNames, SloMonitor)>,
+    pub(crate) own: Option<(OwnNames, SloMonitor)>,
     completed: AtomicU64,
     /// Workers of this lane still in rotation. Falls monotonically, only
     /// from the supervisor's retire hook (circuit open or respawn budget
@@ -261,8 +261,8 @@ macro_rules! counters {
     ($($name:ident,)*) => {
         #[derive(Default)]
         pub(crate) struct Counters {
-            $(pub $name: AtomicU64,)*
-            pub halo: Mutex<HaloStats>,
+            $(pub(crate) $name: AtomicU64,)*
+            pub(crate) halo: Mutex<HaloStats>,
         }
         impl Counters {
             fn snapshot(&self) -> ServeStats {
@@ -341,14 +341,14 @@ pub struct ServeStats {
     pub worker_deaths: u64,
     /// Workers respawned by the supervisor.
     pub respawns: u64,
-    /// Responses served with any [`Degradation`] flag set.
+    /// Responses served with any `Degradation` flag set.
     pub degraded: u64,
-    /// Responses flagged [`Degradation::partial`] (receptive field
+    /// Responses flagged `Degradation::partial` (receptive field
     /// touched a dead, un-mirrored shard).
     pub partial: u64,
     /// Responses served from a sampled (fanout-capped) extraction,
     /// flagged `degraded.sampled`.
-    pub sampled: u64,
+    pub(crate) sampled: u64,
     /// Cache-lock poison events recovered (that cache invalidated each
     /// time).
     pub poison_recoveries: u64,
@@ -399,26 +399,26 @@ impl ResponseHandle {
 
 /// The state shared by `submit`, the workers and the supervisor hooks.
 pub(crate) struct Core<S: GraphSource> {
-    pub source: S,
-    pub net: GnnNetwork,
-    pub exact_hops: usize,
+    pub(crate) source: S,
+    pub(crate) net: GnnNetwork,
+    pub(crate) exact_hops: usize,
     /// The pipeline's knobs; `workers` is the worker count *per lane*.
-    pub cfg: ServeConfig,
+    pub(crate) cfg: ServeConfig,
     /// Entry `slot` replaces `cfg.device.fault` on that supervisor slot
     /// as-is (no salting).
     per_slot_fault: Option<Vec<FaultPlan>>,
-    pub lanes: Vec<Lane<S::View>>,
+    pub(crate) lanes: Vec<Lane<S::View>>,
     /// Per-slot parking spot for the batch a worker is processing; the
     /// supervisor salvages it if the worker dies mid-batch.
     in_flight: Vec<Mutex<Option<Batch<S::View>>>>,
-    pub degradation: DegradationController,
+    pub(crate) degradation: DegradationController,
     shutting_down: Arc<AtomicBool>,
-    pub names: Names,
+    pub(crate) names: Names,
     /// Trace ids derive from this submission-order counter — never from
     /// the wall clock — so same-seed runs allocate identical ids.
     next_trace: AtomicU64,
-    pub slo: SloMonitor,
-    pub counters: Counters,
+    pub(crate) slo: SloMonitor,
+    pub(crate) counters: Counters,
 }
 
 pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -477,7 +477,7 @@ impl<S: GraphSource> Core<S> {
 
     /// Submit one request. Returns immediately with a handle, or fails
     /// fast; see the façades for the error contract.
-    pub fn submit(&self, request: Request) -> Result<ResponseHandle, ServeError> {
+    pub(crate) fn submit(&self, request: Request) -> Result<ResponseHandle, ServeError> {
         if request.targets.is_empty() {
             return Err(ServeError::EmptyRequest);
         }
@@ -538,7 +538,7 @@ impl<S: GraphSource> Core<S> {
     }
 
     /// A snapshot of the counters (`epoch` is the façade's to fill in).
-    pub fn stats(&self) -> ServeStats {
+    pub(crate) fn stats(&self) -> ServeStats {
         let mut stats = self.counters.snapshot();
         for (i, lane) in self.lanes.iter().enumerate() {
             let done = lane.completed.load(Ordering::Relaxed);
@@ -968,7 +968,7 @@ impl<S: GraphSource> Core<S> {
                 telemetry::observe(&own.e2e_latency_ms, e2e);
                 telemetry::counter_add(&own.completed, 1);
             }
-            let trace = p.trace.finish("response", || {
+            p.trace.finish("response", || {
                 if degraded.any() { "degraded" } else { "ok" }.to_string()
             });
             self.slo_record(lane_idx, Some(e2e));
@@ -978,7 +978,6 @@ impl<S: GraphSource> Core<S> {
                 timing,
                 degraded,
                 epoch,
-                trace,
             }));
         }
         if telemetry::enabled() && telemetry::alloc::alloc_counting_installed() {
@@ -996,14 +995,14 @@ impl<S: GraphSource> Core<S> {
 /// A running pipeline: the shared core plus the supervisor that owns its
 /// worker threads. Dropping it drains and joins.
 pub(crate) struct Pipeline<S: GraphSource> {
-    pub core: Arc<Core<S>>,
+    pub(crate) core: Arc<Core<S>>,
     supervisor: Option<Supervisor>,
 }
 
 impl<S: GraphSource> Pipeline<S> {
     /// Start one lane per entry of `lanes`, each with `cfg.workers`
     /// supervised workers over its own queue and cache.
-    pub fn start(
+    pub(crate) fn start(
         cfg: ServeConfig,
         lanes: Vec<LaneNames>,
         per_slot_fault: Option<Vec<FaultPlan>>,
@@ -1327,7 +1326,7 @@ pub(crate) mod tests {
         ask(0);
         ask(299);
         let core = Arc::clone(&server.pipeline.core);
-        assert_eq!((core.lock_cache(0).len(), core.lock_cache(1).len()), (1, 1));
+        assert_eq!(ask(0).timing.cache_hits, 1, "lane 0 cached its row");
 
         let poisoner = std::thread::spawn({
             let core = Arc::clone(&core);

@@ -66,7 +66,7 @@ impl RetryPolicy {
     /// Schedule retry `attempt`: the backoff to sleep, or `None` when the
     /// budget is exhausted *or* sleeping would land past `deadline` — a
     /// retry that cannot finish before the deadline is never scheduled.
-    pub fn schedule(
+    pub(crate) fn schedule(
         &self,
         attempt: u32,
         now: Instant,

@@ -3,7 +3,6 @@
 use std::fmt;
 use std::time::Duration;
 
-use telemetry::TraceEvent;
 use tlpgnn_tensor::Matrix;
 
 /// One inference request: compute the network's outputs at `targets`.
@@ -11,7 +10,7 @@ use tlpgnn_tensor::Matrix;
 pub struct Request {
     /// Target vertex ids (original graph ids). Duplicates are allowed;
     /// the response carries one row per entry, in order.
-    pub targets: Vec<u32>,
+    pub(crate) targets: Vec<u32>,
     /// Optional ego-graph extraction depth override. `None` uses the
     /// server's exact receptive field (`GnnNetwork::receptive_hops`);
     /// a smaller value trades accuracy for latency: vertices at the
@@ -19,12 +18,12 @@ pub struct Request {
     /// (their rows are empty), so every layer past the first sees a
     /// truncated field. A larger value only costs extraction time.
     /// Batches use the maximum requested depth.
-    pub hops: Option<usize>,
+    pub(crate) hops: Option<usize>,
     /// Optional end-to-end deadline, measured from submission. A request
     /// still queued (or awaiting a retry) past its deadline is shed with
     /// [`ServeError::DeadlineExceeded`] instead of burning compute on an
     /// answer nobody is waiting for.
-    pub deadline: Option<Duration>,
+    pub(crate) deadline: Option<Duration>,
 }
 
 impl Request {
@@ -94,10 +93,10 @@ pub enum GraphMutation {
 pub struct Degradation {
     /// At least one target row was computed with a truncated receptive
     /// field (extraction depth reduced under load).
-    pub reduced_hops: bool,
+    pub(crate) reduced_hops: bool,
     /// At least one target row was computed from a seeded fanout-capped
     /// neighbor-sampled extraction (the `Sampled` degradation rung).
-    pub sampled: bool,
+    pub(crate) sampled: bool,
     /// The sharded tier's shard-aware rung: the request's receptive
     /// field needed rows owned by a dead shard that no live standby
     /// mirror covers. The missing neighbors were dropped and their
@@ -129,10 +128,6 @@ pub struct Response {
     /// epoch. Always 0 on a server whose graph was never mutated (the
     /// epoch layer is invisible for frozen graphs).
     pub epoch: u64,
-    /// The request's completed causal event chain (submission → queue →
-    /// pickup → attempts → terminal), replayable as a waterfall in the
-    /// Chrome-trace export. Empty when telemetry collection is disabled.
-    pub trace: Vec<TraceEvent>,
 }
 
 /// Where a request's latency went. Extraction/compute are per *batch*
@@ -178,22 +173,6 @@ pub enum ServeError {
     /// the server's embedding dimension; the whole batch was rejected
     /// (mutation batches apply atomically or not at all).
     FeatureDimMismatch,
-}
-
-impl ServeError {
-    /// Stable label used in trace-event details and log lines.
-    pub fn label(&self) -> &'static str {
-        match self {
-            ServeError::Overloaded => "overloaded",
-            ServeError::ShuttingDown => "shutting_down",
-            ServeError::InvalidTarget(_) => "invalid_target",
-            ServeError::EmptyRequest => "empty_request",
-            ServeError::WorkerLost => "worker_lost",
-            ServeError::DeadlineExceeded => "deadline_exceeded",
-            ServeError::DeviceFault => "device_fault",
-            ServeError::FeatureDimMismatch => "feature_dim_mismatch",
-        }
-    }
 }
 
 impl fmt::Display for ServeError {

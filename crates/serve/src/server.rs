@@ -31,8 +31,10 @@ use tlpgnn::GnnNetwork;
 use tlpgnn_graph::{Csr, DeltaGraph, GraphEpoch};
 use tlpgnn_tensor::Matrix;
 
-use crate::pipeline::{count, Core, ExtractJob, Extracted, GraphSource, LaneNames, Pipeline};
-pub use crate::pipeline::{ResponseHandle, ServeStats as ServerStats};
+use crate::pipeline::{
+    count, Core, ExtractJob, Extracted, GraphSource, LaneNames, Pipeline, ResponseHandle,
+    ServeStats,
+};
 use crate::policy::{DegradationLevel, RetryPolicy};
 use crate::request::{GraphMutation, Request, ServeError};
 use crate::supervisor::SupervisorConfig;
@@ -416,8 +418,8 @@ impl GnnServer {
     }
 
     /// A snapshot of the server's counters.
-    pub fn stats(&self) -> ServerStats {
-        ServerStats {
+    pub fn stats(&self) -> ServeStats {
+        ServeStats {
             epoch: self.epoch(),
             ..self.pipeline.core.stats()
         }
@@ -425,7 +427,7 @@ impl GnnServer {
 
     /// Stop accepting requests, serve everything already queued, join the
     /// workers, and return the final counters.
-    pub fn shutdown(mut self) -> ServerStats {
+    pub fn shutdown(mut self) -> ServeStats {
         self.pipeline.stop_and_join();
         self.stats()
     }

@@ -70,10 +70,9 @@ use tlpgnn_graph::Csr;
 use tlpgnn_shard::{distributed_ego_with_health, graph_bytes, ShardPlan, ShardStore};
 use tlpgnn_tensor::Matrix;
 
-pub use crate::pipeline::ServeStats as ShardedStats;
 use crate::pipeline::{
     count, lock, trace_all, Core, ExtractJob, Extracted, GraphSource, LaneNames, OwnNames,
-    Pipeline, ResponseHandle,
+    Pipeline, ResponseHandle, ServeStats,
 };
 use crate::policy::{DegradationLevel, RetryPolicy};
 use crate::request::{Request, ServeError};
@@ -459,13 +458,13 @@ impl ShardedServer {
     }
 
     /// A snapshot of the server's counters.
-    pub fn stats(&self) -> ShardedStats {
+    pub fn stats(&self) -> ServeStats {
         self.pipeline.core.stats()
     }
 
     /// Stop accepting requests, serve everything queued, join the
     /// workers, and return the final counters.
-    pub fn shutdown(mut self) -> ShardedStats {
+    pub fn shutdown(mut self) -> ServeStats {
         self.pipeline.stop_and_join();
         self.stats()
     }

@@ -75,11 +75,11 @@ impl Default for SupervisorConfig {
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct HealthSnapshot {
     /// Worker slots in total.
-    pub slots: usize,
+    pub(crate) slots: usize,
     /// Slots retired dead (circuit broken, respawn budget spent).
-    pub dead: usize,
+    pub(crate) dead: usize,
     /// Respawns performed so far.
-    pub respawns: u64,
+    pub(crate) respawns: u64,
 }
 
 impl HealthSnapshot {

@@ -30,12 +30,18 @@
 //! The serve tier (`tlpgnn-serve::sharded`) builds a router on top:
 //! requests route to the shard owning their seed vertex, and each
 //! shard's worker extracts through this crate.
+//!
+//! ## Public API
+//!
+//! The public API is the `pub use` re-exports below, one path per item;
+//! everything else is `pub(crate)`. A `pub` type inside a private module
+//! is reached only through the signatures of those items.
 
 #![warn(missing_docs)]
 
-pub mod extract;
-pub mod plan;
-pub mod store;
+pub(crate) mod extract;
+pub(crate) mod plan;
+pub(crate) mod store;
 
 pub use extract::{distributed_ego, distributed_ego_with_health, HaloStats};
 pub use plan::ShardPlan;

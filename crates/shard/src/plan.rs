@@ -91,11 +91,6 @@ impl ShardPlan {
         self.num_vertices
     }
 
-    /// The underlying contiguous-range partition.
-    pub fn partition(&self) -> &VertexPartition {
-        &self.partition
-    }
-
     /// Vertex range owned by shard `p`.
     pub fn owned_range(&self, p: usize) -> std::ops::Range<usize> {
         self.partition.range(p)

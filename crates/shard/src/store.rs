@@ -141,7 +141,7 @@ impl ShardStore {
     }
 
     /// Feature dimensionality.
-    pub fn feat_dim(&self) -> usize {
+    pub(crate) fn feat_dim(&self) -> usize {
         self.feat_dim
     }
 

@@ -32,7 +32,7 @@ impl MetricDelta {
 #[derive(Debug, Clone)]
 pub struct DiffReport {
     /// The threshold the report was built against.
-    pub threshold: f64,
+    pub(crate) threshold: f64,
     /// Every watched metric present in both snapshots.
     pub deltas: Vec<MetricDelta>,
     /// Watched metrics present in exactly one snapshot (informational).

@@ -26,7 +26,7 @@ use crate::Collector;
 pub const LAUNCH_TRACK_TID: u64 = 9999;
 
 /// The `pid` of the per-request waterfall process.
-pub const REQUEST_PID: u64 = 2;
+pub(crate) const REQUEST_PID: u64 = 2;
 
 fn meta(name: &str, pid: u64, tid: Option<u64>, label: &str) -> Value {
     let mut args = Value::object();

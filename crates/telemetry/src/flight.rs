@@ -18,7 +18,7 @@ use crate::json::Value;
 use crate::trace::TraceEvent;
 
 /// Events retained by the global recorder.
-pub const DEFAULT_CAPACITY: usize = 256;
+pub(crate) const DEFAULT_CAPACITY: usize = 256;
 
 /// The bounded recent-events ring. Use the global [`recorder`].
 #[derive(Debug)]
@@ -48,7 +48,7 @@ impl FlightRecorder {
     }
 
     /// Record one event (callers gate on [`crate::enabled`]).
-    pub fn record(&self, ev: &TraceEvent) {
+    pub(crate) fn record(&self, ev: &TraceEvent) {
         let ticket = self.tickets.fetch_add(1, Ordering::Relaxed);
         let slot = (ticket % self.slots.len() as u64) as usize;
         *self.slots[slot].lock().unwrap_or_else(|e| e.into_inner()) = Some((ticket, ev.clone()));
@@ -115,7 +115,7 @@ impl FlightRecorder {
     /// and return its path. Later dumps overwrite earlier ones for the
     /// same label — the file always holds the run-up to the most recent
     /// permanent fault.
-    pub fn dump(&self, reason: &str) -> std::io::Result<PathBuf> {
+    pub(crate) fn dump(&self, reason: &str) -> std::io::Result<PathBuf> {
         let dir = self
             .dump_dir
             .lock()
@@ -140,7 +140,7 @@ impl FlightRecorder {
 
 static RECORDER: OnceLock<FlightRecorder> = OnceLock::new();
 
-/// The process-wide flight recorder (capacity [`DEFAULT_CAPACITY`]).
+/// The process-wide flight recorder (capacity `DEFAULT_CAPACITY`).
 pub fn recorder() -> &'static FlightRecorder {
     RECORDER.get_or_init(|| FlightRecorder::new(DEFAULT_CAPACITY))
 }

@@ -7,7 +7,7 @@
 //! * **Spans** — [`span!`] opens a nested, timed span recorded by a
 //!   global thread-safe collector (`span!("launch", kernel = name)`).
 //! * **Metrics** — a registry of counters / gauges / histograms
-//!   ([`metrics::Metrics`]); `gpu_sim::Device::launch` publishes every
+//!   (`metrics::Metrics`); `gpu_sim::Device::launch` publishes every
 //!   kernel profile into it automatically under `kernel.<name>.*`.
 //! * **Exporters** — Chrome `trace_event` JSON (open in
 //!   [Perfetto](https://ui.perfetto.dev) or `chrome://tracing`) with
@@ -39,6 +39,12 @@
 //! telemetry::export::write_metrics_json(telemetry::collector(), dir.join("metrics.json")).unwrap();
 //! telemetry::set_enabled(false);
 //! ```
+//!
+//! ## Public API
+//!
+//! The public API is the `pub use` re-exports and `pub mod`s below, one
+//! path per item; everything else is `pub(crate)`. A `pub` type inside a
+//! private module is reached only through the signatures of those items.
 
 #![warn(missing_docs)]
 
@@ -47,9 +53,9 @@ pub mod diff;
 pub mod export;
 pub mod flight;
 pub mod json;
-pub mod metrics;
-pub mod sim;
-pub mod slo;
+pub(crate) mod metrics;
+pub(crate) mod sim;
+pub(crate) mod slo;
 pub mod span;
 pub mod trace;
 
@@ -59,11 +65,12 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
-pub use metrics::{Histogram, HistogramSummary, Metrics, MetricsSnapshot};
+use metrics::Metrics;
+pub use metrics::MetricsSnapshot;
 pub use sim::{BlockSlice, KernelSample, SimKernelTimeline, SmTimeline, MAX_BLOCK_EVENTS};
 pub use slo::{SloMonitor, SloReport, SloSpec};
-pub use span::{SpanGuard, SpanRecord};
-pub use trace::{TraceChain, TraceContext, TraceEvent};
+pub use span::SpanRecord;
+pub use trace::{TraceChain, TraceContext};
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
 
@@ -119,7 +126,7 @@ impl Collector {
     }
 
     /// Nanoseconds since this collector's epoch.
-    pub fn now_ns(&self) -> u64 {
+    pub(crate) fn now_ns(&self) -> u64 {
         self.epoch.elapsed().as_nanos() as u64
     }
 
@@ -132,7 +139,7 @@ impl Collector {
         self.next_tid.fetch_add(1, Ordering::Relaxed)
     }
 
-    /// Store a completed span (called by [`SpanGuard`] on drop).
+    /// Store a completed span (called by `SpanGuard` on drop).
     pub fn record_span(&self, s: SpanRecord) {
         self.metrics.counter_add("telemetry.self.spans", 1);
         self.spans.lock().unwrap().push(s);
@@ -223,7 +230,7 @@ impl Collector {
     /// Drop all recorded events and metrics (run-over-run isolation).
     /// Span/thread id counters keep counting; the epoch and thread
     /// names are unchanged.
-    pub fn reset(&self) {
+    pub(crate) fn reset(&self) {
         self.spans.lock().unwrap().clear();
         self.kernels.lock().unwrap().clear();
         self.timelines.lock().unwrap().clear();

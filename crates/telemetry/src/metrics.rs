@@ -12,42 +12,20 @@ use crate::json::{self, Value};
 /// A histogram that keeps raw samples (bench-scale cardinality) and
 /// summarizes with nearest-rank percentiles.
 #[derive(Debug, Clone, Default)]
-pub struct Histogram {
+pub(crate) struct Histogram {
     values: Vec<f64>,
 }
 
 impl Histogram {
     /// Record one sample; non-finite samples are dropped.
-    pub fn observe(&mut self, v: f64) {
+    pub(crate) fn observe(&mut self, v: f64) {
         if v.is_finite() {
             self.values.push(v);
         }
     }
 
-    /// Number of recorded samples.
-    pub fn count(&self) -> usize {
-        self.values.len()
-    }
-
-    /// The recorded samples, in observation order.
-    pub fn samples(&self) -> &[f64] {
-        &self.values
-    }
-
-    /// Nearest-rank percentile of the recorded samples.
-    ///
-    /// Total — never panics and never returns NaN: an empty histogram
-    /// yields `0.0`, a single-sample histogram yields that sample for
-    /// every `q`, and `q` outside `[0, 100]` (including NaN) is clamped
-    /// into range (NaN clamps to 0).
-    pub fn percentile(&self, q: f64) -> f64 {
-        let mut sorted = self.values.clone();
-        sorted.sort_by(f64::total_cmp);
-        percentile(&sorted, q)
-    }
-
     /// Summary statistics (zeros when empty).
-    pub fn summary(&self) -> HistogramSummary {
+    pub(crate) fn summary(&self) -> HistogramSummary {
         if self.values.is_empty() {
             return HistogramSummary::default();
         }
@@ -85,15 +63,15 @@ pub struct HistogramSummary {
     /// Samples recorded.
     pub count: usize,
     /// Smallest sample.
-    pub min: f64,
+    pub(crate) min: f64,
     /// Largest sample.
-    pub max: f64,
+    pub(crate) max: f64,
     /// Arithmetic mean.
-    pub mean: f64,
+    pub(crate) mean: f64,
     /// Nearest-rank median.
     pub p50: f64,
     /// Nearest-rank 90th percentile.
-    pub p90: f64,
+    pub(crate) p90: f64,
     /// Nearest-rank 99th percentile.
     pub p99: f64,
 }
@@ -139,7 +117,7 @@ pub struct Metrics {
 
 impl Metrics {
     /// An empty registry.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -164,16 +142,8 @@ impl Metrics {
             .observe(v);
     }
 
-    /// A clone of the named histogram with its raw samples, for callers
-    /// that need percentiles beyond the fixed [`HistogramSummary`] set
-    /// (e.g. p95 latency tables). `None` if nothing was observed under
-    /// that name.
-    pub fn histogram(&self, name: &str) -> Option<Histogram> {
-        self.hists.lock().unwrap().get(name).cloned()
-    }
-
     /// Drop every metric.
-    pub fn reset(&self) {
+    pub(crate) fn reset(&self) {
         self.counters.lock().unwrap().clear();
         self.gauges.lock().unwrap().clear();
         self.hists.lock().unwrap().clear();
@@ -209,7 +179,7 @@ pub struct MetricsSnapshot {
 
 impl MetricsSnapshot {
     /// Serialize to the `metrics.json` layout.
-    pub fn to_json(&self) -> Value {
+    pub(crate) fn to_json(&self) -> Value {
         let mut counters = Value::object();
         for (k, v) in &self.counters {
             counters.set(k.clone(), *v);
@@ -229,7 +199,7 @@ impl MetricsSnapshot {
         o
     }
 
-    /// Parse a `metrics.json` document produced by [`Self::to_json`].
+    /// Parse a `metrics.json` document produced by `Self::to_json`.
     ///
     /// Degrades gracefully on partial documents: a `null` counter or
     /// gauge (how non-finite values serialize) and a `null` or
@@ -309,7 +279,7 @@ mod tests {
         // Every quantile of a single-sample histogram is that sample, and
         // the summary carries no NaN anywhere.
         for q in [0.0, 0.001, 50.0, 99.999, 100.0] {
-            assert_eq!(h.percentile(q), 7.0);
+            assert_eq!(percentile(&[7.0], q), 7.0);
         }
         assert_eq!((s.min, s.max, s.mean), (7.0, 7.0, 7.0));
     }
@@ -319,23 +289,19 @@ mod tests {
         assert_eq!(Histogram::default().summary(), HistogramSummary::default());
         // Percentiles of an empty histogram are defined (0.0), not a
         // panic or NaN.
-        let h = Histogram::default();
         for q in [0.0, 50.0, 99.0, 100.0] {
-            assert_eq!(h.percentile(q), 0.0);
+            assert_eq!(percentile(&[], q), 0.0);
         }
     }
 
     #[test]
     fn out_of_range_quantiles_clamp() {
-        let mut h = Histogram::default();
-        for v in [1.0, 2.0, 3.0] {
-            h.observe(v);
-        }
-        assert_eq!(h.percentile(-10.0), 1.0, "below 0 clamps to min");
-        assert_eq!(h.percentile(250.0), 3.0, "above 100 clamps to max");
-        assert_eq!(h.percentile(0.0), 1.0, "p0 is the minimum");
-        assert_eq!(h.percentile(100.0), 3.0, "p100 is the maximum");
-        let nan = h.percentile(f64::NAN);
+        let sorted = [1.0, 2.0, 3.0];
+        assert_eq!(percentile(&sorted, -10.0), 1.0, "below 0 clamps to min");
+        assert_eq!(percentile(&sorted, 250.0), 3.0, "above 100 clamps to max");
+        assert_eq!(percentile(&sorted, 0.0), 1.0, "p0 is the minimum");
+        assert_eq!(percentile(&sorted, 100.0), 3.0, "p100 is the maximum");
+        let nan = percentile(&sorted, f64::NAN);
         assert!(!nan.is_nan(), "NaN quantile must not propagate");
         assert_eq!(nan, 1.0);
     }
@@ -346,7 +312,7 @@ mod tests {
         h.observe(f64::NAN);
         h.observe(f64::INFINITY);
         h.observe(2.0);
-        assert_eq!(h.count(), 1);
+        assert_eq!(h.summary().count, 1);
     }
 
     #[test]

@@ -24,11 +24,11 @@ const ERROR_BUDGET: f64 = 0.01;
 #[derive(Debug, Clone)]
 pub struct SloSpec {
     /// Objective name (used in gauge names and reports).
-    pub name: String,
+    pub(crate) name: String,
     /// Target: windowed p99 latency must stay below this.
-    pub p99_target_ms: f64,
+    pub(crate) p99_target_ms: f64,
     /// Completions per sliding window.
-    pub window: usize,
+    pub(crate) window: usize,
 }
 
 impl Default for SloSpec {
@@ -54,26 +54,26 @@ struct State {
 #[derive(Debug, Clone, PartialEq)]
 pub struct SloReport {
     /// Objective name.
-    pub name: String,
+    pub(crate) name: String,
     /// Completions seen in the current window.
     pub window_len: usize,
     /// Windowed p99 latency over successful completions (0 when none).
-    pub p99_ms: f64,
+    pub(crate) p99_ms: f64,
     /// The declared p99 target.
-    pub p99_target_ms: f64,
+    pub(crate) p99_target_ms: f64,
     /// Whether windowed p99 exceeds the target.
-    pub latency_breach: bool,
+    pub(crate) latency_breach: bool,
     /// Windowed unflagged-error rate.
-    pub error_rate: f64,
+    pub(crate) error_rate: f64,
     /// The error budget (the fixed 1 %).
-    pub error_budget: f64,
+    pub(crate) error_budget: f64,
     /// `error_rate / error_budget`.
-    pub burn_rate: f64,
+    pub(crate) burn_rate: f64,
     /// Whether the burn rate reached 1.0 — the budget is being consumed
     /// at or above the sustainable rate.
     pub burn_alert: bool,
     /// Lifetime completions.
-    pub total: u64,
+    pub(crate) total: u64,
     /// Lifetime unflagged errors.
     pub total_errors: u64,
 }
@@ -93,11 +93,6 @@ impl SloMonitor {
             spec,
             state: Mutex::new(State::default()),
         }
-    }
-
-    /// The declared objective.
-    pub fn spec(&self) -> &SloSpec {
-        &self.spec
     }
 
     /// Record a successful completion (flagged degradation included —

@@ -30,7 +30,7 @@ pub struct SpanRecord {
 
 impl SpanRecord {
     /// Span duration in microseconds.
-    pub fn dur_us(&self) -> f64 {
+    pub(crate) fn dur_us(&self) -> f64 {
         (self.end_ns.saturating_sub(self.start_ns)) as f64 / 1e3
     }
 }

@@ -24,22 +24,22 @@ use std::sync::{Arc, Mutex};
 /// Event kinds that terminate a chain. Exactly one of these appears per
 /// chain, always last: `response` (request served, possibly degraded),
 /// `error` (admitted but failed), `reject` (refused at admission).
-pub const TERMINAL_KINDS: &[&str] = &["response", "error", "reject"];
+pub(crate) const TERMINAL_KINDS: &[&str] = &["response", "error", "reject"];
 
 /// One causal step in a request's life.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceEvent {
     /// Owning trace (request) id; allocated in submission order.
-    pub trace_id: u64,
+    pub(crate) trace_id: u64,
     /// Position in the chain (0-based, dense, append order).
-    pub seq: u32,
+    pub(crate) seq: u32,
     /// Stage name (`submit`, `pickup`, `cache`, `retry`, `salvage`, …).
     pub kind: &'static str,
     /// Deterministic detail string (`attempt=2 backoff_us=800`).
     pub detail: String,
     /// Nanoseconds since the collector epoch — rendering only, never
     /// part of the canonical form.
-    pub t_ns: u64,
+    pub(crate) t_ns: u64,
 }
 
 impl TraceEvent {
@@ -285,17 +285,16 @@ impl TraceContext {
 
     /// Append the terminal event and publish the completed chain to the
     /// global collector. Idempotent: only the first call wins, matching
-    /// the serve tier's exactly-once response guarantee. Returns the
-    /// published chain (empty when collection is disabled).
-    pub fn finish(&self, kind: &'static str, detail: impl FnOnce() -> String) -> Vec<TraceEvent> {
+    /// the serve tier's exactly-once response guarantee.
+    pub fn finish(&self, kind: &'static str, detail: impl FnOnce() -> String) {
         if !crate::enabled() {
-            return Vec::new();
+            return;
         }
         let c = crate::collector();
         let chain = {
             let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
             if inner.finished {
-                return inner.events.clone();
+                return;
             }
             inner.finished = true;
             let ev = TraceEvent {
@@ -311,18 +310,8 @@ impl TraceContext {
         };
         c.record_trace(TraceChain {
             id: self.id,
-            events: chain.clone(),
+            events: chain,
         });
-        chain
-    }
-
-    /// Snapshot of the chain so far (finished or not).
-    pub fn events(&self) -> Vec<TraceEvent> {
-        self.inner
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .events
-            .clone()
     }
 }
 

@@ -17,12 +17,18 @@
 //! activations::relu(&mut h);
 //! assert_eq!(h.shape(), (16, 8));
 //! ```
+//!
+//! ## Public API
+//!
+//! The public API is the `pub use` re-exports and `pub mod`s below, one
+//! path per item; everything else is `pub(crate)`. A `pub` type inside a
+//! private module is reached only through the signatures of those items.
 
 #![warn(missing_docs)]
 
 pub mod activations;
-pub mod linear;
-pub mod matrix;
+pub(crate) mod linear;
+pub(crate) mod matrix;
 pub mod ops;
 pub mod pool;
 

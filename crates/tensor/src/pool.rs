@@ -37,7 +37,7 @@ use std::thread;
 /// is running (a serve worker's ego-graph ops are all far below this);
 /// above it the op runs for a millisecond or more and the hand-off is
 /// noise.
-pub const MIN_PARALLEL_WORK: usize = 1 << 23;
+pub(crate) const MIN_PARALLEL_WORK: usize = 1 << 23;
 
 /// Work per chunk handed out by [`for_each_row_block`]: small enough that
 /// a participant that loses its core mid-op strands little, large enough
@@ -48,7 +48,7 @@ const CHUNK_WORK: usize = MIN_PARALLEL_WORK / 8;
 /// (bias add, ReLU, copy), in [`MIN_PARALLEL_WORK`] units: such passes
 /// are bound by memory, not arithmetic, and move about one element in the
 /// time the tiled matmul retires eight multiply-adds.
-pub const STREAMED_ELEMENT_WORK: usize = 8;
+pub(crate) const STREAMED_ELEMENT_WORK: usize = 8;
 
 /// The job cursor on a cache line of its own, so participants hammering
 /// it do not false-share with the job's other fields.
