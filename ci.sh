@@ -41,8 +41,9 @@ step "one home"
 # telemetry::json), the marker-only serde shims (nothing serialises
 # through serde), the one-program-per-experiment binaries (an
 # experiment is a row of the registry in crates/bench/src/experiments/,
-# run as `repro <name>`; the six programs left each have a flag grammar
-# and exit-code contract of their own), the second wall-clock harness
+# run as `repro <name>`; the five programs left each have a flag grammar
+# and exit-code contract of their own, and one suite run gates the
+# baseline and writes the roofline record), the second wall-clock harness
 # (serve_bench, shard_bench, dynamic_bench and their closed-loop load
 # generator: serving is timed by benchmark/ alone, and the checks they
 # made are tests), the chaos harness (chaos_bench, its flag parser
@@ -72,7 +73,7 @@ if [ -e crates/conformance/src/json.rs ]; then
   exit 1
 fi
 bench_bins="$(LC_ALL=C ls crates/bench/src/bin | xargs)"
-if [ "${bench_bins}" != "conformance_fuzz.rs gnnconv.rs perf_gate.rs perf_report.rs repro.rs telemetry_diff.rs" ]; then
+if [ "${bench_bins}" != "conformance_fuzz.rs gnnconv.rs perf_gate.rs repro.rs telemetry_diff.rs" ]; then
   echo "one home: crates/bench/src/bin/ holds ${bench_bins} (a new experiment is a registry row, not a binary)" >&2
   exit 1
 fi
@@ -312,36 +313,33 @@ trap - EXIT
 mv "${bench_lock}" benchmark/Cargo.lock
 
 step "perf gate"
-# Runs the pinned bench matrix through the deterministic simulator and
-# diffs per-workload cycles/peak-memory against the committed
-# BENCH_<seq>.json baseline, attributing any regression to the limiter
-# metrics that moved. Exits non-zero past the threshold. After an
-# intentional perf change, re-baseline with `perf_gate --bless` and
-# commit the new snapshot.
+# One run of the pinned 30-workload bench matrix through the
+# deterministic simulator. It diffs per-workload cycles/peak-memory
+# against the committed BENCH_<seq>.json baseline, attributing any
+# regression to the limiter metrics that moved, and exits non-zero past
+# the threshold. After an intentional perf change, re-baseline with
+# `perf_gate --bless` and commit the new snapshot. The same runs are
+# placed on the device's roofline: every workload's classification, read
+# off its launch ledger through the cost function the launcher used, must
+# agree with the limiter stored on the profile (non-zero exit otherwise),
+# and the placements are written as roofline.json.
 #
-# The fault-injection layer must be invisible when disabled: with
-# FaultPlan::none() (every gate workload) the committed baseline stays
-# byte-identical, checked via sha256 around the gate run.
+# The fault-injection layer and the profiling must be invisible to the
+# gate: with FaultPlan::none() (every gate workload) the committed
+# baseline stays byte-identical, checked via sha256 around the run.
+# results/roofline.json is a record like the experiment tables: the run
+# writes into a temp dir and its roofline.json must equal the committed
+# one byte for byte.
 bench_baseline_sha="$(sha256sum BENCH_*.json)"
-# Re-asserted after every step below that must be invisible to the gate.
-assert_bench_unchanged() {
-  echo "${bench_baseline_sha}" | sha256sum --check --quiet -
-}
-./target/release/perf_gate
-assert_bench_unchanged
-
-step "perf report"
-# Hardware-counter-grade attribution over the full 30-workload suite:
-# every workload's roofline classification, read off its launch ledger
-# under the suite's device through the same cost function the launcher
-# used, must agree with the limiter stored on the profile — the binary
-# exits non-zero on any disagreement — and results/roofline.json is
-# written for dashboards (schema pinned by the perfgate golden test).
-./target/release/perf_report | tee results/perf_report_summary.txt
-# Profiling must never perturb the gated numbers: the committed
-# BENCH_<seq>.json baseline is still byte-identical. (What telemetry
-# costs when off is held by crates/telemetry's zero_cost test.)
-assert_bench_unchanged
+perf_dir="$(mktemp -d)"
+TLPGNN_RESULTS_DIR="${perf_dir}" ./target/release/perf_gate
+echo "${bench_baseline_sha}" | sha256sum --check --quiet -
+if ! cmp results/roofline.json "${perf_dir}/roofline.json"; then
+  echo "perf gate: results/roofline.json is not what perf_gate writes; rerun it and commit the file" >&2
+  exit 1
+fi
+rm -rf "${perf_dir}"
+echo "perf gate: roofline record identical"
 
 step ""
 echo "ci: all green"

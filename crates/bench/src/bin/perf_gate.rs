@@ -1,8 +1,10 @@
-//! **perf_gate** — the continuous performance-regression gate.
+//! **perf_gate** — the continuous performance-regression gate and the
+//! roofline record, from one run of the pinned suite.
 //!
 //! Runs the pinned perfgate suite (see `tlpgnn-perfgate`) through the
-//! deterministic simulator and compares the result against the latest
-//! committed `BENCH_<seq>.json` baseline:
+//! deterministic simulator once, compares the result against the latest
+//! committed `BENCH_<seq>.json` baseline, and classifies the same runs on
+//! the device's roofline:
 //!
 //! ```text
 //! perf_gate [--bless] [--smoke] [--baseline-dir DIR] [--threshold REL]
@@ -10,7 +12,8 @@
 //!
 //! * no flags — gate mode: exit non-zero (with a limiter-attribution
 //!   report) if any workload's cycles or peak memory regressed beyond
-//!   the threshold, or if no baseline exists.
+//!   the threshold, if no baseline exists, or if any workload's roofline
+//!   classification disagrees with the limiter the cost model stored.
 //! * `--bless` — re-baseline: write `BENCH_<seq+1>.json` capturing the
 //!   current numbers (no-op if the latest baseline already matches).
 //! * `--smoke` — run the small suite instead of the full matrix (quick
@@ -18,13 +21,17 @@
 //!   baselines, not the committed full ones).
 //! * `--threshold` — relative gate threshold (default 0.005 = 0.5%).
 //!
-//! The run also writes the usual telemetry bundle (including the folded
-//! flamegraph) plus `results/perf_gate.current.json` with the snapshot
-//! that was compared, for offline diffing via `telemetry-diff`.
+//! A full-suite run writes `results/roofline.json`, the committed record
+//! of every workload's roofline placement (a smoke run leaves it alone;
+//! the smoke roofline is pinned by perfgate's golden test). Every run
+//! also writes the usual telemetry bundle plus
+//! `results/perf_gate.current.json` with the snapshot that was compared,
+//! for offline diffing via `telemetry-diff`.
 
 use std::path::{Path, PathBuf};
 
 use tlpgnn_perfgate::gate::{self, GateConfig};
+use tlpgnn_perfgate::roofline;
 use tlpgnn_perfgate::snapshot::{self, Snapshot};
 use tlpgnn_perfgate::suite::{self, Suite};
 
@@ -70,13 +77,36 @@ fn main() {
         s.fingerprint(),
         cfg.threshold * 100.0
     );
-    let mut current = suite::run(&s);
+    let runs = suite::run_profiled(&s);
+    let mut current = suite::snapshot_from(&s, &runs);
     current.git_sha = snapshot::git_sha(Path::new("."));
 
     // Keep the run inspectable regardless of the gate's verdict.
     let results_dir = tlpgnn_bench::results_dir();
     let _ = std::fs::create_dir_all(&results_dir);
     let current_path = results_dir.join("perf_gate.current.json");
+
+    // Roofline attribution of the same runs: each workload's class is
+    // recomputed from its launch ledger and must agree with the limiter
+    // the launcher stored.
+    let points = roofline::classify_all(&runs, &s.device);
+    if !smoke {
+        let roofline_path = results_dir.join("roofline.json");
+        let report = roofline::report_pretty_string(&s.device.name, &points);
+        if let Err(e) = std::fs::write(&roofline_path, report) {
+            eprintln!("perf_gate: cannot write {}: {e}", roofline_path.display());
+            std::process::exit(2);
+        }
+    }
+    let disagreements = roofline::check_agreement(&points);
+    println!(
+        "roofline agreement: {}/{}",
+        points.len() - disagreements.len(),
+        points.len()
+    );
+    for d in &disagreements {
+        eprintln!("perf_gate: LIMITER DISAGREEMENT {d}");
+    }
 
     let Some((seq, path)) = snapshot::latest(&baseline_dir) else {
         current.seq = 1;
@@ -126,6 +156,13 @@ fn main() {
         }
         println!("perf_gate: blessed {}", p.display());
         return;
+    }
+    if !disagreements.is_empty() {
+        eprintln!(
+            "perf_gate: FAIL — {} roofline/limiter disagreement(s)",
+            disagreements.len()
+        );
+        std::process::exit(1);
     }
     if !report.passed() {
         std::process::exit(1);

@@ -16,8 +16,8 @@
 //! * `TLPGNN_QUICK=1` — shorthand for `TLPGNN_SCALE=8`.
 //! * `TLPGNN_TELEMETRY=0` — disable telemetry collection/export (on by
 //!   default in the bench binaries; see [`telemetry_scope`]).
-//! * `TLPGNN_RESULTS_DIR=<dir>` — where telemetry exports land
-//!   (default `results/`).
+//! * `TLPGNN_RESULTS_DIR=<dir>` — where telemetry exports and
+//!   `perf_gate`'s `roofline.json` land (default `results/`).
 //!
 //! ## Public API
 //!
@@ -148,7 +148,7 @@ pub(crate) fn features(g: &Csr, feat_dim: usize, seed: u64) -> Matrix {
 
 /// Format milliseconds the way the paper's tables do (2–3 significant
 /// digits).
-pub fn fmt_ms(ms: f64) -> String {
+pub(crate) fn fmt_ms(ms: f64) -> String {
     if ms < 0.095 {
         format!("{ms:.3}")
     } else if ms < 9.95 {
@@ -160,7 +160,7 @@ pub fn fmt_ms(ms: f64) -> String {
 
 /// A printable results table (markdown-flavoured, also readable as plain
 /// text).
-pub struct Table {
+pub(crate) struct Table {
     title: String,
     headers: Vec<String>,
     rows: Vec<Vec<String>>,
@@ -168,7 +168,7 @@ pub struct Table {
 
 impl Table {
     /// Start a table with a title and column headers.
-    pub fn new(title: impl Into<String>, headers: &[&str]) -> Self {
+    pub(crate) fn new(title: impl Into<String>, headers: &[&str]) -> Self {
         Self {
             title: title.into(),
             headers: headers.iter().map(|s| s.to_string()).collect(),
@@ -177,13 +177,13 @@ impl Table {
     }
 
     /// Append a row (must match the header count).
-    pub fn row(&mut self, cells: Vec<String>) {
+    pub(crate) fn row(&mut self, cells: Vec<String>) {
         assert_eq!(cells.len(), self.headers.len(), "row/header mismatch");
         self.rows.push(cells);
     }
 
     /// Render to stdout.
-    pub fn print(&self) {
+    pub(crate) fn print(&self) {
         println!("\n## {}\n", self.title);
         let mut widths: Vec<usize> = self.headers.iter().map(|h| h.len()).collect();
         for row in &self.rows {
@@ -222,13 +222,9 @@ impl Table {
 ///   Perfetto (<https://ui.perfetto.dev>) or `chrome://tracing`.
 /// * `<name>.metrics.json` — counters, gauges, and per-kernel histogram
 ///   summaries (p50/p90/p99), diffable with the `telemetry-diff` tool.
-/// * `<name>.events.jsonl` — flat span/kernel event log, one JSON per
-///   line, for ad-hoc scripting.
 /// * `<name>.folded.txt` — folded stacks over the recorded spans (self
 ///   time); feed to `flamegraph.pl` or drop into speedscope for a flame
-///   graph.
-/// * `<name>.folded_total.txt` — the cumulative (inclusive-time) variant
-///   of the folded stacks, for "how expensive is this subtree" reading.
+///   graph, which draws each frame at its inclusive width.
 pub struct TelemetryScope {
     name: String,
     dir: std::path::PathBuf,
@@ -259,22 +255,16 @@ impl Drop for TelemetryScope {
         let c = telemetry::collector();
         let trace = self.dir.join(format!("{}.trace.json", self.name));
         let metrics = self.dir.join(format!("{}.metrics.json", self.name));
-        let events = self.dir.join(format!("{}.events.jsonl", self.name));
         let folded = self.dir.join(format!("{}.folded.txt", self.name));
-        let folded_total = self.dir.join(format!("{}.folded_total.txt", self.name));
         let r = telemetry::export::write_chrome_trace(c, &trace)
             .and_then(|()| telemetry::export::write_metrics_json(c, &metrics))
-            .and_then(|()| telemetry::export::write_events_jsonl(c, &events))
-            .and_then(|()| telemetry::export::write_folded_stacks(c, &folded))
-            .and_then(|()| telemetry::export::write_folded_stacks_cumulative(c, &folded_total));
+            .and_then(|()| telemetry::export::write_folded_stacks(c, &folded));
         match r {
             Ok(()) => eprintln!(
-                "telemetry: wrote {}, {}, {}, {}, {}",
+                "telemetry: wrote {}, {}, {}",
                 trace.display(),
                 metrics.display(),
-                events.display(),
-                folded.display(),
-                folded_total.display()
+                folded.display()
             ),
             Err(e) => eprintln!("telemetry: export failed: {e}"),
         }

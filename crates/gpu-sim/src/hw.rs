@@ -23,12 +23,12 @@ pub struct HwCounters {
     /// Cycles warps spent issuing instructions (busy, not stalled).
     pub(crate) issue_active_cycles: u64,
     /// Cycles warps stalled on global-memory loads ("long scoreboard").
-    pub stall_mem_cycles: u64,
+    pub(crate) stall_mem_cycles: u64,
     /// Cycles warps stalled in atomic round trips and conflict
     /// serialization.
-    pub stall_atomic_cycles: u64,
+    pub(crate) stall_atomic_cycles: u64,
     /// Cycles charged to block-wide barriers (`__syncthreads`).
-    pub stall_sync_cycles: u64,
+    pub(crate) stall_sync_cycles: u64,
     /// Barriers executed, all warps.
     pub(crate) barriers: u64,
 
@@ -79,17 +79,6 @@ impl Accounting {
 }
 
 impl HwCounters {
-    /// Row-buffer locality of the below-L1 load stream in `[0, 1]`; zero
-    /// when everything hit the L1.
-    pub fn row_locality(&self) -> f64 {
-        let total = self.row_hit_sectors + self.row_miss_sectors;
-        if total == 0 {
-            0.0
-        } else {
-            self.row_hit_sectors as f64 / total as f64
-        }
-    }
-
     /// Every counter as `(name, value)`, in declaration order; the
     /// launcher publishes these as `kernel.<name>.hw.<counter>` telemetry
     /// counters.
@@ -109,21 +98,5 @@ impl HwCounters {
             ("row_hit_sectors", self.row_hit_sectors),
             ("row_miss_sectors", self.row_miss_sectors),
         ]
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn row_locality_ratio() {
-        let hw = HwCounters {
-            row_hit_sectors: 3,
-            row_miss_sectors: 1,
-            ..Default::default()
-        };
-        assert_eq!(hw.row_locality(), 0.75);
-        assert_eq!(HwCounters::default().row_locality(), 0.0);
     }
 }

@@ -63,7 +63,7 @@ pub struct WorkloadDiff {
     /// Relative change.
     pub rel: f64,
     /// Baseline limiter name.
-    pub limiter_old: String,
+    pub(crate) limiter_old: String,
     /// Current limiter name.
     pub limiter_new: String,
     /// The non-gated metrics that moved, largest |relative change|
@@ -76,13 +76,13 @@ pub struct WorkloadDiff {
 pub struct GateReport {
     /// Structural problems (schema / fingerprint / workload-set
     /// mismatches). Any error fails the gate.
-    pub errors: Vec<String>,
+    pub(crate) errors: Vec<String>,
     /// Gated metrics that got worse beyond the threshold.
     pub regressions: Vec<WorkloadDiff>,
     /// Gated metrics that got *better* beyond the threshold. Don't fail
     /// the gate, but the report suggests re-blessing so the improvement
     /// is locked in.
-    pub improvements: Vec<WorkloadDiff>,
+    pub(crate) improvements: Vec<WorkloadDiff>,
     /// Workloads compared.
     pub compared: usize,
 }

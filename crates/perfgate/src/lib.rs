@@ -18,7 +18,9 @@
 //! 4. [`roofline`] — arithmetic-intensity/roofline placement per
 //!    workload, cross-checked against the cost model's limiter.
 //!
-//! The `perf_gate` bin in `tlpgnn-bench` drives all three from `ci.sh`;
+//! The `perf_gate` bin in `tlpgnn-bench` drives all four from `ci.sh`
+//! over one suite run: it gates the snapshot, classifies the same
+//! profiles, and writes the full suite's `results/roofline.json`;
 //! `--bless` re-baselines after an intentional change.
 //!
 //! ## Public API

@@ -1,9 +1,10 @@
 //! Golden-file test pinning the `roofline.json` schema: field names,
 //! per-workload entry layout, and the exact numbers the deterministic
-//! smoke suite produces. CI and external tooling parse this layout (and
-//! the simulator is deterministic, so the *values* are part of the
-//! contract too — any drift is a real cost/counter-model change, not
-//! noise).
+//! smoke suite produces (classes, limiters, agreement, intensities and
+//! roof fractions). CI and external tooling parse this layout (and the
+//! simulator is deterministic, so the *values* are part of the contract
+//! too — any drift is a real cost/counter-model change, not noise). It is
+//! the one test that runs the smoke suite through the classifier.
 //!
 //! Regenerate after an intentional change with:
 //! `TLPGNN_BLESS=1 cargo test -p tlpgnn-perfgate --test roofline_golden`
@@ -29,25 +30,9 @@ fn roofline_json_schema_is_pinned() {
         "roofline.json drifted from tests/golden/roofline.json; \
          if intentional, re-bless with TLPGNN_BLESS=1"
     );
-}
-
-#[test]
-fn roofline_report_parses_and_agrees() {
-    let s = Suite::smoke();
-    let runs = suite::run_profiled(&s);
-    let points = roofline::classify_all(&runs, &s.device);
-    let rendered = roofline::report_pretty_string(&s.device.name, &points);
-    let doc = telemetry::json::parse(&rendered).expect("own output parses");
-    use telemetry::json::Value;
-    assert_eq!(
-        doc.get("schema").and_then(Value::as_str),
-        Some(roofline::ROOFLINE_SCHEMA)
-    );
-    let entries = doc.get("workloads").and_then(Value::as_arr).unwrap();
-    assert_eq!(entries.len(), runs.len());
-    for e in entries {
-        assert_eq!(e.get("agrees").and_then(Value::as_bool), Some(true));
-        let class = e.get("class").and_then(Value::as_str).unwrap();
-        assert!(["compute", "bandwidth", "latency"].contains(&class));
-    }
+    // The golden pins every value, `"agrees": true` included; these two
+    // are what equality with a file does not imply: the record parses,
+    // and the function `perf_gate` exits on reads the same verdict.
+    telemetry::json::parse(&rendered).expect("roofline.json parses");
+    assert_eq!(roofline::check_agreement(&points), Vec::<String>::new());
 }

@@ -216,9 +216,6 @@ metric_names! {
     halo_replica_hits => "halo.replica_hits",
     halo_local_hits => "halo.local_hits",
     halo_mirror_hits => "halo.mirror_hits",
-    batch_alloc_bytes => "batch.alloc_bytes",
-    batch_allocs => "batch.allocs",
-    request_alloc_bytes => "request.alloc_bytes",
     slo_prefix => "slo",
 }
 
@@ -713,10 +710,6 @@ impl<S: GraphSource> Core<S> {
         batch: Batch<S::View>,
     ) -> Result<(), WorkerExit> {
         let _span = telemetry::span!("serve.process_batch", requests = batch.len());
-        // Per-batch allocation accounting: free when no counting
-        // allocator is installed (the deltas read zero), real
-        // bytes/allocs when the `perf_report` binary installs one.
-        let alloc0 = telemetry::alloc::thread_alloc_stats();
         let picked_up = Instant::now();
         let (m, cfg, lane) = (&self.names, &self.cfg, &self.lanes[lane_idx]);
         let classes = self.net.out_dim();
@@ -979,14 +972,6 @@ impl<S: GraphSource> Core<S> {
                 degraded,
                 epoch,
             }));
-        }
-        if telemetry::enabled() && telemetry::alloc::alloc_counting_installed() {
-            let d = telemetry::alloc::thread_alloc_stats().since(&alloc0);
-            if d.allocs > 0 {
-                telemetry::observe(&m.batch_alloc_bytes, d.bytes as f64);
-                telemetry::observe(&m.batch_allocs, d.allocs as f64);
-                telemetry::observe(&m.request_alloc_bytes, d.bytes as f64 / batch.len() as f64);
-            }
         }
         Ok(())
     }

@@ -1,6 +1,6 @@
 //! Exporters: Chrome `trace_event` JSON (loadable in Perfetto or
-//! `chrome://tracing`), a JSONL event log, and the `metrics.json`
-//! snapshot.
+//! `chrome://tracing`), self-time folded stacks (flame-graph input), and
+//! the `metrics.json` snapshot.
 //!
 //! Trace layout:
 //! * **pid 1 `host`** — one track per host thread (labelled with the OS
@@ -227,64 +227,6 @@ pub fn metrics_json(c: &Collector) -> Value {
     c.metrics().snapshot().to_json()
 }
 
-/// Render every recorded event as JSON Lines: one `{"type":"span",...}`
-/// object per completed span, one `{"type":"kernel",...}` per launch,
-/// and one `{"type":"trace",...}` per causal trace event.
-pub fn events_jsonl(c: &Collector) -> String {
-    let mut out = String::new();
-    for s in c.spans_snapshot() {
-        let mut o = Value::object();
-        o.set("type", "span")
-            .set("name", s.name)
-            .set("id", s.id)
-            .set("tid", s.tid)
-            .set("depth", s.depth)
-            .set("ts_us", s.start_ns as f64 / 1e3)
-            .set("dur_us", s.dur_us());
-        if let Some(p) = s.parent {
-            o.set("parent", p);
-        }
-        if !s.args.is_empty() {
-            let mut args = Value::object();
-            for (k, v) in &s.args {
-                args.set(*k, v.clone());
-            }
-            o.set("args", args);
-        }
-        out.push_str(&o.to_string());
-        out.push('\n');
-    }
-    for k in c.kernel_samples_snapshot() {
-        let mut o = Value::object();
-        o.set("type", "kernel")
-            .set("name", k.name)
-            .set("gpu_time_ms", k.gpu_time_ms)
-            .set("runtime_ms", k.runtime_ms)
-            .set("sectors_per_request", k.sectors_per_request)
-            .set("achieved_occupancy", k.achieved_occupancy)
-            .set("sm_utilization", k.sm_utilization)
-            .set("limiter", k.limiter);
-        out.push_str(&o.to_string());
-        out.push('\n');
-    }
-    for t in c.traces_snapshot() {
-        for e in &t.events {
-            let mut o = Value::object();
-            o.set("type", "trace")
-                .set("trace_id", e.trace_id)
-                .set("seq", e.seq)
-                .set("kind", e.kind)
-                .set("ts_us", e.t_ns as f64 / 1e3);
-            if !e.detail.is_empty() {
-                o.set("detail", e.detail.clone());
-            }
-            out.push_str(&o.to_string());
-            out.push('\n');
-        }
-    }
-    out
-}
-
 /// A frame name, made safe for the folded-stack line format: `;` is the
 /// frame separator and the weight is whitespace-delimited at end of line.
 fn folded_frame(name: &str) -> String {
@@ -304,42 +246,23 @@ fn folded_frame(name: &str) -> String {
 /// The weight of each line is the span's *self* time (duration minus the
 /// summed durations of its direct children), so leaf-heavy hot paths
 /// dominate the flame graph instead of every ancestor double-counting
-/// its subtree. Spans from different threads with the same stack of
-/// names aggregate into one line.
+/// its subtree; a flame graph still draws every frame at its inclusive
+/// width, the sum of the lines beneath it. Spans from different threads
+/// with the same stack of names aggregate into one line.
 pub fn folded_stacks(c: &Collector) -> String {
-    folded_impl(c, false)
-}
-
-/// Cumulative variant of [`folded_stacks`]: every line's weight is the
-/// span's *total* (inclusive) time, so a stack's value is the full cost
-/// of its subtree. Stacks are therefore not disjoint — a parent's weight
-/// includes its children's — which is the right view for "where does the
-/// whole request/conv go" questions, complementing the self-time view
-/// that highlights leaves. Zero-duration spans are still skipped.
-pub fn folded_stacks_cumulative(c: &Collector) -> String {
-    folded_impl(c, true)
-}
-
-fn folded_impl(c: &Collector, cumulative: bool) -> String {
     use std::collections::{BTreeMap, HashMap};
     let spans = c.spans_snapshot();
     let by_id: HashMap<u64, &SpanRecord> = spans.iter().map(|s| (s.id, s)).collect();
     let mut child_ns: HashMap<u64, u64> = HashMap::new();
-    if !cumulative {
-        for s in &spans {
-            if let Some(p) = s.parent {
-                *child_ns.entry(p).or_insert(0) += s.end_ns.saturating_sub(s.start_ns);
-            }
+    for s in &spans {
+        if let Some(p) = s.parent {
+            *child_ns.entry(p).or_insert(0) += s.end_ns.saturating_sub(s.start_ns);
         }
     }
     let mut folded: BTreeMap<String, u64> = BTreeMap::new();
     for s in &spans {
         let total = s.end_ns.saturating_sub(s.start_ns);
-        let weight = if cumulative {
-            total
-        } else {
-            total.saturating_sub(child_ns.get(&s.id).copied().unwrap_or(0))
-        };
+        let weight = total.saturating_sub(child_ns.get(&s.id).copied().unwrap_or(0));
         if weight == 0 {
             continue;
         }
@@ -389,21 +312,8 @@ pub fn write_metrics_json(c: &Collector, path: impl AsRef<Path>) -> std::io::Res
     write_text(path.as_ref(), &metrics_json(c).to_string())
 }
 
-/// Write the JSONL event log to `path`.
-pub fn write_events_jsonl(c: &Collector, path: impl AsRef<Path>) -> std::io::Result<()> {
-    write_text(path.as_ref(), &events_jsonl(c))
-}
-
 /// Write the folded-stack flamegraph input to `path` (feed to
 /// `flamegraph.pl` or drop into speedscope).
 pub fn write_folded_stacks(c: &Collector, path: impl AsRef<Path>) -> std::io::Result<()> {
     write_text(path.as_ref(), &folded_stacks(c))
-}
-
-/// Write the cumulative (inclusive-time) folded stacks to `path`.
-pub fn write_folded_stacks_cumulative(
-    c: &Collector,
-    path: impl AsRef<Path>,
-) -> std::io::Result<()> {
-    write_text(path.as_ref(), &folded_stacks_cumulative(c))
 }

@@ -11,8 +11,8 @@
 //!   kernel profile into it automatically under `kernel.<name>.*`.
 //! * **Exporters** — Chrome `trace_event` JSON (open in
 //!   [Perfetto](https://ui.perfetto.dev) or `chrome://tracing`) with
-//!   per-SM block/kernel timelines from the simulator's list schedule, a
-//!   JSONL event log, and a `metrics.json` snapshot
+//!   per-SM block/kernel timelines from the simulator's list schedule,
+//!   folded stacks for flame graphs, and a `metrics.json` snapshot
 //!   ([`export`]), plus snapshot diffing for regression gating
 //!   ([`diff`], surfaced as the `telemetry-diff` binary).
 //!
@@ -48,7 +48,6 @@
 
 #![warn(missing_docs)]
 
-pub mod alloc;
 pub mod diff;
 pub mod export;
 pub mod flight;

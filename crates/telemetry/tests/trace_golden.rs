@@ -161,22 +161,6 @@ fn chrome_trace_is_valid_and_nested() {
 }
 
 #[test]
-fn jsonl_export_one_valid_object_per_line() {
-    let c = build_collector();
-    let text = export::events_jsonl(&c);
-    let lines: Vec<&str> = text.lines().collect();
-    assert_eq!(lines.len(), 5); // 4 spans + 1 kernel sample
-    let mut kinds = std::collections::BTreeMap::new();
-    for line in lines {
-        let v = json::parse(line).expect("each line is a JSON object");
-        let ty = v.get("type").and_then(Value::as_str).unwrap().to_string();
-        *kinds.entry(ty).or_insert(0usize) += 1;
-    }
-    assert_eq!(kinds["span"], 4);
-    assert_eq!(kinds["kernel"], 1);
-}
-
-#[test]
 fn metrics_json_has_kernel_histograms() {
     let c = build_collector();
     let text = export::metrics_json(&c).to_string();

@@ -35,7 +35,6 @@ fn main() {
     std::fs::create_dir_all("results").expect("create results dir");
     telemetry::export::write_chrome_trace(c, "results/example.trace.json").unwrap();
     telemetry::export::write_metrics_json(c, "results/example.metrics.json").unwrap();
-    telemetry::export::write_events_jsonl(c, "results/example.events.jsonl").unwrap();
 
     // 3. Peek at what was collected.
     println!("\nspans: {}", c.spans_snapshot().len());
