@@ -133,6 +133,20 @@ for gone in crates/core/src/train.rs crates/core/src/multi_gpu.rs \
     exit 1
   fi
 done
+# Pins print what they pin: every modelled number outside perf_gate's
+# matrix is a named line of crates/bench/tests/golden/pins.txt, checked
+# and re-recorded by crates/bench/tests/pins.rs. The hashed kernel pins,
+# the per-crate pin tests, their golden files and the second roofline
+# golden stay deleted.
+for gone in crates/core/tests/kernel_pins.rs crates/gpu-sim/tests/launch_pins.rs \
+  crates/baselines/tests/system_pins.rs crates/gpu-sim/tests/profile_golden.rs \
+  crates/perfgate/tests/roofline_golden.rs crates/gpu-sim/tests/golden/profile_metrics.txt \
+  crates/gpu-sim/tests/golden/hw_counter_names.txt crates/perfgate/tests/golden/roofline.json; do
+  if [ -e "${gone}" ]; then
+    echo "one home: ${gone} is back (a pin is a named line of crates/bench/tests/golden/pins.txt)" >&2
+    exit 1
+  fi
+done
 # Public means called: every `pub` fn, mod, struct, enum, trait, union,
 # type alias, const, static and named field under crates/<c>/src
 # (comments, string literals and each #[cfg(test)] item, braces

@@ -1,74 +1,49 @@
 //! **perf_gate** — the continuous performance-regression gate and the
 //! roofline record, from one run of the pinned suite.
 //!
-//! Runs the pinned perfgate suite (see `tlpgnn-perfgate`) through the
-//! deterministic simulator once, compares the result against the latest
-//! committed `BENCH_<seq>.json` baseline, and classifies the same runs on
-//! the device's roofline:
+//! Runs the pinned full perfgate suite (see `tlpgnn-perfgate`) through
+//! the deterministic simulator once, compares the result against the
+//! latest committed `BENCH_<seq>.json` baseline in the working directory,
+//! and classifies the same runs on the device's roofline:
 //!
 //! ```text
-//! perf_gate [--bless] [--smoke] [--baseline-dir DIR] [--threshold REL]
+//! perf_gate [--bless]
 //! ```
 //!
 //! * no flags — gate mode: exit non-zero (with a limiter-attribution
-//!   report) if any workload's cycles or peak memory regressed beyond
-//!   the threshold, if no baseline exists, or if any workload's roofline
+//!   report) if any workload's cycles or peak memory regressed by more
+//!   than 0.5%, if no baseline exists, or if any workload's roofline
 //!   classification disagrees with the limiter the cost model stored.
 //! * `--bless` — re-baseline: write `BENCH_<seq+1>.json` capturing the
 //!   current numbers (no-op if the latest baseline already matches).
-//! * `--smoke` — run the small suite instead of the full matrix (quick
-//!   local runs; its fingerprint differs, so it gates against its own
-//!   baselines, not the committed full ones).
-//! * `--threshold` — relative gate threshold (default 0.005 = 0.5%).
 //!
-//! A full-suite run writes `results/roofline.json`, the committed record
-//! of every workload's roofline placement (a smoke run leaves it alone;
-//! the smoke roofline is pinned by perfgate's golden test). Every run
-//! also writes the usual telemetry bundle plus
-//! `results/perf_gate.current.json` with the snapshot that was compared,
-//! for offline diffing via `telemetry-diff`.
+//! Every run writes `results/roofline.json`, the committed record of
+//! every workload's roofline placement (the smoke suite's is pinned in
+//! `crates/bench/tests/golden/pins.txt`), the usual telemetry bundle,
+//! and `results/perf_gate.current.json` with the snapshot that was
+//! compared, for offline diffing via `telemetry-diff`.
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 use tlpgnn_perfgate::gate::{self, GateConfig};
 use tlpgnn_perfgate::roofline;
 use tlpgnn_perfgate::snapshot::{self, Snapshot};
 use tlpgnn_perfgate::suite::{self, Suite};
 
-fn usage() -> ! {
-    eprintln!("usage: perf_gate [--bless] [--smoke] [--baseline-dir DIR] [--threshold REL]");
-    std::process::exit(2);
-}
-
 fn main() {
     let _telemetry = tlpgnn_bench::telemetry_scope("perf_gate");
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut bless = false;
-    let mut smoke = false;
-    let mut baseline_dir = PathBuf::from(".");
-    let mut cfg = GateConfig::default();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--bless" => bless = true,
-            "--smoke" => smoke = true,
-            "--baseline-dir" => {
-                i += 1;
-                baseline_dir = args.get(i).map(PathBuf::from).unwrap_or_else(|| usage());
-            }
-            "--threshold" | "-t" => {
-                i += 1;
-                cfg.threshold = args
-                    .get(i)
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage());
-            }
-            _ => usage(),
+    let bless = match std::env::args().skip(1).collect::<Vec<_>>().as_slice() {
+        [] => false,
+        [flag] if flag == "--bless" => true,
+        _ => {
+            eprintln!("usage: perf_gate [--bless]");
+            std::process::exit(2);
         }
-        i += 1;
-    }
+    };
+    let cfg = GateConfig::default();
+    let baseline_dir = Path::new(".");
 
-    let s = if smoke { Suite::smoke() } else { Suite::full() };
+    let s = Suite::full();
     println!(
         "perf_gate: suite `{}` ({} workloads) on {} | fingerprint {} | threshold {:.2}%",
         s.name,
@@ -90,13 +65,11 @@ fn main() {
     // recomputed from its launch ledger and must agree with the limiter
     // the launcher stored.
     let points = roofline::classify_all(&runs, &s.device);
-    if !smoke {
-        let roofline_path = results_dir.join("roofline.json");
-        let report = roofline::report_pretty_string(&s.device.name, &points);
-        if let Err(e) = std::fs::write(&roofline_path, report) {
-            eprintln!("perf_gate: cannot write {}: {e}", roofline_path.display());
-            std::process::exit(2);
-        }
+    let roofline_path = results_dir.join("roofline.json");
+    let report = roofline::report_pretty_string(&s.device.name, &points);
+    if let Err(e) = std::fs::write(&roofline_path, report) {
+        eprintln!("perf_gate: cannot write {}: {e}", roofline_path.display());
+        std::process::exit(2);
     }
     let disagreements = roofline::check_agreement(&points);
     println!(
@@ -108,11 +81,11 @@ fn main() {
         eprintln!("perf_gate: LIMITER DISAGREEMENT {d}");
     }
 
-    let Some((seq, path)) = snapshot::latest(&baseline_dir) else {
+    let Some((seq, path)) = snapshot::latest(baseline_dir) else {
         current.seq = 1;
         let _ = current.save(&current_path);
         if bless {
-            let p = snapshot::bench_path(&baseline_dir, 1);
+            let p = snapshot::bench_path(baseline_dir, 1);
             if let Err(e) = current.save(&p) {
                 eprintln!("perf_gate: cannot write {}: {e}", p.display());
                 std::process::exit(2);
@@ -149,7 +122,7 @@ fn main() {
             println!("perf_gate: baseline {} already up to date", path.display());
             return;
         }
-        let p = snapshot::bench_path(&baseline_dir, seq + 1);
+        let p = snapshot::bench_path(baseline_dir, seq + 1);
         if let Err(e) = current.save(&p) {
             eprintln!("perf_gate: cannot write {}: {e}", p.display());
             std::process::exit(2);

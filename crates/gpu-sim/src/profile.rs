@@ -45,7 +45,7 @@ pub struct Accounting {
     pub warps: WarpStats,
     /// L1 misses that displaced a valid resident sector (capacity or
     /// conflict pressure; cold fills excluded), summed over SM workers.
-    pub l1_evictions: u64,
+    pub(crate) l1_evictions: u64,
     /// Warps per block of this launch.
     pub(crate) warps_per_block: u64,
     /// Resident warps per SM the cost model assumed for this launch
@@ -231,8 +231,10 @@ impl KernelProfile {
     /// Every scalar metric as `(name, unit, value)`, in report order.
     ///
     /// This is the stable external surface of the profiler: exporters and
-    /// the conformance harness consume it, and a golden-file test pins
-    /// the names and units so renames are deliberate, not accidental.
+    /// the conformance harness consume it, and every kernel fixture of the
+    /// pins record (`crates/bench/tests/golden/pins.txt`) prints each
+    /// entry by name with its unit, so renames are deliberate, not
+    /// accidental.
     pub fn metrics(&self) -> Vec<(&'static str, &'static str, f64)> {
         vec![
             ("grid_blocks", "blocks", self.grid_blocks as f64),

@@ -52,11 +52,11 @@ pub struct WarpStats {
     /// Cycles the warp stalled waiting on loads ("long scoreboard").
     pub(crate) mem_lat_cycles: u64,
     /// Load sectors served by the L1.
-    pub l1_hit_sectors: u64,
+    pub(crate) l1_hit_sectors: u64,
     /// Load sectors served by the L2.
-    pub l2_hit_sectors: u64,
+    pub(crate) l2_hit_sectors: u64,
     /// Load sectors served by DRAM.
-    pub dram_sectors: u64,
+    pub(crate) dram_sectors: u64,
     /// Store requests issued.
     pub store_requests: u64,
     /// Sectors written by stores.

@@ -11,7 +11,8 @@
 //! different device than the one it is classified on, and the
 //! `perf_gate` bin (and CI) treat it as a gated error, not a warning.
 //! `perf_gate` writes the full suite's report to `results/roofline.json`;
-//! the smoke suite's is pinned by `tests/roofline_golden.rs`.
+//! the smoke suite's is pinned, field by field, in the pins record
+//! (`crates/bench/tests/golden/pins.txt`).
 
 use gpu_sim::{DeviceConfig, KernelProfile, WARP_SIZE};
 use telemetry::json::Value;
