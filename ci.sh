@@ -147,6 +147,21 @@ for gone in crates/core/tests/kernel_pins.rs crates/gpu-sim/tests/launch_pins.rs
     exit 1
   fi
 done
+# Host parallelism is tlpgnn_tensor::pool: no library crate starts a
+# thread of its own outside the pool, and the graph crate's random draws
+# come from one splitmix64 (generators::mix64, the counter-indexed
+# stream every generator and sampler reads).
+if grep -rnE --include='*.rs' 'thread::(spawn|scope|Builder)' \
+  crates/{graph,tensor,core,gpu-sim,baselines,shard}/src | grep -v '^crates/tensor/src/pool\.rs:'; then
+  echo "one home: a thread is started outside tlpgnn_tensor::pool (crates/tensor/src/pool.rs)" >&2
+  exit 1
+fi
+splitmixes="$(grep -rh --include='*.rs' . crates/graph/src | tr -d '_' |
+  { grep -oi '0xbf58476d1ce4e5b9' || true; } | wc -l)"
+if [ "${splitmixes}" -ne 1 ]; then
+  echo "one home: crates/graph/src holds ${splitmixes} splitmix64 bodies (draw from generators::mix64)" >&2
+  exit 1
+fi
 # Public means called: every `pub` fn, mod, struct, enum, trait, union,
 # type alias, const, static and named field under crates/<c>/src
 # (comments, string literals and each #[cfg(test)] item, braces

@@ -7,7 +7,8 @@
 //! aggregation, the design-space variants, the heterogeneous ops), three
 //! launches of the memory-hierarchy model (the coalesced and the
 //! uncoalesced load path, the atomic path), every baseline system × model,
-//! and the smoke suite's roofline placement. A kernel fixture prints
+//! the smoke suite's roofline placement, and the shape of every Table 4
+//! dataset as the registry synthesizes it. A kernel fixture prints
 //! every `KernelProfile::metrics()` entry as `value unit`, its atomic
 //! sectors and its 13 hardware counters by name, so the record also pins
 //! the metric schema and the counter names. How the simulator *executes*
@@ -34,7 +35,7 @@ use tlpgnn::{
     WorkSource,
 };
 use tlpgnn_baselines::all_systems;
-use tlpgnn_graph::{generators, Csr};
+use tlpgnn_graph::{datasets::DATASETS, generators, Csr};
 use tlpgnn_perfgate::roofline;
 use tlpgnn_perfgate::suite::{self, Suite};
 use tlpgnn_tensor::{Linear, Matrix};
@@ -60,6 +61,7 @@ const REGISTRY: &[fn() -> Vec<Fixture>] = &[
     launches,
     systems,
     smoke_roofline,
+    datasets,
 ];
 
 /// Every launch runs on the test device, whose barrier cost prices
@@ -401,6 +403,30 @@ fn smoke_roofline() -> Vec<Fixture> {
         }
     }
     vec![("roofline.smoke".into(), lines)]
+}
+
+// ---- Table 4's synthesized shapes: every registry dataset at its
+// default scale, as the experiments load it ----
+
+fn datasets() -> Vec<Fixture> {
+    DATASETS
+        .iter()
+        .map(|spec| {
+            let g = spec.load();
+            let second_moment: f64 = (0..g.num_vertices())
+                .map(|v| (g.degree(v) as f64).powi(2))
+                .sum();
+            let lines = [
+                ("vertices", g.num_vertices().to_string()),
+                ("edges", g.num_edges().to_string()),
+                ("avg_degree", g.avg_degree().to_string()),
+                ("max_degree", g.max_degree().to_string()),
+                ("degree_second_moment", second_moment.to_string()),
+            ];
+            let lines = lines.map(|(k, v)| (k.to_string(), v)).into();
+            (format!("datasets.{}", spec.abbr), lines)
+        })
+        .collect()
 }
 
 // ---- the record ----

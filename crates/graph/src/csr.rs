@@ -6,6 +6,8 @@
 //! memory traffic of index loads — the same reason GPU frameworks use
 //! `int32`).
 
+use crate::builder;
+
 /// A directed graph in CSR form. For GNN aggregation the row vertex is the
 /// *destination* and `neighbors(v)` are the sources it pulls from (i.e.
 /// this is the in-adjacency unless documented otherwise by the builder).
@@ -165,7 +167,8 @@ impl Csr {
     }
 
     /// Apply a vertex permutation: `perm[old] = new`. Rows are moved and
-    /// neighbor ids relabelled; neighbor lists are re-sorted.
+    /// neighbor ids relabelled; neighbor lists are re-sorted (row chunks
+    /// on `tlpgnn_tensor::pool`).
     pub fn permute(&self, perm: &[u32]) -> Csr {
         assert_eq!(perm.len(), self.num_vertices);
         let n = self.num_vertices;
@@ -175,12 +178,51 @@ impl Csr {
         }
         let mut indptr = Vec::with_capacity(n + 1);
         indptr.push(0u32);
-        let mut indices = Vec::with_capacity(self.indices.len());
         for new_v in 0..n {
-            let old_v = inv[new_v] as usize;
-            let start = indices.len();
-            indices.extend(self.neighbors(old_v).iter().map(|&u| perm[u as usize]));
-            indices[start..].sort_unstable();
+            indptr.push(indptr[new_v] + self.degree(inv[new_v] as usize) as u32);
+        }
+        let mut indices = vec![0u32; self.indices.len()];
+        builder::for_each_row_chunk(
+            &indptr,
+            &mut indices,
+            builder::CHUNK_EDGES,
+            |rows, block| {
+                let mut at = 0;
+                for new_v in rows {
+                    let old = self.neighbors(inv[new_v] as usize);
+                    let row = &mut block[at..at + old.len()];
+                    for (slot, &u) in row.iter_mut().zip(old) {
+                        *slot = perm[u as usize];
+                    }
+                    row.sort_unstable();
+                    at += old.len();
+                }
+            },
+        );
+        Csr::new_unchecked(n, indptr, indices)
+    }
+
+    /// The graph whose edges are those of `self` or of `other` (same
+    /// vertex count): each row is the sorted merge of the two rows.
+    pub(crate) fn union(&self, other: &Csr) -> Csr {
+        assert_eq!(self.num_vertices, other.num_vertices);
+        let n = self.num_vertices;
+        let mut indptr = Vec::with_capacity(n + 1);
+        indptr.push(0u32);
+        let mut indices = Vec::with_capacity(self.num_edges() + other.num_edges());
+        for v in 0..n {
+            let (mut a, mut b) = (self.neighbors(v), other.neighbors(v));
+            while let (Some(&x), Some(&y)) = (a.first(), b.first()) {
+                indices.push(x.min(y));
+                if x <= y {
+                    a = &a[1..];
+                }
+                if y <= x {
+                    b = &b[1..];
+                }
+            }
+            indices.extend_from_slice(a);
+            indices.extend_from_slice(b);
             indptr.push(indices.len() as u32);
         }
         Csr::new_unchecked(n, indptr, indices)

@@ -82,11 +82,7 @@ impl DatasetSpec {
             attempt += 1;
             let deficit = m - g.num_edges();
             let extra = gen(deficit * 3 / 2, seed.wrapping_add(attempt * 0x9e37));
-            let mut b = crate::builder::GraphBuilder::new(n);
-            b.reserve(g.num_edges() + extra.num_edges());
-            b.extend(g.edge_iter());
-            b.extend(extra.edge_iter());
-            g = b.build();
+            g = g.union(&extra);
         }
         g.permute(&shuffled_permutation(n, seed ^ 0x5bff))
     }

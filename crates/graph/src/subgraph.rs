@@ -33,6 +33,7 @@
 //! their features but aggregate nothing.
 
 use crate::csr::Csr;
+use crate::generators::mix64;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
@@ -199,15 +200,6 @@ pub fn ego_graph_on<G: Neighborhoods + ?Sized>(g: &G, targets: &[u32], hops: usi
         num_targets,
         hops,
     }
-}
-
-/// splitmix64 — the statelessly seeded mixer the generators use; local
-/// copy so sampling stays self-contained.
-fn mix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e3779b97f4a7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-    z ^ (z >> 31)
 }
 
 /// Deterministic fanout-capped row sample: at most `fanout` of `v`'s

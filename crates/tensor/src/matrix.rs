@@ -6,8 +6,24 @@
 //! paper's feature parallelism exploits for coalesced access, and which
 //! the device-side kernels assume when they index `v * dim + lane`.
 
-use rand::rngs::StdRng;
-use rand::{RngExt, SeedableRng};
+use crate::pool;
+
+/// The `j`-th `next_u64` (from 0) of `StdRng::seed_from_u64(seed)`,
+/// without the `j` draws before it: the generator is splitmix64, whose
+/// state before that draw is `seed + (j + 1)·γ`.
+fn draw(seed: u64, j: u64) -> u64 {
+    const GAMMA: u64 = 0x9e37_79b9_7f4a_7c15;
+    let mut z = seed.wrapping_add(j.wrapping_add(2).wrapping_mul(GAMMA));
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
+    z ^ (z >> 31)
+}
+
+/// A draw as `random::<f32>()` makes it: the top 24 bits of its
+/// `next_u32` (the draw's high half), uniform in `[0, 1)`.
+fn unit_f32(x: u64) -> f32 {
+    ((x >> 32) as u32 >> 8) as f32 * (1.0 / (1u32 << 24) as f32)
+}
 
 /// A dense row-major `f32` matrix.
 #[derive(Debug, Clone, PartialEq)]
@@ -45,11 +61,24 @@ impl Matrix {
     /// Uniform random entries in `[-scale, scale)`, deterministic in seed.
     /// The paper initializes features and weights to random 32-bit floats
     /// (Section 7.1); this is that initializer.
+    ///
+    /// Element `k` (row major) is `StdRng::seed_from_u64(seed)`'s `k`-th
+    /// `random::<f32>()`, computed from the counter alone, so rows fill
+    /// on [`pool`](crate::pool) and the matrix is the same bits whatever
+    /// the thread count.
     pub fn random(rows: usize, cols: usize, scale: f32, seed: u64) -> Self {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let data = (0..rows * cols)
-            .map(|_| (rng.random::<f32>() * 2.0 - 1.0) * scale)
-            .collect();
+        let mut data = vec![0.0; rows * cols];
+        pool::for_each_row_block(
+            &mut data,
+            cols,
+            cols * pool::STREAMED_ELEMENT_WORK,
+            |first, block| {
+                let first = (first * cols) as u64;
+                for (k, v) in (first..).zip(block) {
+                    *v = (unit_f32(draw(seed, k)) * 2.0 - 1.0) * scale;
+                }
+            },
+        );
         Self { rows, cols, data }
     }
 
@@ -155,6 +184,42 @@ mod tests {
         assert_eq!(a, b);
         assert!(a.data().iter().all(|v| v.abs() <= 0.5));
         assert_ne!(a, Matrix::random(10, 10, 0.5, 43));
+    }
+
+    /// The sequential initializer `random` replaced: one `StdRng`
+    /// stream, one element after another.
+    fn reference_random(rows: usize, cols: usize, scale: f32, seed: u64) -> Matrix {
+        use rand::rngs::StdRng;
+        use rand::{RngExt, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let data = (0..rows * cols)
+            .map(|_| (rng.random::<f32>() * 2.0 - 1.0) * scale)
+            .collect();
+        Matrix::from_vec(rows, cols, data)
+    }
+
+    #[test]
+    fn random_matches_the_sequential_stream() {
+        // Empty shapes, a single element, odd shapes, and one past the
+        // pool's cutoff whose rows do not divide into its chunks.
+        let shapes = [(0, 5), (5, 0), (1, 1), (3, 7), (1031, 1024)];
+        for (rows, cols) in shapes {
+            for seed in [0, 7, u64::MAX] {
+                let (got, want) = (
+                    Matrix::random(rows, cols, 0.75, seed),
+                    reference_random(rows, cols, 0.75, seed),
+                );
+                let same = got
+                    .data()
+                    .iter()
+                    .zip(want.data())
+                    .all(|(a, b)| a.to_bits() == b.to_bits());
+                assert!(
+                    same && got.shape() == want.shape(),
+                    "{rows}x{cols} seed {seed}"
+                );
+            }
+        }
     }
 
     #[test]
