@@ -162,6 +162,16 @@ if [ "${splitmixes}" -ne 1 ]; then
   echo "one home: crates/graph/src holds ${splitmixes} splitmix64 bodies (draw from generators::mix64)" >&2
   exit 1
 fi
+# A layer's order (project first iff it narrows) is decided once, in
+# GnnLayer's constructor in crates/core/src/model.rs: no other file
+# constructs an Order variant. The device forward in engine.rs may match
+# on the order (a `Variant =>` arm) but never chooses one.
+if grep -rnE --include='*.rs' '\b(ProjectFirst|AggregateFirst)\b' crates src tests examples benchmark |
+  grep -v '^crates/core/src/model\.rs:' | grep -vE '^[^:]+:[0-9]+:\s*//' |
+  grep -vE '^crates/core/src/engine\.rs:[0-9]+:\s*Order::(ProjectFirst|AggregateFirst)\s*=>'; then
+  echo "one home: a layer's Order is constructed outside crates/core/src/model.rs (GnnLayer::new decides it)" >&2
+  exit 1
+fi
 # Public means called: every `pub` fn, mod, struct, enum, trait, union,
 # type alias, const, static and named field under crates/<c>/src
 # (comments, string literals and each #[cfg(test)] item, braces
@@ -315,7 +325,7 @@ done
 # Every modelled number unchanged, as a step instead of by hand: one
 # traced pass of the simulator's own workload (GCN, GAT and the three
 # baseline systems on the modelled V100) and of serve_cold (the probe's
-# ego graphs and five-launch forward pass), whose device-clock lines —
+# ego graphs and six-launch GraphSage forward pass), whose device-clock lines —
 # simulated counts, rates and times, which repeat bit for bit for a seed
 # on any machine — must equal the committed record. A change that means
 # to move the model re-records results/device_clock_seed42.txt in the

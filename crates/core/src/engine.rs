@@ -19,8 +19,9 @@ use tlpgnn_graph::Csr;
 use tlpgnn_tensor::Matrix;
 
 use crate::gpu::{GatScoresOnDevice, GraphOnDevice};
+use crate::kernels::dense::{try_dense_on_device, Dense};
 use crate::kernels::{fused_kernel, fused_regs, PreparedLaunch};
-use crate::model::GnnModel;
+use crate::model::{GnnLayer, GnnModel, Order};
 use crate::schedule::{Assignment, BoundLaunch, HybridHeuristic};
 
 /// Host-side dispatch overhead per launch, ms (a thin C++/PyTorch
@@ -189,40 +190,82 @@ impl TlpgnnEngine {
         })
     }
 
-    /// Run one full GNN layer on the device: the fused graph convolution
-    /// followed by the fused dense kernel (`act(conv(x)·W + b)`), two
-    /// kernel launches total — the whole-layer version of Observation III.
-    /// (GraphSage's self-concat happens between the two stages on the
-    /// host, as in `GnnLayer::forward_with`.) Either launch may surface an
-    /// injected fault; both paths clean up their buffers, so the layer can
-    /// be retried whole.
-    fn try_layer_forward(
+    /// Run one full GNN layer on the device, in the order
+    /// [`GnnLayer`] decided (project first iff `out_dim < in_dim`). The
+    /// dense work is [`DenseLayerKernel`](crate::kernels::dense) launches
+    /// around the fused convolution:
+    ///
+    /// - aggregate first: the convolution on `h`, then
+    ///   `act(agg·W + b)` — two launches. GraphSage's self term is a
+    ///   second product term of the same launch:
+    ///   `act(h·W_self + agg·W_neigh + b)`.
+    /// - project first: `z = h·W` (no bias, no ReLU), the convolution on
+    ///   `z`, then the epilogue `act(conv(z) + b)`, GraphSage
+    ///   `act(h·W_self + conv(z) + b)` — three launches, two when the
+    ///   epilogue would do nothing (no self term, an all-zero bias, no
+    ///   ReLU).
+    ///
+    /// Any launch may surface an injected fault; every launch frees its
+    /// own buffers, so the layer can be retried whole.
+    pub(crate) fn try_layer_forward(
         &mut self,
-        layer: &crate::model::GnnLayer,
+        layer: &GnnLayer,
         g: &Csr,
         x: &Matrix,
     ) -> Result<(Matrix, OpProfile), LaunchError> {
         let _span = telemetry::span!("tlpgnn.layer_forward", model = layer.model.name());
-        let (agg, mut op) = self.try_conv(&layer.model, g, x)?;
-        let combined = match layer.combine {
-            crate::model::Combine::Replace => agg,
-            crate::model::Combine::ConcatSelf => tlpgnn_tensor::ops::concat_cols(x, &agg),
+        let w = layer.linear.weight();
+        let self_term = || layer.self_weight.iter().map(|w_self| (x, w_self));
+        let (bias, relu) = (layer.linear.bias(), layer.relu);
+        let mut launched = Vec::new();
+        let mut dense = |dev: &mut Device, launch: &Dense<'_>| {
+            try_dense_on_device(dev, launch).map(|(out, p)| {
+                launched.push(p);
+                out
+            })
         };
-        let (out, p_dense) = crate::kernels::dense::try_dense_forward_on_device(
-            &mut self.device,
-            &layer.linear,
-            &combined,
-            layer.relu,
-        )?;
-        op.add(&p_dense);
-        op.add_framework_overhead_ms(DISPATCH_MS);
+        let (out, mut op) = match layer.order {
+            Order::AggregateFirst => {
+                let (agg, op) = self.try_conv(&layer.model, g, x)?;
+                let launch = Dense {
+                    products: self_term().chain([(&agg, w)]).collect(),
+                    addend: None,
+                    bias,
+                    relu,
+                };
+                (dense(&mut self.device, &launch)?, op)
+            }
+            Order::ProjectFirst => {
+                let z = dense(&mut self.device, &Dense::product(x, w))?;
+                let (agg, op) = self.try_conv(&layer.model, g, &z)?;
+                let epilogue = Dense {
+                    products: self_term().collect(),
+                    addend: Some(&agg),
+                    bias,
+                    relu,
+                };
+                if epilogue.is_noop() {
+                    (agg, op)
+                } else {
+                    (dense(&mut self.device, &epilogue)?, op)
+                }
+            }
+        };
+        for p in &launched {
+            op.add(p);
+            op.add_framework_overhead_ms(DISPATCH_MS);
+        }
         Ok((out, op))
     }
 
     /// Run a whole [`crate::model::GnnNetwork`] forward pass with every
-    /// kernel on the device: per layer a fused convolution plus a fused
-    /// dense kernel, then one log-softmax kernel — `2·L + 1` launches for
-    /// an `L`-layer network.
+    /// kernel on the device: per layer the launches of
+    /// [`Self::try_layer_forward`] (two, or three for a narrowing layer
+    /// with work after its convolution), then one log-softmax kernel.
+    /// The two-layer networks served here narrow only in their last
+    /// layer: GCN `16 → 16 → 8` is `2 + 2 + 1` launches (a zero bias and
+    /// no final ReLU skip the epilogue), GraphSage `16 → 16 → 8` is
+    /// `2 + 3 + 1`.
     pub fn classify_forward(
         &mut self,
         net: &crate::model::GnnNetwork,
@@ -235,9 +278,8 @@ impl TlpgnnEngine {
 
     /// Fallible [`Self::classify_forward`]. Layer outputs live on the
     /// host between launches (each launch uploads its own inputs and
-    /// frees them), so a fault at any of the `2·L + 1` launches leaves no
-    /// device state behind — the serving layer retries the whole forward
-    /// pass.
+    /// frees them), so a fault at any launch leaves no device state
+    /// behind — the serving layer retries the whole forward pass.
     pub fn try_classify_forward(
         &mut self,
         net: &crate::model::GnnNetwork,
@@ -375,19 +417,24 @@ mod tests {
     #[test]
     fn layer_forward_on_device_matches_host_layer() {
         let g = generators::rmat_default(150, 1000, 71);
-        let x = Matrix::random(150, 16, 1.0, 72);
-        for model in GnnModel::all_four(16) {
-            let layer = crate::model::GnnLayer::new(model, 16, 12, 73);
-            let mut e = engine();
-            let (got, op) = e.try_layer_forward(&layer, &g, &x).unwrap();
-            let want = layer.forward_with(&x, |m, feats| conv_reference(m, &g, feats));
-            assert!(
-                got.max_abs_diff(&want) < 1e-3,
-                "{}: {}",
-                layer.model.name(),
-                got.max_abs_diff(&want)
-            );
-            assert_eq!(op.kernel_launches, 2, "conv + dense, nothing more");
+        // Narrowing layers project first: projection, conv and epilogue.
+        // The others aggregate first: conv and dense.
+        for (in_dim, out_dim, launches) in [(16, 12, 3), (12, 16, 2)] {
+            let x = Matrix::random(150, in_dim, 1.0, 72);
+            for model in GnnModel::all_four(out_dim) {
+                let layer = crate::model::GnnLayer::new(model, in_dim, out_dim, 73);
+                let mut e = engine();
+                let (got, op) = e.try_layer_forward(&layer, &g, &x).unwrap();
+                let want = layer.forward_with(&x, |m, feats| conv_reference(m, &g, feats));
+                assert!(
+                    got.max_abs_diff(&want) < 1e-3,
+                    "{}: {}",
+                    layer.model.name(),
+                    got.max_abs_diff(&want)
+                );
+                assert_eq!(op.kernel_launches, launches, "{}", layer.model.name());
+                assert_eq!(e.device().mem().current_bytes(), 0, "every buffer freed");
+            }
         }
     }
 

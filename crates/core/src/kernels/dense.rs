@@ -6,27 +6,33 @@
 //! The matmul follows the same design language as the graph kernels: one
 //! warp owns a row of the output, lanes cover 32 consecutive output
 //! columns (coalesced stores), the weight matrix streams through the
-//! cache, and bias + ReLU fuse into the same kernel (one launch per
-//! layer's dense phase — Observation III applied to the dense side).
+//! cache, and the self term, bias and ReLU fuse into the same kernel (one
+//! launch per dense phase — Observation III applied to the dense side; a
+//! layer that projects before aggregating has one phase on each side of
+//! its convolution).
 
 use gpu_sim::{Device, DeviceBuffer, Kernel, LaunchConfig, WarpCtx, WARP_SIZE};
 use tlpgnn_tensor::{Linear, Matrix};
 
-/// Fused `Y = act(X·W + b)` kernel: warp per output row, lanes per
-/// 32-column tile.
+/// Fused `Y = act(Σ X_i·W_i + A + b)` kernel: warp per output row, lanes
+/// per 32-column tile. The product terms, the addend `A` and the bias are
+/// each optional, so one kernel is a layer's plain projection (`X·W`),
+/// its dense phase after aggregation (`act(agg·W + b)`, GraphSage
+/// `act(h·W_self + agg·W_neigh + b)`) and its epilogue after a
+/// project-first convolution (`act(A + b)`, GraphSage
+/// `act(h·W_self + A + b)`).
 pub(crate) struct DenseLayerKernel {
-    /// Input matrix (`rows × in_dim`).
-    pub(crate) x: DeviceBuffer<f32>,
-    /// Weights (`in_dim × out_dim`, row major).
-    pub(crate) w: DeviceBuffer<f32>,
+    /// Product terms, accumulated in order: an input (`rows × k`), its
+    /// weights (`k × out_dim`, row major) and `k`.
+    pub(crate) products: Vec<(DeviceBuffer<f32>, DeviceBuffer<f32>, usize)>,
+    /// Addend (`rows × out_dim`), or `None`.
+    pub(crate) addend: Option<DeviceBuffer<f32>>,
     /// Bias (`out_dim`), or `None`.
     pub(crate) bias: Option<DeviceBuffer<f32>>,
     /// Output (`rows × out_dim`).
     pub(crate) y: DeviceBuffer<f32>,
     /// Rows.
     pub(crate) rows: usize,
-    /// Inner dimension.
-    pub(crate) in_dim: usize,
     /// Output dimension.
     pub(crate) out_dim: usize,
     /// Apply ReLU in the same kernel.
@@ -45,26 +51,33 @@ impl Kernel for DenseLayerKernel {
         if r >= self.rows {
             return;
         }
-        let (id, od) = (self.in_dim, self.out_dim);
+        let od = self.out_dim;
         for tile in 0..od.div_ceil(WARP_SIZE) {
             let base = tile * WARP_SIZE;
             let active = (od - base).min(WARP_SIZE);
             let mut acc = [0.0f32; WARP_SIZE];
             // k-loop: broadcast one input element, stream a weight row
             // tile (coalesced: lanes read consecutive W columns).
-            for k in 0..id {
-                let xv = w.ld_scalar(self.x, r * id + k);
-                let ws = w.ld_run(self.w, k * od + base, active);
-                w.issue_simd(2, active);
-                for l in 0..active {
-                    acc[l] += xv * ws[l];
+            for &(x, wt, id) in &self.products {
+                for k in 0..id {
+                    let xv = w.ld_scalar(x, r * id + k);
+                    let ws = w.ld_run(wt, k * od + base, active);
+                    w.issue_simd(2, active);
+                    for l in 0..active {
+                        acc[l] += xv * ws[l];
+                    }
                 }
             }
-            if let Some(b) = self.bias {
-                let bs = w.ld_run(b, base, active);
+            // Then the addend's row tile and the bias tile, each a run.
+            let terms = [
+                self.addend.map(|a| (a, r * od + base)),
+                self.bias.map(|b| (b, base)),
+            ];
+            for (buf, start) in terms.into_iter().flatten() {
+                let vs = w.ld_run(buf, start, active);
                 w.issue_simd(1, active);
                 for l in 0..active {
-                    acc[l] += bs[l];
+                    acc[l] += vs[l];
                 }
             }
             if self.relu {
@@ -78,6 +91,42 @@ impl Kernel for DenseLayerKernel {
     }
 }
 
+/// One launch of [`DenseLayerKernel`], from host matrices:
+/// `act(Σ x_i·W_i [+ addend] [+ b])`.
+pub(crate) struct Dense<'a> {
+    /// The product terms `(x, W)`, accumulated in order.
+    pub(crate) products: Vec<(&'a Matrix, &'a Matrix)>,
+    /// A `rows × out_dim` matrix added after the products.
+    pub(crate) addend: Option<&'a Matrix>,
+    /// The bias row; an all-zero one adds nothing and is skipped.
+    pub(crate) bias: Option<&'a [f32]>,
+    /// Apply ReLU last.
+    pub(crate) relu: bool,
+}
+
+impl<'a> Dense<'a> {
+    /// The plain product `x·W`: no addend, no bias, no ReLU.
+    pub(crate) fn product(x: &'a Matrix, w: &'a Matrix) -> Self {
+        Self {
+            products: vec![(x, w)],
+            addend: None,
+            bias: None,
+            relu: false,
+        }
+    }
+
+    /// The bias, unless it is all zero.
+    fn live_bias(&self) -> Option<&'a [f32]> {
+        self.bias.filter(|b| b.iter().any(|&v| v != 0.0))
+    }
+
+    /// True when the launch would return its addend unchanged: no
+    /// product, no (nonzero) bias, no ReLU.
+    pub(crate) fn is_noop(&self) -> bool {
+        self.products.is_empty() && self.live_bias().is_none() && !self.relu
+    }
+}
+
 /// Upload a [`Linear`] layer and run `act(X·W + b)` on the device; one
 /// kernel launch. Returns the output and the kernel profile.
 pub fn dense_forward_on_device(
@@ -86,49 +135,62 @@ pub fn dense_forward_on_device(
     x: &Matrix,
     relu: bool,
 ) -> (Matrix, gpu_sim::KernelProfile) {
-    try_dense_forward_on_device(dev, layer, x, relu)
-        .unwrap_or_else(|e| panic!("unhandled launch fault: {e}"))
+    let launch = Dense {
+        bias: layer.bias(),
+        relu,
+        ..Dense::product(x, layer.weight())
+    };
+    try_dense_on_device(dev, &launch).unwrap_or_else(|e| panic!("unhandled launch fault: {e}"))
 }
 
-/// Fallible [`dense_forward_on_device`]: an injected launch fault frees
-/// every buffer this call uploaded and returns the error.
-pub(crate) fn try_dense_forward_on_device(
+/// Run one [`Dense`] launch: upload its operands, launch, read back,
+/// free. An injected launch fault frees every buffer this call uploaded
+/// and returns the error.
+pub(crate) fn try_dense_on_device(
     dev: &mut Device,
-    layer: &Linear,
-    x: &Matrix,
-    relu: bool,
+    launch: &Dense<'_>,
 ) -> Result<(Matrix, gpu_sim::KernelProfile), gpu_sim::LaunchError> {
-    assert_eq!(x.cols(), layer.in_dim(), "input dim mismatch");
-    let rows = x.rows();
-    let (id, od) = (layer.in_dim(), layer.out_dim());
+    let (rows, od) = match (launch.products.first(), launch.addend) {
+        (Some((x, w)), _) => (x.rows(), w.cols()),
+        (None, Some(a)) => a.shape(),
+        (None, None) => panic!("a dense launch needs a product or an addend"),
+    };
+    assert!(
+        launch
+            .products
+            .iter()
+            .all(|(x, w)| x.rows() == rows && w.shape() == (x.cols(), od))
+            && launch.addend.is_none_or(|a| a.shape() == (rows, od)),
+        "dense launch shape mismatch"
+    );
     let mem = dev.mem_mut();
-    let xb = mem.alloc_from(x.data());
-    let wb = mem.alloc_from(layer.weight().data());
+    let products: Vec<_> = launch
+        .products
+        .iter()
+        .map(|(x, w)| (mem.alloc_from(x.data()), mem.alloc_from(w.data()), w.rows()))
+        .collect();
+    let addend = launch.addend.map(|a| mem.alloc_from(a.data()));
     let yb = mem.alloc::<f32>(rows * od);
-    // An all-zero bias adds nothing: skip its upload and its loads.
-    let bias = layer
-        .bias()
-        .filter(|b| b.iter().any(|&v| v != 0.0))
-        .map(|b| mem.alloc_from(b));
+    let bias = launch.live_bias().map(|b| mem.alloc_from(b));
     let k = DenseLayerKernel {
-        x: xb,
-        w: wb,
+        products,
+        addend,
         bias,
         y: yb,
         rows,
-        in_dim: id,
         out_dim: od,
-        relu,
+        relu: launch.relu,
     };
     let p = dev.try_launch(&k, LaunchConfig::warp_per_item(rows, 256));
     let out = p
         .is_ok()
         .then(|| Matrix::from_vec(rows, od, dev.mem().read_vec(yb)));
     let mem = dev.mem_mut();
-    mem.free(xb);
-    mem.free(wb);
-    mem.free(yb);
-    if let Some(b) = bias {
+    for &(x, w, _) in &k.products {
+        mem.free(x);
+        mem.free(w);
+    }
+    for b in addend.into_iter().chain([yb]).chain(bias) {
         mem.free(b);
     }
     let p = p?;

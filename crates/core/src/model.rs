@@ -3,7 +3,7 @@
 //! graph-convolution engines.
 
 use std::borrow::Cow;
-use tlpgnn_tensor::{activations, Linear, Matrix};
+use tlpgnn_tensor::{activations, ops, Linear, Matrix};
 
 /// Parameters of a single-head graph attention layer.
 #[derive(Debug, Clone, PartialEq)]
@@ -18,13 +18,25 @@ pub struct GatParams {
 
 impl GatParams {
     /// Random attention vectors for a feature dimension, deterministic in
-    /// the seed.
+    /// the seed. In a [`GnnNetwork`] layer that dimension is the layer's
+    /// output width: the vectors score the projected features `z = h·W`.
     pub fn random(feat_dim: usize, seed: u64) -> Self {
         let m = Matrix::random(2, feat_dim, 0.5, seed);
         Self {
             a_src: m.row(0).to_vec(),
             a_dst: m.row(1).to_vec(),
             slope: 0.2,
+        }
+    }
+
+    /// The same scores read off the unprojected features:
+    /// `a · (h·W) = h · (W·a)`, so each vector becomes `W·a`.
+    fn folded(&self, w: &Matrix) -> Self {
+        let fold = |a: &[f32]| ops::matmul(w, &Matrix::from_vec(a.len(), 1, a.to_vec())).into_vec();
+        Self {
+            a_src: fold(&self.a_src),
+            a_dst: fold(&self.a_dst),
+            slope: self.slope,
         }
     }
 }
@@ -74,69 +86,115 @@ impl GnnModel {
     }
 }
 
-/// How a [`GnnLayer`] combines the aggregated neighborhood with the
-/// vertex's own representation after convolution.
+/// Which of a [`GnnLayer`]'s two phases runs first. The aggregators are
+/// linear, so both orders compute the same function up to rounding; the
+/// order only decides the width the memory-bound aggregation runs at.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Combine {
-    /// Use the convolution output directly (GCN/GIN/GAT style, where the
-    /// self term is inside the conv).
-    Replace,
-    /// Concatenate `[x, conv(x)]` before the linear projection
-    /// (GraphSage).
-    ConcatSelf,
+pub(crate) enum Order {
+    /// `conv(h)·W`: aggregate at the input width, then project.
+    AggregateFirst,
+    /// `conv(h·W)`: project to the output width, then aggregate.
+    ProjectFirst,
 }
 
-/// One full GNN layer: dense projection + graph convolution + activation.
+/// One full GNN layer: a learned projection and a graph convolution, in
+/// the order [`GnnLayer::new`] decides once — **project first iff
+/// `out_dim < in_dim`**, so the aggregation gathers the narrower rows:
+///
+/// - GCN, GIN, GAT: `act(conv(h)·W + b)` or `act(conv(h·W) + b)`. The bias
+///   comes after aggregation in both, since `Σ(W·x + b) ≠ W·Σx + b`.
+/// - GraphSage: `W` is `[W_self; W_neigh]` (the `[h | mean(h)]` form), so
+///   the layer is `act(h·W_self + mean(h)·W_neigh + b)` or
+///   `act(h·W_self + mean(h·W_neigh) + b)`.
+/// - GAT is the standard form: scores `LeakyReLU(a_dst·z_v + a_src·z_u)`
+///   on `z = h·W`, attention vectors sized `out_dim`. An aggregate-first
+///   layer folds them once (`a' = W·a`) to score `h` directly.
 ///
 /// The convolution itself is pluggable (simulated GPU engine, native CPU
 /// engine, or the serial oracle) via the closure passed to
-/// [`GnnLayer::forward_with`].
+/// [`GnnLayer::forward_with`]; `TlpgnnEngine` runs the same order on the
+/// device.
 #[derive(Debug, Clone)]
 pub struct GnnLayer {
-    /// Convolution operator.
+    /// Convolution operator, as the convolution sees it: an
+    /// aggregate-first GAT layer holds its folded attention vectors.
     pub model: GnnModel,
-    /// Learned projection applied before convolution.
+    /// The projection `W` (GraphSage: its neighbour block `W_neigh`) and
+    /// the bias, added after aggregation in either order.
     pub(crate) linear: Linear,
-    /// Self-combination mode.
-    pub(crate) combine: Combine,
+    /// GraphSage's self block `W_self`; `None` for the other models.
+    pub(crate) self_weight: Option<Matrix>,
+    /// Which phase runs first.
+    pub(crate) order: Order,
     /// Apply ReLU at the end.
     pub(crate) relu: bool,
 }
 
 impl GnnLayer {
-    /// Build a layer for `model` mapping `in_dim -> out_dim`.
+    /// Build a layer for `model` mapping `in_dim -> out_dim`. A GAT
+    /// model's attention vectors are sized `out_dim`.
     pub(crate) fn new(model: GnnModel, in_dim: usize, out_dim: usize, seed: u64) -> Self {
-        let combine = match model {
-            GnnModel::Sage => Combine::ConcatSelf,
-            _ => Combine::Replace,
+        let order = if out_dim < in_dim {
+            Order::ProjectFirst
+        } else {
+            Order::AggregateFirst
         };
-        let lin_in = match combine {
-            Combine::Replace => in_dim,
-            Combine::ConcatSelf => 2 * in_dim,
+        let w_rows = match model {
+            GnnModel::Sage => 2 * in_dim,
+            _ => in_dim,
+        };
+        Self::from_parts(model, Linear::new(w_rows, out_dim, true, seed), order)
+    }
+
+    /// A layer from its standard-form parameters, run in `order`: the
+    /// one constructor, so tests can hold both orders to one function.
+    /// A GraphSage `linear` is `[W_self; W_neigh]` (`2·in × out`).
+    fn from_parts(model: GnnModel, linear: Linear, order: Order) -> Self {
+        let (linear, self_weight) = match model {
+            GnnModel::Sage => {
+                let (rows, out) = linear.weight().shape();
+                let (w_self, w_neigh) = linear.weight().data().split_at(rows / 2 * out);
+                let block = |w: &[f32]| Matrix::from_vec(rows / 2, out, w.to_vec());
+                (
+                    Linear::from_parts(block(w_neigh), linear.bias().map(<[f32]>::to_vec)),
+                    Some(block(w_self)),
+                )
+            }
+            _ => (linear, None),
+        };
+        let model = match (model, order) {
+            (GnnModel::Gat { params }, Order::AggregateFirst) => GnnModel::Gat {
+                params: params.folded(linear.weight()),
+            },
+            (model, _) => model,
         };
         Self {
             model,
-            linear: Linear::new(lin_in, out_dim, true, seed),
-            combine,
+            linear,
+            self_weight,
+            order,
             relu: true,
         }
     }
 
     /// Forward pass using `conv` to perform the graph convolution.
-    /// `conv(model, features)` must return the aggregated features.
+    /// `conv(model, features)` must return the aggregated features; it
+    /// sees `h` (aggregate first) or `h·W` (project first).
     pub(crate) fn forward_with(
         &self,
         x: &Matrix,
         mut conv: impl FnMut(&GnnModel, &Matrix) -> Matrix,
     ) -> Matrix {
-        let agg = conv(&self.model, x);
-        let mut out = match self.combine {
-            Combine::Replace => self.linear.forward(&agg),
-            Combine::ConcatSelf => self.linear.forward_concat(x, &agg),
+        let w = self.linear.weight();
+        let mut out = match self.order {
+            Order::AggregateFirst => ops::matmul(&conv(&self.model, x), w),
+            Order::ProjectFirst => conv(&self.model, &ops::matmul(x, w)),
         };
-        if self.relu {
-            activations::relu(&mut out);
-        }
+        let self_term = self
+            .self_weight
+            .as_ref()
+            .map(|w_self| ops::matmul(x, w_self));
+        ops::epilogue(&mut out, self_term.as_ref(), self.linear.bias(), self.relu);
         out
     }
 }
@@ -150,6 +208,8 @@ pub struct GnnNetwork {
 
 impl GnnNetwork {
     /// A standard two-layer network: `in -> hidden -> classes`.
+    /// `model_of` receives each layer's *output* width, the width a GAT
+    /// layer's attention vectors score.
     pub fn two_layer(
         model_of: impl Fn(usize) -> GnnModel,
         in_dim: usize,
@@ -157,9 +217,9 @@ impl GnnNetwork {
         classes: usize,
         seed: u64,
     ) -> Self {
-        let mut l0 = GnnLayer::new(model_of(in_dim), in_dim, hidden, seed);
+        let mut l0 = GnnLayer::new(model_of(hidden), in_dim, hidden, seed);
         l0.relu = true;
-        let mut l1 = GnnLayer::new(model_of(hidden), hidden, classes, seed + 1);
+        let mut l1 = GnnLayer::new(model_of(classes), hidden, classes, seed + 1);
         l1.relu = false;
         Self {
             layers: vec![l0, l1],
@@ -212,6 +272,9 @@ impl GnnNetwork {
 mod tests {
     use super::*;
     use crate::oracle::conv_reference;
+    use crate::{EngineOptions, TlpgnnEngine};
+    use gpu_sim::DeviceConfig;
+    use proptest::prelude::*;
     use tlpgnn_graph::generators;
 
     #[test]
@@ -230,19 +293,182 @@ mod tests {
         assert!(y.data().iter().all(|&v| v >= 0.0), "relu applied");
     }
 
+    /// The layer's standard-form parameters with a nonzero bias:
+    /// `Linear::new` draws an all-zero one, which the device skips, so a
+    /// misplaced bias would pass unseen.
+    fn biased_linear(model: &GnnModel, in_dim: usize, out_dim: usize, seed: u64) -> Linear {
+        let rows = match model {
+            GnnModel::Sage => 2 * in_dim,
+            _ => in_dim,
+        };
+        let bias = Matrix::random(1, out_dim, 1.0, seed ^ 0xb1a5)
+            .row(0)
+            .to_vec();
+        let weight = Linear::new(rows, out_dim, false, seed).weight().clone();
+        Linear::from_parts(weight, Some(bias))
+    }
+
+    fn model_for(which: usize, out_dim: usize, seed: u64) -> GnnModel {
+        match which {
+            0 => GnnModel::Gcn,
+            1 => GnnModel::Gin { eps: 0.1 },
+            2 => GnnModel::Sage,
+            _ => GnnModel::Gat {
+                params: GatParams::random(out_dim, seed),
+            },
+        }
+    }
+
     #[test]
-    fn sage_layer_concats_self() {
+    fn projects_first_iff_the_layer_narrows() {
+        for model in GnnModel::all_four(8) {
+            for (in_dim, out_dim, want) in [
+                (8, 4, Order::ProjectFirst),
+                (8, 8, Order::AggregateFirst),
+                (4, 8, Order::AggregateFirst),
+            ] {
+                let model = match model {
+                    GnnModel::Gat { .. } => model_for(3, out_dim, 1),
+                    ref m => m.clone(),
+                };
+                let layer = GnnLayer::new(model, in_dim, out_dim, 2);
+                assert_eq!(
+                    layer.order,
+                    want,
+                    "{} {in_dim}->{out_dim}",
+                    layer.model.name()
+                );
+            }
+        }
+        let net = GnnNetwork::two_layer(|_| GnnModel::Sage, 16, 16, 8, 3);
+        let orders: Vec<Order> = net.layers.iter().map(|l| l.order).collect();
+        assert_eq!(orders, [Order::AggregateFirst, Order::ProjectFirst]);
+    }
+
+    #[test]
+    fn sage_layer_splits_its_weight() {
         let g = generators::erdos_renyi(20, 60, 4);
         let x = Matrix::random(20, 6, 1.0, 5);
-        let layer = GnnLayer::new(GnnModel::Sage, 6, 3, 6);
-        assert_eq!(layer.linear.in_dim(), 12);
-        let y = layer.forward_with(&x, |m, feats| conv_reference(m, &g, feats));
-        assert_eq!(y.shape(), (20, 3));
-        // The two-source projection is the materialised concat, bit for bit.
-        let cat = tlpgnn_tensor::ops::concat_cols(&x, &conv_reference(&layer.model, &g, &x));
-        let mut want = layer.linear.forward(&cat);
-        activations::relu(&mut want);
-        assert_eq!(y, want);
+        let linear = biased_linear(&GnnModel::Sage, 6, 3, 6);
+        for order in [Order::AggregateFirst, Order::ProjectFirst] {
+            let layer = GnnLayer::from_parts(GnnModel::Sage, linear.clone(), order);
+            // `[W_self; W_neigh]`: the self block multiplies `h`, the
+            // neighbour block the mean.
+            let w_self = layer.self_weight.as_ref().expect("SAGE keeps a self block");
+            assert_eq!(w_self.data(), &linear.weight().data()[..18]);
+            assert_eq!(layer.linear.weight().data(), &linear.weight().data()[18..]);
+            assert_eq!(layer.linear.bias(), linear.bias());
+            let y = layer.forward_with(&x, |m, feats| conv_reference(m, &g, feats));
+            let neigh = match order {
+                Order::AggregateFirst => ops::matmul(
+                    &conv_reference(&GnnModel::Sage, &g, &x),
+                    layer.linear.weight(),
+                ),
+                Order::ProjectFirst => {
+                    conv_reference(&GnnModel::Sage, &g, &ops::matmul(&x, layer.linear.weight()))
+                }
+            };
+            let mut want = ops::add(&neigh, &ops::matmul(&x, w_self));
+            for r in 0..want.rows() {
+                for (v, b) in want.row_mut(r).iter_mut().zip(linear.bias().unwrap()) {
+                    *v = (*v + b).max(0.0);
+                }
+            }
+            assert_eq!(y, want, "{order:?}");
+        }
+    }
+
+    #[test]
+    fn gat_layer_is_the_standard_form() {
+        let g = generators::rmat_default(40, 200, 11);
+        for (in_dim, out_dim) in [(12, 5), (5, 12)] {
+            let x = Matrix::random(40, in_dim, 1.0, 12);
+            let params = GatParams::random(out_dim, 13);
+            let model = GnnModel::Gat {
+                params: params.clone(),
+            };
+            let linear = biased_linear(&model, in_dim, out_dim, 14);
+            let order = GnnLayer::new(model.clone(), in_dim, out_dim, 15).order;
+            let layer = GnnLayer::from_parts(model, linear.clone(), order);
+            let y = layer.forward_with(&x, |m, feats| conv_reference(m, &g, feats));
+            // By hand: z = h·W, e_vu = LeakyReLU(a_dst·z_v + a_src·z_u),
+            // softmax over v's in-neighbours, Σ α·z_u, + b, ReLU.
+            let z = ops::matmul(&x, linear.weight());
+            let dot = |a: &[f32], r: &[f32]| a.iter().zip(r).map(|(a, r)| a * r).sum::<f32>();
+            let mut want = Matrix::zeros(40, out_dim);
+            for v in 0..40 {
+                let nbrs = g.neighbors(v);
+                let e: Vec<f32> = nbrs
+                    .iter()
+                    .map(|&u| {
+                        let s =
+                            dot(&params.a_dst, z.row(v)) + dot(&params.a_src, z.row(u as usize));
+                        if s > 0.0 {
+                            s
+                        } else {
+                            params.slope * s
+                        }
+                    })
+                    .collect();
+                let max = e.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+                let total: f32 = e.iter().map(|s| (s - max).exp()).sum();
+                for (&u, s) in nbrs.iter().zip(&e) {
+                    let alpha = (s - max).exp() / total;
+                    for (o, zu) in want.row_mut(v).iter_mut().zip(z.row(u as usize)) {
+                        *o += alpha * zu;
+                    }
+                }
+                for (o, b) in want.row_mut(v).iter_mut().zip(linear.bias().unwrap()) {
+                    *o = (*o + b).max(0.0);
+                }
+            }
+            assert!(
+                y.max_abs_diff(&want) < 1e-4,
+                "{in_dim}->{out_dim} ({:?}): {}",
+                layer.order,
+                y.max_abs_diff(&want)
+            );
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// Both orders compute one function, on the host and on the
+        /// device, for every model, with the layer narrowing, keeping or
+        /// widening its width, with and without ReLU.
+        #[test]
+        fn both_orders_compute_one_function(
+            n in 10usize..90,
+            edges_per_vertex in 1usize..8,
+            seed in any::<u64>(),
+            which in 0usize..4,
+            dims in 0usize..3,
+            relu in any::<bool>(),
+        ) {
+            let (in_dim, out_dim) = [(12, 5), (8, 8), (5, 12)][dims];
+            let g = generators::rmat_default(n, n * edges_per_vertex, seed);
+            let x = Matrix::random(n, in_dim, 1.0, seed ^ 0xfea7);
+            let model = model_for(which, out_dim, seed);
+            let linear = biased_linear(&model, in_dim, out_dim, seed);
+            let mut engine = TlpgnnEngine::new(DeviceConfig::test_small(), EngineOptions::default());
+            let mut host = Vec::new();
+            let mut device = Vec::new();
+            for order in [Order::AggregateFirst, Order::ProjectFirst] {
+                let mut layer = GnnLayer::from_parts(model.clone(), linear.clone(), order);
+                layer.relu = relu;
+                host.push(layer.forward_with(&x, |m, feats| conv_reference(m, &g, feats)));
+                device.push(engine.try_layer_forward(&layer, &g, &x).unwrap().0);
+            }
+            let name = model.name();
+            for (what, got) in [("host", &host), ("device", &device)] {
+                let diff = got[0].max_abs_diff(&got[1]);
+                prop_assert!(diff < 1e-3, "{} {}: {}->{}: {}", what, name, in_dim, out_dim, diff);
+            }
+            for (h, d) in host.iter().zip(&device) {
+                prop_assert!(h.max_abs_diff(d) < 1e-3, "{} host vs device", name);
+            }
+        }
     }
 
     #[test]

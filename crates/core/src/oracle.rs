@@ -58,7 +58,7 @@ pub fn gat_scores(x: &Matrix, params: &GatParams) -> (Vec<f32>, Vec<f32>) {
 ///   `c = 1/sqrt(deg+1)` (symmetric normalization with self loop).
 /// * **GIN**: `out[v] = (1 + ε) x[v] + Σ_u x[u]`.
 /// * **Sage**: `out[v] = (Σ_u x[u]) / max(deg(v), 1)` (mean aggregator;
-///   the self term is concatenated by the model layer, not the conv).
+///   the self term `h·W_self` is added by the model layer, not the conv).
 /// * **GAT**: softmax-weighted sum with edge score
 ///   `e_uv = LeakyReLU(al[u] + ar[v], 0.2)`; zero output for isolated
 ///   vertices.

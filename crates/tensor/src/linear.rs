@@ -1,5 +1,5 @@
-//! Dense linear layer (`x @ W + b`) — the learned projection applied to
-//! features before/after graph convolution in every GNN model.
+//! Dense linear layer (`x @ W + b`) — the learned projection of every GNN
+//! layer, applied before or after its graph convolution.
 
 use crate::matrix::Matrix;
 use crate::ops;
@@ -51,24 +51,8 @@ impl Linear {
     /// Forward pass: `x @ W (+ b)`.
     pub fn forward(&self, x: &Matrix) -> Matrix {
         assert_eq!(x.cols(), self.in_dim(), "input feature dim mismatch");
-        self.biased(ops::matmul(x, &self.weight))
-    }
-
-    /// Forward pass over `[x | y]` without building the concatenation;
-    /// bit-for-bit `forward(&ops::concat_cols(x, y))`.
-    pub fn forward_concat(&self, x: &Matrix, y: &Matrix) -> Matrix {
-        assert_eq!(
-            x.cols() + y.cols(),
-            self.in_dim(),
-            "input feature dim mismatch"
-        );
-        self.biased(ops::matmul_concat(x, y, &self.weight))
-    }
-
-    fn biased(&self, mut out: Matrix) -> Matrix {
-        if let Some(b) = &self.bias {
-            ops::add_bias(&mut out, b);
-        }
+        let mut out = ops::matmul(x, &self.weight);
+        ops::epilogue(&mut out, None, self.bias(), false);
         out
     }
 }
@@ -106,17 +90,6 @@ mod tests {
         for r in 0..4 {
             assert_eq!(y.row(r), &[1.5, -0.5]);
         }
-    }
-
-    #[test]
-    fn forward_concat_is_forward_of_the_concatenation() {
-        let layer = Linear::new(11, 5, true, 7);
-        let x = Matrix::random(9, 4, 1.0, 8);
-        let y = Matrix::random(9, 7, 1.0, 9);
-        assert_eq!(
-            layer.forward_concat(&x, &y),
-            layer.forward(&ops::concat_cols(&x, &y))
-        );
     }
 
     #[test]

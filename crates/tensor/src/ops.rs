@@ -1,11 +1,13 @@
 //! Dense linear-algebra operations.
 //!
 //! These are the "regular neural network operations" of a GNN layer
-//! (paper Section 2.1): the matmul that projects features before graph
-//! convolution, plus bias/transpose helpers. They run on the host — the
-//! paper, too, measures only the graph-convolution kernel on the GPU and
-//! treats dense ops as standard. The ones a forward pass spends time in
-//! (`matmul`, `add_bias`, `concat_cols`) are row-chunked over
+//! (paper Section 2.1): the matmul that projects features — after the
+//! graph convolution when a layer keeps or widens its width, before it
+//! when the layer narrows (`GnnLayer`'s order rule in `tlpgnn`) — the
+//! layer epilogue, and bias/sum/transpose helpers. They run on the host —
+//! the paper, too, measures only the graph-convolution kernel on the GPU
+//! and treats dense ops as standard. The ones a forward pass spends time
+//! in (`matmul`, `epilogue`) are row-chunked over
 //! [`crate::pool`] once the input is large enough to pay for the hand-off.
 
 use crate::matrix::Matrix;
@@ -41,10 +43,9 @@ fn tile<const R: usize, const NR: usize>(
     }
 }
 
-/// What one product reads: the row-major sources whose columns, side by
-/// side, make up the left operand, and the right operand.
+/// What one product reads: the left and the right operand.
 struct Operands<'a> {
-    parts: &'a [&'a Matrix],
+    a: &'a Matrix,
     b: &'a Matrix,
     /// Columns `m − m % 8 ..` of `b`, zero-padded to eight wide, so the
     /// last few outputs of each row go through the same tile as the rest
@@ -53,19 +54,19 @@ struct Operands<'a> {
 }
 
 impl<'a> Operands<'a> {
-    fn new(parts: &'a [&'a Matrix], b: &'a Matrix) -> Self {
+    fn new(a: &'a Matrix, b: &'a Matrix) -> Self {
         let (k, m) = b.shape();
         let w = m % 8;
         let mut tail = vec![0.0; if w == 0 { 0 } else { k * 8 }];
         for (packed, row) in tail.chunks_mut(8).zip(b.data().chunks(m.max(1))) {
             packed[..w].copy_from_slice(&row[m - w..]);
         }
-        Self { parts, b, tail }
+        Self { a, b, tail }
     }
 
     /// One `NR`-wide tile of `R` output rows starting at global row `i`:
-    /// zero accumulators, k walked over the parts in order, then the first
-    /// `w` columns stored at column `j0`.
+    /// zero accumulators, k walked in order, then the first `w` columns
+    /// stored at column `j0`.
     #[inline(always)]
     fn tile_rows<const R: usize, const NR: usize>(
         &self,
@@ -76,20 +77,9 @@ impl<'a> Operands<'a> {
         j0: usize,
         w: usize,
     ) {
-        let m = self.b.cols();
+        let (m, k) = (self.b.cols(), self.a.cols());
         let mut acc = [[0.0f32; NR]; R];
-        let mut k0 = 0;
-        for part in self.parts {
-            let kp = part.cols();
-            tile::<R, NR>(
-                &mut acc,
-                &part.data()[i * kp..],
-                kp,
-                &b_panel[k0 * ldb..],
-                ldb,
-            );
-            k0 += kp;
-        }
+        tile::<R, NR>(&mut acc, &self.a.data()[i * k..], k, b_panel, ldb);
         for r in 0..R {
             out[r * m + j0..][..w].copy_from_slice(&acc[r][..w]);
         }
@@ -149,22 +139,16 @@ fn has_avx2() -> bool {
     false
 }
 
-/// `[parts[0] | parts[1] | …] @ b` with `avx2` choosing the instantiation.
-fn matmul_parts(parts: &[&Matrix], b: &Matrix, avx2: bool) -> Matrix {
-    let n = parts[0].rows();
-    assert!(parts.iter().all(|p| p.rows() == n), "concat row mismatch");
+/// `a @ b` with `avx2` choosing the instantiation.
+fn matmul_with(a: &Matrix, b: &Matrix, avx2: bool) -> Matrix {
     let (k, m) = b.shape();
-    assert_eq!(
-        parts.iter().map(|p| p.cols()).sum::<usize>(),
-        k,
-        "matmul inner dimension mismatch"
-    );
-    let mut out = Matrix::zeros(n, m);
+    assert_eq!(a.cols(), k, "matmul inner dimension mismatch");
+    let mut out = Matrix::zeros(a.rows(), m);
     if k == 0 {
         // An empty sum; `b` has no panels to slice.
         return out;
     }
-    let operands = Operands::new(parts, b);
+    let operands = Operands::new(a, b);
     pool::for_each_row_block(out.data_mut(), m, k * m, |first, block| {
         #[cfg(target_arch = "x86_64")]
         if avx2 {
@@ -184,32 +168,7 @@ fn matmul_parts(parts: &[&Matrix], b: &Matrix, avx2: bool) -> Matrix {
 /// Every output is `((0 + a_i0·b_0j) + a_i1·b_1j) + …` in k order, on any
 /// machine and any number of threads.
 pub fn matmul(a: &Matrix, b: &Matrix) -> Matrix {
-    matmul_parts(&[a], b, has_avx2())
-}
-
-/// `[a1 | a2] @ b` without building `[a1 | a2]`: k walks `a1`'s columns,
-/// then `a2`'s, so the result is bit-for-bit
-/// `matmul(&concat_cols(a1, a2), b)`.
-pub(crate) fn matmul_concat(a1: &Matrix, a2: &Matrix, b: &Matrix) -> Matrix {
-    matmul_parts(&[a1, a2], b, has_avx2())
-}
-
-/// Add a bias row vector to every row in place.
-pub(crate) fn add_bias(m: &mut Matrix, bias: &[f32]) {
-    assert_eq!(m.cols(), bias.len(), "bias length mismatch");
-    let cols = m.cols();
-    pool::for_each_row_block(
-        m.data_mut(),
-        cols,
-        cols * STREAMED_ELEMENT_WORK,
-        |_, block| {
-            for row in block.chunks_exact_mut(cols) {
-                for (v, b) in row.iter_mut().zip(bias) {
-                    *v += b;
-                }
-            }
-        },
-    );
+    matmul_with(a, b, has_avx2())
 }
 
 /// Matrix transpose.
@@ -222,6 +181,40 @@ pub fn transpose(m: &Matrix) -> Matrix {
         }
     }
     out
+}
+
+/// A GNN layer's epilogue in one pass over `m`:
+/// `m = act((m + addend) + bias)`, the addend and the bias each optional
+/// and `act` ReLU or the identity — per element the same additions, in
+/// the same order, as the device's dense kernel.
+pub fn epilogue(m: &mut Matrix, addend: Option<&Matrix>, bias: Option<&[f32]>, relu: bool) {
+    let cols = m.cols();
+    assert!(
+        addend.is_none_or(|a| a.shape() == m.shape()),
+        "addend shape mismatch"
+    );
+    assert!(bias.is_none_or(|b| b.len() == cols), "bias length mismatch");
+    pool::for_each_row_block(
+        m.data_mut(),
+        cols,
+        cols * STREAMED_ELEMENT_WORK,
+        |first, block| {
+            // One loop per term, so each vectorises on its own.
+            for (i, row) in block.chunks_exact_mut(cols).enumerate() {
+                if let Some(a) = addend {
+                    row.iter_mut()
+                        .zip(a.row(first + i))
+                        .for_each(|(v, a)| *v += a);
+                }
+                if let Some(b) = bias {
+                    row.iter_mut().zip(b).for_each(|(v, b)| *v += b);
+                }
+                if relu {
+                    row.iter_mut().for_each(|v| *v = v.max(0.0));
+                }
+            }
+        },
+    );
 }
 
 /// Elementwise sum of two matrices.
@@ -241,25 +234,6 @@ pub fn axpy(a: &Matrix, alpha: f32, b: &Matrix) -> Matrix {
     for (o, &v) in out.data_mut().iter_mut().zip(b.data()) {
         *o += alpha * v;
     }
-    out
-}
-
-/// Concatenate two matrices along the feature (column) axis.
-pub fn concat_cols(a: &Matrix, b: &Matrix) -> Matrix {
-    assert_eq!(a.rows(), b.rows(), "concat row mismatch");
-    let (wa, wb) = (a.cols(), b.cols());
-    let mut out = Matrix::zeros(a.rows(), wa + wb);
-    pool::for_each_row_block(
-        out.data_mut(),
-        wa + wb,
-        (wa + wb) * STREAMED_ELEMENT_WORK,
-        |first, block| {
-            for (i, row) in block.chunks_exact_mut(wa + wb).enumerate() {
-                row[..wa].copy_from_slice(a.row(first + i));
-                row[wa..].copy_from_slice(b.row(first + i));
-            }
-        },
-    );
     out
 }
 
@@ -321,7 +295,7 @@ mod tests {
                     let want = bits(&matmul_reference(&a, &b));
                     for avx2 in instantiations() {
                         assert_eq!(
-                            bits(&matmul_parts(&[&a], &b, avx2)),
+                            bits(&matmul_with(&a, &b, avx2)),
                             want,
                             "{rows}x{k}x{m} avx2={avx2}"
                         );
@@ -342,30 +316,7 @@ mod tests {
         let b = Matrix::random(k, m, 1.0, 6);
         let want = bits(&matmul_reference(&a, &b));
         for avx2 in instantiations() {
-            assert_eq!(bits(&matmul_parts(&[&a], &b, avx2)), want, "avx2={avx2}");
-        }
-    }
-
-    #[test]
-    fn matmul_concat_is_bitwise_matmul_of_the_concatenation() {
-        for (rows, k1, k2, m) in [
-            (7, 5, 3, 9),
-            (130, 64, 64, 16),
-            (33, 0, 4, 8),
-            (2, 37, 1, 29),
-        ] {
-            let a1 = with_zeros(rows, k1, 11);
-            let a2 = with_zeros(rows, k2, 12);
-            let b = Matrix::random(k1 + k2, m, 1.0, 13);
-            let want = bits(&matmul_reference(&concat_cols(&a1, &a2), &b));
-            for avx2 in instantiations() {
-                assert_eq!(
-                    bits(&matmul_parts(&[&a1, &a2], &b, avx2)),
-                    want,
-                    "{rows}x({k1}+{k2})x{m} avx2={avx2}"
-                );
-            }
-            assert_eq!(bits(&matmul_concat(&a1, &a2, &b)), want);
+            assert_eq!(bits(&matmul_with(&a, &b, avx2)), want, "avx2={avx2}");
         }
     }
 
@@ -396,10 +347,34 @@ mod tests {
     #[test]
     fn bias_added_to_every_row() {
         let mut m = Matrix::zeros(3, 2);
-        add_bias(&mut m, &[1.0, -1.0]);
+        epilogue(&mut m, None, Some(&[1.0, -1.0]), false);
         for r in 0..3 {
             assert_eq!(m.row(r), &[1.0, -1.0]);
         }
+    }
+
+    #[test]
+    fn epilogue_is_the_separate_passes() {
+        let m = Matrix::random(70, 9, 1.0, 3);
+        let a = Matrix::random(70, 9, 1.0, 4);
+        let b: Vec<f32> = (0..9).map(|c| c as f32 * 0.25 - 1.0).collect();
+        for relu in [false, true] {
+            let mut want = add(&m, &a);
+            for r in 0..want.rows() {
+                for (v, bv) in want.row_mut(r).iter_mut().zip(&b) {
+                    *v += bv;
+                }
+            }
+            if relu {
+                crate::activations::relu(&mut want);
+            }
+            let mut got = m.clone();
+            epilogue(&mut got, Some(&a), Some(&b), relu);
+            assert_eq!(bits(&got), bits(&want), "relu={relu}");
+        }
+        let mut got = m.clone();
+        epilogue(&mut got, None, None, false);
+        assert_eq!(got, m);
     }
 
     #[test]
@@ -408,15 +383,6 @@ mod tests {
         let b = Matrix::full(2, 2, 2.0);
         let c = axpy(&a, 0.5, &b);
         assert!(c.data().iter().all(|&v| (v - 2.0).abs() < 1e-6));
-    }
-
-    #[test]
-    fn concat_shapes() {
-        let a = Matrix::full(2, 2, 1.0);
-        let b = Matrix::full(2, 3, 2.0);
-        let c = concat_cols(&a, &b);
-        assert_eq!(c.shape(), (2, 5));
-        assert_eq!(c.row(0), &[1.0, 1.0, 2.0, 2.0, 2.0]);
     }
 
     #[test]
@@ -433,10 +399,11 @@ mod tests {
             matmul(&Matrix::full(2, 0, 1.0), &Matrix::zeros(0, 3)).data(),
             &[0.0; 6]
         );
-        add_bias(&mut Matrix::zeros(3, 0), &[]);
-        assert_eq!(
-            concat_cols(&Matrix::zeros(2, 0), &Matrix::zeros(2, 0)).shape(),
-            (2, 0)
+        epilogue(
+            &mut Matrix::zeros(3, 0),
+            Some(&Matrix::zeros(3, 0)),
+            Some(&[]),
+            true,
         );
     }
 

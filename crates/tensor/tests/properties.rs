@@ -105,17 +105,4 @@ proptest! {
         let rate = zeros / 6400.0;
         prop_assert!((rate - p).abs() < 0.08, "rate {rate} vs p {p}");
     }
-
-    /// concat_cols splits back into its parts.
-    #[test]
-    fn concat_preserves_parts((r, c1, c2, s) in (1usize..10, 1usize..8, 1usize..8, any::<u64>())) {
-        let a = Matrix::random(r, c1, 1.0, s);
-        let b = Matrix::random(r, c2, 1.0, s ^ 2);
-        let cat = ops::concat_cols(&a, &b);
-        prop_assert_eq!(cat.shape(), (r, c1 + c2));
-        for v in 0..r {
-            prop_assert_eq!(&cat.row(v)[..c1], a.row(v));
-            prop_assert_eq!(&cat.row(v)[c1..], b.row(v));
-        }
-    }
 }
