@@ -172,6 +172,30 @@ if grep -rnE --include='*.rs' '\b(ProjectFirst|AggregateFirst)\b' crates src tes
   echo "one home: a layer's Order is constructed outside crates/core/src/model.rs (GnnLayer::new decides it)" >&2
   exit 1
 fi
+# A forward's large buffers are reused through one store, Matrix's spare
+# buffers in crates/tensor/src/matrix.rs: no other static holds f32
+# buffers or matrices, and nothing else defines a store's take or
+# give-back. A spare buffer holds stale values, so only the kernels that
+# write every element of their output take one: matmul and the fused
+# dense phase (crates/tensor/src/ops.rs) and the native convolution
+# (crates/core/src/native/mod.rs). Page reuse is the program's own
+# doing, not the allocator's: no library or binary tunes malloc or
+# installs a global allocator (test-local counting allocators live
+# under crates/*/tests/).
+if grep -rnE --include='*.rs' '\bstatic\s+(mut\s+)?\w+\s*:[^=]*\b(f32|Matrix)\b|fn (recycle|for_overwrite)\b' crates/*/src src |
+  grep -v '^crates/tensor/src/matrix\.rs:'; then
+  echo "one home: a second spare-buffer store outside crates/tensor/src/matrix.rs" >&2
+  exit 1
+fi
+if grep -rnE --include='*.rs' '\bfor_overwrite\b' crates src tests examples benchmark |
+  grep -vE '^crates/(tensor/src/(matrix|ops)|core/src/native/mod)\.rs:' | grep -vE '^[^:]+:[0-9]+:\s*//'; then
+  echo "one home: Matrix::for_overwrite called outside the kernels that write every element (matmul, ops::dense, NativeEngine::conv)" >&2
+  exit 1
+fi
+if grep -rnE --include='*.rs' 'mallopt|MALLOC_|#\[global_allocator\]' crates/*/src src; then
+  echo "one home: an allocator setting or a global allocator under crates/*/src or src (reuse pages through Matrix's spare store)" >&2
+  exit 1
+fi
 # Public means called: every `pub` fn, mod, struct, enum, trait, union,
 # type alias, const, static and named field under crates/<c>/src
 # (comments, string literals and each #[cfg(test)] item, braces
@@ -325,7 +349,7 @@ done
 # Every modelled number unchanged, as a step instead of by hand: one
 # traced pass of the simulator's own workload (GCN, GAT and the three
 # baseline systems on the modelled V100) and of serve_cold (the probe's
-# ego graphs and six-launch GraphSage forward pass), whose device-clock lines —
+# ego graphs and five-launch GraphSage forward pass), whose device-clock lines —
 # simulated counts, rates and times, which repeat bit for bit for a seed
 # on any machine — must equal the committed record. A change that means
 # to move the model re-records results/device_clock_seed42.txt in the

@@ -191,7 +191,8 @@ impl TlpgnnEngine {
     }
 
     /// Run one full GNN layer on the device, in the order
-    /// [`GnnLayer`] decided (project first iff `out_dim < in_dim`). The
+    /// [`GnnLayer`] decided (project first iff its rows narrow by a
+    /// 128-byte segment, `⌈out/32⌉ < ⌈in/32⌉`). The
     /// dense work is [`DenseLayerKernel`](crate::kernels::dense) launches
     /// around the fused convolution:
     ///
@@ -260,12 +261,11 @@ impl TlpgnnEngine {
 
     /// Run a whole [`crate::model::GnnNetwork`] forward pass with every
     /// kernel on the device: per layer the launches of
-    /// [`Self::try_layer_forward`] (two, or three for a narrowing layer
-    /// with work after its convolution), then one log-softmax kernel.
-    /// The two-layer networks served here narrow only in their last
-    /// layer: GCN `16 → 16 → 8` is `2 + 2 + 1` launches (a zero bias and
-    /// no final ReLU skip the epilogue), GraphSage `16 → 16 → 8` is
-    /// `2 + 3 + 1`.
+    /// [`Self::try_layer_forward`] (two, or three for a layer that
+    /// projects first and has work after its convolution), then one
+    /// log-softmax kernel. The two-layer networks served here keep every
+    /// row within one 128-byte segment, so both layers aggregate first:
+    /// GCN and GraphSage `16 → 16 → 8` are `2 + 2 + 1` launches.
     pub fn classify_forward(
         &mut self,
         net: &crate::model::GnnNetwork,
@@ -417,9 +417,10 @@ mod tests {
     #[test]
     fn layer_forward_on_device_matches_host_layer() {
         let g = generators::rmat_default(150, 1000, 71);
-        // Narrowing layers project first: projection, conv and epilogue.
-        // The others aggregate first: conv and dense.
-        for (in_dim, out_dim, launches) in [(16, 12, 3), (12, 16, 2)] {
+        // A layer whose rows lose a 128-byte segment projects first:
+        // projection, conv and epilogue. The others aggregate first: conv
+        // and dense.
+        for (in_dim, out_dim, launches) in [(40, 12, 3), (16, 12, 2), (12, 16, 2)] {
             let x = Matrix::random(150, in_dim, 1.0, 72);
             for model in GnnModel::all_four(out_dim) {
                 let layer = crate::model::GnnLayer::new(model, in_dim, out_dim, 73);

@@ -97,9 +97,17 @@ pub(crate) enum Order {
     ProjectFirst,
 }
 
+/// Floats in one 128-byte memory segment: the unit a gathered feature row
+/// is fetched in, on the device (one request per segment) and on the host
+/// (two cache lines).
+const SEGMENT_FLOATS: usize = 32;
+
 /// One full GNN layer: a learned projection and a graph convolution, in
-/// the order [`GnnLayer::new`] decides once — **project first iff
-/// `out_dim < in_dim`**, so the aggregation gathers the narrower rows:
+/// the order [`GnnLayer::new`] decides once — **project first iff that
+/// lowers the 128-byte segments per row**, `⌈out/32⌉ < ⌈in/32⌉`: the
+/// aggregation gathers the narrower rows whenever they take fewer
+/// segments, and the device never pays the projection's launch when
+/// they take as many:
 ///
 /// - GCN, GIN, GAT: `act(conv(h)·W + b)` or `act(conv(h·W) + b)`. The bias
 ///   comes after aggregation in both, since `Σ(W·x + b) ≠ W·Σx + b`.
@@ -134,7 +142,7 @@ impl GnnLayer {
     /// Build a layer for `model` mapping `in_dim -> out_dim`. A GAT
     /// model's attention vectors are sized `out_dim`.
     pub(crate) fn new(model: GnnModel, in_dim: usize, out_dim: usize, seed: u64) -> Self {
-        let order = if out_dim < in_dim {
+        let order = if out_dim.div_ceil(SEGMENT_FLOATS) < in_dim.div_ceil(SEGMENT_FLOATS) {
             Order::ProjectFirst
         } else {
             Order::AggregateFirst
@@ -179,23 +187,26 @@ impl GnnLayer {
 
     /// Forward pass using `conv` to perform the graph convolution.
     /// `conv(model, features)` must return the aggregated features; it
-    /// sees `h` (aggregate first) or `h·W` (project first).
+    /// sees `h` (aggregate first) or `h·W` (project first). The rest of
+    /// the layer is one [`ops::dense`] pass over the convolution's
+    /// output.
     pub(crate) fn forward_with(
         &self,
         x: &Matrix,
         mut conv: impl FnMut(&GnnModel, &Matrix) -> Matrix,
     ) -> Matrix {
         let w = self.linear.weight();
-        let mut out = match self.order {
-            Order::AggregateFirst => ops::matmul(&conv(&self.model, x), w),
-            Order::ProjectFirst => conv(&self.model, &ops::matmul(x, w)),
+        let (agg, w) = match self.order {
+            Order::AggregateFirst => (conv(&self.model, x), Some(w)),
+            Order::ProjectFirst => {
+                let z = ops::matmul(x, w);
+                let agg = conv(&self.model, &z);
+                z.recycle();
+                (agg, None)
+            }
         };
-        let self_term = self
-            .self_weight
-            .as_ref()
-            .map(|w_self| ops::matmul(x, w_self));
-        ops::epilogue(&mut out, self_term.as_ref(), self.linear.bias(), self.relu);
-        out
+        let self_term = self.self_weight.as_ref().map(|w_self| (x, w_self));
+        ops::dense(agg, w, self_term, self.linear.bias(), self.relu)
     }
 }
 
@@ -260,7 +271,10 @@ impl GnnNetwork {
         // without layers has to copy it.
         let mut h = Cow::Borrowed(x);
         for layer in &self.layers {
-            h = Cow::Owned(layer.forward_with(&h, &mut conv));
+            let out = Cow::Owned(layer.forward_with(&h, &mut conv));
+            if let Cow::Owned(consumed) = std::mem::replace(&mut h, out) {
+                consumed.recycle();
+            }
         }
         let mut h = h.into_owned();
         activations::log_softmax_rows(&mut h);
@@ -321,11 +335,18 @@ mod tests {
 
     #[test]
     fn projects_first_iff_the_layer_narrows() {
+        // Project first iff the rows lose a 128-byte (32-float) segment.
         for model in GnnModel::all_four(8) {
             for (in_dim, out_dim, want) in [
-                (8, 4, Order::ProjectFirst),
-                (8, 8, Order::AggregateFirst),
-                (4, 8, Order::AggregateFirst),
+                (64, 16, Order::ProjectFirst),
+                (40, 12, Order::ProjectFirst),
+                (33, 32, Order::ProjectFirst),
+                (64, 64, Order::AggregateFirst),
+                (64, 33, Order::AggregateFirst),
+                (32, 31, Order::AggregateFirst),
+                (16, 8, Order::AggregateFirst),
+                (8, 4, Order::AggregateFirst),
+                (16, 64, Order::AggregateFirst),
             ] {
                 let model = match model {
                     GnnModel::Gat { .. } => model_for(3, out_dim, 1),
@@ -340,9 +361,17 @@ mod tests {
                 );
             }
         }
-        let net = GnnNetwork::two_layer(|_| GnnModel::Sage, 16, 16, 8, 3);
-        let orders: Vec<Order> = net.layers.iter().map(|l| l.order).collect();
-        assert_eq!(orders, [Order::AggregateFirst, Order::ProjectFirst]);
+        // Serving's GraphSage 16→16→8 (one segment throughout) and the
+        // native benchmark's 64→64→16.
+        let orders = |net: GnnNetwork| net.layers.iter().map(|l| l.order).collect::<Vec<_>>();
+        assert_eq!(
+            orders(GnnNetwork::two_layer(|_| GnnModel::Sage, 16, 16, 8, 3)),
+            [Order::AggregateFirst, Order::AggregateFirst]
+        );
+        assert_eq!(
+            orders(GnnNetwork::two_layer(|_| GnnModel::Gcn, 64, 64, 16, 3)),
+            [Order::AggregateFirst, Order::ProjectFirst]
+        );
     }
 
     #[test]
@@ -388,9 +417,6 @@ mod tests {
                 params: params.clone(),
             };
             let linear = biased_linear(&model, in_dim, out_dim, 14);
-            let order = GnnLayer::new(model.clone(), in_dim, out_dim, 15).order;
-            let layer = GnnLayer::from_parts(model, linear.clone(), order);
-            let y = layer.forward_with(&x, |m, feats| conv_reference(m, &g, feats));
             // By hand: z = h·W, e_vu = LeakyReLU(a_dst·z_v + a_src·z_u),
             // softmax over v's in-neighbours, Σ α·z_u, + b, ReLU.
             let z = ops::matmul(&x, linear.weight());
@@ -422,12 +448,15 @@ mod tests {
                     *o = (*o + b).max(0.0);
                 }
             }
-            assert!(
-                y.max_abs_diff(&want) < 1e-4,
-                "{in_dim}->{out_dim} ({:?}): {}",
-                layer.order,
-                y.max_abs_diff(&want)
-            );
+            for order in [Order::AggregateFirst, Order::ProjectFirst] {
+                let layer = GnnLayer::from_parts(model.clone(), linear.clone(), order);
+                let y = layer.forward_with(&x, |m, feats| conv_reference(m, &g, feats));
+                assert!(
+                    y.max_abs_diff(&want) < 1e-4,
+                    "{in_dim}->{out_dim} ({order:?}): {}",
+                    y.max_abs_diff(&want)
+                );
+            }
         }
     }
 

@@ -9,6 +9,7 @@
 //! | no atomics (pull, private output row)| no atomics (disjoint output rows)|
 //! | software task pool (Algorithm 1)     | [`tlpgnn_tensor::pool`]: persistent parked helpers plus the caller pulling chunks of rows off one atomic cursor — the same pool the dense ops of a layer run on |
 //! | kernel fusion (no materialized msgs) | one pass, no edge-length buffers |
+//! | dense phase fused into one launch, device buffers kept | one host pass `ops::dense` for the layer's product, self term, bias and ReLU, in place when `W` is square; the forward's large matrices reuse last forward's buffers (`Matrix::for_overwrite`/`recycle`), so a steady-state forward maps no fresh pages |
 //! | latency hidden by resident warps     | software prefetch of the feature row a few edges ahead |
 //!
 //! Only the pull design is realised here. The push and edge-centric
@@ -247,7 +248,7 @@ impl NativeEngine {
             let _span = telemetry::span!("native.prepare");
             RowComputer::new(model, g, x, self.threads)
         };
-        let mut out = Matrix::zeros(n, f);
+        let mut out = Matrix::for_overwrite(n, f);
         let _aggregate = telemetry::span!("native.aggregate");
         let step = match self.schedule {
             NativeSchedule::Static => n.div_ceil(pool::participants(self.threads)),
@@ -255,10 +256,11 @@ impl NativeEngine {
         };
         // Each chunk owns its rows of `out`: no two threads share a row.
         // A row is accumulated in a scratch row that stays in L1 and then
-        // stored once, so `out` is only ever written: touching the
-        // untouched pages of a fresh allocation with a read first maps the
-        // shared zero page and then replaces it on the write, and every
-        // such replacement interrupts the other threads of the process to
+        // stored once, so every element of `out` is written (as
+        // `for_overwrite` asks) and none is read: touching the untouched
+        // pages of a fresh allocation with a read first maps the shared
+        // zero page and then replaces it on the write, and every such
+        // replacement interrupts the other threads of the process to
         // flush their TLBs — on a cold buffer that costs several times the
         // aggregation itself.
         pool::for_each_row_chunk(out.data_mut(), f, step, self.threads, |first, block| {

@@ -51,9 +51,7 @@ impl Linear {
     /// Forward pass: `x @ W (+ b)`.
     pub fn forward(&self, x: &Matrix) -> Matrix {
         assert_eq!(x.cols(), self.in_dim(), "input feature dim mismatch");
-        let mut out = ops::matmul(x, &self.weight);
-        ops::epilogue(&mut out, None, self.bias(), false);
-        out
+        ops::dense(ops::matmul(x, &self.weight), None, None, self.bias(), false)
     }
 }
 

@@ -6,7 +6,55 @@
 //! paper's feature parallelism exploits for coalesced access, and which
 //! the device-side kernels assume when they index `v * dim + lane`.
 
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
 use crate::pool;
+
+/// Buffers shorter than this many bytes are never held: the allocator
+/// serves them from its heap without mapping pages, and below its
+/// default mapping threshold (128 KiB) a fresh one costs no faults.
+const SPARE_MIN_BYTES: usize = 128 << 10;
+
+/// Most buffers held at once. A forward keeps at most two spare shapes
+/// in flight (the input-width and the output-width intermediates); the
+/// rest absorb a second network or graph interleaved with the first.
+const SPARE_SLOTS: usize = 4;
+
+/// The spare-buffer store: large buffers that [`Matrix::recycle`] gave
+/// back, oldest first, for [`Matrix::for_overwrite`] to hand out again.
+/// Reusing a buffer reuses its mapped pages, so a steady-state forward
+/// takes no page faults for its intermediates; a freed large block goes
+/// back to the kernel instead, and its replacement is faulted in afresh,
+/// one page at a time.
+struct Spares(Vec<Vec<f32>>);
+
+impl Spares {
+    /// The newest held buffer of exactly `len` elements.
+    fn take(&mut self, len: usize) -> Option<Vec<f32>> {
+        let newest = self.0.iter().rposition(|b| b.len() == len)?;
+        Some(self.0.remove(newest))
+    }
+
+    /// Hold `buf` if it is large enough, dropping the oldest buffer when
+    /// every slot is full.
+    fn give(&mut self, buf: Vec<f32>) {
+        if buf.len() * std::mem::size_of::<f32>() < SPARE_MIN_BYTES {
+            return;
+        }
+        if self.0.len() == SPARE_SLOTS {
+            self.0.remove(0);
+        }
+        self.0.push(buf);
+    }
+}
+
+static SPARES: Mutex<Spares> = Mutex::new(Spares(Vec::new()));
+
+/// The store, locked. A holder cannot leave it half-updated, so a
+/// poisoned lock is taken over as it is.
+fn spares() -> MutexGuard<'static, Spares> {
+    SPARES.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// The `j`-th `next_u64` (from 0) of `StdRng::seed_from_u64(seed)`,
 /// without the `j` draws before it: the generator is splitmix64, whose
@@ -56,6 +104,27 @@ impl Matrix {
     pub fn from_vec(rows: usize, cols: usize, data: Vec<f32>) -> Self {
         assert_eq!(data.len(), rows * cols, "shape/buffer mismatch");
         Self { rows, cols, data }
+    }
+
+    /// A matrix whose every element the caller is about to write: a held
+    /// spare buffer of exactly `rows * cols` elements when the store has
+    /// one, a fresh zeroed buffer otherwise. Debug builds fill it with
+    /// NaN, so an element the writer skips shows in any comparison.
+    pub fn for_overwrite(rows: usize, cols: usize) -> Self {
+        let len = rows * cols;
+        let spare = spares().take(len);
+        let mut data = spare.unwrap_or_else(|| vec![0.0; len]);
+        if cfg!(debug_assertions) {
+            data.fill(f32::NAN);
+        }
+        Self { rows, cols, data }
+    }
+
+    /// Give the buffer back for a later [`Self::for_overwrite`] of the
+    /// same length to reuse. The store holds a few buffers of 128 KiB or
+    /// more and drops the rest, oldest first.
+    pub fn recycle(self) {
+        spares().give(self.data);
     }
 
     /// Uniform random entries in `[-scale, scale)`, deterministic in seed.
@@ -235,6 +304,40 @@ mod tests {
     fn max_abs_diff_zero_for_self() {
         let a = Matrix::random(5, 5, 1.0, 9);
         assert_eq!(a.max_abs_diff(&a), 0.0);
+    }
+
+    /// A spare holding exactly the values a writer means to store, so
+    /// only the poison can show the row it skips.
+    #[test]
+    #[cfg(debug_assertions)]
+    fn a_writer_that_skips_a_row_is_caught() {
+        // Past the store's minimum, a length no other test uses.
+        let (rows, cols, skipped) = (1031, 37, 517);
+        let want = Matrix::random(rows, cols, 1.0, 11);
+        want.clone().recycle();
+        let mut got = Matrix::for_overwrite(rows, cols);
+        for r in (0..rows).filter(|&r| r != skipped) {
+            got.row_mut(r).copy_from_slice(want.row(r));
+        }
+        assert!(got.row(skipped).iter().all(|v| v.is_nan()));
+        assert_ne!(got, want);
+    }
+
+    #[test]
+    fn spares_match_exact_lengths_and_drop_the_oldest() {
+        let big = SPARE_MIN_BYTES / std::mem::size_of::<f32>();
+        let mut store = Spares(Vec::new());
+        store.give(vec![0.0; big - 1]);
+        assert!(store.0.is_empty(), "a buffer under 128 KiB is not held");
+        for len in big..big + SPARE_SLOTS + 1 {
+            store.give(vec![len as f32; len]);
+        }
+        assert_eq!(store.0.len(), SPARE_SLOTS);
+        assert_eq!(store.take(big), None, "the oldest was dropped");
+        assert_eq!(store.take(big + 2).map(|b| b.len()), Some(big + 2));
+        assert_eq!(store.take(big + 2), None, "a buffer is handed out once");
+        store.give(vec![1.0; big + 1]);
+        assert_eq!(store.take(big + 1).map(|b| b[0]), Some(1.0), "newest first");
     }
 
     #[test]

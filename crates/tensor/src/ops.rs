@@ -1,14 +1,15 @@
 //! Dense linear-algebra operations.
 //!
 //! These are the "regular neural network operations" of a GNN layer
-//! (paper Section 2.1): the matmul that projects features — after the
-//! graph convolution when a layer keeps or widens its width, before it
-//! when the layer narrows (`GnnLayer`'s order rule in `tlpgnn`) — the
-//! layer epilogue, and bias/sum/transpose helpers. They run on the host —
-//! the paper, too, measures only the graph-convolution kernel on the GPU
-//! and treats dense ops as standard. The ones a forward pass spends time
-//! in (`matmul`, `epilogue`) are row-chunked over
-//! [`crate::pool`] once the input is large enough to pay for the hand-off.
+//! (paper Section 2.1): the matmul that projects features — before the
+//! graph convolution when that saves the layer a 128-byte segment per
+//! row, after it otherwise (`GnnLayer`'s order rule in `tlpgnn`) — the
+//! layer's fused dense phase, and sum/transpose helpers. They run on the
+//! host — the paper, too, measures only the graph-convolution kernel on
+//! the GPU and treats dense ops as standard. The ones a forward pass
+//! spends time in (`matmul`, `dense`) are row-chunked over
+//! [`crate::pool`] once the input is large enough to pay for the hand-off,
+//! and write every element of a [`Matrix::for_overwrite`] buffer.
 
 use crate::matrix::Matrix;
 use crate::pool::{self, STREAMED_ELEMENT_WORK};
@@ -43,9 +44,8 @@ fn tile<const R: usize, const NR: usize>(
     }
 }
 
-/// What one product reads: the left and the right operand.
-struct Operands<'a> {
-    a: &'a Matrix,
+/// The right operand of a product, ready for the tiles.
+struct Panels<'a> {
     b: &'a Matrix,
     /// Columns `m − m % 8 ..` of `b`, zero-padded to eight wide, so the
     /// last few outputs of each row go through the same tile as the rest
@@ -53,33 +53,33 @@ struct Operands<'a> {
     tail: Vec<f32>,
 }
 
-impl<'a> Operands<'a> {
-    fn new(a: &'a Matrix, b: &'a Matrix) -> Self {
+impl<'a> Panels<'a> {
+    fn new(b: &'a Matrix) -> Self {
         let (k, m) = b.shape();
         let w = m % 8;
         let mut tail = vec![0.0; if w == 0 { 0 } else { k * 8 }];
         for (packed, row) in tail.chunks_mut(8).zip(b.data().chunks(m.max(1))) {
             packed[..w].copy_from_slice(&row[m - w..]);
         }
-        Self { a, b, tail }
+        Self { b, tail }
     }
 
-    /// One `NR`-wide tile of `R` output rows starting at global row `i`:
+    /// One `NR`-wide tile of the `R` output rows of `a`'s first `R` rows:
     /// zero accumulators, k walked in order, then the first `w` columns
     /// stored at column `j0`.
     #[inline(always)]
     fn tile_rows<const R: usize, const NR: usize>(
         &self,
-        i: usize,
+        a: &[f32],
         b_panel: &[f32],
         ldb: usize,
         out: &mut [f32],
         j0: usize,
         w: usize,
     ) {
-        let (m, k) = (self.b.cols(), self.a.cols());
+        let (k, m) = self.b.shape();
         let mut acc = [[0.0f32; NR]; R];
-        tile::<R, NR>(&mut acc, &self.a.data()[i * k..], k, b_panel, ldb);
+        tile::<R, NR>(&mut acc, a, k, b_panel, ldb);
         for r in 0..R {
             out[r * m + j0..][..w].copy_from_slice(&acc[r][..w]);
         }
@@ -87,35 +87,41 @@ impl<'a> Operands<'a> {
 
     /// All columns of `R` output rows (`out` is those rows, `R·m` long).
     #[inline(always)]
-    fn row_group<const R: usize>(&self, i: usize, out: &mut [f32]) {
+    fn row_group<const R: usize>(&self, a: &[f32], out: &mut [f32]) {
         let m = self.b.cols();
         let b = self.b.data();
         let mut j0 = 0;
         while j0 + 16 <= m {
-            self.tile_rows::<R, 16>(i, &b[j0..], m, out, j0, 16);
+            self.tile_rows::<R, 16>(a, &b[j0..], m, out, j0, 16);
             j0 += 16;
         }
         if j0 + 8 <= m {
-            self.tile_rows::<R, 8>(i, &b[j0..], m, out, j0, 8);
+            self.tile_rows::<R, 8>(a, &b[j0..], m, out, j0, 8);
             j0 += 8;
         }
         if j0 < m {
-            self.tile_rows::<R, 8>(i, &self.tail, 8, out, j0, m - j0);
+            self.tile_rows::<R, 8>(a, &self.tail, 8, out, j0, m - j0);
         }
     }
 
-    /// Rows `first..` of the product into `out` (whole rows).
+    /// `out = a · b` for whole rows: `a` holds the `out.len() / m` rows
+    /// of the left operand that `out`'s rows come from.
     #[inline(always)]
-    fn rows(&self, first: usize, out: &mut [f32]) {
-        let m = self.b.cols();
+    fn rows(&self, a: &[f32], out: &mut [f32]) {
+        let (k, m) = self.b.shape();
+        if k == 0 {
+            // An empty sum; `b` has no panels to slice.
+            out.fill(0.0);
+            return;
+        }
         let mut groups = out.chunks_exact_mut(MR * m);
-        let mut i = first;
+        let mut i = 0;
         for group in &mut groups {
-            self.row_group::<MR>(i, group);
+            self.row_group::<MR>(&a[i * k..], group);
             i += MR;
         }
         for row in groups.into_remainder().chunks_exact_mut(m) {
-            self.row_group::<1>(i, row);
+            self.row_group::<1>(&a[i * k..], row);
             i += 1;
         }
     }
@@ -124,8 +130,21 @@ impl<'a> Operands<'a> {
     /// same bits, with eight lanes per multiply and per add.
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx2")]
-    fn rows_avx2(&self, first: usize, out: &mut [f32]) {
-        self.rows(first, out);
+    fn rows_avx2(&self, a: &[f32], out: &mut [f32]) {
+        self.rows(a, out);
+    }
+
+    /// [`Self::rows`] in the instantiation `avx2` chooses.
+    fn product(&self, avx2: bool, a: &[f32], out: &mut [f32]) {
+        #[cfg(target_arch = "x86_64")]
+        if avx2 {
+            // SAFETY: `avx2` is only ever true after
+            // `is_x86_feature_detected!("avx2")` said so.
+            return unsafe { self.rows_avx2(a, out) };
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        debug_assert!(!avx2, "only x86-64 has the AVX2 instantiation");
+        self.rows(a, out);
     }
 }
 
@@ -143,22 +162,10 @@ fn has_avx2() -> bool {
 fn matmul_with(a: &Matrix, b: &Matrix, avx2: bool) -> Matrix {
     let (k, m) = b.shape();
     assert_eq!(a.cols(), k, "matmul inner dimension mismatch");
-    let mut out = Matrix::zeros(a.rows(), m);
-    if k == 0 {
-        // An empty sum; `b` has no panels to slice.
-        return out;
-    }
-    let operands = Operands::new(a, b);
+    let mut out = Matrix::for_overwrite(a.rows(), m);
+    let panels = Panels::new(b);
     pool::for_each_row_block(out.data_mut(), m, k * m, |first, block| {
-        #[cfg(target_arch = "x86_64")]
-        if avx2 {
-            // SAFETY: `avx2` is only ever true after
-            // `is_x86_feature_detected!("avx2")` said so.
-            return unsafe { operands.rows_avx2(first, block) };
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        debug_assert!(!avx2, "only x86-64 has the AVX2 instantiation");
-        operands.rows(first, block);
+        panels.product(avx2, &a.data()[first * k..], block);
     });
     out
 }
@@ -171,6 +178,103 @@ pub fn matmul(a: &Matrix, b: &Matrix) -> Matrix {
     matmul_with(a, b, has_avx2())
 }
 
+/// Rows of [`dense`] computed per pass over a block: its scratch rows
+/// stay in L1 while they are added in.
+const DENSE_ROWS: usize = 32;
+
+/// A GNN layer's dense phase in one pass over `m`'s rows — the host
+/// mirror of the device's fused dense kernel:
+/// `act(((m·w) + x·w_self) + bias)`, with the product by `w`, the self
+/// term `(x, w_self)` and the bias each optional and `act` ReLU or the
+/// identity. Each product is [`matmul`]'s chain, bit for bit, and the
+/// terms are added in the order written, so the result is that of the
+/// separate ops; the self term is computed a block of rows at a time and
+/// never stored whole.
+///
+/// The result overwrites `m` when there is no `w` or a square one (each
+/// block's input rows are copied aside first); otherwise it is a
+/// [`Matrix::for_overwrite`] buffer and `m`'s is recycled.
+pub fn dense(
+    m: Matrix,
+    w: Option<&Matrix>,
+    self_term: Option<(&Matrix, &Matrix)>,
+    bias: Option<&[f32]>,
+    relu: bool,
+) -> Matrix {
+    let (rows, k) = m.shape();
+    let cols = w.map_or(k, Matrix::cols);
+    assert!(
+        w.is_none_or(|w| w.rows() == k),
+        "dense inner dimension mismatch"
+    );
+    assert!(
+        self_term
+            .is_none_or(|(x, ws)| x.rows() == rows && x.cols() == ws.rows() && ws.cols() == cols),
+        "self term shape mismatch"
+    );
+    assert!(bias.is_none_or(|b| b.len() == cols), "bias length mismatch");
+    let avx2 = has_avx2();
+    let product = w.map(Panels::new);
+    let self_product = self_term.map(|(x, w_self)| (x, Panels::new(w_self)));
+    let work = [w, self_term.map(|(_, ws)| ws)]
+        .into_iter()
+        .flatten()
+        .map(|w| w.rows() * cols)
+        .sum::<usize>();
+    // `input` is `m` when the result needs a buffer of its own.
+    let (mut out, input) = if k == cols {
+        (m, None)
+    } else {
+        (Matrix::for_overwrite(rows, cols), Some(m))
+    };
+    let body = |first: usize, block: &mut [f32]| {
+        let mut scratch = Vec::new();
+        for (i, rows_out) in block.chunks_mut(DENSE_ROWS * cols).enumerate() {
+            let (first, n) = (first + i * DENSE_ROWS, rows_out.len() / cols);
+            if let Some(p) = &product {
+                let a = match &input {
+                    Some(m) => &m.data()[first * k..][..n * k],
+                    None => {
+                        scratch.clear();
+                        scratch.extend_from_slice(rows_out);
+                        &scratch[..]
+                    }
+                };
+                p.product(avx2, a, rows_out);
+            }
+            // One loop per term, so each vectorises on its own.
+            if let Some((x, p)) = &self_product {
+                let kx = x.cols();
+                scratch.resize(n * cols, 0.0);
+                p.product(
+                    avx2,
+                    &x.data()[first * kx..][..n * kx],
+                    &mut scratch[..n * cols],
+                );
+                rows_out.iter_mut().zip(&scratch).for_each(|(v, s)| *v += s);
+            }
+            if let Some(b) = bias {
+                for row in rows_out.chunks_exact_mut(cols) {
+                    row.iter_mut().zip(b).for_each(|(v, b)| *v += b);
+                }
+            }
+            if relu {
+                rows_out.iter_mut().for_each(|v| *v = v.max(0.0));
+            }
+        }
+    };
+    pool::for_each_row_block(
+        out.data_mut(),
+        cols,
+        work + cols * STREAMED_ELEMENT_WORK,
+        body,
+    );
+    if let Some(m) = input {
+        m.recycle();
+    }
+    out
+}
+
 /// Matrix transpose.
 pub fn transpose(m: &Matrix) -> Matrix {
     let (r, c) = m.shape();
@@ -181,40 +285,6 @@ pub fn transpose(m: &Matrix) -> Matrix {
         }
     }
     out
-}
-
-/// A GNN layer's epilogue in one pass over `m`:
-/// `m = act((m + addend) + bias)`, the addend and the bias each optional
-/// and `act` ReLU or the identity — per element the same additions, in
-/// the same order, as the device's dense kernel.
-pub fn epilogue(m: &mut Matrix, addend: Option<&Matrix>, bias: Option<&[f32]>, relu: bool) {
-    let cols = m.cols();
-    assert!(
-        addend.is_none_or(|a| a.shape() == m.shape()),
-        "addend shape mismatch"
-    );
-    assert!(bias.is_none_or(|b| b.len() == cols), "bias length mismatch");
-    pool::for_each_row_block(
-        m.data_mut(),
-        cols,
-        cols * STREAMED_ELEMENT_WORK,
-        |first, block| {
-            // One loop per term, so each vectorises on its own.
-            for (i, row) in block.chunks_exact_mut(cols).enumerate() {
-                if let Some(a) = addend {
-                    row.iter_mut()
-                        .zip(a.row(first + i))
-                        .for_each(|(v, a)| *v += a);
-                }
-                if let Some(b) = bias {
-                    row.iter_mut().zip(b).for_each(|(v, b)| *v += b);
-                }
-                if relu {
-                    row.iter_mut().for_each(|v| *v = v.max(0.0));
-                }
-            }
-        },
-    );
 }
 
 /// Elementwise sum of two matrices.
@@ -346,35 +416,91 @@ mod tests {
 
     #[test]
     fn bias_added_to_every_row() {
-        let mut m = Matrix::zeros(3, 2);
-        epilogue(&mut m, None, Some(&[1.0, -1.0]), false);
+        let m = dense(Matrix::zeros(3, 2), None, None, Some(&[1.0, -1.0]), false);
         for r in 0..3 {
             assert_eq!(m.row(r), &[1.0, -1.0]);
         }
     }
 
-    #[test]
-    fn epilogue_is_the_separate_passes() {
-        let m = Matrix::random(70, 9, 1.0, 3);
-        let a = Matrix::random(70, 9, 1.0, 4);
-        let b: Vec<f32> = (0..9).map(|c| c as f32 * 0.25 - 1.0).collect();
-        for relu in [false, true] {
-            let mut want = add(&m, &a);
-            for r in 0..want.rows() {
-                for (v, bv) in want.row_mut(r).iter_mut().zip(&b) {
-                    *v += bv;
-                }
-            }
-            if relu {
-                crate::activations::relu(&mut want);
-            }
-            let mut got = m.clone();
-            epilogue(&mut got, Some(&a), Some(&b), relu);
-            assert_eq!(bits(&got), bits(&want), "relu={relu}");
+    /// What [`dense`] fuses, as separate ops: the product (or `m`), then
+    /// `+ x·w_self`, `+ bias` and ReLU, each over the whole matrix.
+    fn dense_reference(
+        m: &Matrix,
+        w: Option<&Matrix>,
+        self_term: Option<(&Matrix, &Matrix)>,
+        bias: Option<&[f32]>,
+        relu: bool,
+    ) -> Matrix {
+        let mut want = w.map_or_else(|| m.clone(), |w| matmul(m, w));
+        if let Some((x, w_self)) = self_term {
+            want = add(&want, &matmul(x, w_self));
         }
-        let mut got = m.clone();
-        epilogue(&mut got, None, None, false);
-        assert_eq!(got, m);
+        if let Some(b) = bias {
+            for r in 0..want.rows() {
+                want.row_mut(r).iter_mut().zip(b).for_each(|(v, b)| *v += b);
+            }
+        }
+        if relu {
+            crate::activations::relu(&mut want);
+        }
+        want
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(96))]
+
+        /// The fused dense phase is bitwise `matmul` plus the explicit
+        /// adds: with and without a product (square, so in place, or
+        /// not), a self term and a bias, ReLU on and off, over rows that
+        /// span several passes and widths with and without a tail of
+        /// `m % 8` columns, down to empty inner dimensions.
+        #[test]
+        fn dense_is_matmul_plus_explicit_adds(
+            rows in 0usize..75,
+            k in 0usize..40,
+            wide in 1usize..40,
+            k_self in 0usize..12,
+            terms in 0usize..16,
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            let (product, square) = (terms & 1 != 0, terms & 2 != 0);
+            let (with_self, with_bias) = (terms & 4 != 0, terms & 8 != 0);
+            let cols = if product && !square { wide } else { k };
+            let m = with_zeros(rows, k, seed);
+            let w = with_zeros(k, cols, seed ^ 1);
+            let x = with_zeros(rows, k_self, seed ^ 2);
+            let w_self = with_zeros(k_self, cols, seed ^ 3);
+            let bias = Matrix::random(1, cols, 1.0, seed ^ 4).into_vec();
+            let w = product.then_some(&w);
+            let self_term = with_self.then_some((&x, &w_self));
+            let bias = with_bias.then_some(&bias[..]);
+            for relu in [false, true] {
+                let want = dense_reference(&m, w, self_term, bias, relu);
+                let got = dense(m.clone(), w, self_term, bias, relu);
+                proptest::prop_assert_eq!(got.shape(), want.shape());
+                proptest::prop_assert_eq!(bits(&got), bits(&want));
+            }
+        }
+    }
+
+    #[test]
+    fn dense_over_the_pool_is_the_separate_ops() {
+        // Past the work cutoff, rows not a multiple of the chunk, the
+        // pass or the tile; square (in place) and narrowing products.
+        let (rows, k) = (4101, 64);
+        let m = with_zeros(rows, k, 7);
+        let x = with_zeros(rows, k, 8);
+        let bias = Matrix::random(1, 64, 1.0, 9).into_vec();
+        for cols in [64, 21] {
+            assert!(rows * k * cols * 2 >= pool::MIN_PARALLEL_WORK);
+            let w = with_zeros(k, cols, 10);
+            let w_self = with_zeros(k, cols, 11);
+            let self_term = Some((&x, &w_self));
+            let bias = Some(&bias[..cols]);
+            let want = dense_reference(&m, Some(&w), self_term, bias, true);
+            let got = dense(m.clone(), Some(&w), self_term, bias, true);
+            assert_eq!(bits(&got), bits(&want), "{k}->{cols}");
+        }
     }
 
     #[test]
@@ -399,12 +525,15 @@ mod tests {
             matmul(&Matrix::full(2, 0, 1.0), &Matrix::zeros(0, 3)).data(),
             &[0.0; 6]
         );
-        epilogue(
-            &mut Matrix::zeros(3, 0),
-            Some(&Matrix::zeros(3, 0)),
+        let x = Matrix::zeros(3, 2);
+        let out = dense(
+            Matrix::zeros(3, 0),
+            None,
+            Some((&x, &Matrix::zeros(2, 0))),
             Some(&[]),
             true,
         );
+        assert_eq!(out.shape(), (3, 0));
     }
 
     #[test]
