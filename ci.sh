@@ -196,6 +196,15 @@ if grep -rnE --include='*.rs' 'mallopt|MALLOC_|#\[global_allocator\]' crates/*/s
   echo "one home: an allocator setting or a global allocator under crates/*/src or src (reuse pages through Matrix's spare store)" >&2
   exit 1
 fi
+# Instruction-set dispatch has one home, crates/tensor/src/ops.rs: the
+# copies built for AVX2 and AVX-512 and the run-time detection that
+# picks the widest (ops::Isa). The dense tile and the native conv's rows
+# reach them through Isa::run; nothing else names a target feature.
+if grep -rnE --include='*.rs' '#\[target_feature|is_x86_feature_detected!' crates/*/src |
+  grep -v '^crates/tensor/src/ops\.rs:'; then
+  echo "one home: a target_feature or a run-time ISA check outside crates/tensor/src/ops.rs (dispatch through tlpgnn_tensor::ops::Isa)" >&2
+  exit 1
+fi
 # Public means called: every `pub` fn, mod, struct, enum, trait, union,
 # type alias, const, static and named field under crates/<c>/src
 # (comments, string literals and each #[cfg(test)] item, braces

@@ -9,7 +9,9 @@
 //! the GPU and treats dense ops as standard. The ones a forward pass
 //! spends time in (`matmul`, `dense`) are row-chunked over
 //! [`crate::pool`] once the input is large enough to pay for the hand-off,
-//! and write every element of a [`Matrix::for_overwrite`] buffer.
+//! write every element of a [`Matrix::for_overwrite`] buffer, and run
+//! compiled for the host's widest vectors ([`Isa`], the one home of
+//! instruction-set dispatch).
 
 use crate::matrix::Matrix;
 use crate::pool::{self, STREAMED_ELEMENT_WORK};
@@ -125,47 +127,105 @@ impl<'a> Panels<'a> {
             i += 1;
         }
     }
+}
 
-    /// [`Self::rows`] compiled for 256-bit vectors: the same body, so the
-    /// same bits, with eight lanes per multiply and per add.
+/// The instruction sets the host's vector loops are compiled for: the
+/// dense tile here and the native convolution's rows in `tlpgnn`. Every
+/// copy runs one body, and rustc never contracts a multiply and an add
+/// into an fma, so every copy gives the same bits; [`Isa::widest`] picks
+/// the widest the host has, at run time. No other file names a target
+/// feature.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Isa {
+    /// The build target's baseline.
+    Generic,
+    /// 256-bit vectors.
     #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2")]
-    fn rows_avx2(&self, a: &[f32], out: &mut [f32]) {
-        self.rows(a, out);
-    }
+    Avx2,
+    /// 512-bit vectors: a 16-wide tile row, or 16 lanes of a
+    /// convolution's row, in one register.
+    #[cfg(target_arch = "x86_64")]
+    Avx512,
+}
 
-    /// [`Self::rows`] in the instantiation `avx2` chooses.
-    fn product(&self, avx2: bool, a: &[f32], out: &mut [f32]) {
+impl Isa {
+    /// Every instruction set, narrowest first.
+    const ALL: &[Isa] = &[
+        Isa::Generic,
         #[cfg(target_arch = "x86_64")]
-        if avx2 {
-            // SAFETY: `avx2` is only ever true after
-            // `is_x86_feature_detected!("avx2")` said so.
-            return unsafe { self.rows_avx2(a, out) };
+        Isa::Avx2,
+        #[cfg(target_arch = "x86_64")]
+        Isa::Avx512,
+    ];
+
+    /// Whether this host has the features the set needs.
+    fn runs_here(self) -> bool {
+        match self {
+            Isa::Generic => true,
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx2 => std::arch::is_x86_feature_detected!("avx2"),
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx512 => std::arch::is_x86_feature_detected!("avx512f"),
         }
-        #[cfg(not(target_arch = "x86_64"))]
-        debug_assert!(!avx2, "only x86-64 has the AVX2 instantiation");
-        self.rows(a, out);
+    }
+
+    /// Every instruction set this host runs, narrowest first.
+    pub fn runnable() -> impl Iterator<Item = Isa> {
+        Isa::ALL.iter().copied().filter(|isa| isa.runs_here())
+    }
+
+    /// The widest instruction set this host runs.
+    pub fn widest() -> Isa {
+        Isa::runnable().last().unwrap_or(Isa::Generic)
+    }
+
+    /// `body()` compiled for this instruction set. `body` is inlined into
+    /// a function built with the set's features, and so is every
+    /// `#[inline(always)]` callee of it — so `body` must itself be an
+    /// `#[inline(always)]` closure, or it is left out of line and runs
+    /// the baseline build, as does any other call it makes out of line.
+    ///
+    /// Panics if the host lacks the set's features.
+    #[inline(always)]
+    pub fn run<R>(self, body: impl FnOnce() -> R) -> R {
+        assert!(self.runs_here(), "{self:?} is not available on this host");
+        match self {
+            Isa::Generic => body(),
+            // SAFETY: the assert above: the host has AVX2.
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx2 => unsafe { on_avx2(body) },
+            // SAFETY: the assert above: the host has AVX-512F.
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx512 => unsafe { on_avx512(body) },
+        }
     }
 }
 
+/// `body()`, built for 256-bit vectors.
 #[cfg(target_arch = "x86_64")]
-fn has_avx2() -> bool {
-    std::arch::is_x86_feature_detected!("avx2")
+#[target_feature(enable = "avx2")]
+fn on_avx2<R>(body: impl FnOnce() -> R) -> R {
+    body()
 }
 
-#[cfg(not(target_arch = "x86_64"))]
-fn has_avx2() -> bool {
-    false
+/// `body()`, built for 512-bit vectors.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn on_avx512<R>(body: impl FnOnce() -> R) -> R {
+    body()
 }
 
-/// `a @ b` with `avx2` choosing the instantiation.
-fn matmul_with(a: &Matrix, b: &Matrix, avx2: bool) -> Matrix {
+/// `a @ b`, its tiles compiled for `isa`.
+fn matmul_with(a: &Matrix, b: &Matrix, isa: Isa) -> Matrix {
     let (k, m) = b.shape();
     assert_eq!(a.cols(), k, "matmul inner dimension mismatch");
     let mut out = Matrix::for_overwrite(a.rows(), m);
     let panels = Panels::new(b);
     pool::for_each_row_block(out.data_mut(), m, k * m, |first, block| {
-        panels.product(avx2, &a.data()[first * k..], block);
+        isa.run(
+            #[inline(always)]
+            || panels.rows(&a.data()[first * k..], block),
+        );
     });
     out
 }
@@ -175,7 +235,7 @@ fn matmul_with(a: &Matrix, b: &Matrix, avx2: bool) -> Matrix {
 /// Every output is `((0 + a_i0·b_0j) + a_i1·b_1j) + …` in k order, on any
 /// machine and any number of threads.
 pub fn matmul(a: &Matrix, b: &Matrix) -> Matrix {
-    matmul_with(a, b, has_avx2())
+    matmul_with(a, b, Isa::widest())
 }
 
 /// Rows of [`dense`] computed per pass over a block: its scratch rows
@@ -201,6 +261,18 @@ pub fn dense(
     bias: Option<&[f32]>,
     relu: bool,
 ) -> Matrix {
+    dense_with(m, w, self_term, bias, relu, Isa::widest())
+}
+
+/// [`dense`], its blocks compiled for `isa`.
+fn dense_with(
+    m: Matrix,
+    w: Option<&Matrix>,
+    self_term: Option<(&Matrix, &Matrix)>,
+    bias: Option<&[f32]>,
+    relu: bool,
+    isa: Isa,
+) -> Matrix {
     let (rows, k) = m.shape();
     let cols = w.map_or(k, Matrix::cols);
     assert!(
@@ -213,9 +285,6 @@ pub fn dense(
         "self term shape mismatch"
     );
     assert!(bias.is_none_or(|b| b.len() == cols), "bias length mismatch");
-    let avx2 = has_avx2();
-    let product = w.map(Panels::new);
-    let self_product = self_term.map(|(x, w_self)| (x, Panels::new(w_self)));
     let work = [w, self_term.map(|(_, ws)| ws)]
         .into_iter()
         .flatten()
@@ -227,12 +296,59 @@ pub fn dense(
     } else {
         (Matrix::for_overwrite(rows, cols), Some(m))
     };
-    let body = |first: usize, block: &mut [f32]| {
+    let pass = DensePass {
+        k,
+        cols,
+        input: input.as_ref(),
+        product: w.map(Panels::new),
+        self_product: self_term.map(|(x, w_self)| (x, Panels::new(w_self))),
+        bias,
+        relu,
+    };
+    pool::for_each_row_block(
+        out.data_mut(),
+        cols,
+        work + cols * STREAMED_ELEMENT_WORK,
+        |first, block| {
+            isa.run(
+                #[inline(always)]
+                || pass.block(first, block),
+            )
+        },
+    );
+    if let Some(m) = input {
+        m.recycle();
+    }
+    out
+}
+
+/// What every block of [`dense`] reads; a struct so that the block's
+/// body can be an `#[inline(always)]` method, which [`Isa::run`] needs.
+struct DensePass<'a> {
+    /// Columns of `m`.
+    k: usize,
+    /// Columns of the result.
+    cols: usize,
+    /// `m`, when the result has a buffer of its own; otherwise each
+    /// block's input rows are its output rows.
+    input: Option<&'a Matrix>,
+    product: Option<Panels<'a>>,
+    self_product: Option<(&'a Matrix, Panels<'a>)>,
+    bias: Option<&'a [f32]>,
+    relu: bool,
+}
+
+impl DensePass<'_> {
+    /// Output rows `first..`, which `block` holds, [`DENSE_ROWS`] at a
+    /// time.
+    #[inline(always)]
+    fn block(&self, first: usize, block: &mut [f32]) {
+        let (k, cols) = (self.k, self.cols);
         let mut scratch = Vec::new();
         for (i, rows_out) in block.chunks_mut(DENSE_ROWS * cols).enumerate() {
             let (first, n) = (first + i * DENSE_ROWS, rows_out.len() / cols);
-            if let Some(p) = &product {
-                let a = match &input {
+            if let Some(p) = &self.product {
+                let a = match self.input {
                     Some(m) => &m.data()[first * k..][..n * k],
                     None => {
                         scratch.clear();
@@ -240,39 +356,25 @@ pub fn dense(
                         &scratch[..]
                     }
                 };
-                p.product(avx2, a, rows_out);
+                p.rows(a, rows_out);
             }
             // One loop per term, so each vectorises on its own.
-            if let Some((x, p)) = &self_product {
+            if let Some((x, p)) = &self.self_product {
                 let kx = x.cols();
                 scratch.resize(n * cols, 0.0);
-                p.product(
-                    avx2,
-                    &x.data()[first * kx..][..n * kx],
-                    &mut scratch[..n * cols],
-                );
+                p.rows(&x.data()[first * kx..][..n * kx], &mut scratch[..n * cols]);
                 rows_out.iter_mut().zip(&scratch).for_each(|(v, s)| *v += s);
             }
-            if let Some(b) = bias {
+            if let Some(b) = self.bias {
                 for row in rows_out.chunks_exact_mut(cols) {
                     row.iter_mut().zip(b).for_each(|(v, b)| *v += b);
                 }
             }
-            if relu {
+            if self.relu {
                 rows_out.iter_mut().for_each(|v| *v = v.max(0.0));
             }
         }
-    };
-    pool::for_each_row_block(
-        out.data_mut(),
-        cols,
-        work + cols * STREAMED_ELEMENT_WORK,
-        body,
-    );
-    if let Some(m) = input {
-        m.recycle();
     }
-    out
 }
 
 /// Matrix transpose.
@@ -347,10 +449,14 @@ mod tests {
         m
     }
 
-    /// The generic instantiation, and the AVX2 one where it can run.
-    fn instantiations() -> Vec<bool> {
-        let mut all = vec![false];
-        all.extend(has_avx2().then_some(true));
+    /// Every instantiation this host can run.
+    fn instantiations() -> Vec<Isa> {
+        let all: Vec<Isa> = Isa::ALL
+            .iter()
+            .copied()
+            .filter(|isa| isa.runs_here())
+            .collect();
+        assert_eq!(all.last(), Some(&Isa::widest()));
         all
     }
 
@@ -363,11 +469,11 @@ mod tests {
                     let a = with_zeros(rows, k, seed);
                     let b = with_zeros(k, m, seed + 1);
                     let want = bits(&matmul_reference(&a, &b));
-                    for avx2 in instantiations() {
+                    for isa in instantiations() {
                         assert_eq!(
-                            bits(&matmul_with(&a, &b, avx2)),
+                            bits(&matmul_with(&a, &b, isa)),
                             want,
-                            "{rows}x{k}x{m} avx2={avx2}"
+                            "{rows}x{k}x{m} {isa:?}"
                         );
                     }
                     assert_eq!(bits(&matmul(&a, &b)), want, "{rows}x{k}x{m}");
@@ -385,8 +491,8 @@ mod tests {
         crate::activations::relu(&mut a);
         let b = Matrix::random(k, m, 1.0, 6);
         let want = bits(&matmul_reference(&a, &b));
-        for avx2 in instantiations() {
-            assert_eq!(bits(&matmul_with(&a, &b, avx2)), want, "avx2={avx2}");
+        for isa in instantiations() {
+            assert_eq!(bits(&matmul_with(&a, &b, isa)), want, "{isa:?}");
         }
     }
 
@@ -476,9 +582,11 @@ mod tests {
             let bias = with_bias.then_some(&bias[..]);
             for relu in [false, true] {
                 let want = dense_reference(&m, w, self_term, bias, relu);
-                let got = dense(m.clone(), w, self_term, bias, relu);
-                proptest::prop_assert_eq!(got.shape(), want.shape());
-                proptest::prop_assert_eq!(bits(&got), bits(&want));
+                for isa in instantiations() {
+                    let got = dense_with(m.clone(), w, self_term, bias, relu, isa);
+                    proptest::prop_assert_eq!(got.shape(), want.shape());
+                    proptest::prop_assert_eq!(bits(&got), bits(&want), "{:?}", isa);
+                }
             }
         }
     }
@@ -498,8 +606,10 @@ mod tests {
             let self_term = Some((&x, &w_self));
             let bias = Some(&bias[..cols]);
             let want = dense_reference(&m, Some(&w), self_term, bias, true);
-            let got = dense(m.clone(), Some(&w), self_term, bias, true);
-            assert_eq!(bits(&got), bits(&want), "{k}->{cols}");
+            for isa in instantiations() {
+                let got = dense_with(m.clone(), Some(&w), self_term, bias, true, isa);
+                assert_eq!(bits(&got), bits(&want), "{k}->{cols} {isa:?}");
+            }
         }
     }
 
